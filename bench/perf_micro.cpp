@@ -62,7 +62,7 @@ void BM_OptimizeDelayExact(benchmark::State& state) {
                           35.0,  0.05, 1.0, -5.0};
   const double gamma = 0.4 * p.gamma_limit();
   const double sigma = e2e::sigma_for_epsilon(p, gamma, 1e-9);
-  const Solver solver{};  // reuse_workspace: allocation-free inner loop
+  const Solver solver{};  // one reused workspace: allocation-free inner loop
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.optimize(p, gamma, sigma));
   }

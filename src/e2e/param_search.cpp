@@ -13,7 +13,6 @@
 #include "e2e/delay_bound.h"
 #include "e2e/k_procedure.h"
 #include "e2e/network_epsilon.h"
-#include "e2e/scan_batch.h"
 #include "e2e/warm_state.h"
 #include "sched/service_curve_provider.h"
 #include "traffic/eb_memo.h"
@@ -94,8 +93,7 @@ struct SearchContext {
                 detail::WarmState* warm_st)
       : sc(sc_in),
         method(method_in),
-        eb(sc_in.source),
-        use_simd(simd_enabled()) {
+        eb(sc_in.source) {
     if (warm_st != nullptr && warm_st->source_matches(sc)) {
       eb.adopt(warm_st->eb_entries);
     }
@@ -131,7 +129,6 @@ struct SearchContext {
   double s_hi = 0.0;
   bool unstable = false;
   bool degenerate_bracket = false;
-  bool use_simd = true;
   // Search budget policy (detail::SearchEffort) plus the per-solve latch:
   // solve_for_delta arms `local_now` only after a kLocal warm probe lands,
   // and best_over_gamma reads it to pick its scan/golden budgets.  With
@@ -139,12 +136,6 @@ struct SearchContext {
   // constants, evaluation for evaluation.
   detail::SearchEffort effort = detail::SearchEffort::kFull;
   bool local_now = false;
-  // SoA scratch of the batched scans (reused across evaluations).
-  std::vector<double> scan_s;
-  std::vector<double> scan_eb;
-  std::vector<double> scan_gammas;
-  std::vector<double> scan_delays;
-  GammaScanBatch gamma_batch;
 };
 
 PathParams params_from_eb(const SearchContext& ctx, double s, double eb_s,
@@ -229,11 +220,9 @@ double minimize_scalar(F f, double lo, double hi, int scan_points,
 /// the sigma(epsilon) prefactors) are computed here, once per s, instead
 /// of inside every evaluation of the inner golden-section search.
 ///
-/// The 25-point coarse scan runs through the SoA SIMD kernel
-/// (e2e/scan_batch.h) for the exact optimizer; the K-procedure (whose
-/// inner K search is data-dependent) and the DELTANC_SIMD=off reference
-/// mode keep the historical scalar loop.  Both produce bit-identical
-/// values, so the golden refinement that follows is shared.
+/// The coarse scan's probes lie strictly inside (0, glim), so every one
+/// of them is evaluated; for the exact optimizer they are counted in
+/// stats.batched_evals (coarse gamma-scan evaluations).
 double best_over_gamma(SearchContext& ctx, double delta, double s,
                        double eb_s, double* best_gamma) {
   const PathParams p = params_from_eb(ctx, s, eb_s, delta);
@@ -248,34 +237,16 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
   const int kGoldenIters = ctx.local_now ? 24 : 48;
   double best_x = lo;
   double best_v = kInf;
-  if (ctx.method == Method::kExactOpt && ctx.use_simd) {
-    const std::size_t lanes = kScanPoints + 1;
-    ctx.scan_gammas.resize(lanes);
-    ctx.scan_delays.resize(lanes);
-    for (int i = 0; i <= kScanPoints; ++i) {
-      ctx.scan_gammas[static_cast<std::size_t>(i)] =
-          lo + (hi - lo) * static_cast<double>(i) / kScanPoints;
+  for (int i = 0; i <= kScanPoints; ++i) {
+    const double x = lo + (hi - lo) * static_cast<double>(i) / kScanPoints;
+    const double v = delay_at(ctx, p, sigma_of, x);
+    if (v < best_v) {
+      best_v = v;
+      best_x = x;
     }
-    detail::gamma_scan_exact_batch(p, sigma_of, ctx.scan_gammas,
-                                   ctx.scan_delays, ctx.gamma_batch);
-    ctx.stats.sigma_evals += static_cast<std::int64_t>(lanes);
-    ctx.stats.optimize_evals += static_cast<std::int64_t>(lanes);
-    ctx.stats.batched_evals += static_cast<std::int64_t>(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      if (ctx.scan_delays[i] < best_v) {
-        best_v = ctx.scan_delays[i];
-        best_x = ctx.scan_gammas[i];
-      }
-    }
-  } else {
-    for (int i = 0; i <= kScanPoints; ++i) {
-      const double x = lo + (hi - lo) * static_cast<double>(i) / kScanPoints;
-      const double v = delay_at(ctx, p, sigma_of, x);
-      if (v < best_v) {
-        best_v = v;
-        best_x = x;
-      }
-    }
+  }
+  if (ctx.method == Method::kExactOpt) {
+    ctx.stats.batched_evals += kScanPoints + 1;
   }
   // Golden refinement around the scan winner -- the exact tail of the
   // historical minimize_scalar(24, 48) call, evaluation for evaluation.
@@ -350,23 +321,14 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
     if (best_v == kInf) ctx.local_now = false;
   }
   if (best_v == kInf) {
-    // Coarse logarithmic scan over s (cold start, or warm probe missed):
-    // the s grid is laid out as one SoA batch so eb(s) evaluates through
-    // the batched spectral-radius kernel (memo misses only).
-    ctx.scan_s.resize(kScan + 1);
-    ctx.scan_eb.resize(kScan + 1);
+    // Coarse logarithmic scan over s (cold start, or warm probe missed).
     for (int i = 0; i <= kScan; ++i) {
-      ctx.scan_s[static_cast<std::size_t>(i)] =
+      const double s =
           s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kScan);
-    }
-    ctx.eb.gather(ctx.scan_s, ctx.scan_eb, ctx.use_simd);
-    for (int i = 0; i <= kScan; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      const double v =
-          best_over_gamma(ctx, delta, ctx.scan_s[k], ctx.scan_eb[k], nullptr);
+      const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
       if (v < best_v) {
         best_v = v;
-        best_s = ctx.scan_s[k];
+        best_s = s;
       }
     }
   }
@@ -376,20 +338,13 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
     // Fall back to a dense logarithmic scan before giving up.
     ++ctx.stats.fallbacks;
     const int kDense = 160;
-    ctx.scan_s.resize(kDense + 1);
-    ctx.scan_eb.resize(kDense + 1);
     for (int i = 0; i <= kDense; ++i) {
-      ctx.scan_s[static_cast<std::size_t>(i)] =
+      const double s =
           s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kDense);
-    }
-    ctx.eb.gather(ctx.scan_s, ctx.scan_eb, ctx.use_simd);
-    for (int i = 0; i <= kDense; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      const double v =
-          best_over_gamma(ctx, delta, ctx.scan_s[k], ctx.scan_eb[k], nullptr);
+      const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
       if (v < best_v) {
         best_v = v;
-        best_s = ctx.scan_s[k];
+        best_s = s;
       }
     }
   }

@@ -8,21 +8,18 @@
 // of the network service curve.  The engine minimizes the bound over
 // both: an outer golden-section search on s (seeded by a coarse
 // logarithmic scan) and an inner golden-section search on gamma within
-// the stability window of Eq. (32).  The inner scan runs through the
-// SoA SIMD kernels of e2e/scan_batch.h (bit-identical to the scalar
-// path; DELTANC_SIMD=off selects the reference implementation).
+// the stability window of Eq. (32).  Both searches are plain scalar
+// loops: every (s, gamma) probe is one optimize_delay / k_procedure_delay
+// call on hoisted per-s invariants.
 //
 // EDF deadlines in the paper's examples are self-referential: d*_0 and
 // d*_c are multiples of d_e2e / H where d_e2e is the EDF bound itself
 // (Examples 1 and 3).  The engine resolves this with a damped
 // fixed-point iteration on Delta_{0,c} = d*_0 - d*_c.
 //
-// The one public entry point is deltanc::Solver (e2e/solver.h); the
-// historical scenario-level free functions were retired with the rest
-// of the deprecated shims, and scripts/check.sh gates against their
-// return.  This header keeps the
-// scenario/result/stats vocabulary plus the internal engine interface
-// the Solver and the sweep chain executor share.
+// The one public entry point is deltanc::Solver (e2e/solver.h).  This
+// header keeps the scenario/result/stats vocabulary plus the internal
+// engine interface the Solver and the sweep chain executor share.
 #pragma once
 
 #include <cstdint>
@@ -104,9 +101,9 @@ struct SolveStats {
   std::int64_t cache_hits = 0;    ///< result was served from the cache
   std::int64_t cache_misses = 0;  ///< no entry existed; solved and stored
   std::int64_t cache_stale = 0;   ///< entry from an older schema/version
-  // SIMD / warm-start instrumentation (PR 9): the speedup must be
-  // observable, not inferred.
-  std::int64_t batched_evals = 0;   ///< evals dispatched through the SIMD kernel
+  // Scan / warm-start instrumentation: the speedup must be observable,
+  // not inferred.
+  std::int64_t batched_evals = 0;   ///< coarse gamma-scan evals (exact optimizer)
   std::int64_t warm_start_hits = 0; ///< warm hints consumed (probe / EDF seed)
   std::int64_t brackets_reused = 0; ///< stable-s brackets adopted (no bisection)
   // Delay-profile instrumentation (PR 10): set on DelayProfile::stats by

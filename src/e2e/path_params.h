@@ -62,23 +62,4 @@ struct SolveWorkspace {
   DelayResult result;              ///< reused output slot (theta buffer)
 };
 
-/// Structure-of-arrays scratch of the batched gamma scan (one lane per
-/// gamma probe of the inner scan; see e2e/scan_batch.h).  Laying the
-/// per-lane quantities out as parallel arrays -- instead of one
-/// PathParams + SolveWorkspace per probe -- is what lets the Eq. (39)
-/// breakpoint enumeration run the same IEEE-exact arithmetic across all
-/// lanes under `#pragma omp simd`.  Like SolveWorkspace, every call
-/// overwrites it completely; a default-constructed batch is valid input
-/// and the buffers keep their capacity across calls.
-struct GammaScanBatch {
-  std::vector<double> sigma;       ///< per-lane sigma(epsilon)(gamma)
-  std::vector<double> rc;          ///< per-lane rho_cross + gamma
-  std::vector<double> node_cap;    ///< hops x lanes, hop-major
-  std::vector<double> node_slack;  ///< hops x lanes, hop-major
-  std::vector<double> cand;        ///< candidates x lanes, candidate-major
-  std::vector<double> obj;         ///< per-lane objective accumulator
-  std::vector<double> best_f;      ///< per-lane running minimum
-  std::vector<double> best_x;      ///< per-lane running argmin
-};
-
 }  // namespace deltanc::e2e

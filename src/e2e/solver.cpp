@@ -55,20 +55,11 @@ e2e::BoundResult Solver::solve_at(const e2e::Scenario& sc,
 
 e2e::DelayResult Solver::optimize(const e2e::PathParams& p, double gamma,
                                   double sigma) const {
-  if (options_.reuse_workspace) {
-    switch (options_.method) {
-      case e2e::Method::kExactOpt:
-        return e2e::optimize_delay(p, gamma, sigma, workspace_);
-      case e2e::Method::kPaperK:
-        return e2e::k_procedure_delay(p, gamma, sigma, workspace_);
-    }
-  }
-  e2e::SolveWorkspace ws;
   switch (options_.method) {
     case e2e::Method::kExactOpt:
-      return e2e::optimize_delay(p, gamma, sigma, ws);
+      return e2e::optimize_delay(p, gamma, sigma, workspace_);
     case e2e::Method::kPaperK:
-      return e2e::k_procedure_delay(p, gamma, sigma, ws);
+      return e2e::k_procedure_delay(p, gamma, sigma, workspace_);
   }
   throw std::invalid_argument("Solver: unknown method");
 }

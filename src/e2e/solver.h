@@ -10,8 +10,7 @@
 // fixed Delta, the EDF retry policy, and the warm-start policy all live
 // in one struct -- which is also exactly what the persistent result
 // cache hashes (io::solve_cache_key), so "what was solved" and "what
-// keys the cache" can never drift apart.  The free-function shims were
-// retired in PR 9; scripts/check.sh gates against their return.
+// keys the cache" can never drift apart.
 //
 // Cold solves are bit-identical to the free functions they replaced
 // (pinned by tests/solver_facade_test.cpp against the PR 2 hexfloat
@@ -49,11 +48,6 @@ struct SolveOptions {
   /// schedule (default, bit-identical to the historical behavior),
   /// 0 = no restarts, n = at most n restarts.
   int max_edf_restarts = -1;
-  /// Reuse one workspace across Solver::optimize calls (allocation-free
-  /// hot loops).  When false every call allocates its own buffers; the
-  /// results are bit-identical either way.  Scenario-level solves manage
-  /// their workspace internally and ignore this flag.
-  bool reuse_workspace = true;
   /// Whether solve(sc, state) consumes the hints carried in the state
   /// (kWarm) or only refreshes it (kCold, the default: bit-identical to
   /// the stateless solve(sc)).  Stateless solves ignore this field.
@@ -62,8 +56,8 @@ struct SolveOptions {
 
 /// The facade over the (gamma, s) parameter search and the theta
 /// optimizers.  Cheap to construct; copyable.  solve()/solve_at() are
-/// const and thread-safe; optimize() mutates the shared workspace when
-/// options().reuse_workspace, so give each thread its own Solver there.
+/// const and thread-safe; optimize() mutates the Solver's workspace, so
+/// give each thread its own Solver there.
 class Solver {
  public:
   /// Opaque warm-start context for solve(sc, state): carries the eb(s)
@@ -129,9 +123,9 @@ class Solver {
                                           double delta) const;
 
   /// One theta optimization (Eq. 39 exactly, or the paper's K-procedure,
-  /// per options().method) at fixed (gamma, sigma).  With
-  /// reuse_workspace (the default) consecutive calls share this Solver's
-  /// buffers and the result is copied out.
+  /// per options().method) at fixed (gamma, sigma).  Consecutive calls
+  /// share this Solver's buffers (allocation-free hot loops) and the
+  /// result is copied out.
   [[nodiscard]] e2e::DelayResult optimize(const e2e::PathParams& p,
                                           double gamma, double sigma) const;
 

@@ -70,7 +70,6 @@ ParsedRequestLine parse_request_line(const std::string& line,
       sc.scheduler = *options.scheduler;
       options.scheduler.reset();
     }
-    options.reuse_workspace = true;
     // A non-null "epsilons" array makes this a profile request.  The
     // grid is validated here so a malformed one is a parse error (the
     // engine would throw the same complaint mid-solve otherwise).
@@ -258,8 +257,6 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
       continue;
     }
     if (req.line.is_profile()) {
-      // Profile entries are new in schema 5: key-level lookup, no
-      // legacy chain to probe.
       e2e::DelayProfile cached;
       req.outcome = options.cache->lookup_profile(req.line.key, cached);
       if (req.outcome == CacheLookup::kHit) {
@@ -272,10 +269,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
       continue;
     }
     e2e::BoundResult cached;
-    // Scenario-level lookup: also classifies pre-refactor (schema-1)
-    // entries of the same solve as stale instead of missing them.
-    req.outcome =
-        options.cache->lookup(req.line.scenario, req.line.options, cached);
+    req.outcome = options.cache->lookup(req.line.key, cached);
     if (req.outcome == CacheLookup::kHit) {
       req.point.scenario = req.line.scenario;
       req.point.bound = std::move(cached);

@@ -79,32 +79,20 @@ double decode_double(const Value& v) {
 
 // ----- enums -------------------------------------------------------------
 
-namespace {
-
-/// The schema-2 scheduler object {kind, delta, edf} -- shared by
-/// encode_scheduler (which appends "params") and the legacy-v2 cache key
-/// (which must stay byte-exactly params-free).
-Value encode_scheduler_v2(const sched::SchedulerSpec& s) {
+Value encode_scheduler(const sched::SchedulerSpec& s) {
   Value edf = Value::object();
   edf.set("own_factor", encode_double(s.edf_factors().own_factor))
       .set("cross_factor", encode_double(s.edf_factors().cross_factor));
-  Value out = Value::object();
-  out.set("kind", Value::string(std::string(
-              sched::scheduler_kind_name(s.kind()))))
-      .set("delta", encode_double(s.delta()))
-      .set("edf", std::move(edf));
-  return out;
-}
-
-}  // namespace
-
-Value encode_scheduler(const sched::SchedulerSpec& s) {
   Value params = Value::array();
   for (std::size_t i = 0; i < s.weights().size(); ++i) {
     params.push_back(encode_double(s.weights()[i]));
   }
-  Value out = encode_scheduler_v2(s);
-  out.set("params", std::move(params));
+  Value out = Value::object();
+  out.set("kind", Value::string(std::string(
+              sched::scheduler_kind_name(s.kind()))))
+      .set("delta", encode_double(s.delta()))
+      .set("edf", std::move(edf))
+      .set("params", std::move(params));
   return out;
 }
 
@@ -628,14 +616,12 @@ namespace {
 
 /// Folds the scheduler override into the scenario so "FIFO scenario
 /// overridden to EDF" and "EDF scenario" key identically -- they solve
-/// identically -- and canonicalizes the options (reuse_workspace is
-/// excluded from keys by contract: it cannot change any result bit).
+/// identically.
 void canonicalize_solve(e2e::Scenario& sc, SolveOptions& options) {
   if (options.scheduler.has_value()) {
     sc.scheduler = *options.scheduler;
     options.scheduler.reset();
   }
-  options.reuse_workspace = true;
 }
 
 }  // namespace
@@ -669,124 +655,6 @@ std::string profile_cache_key(const e2e::Scenario& sc,
       .set("scenario", encode_scenario(effective))
       .set("options", encode_solve_options(canonical))
       .set("epsilons", std::move(eps));
-  return key.dump();
-}
-
-std::optional<std::string> legacy_v1_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options) {
-  SolveOptions canonical = options;
-  e2e::Scenario effective = sc;
-  canonicalize_solve(effective, canonical);
-  const sched::SchedulerSpec& spec = effective.scheduler;
-  // Schema 1 spelled schedulers as bare kind names; an explicit
-  // fixed-Delta spec has no schema-1 key, and neither does any
-  // curve-backed kind (they did not exist before schema 3).
-  if (spec.kind() == sched::SchedulerKind::kDelta || spec.is_curve_backed()) {
-    return std::nullopt;
-  }
-
-  // Byte-exact reproduction of the schema-1 encoders: scenario with a
-  // name-string scheduler and a sibling top-level "edf" object, options
-  // with the (always folded-away, hence null) scheduler slot.
-  Value source = Value::object();
-  source.set("peak_kb", encode_double(effective.source.peak_kb()))
-      .set("p11", encode_double(effective.source.p11()))
-      .set("p22", encode_double(effective.source.p22()));
-  Value edf = Value::object();
-  edf.set("own_factor", encode_double(spec.edf_factors().own_factor))
-      .set("cross_factor", encode_double(spec.edf_factors().cross_factor));
-  Value scenario = Value::object();
-  scenario.set("capacity", encode_double(effective.capacity))
-      .set("hops", Value::number(effective.hops))
-      .set("source", std::move(source))
-      .set("n_through", Value::number(effective.n_through))
-      .set("n_cross", Value::number(effective.n_cross))
-      .set("epsilon", encode_double(effective.epsilon))
-      .set("scheduler", Value::string(std::string(
-               sched::scheduler_kind_name(spec.kind()))))
-      .set("edf", std::move(edf));
-  Value opts = Value::object();
-  opts.set("method", encode_method(canonical.method))
-      .set("scheduler", Value::null())
-      .set("delta", canonical.delta.has_value()
-                        ? encode_double(*canonical.delta)
-                        : Value::null())
-      .set("max_edf_restarts", Value::number(canonical.max_edf_restarts));
-  Value key = Value::object();
-  key.set("schema", Value::number(1))
-      .set("scenario", std::move(scenario))
-      .set("options", std::move(opts));
-  return key.dump();
-}
-
-std::optional<std::string> legacy_v2_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options) {
-  SolveOptions canonical = options;
-  e2e::Scenario effective = sc;
-  canonicalize_solve(effective, canonical);
-  // Curve-backed kinds did not exist before schema 3: no v2 spelling.
-  if (effective.scheduler.is_curve_backed()) return std::nullopt;
-
-  // Byte-exact reproduction of the schema-2 key: same document as
-  // solve_cache_key() but with params-free scheduler objects (the
-  // options scheduler is always folded away, hence null, so only the
-  // scenario's encoding differs).
-  Value source = Value::object();
-  source.set("peak_kb", encode_double(effective.source.peak_kb()))
-      .set("p11", encode_double(effective.source.p11()))
-      .set("p22", encode_double(effective.source.p22()));
-  Value scenario = Value::object();
-  scenario.set("capacity", encode_double(effective.capacity))
-      .set("hops", Value::number(effective.hops))
-      .set("source", std::move(source))
-      .set("n_through", Value::number(effective.n_through))
-      .set("n_cross", Value::number(effective.n_cross))
-      .set("epsilon", encode_double(effective.epsilon))
-      .set("scheduler", encode_scheduler_v2(effective.scheduler));
-  Value key = Value::object();
-  key.set("scenario", std::move(scenario))
-      .set("options", encode_solve_options(canonical));
-  return key.dump();
-}
-
-std::optional<std::string> legacy_v3_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options) {
-  SolveOptions canonical = options;
-  e2e::Scenario effective = sc;
-  canonicalize_solve(effective, canonical);
-  // Warm-starting did not exist before schema 4: a warm-keyed solve has
-  // no schema-3 spelling (and its result need not be bit-identical to
-  // whatever a cold schema-3 entry holds, so it must not claim one).
-  if (canonical.warm_start != e2e::WarmStart::kCold) return std::nullopt;
-
-  // Byte-exact reproduction of the schema-3 key: same document as
-  // solve_cache_key() but with the pre-warm-start options encoding
-  // (method, scheduler, delta, max_edf_restarts -- no "warm_start").
-  Value opts = Value::object();
-  opts.set("method", encode_method(canonical.method))
-      .set("scheduler", Value::null())
-      .set("delta", canonical.delta.has_value()
-                        ? encode_double(*canonical.delta)
-                        : Value::null())
-      .set("max_edf_restarts", Value::number(canonical.max_edf_restarts));
-  Value key = Value::object();
-  key.set("scenario", encode_scenario(effective))
-      .set("options", std::move(opts));
-  return key.dump();
-}
-
-std::optional<std::string> legacy_v4_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options) {
-  SolveOptions canonical = options;
-  e2e::Scenario effective = sc;
-  canonicalize_solve(effective, canonical);
-  // Byte-exact reproduction of the schema-4 key: same document as
-  // solve_cache_key() minus the "kind" discriminator (new in schema 5).
-  // The scenario and options encoders are unchanged since schema 4, so
-  // every scalar solve has a v4 spelling.
-  Value key = Value::object();
-  key.set("scenario", encode_scenario(effective))
-      .set("options", encode_solve_options(canonical));
   return key.dump();
 }
 

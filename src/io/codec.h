@@ -13,14 +13,13 @@
 //
 // Canonicalization: encoders emit fields in a fixed documented order and
 // the compact dump() is byte-stable for a given input, so
-// solve_cache_key() -- the compact dump of (schema, scenario, solve
+// solve_cache_key() -- the compact dump of (kind, scenario, solve
 // options) -- is a canonical content hash input.  The library version is
 // deliberately NOT part of the key: the cache stores it per entry and
 // classifies version mismatches as *stale* (observable, re-solved,
 // overwritten) rather than burying them as silent misses.
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "core/sweep.h"
@@ -118,8 +117,7 @@ struct SchemaError : CodecError {
 // ----- solve options and the cache key -----------------------------------
 
 /// Canonical fields: method, scheduler (or null), delta (or null),
-/// max_edf_restarts.  reuse_workspace is intentionally excluded: it
-/// cannot change any result bit, so it must not fragment the cache.
+/// max_edf_restarts, warm_start.
 [[nodiscard]] json::Value encode_solve_options(const SolveOptions& options);
 [[nodiscard]] SolveOptions decode_solve_options(const json::Value& v);
 
@@ -146,45 +144,6 @@ struct SchemaError : CodecError {
 [[nodiscard]] std::string profile_cache_key(const e2e::Scenario& sc,
                                             std::span<const double> epsilons,
                                             const SolveOptions& options);
-
-/// The byte-exact schema-1 cache key the pre-SchedulerSpec codec would
-/// have produced for the same solve ({"schema":1, "scenario":{...,
-/// "scheduler":"<kind name>", "edf":{...}}, "options":{...}}), used by
-/// ResultCache to classify pre-refactor entries as stale instead of
-/// missing them.  nullopt when the solve has no schema-1 spelling (an
-/// explicit fixed-Delta scheduler, or any curve-backed kind).
-[[nodiscard]] std::optional<std::string> legacy_v1_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
-
-/// The byte-exact schema-2 cache key for the same solve: identical to
-/// solve_cache_key() except the scheduler objects carry no "params"
-/// array.  Probed by ResultCache so schema-2 entries classify as stale
-/// (observable, re-solved, overwritten) rather than as misses.  nullopt
-/// when the solve has no schema-2 spelling (a curve-backed scheduler --
-/// gps/drr/sced did not exist before schema 3).
-[[nodiscard]] std::optional<std::string> legacy_v2_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
-
-/// The byte-exact schema-3 cache key for the same solve: identical to
-/// solve_cache_key() but without the "warm_start" options field (which
-/// did not exist before schema 4).  Probed by ResultCache so schema-3
-/// entries classify as stale (kStale) instead of invisibly missing.
-/// nullopt when the solve has no schema-3 spelling (a warm-started
-/// solve -- warm-starting did not exist before schema 4, and its result
-/// need not be bit-identical to the cold entry's).
-[[nodiscard]] std::optional<std::string> legacy_v3_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
-
-/// The byte-exact schema-4 cache key for the same solve: identical to
-/// solve_cache_key() but without the "kind" discriminator (which did not
-/// exist before schema 5).  Probed first in ResultCache's legacy chain
-/// so schema-4 entries classify as stale (kStale) instead of invisibly
-/// missing.  Every scalar solve had a schema-4 spelling, so this never
-/// returns nullopt; the optional return keeps the legacy-probe API
-/// uniform.  Profiles have no legacy spelling at all (they are new in
-/// schema 5), so no profile counterpart exists.
-[[nodiscard]] std::optional<std::string> legacy_v4_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
 
 // ----- helpers shared by the cache / batch layers ------------------------
 

@@ -161,29 +161,7 @@ CacheLookup ResultCache::lookup(const std::string& key,
 CacheLookup ResultCache::lookup(const e2e::Scenario& sc,
                                 const SolveOptions& options,
                                 e2e::BoundResult& result) {
-  const std::string key = solve_cache_key(sc, options);
-  CacheLookup outcome = read_entry(entry_path(key), key, result);
-  if (outcome == CacheLookup::kMiss) {
-    // Nothing under the current key: probe the byte-exact schema-4,
-    // schema-3, schema-2, and schema-1 slots of the same solve (their
-    // keys hash to different file names).  Any entry there -- whatever
-    // its state -- is a pre-refactor artifact of this exact solve:
-    // classify it stale so the re-solve is observable, never serve bits
-    // from it.
-    for (const std::optional<std::string>& legacy :
-         {legacy_v4_solve_cache_key(sc, options),
-          legacy_v3_solve_cache_key(sc, options),
-          legacy_v2_solve_cache_key(sc, options),
-          legacy_v1_solve_cache_key(sc, options)}) {
-      if (legacy.has_value() &&
-          std::filesystem::exists(entry_path(*legacy))) {
-        outcome = CacheLookup::kStale;
-        break;
-      }
-    }
-  }
-  count(outcome);
-  return outcome;
+  return lookup(solve_cache_key(sc, options), result);
 }
 
 CacheLookup ResultCache::lookup_profile(const std::string& key,
@@ -198,7 +176,6 @@ CacheLookup ResultCache::lookup_profile(const e2e::Scenario& sc,
                                         std::span<const double> epsilons,
                                         const SolveOptions& options,
                                         e2e::DelayProfile& profile) {
-  // Profiles are new in schema 5: no legacy slots to probe.
   return lookup_profile(profile_cache_key(sc, epsilons, options), profile);
 }
 

@@ -13,20 +13,18 @@
 // another library or schema version classifies it as *stale* --
 // observable in CacheStats and in the per-result
 // SolveStats::cache_stale counter -- re-solves, and overwrites, instead
-// of silently missing and leaving dead files behind.  Older schemas
-// keyed differently (schema 4 lacked the "kind" discriminator; schema 1
-// hashed the schema version itself; schema 2 lacked the scheduler
-// "params" array), so their file names differ from today's for the same
-// solve; the (scenario, options) lookup overload probes the byte-exact
-// schema-4 / -3 / -2 / -1 keys (io::legacy_v4_solve_cache_key and
-// friends) when the primary slot is empty and classifies pre-refactor
-// entries as stale too, never as wrong hits.
+// of silently missing.  That is the one staleness rule: stored schema or
+// version != current => stale.  Schema-4 and older builds keyed
+// differently (schema 4 lacked the "kind" discriminator), so their
+// entries sit under other file names and a lookup of the same solve is
+// a plain miss; the re-solve is stored under the current key and the
+// old file stays on disk, unread.  No lookup can hit on them: every
+// entry's stored key must equal the requested one.
 //
 // Profiles: delay profiles (e2e::DelayProfile) are first-class entries
 // addressed by io::profile_cache_key -- a disjoint key space thanks to
 // the "kind" discriminator -- with the same staleness, doctoring, and
-// atomic-store semantics as scalar entries.  Profiles are new in schema
-// 5, so their lookups have no legacy chain to probe.
+// atomic-store semantics as scalar entries.
 //
 // Durability: stores write to `<name>.tmp.<pid>` in the cache directory
 // and rename(2) into place, so concurrent writers and crashes can leave
@@ -37,7 +35,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <span>
 #include <string>
 
@@ -134,20 +131,15 @@ class ResultCache {
   [[nodiscard]] CacheLookup lookup(const std::string& key,
                                    e2e::BoundResult& result);
 
-  /// Looks up the solve described by (scenario, options) -- the
-  /// preferred entry point: on a primary miss it additionally probes the
-  /// schema-4 / -3 / -2 / -1 slots of the same solve and classifies a
-  /// pre-refactor entry found there as kStale (re-solve and overwrite at
-  /// the current key) instead of a silent miss.  Fills `result` only on
+  /// Looks up the solve described by (scenario, options): the key-level
+  /// lookup of io::solve_cache_key(sc, options).  Fills `result` only on
   /// kHit.
   [[nodiscard]] CacheLookup lookup(const e2e::Scenario& sc,
                                    const SolveOptions& options,
                                    e2e::BoundResult& result);
 
   /// Looks up a delay-profile entry by canonical profile key; fills
-  /// `profile` only on kHit.  Profiles are new in schema 5: there is no
-  /// legacy chain, so the two profile-lookup flavors classify
-  /// identically.
+  /// `profile` only on kHit.
   [[nodiscard]] CacheLookup lookup_profile(const std::string& key,
                                            e2e::DelayProfile& profile);
 
@@ -192,7 +184,7 @@ class ResultCache {
                                  CacheLookup* outcome = nullptr) {
     const std::string key = solve_cache_key(sc, options);
     e2e::BoundResult result;
-    const CacheLookup found = lookup(sc, options, result);
+    const CacheLookup found = lookup(key, result);
     if (outcome != nullptr) *outcome = found;
     if (found == CacheLookup::kHit) {
       result.stats.cache_hits = 1;

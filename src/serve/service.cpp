@@ -259,8 +259,7 @@ struct SolveService::Impl {
       e2e::BoundResult cached;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
-        outcome = shard.disk->lookup(job.line.scenario, job.line.options,
-                                     cached);
+        outcome = shard.disk->lookup(job.line.key, cached);
       }
       if ((outcome == io::CacheLookup::kHit ||
            outcome == io::CacheLookup::kStale) &&

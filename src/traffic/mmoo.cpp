@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace deltanc::traffic {
 
@@ -58,62 +57,6 @@ double MmooSource::effective_bandwidth(double s) const {
   const double disc = b_over_e * b_over_e - 4.0 * c * inv_e;
   const double lambda_over_e = 0.5 * (b_over_e + std::sqrt(disc));
   return (sp + std::log(lambda_over_e)) / s;
-}
-
-void MmooSource::effective_bandwidth_batch(std::span<const double> s,
-                                           std::span<double> out,
-                                           bool use_simd) const {
-  if (s.size() != out.size()) {
-    throw std::invalid_argument(
-        "effective_bandwidth_batch: s/out size mismatch");
-  }
-  const std::size_t n = s.size();
-  if (n == 0) return;
-  if (!use_simd) {
-    // Scalar reference path (DELTANC_SIMD=off): the historical per-call
-    // code, lane by lane.  The SoA path below must match it bit for bit.
-    for (std::size_t i = 0; i < n; ++i) out[i] = effective_bandwidth(s[i]);
-    return;
-  }
-  const double c = p11_ + p22_ - 1.0;
-  // SoA staging: the per-lane regime split and its exp() stay scalar
-  // (lane-vectorized exp is not bit-identical to libm), leaving the
-  // spectral-radius algebra -- the same formula A + B e with the
-  // coefficients swapped between regimes -- as one branch-free simd loop.
-  std::vector<double> sp(n), e(n), coef_a(n), coef_b(n), lam(n);
-  std::vector<unsigned char> direct(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(s[i] > 0.0) || !std::isfinite(s[i])) {
-      throw std::invalid_argument(
-          "effective_bandwidth: s must be > 0 finite");
-    }
-    sp[i] = s[i] * peak_;
-    direct[i] = sp[i] < 30.0 ? 1 : 0;
-    if (direct[i]) {
-      e[i] = std::exp(sp[i]);
-      coef_a[i] = p11_;
-      coef_b[i] = p22_;
-    } else {
-      e[i] = std::exp(-sp[i]);  // inv_e of the log-space regime
-      coef_a[i] = p22_;
-      coef_b[i] = p11_;
-    }
-  }
-  double* const sp_p = sp.data();
-  double* const e_p = e.data();
-  double* const a_p = coef_a.data();
-  double* const b_p = coef_b.data();
-  double* const lam_p = lam.data();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    const double b = a_p[i] + b_p[i] * e_p[i];
-    const double disc = b * b - 4.0 * c * e_p[i];
-    lam_p[i] = 0.5 * (b + std::sqrt(disc));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = direct[i] ? std::log(lam[i]) / s[i]
-                       : (sp_p[i] + std::log(lam[i])) / s[i];
-  }
 }
 
 EbbTraffic MmooSource::aggregate_ebb(int n, double s) const {

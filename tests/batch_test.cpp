@@ -352,6 +352,32 @@ TEST(Batch, StoreFailureDegradesToCountedSolveThrough) {
 
 // ----- delay-profile requests --------------------------------------------
 
+TEST(Batch, ParsedScalarKeyIsTheSolveCacheKey) {
+  // run_batch and the serve workers look scalar requests up by the key
+  // computed at parse time, so it must be exactly the solve_cache_key of
+  // the decoded request -- with or without an options object, under any
+  // default method.
+  const e2e::Scenario sc = small_scenario(60);
+  EXPECT_EQ(parse_request_line(request_line(sc, 0), e2e::Method::kExactOpt).key,
+            solve_cache_key(sc, SolveOptions{}));
+
+  SolveOptions paper;
+  paper.method = e2e::Method::kPaperK;
+  EXPECT_EQ(parse_request_line(request_line(sc, 1), e2e::Method::kPaperK).key,
+            solve_cache_key(sc, paper));
+
+  SolveOptions options;
+  options.scheduler = sched::SchedulerKind::kEdf;
+  options.max_edf_restarts = 1;
+  options.warm_start = e2e::WarmStart::kWarm;
+  Value req = Value::parse(request_line(sc, 2));
+  req.set("options", encode_solve_options(options));
+  const ParsedRequestLine line =
+      parse_request_line(req.dump(), e2e::Method::kExactOpt);
+  EXPECT_FALSE(line.is_profile());
+  EXPECT_EQ(line.key, solve_cache_key(sc, options));
+}
+
 TEST(Batch, ProfileRequestsAnswerFullArtifactsInOrder) {
   // A profile request rides in the same stream as scalar ones; its
   // response carries the whole d(epsilon) artifact under "profile", and

@@ -438,11 +438,7 @@ TEST(Codec, CacheKeyIsStableAndFoldsSchedulerOverride) {
   EXPECT_EQ(solve_cache_key(fifo, forced), solve_cache_key(edf, options));
   EXPECT_NE(solve_cache_key(fifo, options), solve_cache_key(edf, options));
 
-  // reuse_workspace cannot change result bits, so it must not fragment
-  // the cache; method does change results, so it must.
-  SolveOptions no_ws;
-  no_ws.reuse_workspace = false;
-  EXPECT_EQ(solve_cache_key(fifo, no_ws), solve_cache_key(fifo, options));
+  // Method changes results, so it must fragment the cache.
   SolveOptions paper;
   paper.method = e2e::Method::kPaperK;
   EXPECT_NE(solve_cache_key(fifo, paper), solve_cache_key(fifo, options));
@@ -518,23 +514,6 @@ TEST(Codec, ProfileCacheKeyIsKindTaggedAndEpsilonPinned) {
   // The grid itself is the identity.
   const std::vector<double> deeper = {1e-3, 1e-6, 1e-12};
   EXPECT_NE(profile_cache_key(sc, deeper, options), key);
-}
-
-TEST(Codec, LegacyV4KeyIsTheKindlessSpellingOfTheV5Key) {
-  // Schema-4 keys were the same canonical dump without the leading
-  // "kind" member; the legacy probe must reproduce them byte-exactly so
-  // old cache entries classify kStale instead of vanishing silently.
-  const e2e::Scenario sc = fig2_scenario(268, sched::SchedulerKind::kEdf);
-  SolveOptions options;
-  const std::optional<std::string> legacy =
-      legacy_v4_solve_cache_key(sc, options);
-  ASSERT_TRUE(legacy.has_value());
-  std::string v5 = solve_cache_key(sc, options);
-  const std::string tag = "\"kind\":\"solve\",";
-  const std::size_t at = v5.find(tag);
-  ASSERT_NE(at, std::string::npos);
-  v5.erase(at, tag.size());
-  EXPECT_EQ(*legacy, v5);
 }
 
 TEST(Codec, SolveOptionsRoundTrip) {

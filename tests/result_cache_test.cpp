@@ -136,88 +136,69 @@ TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
 }
 
-TEST_F(ResultCacheTest, PreRefactorEntryClassifiesStaleNeverWrongHit) {
+TEST_F(ResultCacheTest, SchemaFourEntryIsAPlainMissNeverWrongHit) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
   const SolveOptions options{};
 
-  // Schema-1 keys hashed the schema and spelled the scheduler as a bare
-  // name, so the same solve lived in a different slot.  Fabricate such
-  // an entry the way a pre-refactor build would have left it.
-  const std::optional<std::string> legacy =
-      legacy_v1_solve_cache_key(sc, options);
-  ASSERT_TRUE(legacy.has_value());
+  // The key a schema-4 build wrote for this very solve: today's canonical
+  // dump without the leading "kind" member.  Pinning both spellings
+  // literally also pins today's key, so existing cache directories keep
+  // answering as hits.
+  const std::string v4_key =
+      "{\"scenario\":{\"capacity\":100,\"hops\":3,\"source\":{\"peak_kb\":1.5,"
+      "\"p11\":0.98899999999999999,\"p22\":0.90000000000000002},"
+      "\"n_through\":80,\"n_cross\":50,\"epsilon\":9.9999999999999995e-07,"
+      "\"scheduler\":{\"kind\":\"fifo\",\"delta\":0,\"edf\":{\"own_factor\":1,"
+      "\"cross_factor\":10},\"params\":[1,1]}},\"options\":{\"method\":"
+      "\"exact\",\"scheduler\":null,\"delta\":null,\"max_edf_restarts\":-1,"
+      "\"warm_start\":\"cold\"}}";
   const std::string key = solve_cache_key(sc, options);
-  ASSERT_NE(*legacy, key);
-  write_file(cache.entry_path(*legacy),
-             "{\"schema\":1,\"version\":\"1.0.0\",\"key\":\"x\","
-             "\"result\":{}}\n");
+  EXPECT_EQ(key, "{\"kind\":\"solve\"," + v4_key.substr(1));
 
-  // The scenario-level lookup reports it stale -- and never serves bits
-  // from it.
+  // A schema-4 entry in its own slot, and a schema-current entry holding
+  // a wrong answer under the kind-less key in today's slot (a collision).
+  const e2e::BoundResult wrong{1.0, 0.5, 0.1, 10.0, 0.0};
+  const auto entry = [&](int schema) {
+    json::Value doc = json::Value::object();
+    doc.set("schema", json::Value::number(schema))
+        .set("version", json::Value::string(DELTANC_VERSION_STRING))
+        .set("key", json::Value::string(v4_key))
+        .set("result", encode_bound_result(wrong));
+    return doc.dump() + "\n";
+  };
+  write_file(cache.entry_path(v4_key), entry(4));
+  write_file(cache.entry_path(key), entry(kSchemaVersion));
+
+  // Neither is served: the stored key must equal the requested one.
   e2e::BoundResult out;
   out.delay_ms = -1.0;
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kStale);
+  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kMiss);
   EXPECT_EQ(out.delay_ms, -1.0);
   EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().stale, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().stale, 0);
 
-  // solve_through re-solves, tags the answer stale, and stores it under
-  // the *current* key, so the next lookup is a plain hit.
+  // solve_through re-solves as a plain miss and stores under the current
+  // key; the schema-4 file stays on disk, unread.
   CacheLookup outcome{};
   const e2e::BoundResult solved = cache.solve_through(
       sc, options, [&] { return deltanc::Solver().solve(sc); }, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(solved.stats.cache_stale, 1);
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kHit);
+  EXPECT_EQ(outcome, CacheLookup::kMiss);
+  EXPECT_EQ(solved.stats.cache_misses, 1);
+  EXPECT_EQ(solved.stats.cache_stale, 0);
+  ASSERT_EQ(cache.lookup(key, out), CacheLookup::kHit);
   EXPECT_EQ(out.delay_ms, solved.delay_ms);
-}
-
-TEST_F(ResultCacheTest, SchemaTwoEntryClassifiesStaleNeverWrongHit) {
-  ResultCache cache(cache_dir());
-  const e2e::Scenario sc = small_scenario();
-  const SolveOptions options{};
-
-  // Schema-2 scheduler objects carried no "params" array, so the same
-  // solve hashed to a different slot.  Fabricate the entry a schema-2
-  // build would have written there.
-  const std::optional<std::string> legacy =
-      legacy_v2_solve_cache_key(sc, options);
-  ASSERT_TRUE(legacy.has_value());
-  const std::string key = solve_cache_key(sc, options);
-  ASSERT_NE(*legacy, key);
-  // The v2 key is the v3 key minus the scheduler "params" field.
-  EXPECT_EQ(legacy->find("\"params\""), std::string::npos);
-  EXPECT_NE(key.find("\"params\""), std::string::npos);
-  write_file(cache.entry_path(*legacy),
-             "{\"schema\":2,\"version\":\"1.0.0\",\"key\":\"x\","
-             "\"result\":{}}\n");
-
-  e2e::BoundResult out;
-  out.delay_ms = -1.0;
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kStale);
-  EXPECT_EQ(out.delay_ms, -1.0);  // never serves bits from the old slot
-
-  // Re-solve lands under the current key; the old slot stops mattering.
-  CacheLookup outcome{};
-  (void)cache.solve_through(sc, options,
-                            [&] { return deltanc::Solver().solve(sc); },
-                            &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kHit);
+  EXPECT_NE(out.delay_ms, wrong.delay_ms);
+  EXPECT_TRUE(std::filesystem::exists(cache.entry_path(v4_key)));
 }
 
 TEST_F(ResultCacheTest, CurveBackedSchedulersHaveNoLegacySlots) {
-  // gps/drr/sced did not exist before schema 3: both legacy key probes
-  // must decline rather than fabricate a key that could alias another
-  // solve's slot.
+  // gps/drr/sced are addressed by the current key alone, like every
+  // solve, and the curve-backed result (NaN delta on the wire)
+  // round-trips through store + hit like any other.
   e2e::Scenario sc = small_scenario();
   sc.scheduler = sched::SchedulerSpec::gps(2.0, 1.0);
-  EXPECT_FALSE(legacy_v1_solve_cache_key(sc, SolveOptions{}).has_value());
-  EXPECT_FALSE(legacy_v2_solve_cache_key(sc, SolveOptions{}).has_value());
-
-  // And the curve-backed solve (NaN delta on the wire) round-trips
-  // through store + hit like any other result.
   ResultCache cache(cache_dir());
   const std::string key = solve_cache_key(sc, SolveOptions{});
   const e2e::BoundResult solved = deltanc::Solver().solve(sc);
@@ -227,43 +208,6 @@ TEST_F(ResultCacheTest, CurveBackedSchedulersHaveNoLegacySlots) {
   EXPECT_EQ(cache.lookup(sc, SolveOptions{}, out), CacheLookup::kHit);
   EXPECT_EQ(out.delay_ms, solved.delay_ms);
   EXPECT_TRUE(std::isnan(out.delta));
-}
-
-TEST_F(ResultCacheTest, SchemaFourEntryClassifiesStaleNeverWrongHit) {
-  ResultCache cache(cache_dir());
-  const e2e::Scenario sc = small_scenario();
-  const SolveOptions options{};
-
-  // Schema-4 keys carried no "kind" discriminator, so the same solve
-  // hashed to a different slot.  Fabricate the entry a schema-4 build
-  // would have written there.
-  const std::optional<std::string> legacy =
-      legacy_v4_solve_cache_key(sc, options);
-  ASSERT_TRUE(legacy.has_value());
-  const std::string key = solve_cache_key(sc, options);
-  ASSERT_NE(*legacy, key);
-  // The discriminator leads the v5 key; the v4 spelling starts straight
-  // at the scenario.  (The scheduler object nests its own "kind" field,
-  // so only the leading member distinguishes the two.)
-  EXPECT_EQ(key.rfind("{\"kind\":\"solve\",", 0), 0u);
-  EXPECT_EQ(legacy->rfind("{\"scenario\":", 0), 0u);
-  write_file(cache.entry_path(*legacy),
-             "{\"schema\":4,\"version\":\"1.0.0\",\"key\":\"x\","
-             "\"result\":{}}\n");
-
-  e2e::BoundResult out;
-  out.delay_ms = -1.0;
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kStale);
-  EXPECT_EQ(out.delay_ms, -1.0);  // never serves bits from the old slot
-  EXPECT_EQ(cache.stats().hits, 0);
-
-  // Re-solve lands under the current (kind-tagged) key.
-  CacheLookup outcome{};
-  (void)cache.solve_through(sc, options,
-                            [&] { return deltanc::Solver().solve(sc); },
-                            &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kHit);
 }
 
 // ----- delay-profile entries ---------------------------------------------

@@ -2,11 +2,12 @@
 // functions it consolidates: bit-identical results against the PR 2
 // hexfloat goldens and against the (deprecated) free entry points, with
 // the SolveOptions knobs (scheduler override, fixed delta, retry
-// policy, workspace reuse) behaving as documented.
+// policy) behaving as documented.
 #include "e2e/solver.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -98,28 +99,52 @@ TEST(SolverFacade, FixedDeltaMatchesDeprecatedEntryPoint) {
 }
 
 TEST(SolverFacade, OptimizeIsBitIdenticalWithAndWithoutWorkspace) {
+  // The Solver reuses one workspace across optimize() calls; a fresh
+  // workspace per call must give the same bits.
   const e2e::PathParams p = path_params(2.0);
   for (const e2e::Method method :
        {e2e::Method::kExactOpt, e2e::Method::kPaperK}) {
-    SolveOptions reuse;
-    reuse.method = method;
-    SolveOptions fresh;
-    fresh.method = method;
-    fresh.reuse_workspace = false;
-    const Solver with_ws(reuse);
-    const Solver without_ws(fresh);
-    for (const double gamma : {0.5, 1.0, 2.0}) {
-      const e2e::DelayResult a = with_ws.optimize(p, gamma, 40.0);
-      const e2e::DelayResult b = without_ws.optimize(p, gamma, 40.0);
+    const Solver solver(method);
+    for (const double gamma : {0.5, 1.0, 2.0, 0.5}) {
+      const e2e::DelayResult reused = solver.optimize(p, gamma, 40.0);
+      e2e::SolveWorkspace fresh;
       const e2e::DelayResult direct =
           method == e2e::Method::kExactOpt
-              ? deltanc::Solver().optimize(p, gamma, 40.0)
-              : deltanc::Solver(deltanc::e2e::Method::kPaperK).optimize(p, gamma, 40.0);
-      EXPECT_EQ(a.delay, direct.delay);
-      EXPECT_EQ(b.delay, direct.delay);
-      EXPECT_EQ(a.x, direct.x);
-      EXPECT_EQ(a.theta, direct.theta);
+              ? e2e::optimize_delay(p, gamma, 40.0, fresh)
+              : e2e::k_procedure_delay(p, gamma, 40.0, fresh);
+      EXPECT_EQ(reused.delay, direct.delay);
+      EXPECT_EQ(reused.x, direct.x);
+      EXPECT_EQ(reused.theta, direct.theta);
     }
+  }
+}
+
+// The deterministic work counters of a solve (the wall-clock scan_ms /
+// refine_ms left out): optimize, sigma and eb evals, batched evals, EDF
+// iterations, warm-start hits, profile chain hits.
+using Counters = std::array<std::int64_t, 7>;
+
+Counters counters_of(const e2e::SolveStats& s) {
+  return {s.optimize_evals, s.sigma_evals,     s.eb_evals,
+          s.batched_evals,  s.edf_iterations,  s.warm_start_hits,
+          s.profile_chain_hits};
+}
+
+TEST(SolverFacade, ColdSolveWorkCountersArePinned) {
+  // Literal counts of the nested (s, gamma) search: a change in how many
+  // evaluations the scans, the refinement, or the EDF fixed point do
+  // shows up here even when the bound itself does not move.
+  const struct {
+    sched::SchedulerKind sched;
+    Counters want;
+  } cases[] = {
+      {sched::SchedulerKind::kFifo, {5624, 5624, 128, 1850, 0, 0, 0}},
+      {sched::SchedulerKind::kEdf, {19608, 19608, 257, 6450, 3, 0, 0}},
+      {sched::SchedulerKind::kBmux, {5624, 5624, 128, 1850, 0, 0, 0}},
+  };
+  for (const auto& c : cases) {
+    const e2e::BoundResult r = Solver().solve(fig2_scenario(168, c.sched));
+    EXPECT_EQ(counters_of(r.stats), c.want) << sched::to_string(c.sched);
   }
 }
 
@@ -153,9 +178,7 @@ const std::vector<double> kProfileGrid = {1e-3, 1e-5, 1e-7, 1e-9};
 TEST(SolverProfile, ColdLevelsAreBitIdenticalToScalarSolves) {
   // The pinning contract: with warm_start == kCold (the default) every
   // profile level IS the scalar solve of the same scenario at that
-  // epsilon -- identical bits, identical work counters.  This holds in
-  // either SIMD mode (the whole profile and the scalar baseline follow
-  // the same DELTANC_SIMD path).
+  // epsilon -- identical bits, identical work counters.
   for (const sched::SchedulerKind sched :
        {sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf,
         sched::SchedulerKind::kSpHigh}) {
@@ -207,6 +230,27 @@ TEST(SolverProfile, WarmChainWithinToleranceAndCheaperThanCold) {
       EXPECT_LE(warm.levels[i - 1].delay_ms, warm.levels[i].delay_ms);
       EXPECT_LE(cold.levels[i - 1].delay_ms, cold.levels[i].delay_ms);
     }
+  }
+}
+
+TEST(SolverProfile, WarmProfileWorkCountersArePinned) {
+  // A 16-level log-spaced grid over [1e-9, 1e-3] under the warm chain:
+  // literal counts, so the chain's savings cannot erode unnoticed.
+  std::vector<double> grid;
+  for (int i = 0; i < 16; ++i) grid.push_back(std::pow(10.0, -9.0 + 0.4 * i));
+  SolveOptions warm_options;
+  warm_options.warm_start = e2e::WarmStart::kWarm;
+  const struct {
+    sched::SchedulerKind sched;
+    Counters want;
+  } cases[] = {
+      {sched::SchedulerKind::kFifo, {23624, 23624, 533, 7700, 0, 15, 15}},
+      {sched::SchedulerKind::kEdf, {82424, 82424, 1079, 26810, 48, 15, 15}},
+  };
+  for (const auto& c : cases) {
+    const e2e::DelayProfile p =
+        Solver(warm_options).solve_profile(fig2_scenario(168, c.sched), grid);
+    EXPECT_EQ(counters_of(p.stats), c.want) << sched::to_string(c.sched);
   }
 }
 
