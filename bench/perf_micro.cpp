@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -57,9 +58,19 @@ void BM_ServiceDelayBound(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceDelayBound);
 
+// Exact Eq. (39) optimizer per path length (range 0) and scheduler family
+// (range 1): Delta = 0 (FIFO), -5 (EDF, through deadline tighter), +2
+// (EDF, through deadline looser), +inf (BMUX).
 void BM_OptimizeDelayExact(benchmark::State& state) {
-  const e2e::PathParams p{100.0, static_cast<int>(state.range(0)), 15.0,
-                          35.0,  0.05, 1.0, -5.0};
+  constexpr double kDeltas[] = {0.0, -5.0, 2.0,
+                                std::numeric_limits<double>::infinity()};
+  const e2e::PathParams p{100.0,
+                          static_cast<int>(state.range(0)),
+                          15.0,
+                          35.0,
+                          0.05,
+                          1.0,
+                          kDeltas[state.range(1)]};
   const double gamma = 0.4 * p.gamma_limit();
   const double sigma = e2e::sigma_for_epsilon(p, gamma, 1e-9);
   const Solver solver{};  // one reused workspace: allocation-free inner loop
@@ -67,7 +78,9 @@ void BM_OptimizeDelayExact(benchmark::State& state) {
     benchmark::DoNotOptimize(solver.optimize(p, gamma, sigma));
   }
 }
-BENCHMARK(BM_OptimizeDelayExact)->Arg(2)->Arg(10)->Arg(30);
+BENCHMARK(BM_OptimizeDelayExact)
+    ->ArgNames({"H", "delta"})
+    ->ArgsProduct({{2, 10, 20, 40}, {0, 1, 2, 3}});
 
 void BM_KProcedure(benchmark::State& state) {
   const e2e::PathParams p{100.0, static_cast<int>(state.range(0)), 15.0,

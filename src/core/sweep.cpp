@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
@@ -66,7 +67,8 @@ void attach_profile(SweepPoint& p, ProfileFn&& solve_profile) {
   if (!p.ok) return;
   const auto task_t0 = Clock::now();
   try {
-    p.profile = solve_profile(p.scenario);
+    p.profile =
+        std::make_shared<const e2e::DelayProfile>(solve_profile(p.scenario));
   } catch (const std::exception& e) {
     p.ok = false;
     p.error = e.what();
@@ -396,7 +398,7 @@ void SweepReport::write_profile_csv(std::ostream& os) const {
   char buf[320];
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
-    if (!p.profile.has_value()) continue;
+    if (!p.profile) continue;
     const e2e::Scenario& sc = p.scenario;
     const std::string sched = escape(scheduler_name(sc.scheduler));
     for (std::size_t k = 0; k < p.profile->levels.size(); ++k) {
@@ -514,7 +516,7 @@ SweepReport SweepRunner::run_chained(std::span<const e2e::Scenario> scenarios,
   for (const SweepPoint& p : report.points) {
     report.solve_ms += p.solve_ms;
     report.stats += p.bound.stats;
-    if (p.profile.has_value()) report.stats += p.profile->stats;
+    if (p.profile) report.stats += p.profile->stats;
   }
   return report;
 }
@@ -572,7 +574,7 @@ SweepReport SweepRunner::run(std::span<const e2e::Scenario> scenarios) const {
   for (const SweepPoint& p : report.points) {
     report.solve_ms += p.solve_ms;
     report.stats += p.bound.stats;
-    if (p.profile.has_value()) report.stats += p.profile->stats;
+    if (p.profile) report.stats += p.profile->stats;
   }
   return report;
 }

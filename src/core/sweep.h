@@ -38,7 +38,7 @@
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -163,8 +163,10 @@ struct SweepPoint {
   /// SweepOptions::profile_epsilons is non-empty (and distinct from the
   /// grid's `epsilon` *axis*, which still varies the scenario's own
   /// target level).  `bound` stays the scalar solve at the scenario's
-  /// epsilon either way.
-  std::optional<e2e::DelayProfile> profile;
+  /// epsilon either way.  Held out of line (null when absent): most
+  /// sweeps carry no profile, and an inline one would be over a quarter
+  /// of every point's footprint.
+  std::shared_ptr<const e2e::DelayProfile> profile;
   double solve_ms = 0.0;    ///< wall-clock of this solve (informational)
   bool ok = true;           ///< false when the solve threw
   std::string error;        ///< exception message when !ok

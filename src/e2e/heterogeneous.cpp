@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "e2e/delay_bound.h"
 #include "e2e/network_epsilon.h"
 
 namespace deltanc::e2e {
@@ -106,56 +107,39 @@ double hetero_theta_h(const HeteroPath& p, double gamma, double sigma, int h,
   return std::max(0.0, (sigma + rc * bracket) / ch - x);
 }
 
+namespace detail {
+
+void load_nodes(const HeteroPath& p, double gamma, SolveWorkspace& ws) {
+  // The constants of hetero_theta_h, in the same arithmetic, so the
+  // shared kernel evaluates it bit for bit.
+  ws.nodes.resize(p.nodes.size());
+  for (int h = 1; h <= p.hops(); ++h) {
+    const NodeParams& n = p.nodes[static_cast<std::size_t>(h - 1)];
+    const double ch = n.capacity - (h - 1) * gamma;
+    const double rc = n.rho_cross + gamma;
+    const double slack = ch - rc;
+    if (!(slack > 0.0)) {
+      throw std::invalid_argument("hetero_theta_h: node unstable (Eq. 32)");
+    }
+    ws.nodes[static_cast<std::size_t>(h - 1)] =
+        NodeTerms{ch, slack, rc, n.delta};
+  }
+}
+
+}  // namespace detail
+
 DelayResult hetero_optimize_delay(const HeteroPath& p, double gamma,
                                   double sigma) {
   p.validate();
   if (!(gamma > 0.0) || !(gamma < p.gamma_limit())) {
     throw std::invalid_argument("hetero_optimize_delay: gamma violates Eq. 32");
   }
-  std::vector<double> candidates{0.0};
-  for (int h = 1; h <= p.hops(); ++h) {
-    const NodeParams& n = p.nodes[static_cast<std::size_t>(h - 1)];
-    const double ch = n.capacity - (h - 1) * gamma;
-    const double rc = n.rho_cross + gamma;
-    const double slack = ch - rc;
-    if (n.delta > 0.0) {
-      candidates.push_back(sigma / slack);
-      if (std::isfinite(n.delta)) {
-        candidates.push_back(sigma / slack - n.delta);
-        candidates.push_back((sigma + rc * n.delta) / slack);
-      }
-    } else {
-      candidates.push_back(sigma / ch);
-      if (std::isfinite(n.delta)) {
-        candidates.push_back(-n.delta);
-        candidates.push_back((sigma + rc * n.delta) / slack);
-      }
-    }
+  if (!(sigma >= 0.0)) {
+    throw std::invalid_argument("hetero_optimize_delay: sigma must be >= 0");
   }
-  const auto objective_at = [&](double x) {
-    double f = x;
-    for (int h = 1; h <= p.hops(); ++h) {
-      f += hetero_theta_h(p, gamma, sigma, h, x);
-    }
-    return f;
-  };
-  double best_x = 0.0;
-  double best_f = kInf;
-  for (double x : candidates) {
-    if (!(x >= 0.0)) continue;
-    const double f = objective_at(x);
-    if (f < best_f - 1e-12 || (f < best_f + 1e-12 && x > best_x)) {
-      best_f = std::min(best_f, f);
-      best_x = x;
-    }
-  }
-  DelayResult result;
-  result.delay = best_f;
-  result.x = best_x;
-  for (int h = 1; h <= p.hops(); ++h) {
-    result.theta.push_back(hetero_theta_h(p, gamma, sigma, h, best_x));
-  }
-  return result;
+  SolveWorkspace ws;
+  detail::load_nodes(p, gamma, ws);
+  return detail::sweep_minimize(sigma, ws);
 }
 
 double hetero_best_delay_bound(const HeteroPath& p, double epsilon,

@@ -8,7 +8,7 @@
 //
 // the bounding function of the network service curve is assembled from
 // the per-node bounds via Eq. (31) (network_service_bound_generic), and
-// the minimization over X is again a breakpoint enumeration.
+// the minimization over X runs through the same breakpoint kernel.
 #pragma once
 
 #include <vector>
@@ -67,9 +67,21 @@ struct HeteroPath {
 [[nodiscard]] double hetero_theta_h(const HeteroPath& p, double gamma,
                                     double sigma, int h, double x);
 
-/// Exact minimization of X + sum_h theta_h(X) (breakpoint enumeration).
+/// Exact minimization of X + sum_h theta_h(X): the same breakpoint
+/// kernel as optimize_delay (detail::sweep_minimize), fed per-node
+/// constants.
 [[nodiscard]] DelayResult hetero_optimize_delay(const HeteroPath& p,
                                                 double gamma, double sigma);
+
+namespace detail {
+
+/// Loads the per-node constants of a heterogeneous path into `ws`, in
+/// hetero_theta_h's arithmetic, for detail::sweep_minimize /
+/// detail::enumerate_minimize.
+/// @throws std::invalid_argument when some node violates Eq. (32).
+void load_nodes(const HeteroPath& p, double gamma, SolveWorkspace& ws);
+
+}  // namespace detail
 
 /// Full bound at a target epsilon, optimized over gamma.
 /// Returns +infinity delay when the path is unstable.

@@ -235,51 +235,12 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
   // descent); otherwise the historical 24/48 schedule, bit-identical.
   const int kScanPoints = ctx.local_now ? 12 : 24;
   const int kGoldenIters = ctx.local_now ? 24 : 48;
-  double best_x = lo;
-  double best_v = kInf;
-  for (int i = 0; i <= kScanPoints; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) / kScanPoints;
-    const double v = delay_at(ctx, p, sigma_of, x);
-    if (v < best_v) {
-      best_v = v;
-      best_x = x;
-    }
-  }
+  const double best_v = minimize_scalar(
+      [&](double gamma) { return delay_at(ctx, p, sigma_of, gamma); }, lo,
+      hi, kScanPoints, kGoldenIters, best_gamma);
   if (ctx.method == Method::kExactOpt) {
     ctx.stats.batched_evals += kScanPoints + 1;
   }
-  // Golden refinement around the scan winner -- the exact tail of the
-  // historical minimize_scalar(24, 48) call, evaluation for evaluation.
-  const double step = (hi - lo) / kScanPoints;
-  double a = std::max(lo, best_x - step);
-  double b = std::min(hi, best_x + step);
-  const double inv_phi = 0.6180339887498949;
-  double x1 = b - inv_phi * (b - a);
-  double x2 = a + inv_phi * (b - a);
-  double f1 = delay_at(ctx, p, sigma_of, x1);
-  double f2 = delay_at(ctx, p, sigma_of, x2);
-  for (int iter = 0; iter < kGoldenIters; ++iter) {
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - inv_phi * (b - a);
-      f1 = delay_at(ctx, p, sigma_of, x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + inv_phi * (b - a);
-      f2 = delay_at(ctx, p, sigma_of, x2);
-    }
-  }
-  const double xm = 0.5 * (a + b);
-  const double vm = delay_at(ctx, p, sigma_of, xm);
-  if (vm < best_v) {
-    best_v = vm;
-    best_x = xm;
-  }
-  if (best_gamma != nullptr) *best_gamma = best_x;
   return best_v;
 }
 

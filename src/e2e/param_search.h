@@ -64,7 +64,7 @@ struct Scenario {
 
 /// How to solve the theta optimization.
 enum class Method {
-  kExactOpt,  ///< exact breakpoint enumeration (e2e/delay_bound.h)
+  kExactOpt,  ///< exact breakpoint minimization (e2e/delay_bound.h)
   kPaperK,    ///< the paper's K-procedure (e2e/k_procedure.h)
 };
 

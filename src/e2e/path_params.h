@@ -5,6 +5,7 @@
 // at every node.  Time in milliseconds, data in kilobits (rates = Mbps).
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -48,6 +49,23 @@ struct DelayResult {
   std::vector<double> theta;  ///< theta_1 .. theta_H
 };
 
+/// Per-node constants of theta_h (Eq. 39) at one gamma.
+struct NodeTerms {
+  double cap;    ///< C - (h-1) gamma
+  double slack;  ///< C - rho_c - h gamma, as theta_h divides by it
+  double rc;     ///< rho_c + gamma
+  double delta;  ///< Delta_{0,c} of the node
+};
+
+/// One positive breakpoint candidate of the Eq. (39) sweep: its X, the
+/// change of the objective's slope there (0 where the candidate is not
+/// a kink of the active branch), and its index in the candidate list.
+struct SweepStep {
+  double x;
+  double dslope;
+  std::uint32_t index;
+};
+
 /// Reusable buffers for the Eq. (39) optimizers.  The (s, gamma)
 /// parameter search evaluates `optimize_delay` / `k_procedure_delay`
 /// thousands of times per scenario; passing one workspace through those
@@ -56,9 +74,13 @@ struct DelayResult {
 /// each call overwrites it completely -- so a default-constructed one is
 /// always valid input.
 struct SolveWorkspace {
+  std::vector<NodeTerms> nodes;    ///< per-node constants, h = 1..H
   std::vector<double> candidates;  ///< breakpoint candidates of Eq. (39)
-  std::vector<double> node_cap;    ///< per-node C - (h-1) gamma
-  std::vector<double> node_slack;  ///< per-node C - rho_c - h gamma
+  std::vector<double> approx;      ///< swept objective at each candidate
+  std::vector<SweepStep> families; ///< positive candidates, one (H+1)-slot
+                                   ///< block per candidate family
+  std::vector<double> theta;       ///< theta_h of the candidate being
+                                   ///< evaluated (swapped into result)
   DelayResult result;              ///< reused output slot (theta buffer)
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string_view>
 
 namespace deltanc::io {
@@ -404,8 +405,8 @@ Value encode_sweep_point(const SweepPoint& p) {
   Value out = Value::object();
   out.set("scenario", encode_scenario(p.scenario))
       .set("bound", encode_bound_result(p.bound))
-      .set("profile", p.profile.has_value() ? encode_delay_profile(*p.profile)
-                                            : Value::null())
+      .set("profile",
+           p.profile ? encode_delay_profile(*p.profile) : Value::null())
       .set("solve_ms", encode_double(p.solve_ms))
       .set("ok", Value::boolean(p.ok))
       .set("error", Value::string(p.error));
@@ -417,7 +418,8 @@ SweepPoint decode_sweep_point(const Value& v) {
   p.scenario = decode_scenario(v.at("scenario"));
   p.bound = decode_bound_result(v.at("bound"));
   if (const Value* profile = find_optional(v, "profile")) {
-    p.profile = decode_delay_profile(*profile);
+    p.profile = std::make_shared<const e2e::DelayProfile>(
+        decode_delay_profile(*profile));
   }
   p.solve_ms = decode_double(v.at("solve_ms"));
   p.ok = v.at("ok").as_bool();

@@ -535,7 +535,7 @@ TEST(SweepProfileTest, ProfilesAttachToEveryPointAndAggregate) {
   e2e::SolveStats expected;
   for (const SweepPoint& p : report.points) {
     ASSERT_TRUE(p.ok);
-    ASSERT_TRUE(p.profile.has_value());
+    ASSERT_NE(p.profile, nullptr);
     ASSERT_EQ(p.profile->levels.size(), 3u);
     expected += p.bound.stats;
     expected += p.profile->stats;
@@ -561,7 +561,7 @@ TEST(SweepProfileTest, ColdSweepProfilesArePinnedToScalarSolves) {
   const SweepReport report = SweepRunner(opts).run(grid);
   EXPECT_EQ(report.stats.profile_chain_hits, 0);
   for (const SweepPoint& p : report.points) {
-    ASSERT_TRUE(p.profile.has_value());
+    ASSERT_NE(p.profile, nullptr);
     for (std::size_t i = 0; i < opts.profile_epsilons.size(); ++i) {
       e2e::Scenario level = p.scenario;
       level.epsilon = opts.profile_epsilons[i];
@@ -589,7 +589,7 @@ TEST(SweepProfileTest, CustomSolverDisablesProfiles) {
   const SweepReport report = SweepRunner(opts).run(grid);
   for (const SweepPoint& p : report.points) {
     EXPECT_TRUE(p.ok);
-    EXPECT_FALSE(p.profile.has_value());
+    EXPECT_EQ(p.profile, nullptr);
   }
   EXPECT_EQ(report.stats.profile_levels, 0);
 }

@@ -28,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -921,7 +922,7 @@ int main(int argc, char** argv) {
     SweepReport one;
     one.points.resize(1);
     one.points[0].scenario = scenario;
-    one.points[0].profile = profile;
+    one.points[0].profile = std::make_shared<const e2e::DelayProfile>(profile);
     one.write_profile_csv(std::cout);
     for (std::size_t i = 0; i < profile.levels.size(); ++i) {
       for (const diag::Warning& w : profile.levels[i].diagnostics.warnings) {
@@ -960,7 +961,8 @@ int main(int argc, char** argv) {
     e2e::DelayProfile single;
     single.epsilons = {scenario.epsilon};
     single.levels = {bound};
-    one.points[0].profile = std::move(single);
+    one.points[0].profile =
+        std::make_shared<const e2e::DelayProfile>(std::move(single));
     one.write_profile_csv(std::cout);
     print_warnings(bound, stderr);
     if (want_stats) print_stats(bound.stats, stderr);
