@@ -66,15 +66,24 @@ strip_outcome() {
 }
 
 # ---------------------------------------------------------------- phase 1
-# The Fig. 2-style operating grid, hops 3 (24 requests, ids 0..23).
+# The Fig. 2-style operating grid, hops 3: 24 scalar requests (ids
+# 0..23), then the same grid's 3-level delay-profile requests renumbered
+# to ids 24..47, so every check below covers both request kinds.
 "$CLI" --hops 3 --epsilon 1e-6 \
   --sweep uc=0.1:0.8:8 --sweep scheduler=fifo,bmux,edf \
   --emit-batch > "$WORK/requests.jsonl" 2>/dev/null
+"$CLI" --hops 3 --epsilon 1e-6 \
+  --sweep uc=0.1:0.8:8 --sweep scheduler=fifo,bmux,edf \
+  --ccdf 1e-6:1e-3:3 --emit-batch 2>/dev/null |
+  awk 'match($0, /"id":[0-9]+/) {
+         id = substr($0, RSTART + 5, RLENGTH - 5) + 24
+         $0 = substr($0, 1, RSTART + 4) id substr($0, RSTART + RLENGTH)
+       } { print }' >> "$WORK/requests.jsonl"
 requests=$(wc -l < "$WORK/requests.jsonl")
-if [ "$requests" -ne 24 ]; then
-  echo "FAIL: emit-batch produced $requests requests (want 24)"; exit 1
+if [ "$requests" -ne 48 ]; then
+  echo "FAIL: emit-batch produced $requests requests (want 48)"; exit 1
 fi
-timeout_id=23
+timeout_id=47
 
 # Warm a cache, corrupt one entry, and twin the directory so server and
 # golden batch run see the same disk state.
@@ -93,6 +102,10 @@ golden_rc=0
 if [ "$golden_rc" -ne 3 ]; then
   echo "FAIL: golden batch run rc=$golden_rc (want 3: corrupt recovery)"
   exit 1
+fi
+profiles=$(grep -c '"profile":' "$WORK/golden.jsonl" || true)
+if [ "$profiles" -ne 24 ]; then
+  echo "FAIL: golden batch run answered $profiles profiles (want 24)"; exit 1
 fi
 
 SOCK="$WORK/serve.sock"

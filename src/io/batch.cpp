@@ -1,5 +1,6 @@
 #include "io/batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -8,8 +9,10 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -28,9 +31,35 @@ struct Request {
   std::string error;       ///< parse/decode failure when !parsed
   ParsedRequestLine line;  ///< valid when parsed
   CacheLookup outcome = CacheLookup::kMiss;
-  SweepPoint point;            ///< the scalar answer (cache hit or solve)
-  e2e::DelayProfile profile;  ///< the answer when line.is_profile()
+  Answer answer;  ///< the cache hit or the solve
 };
+
+/// Sets exactly one cache-outcome counter (kCorrupt counts as a miss);
+/// true when the outcome also owes the kCorruptCache recovery warning.
+bool set_outcome_counters(e2e::SolveStats& stats, CacheLookup outcome) {
+  const bool corrupt = outcome == CacheLookup::kCorrupt;
+  stats.cache_hits = outcome == CacheLookup::kHit ? 1 : 0;
+  stats.cache_stale = outcome == CacheLookup::kStale ? 1 : 0;
+  stats.cache_misses = outcome == CacheLookup::kMiss || corrupt ? 1 : 0;
+  return corrupt;
+}
+
+std::string corrupt_warning(const std::string& key) {
+  return "cache entry " + key + " was unreadable; re-solved";
+}
+
+/// The ok response layout shared by both payload kinds.
+Value ok_response(const Value& id, bool with_cache_tag, CacheLookup outcome,
+                  const char* payload_field, Value payload) {
+  Value response = Value::object();
+  response.set("schema", Value::number(kSchemaVersion)).set("id", id);
+  response.set("ok", Value::boolean(true));
+  if (with_cache_tag) {
+    response.set("cache", Value::string(cache_lookup_name(outcome)));
+  }
+  response.set(payload_field, std::move(payload));
+  return response;
+}
 
 }  // namespace
 
@@ -104,105 +133,99 @@ ParsedRequestLine parse_request_line(const std::string& line,
 
 void apply_cache_outcome(e2e::BoundResult& result, CacheLookup outcome,
                          const std::string& key) {
-  result.stats.cache_hits = 0;
-  result.stats.cache_misses = 0;
-  result.stats.cache_stale = 0;
-  switch (outcome) {
-    case CacheLookup::kHit:
-      result.stats.cache_hits = 1;
-      return;
-    case CacheLookup::kStale:
-      result.stats.cache_stale = 1;
-      return;
-    case CacheLookup::kMiss:
-      result.stats.cache_misses = 1;
-      return;
-    case CacheLookup::kCorrupt:
-      result.stats.cache_misses = 1;
-      result.diagnostics.warn(
-          diag::SolveErrorKind::kCorruptCache,
-          "cache entry " + key + " was unreadable; re-solved");
-      return;
+  if (set_outcome_counters(result.stats, outcome)) {
+    result.diagnostics.warn(diag::SolveErrorKind::kCorruptCache,
+                            corrupt_warning(key));
   }
 }
 
 void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
                          const std::string& key) {
-  profile.stats.cache_hits = 0;
-  profile.stats.cache_misses = 0;
-  profile.stats.cache_stale = 0;
-  switch (outcome) {
-    case CacheLookup::kHit:
-      profile.stats.cache_hits = 1;
-      return;
-    case CacheLookup::kStale:
-      profile.stats.cache_stale = 1;
-      return;
-    case CacheLookup::kMiss:
-      profile.stats.cache_misses = 1;
-      return;
-    case CacheLookup::kCorrupt:
-      profile.stats.cache_misses = 1;
-      // The profile carries no diagnostics of its own: the recovery
-      // warning lands on the first level so it stays downstream-visible.
-      if (!profile.levels.empty()) {
-        profile.levels.front().diagnostics.warn(
-            diag::SolveErrorKind::kCorruptCache,
-            "cache entry " + key + " was unreadable; re-solved");
-      }
-      return;
+  // The profile carries no diagnostics of its own: the recovery warning
+  // lands on the first level so it stays downstream-visible.
+  if (set_outcome_counters(profile.stats, outcome) &&
+      !profile.levels.empty()) {
+    profile.levels.front().diagnostics.warn(
+        diag::SolveErrorKind::kCorruptCache, corrupt_warning(key));
   }
 }
 
-ProfileAnswer solve_profile_request(const deltanc::Solver& solver,
-                                    const e2e::Scenario& sc,
-                                    std::span<const double> epsilons) {
-  ProfileAnswer out;
-  const diag::ValidationReport vr = sc.validate();
+void apply_cache_outcome(Answer& answer, CacheLookup outcome,
+                         const std::string& key) {
+  std::visit([&](auto& payload) { apply_cache_outcome(payload, outcome, key); },
+             answer.payload);
+}
+
+Answer solve_request(const deltanc::Solver& solver,
+                     const ParsedRequestLine& line) {
+  Answer out;
+  const diag::ValidationReport vr = line.scenario.validate();
   diag::SolveErrorKind fail_kind = diag::SolveErrorKind::kNumericalDomain;
   try {
     if (!vr.ok()) {
       fail_kind = diag::SolveErrorKind::kInvalidScenario;
       throw std::invalid_argument(vr.message());
     }
-    out.profile = solver.solve_profile(sc, epsilons);
+    if (line.is_profile()) {
+      out.payload = solver.solve_profile(line.scenario, line.epsilons);
+    } else {
+      out.payload = solver.solve(line.scenario);
+    }
   } catch (const std::exception& e) {
     out.ok = false;
     out.error = e.what();
     e2e::BoundResult failed{std::numeric_limits<double>::infinity(), 0.0, 0.0,
                             0.0, 0.0};
     failed.diagnostics.fail(fail_kind, e.what());
-    out.profile = e2e::DelayProfile{};
-    out.profile.epsilons.assign(epsilons.begin(), epsilons.end());
-    out.profile.levels.assign(epsilons.size(), failed);
+    if (line.is_profile()) {
+      e2e::DelayProfile& profile = out.payload.emplace<e2e::DelayProfile>();
+      profile.epsilons = line.epsilons;
+      profile.levels.assign(line.epsilons.size(), failed);
+    } else {
+      out.payload = std::move(failed);
+    }
   }
   return out;
+}
+
+CacheLookup lookup_answer(ResultCache& cache, const ParsedRequestLine& line,
+                          Answer& answer) {
+  if (line.is_profile()) {
+    return cache.lookup_profile(line.key,
+                                answer.payload.emplace<e2e::DelayProfile>());
+  }
+  return cache.lookup(line.key, answer.payload.emplace<e2e::BoundResult>());
+}
+
+bool try_store_answer(ResultCache& cache, const std::string& key,
+                      const Answer& answer) {
+  if (const auto* profile = std::get_if<e2e::DelayProfile>(&answer.payload)) {
+    return cache.try_store_profile(key, *profile);
+  }
+  return cache.try_store(key, std::get<e2e::BoundResult>(answer.payload));
 }
 
 json::Value make_ok_response(const json::Value& id, bool with_cache_tag,
                              CacheLookup outcome,
                              const e2e::BoundResult& result) {
-  Value response = Value::object();
-  response.set("schema", Value::number(kSchemaVersion)).set("id", id);
-  response.set("ok", Value::boolean(true));
-  if (with_cache_tag) {
-    response.set("cache", Value::string(cache_lookup_name(outcome)));
-  }
-  response.set("result", encode_bound_result(result));
-  return response;
+  return ok_response(id, with_cache_tag, outcome, "result",
+                     encode_bound_result(result));
 }
 
 json::Value make_ok_profile_response(const json::Value& id,
                                      bool with_cache_tag, CacheLookup outcome,
                                      const e2e::DelayProfile& profile) {
-  Value response = Value::object();
-  response.set("schema", Value::number(kSchemaVersion)).set("id", id);
-  response.set("ok", Value::boolean(true));
-  if (with_cache_tag) {
-    response.set("cache", Value::string(cache_lookup_name(outcome)));
+  return ok_response(id, with_cache_tag, outcome, "profile",
+                     encode_delay_profile(profile));
+}
+
+json::Value make_ok_response(const json::Value& id, bool with_cache_tag,
+                             CacheLookup outcome, const Answer& answer) {
+  if (const auto* profile = std::get_if<e2e::DelayProfile>(&answer.payload)) {
+    return make_ok_profile_response(id, with_cache_tag, outcome, *profile);
   }
-  response.set("profile", encode_delay_profile(profile));
-  return response;
+  return make_ok_response(id, with_cache_tag, outcome,
+                          std::get<e2e::BoundResult>(answer.payload));
 }
 
 json::Value make_error_response(const json::Value& id,
@@ -252,129 +275,68 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   for (std::size_t i = 0; i < requests.size(); ++i) {
     Request& req = requests[i];
     if (!req.parsed) continue;
-    if (options.cache == nullptr) {
-      pending.push_back(i);
-      continue;
-    }
-    if (req.line.is_profile()) {
-      e2e::DelayProfile cached;
-      req.outcome = options.cache->lookup_profile(req.line.key, cached);
+    if (options.cache != nullptr) {
+      req.outcome = lookup_answer(*options.cache, req.line, req.answer);
       if (req.outcome == CacheLookup::kHit) {
-        req.profile = std::move(cached);
-        apply_cache_outcome(req.profile, req.outcome, req.line.key);
+        apply_cache_outcome(req.answer, req.outcome, req.line.key);
         ++summary.cached;
-      } else {
-        pending.push_back(i);
+        continue;
       }
-      continue;
     }
-    e2e::BoundResult cached;
-    req.outcome = options.cache->lookup(req.line.key, cached);
-    if (req.outcome == CacheLookup::kHit) {
-      req.point.scenario = req.line.scenario;
-      req.point.bound = std::move(cached);
-      apply_cache_outcome(req.point.bound, req.outcome, req.line.key);
-      ++summary.cached;
-    } else {
-      pending.push_back(i);
-    }
+    pending.push_back(i);
   }
 
-  // ----- solve pass: group misses by options, fan out per group ----------
-  // Profile requests fan out separately (their unit of work is a whole
-  // d(epsilon) grid, not one BoundResult) but share the progress stream.
-  std::map<std::string, std::vector<std::size_t>> groups;
-  std::map<std::string, std::vector<std::size_t>> profile_groups;
+  // ----- solve pass: one fan-out over every miss -------------------------
+  // One Solver per distinct options group: solve/solve_profile are const
+  // and keep no state between calls, so the workers share it.  Each
+  // worker claims the next miss from a shared cursor and writes into
+  // that request's own slot, so the output order is the input order.
+  std::map<std::string, Solver> solvers;
+  std::vector<const Solver*> solver_of;
+  solver_of.reserve(pending.size());
   for (const std::size_t i : pending) {
-    auto& bucket =
-        requests[i].line.is_profile() ? profile_groups : groups;
-    bucket[encode_solve_options(requests[i].line.options).dump()].push_back(i);
+    const SolveOptions& o = requests[i].line.options;
+    solver_of.push_back(
+        &solvers.try_emplace(encode_solve_options(o).dump(), o).first->second);
   }
-  const std::size_t total_pending = pending.size();
-  std::size_t done_offset = 0;
-  for (const auto& [options_key, members] : groups) {
-    (void)options_key;
-    const Solver solver(requests[members.front()].line.options);
-    std::vector<e2e::Scenario> scenarios;
-    scenarios.reserve(members.size());
-    for (const std::size_t i : members) {
-      scenarios.push_back(requests[i].line.scenario);
-    }
-    SweepOptions sweep;
-    sweep.threads = options.threads;
-    sweep.method = solver.options().method;
-    sweep.solver = [&solver](const e2e::Scenario& sc, e2e::Method) {
-      return solver.solve(sc);
-    };
-    if (options.progress) {
-      sweep.progress = [&options, done_offset,
-                        total_pending](std::size_t done, std::size_t) {
-        options.progress(done_offset + done, total_pending);
-      };
-    }
-    const SweepReport report = SweepRunner(sweep).run(
-        std::span<const e2e::Scenario>(scenarios));
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      Request& req = requests[members[j]];
-      req.point = report.points[j];
-      if (req.point.ok && options.cache != nullptr) {
-        // Persist with the cache counters zeroed: they describe how a
-        // particular response was obtained, not the result itself.  A
-        // failed store (full disk, read-only directory) degrades to a
-        // counted solve-through -- the batch keeps answering.
-        (void)options.cache->try_store(req.line.key, req.point.bound);
-      }
-      apply_cache_outcome(req.point.bound, req.outcome, req.line.key);
-      ++summary.solved;
-      if (!req.point.ok) ++summary.failed;
-    }
-    done_offset += members.size();
-  }
-
-  // ----- profile solve pass ----------------------------------------------
-  for (const auto& [options_key, members] : profile_groups) {
-    (void)options_key;
-    const Solver solver(requests[members.front()].line.options);
+  const std::size_t total = pending.size();
+  if (total > 0) {
     const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-        members.size(), options.threads > 0
-                            ? static_cast<unsigned>(options.threads)
-                            : ThreadPool::default_thread_count()));
+        total, options.threads > 0 ? static_cast<unsigned>(options.threads)
+                                   : ThreadPool::default_thread_count()));
     std::atomic<std::size_t> cursor{0};
     std::mutex progress_mu;
-    std::size_t group_done = 0;
+    std::size_t done = 0;  // guarded by progress_mu
     const auto worker = [&] {
       for (;;) {
         const std::size_t j = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (j >= members.size()) return;
-        Request& req = requests[members[j]];
-        ProfileAnswer answer = solve_profile_request(
-            solver, req.line.scenario, req.line.epsilons);
-        req.point.ok = answer.ok;
-        req.point.error = answer.error;
-        req.profile = std::move(answer.profile);
+        if (j >= total) return;
+        Request& req = requests[pending[j]];
+        req.answer = solve_request(*solver_of[j], req.line);
         if (options.progress) {
+          // Increment under the callback's lock so `done` arrives
+          // strictly increasing 1..total.
           std::lock_guard<std::mutex> lock(progress_mu);
-          options.progress(done_offset + ++group_done, total_pending);
+          options.progress(++done, total);
         }
       }
     };
-    {
-      ThreadPool pool(threads);
-      for (unsigned t = 0; t < threads; ++t) pool.submit(worker);
-      pool.wait_idle();
+    ThreadPool pool(threads);
+    for (unsigned t = 0; t < threads; ++t) pool.submit(worker);
+    pool.wait_idle();
+  }
+  for (const std::size_t i : pending) {
+    Request& req = requests[i];
+    if (req.answer.ok && options.cache != nullptr) {
+      // Persist with the cache counters zeroed: they describe how a
+      // particular response was obtained, not the result itself.  A
+      // failed store (full disk, read-only directory) degrades to a
+      // counted solve-through -- the batch keeps answering.
+      (void)try_store_answer(*options.cache, req.line.key, req.answer);
     }
-    for (const std::size_t i : members) {
-      Request& req = requests[i];
-      if (req.point.ok && options.cache != nullptr) {
-        // Same persistence discipline as the scalar pass: counters
-        // zeroed, failed stores degrade to counted solve-through.
-        (void)options.cache->try_store_profile(req.line.key, req.profile);
-      }
-      apply_cache_outcome(req.profile, req.outcome, req.line.key);
-      ++summary.solved;
-      if (!req.point.ok) ++summary.failed;
-    }
-    done_offset += members.size();
+    apply_cache_outcome(req.answer, req.outcome, req.line.key);
+    ++summary.solved;
+    if (!req.answer.ok) ++summary.failed;
   }
 
   // ----- emit (input order) ----------------------------------------------
@@ -383,14 +345,11 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     if (!req.parsed) {
       response = make_error_response(req.line.id, req.error);
       ++summary.parse_errors;
-    } else if (req.line.is_profile()) {
-      response = make_ok_profile_response(
-          req.line.id, options.cache != nullptr, req.outcome, req.profile);
-      summary.stats += req.profile.stats;
     } else {
       response = make_ok_response(req.line.id, options.cache != nullptr,
-                                  req.outcome, req.point.bound);
-      summary.stats += req.point.bound.stats;
+                                  req.outcome, req.answer);
+      std::visit([&](const auto& payload) { summary.stats += payload.stats; },
+                 req.answer.payload);
     }
     out << response.dump() << '\n';
     if (!out.good()) {

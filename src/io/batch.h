@@ -26,13 +26,15 @@
 // cache_stale = 1, so summing stats over responses (as SweepReport
 // already does) yields the hit ratio.
 //
-// Parallelism: cache misses are grouped by solve options and fanned out
-// through SweepRunner, so a cold batch gets the same thread scaling as a
-// sweep while responses stay deterministically ordered.
+// Parallelism: every cache miss -- scalar or profile -- goes through one
+// thread fan-out (a shared atomic cursor over the misses, one Solver per
+// distinct solve-options group), so a cold batch gets a sweep's thread
+// scaling while responses stay deterministically ordered.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
-#include <span>
+#include <variant>
 #include <vector>
 
 #include "core/sweep.h"
@@ -46,13 +48,13 @@ namespace deltanc::io {
 
 struct BatchOptions {
   /// Worker count for the solve fan-out; 0 = DELTANC_THREADS env or
-  /// hardware_concurrency() (SweepRunner's resolution).
+  /// hardware_concurrency() (ThreadPool::default_thread_count()).
   int threads = 0;
   /// Method used when a request carries no "options" object.
   e2e::Method default_method = e2e::Method::kExactOpt;
   /// Optional persistent cache; nullptr = solve everything.
   ResultCache* cache = nullptr;
-  /// Called after each solved (not cached) point, with (done, total)
+  /// Called after each solved (not cached) request, with (done, total)
   /// over the miss set; serialized, `done` strictly increasing.
   std::function<void(std::size_t done, std::size_t total)> progress;
 };
@@ -120,6 +122,36 @@ struct PartialRequestError : std::runtime_error {
 /// Stable wire name of a lookup outcome ("hit"/"miss"/"stale"/"corrupt").
 [[nodiscard]] const char* cache_lookup_name(CacheLookup outcome);
 
+/// One request's classified answer: the scalar bound or the whole
+/// d(epsilon) profile, whichever the request asked for.
+struct Answer {
+  std::variant<e2e::BoundResult, e2e::DelayProfile> payload;
+  bool ok = true;     ///< false when the scenario failed to validate or
+                      ///< the solve threw
+  std::string error;  ///< the failure message when !ok
+};
+
+/// Solves one parsed request with SweepRunner's classification rule,
+/// shared by run_batch and the serve workers so both paths answer
+/// byte-identically: validate first (kInvalidScenario naming every bad
+/// field), then a throwing solve classifies as kNumericalDomain.  A
+/// failure is still an answer: the classified +inf bound (on every level
+/// of a profile request), so the response stays ok=true with per-result
+/// diagnostics.
+[[nodiscard]] Answer solve_request(const deltanc::Solver& solver,
+                                   const ParsedRequestLine& line);
+
+/// Looks `line.key` up in `cache` as an entry of the request's kind; a
+/// hit is decoded straight into `answer`.
+[[nodiscard]] CacheLookup lookup_answer(ResultCache& cache,
+                                        const ParsedRequestLine& line,
+                                        Answer& answer);
+
+/// Stores the answer's payload under `key` (ResultCache::try_store /
+/// try_store_profile: a failed write is counted, never thrown).
+bool try_store_answer(ResultCache& cache, const std::string& key,
+                      const Answer& answer);
+
 /// Applies the cache-outcome bookkeeping run_batch performs on a result
 /// before emission: exactly one of stats.cache_hits / cache_misses /
 /// cache_stale is set to 1 (kCorrupt counts as a miss) and a kCorrupt
@@ -133,25 +165,9 @@ void apply_cache_outcome(e2e::BoundResult& result, CacheLookup outcome,
 void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
                          const std::string& key);
 
-/// Outcome of solving one profile request (solve_profile_request).
-struct ProfileAnswer {
-  bool ok = true;     ///< false when the scenario failed to validate or
-                      ///< the solve threw
-  std::string error;  ///< the failure message when !ok
-  e2e::DelayProfile profile;  ///< on failure: every level is the
-                              ///< classified +inf bound
-};
-
-/// Solves one profile request with exactly SweepRunner's classification
-/// discipline (validate first -> kInvalidScenario naming every bad
-/// field; a throwing solve -> kNumericalDomain), shared by run_batch and
-/// the serve workers so both paths answer byte-identically.  Failures
-/// still produce a full K-level profile of classified +inf bounds, so a
-/// profile response is always ok=true with per-level diagnostics, like
-/// the scalar path.
-[[nodiscard]] ProfileAnswer solve_profile_request(
-    const deltanc::Solver& solver, const e2e::Scenario& sc,
-    std::span<const double> epsilons);
+/// Answer flavor: dispatches to the payload's overload.
+void apply_cache_outcome(Answer& answer, CacheLookup outcome,
+                         const std::string& key);
 
 /// The solved/served response document ({"schema", "id", "ok": true,
 /// ["cache"], "result"}); `with_cache_tag` mirrors "a ResultCache is
@@ -167,6 +183,12 @@ struct ProfileAnswer {
 [[nodiscard]] json::Value make_ok_profile_response(
     const json::Value& id, bool with_cache_tag, CacheLookup outcome,
     const e2e::DelayProfile& profile);
+
+/// The response document of an answer: "result" or "profile" by kind.
+[[nodiscard]] json::Value make_ok_response(const json::Value& id,
+                                           bool with_cache_tag,
+                                           CacheLookup outcome,
+                                           const Answer& answer);
 
 /// The error response document ({"schema", "id", "ok": false, "error",
 /// ["kind"]}); `kind` (diag::solve_error_name) is emitted by the serve

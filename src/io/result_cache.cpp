@@ -76,13 +76,27 @@ std::filesystem::path ResultCache::entry_path(std::string_view key) const {
 
 namespace {
 
-/// Shared classification body of the scalar and profile entry readers:
-/// `decode_payload` pulls the type-specific payload out of a structurally
-/// valid, schema-current, key-matching entry.
-template <typename DecodePayload>
+// Payload overloads: the only places the two entry kinds differ.
+const char* payload_field(const e2e::BoundResult&) { return "result"; }
+const char* payload_field(const e2e::DelayProfile&) { return "profile"; }
+json::Value encode_payload(const e2e::BoundResult& result) {
+  return encode_bound_result(result);
+}
+json::Value encode_payload(const e2e::DelayProfile& profile) {
+  return encode_delay_profile(profile);
+}
+void decode_payload(const json::Value& doc, e2e::BoundResult& result) {
+  result = decode_bound_result(doc);
+}
+void decode_payload(const json::Value& doc, e2e::DelayProfile& profile) {
+  profile = decode_delay_profile(doc);
+}
+
+/// Classifies the entry at `path` against `key`; decodes the payload
+/// straight into `payload` (only on kHit).
+template <typename Payload>
 CacheLookup classify_entry(const std::filesystem::path& path,
-                           const std::string& key,
-                           DecodePayload&& decode_payload) {
+                           const std::string& key, Payload& payload) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return CacheLookup::kMiss;
   std::ostringstream text;
@@ -101,7 +115,7 @@ CacheLookup classify_entry(const std::filesystem::path& path,
     // The stored full key disambiguates FNV collisions: a different key
     // in the same slot is somebody else's entry, i.e. a miss.
     if (entry.at("key").as_string() != key) return CacheLookup::kMiss;
-    decode_payload(entry);
+    decode_payload(entry.at(payload_field(payload)), payload);
   } catch (const json::ParseError&) {
     return CacheLookup::kCorrupt;
   } catch (const json::TypeError&) {
@@ -118,85 +132,51 @@ CacheLookup classify_entry(const std::filesystem::path& path,
 
 }  // namespace
 
-CacheLookup ResultCache::read_entry(const std::filesystem::path& path,
-                                    const std::string& key,
-                                    e2e::BoundResult& result) const {
-  return classify_entry(path, key, [&](const json::Value& entry) {
-    result = decode_bound_result(entry.at("result"));
-  });
-}
-
-CacheLookup ResultCache::read_profile_entry(const std::filesystem::path& path,
-                                            const std::string& key,
-                                            e2e::DelayProfile& profile) const {
-  return classify_entry(path, key, [&](const json::Value& entry) {
-    profile = decode_delay_profile(entry.at("profile"));
-  });
-}
-
-void ResultCache::count(CacheLookup outcome) noexcept {
+template <typename Payload>
+CacheLookup ResultCache::lookup_entry(const std::string& key,
+                                      Payload& payload) {
+  const CacheLookup outcome = classify_entry(entry_path(key), key, payload);
   switch (outcome) {
     case CacheLookup::kHit:
       ++stats_.hits;
-      return;
+      break;
     case CacheLookup::kMiss:
       ++stats_.misses;
-      return;
+      break;
     case CacheLookup::kStale:
       ++stats_.stale;
-      return;
+      break;
     case CacheLookup::kCorrupt:
       ++stats_.corrupt;
-      return;
+      break;
   }
+  return outcome;
 }
 
 CacheLookup ResultCache::lookup(const std::string& key,
                                 e2e::BoundResult& result) {
-  const CacheLookup outcome = read_entry(entry_path(key), key, result);
-  count(outcome);
-  return outcome;
+  return lookup_entry(key, result);
 }
 
 CacheLookup ResultCache::lookup(const e2e::Scenario& sc,
                                 const SolveOptions& options,
                                 e2e::BoundResult& result) {
-  return lookup(solve_cache_key(sc, options), result);
+  return lookup_entry(solve_cache_key(sc, options), result);
 }
 
 CacheLookup ResultCache::lookup_profile(const std::string& key,
                                         e2e::DelayProfile& profile) {
-  const CacheLookup outcome =
-      read_profile_entry(entry_path(key), key, profile);
-  count(outcome);
-  return outcome;
+  return lookup_entry(key, profile);
 }
 
-CacheLookup ResultCache::lookup_profile(const e2e::Scenario& sc,
-                                        std::span<const double> epsilons,
-                                        const SolveOptions& options,
-                                        e2e::DelayProfile& profile) {
-  return lookup_profile(profile_cache_key(sc, epsilons, options), profile);
-}
-
-void ResultCache::store(const std::string& key,
-                        const e2e::BoundResult& result) {
-  write_entry(key, "result", encode_bound_result(result));
-}
-
-void ResultCache::store_profile(const std::string& key,
-                                const e2e::DelayProfile& profile) {
-  write_entry(key, "profile", encode_delay_profile(profile));
-}
-
-void ResultCache::write_entry(const std::string& key,
-                              const char* payload_field,
-                              json::Value payload) {
+template <typename Payload>
+void ResultCache::store_entry(const std::string& key,
+                              const Payload& payload) {
   json::Value entry = json::Value::object();
   entry.set("schema", json::Value::number(kSchemaVersion))
       .set("version", json::Value::string(DELTANC_VERSION_STRING))
       .set("key", json::Value::string(key))
-      .set(payload_field, std::move(payload));
+      .set(payload_field(payload), encode_payload(payload));
 
   const std::filesystem::path path = entry_path(key);
   std::filesystem::path tmp = path;
@@ -219,15 +199,16 @@ void ResultCache::write_entry(const std::string& key,
   ++stats_.stores;
 }
 
-bool ResultCache::try_store(const std::string& key,
-                            const e2e::BoundResult& result) noexcept {
+template <typename Payload>
+bool ResultCache::try_store_entry(const std::string& key,
+                                  const Payload& payload) noexcept {
   if (injected_store_failures_ > 0) {
     --injected_store_failures_;
     ++stats_.store_failures;
     return false;
   }
   try {
-    store(key, result);
+    store_entry(key, payload);
     return true;
   } catch (...) {
     ++stats_.store_failures;
@@ -235,20 +216,24 @@ bool ResultCache::try_store(const std::string& key,
   }
 }
 
+void ResultCache::store(const std::string& key,
+                        const e2e::BoundResult& result) {
+  store_entry(key, result);
+}
+
+void ResultCache::store_profile(const std::string& key,
+                                const e2e::DelayProfile& profile) {
+  store_entry(key, profile);
+}
+
+bool ResultCache::try_store(const std::string& key,
+                            const e2e::BoundResult& result) noexcept {
+  return try_store_entry(key, result);
+}
+
 bool ResultCache::try_store_profile(const std::string& key,
                                     const e2e::DelayProfile& profile) noexcept {
-  if (injected_store_failures_ > 0) {
-    --injected_store_failures_;
-    ++stats_.store_failures;
-    return false;
-  }
-  try {
-    store_profile(key, profile);
-    return true;
-  } catch (...) {
-    ++stats_.store_failures;
-    return false;
-  }
+  return try_store_entry(key, profile);
 }
 
 }  // namespace deltanc::io

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <span>
 #include <string>
 
 #include "io/codec.h"
@@ -143,12 +142,6 @@ class ResultCache {
   [[nodiscard]] CacheLookup lookup_profile(const std::string& key,
                                            e2e::DelayProfile& profile);
 
-  /// Looks up the profile described by (scenario, epsilons, options).
-  [[nodiscard]] CacheLookup lookup_profile(const e2e::Scenario& sc,
-                                           std::span<const double> epsilons,
-                                           const SolveOptions& options,
-                                           e2e::DelayProfile& profile);
-
   /// Stores (overwriting any previous entry -- including stale and
   /// corrupt ones) via atomic tmp + rename.
   /// @throws std::runtime_error when the entry cannot be written.
@@ -207,57 +200,24 @@ class ResultCache {
     return result;
   }
 
-  /// Profile counterpart of solve_through: lookup by (scenario,
-  /// epsilons, options); on anything but a hit, solves the whole profile
-  /// via `solve` and stores it.  The returned profile's aggregate stats
-  /// carry exactly one of cache_hits/cache_misses/cache_stale = 1, same
-  /// contract as the scalar flavor.
-  template <typename Solve>
-  e2e::DelayProfile solve_profile_through(const e2e::Scenario& sc,
-                                          std::span<const double> epsilons,
-                                          const SolveOptions& options,
-                                          Solve&& solve,
-                                          CacheLookup* outcome = nullptr) {
-    const std::string key = profile_cache_key(sc, epsilons, options);
-    e2e::DelayProfile profile;
-    const CacheLookup found = lookup_profile(key, profile);
-    if (outcome != nullptr) *outcome = found;
-    if (found == CacheLookup::kHit) {
-      profile.stats.cache_hits = 1;
-      profile.stats.cache_misses = 0;
-      profile.stats.cache_stale = 0;
-      return profile;
-    }
-    profile = solve();
-    profile.stats.cache_hits = 0;
-    profile.stats.cache_misses = 0;
-    profile.stats.cache_stale = 0;
-    store_profile(key, profile);
-    if (found == CacheLookup::kStale) {
-      profile.stats.cache_stale = 1;
-    } else {
-      profile.stats.cache_misses = 1;
-    }
-    return profile;
-  }
-
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
  private:
-  /// Classifies the entry at `path` against `key` without touching
-  /// CacheStats (shared by both lookup flavors).
-  [[nodiscard]] CacheLookup read_entry(const std::filesystem::path& path,
-                                       const std::string& key,
-                                       e2e::BoundResult& result) const;
-  [[nodiscard]] CacheLookup read_profile_entry(
-      const std::filesystem::path& path, const std::string& key,
-      e2e::DelayProfile& profile) const;
-  /// Shared store body: writes {"schema", "version", "key",
-  /// <payload_field>: payload} via atomic tmp + rename.
-  void write_entry(const std::string& key, const char* payload_field,
-                   json::Value payload);
-  void count(CacheLookup outcome) noexcept;
+  /// The one body behind lookup/lookup_profile: reads and classifies the
+  /// entry for `key`, fills `payload` only on kHit, counts the outcome.
+  template <typename Payload>
+  [[nodiscard]] CacheLookup lookup_entry(const std::string& key,
+                                         Payload& payload);
+  /// The one body behind store/store_profile: writes {"schema",
+  /// "version", "key", <payload field>: payload} via atomic tmp + rename.
+  template <typename Payload>
+  void store_entry(const std::string& key, const Payload& payload);
+  /// The one body behind try_store/try_store_profile: fault injection,
+  /// then a non-throwing store_entry.
+  template <typename Payload>
+  bool try_store_entry(const std::string& key,
+                       const Payload& payload) noexcept;
 
   std::filesystem::path dir_;
   CacheShard shard_{};

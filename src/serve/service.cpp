@@ -80,16 +80,14 @@ struct SolveService::Impl {
     Clock::time_point busy_since{};
     std::thread thread;
 
-    // The warm layers.  `memory` holds raw (outcome-free) results with
-    // FIFO eviction; `disk` is this shard's handle on the shared cache
+    // The warm layers.  `memory` holds raw (outcome-free) answers of
+    // both kinds under their canonical keys (the "kind" discriminator
+    // keeps scalar and profile keys disjoint), FIFO-evicted under one
+    // per-worker cap; `disk` is this shard's handle on the shared cache
     // directory, swapped by reload() (retired stats accumulate the
-    // traffic of replaced handles).  Profile entries live in their own
-    // map (same keys cannot collide: the "kind" discriminator keeps the
-    // key spaces disjoint) with the same eviction budget.
-    std::map<std::string, e2e::BoundResult> memory;
+    // traffic of replaced handles).
+    std::map<std::string, io::Answer> memory;
     std::deque<std::string> memory_order;
-    std::map<std::string, e2e::DelayProfile> profile_memory;
-    std::deque<std::string> profile_memory_order;
     std::unique_ptr<io::ResultCache> disk;
     io::CacheStats retired{};
   };
@@ -230,36 +228,36 @@ struct SolveService::Impl {
     }
   }
 
-  /// Answers one request: memory layer, then disk cache, then solve --
-  /// producing exactly the response bytes run_batch would.
+  /// Answers one request of either kind: memory layer, then disk
+  /// cache, then solve -- producing exactly the response bytes run_batch
+  /// would.
   Value handle(Shard& shard, std::map<std::string, Solver>& solvers,
                const Job& job) {
-    if (job.line.is_profile()) return handle_profile(shard, solvers, job);
     const bool with_tag = !options.cache_dir.empty();
-    // Memory layer: raw results keyed by the canonical cache key.  A
-    // hit reports "hit" when a disk cache is attached (the batch
-    // baseline would hit disk) and "miss" otherwise (the baseline
-    // would re-solve; results are deterministic, so bytes still match).
+    // Memory layer.  A hit reports "hit" when a disk cache is attached
+    // (the batch baseline would hit disk) and "miss" otherwise (the
+    // baseline would re-solve; results are deterministic, so bytes still
+    // match).
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       const auto it = shard.memory.find(job.line.key);
       if (it != shard.memory.end()) {
         bump(&ServeStats::served);
         bump(&ServeStats::memory_hits);
-        e2e::BoundResult result = it->second;
+        io::Answer answer = it->second;
         const io::CacheLookup outcome =
             with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        io::apply_cache_outcome(result, outcome, job.line.key);
-        return io::make_ok_response(job.line.id, with_tag, outcome, result);
+        io::apply_cache_outcome(answer, outcome, job.line.key);
+        return io::make_ok_response(job.line.id, with_tag, outcome, answer);
       }
     }
     // Disk layer.
     io::CacheLookup outcome = io::CacheLookup::kMiss;
     if (with_tag) {
-      e2e::BoundResult cached;
+      io::Answer cached;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
-        outcome = shard.disk->lookup(job.line.key, cached);
+        outcome = io::lookup_answer(*shard.disk, job.line, cached);
       }
       if ((outcome == io::CacheLookup::kHit ||
            outcome == io::CacheLookup::kStale) &&
@@ -276,114 +274,31 @@ struct SolveService::Impl {
         return io::make_ok_response(job.line.id, true, outcome, cached);
       }
     }
-    // Solve, mirroring SweepRunner's classification exactly: validate
-    // first (kInvalidScenario with every bad field named), then let a
-    // throwing solve classify as kNumericalDomain.  Failures are still
-    // ok=true responses carrying the +inf bound, like the batch path.
+    // Solve with run_batch's classification (io::solve_request).
+    // Failures are still ok=true responses carrying the +inf bound.
     bump(&ServeStats::solved);
-    SweepPoint p;
-    p.scenario = job.line.scenario;
-    const diag::ValidationReport vr = p.scenario.validate();
-    if (!vr.ok()) {
-      p.ok = false;
-      p.error = vr.message();
-      p.bound = e2e::BoundResult{std::numeric_limits<double>::infinity(),
-                                 0.0, 0.0, 0.0, 0.0};
-      p.bound.diagnostics.fail(diag::SolveErrorKind::kInvalidScenario,
-                               vr.message());
+    io::Answer answer = io::solve_request(
+        solver_for(solvers, job.line.options), job.line);
+    if (!answer.ok) {
+      bump(&ServeStats::failed);
     } else {
-      Solver& solver = solver_for(solvers, job.line.options);
-      try {
-        p.bound = solver.solve(p.scenario);
-      } catch (const std::exception& e) {
-        p.ok = false;
-        p.error = e.what();
-        p.bound = e2e::BoundResult{std::numeric_limits<double>::infinity(),
-                                   0.0, 0.0, 0.0, 0.0};
-        p.bound.diagnostics.fail(diag::SolveErrorKind::kNumericalDomain,
-                                 e.what());
-      }
-    }
-    if (!p.ok) bump(&ServeStats::failed);
-    if (p.ok) {
       // Persist and warm with the counters still zeroed -- they
       // describe how *this* response was obtained, not the result.  A
       // failed store is a counted solve-through; the service keeps
-      // answering (graceful degradation, satellite of ISSUE 8).
+      // answering.
       bool stored = true;
       if (with_tag) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        stored = shard.disk->try_store(job.line.key, p.bound);
+        stored = io::try_store_answer(*shard.disk, job.line.key, answer);
       }
       // After a failed store the memory layer must stay cold too: a
       // warm hit would report cache:"hit" for a key the disk never
       // recorded, diverging from a --batch run over the same directory
       // (which misses and re-solves).
-      if (stored) memory_insert(shard, job.line.key, p.bound);
+      if (stored) memory_insert(shard, job.line.key, answer);
     }
-    io::apply_cache_outcome(p.bound, outcome, job.line.key);
-    return io::make_ok_response(job.line.id, with_tag, outcome, p.bound);
-  }
-
-  /// Profile twin of handle(): the same memory -> disk -> solve
-  /// layering, with io::solve_profile_request supplying exactly
-  /// run_batch's classification so the response bytes match a --batch
-  /// run over the same cache directory.
-  Value handle_profile(Shard& shard, std::map<std::string, Solver>& solvers,
-                       const Job& job) {
-    const bool with_tag = !options.cache_dir.empty();
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.profile_memory.find(job.line.key);
-      if (it != shard.profile_memory.end()) {
-        bump(&ServeStats::served);
-        bump(&ServeStats::memory_hits);
-        e2e::DelayProfile profile = it->second;
-        const io::CacheLookup outcome =
-            with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        io::apply_cache_outcome(profile, outcome, job.line.key);
-        return io::make_ok_profile_response(job.line.id, with_tag, outcome,
-                                            profile);
-      }
-    }
-    io::CacheLookup outcome = io::CacheLookup::kMiss;
-    if (with_tag) {
-      e2e::DelayProfile cached;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        outcome = shard.disk->lookup_profile(job.line.key, cached);
-      }
-      if ((outcome == io::CacheLookup::kHit ||
-           outcome == io::CacheLookup::kStale) &&
-          faults.corrupt_next_load()) {
-        outcome = io::CacheLookup::kCorrupt;
-      }
-      if (outcome == io::CacheLookup::kHit) {
-        bump(&ServeStats::served);
-        profile_memory_insert(shard, job.line.key, cached);
-        io::apply_cache_outcome(cached, outcome, job.line.key);
-        return io::make_ok_profile_response(job.line.id, true, outcome,
-                                            cached);
-      }
-    }
-    bump(&ServeStats::solved);
-    io::ProfileAnswer answer = io::solve_profile_request(
-        solver_for(solvers, job.line.options), job.line.scenario,
-        job.line.epsilons);
-    if (!answer.ok) bump(&ServeStats::failed);
-    if (answer.ok) {
-      bool stored = true;
-      if (with_tag) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        stored = shard.disk->try_store_profile(job.line.key, answer.profile);
-      }
-      if (stored) {
-        profile_memory_insert(shard, job.line.key, answer.profile);
-      }
-    }
-    io::apply_cache_outcome(answer.profile, outcome, job.line.key);
-    return io::make_ok_profile_response(job.line.id, with_tag, outcome,
-                                        answer.profile);
+    io::apply_cache_outcome(answer, outcome, job.line.key);
+    return io::make_ok_response(job.line.id, with_tag, outcome, answer);
   }
 
   Solver& solver_for(std::map<std::string, Solver>& solvers,
@@ -394,28 +309,17 @@ struct SolveService::Impl {
     return solvers.emplace(key, Solver(options_in)).first->second;
   }
 
+  /// Warms the memory layer; one FIFO over both kinds, capped at
+  /// memory_entries per worker.
   void memory_insert(Shard& shard, const std::string& key,
-                     const e2e::BoundResult& result) {
+                     const io::Answer& answer) {
     if (options.memory_entries == 0) return;
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.memory.emplace(key, result).second) {
+    if (shard.memory.emplace(key, answer).second) {
       shard.memory_order.push_back(key);
       while (shard.memory.size() > options.memory_entries) {
         shard.memory.erase(shard.memory_order.front());
         shard.memory_order.pop_front();
-      }
-    }
-  }
-
-  void profile_memory_insert(Shard& shard, const std::string& key,
-                             const e2e::DelayProfile& profile) {
-    if (options.memory_entries == 0) return;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.profile_memory.emplace(key, profile).second) {
-      shard.profile_memory_order.push_back(key);
-      while (shard.profile_memory.size() > options.memory_entries) {
-        shard.profile_memory.erase(shard.profile_memory_order.front());
-        shard.profile_memory_order.pop_front();
       }
     }
   }
@@ -575,8 +479,6 @@ struct SolveService::Impl {
       std::lock_guard<std::mutex> lock(shard.mu);
       shard.memory.clear();
       shard.memory_order.clear();
-      shard.profile_memory.clear();
-      shard.profile_memory_order.clear();
       if (shard.disk != nullptr) {
         shard.retired += shard.disk->stats();
         shard.disk.reset();  // release before reopening the same dir

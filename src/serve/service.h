@@ -3,13 +3,16 @@
 // A SolveService keeps everything a one-shot `--batch` run throws away
 // warm across requests: per-worker SolveWorkspaces and eb-memos (one
 // Solver per solve-options flavor per worker thread), a per-worker
-// in-memory result map (the "warm cache"), and per-worker handles on
-// the persistent disk ResultCache.  The keyspace is sharded across the
-// N workers by the FNV prefix of the canonical cache key
-// (io::ResultCache::shard_of), so exactly one worker ever touches a
-// given key: warm state needs no cross-worker locks and disk entries
-// stay compatible with unsharded `--batch` readers of the same
-// directory.
+// in-memory answer map (the "warm cache": one FIFO-evicted map keyed by
+// the canonical cache key, holding scalar results and delay profiles
+// alike under one entry cap), and per-worker handles on the persistent
+// disk ResultCache.  Both request kinds take the same path -- memory,
+// disk, then io::solve_request -- through the io::Answer pieces that
+// run_batch uses.  The keyspace is sharded across the N workers by the
+// FNV prefix of the canonical cache key (io::ResultCache::shard_of), so
+// exactly one worker ever touches a given key: warm state needs no
+// cross-worker locks and disk entries stay compatible with unsharded
+// `--batch` readers of the same directory.
 //
 // Robustness is the contract, not an afterthought.  Every accepted
 // request line is answered exactly once -- with a solved/served
@@ -66,8 +69,9 @@ struct ServeOptions {
   int max_requeues = 2;
   /// Base backoff before a requeue (doubles per retry, capped at 8x).
   double requeue_backoff_ms = 1.0;
-  /// Per-worker in-memory warm-result cap (entries); 0 disables the
-  /// memory layer (every warm hit re-reads the disk cache).
+  /// Per-worker in-memory warm-answer cap (entries, scalar results and
+  /// profiles counted together); 0 disables the memory layer (every warm
+  /// hit re-reads the disk cache).
   std::size_t memory_entries = 1 << 16;
   /// Persistent cache directory; empty = no disk cache (solve-only,
   /// responses carry no "cache" tag, exactly like cache-less --batch).

@@ -535,5 +535,55 @@ TEST(Batch, UnstableProfileAnswersOkWithClassifiedInfLevels) {
   }
 }
 
+TEST(Batch, ProgressCountsEverySolvedRequestOnceAcrossKindsAndGroups) {
+  // Scalar and profile misses under two option groups share one progress
+  // stream: one call per solved request, `done` strictly increasing
+  // 1..N, `total` == N == the miss count.  An all-hit rerun solves
+  // nothing and so reports nothing.
+  SolveOptions paper_opt;
+  paper_opt.method = e2e::Method::kPaperK;
+  const auto with_options = [&](const std::string& line) {
+    Value req = Value::parse(line);
+    req.set("options", encode_solve_options(paper_opt));
+    return req.dump();
+  };
+  const std::vector<double> grid = {1e-3, 1e-6, 1e-9};
+  std::string requests;
+  requests += request_line(small_scenario(40), 0) + "\n";
+  requests += profile_request_line(small_scenario(45), 1, grid) + "\n";
+  requests += with_options(request_line(small_scenario(50), 2)) + "\n";
+  requests += with_options(profile_request_line(small_scenario(55), 3, grid)) +
+              "\n";
+  requests += request_line(small_scenario(60), 4) + "\n";
+  requests += "not json\n";  // answered in place, never solved
+
+  ResultCache cache(fresh_cache_dir("deltanc_batch_progress"));
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  BatchOptions options;
+  options.cache = &cache;
+  options.threads = 3;
+  options.progress = [&](std::size_t done, std::size_t total) {
+    calls.emplace_back(done, total);  // serialized by run_batch
+  };
+  std::stringstream in(requests);
+  std::ostringstream out;
+  const BatchSummary summary = run_batch(in, out, options);
+  EXPECT_EQ(summary.solved, 5);
+  EXPECT_EQ(summary.parse_errors, 1);
+  ASSERT_EQ(calls.size(), 5u);
+  for (std::size_t k = 0; k < calls.size(); ++k) {
+    EXPECT_EQ(calls[k].first, k + 1);
+    EXPECT_EQ(calls[k].second, 5u);
+  }
+
+  calls.clear();
+  std::stringstream again_in(requests);
+  std::ostringstream again_out;
+  const BatchSummary again = run_batch(again_in, again_out, options);
+  EXPECT_EQ(again.cached, 5);
+  EXPECT_EQ(again.solved, 0);
+  EXPECT_TRUE(calls.empty());
+}
+
 }  // namespace
 }  // namespace deltanc::io

@@ -217,14 +217,15 @@ TEST_F(ResultCacheTest, ProfileMissStoreThenBitExactHit) {
   const e2e::Scenario sc = small_scenario();
   const std::vector<double> grid = {1e-3, 1e-6, 1e-9};
   const SolveOptions options{};
+  const std::string key = profile_cache_key(sc, grid, options);
 
   e2e::DelayProfile out;
-  EXPECT_EQ(cache.lookup_profile(sc, grid, options, out), CacheLookup::kMiss);
+  EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kMiss);
 
   const e2e::DelayProfile solved =
       deltanc::Solver().solve_profile(sc, grid);
-  cache.store_profile(profile_cache_key(sc, grid, options), solved);
-  ASSERT_EQ(cache.lookup_profile(sc, grid, options, out), CacheLookup::kHit);
+  ASSERT_TRUE(cache.try_store_profile(key, solved));
+  ASSERT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
   ASSERT_EQ(out.levels.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out.epsilons[i], solved.epsilons[i]);
@@ -239,8 +240,7 @@ TEST_F(ResultCacheTest, ProfileMissStoreThenBitExactHit) {
   EXPECT_EQ(cache.lookup(sc, options, scalar), CacheLookup::kMiss);
 
   ResultCache reopened(cache_dir());
-  EXPECT_EQ(reopened.lookup_profile(sc, grid, options, out),
-            CacheLookup::kHit);
+  EXPECT_EQ(reopened.lookup_profile(key, out), CacheLookup::kHit);
 }
 
 TEST_F(ResultCacheTest, ProfileEntriesClassifyStaleAndCorrupt) {
@@ -261,43 +261,15 @@ TEST_F(ResultCacheTest, ProfileEntriesClassifyStaleAndCorrupt) {
   e2e::DelayProfile out;
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kStale);
 
-  // Unreadable bytes -> corrupt; solve_profile_through recovers by
-  // overwrite and counts the episode as a miss.
+  // Unreadable bytes -> corrupt; a re-solve recovers by overwrite.
   write_file(cache.entry_path(key), "{\"schema\": truncated garba");
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kCorrupt);
-  CacheLookup outcome{};
-  const e2e::DelayProfile solved = cache.solve_profile_through(
-      sc, grid, options,
-      [&] { return deltanc::Solver().solve_profile(sc, grid); }, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kCorrupt);
-  EXPECT_EQ(solved.stats.cache_misses, 1);
-  EXPECT_EQ(solved.stats.cache_hits, 0);
-  EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
-}
-
-TEST_F(ResultCacheTest, SolveProfileThroughCountsExactlyOneOutcome) {
-  ResultCache cache(cache_dir());
-  const e2e::Scenario sc = small_scenario();
-  const std::vector<double> grid = {1e-3, 1e-6};
-  const SolveOptions options{};
-  const auto solve = [&] { return deltanc::Solver().solve_profile(sc, grid); };
-
-  CacheLookup outcome{};
-  const e2e::DelayProfile first =
-      cache.solve_profile_through(sc, grid, options, solve, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kMiss);
-  EXPECT_EQ(first.stats.cache_misses, 1);
-  EXPECT_EQ(first.stats.cache_hits + first.stats.cache_stale, 0);
-
-  const e2e::DelayProfile second =
-      cache.solve_profile_through(sc, grid, options, solve, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kHit);
-  EXPECT_EQ(second.stats.cache_hits, 1);
-  EXPECT_EQ(second.stats.cache_misses + second.stats.cache_stale, 0);
-  ASSERT_EQ(second.levels.size(), first.levels.size());
-  for (std::size_t i = 0; i < first.levels.size(); ++i) {
-    EXPECT_EQ(second.levels[i].delay_ms, first.levels[i].delay_ms);
-  }
+  const e2e::DelayProfile solved = deltanc::Solver().solve_profile(sc, grid);
+  ASSERT_TRUE(cache.try_store_profile(key, solved));
+  ASSERT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
+  EXPECT_EQ(out.levels.back().delay_ms, solved.levels.back().delay_ms);
+  EXPECT_EQ(cache.stats().stale, 1);
+  EXPECT_EQ(cache.stats().corrupt, 1);
 }
 
 TEST_F(ResultCacheTest, TryStoreProfileSurvivesInjectedFailures) {

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -43,6 +45,34 @@ std::string request_line(const e2e::Scenario& sc, int id) {
       .set("id", Value::number(id))
       .set("scenario", io::encode_scenario(sc));
   return req.dump();
+}
+
+std::string profile_request_line(const e2e::Scenario& sc, int id,
+                                 const std::vector<double>& epsilons) {
+  Value eps = Value::array();
+  for (const double e : epsilons) eps.push_back(io::encode_double(e));
+  Value req = Value::parse(request_line(sc, id));
+  req.set("epsilons", std::move(eps));
+  return req.dump();
+}
+
+/// Zeroes the wall-clock stats fields (scan_ms, refine_ms) of a dumped
+/// response -- the only bytes serve and batch may legitimately differ in
+/// (scripts/check_serve.sh normalizes the same way).
+std::string normalize_timings(std::string text) {
+  for (const char* field : {"\"scan_ms\":", "\"refine_ms\":"}) {
+    std::size_t at = 0;
+    while ((at = text.find(field, at)) != std::string::npos) {
+      const std::size_t start = at + std::string(field).size();
+      std::size_t end = start;
+      while (end < text.size() && text[end] != ',' && text[end] != '}') {
+        ++end;
+      }
+      text.replace(start, end - start, "0");
+      at = start;
+    }
+  }
+  return text;
 }
 
 std::filesystem::path fresh_cache_dir(const char* name) {
@@ -544,17 +574,8 @@ TEST(SolveServiceTest, ProfileAnswersMatchBatchBytesModuloTimings) {
   // The serve path must answer a profile request with run_batch's exact
   // response document (scripts/check_serve.sh diffs the two after
   // normalizing the wall-clock stats fields; here we do the same).
-  const std::string line = [&] {
-    Value eps = Value::array();
-    eps.push_back(io::encode_double(1e-4));
-    eps.push_back(io::encode_double(1e-7));
-    Value req = Value::object();
-    req.set("schema", Value::number(io::kSchemaVersion))
-        .set("id", Value::number(3))
-        .set("scenario", io::encode_scenario(small_scenario(45)))
-        .set("epsilons", std::move(eps));
-    return req.dump();
-  }();
+  const std::string line =
+      profile_request_line(small_scenario(45), 3, {1e-4, 1e-7});
 
   ServeOptions options;
   options.workers = 1;
@@ -571,22 +592,108 @@ TEST(SolveServiceTest, ProfileAnswersMatchBatchBytesModuloTimings) {
   const std::vector<Value> batched = {Value::parse(
       out.str().substr(0, out.str().find('\n')))};
 
-  const auto normalize = [](std::string text) {
-    for (const char* field : {"\"scan_ms\":", "\"refine_ms\":"}) {
-      std::size_t at = 0;
-      while ((at = text.find(field, at)) != std::string::npos) {
-        const std::size_t start = at + std::string(field).size();
-        std::size_t end = start;
-        while (end < text.size() && text[end] != ',' && text[end] != '}') {
-          ++end;
-        }
-        text.replace(start, end - start, "0");
-        at = start;
-      }
+  EXPECT_EQ(normalize_timings(served[0].dump()),
+            normalize_timings(batched[0].dump()));
+}
+
+TEST(SolveServiceTest, BatchAndServeClassifyEveryRequestKindAlike) {
+  // One classification rule for both kinds on both paths: a scenario
+  // that decodes but fails validate() answers ok=true with the
+  // classified +inf bound -- on every level of a profile -- and a valid
+  // scalar request answers its bound; serve and batch agree byte for
+  // byte (timings normalized), with and without a cache attached.
+  e2e::Scenario invalid = small_scenario(50);
+  invalid.hops = 0;
+  std::vector<double> grid;
+  for (int k = 0; k < 16; ++k) grid.push_back(std::pow(10.0, -1.0 - k * 0.5));
+  const std::vector<std::string> lines = {
+      request_line(invalid, 0), profile_request_line(invalid, 1, grid),
+      request_line(small_scenario(40), 2)};
+
+  for (const bool with_cache : {false, true}) {
+    SCOPED_TRACE(with_cache ? "with cache dir" : "without cache dir");
+    ServeOptions options;
+    options.workers = 1;
+    if (with_cache) options.cache_dir = fresh_cache_dir("serve_classify");
+    SolveService service(options);
+    Collector collector;
+    for (const std::string& line : lines) {
+      service.submit(line, collector.sink());
     }
-    return text;
-  };
-  EXPECT_EQ(normalize(served[0].dump()), normalize(batched[0].dump()));
+    const std::vector<Value> served = collector.wait_for(lines.size());
+    ASSERT_EQ(served.size(), lines.size());
+    service.drain();
+    EXPECT_EQ(service.stats().failed, 2);
+
+    std::unique_ptr<io::ResultCache> cache;
+    if (with_cache) {
+      cache = std::make_unique<io::ResultCache>(
+          fresh_cache_dir("batch_classify"));
+    }
+    io::BatchOptions batch_options;
+    batch_options.cache = cache.get();
+    std::stringstream in;
+    for (const std::string& line : lines) in << line << "\n";
+    std::ostringstream out;
+    const io::BatchSummary summary = io::run_batch(in, out, batch_options);
+    EXPECT_EQ(summary.failed, 2);
+    std::vector<Value> batched;
+    std::istringstream text(out.str());
+    for (std::string line; std::getline(text, line);) {
+      batched.push_back(Value::parse(line));
+    }
+    ASSERT_EQ(batched.size(), lines.size());
+
+    for (int id = 0; id < static_cast<int>(lines.size()); ++id) {
+      const Value* s = find_id(served, id);
+      ASSERT_NE(s, nullptr);
+      EXPECT_EQ(normalize_timings(s->dump()),
+                normalize_timings(batched[static_cast<std::size_t>(id)].dump()))
+          << "id " << id;
+    }
+    const e2e::BoundResult scalar =
+        io::decode_bound_result(batched[0].at("result"));
+    EXPECT_TRUE(std::isinf(scalar.delay_ms));
+    EXPECT_EQ(scalar.diagnostics.error, diag::SolveErrorKind::kInvalidScenario);
+    const e2e::DelayProfile profile =
+        io::decode_delay_profile(batched[1].at("profile"));
+    ASSERT_EQ(profile.levels.size(), grid.size());
+    for (const e2e::BoundResult& level : profile.levels) {
+      EXPECT_TRUE(std::isinf(level.delay_ms));
+      EXPECT_EQ(level.diagnostics.error,
+                diag::SolveErrorKind::kInvalidScenario);
+    }
+    EXPECT_TRUE(
+        std::isfinite(io::decode_bound_result(batched[2].at("result")).delay_ms));
+  }
+}
+
+TEST(SolveServiceTest, MemoryCapIsOnePerWorkerBudgetAcrossKinds) {
+  // memory_entries caps a worker's warm layer as a whole: with a cap of
+  // one, warming profile B evicts scalar A, so the repeat of A is a disk
+  // hit, not a memory hit.
+  ServeOptions options;
+  options.workers = 1;
+  options.memory_entries = 1;
+  options.cache_dir = fresh_cache_dir("serve_memory_cap");
+  SolveService service(options);
+  Collector collector;
+  const std::string a = request_line(small_scenario(50), 0);
+  service.submit(a, collector.sink());
+  collector.wait_for(1);
+  service.submit(profile_request_line(small_scenario(55), 1, {1e-3, 1e-6}),
+                 collector.sink());
+  collector.wait_for(2);
+  service.submit(a, collector.sink());
+  const std::vector<Value> responses = collector.wait_for(3);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[2].at("cache").as_string(), "hit");
+  service.drain();
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.solved, 2);
+  EXPECT_EQ(stats.served, 1);
+  EXPECT_EQ(stats.memory_hits, 0);
+  EXPECT_EQ(stats.cache.hits, 1);
 }
 
 }  // namespace
