@@ -7,7 +7,10 @@
 #   * the warm run's internal wall clock is >= 5x faster than the cold
 #     one (internal wall_ms, so process startup does not blur the ratio),
 #   * cold and warm responses are byte-identical apart from the cache
-#     outcome tag (bit-exact result round-trip through the cache).
+#     outcome tag (bit-exact result round-trip through the cache),
+#   * an uncached run over the scalar + profile set answers the same
+#     bytes on 1 thread and on 4 (a literal cmp: responses carry no
+#     wall-clock field).
 # Registered as the `batch_e2e` ctest.
 #
 # usage: check_batch.sh [deltanc_cli]
@@ -60,18 +63,38 @@ awk -v req="$requests" -v cached="$warm_cached" \
 }'
 
 # Results served from the cache must be bit-identical to the solved
-# ones: strip the per-response cache outcome (the "cache" tag and the
-# stats cache counters -- those describe how the answer was obtained,
-# not the answer), then byte-compare.
-strip_outcome() {
-  sed -e 's/"cache":"[a-z]*",//' \
-      -e 's/"cache_hits":[0-9]*,"cache_misses":[0-9]*,"cache_stale":[0-9]*/"cache_outcome":"x"/' \
-      "$1"
+# ones: strip the per-response "cache" tag (miss vs hit -- how the
+# answer was obtained, not the answer), then byte-compare.
+strip_cache_tag() {
+  sed -e 's/"cache":"[a-z]*",//' "$1"
 }
-strip_outcome "$WORK/cold.jsonl" > "$WORK/cold.stripped"
-strip_outcome "$WORK/warm.jsonl" > "$WORK/warm.stripped"
+strip_cache_tag "$WORK/cold.jsonl" > "$WORK/cold.stripped"
+strip_cache_tag "$WORK/warm.jsonl" > "$WORK/warm.stripped"
 if ! cmp -s "$WORK/cold.stripped" "$WORK/warm.stripped"; then
   echo "FAIL: warm responses differ from cold ones beyond the cache tag"
   exit 1
 fi
 echo "batch_e2e: cold/warm responses bit-identical"
+
+# 1-vs-N determinism: the same grid's 3-level profile requests join the
+# scalar ones, and an uncached run must answer byte-identical output on
+# 1 thread and on 4 -- no normalization at all.
+"$CLI" --hops 5 --epsilon 1e-6 \
+  --sweep uc=0.1:0.8:8 --sweep scheduler=fifo,bmux,edf \
+  --ccdf 1e-6:1e-3:3 --emit-batch > "$WORK/profiles.jsonl" 2>/dev/null
+cat "$WORK/requests.jsonl" "$WORK/profiles.jsonl" > "$WORK/mixed.jsonl"
+"$CLI" --batch "$WORK/mixed.jsonl" --threads 1 \
+  > "$WORK/threads1.jsonl" 2>/dev/null
+"$CLI" --batch "$WORK/mixed.jsonl" --threads 4 \
+  > "$WORK/threads4.jsonl" 2>/dev/null
+profiles=$(grep -c '"profile":' "$WORK/threads1.jsonl" || true)
+if [ "$profiles" -ne 24 ]; then
+  echo "FAIL: uncached mixed batch answered $profiles profiles (want 24)"
+  exit 1
+fi
+if ! cmp -s "$WORK/threads1.jsonl" "$WORK/threads4.jsonl"; then
+  echo "FAIL: --threads 1 and --threads 4 responses differ:"
+  diff "$WORK/threads1.jsonl" "$WORK/threads4.jsonl" | head -5
+  exit 1
+fi
+echo "batch_e2e: $(wc -l < "$WORK/mixed.jsonl") uncached responses identical on 1 and 4 threads"

@@ -29,9 +29,6 @@ SolveStats& SolveStats::operator+=(const SolveStats& other) {
   fallbacks += other.fallbacks;
   scan_ms += other.scan_ms;
   refine_ms += other.refine_ms;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_stale += other.cache_stale;
   batched_evals += other.batched_evals;
   warm_start_hits += other.warm_start_hits;
   brackets_reused += other.brackets_reused;
@@ -457,8 +454,7 @@ BoundResult solve_curve_backed(const Scenario& sc) {
 /// fails to converge or goes non-finite, the full cold schedule runs
 /// unchanged, so warm-starting never degrades robustness.
 BoundResult solve_edf(SearchContext& ctx, detail::WarmState* warm_st,
-                      int max_edf_restarts, bool& have_edf_d,
-                      double& resolved_d) {
+                      bool& have_edf_d, double& resolved_d) {
   const Scenario& sc = ctx.sc;
   const sched::EdfFactors& factors = sc.scheduler.edf_factors();
   const double factor_gap = factors.own_factor - factors.cross_factor;
@@ -515,18 +511,12 @@ BoundResult solve_edf(SearchContext& ctx, detail::WarmState* warm_st,
   if (!converged) {
     const BoundResult seed = solve_for_delta(ctx, 0.0, nullptr);
     if (!std::isfinite(seed.delay_ms)) return finish(ctx, seed);
-    // Retry policy: attempt 0 plus up to max_edf_restarts damped
-    // restarts; -1 (the default) runs the whole built-in schedule.
-    // Only attempt 0 accelerates -- the restarts exist for landscapes
-    // where aggressive steps misbehave, so they stay purely damped.
-    const std::size_t attempts =
-        max_edf_restarts < 0
-            ? std::size(kDamping)
-            : std::min(std::size(kDamping),
-                       static_cast<std::size_t>(max_edf_restarts) + 1);
+    // Attempt 0 plus the damped restarts of the schedule.  Only attempt
+    // 0 accelerates -- the restarts exist for landscapes where
+    // aggressive steps misbehave, so they stay purely damped.
     prev = seed;
     d = seed.delay_ms;
-    for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt < std::size(kDamping); ++attempt) {
       if (attempt > 0) {
         // Retry: restart from the FIFO seed with a tighter damping factor.
         ++ctx.stats.retries;
@@ -724,8 +714,7 @@ BoundResult solve_scenario(const Scenario& sc, const EngineRequest& req,
     result = finish(ctx, solve_for_delta(ctx, *fixed, warm_prev,
                                          /*external_warm=*/true));
   } else {
-    result = solve_edf(ctx, use_warm ? st : nullptr, req.max_edf_restarts,
-                       have_edf_d, resolved_d);
+    result = solve_edf(ctx, use_warm ? st : nullptr, have_edf_d, resolved_d);
   }
   if (st != nullptr) {
     export_state(*st, ctx, result, have_edf_d, resolved_d);

@@ -84,6 +84,12 @@ enum class WarmStart {
 /// Instrumentation of one solve: how much work the nested search did and
 /// where the wall-clock went.  Counters aggregate across the EDF fixed
 /// point when one runs; `operator+=` lets sweeps aggregate across points.
+/// Every field but scan_ms / refine_ms is a deterministic function of the
+/// request and is what io::encode_solve_stats writes to artifacts; the
+/// two timings are process-local (never encoded, so a decoded or cached
+/// result reads them as 0).  The cache outcome of a served result is not
+/// a solver fact and lives in src/io (the response's "cache" tag and
+/// io::CacheStats), not here.
 struct SolveStats {
   std::int64_t optimize_evals = 0;  ///< theta optimizations (Eq. 39 / K-proc)
   std::int64_t eb_evals = 0;        ///< distinct eb(s) computations (memo misses)
@@ -92,15 +98,8 @@ struct SolveStats {
   bool edf_converged = true;        ///< false if the fixed point hit its cap
   int retries = 0;     ///< EDF fixed-point restarts with tighter damping
   int fallbacks = 0;   ///< dense log-scan rescues of a degenerate/missed s scan
-  double scan_ms = 0.0;             ///< wall time in the coarse s scans
-  double refine_ms = 0.0;           ///< wall time in the golden refinements
-  // Persistent-result-cache outcome of this result (filled by the batch
-  // service / caching layers in src/io, zero for a plain solve).  Kept
-  // here so SweepReport::stats surfaces cache effectiveness alongside
-  // the solver counters with the existing operator+= aggregation.
-  std::int64_t cache_hits = 0;    ///< result was served from the cache
-  std::int64_t cache_misses = 0;  ///< no entry existed; solved and stored
-  std::int64_t cache_stale = 0;   ///< entry from an older schema/version
+  double scan_ms = 0.0;    ///< wall time in the coarse s scans (process-local)
+  double refine_ms = 0.0;  ///< wall time in the golden refinements (process-local)
   // Scan / warm-start instrumentation: the speedup must be observable,
   // not inferred.
   std::int64_t batched_evals = 0;   ///< coarse gamma-scan evals (exact optimizer)
@@ -171,9 +170,6 @@ enum class SearchEffort {
 /// do.  Internal: user code calls deltanc::Solver, never this.
 struct EngineRequest {
   Method method = Method::kExactOpt;
-  /// EDF fixed-point retry policy: -1 = full damped-restart schedule,
-  /// 0 = no restarts, n = at most n.
-  int max_edf_restarts = -1;
   /// Solve at this fixed, already-resolved Delta (skips the EDF fixed
   /// point and the scheduler's static Delta).
   std::optional<double> delta;

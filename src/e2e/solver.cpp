@@ -13,7 +13,6 @@ e2e::Scenario Solver::effective_scenario(const e2e::Scenario& sc) const {
 e2e::detail::EngineRequest Solver::engine_request() const {
   e2e::detail::EngineRequest req;
   req.method = options_.method;
-  req.max_edf_restarts = options_.max_edf_restarts;
   req.delta = options_.delta;
   return req;
 }

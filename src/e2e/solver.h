@@ -7,10 +7,10 @@
 // optimizers (one (gamma, sigma) evaluation each, method chosen by
 // which function you call).  Solver unifies them behind one object carrying a
 // SolveOptions: the method, an optional scheduler override, an optional
-// fixed Delta, the EDF retry policy, and the warm-start policy all live
-// in one struct -- which is also exactly what the persistent result
-// cache hashes (io::solve_cache_key), so "what was solved" and "what
-// keys the cache" can never drift apart.
+// fixed Delta, and the warm-start policy all live in one struct --
+// which is also exactly what the persistent result cache hashes
+// (io::solve_cache_key), so "what was solved" and "what keys the cache"
+// can never drift apart.
 //
 // Cold solves are bit-identical to the free functions they replaced
 // (pinned by tests/solver_facade_test.cpp against the PR 2 hexfloat
@@ -44,10 +44,6 @@ struct SolveOptions {
   /// Solve at this fixed, already-resolved Delta instead of deriving it
   /// from the scheduler (skips the EDF fixed point entirely).
   std::optional<double> delta;
-  /// EDF fixed-point retry policy: -1 = the solver's full damped-restart
-  /// schedule (default, bit-identical to the historical behavior),
-  /// 0 = no restarts, n = at most n restarts.
-  int max_edf_restarts = -1;
   /// Whether solve(sc, state) consumes the hints carried in the state
   /// (kWarm) or only refreshes it (kCold, the default: bit-identical to
   /// the stateless solve(sc)).  Stateless solves ignore this field.
@@ -83,7 +79,9 @@ class Solver {
       const e2e::Scenario& sc) const;
 
   /// Full scenario solve: resolves EDF deadlines by fixed point when
-  /// needed (honoring max_edf_restarts), then optimizes (gamma, s).
+  /// needed (attempt 0 plus the damped-restart schedule; a fixed point
+  /// that still misses is flagged kNoConvergence), then optimizes
+  /// (gamma, s).
   /// With options().delta set, solves at that fixed Delta instead.
   [[nodiscard]] e2e::BoundResult solve(const e2e::Scenario& sc) const;
 

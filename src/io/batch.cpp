@@ -34,16 +34,6 @@ struct Request {
   Answer answer;  ///< the cache hit or the solve
 };
 
-/// Sets exactly one cache-outcome counter (kCorrupt counts as a miss);
-/// true when the outcome also owes the kCorruptCache recovery warning.
-bool set_outcome_counters(e2e::SolveStats& stats, CacheLookup outcome) {
-  const bool corrupt = outcome == CacheLookup::kCorrupt;
-  stats.cache_hits = outcome == CacheLookup::kHit ? 1 : 0;
-  stats.cache_stale = outcome == CacheLookup::kStale ? 1 : 0;
-  stats.cache_misses = outcome == CacheLookup::kMiss || corrupt ? 1 : 0;
-  return corrupt;
-}
-
 std::string corrupt_warning(const std::string& key) {
   return "cache entry " + key + " was unreadable; re-solved";
 }
@@ -133,7 +123,7 @@ ParsedRequestLine parse_request_line(const std::string& line,
 
 void apply_cache_outcome(e2e::BoundResult& result, CacheLookup outcome,
                          const std::string& key) {
-  if (set_outcome_counters(result.stats, outcome)) {
+  if (outcome == CacheLookup::kCorrupt) {
     result.diagnostics.warn(diag::SolveErrorKind::kCorruptCache,
                             corrupt_warning(key));
   }
@@ -143,8 +133,7 @@ void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
                          const std::string& key) {
   // The profile carries no diagnostics of its own: the recovery warning
   // lands on the first level so it stays downstream-visible.
-  if (set_outcome_counters(profile.stats, outcome) &&
-      !profile.levels.empty()) {
+  if (outcome == CacheLookup::kCorrupt && !profile.levels.empty()) {
     profile.levels.front().diagnostics.warn(
         diag::SolveErrorKind::kCorruptCache, corrupt_warning(key));
   }
@@ -278,7 +267,6 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     if (options.cache != nullptr) {
       req.outcome = lookup_answer(*options.cache, req.line, req.answer);
       if (req.outcome == CacheLookup::kHit) {
-        apply_cache_outcome(req.answer, req.outcome, req.line.key);
         ++summary.cached;
         continue;
       }
@@ -328,8 +316,8 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   for (const std::size_t i : pending) {
     Request& req = requests[i];
     if (req.answer.ok && options.cache != nullptr) {
-      // Persist with the cache counters zeroed: they describe how a
-      // particular response was obtained, not the result itself.  A
+      // Persist before the kCorruptCache warning is applied: it
+      // describes how this response was obtained, not the result.  A
       // failed store (full disk, read-only directory) degrades to a
       // counted solve-through -- the batch keeps answering.
       (void)try_store_answer(*options.cache, req.line.key, req.answer);

@@ -21,10 +21,11 @@
 // stored back.  A stale entry (other schema or library version) and a
 // corrupt entry (unreadable bytes) both re-solve and overwrite; a
 // corrupt one additionally tags the result with a diag::kCorruptCache
-// warning so the recovery is visible downstream.  Each response's
-// result.stats carries exactly one of cache_hits / cache_misses /
-// cache_stale = 1, so summing stats over responses (as SweepReport
-// already does) yields the hit ratio.
+// warning so the recovery is visible downstream.  The outcome itself is
+// recorded once, outside the result: in the response's "cache" tag and
+// in BatchSummary::cache_stats.  result.stats carries the deterministic
+// solver counters only, so a response's bytes depend on the request
+// alone, whatever the thread count or the cache tier that answered.
 //
 // Parallelism: every cache miss -- scalar or profile -- goes through one
 // thread fan-out (a shared atomic cursor over the misses, one Solver per
@@ -153,15 +154,14 @@ bool try_store_answer(ResultCache& cache, const std::string& key,
                       const Answer& answer);
 
 /// Applies the cache-outcome bookkeeping run_batch performs on a result
-/// before emission: exactly one of stats.cache_hits / cache_misses /
-/// cache_stale is set to 1 (kCorrupt counts as a miss) and a kCorrupt
-/// outcome appends the kCorruptCache recovery warning.
+/// before emission: a kCorrupt outcome appends the kCorruptCache
+/// recovery warning; every other outcome leaves the result untouched
+/// (the outcome itself is reported by the "cache" tag and CacheStats).
 void apply_cache_outcome(e2e::BoundResult& result, CacheLookup outcome,
                          const std::string& key);
 
-/// Profile flavor: the counters land on the profile's aggregate stats;
-/// the kCorrupt recovery warning lands on the first level's diagnostics
-/// (the profile itself carries none).
+/// Profile flavor: the kCorrupt recovery warning lands on the first
+/// level's diagnostics (the profile itself carries none).
 void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
                          const std::string& key);
 

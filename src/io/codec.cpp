@@ -232,13 +232,6 @@ Value encode_solve_stats(const e2e::SolveStats& stats) {
       .set("edf_converged", Value::boolean(stats.edf_converged))
       .set("retries", Value::number(stats.retries))
       .set("fallbacks", Value::number(stats.fallbacks))
-      .set("scan_ms", encode_double(stats.scan_ms))
-      .set("refine_ms", encode_double(stats.refine_ms))
-      .set("cache_hits", Value::number(static_cast<double>(stats.cache_hits)))
-      .set("cache_misses",
-           Value::number(static_cast<double>(stats.cache_misses)))
-      .set("cache_stale",
-           Value::number(static_cast<double>(stats.cache_stale)))
       .set("batched_evals",
            Value::number(static_cast<double>(stats.batched_evals)))
       .set("warm_start_hits",
@@ -261,17 +254,6 @@ e2e::SolveStats decode_solve_stats(const Value& v) {
   stats.edf_converged = v.at("edf_converged").as_bool();
   stats.retries = decode_int(v.at("retries"), "stats");
   stats.fallbacks = decode_int(v.at("fallbacks"), "stats");
-  stats.scan_ms = decode_double(v.at("scan_ms"));
-  stats.refine_ms = decode_double(v.at("refine_ms"));
-  if (const Value* f = find_optional(v, "cache_hits")) {
-    stats.cache_hits = decode_integer(*f, "stats");
-  }
-  if (const Value* f = find_optional(v, "cache_misses")) {
-    stats.cache_misses = decode_integer(*f, "stats");
-  }
-  if (const Value* f = find_optional(v, "cache_stale")) {
-    stats.cache_stale = decode_integer(*f, "stats");
-  }
   if (const Value* f = find_optional(v, "batched_evals")) {
     stats.batched_evals = decode_integer(*f, "stats");
   }
@@ -579,7 +561,6 @@ Value encode_solve_options(const SolveOptions& options) {
                             : Value::null())
       .set("delta", options.delta.has_value() ? encode_double(*options.delta)
                                               : Value::null())
-      .set("max_edf_restarts", Value::number(options.max_edf_restarts))
       .set("warm_start",
            Value::string(options.warm_start == e2e::WarmStart::kWarm
                              ? "warm"
@@ -597,9 +578,6 @@ SolveOptions decode_solve_options(const Value& v) {
   }
   if (const Value* d = find_optional(v, "delta")) {
     options.delta = decode_double(*d);
-  }
-  if (const Value* r = find_optional(v, "max_edf_restarts")) {
-    options.max_edf_restarts = decode_int(*r, "max_edf_restarts");
   }
   if (const Value* w = find_optional(v, "warm_start")) {
     const std::string& name = w->as_string();

@@ -38,8 +38,12 @@ namespace deltanc::io {
 /// 4 = solve options gain "warm_start"; 5 = cache keys gain a "kind"
 /// discriminator ("solve" / "profile") and delay-profile documents
 /// (epsilons, levels, stats with the profile_* counters) join the wire
-/// format.
-inline constexpr int kSchemaVersion = 5;
+/// format; 6 = stats carry deterministic counters only (the two
+/// wall-clock timings and the three cache-outcome counters are gone)
+/// and solve options lose the EDF restart cap (the damped-restart
+/// schedule always runs in full), so every schema-5 cache key names
+/// another file.
+inline constexpr int kSchemaVersion = 6;
 
 /// A structurally valid JSON document that does not decode as the
 /// requested type (missing/mistyped fields, unknown enum names, bad
@@ -69,10 +73,10 @@ struct SchemaError : CodecError {
 //               n_cross, epsilon,
 //               scheduler{kind, delta, edf{own_factor, cross_factor}}
 //   SolveStats: optimize_evals, eb_evals, sigma_evals, edf_iterations,
-//               edf_converged, retries, fallbacks, scan_ms, refine_ms,
-//               cache_hits, cache_misses, cache_stale, batched_evals,
+//               edf_converged, retries, fallbacks, batched_evals,
 //               warm_start_hits, brackets_reused, profile_levels,
-//               profile_chain_hits
+//               profile_chain_hits (no wall-clock field: the in-memory
+//               scan_ms / refine_ms are never encoded and decode as 0)
 //   Diagnostics: error, message, warnings[{kind, message}]
 //   BoundResult: delay_ms, gamma, s, sigma, delta, stats, diagnostics
 //   SweepPoint:  scenario, bound, solve_ms, ok, error
@@ -117,7 +121,7 @@ struct SchemaError : CodecError {
 // ----- solve options and the cache key -----------------------------------
 
 /// Canonical fields: method, scheduler (or null), delta (or null),
-/// max_edf_restarts, warm_start.
+/// warm_start.
 [[nodiscard]] json::Value encode_solve_options(const SolveOptions& options);
 [[nodiscard]] SolveOptions decode_solve_options(const json::Value& v);
 

@@ -11,11 +11,12 @@
 // (DELTANC_VERSION_STRING) and the wire schema it was written with.
 // Neither is hashed into the key: a lookup that finds an entry from
 // another library or schema version classifies it as *stale* --
-// observable in CacheStats and in the per-result
-// SolveStats::cache_stale counter -- re-solves, and overwrites, instead
-// of silently missing.  That is the one staleness rule: stored schema or
-// version != current => stale.  Schema-4 and older builds keyed
-// differently (schema 4 lacked the "kind" discriminator), so their
+// observable in CacheStats, in the batch/serve response's "cache" tag,
+// and through solve_through's `outcome` -- re-solves, and overwrites,
+// instead of silently missing.  That is the one staleness rule: stored
+// schema or version != current => stale.  Schema-5 and older builds
+// keyed differently (schema 4 lacked the "kind" discriminator, schema 5
+// carried the since-retired EDF restart cap in the options), so their
 // entries sit under other file names and a lookup of the same solve is
 // a plain miss; the re-solve is stored under the current key and the
 // old file stays on disk, unread.  No lookup can hit on them: every
@@ -167,10 +168,9 @@ class ResultCache {
   void fail_next_stores(int n) noexcept { injected_store_failures_ += n; }
 
   /// Convenience: lookup by (scenario, options); on anything but a hit,
-  /// solves via `solve` and stores the result.  The returned result's
-  /// stats carry exactly one of cache_hits/cache_misses/cache_stale = 1
-  /// (kCorrupt counts as a miss there; the distinct outcome is reported
-  /// through `outcome` and CacheStats).
+  /// solves via `solve` and stores the result.  How the answer was
+  /// obtained is reported through `outcome` and CacheStats, never in
+  /// the result itself.
   template <typename Solve>
   e2e::BoundResult solve_through(const e2e::Scenario& sc,
                                  const SolveOptions& options, Solve&& solve,
@@ -179,24 +179,9 @@ class ResultCache {
     e2e::BoundResult result;
     const CacheLookup found = lookup(key, result);
     if (outcome != nullptr) *outcome = found;
-    if (found == CacheLookup::kHit) {
-      result.stats.cache_hits = 1;
-      result.stats.cache_misses = 0;
-      result.stats.cache_stale = 0;
-      return result;
-    }
+    if (found == CacheLookup::kHit) return result;
     result = solve();
-    // Persist with the outcome counters zeroed: they describe how one
-    // particular answer was obtained, not the result itself.
-    result.stats.cache_hits = 0;
-    result.stats.cache_misses = 0;
-    result.stats.cache_stale = 0;
     store(key, result);
-    if (found == CacheLookup::kStale) {
-      result.stats.cache_stale = 1;
-    } else {
-      result.stats.cache_misses = 1;
-    }
     return result;
   }
 

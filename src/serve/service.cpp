@@ -80,12 +80,12 @@ struct SolveService::Impl {
     Clock::time_point busy_since{};
     std::thread thread;
 
-    // The warm layers.  `memory` holds raw (outcome-free) answers of
-    // both kinds under their canonical keys (the "kind" discriminator
-    // keeps scalar and profile keys disjoint), FIFO-evicted under one
-    // per-worker cap; `disk` is this shard's handle on the shared cache
-    // directory, swapped by reload() (retired stats accumulate the
-    // traffic of replaced handles).
+    // The warm layers.  `memory` holds raw answers (no kCorruptCache
+    // recovery warning) of both kinds under their canonical keys (the
+    // "kind" discriminator keeps scalar and profile keys disjoint),
+    // FIFO-evicted under one per-worker cap; `disk` is this shard's
+    // handle on the shared cache directory, swapped by reload()
+    // (retired stats accumulate the traffic of replaced handles).
     std::map<std::string, io::Answer> memory;
     std::deque<std::string> memory_order;
     std::unique_ptr<io::ResultCache> disk;
@@ -244,11 +244,10 @@ struct SolveService::Impl {
       if (it != shard.memory.end()) {
         bump(&ServeStats::served);
         bump(&ServeStats::memory_hits);
-        io::Answer answer = it->second;
         const io::CacheLookup outcome =
             with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        io::apply_cache_outcome(answer, outcome, job.line.key);
-        return io::make_ok_response(job.line.id, with_tag, outcome, answer);
+        return io::make_ok_response(job.line.id, with_tag, outcome,
+                                    it->second);
       }
     }
     // Disk layer.
@@ -270,7 +269,6 @@ struct SolveService::Impl {
       if (outcome == io::CacheLookup::kHit) {
         bump(&ServeStats::served);
         memory_insert(shard, job.line.key, cached);
-        io::apply_cache_outcome(cached, outcome, job.line.key);
         return io::make_ok_response(job.line.id, true, outcome, cached);
       }
     }
@@ -282,10 +280,10 @@ struct SolveService::Impl {
     if (!answer.ok) {
       bump(&ServeStats::failed);
     } else {
-      // Persist and warm with the counters still zeroed -- they
-      // describe how *this* response was obtained, not the result.  A
-      // failed store is a counted solve-through; the service keeps
-      // answering.
+      // Persist and warm before the kCorruptCache warning is applied
+      // -- it describes how *this* response was obtained, not the
+      // result.  A failed store is a counted solve-through; the service
+      // keeps answering.
       bool stored = true;
       if (with_tag) {
         std::lock_guard<std::mutex> lock(shard.mu);

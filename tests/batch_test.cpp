@@ -169,7 +169,7 @@ TEST(Batch, SecondRunAnswersFromCacheBitExactly) {
   EXPECT_EQ(cold.cached, 0);
   EXPECT_EQ(cold.cache_stats.misses, 2);
   EXPECT_EQ(cold.cache_stats.stores, 2);
-  EXPECT_EQ(cold.stats.cache_misses, 2);
+  EXPECT_EQ(cold.cache_stats.hits, 0);
 
   std::stringstream warm_in(requests);
   std::ostringstream warm_out;
@@ -177,7 +177,7 @@ TEST(Batch, SecondRunAnswersFromCacheBitExactly) {
   EXPECT_EQ(warm.solved, 0);
   EXPECT_EQ(warm.cached, 2);
   EXPECT_EQ(warm.cache_stats.hits, 2);
-  EXPECT_EQ(warm.stats.cache_hits, 2);
+  EXPECT_EQ(warm.cache_stats.misses, 0);
 
   const std::vector<Value> a = parse_responses(cold_out.str());
   const std::vector<Value> b = parse_responses(warm_out.str());
@@ -193,6 +193,8 @@ TEST(Batch, SecondRunAnswersFromCacheBitExactly) {
     EXPECT_EQ(cold_r.s, warm_r.s);
     EXPECT_EQ(cold_r.sigma, warm_r.sigma);
     EXPECT_EQ(cold_r.delta, warm_r.delta);
+    // Only the "cache" tag tells the two runs apart.
+    EXPECT_EQ(a[i].at("result").dump(), b[i].at("result").dump());
   }
 }
 
@@ -368,7 +370,6 @@ TEST(Batch, ParsedScalarKeyIsTheSolveCacheKey) {
 
   SolveOptions options;
   options.scheduler = sched::SchedulerKind::kEdf;
-  options.max_edf_restarts = 1;
   options.warm_start = e2e::WarmStart::kWarm;
   Value req = Value::parse(request_line(sc, 2));
   req.set("options", encode_solve_options(options));
@@ -450,9 +451,10 @@ TEST(Batch, ProfileSecondRunAnswersFromCacheBitExactly) {
     EXPECT_EQ(warm_p.levels[i].delay_ms, cold_p.levels[i].delay_ms);
     EXPECT_EQ(warm_p.levels[i].sigma, cold_p.levels[i].sigma);
   }
-  // Exactly one cache counter per response, on the aggregate stats.
-  EXPECT_EQ(warm_p.stats.cache_hits, 1);
-  EXPECT_EQ(warm_p.stats.cache_misses + warm_p.stats.cache_stale, 0);
+  // The outcome lives in the "cache" tag alone: the served profile
+  // encodes to exactly the bytes of the solved one.
+  EXPECT_EQ(a[0].at("cache").as_string(), "miss");
+  EXPECT_EQ(b[0].at("profile").dump(), a[0].at("profile").dump());
 }
 
 TEST(Batch, ProfileEpsilonGridIsValidatedAtParseTime) {

@@ -105,15 +105,17 @@ TEST_F(ResultCacheTest, VersionDriftClassifiesAsStaleAndIsOverwritten) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
   EXPECT_EQ(cache.stats().stale, 1);
 
-  // solve_through re-solves, tags the result stale, and overwrites the
-  // entry so the next lookup hits again.
+  // solve_through re-solves, reports the outcome stale (through
+  // `outcome` and CacheStats), and overwrites the entry so the next
+  // lookup hits again.
   CacheLookup outcome{};
   const e2e::BoundResult solved = cache.solve_through(
       sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
       &outcome);
   EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(solved.stats.cache_stale, 1);
-  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+  EXPECT_EQ(cache.stats().stale, 2);
+  ASSERT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+  EXPECT_EQ(out.delay_ms, solved.delay_ms);
 }
 
 TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
@@ -136,38 +138,43 @@ TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
 }
 
-TEST_F(ResultCacheTest, SchemaFourEntryIsAPlainMissNeverWrongHit) {
-  ResultCache cache(cache_dir());
+// Today's (schema-6) canonical key of small_scenario() solved with
+// default options, pinned literally so existing cache directories keep
+// answering as hits.
+constexpr const char* kSchemaSixKey =
+    "{\"kind\":\"solve\",\"scenario\":{\"capacity\":100,\"hops\":3,"
+    "\"source\":{\"peak_kb\":1.5,\"p11\":0.98899999999999999,"
+    "\"p22\":0.90000000000000002},\"n_through\":80,\"n_cross\":50,"
+    "\"epsilon\":9.9999999999999995e-07,\"scheduler\":{\"kind\":\"fifo\","
+    "\"delta\":0,\"edf\":{\"own_factor\":1,\"cross_factor\":10},"
+    "\"params\":[1,1]}},\"options\":{\"method\":\"exact\","
+    "\"scheduler\":null,\"delta\":null,\"warm_start\":\"cold\"}}";
+
+// A legacy build's key for the solve of small_scenario() -- a
+// `legacy_schema` entry in its own slot, and a schema-current entry
+// holding a wrong answer under the legacy key in today's slot (a
+// collision) -- must both go unserved: the lookup is a plain miss, the
+// re-solve lands under today's key, and the legacy file stays on disk,
+// unread.
+void expect_legacy_key_is_plain_miss(ResultCache& cache,
+                                     const std::string& legacy_key,
+                                     int legacy_schema) {
   const e2e::Scenario sc = small_scenario();
   const SolveOptions options{};
-
-  // The key a schema-4 build wrote for this very solve: today's canonical
-  // dump without the leading "kind" member.  Pinning both spellings
-  // literally also pins today's key, so existing cache directories keep
-  // answering as hits.
-  const std::string v4_key =
-      "{\"scenario\":{\"capacity\":100,\"hops\":3,\"source\":{\"peak_kb\":1.5,"
-      "\"p11\":0.98899999999999999,\"p22\":0.90000000000000002},"
-      "\"n_through\":80,\"n_cross\":50,\"epsilon\":9.9999999999999995e-07,"
-      "\"scheduler\":{\"kind\":\"fifo\",\"delta\":0,\"edf\":{\"own_factor\":1,"
-      "\"cross_factor\":10},\"params\":[1,1]}},\"options\":{\"method\":"
-      "\"exact\",\"scheduler\":null,\"delta\":null,\"max_edf_restarts\":-1,"
-      "\"warm_start\":\"cold\"}}";
   const std::string key = solve_cache_key(sc, options);
-  EXPECT_EQ(key, "{\"kind\":\"solve\"," + v4_key.substr(1));
+  ASSERT_EQ(key, kSchemaSixKey);
+  ASSERT_NE(legacy_key, key);
 
-  // A schema-4 entry in its own slot, and a schema-current entry holding
-  // a wrong answer under the kind-less key in today's slot (a collision).
   const e2e::BoundResult wrong{1.0, 0.5, 0.1, 10.0, 0.0};
   const auto entry = [&](int schema) {
     json::Value doc = json::Value::object();
     doc.set("schema", json::Value::number(schema))
         .set("version", json::Value::string(DELTANC_VERSION_STRING))
-        .set("key", json::Value::string(v4_key))
+        .set("key", json::Value::string(legacy_key))
         .set("result", encode_bound_result(wrong));
     return doc.dump() + "\n";
   };
-  write_file(cache.entry_path(v4_key), entry(4));
+  write_file(cache.entry_path(legacy_key), entry(legacy_schema));
   write_file(cache.entry_path(key), entry(kSchemaVersion));
 
   // Neither is served: the stored key must equal the requested one.
@@ -179,18 +186,43 @@ TEST_F(ResultCacheTest, SchemaFourEntryIsAPlainMissNeverWrongHit) {
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().stale, 0);
 
-  // solve_through re-solves as a plain miss and stores under the current
-  // key; the schema-4 file stays on disk, unread.
   CacheLookup outcome{};
   const e2e::BoundResult solved = cache.solve_through(
       sc, options, [&] { return deltanc::Solver().solve(sc); }, &outcome);
   EXPECT_EQ(outcome, CacheLookup::kMiss);
-  EXPECT_EQ(solved.stats.cache_misses, 1);
-  EXPECT_EQ(solved.stats.cache_stale, 0);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().stale, 0);
   ASSERT_EQ(cache.lookup(key, out), CacheLookup::kHit);
   EXPECT_EQ(out.delay_ms, solved.delay_ms);
   EXPECT_NE(out.delay_ms, wrong.delay_ms);
-  EXPECT_TRUE(std::filesystem::exists(cache.entry_path(v4_key)));
+  EXPECT_TRUE(std::filesystem::exists(cache.entry_path(legacy_key)));
+}
+
+TEST_F(ResultCacheTest, SchemaFourEntryIsAPlainMissNeverWrongHit) {
+  // The key a schema-4 build wrote for this very solve: no leading
+  // "kind" member, and the since-retired EDF restart option.
+  const std::string v4_key =
+      "{\"scenario\":{\"capacity\":100,\"hops\":3,\"source\":{\"peak_kb\":1.5,"
+      "\"p11\":0.98899999999999999,\"p22\":0.90000000000000002},"
+      "\"n_through\":80,\"n_cross\":50,\"epsilon\":9.9999999999999995e-07,"
+      "\"scheduler\":{\"kind\":\"fifo\",\"delta\":0,\"edf\":{\"own_factor\":1,"
+      "\"cross_factor\":10},\"params\":[1,1]}},\"options\":{\"method\":"
+      "\"exact\",\"scheduler\":null,\"delta\":null,\"max_edf_restarts\":-1,"
+      "\"warm_start\":\"cold\"}}";
+  ResultCache cache(cache_dir());
+  expect_legacy_key_is_plain_miss(cache, v4_key, 4);
+}
+
+TEST_F(ResultCacheTest, SchemaFiveEntryIsAPlainMissNeverWrongHit) {
+  // The key a schema-5 build wrote for this very solve: today's spelling
+  // plus the since-retired "max_edf_restarts" option member (always -1
+  // outside tests).
+  std::string v5_key = kSchemaSixKey;
+  const std::string tail = "\"warm_start\":\"cold\"}}";
+  ASSERT_EQ(v5_key.rfind(tail), v5_key.size() - tail.size());
+  v5_key.insert(v5_key.size() - tail.size(), "\"max_edf_restarts\":-1,");
+  ResultCache cache(cache_dir());
+  expect_legacy_key_is_plain_miss(cache, v5_key, 5);
 }
 
 TEST_F(ResultCacheTest, CurveBackedSchedulersHaveNoLegacySlots) {
@@ -295,12 +327,13 @@ TEST_F(ResultCacheTest, SimulationLoweringsDoNotPerturbSolverKeys) {
   // lowerings did not bump the schema.  Solver-side fields do: the
   // warm-start policy in SolveOptions took the schema from 3 to 4, and
   // the "kind"-discriminated cache keys plus delay-profile documents
-  // took it from 4 to 5, each with a byte-exact legacy probe
-  // (legacy_v3 / legacy_v4) for stale-schema hits (see io/codec.h).
-  static_assert(kSchemaVersion == 5,
+  // took it from 4 to 5, and the deterministic-only stats (no timings,
+  // no cache-outcome counters) plus the retired EDF restart option took
+  // it from 5 to 6 (see io/codec.h).
+  static_assert(kSchemaVersion == 6,
                 "sim-side config fields must not bump the cache schema; "
-                "the schema-5 bump came from the kind-tagged keys and "
-                "delay-profile documents");
+                "the schema-6 bump came from the deterministic-only stats "
+                "and the retired EDF restart option");
   ResultCache cache(cache_dir());
   for (const sched::SchedulerSpec& spec :
        {sched::SchedulerSpec::drr(2.0, 1.0), sched::SchedulerSpec::sced(),
@@ -378,15 +411,22 @@ TEST_F(ResultCacheTest, SolveThroughCountsOneOutcomePerResult) {
     ++solves;
     return deltanc::Solver().solve(sc);
   };
+  CacheLookup outcome{};
   const e2e::BoundResult first =
-      cache.solve_through(sc, SolveOptions{}, solve);
-  EXPECT_EQ(first.stats.cache_misses, 1);
-  EXPECT_EQ(first.stats.cache_hits, 0);
+      cache.solve_through(sc, SolveOptions{}, solve, &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kMiss);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 0);
   const e2e::BoundResult second =
-      cache.solve_through(sc, SolveOptions{}, solve);
-  EXPECT_EQ(second.stats.cache_hits, 1);
-  EXPECT_EQ(second.stats.cache_misses, 0);
+      cache.solve_through(sc, SolveOptions{}, solve, &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kHit);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(second.delay_ms, first.delay_ms);
+  // The outcome never leaks into the result: a hit and the solve it
+  // replays encode to the same bytes.
+  EXPECT_EQ(encode_bound_result(second).dump(),
+            encode_bound_result(first).dump());
   EXPECT_EQ(solves, 1);  // the hit never invoked the solver
 }
 

@@ -119,9 +119,9 @@ TEST(SolverFacade, OptimizeIsBitIdenticalWithAndWithoutWorkspace) {
   }
 }
 
-// The deterministic work counters of a solve (the wall-clock scan_ms /
-// refine_ms left out): optimize, sigma and eb evals, batched evals, EDF
-// iterations, warm-start hits, profile chain hits.
+// The deterministic work counters of a solve (the process-local
+// wall-clock timings left out): optimize, sigma and eb evals, batched
+// evals, EDF iterations, warm-start hits, profile chain hits.
 using Counters = std::array<std::int64_t, 7>;
 
 Counters counters_of(const e2e::SolveStats& s) {
@@ -148,20 +148,25 @@ TEST(SolverFacade, ColdSolveWorkCountersArePinned) {
   }
 }
 
-TEST(SolverFacade, RetryPolicyCapsEdfRestarts) {
-  // Default (-1) runs the historical full damping schedule; 0 forbids
-  // restarts entirely.  Whatever the scenario needed, the capped run
-  // must never report more retries than allowed.
-  const e2e::Scenario sc = fig2_scenario(268, sched::SchedulerKind::kEdf);
-  SolveOptions none;
-  none.max_edf_restarts = 0;
-  const e2e::BoundResult capped = Solver(none).solve(sc);
-  EXPECT_EQ(capped.stats.retries, 0);
-
-  const e2e::BoundResult full = Solver().solve(sc);
-  const e2e::BoundResult direct = deltanc::Solver().solve(sc);
-  EXPECT_EQ(full.delay_ms, direct.delay_ms);
-  EXPECT_EQ(full.stats.retries, direct.stats.retries);
+TEST(SolverFacade, PaperKDivergentEdfPointRunsTheFullRestartSchedule) {
+  // The one place the EDF damped-restart schedule is known to fire: a
+  // paper-K EDF(1,10) point at epsilon = 1e-9 (one of the selfcheck
+  // points) whose accelerated attempt 0 diverges.  Both damped restarts
+  // run, neither converges either, and the result is flagged -- the
+  // schedule rescues nothing here, but it decides the flagged value.
+  e2e::Scenario sc;
+  sc.hops = 2;
+  sc.n_through = 100;
+  sc.n_cross = 303;
+  sc.epsilon = 1e-9;
+  sc.scheduler = sched::SchedulerSpec::edf(1.0, 10.0);
+  const e2e::BoundResult r = Solver(e2e::Method::kPaperK).solve(sc);
+  EXPECT_FALSE(r.stats.edf_converged);
+  EXPECT_EQ(r.stats.retries, 2);
+  EXPECT_TRUE(r.diagnostics.ok());
+  ASSERT_EQ(r.diagnostics.warnings.size(), 1u);
+  EXPECT_EQ(r.diagnostics.warnings[0].kind,
+            diag::SolveErrorKind::kNoConvergence);
 }
 
 TEST(SolverFacade, UnstableScenarioStillClassified) {
