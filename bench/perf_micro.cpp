@@ -3,7 +3,6 @@
 // algebra, effective-bandwidth evaluation, and the simulator's slot rate.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -144,7 +143,7 @@ void BM_SweepFig2Grid(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepFig2Grid)
     ->Arg(1)
-    ->Arg(static_cast<int>(ThreadPool::default_thread_count()))
+    ->Arg(static_cast<int>(default_thread_count()))
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -201,20 +200,6 @@ BENCHMARK(BM_ProfileVsScalar)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_ThreadPoolSubmitDrain(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<int> sink{0};
-    for (int i = 0; i < 1000; ++i) {
-      pool.submit([&sink] { sink.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    benchmark::DoNotOptimize(sink.load());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_ThreadPoolSubmitDrain)->Arg(1)->Arg(4);
 
 void BM_EffectiveBandwidth(benchmark::State& state) {
   const auto src = traffic::MmooSource::paper_source();

@@ -25,9 +25,10 @@ done
 echo "public-header hygiene: OK"
 
 # --- ThreadSanitizer pass -------------------------------------------------
-# Race-checks the concurrency layer (core/thread_pool.h, core/sweep.cpp)
-# on every run.  Gated on libtsan being installed; TSAN_OPTIONS makes any
-# report fatal so ctest sees the failure.
+# Race-checks the concurrency layer (parallel_for in core/thread_pool.h,
+# which fans out every sweep and batch, and the serve workers) on every
+# run.  Gated on libtsan being installed; TSAN_OPTIONS makes any report
+# fatal so ctest sees the failure.
 if echo 'int main(){return 0;}' | c++ -fsanitize=thread -x c++ - \
      -o /tmp/deltanc_tsan_probe 2>/dev/null; then
   rm -f /tmp/deltanc_tsan_probe
@@ -199,6 +200,21 @@ if [ "$hex_rc" -ne 2 ] || [ "$ws_rc" -ne 2 ]; then
   echo "FAIL: lenient numeric parse accepted (hex rc=$hex_rc, ws rc=$ws_rc, want 2)"
   exit 1
 fi
+# Integer flags take whole numbers within their type's range: a fraction
+# once truncated silently ("--hops 2.5" solved H = 2), an out-of-range
+# value was cast with undefined behavior, and an oversized sweep step
+# count aborted on an uncaught exception.  All three are usage errors.
+for int_args in "--hops 2.5" "--hops 1e10" "--sweep uc=0.1:0.2:1e12"; do
+  set +e
+  # shellcheck disable=SC2086  # word-split the flag and its value
+  ./build/tools/deltanc_cli $int_args > /dev/null 2>&1
+  int_rc=$?
+  set -e
+  if [ "$int_rc" -ne 2 ]; then
+    echo "FAIL: '$int_args' exited $int_rc (want 2: strict integer flag)"
+    exit 1
+  fi
+done
 echo "strict numeric grammar gate: OK"
 
 # --- Solver instrumentation guards ----------------------------------------

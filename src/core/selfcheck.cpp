@@ -26,7 +26,7 @@ std::string fmt(double v) {
 /// Short human-readable identification of a scenario for issue messages.
 std::string describe(const e2e::Scenario& sc) {
   std::string out = "H=" + std::to_string(sc.hops) +
-                    " sched=" + scheduler_name(sc.scheduler);
+                    " sched=" + sched::to_string(sc.scheduler);
   if (sc.scheduler == sched::SchedulerKind::kEdf) {
     const sched::EdfFactors& edf = sc.scheduler.edf_factors();
     out += "(" + fmt(edf.own_factor) + "," + fmt(edf.cross_factor) + ")";

@@ -1,12 +1,11 @@
 #include "core/sweep.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -25,11 +24,10 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Validate-then-solve of one point, shared by the cold and chained
-/// executors: a malformed point is classified (with a message naming
-/// every bad field) instead of surfacing as whichever exception the
-/// solver happens to hit first; a solve that still throws is captured
-/// and never aborts the sweep.
+/// Validate-then-solve of one point: a malformed point is classified
+/// (with a message naming every bad field) instead of surfacing as
+/// whichever exception the solver happens to hit first; a solve that
+/// still throws is captured and never aborts the sweep.
 template <typename SolveFn>
 void solve_point(SweepPoint& p, const e2e::Scenario& sc, SolveFn&& solve) {
   p.scenario = sc;
@@ -78,19 +76,6 @@ void attach_profile(SweepPoint& p, ProfileFn&& solve_profile) {
 
 }  // namespace
 
-std::string scheduler_name(const sched::SchedulerSpec& s) {
-  return sched::to_string(s);
-}
-
-bool scheduler_from_name(const std::string& name, sched::SchedulerSpec& out) {
-  return sched::parse_scheduler(name, out);
-}
-
-bool scheduler_from_name(const std::string& name, sched::SchedulerKind& out) {
-  return sched::scheduler_kind_from_name(name, out) &&
-         out != sched::SchedulerKind::kDelta;
-}
-
 // ---------------------------------------------------------------- SweepGrid
 
 SweepGrid::SweepGrid(e2e::Scenario base) : base_(std::move(base)) {}
@@ -101,10 +86,8 @@ SweepGrid& SweepGrid::add_axis(Axis axis) {
 }
 
 SweepGrid& SweepGrid::hops_axis(std::vector<int> values) {
-  Axis a{"hops", {}, {}};
-  a.spec.name = "hops";
+  Axis a{"hops", {}, true};
   for (int h : values) {
-    a.spec.numeric.push_back(h);
     if (h < 1) throw std::invalid_argument("SweepGrid: hops must be >= 1");
     a.values.emplace_back([h](e2e::Scenario& sc) { sc.hops = h; });
   }
@@ -112,9 +95,7 @@ SweepGrid& SweepGrid::hops_axis(std::vector<int> values) {
 }
 
 SweepGrid& SweepGrid::scheduler_axis(std::vector<sched::SchedulerSpec> values) {
-  Axis a{"scheduler", {}, {}};
-  a.spec.name = "scheduler";
-  a.spec.schedulers = values;
+  Axis a{"scheduler", {}, false};
   for (const sched::SchedulerSpec& s : values) {
     // Full identity replacement (factors and fixed offsets included).
     a.values.emplace_back([s](e2e::Scenario& sc) { sc.scheduler = s; });
@@ -123,11 +104,8 @@ SweepGrid& SweepGrid::scheduler_axis(std::vector<sched::SchedulerSpec> values) {
 }
 
 SweepGrid& SweepGrid::scheduler_axis(std::vector<sched::SchedulerKind> values) {
-  Axis a{"scheduler", {}, {}};
-  a.spec.name = "scheduler";
-  a.spec.scheduler_kinds_only = true;
+  Axis a{"scheduler", {}, false};
   for (sched::SchedulerKind k : values) {
-    a.spec.schedulers.emplace_back(k);
     // Kind re-assignment: keeps the base scenario's EDF factors, so this
     // axis composes with edf_axis / edf_deadlines in either order.
     a.values.emplace_back([k](e2e::Scenario& sc) { sc.scheduler = k; });
@@ -136,9 +114,7 @@ SweepGrid& SweepGrid::scheduler_axis(std::vector<sched::SchedulerKind> values) {
 }
 
 SweepGrid& SweepGrid::edf_axis(std::vector<sched::EdfFactors> values) {
-  Axis a{"edf", {}, {}};
-  a.spec.name = "edf";
-  a.spec.edf = values;
+  Axis a{"edf", {}, false};
   for (const sched::EdfFactors& e : values) {
     if (!(e.own_factor > 0.0) || !(e.cross_factor > 0.0)) {
       throw std::invalid_argument("SweepGrid: EDF factors must be > 0");
@@ -150,9 +126,7 @@ SweepGrid& SweepGrid::edf_axis(std::vector<sched::EdfFactors> values) {
 }
 
 SweepGrid& SweepGrid::delta_axis(std::vector<double> values) {
-  Axis a{"delta", {}, {}};
-  a.spec.name = "delta";
-  a.spec.numeric = values;
+  Axis a{"delta", {}, true};
   for (double d : values) {
     if (d != d) throw std::invalid_argument("SweepGrid: delta must not be NaN");
     a.values.emplace_back([d](e2e::Scenario& sc) {
@@ -163,31 +137,25 @@ SweepGrid& SweepGrid::delta_axis(std::vector<double> values) {
 }
 
 SweepGrid& SweepGrid::through_flows_axis(std::vector<int> values) {
-  Axis a{"n0", {}, {}};
-  a.spec.name = "n0";
+  Axis a{"n0", {}, true};
   for (int n : values) {
     if (n < 1) throw std::invalid_argument("SweepGrid: need >= 1 through flow");
-    a.spec.numeric.push_back(n);
     a.values.emplace_back([n](e2e::Scenario& sc) { sc.n_through = n; });
   }
   return add_axis(std::move(a));
 }
 
 SweepGrid& SweepGrid::cross_flows_axis(std::vector<int> values) {
-  Axis a{"nc", {}, {}};
-  a.spec.name = "nc";
+  Axis a{"nc", {}, true};
   for (int n : values) {
     if (n < 0) throw std::invalid_argument("SweepGrid: cross flows >= 0");
-    a.spec.numeric.push_back(n);
     a.values.emplace_back([n](e2e::Scenario& sc) { sc.n_cross = n; });
   }
   return add_axis(std::move(a));
 }
 
 SweepGrid& SweepGrid::through_utilization_axis(std::vector<double> values) {
-  Axis a{"u0", {}, {}};
-  a.spec.name = "u0";
-  a.spec.numeric = values;
+  Axis a{"u0", {}, true};
   for (double u : values) {
     // Conversion against the *base* capacity/source, exactly like
     // ScenarioBuilder::through_utilization.
@@ -198,9 +166,7 @@ SweepGrid& SweepGrid::through_utilization_axis(std::vector<double> values) {
 }
 
 SweepGrid& SweepGrid::cross_utilization_axis(std::vector<double> values) {
-  Axis a{"uc", {}, {}};
-  a.spec.name = "uc";
-  a.spec.numeric = values;
+  Axis a{"uc", {}, true};
   for (double u : values) {
     const int n = flows_for_utilization(base_, u);
     a.values.emplace_back([n](e2e::Scenario& sc) { sc.n_cross = n; });
@@ -209,9 +175,7 @@ SweepGrid& SweepGrid::cross_utilization_axis(std::vector<double> values) {
 }
 
 SweepGrid& SweepGrid::epsilon_axis(std::vector<double> values) {
-  Axis a{"epsilon", {}, {}};
-  a.spec.name = "epsilon";
-  a.spec.numeric = values;
+  Axis a{"epsilon", {}, true};
   for (double eps : values) {
     if (!(eps > 0.0 && eps < 1.0)) {
       throw std::invalid_argument("SweepGrid: need 0 < epsilon < 1");
@@ -222,9 +186,7 @@ SweepGrid& SweepGrid::epsilon_axis(std::vector<double> values) {
 }
 
 SweepGrid& SweepGrid::capacity_axis(std::vector<double> values) {
-  Axis a{"capacity", {}, {}};
-  a.spec.name = "capacity";
-  a.spec.numeric = values;
+  Axis a{"capacity", {}, true};
   for (double c : values) {
     if (!(c > 0.0)) throw std::invalid_argument("SweepGrid: capacity > 0");
     a.values.emplace_back([c](e2e::Scenario& sc) { sc.capacity = c; });
@@ -252,8 +214,8 @@ const std::string& SweepGrid::axis_name(std::size_t a) const {
   return axes_.at(a).name;
 }
 
-const SweepGrid::AxisSpec& SweepGrid::axis_spec(std::size_t a) const {
-  return axes_.at(a).spec;
+bool SweepGrid::axis_numeric(std::size_t a) const {
+  return axes_.at(a).numeric;
 }
 
 std::size_t SweepGrid::size() const noexcept {
@@ -363,7 +325,7 @@ Table SweepReport::to_table(int precision) const {
     const SweepPoint& p = points[i];
     const e2e::Scenario& sc = p.scenario;
     table.add_row({std::to_string(i), std::to_string(sc.hops),
-                   scheduler_name(sc.scheduler), std::to_string(sc.n_through),
+                   sched::to_string(sc.scheduler), std::to_string(sc.n_through),
                    std::to_string(sc.n_cross),
                    Table::format(100.0 * sc.utilization(), 1),
                    format_eps(sc.epsilon),
@@ -400,7 +362,7 @@ void SweepReport::write_profile_csv(std::ostream& os) const {
     const SweepPoint& p = points[i];
     if (!p.profile) continue;
     const e2e::Scenario& sc = p.scenario;
-    const std::string sched = escape(scheduler_name(sc.scheduler));
+    const std::string sched = escape(sched::to_string(sc.scheduler));
     for (std::size_t k = 0; k < p.profile->levels.size(); ++k) {
       const e2e::BoundResult& b = p.profile->levels[k];
       std::snprintf(buf, sizeof buf,
@@ -419,11 +381,8 @@ void SweepReport::write_profile_csv(std::ostream& os) const {
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}
 
 int SweepRunner::resolved_threads(std::size_t n_tasks) const {
-  unsigned n = options_.threads > 0
-                   ? static_cast<unsigned>(options_.threads)
-                   : ThreadPool::default_thread_count();
-  if (n > n_tasks) n = static_cast<unsigned>(n_tasks);  // never idle workers
-  return static_cast<int>(n > 0 ? n : 1);
+  return static_cast<int>(resolve_threads(
+      static_cast<unsigned>(std::max(options_.threads, 0)), n_tasks));
 }
 
 SweepReport SweepRunner::run(const SweepGrid& grid) const {
@@ -434,25 +393,27 @@ SweepReport SweepRunner::run(const SweepGrid& grid) const {
   // what the Solver::State hints survive.  Non-numeric axes (scheduler,
   // edf) are excluded -- chaining across them would seed e.g. an EDF
   // fixed point from a FIFO optimum.  A grid with no such axis (or a
-  // custom per-point solver, or warm_start = kCold) runs the historical
-  // cold path.
+  // custom per-point solver, or warm_start = kCold) runs chains of one.
   if (options_.warm_start == e2e::WarmStart::kWarm && !options_.solver) {
     std::size_t stride = 1;
     for (std::size_t a = grid.axes(); a-- > 0;) {
       const std::size_t len = grid.axis_size(a);
-      if (!grid.axis_spec(a).numeric.empty() && len > 1) {
-        return run_chained(std::span<const e2e::Scenario>(scenarios), len,
-                           stride);
+      if (grid.axis_numeric(a) && len > 1) {
+        return run_chains(scenarios, len, stride);
       }
       stride *= len;
     }
   }
-  return run(std::span<const e2e::Scenario>(scenarios));
+  return run_chains(scenarios, 1, 1);
 }
 
-SweepReport SweepRunner::run_chained(std::span<const e2e::Scenario> scenarios,
-                                     std::size_t chain_len,
-                                     std::size_t stride) const {
+SweepReport SweepRunner::run(std::span<const e2e::Scenario> scenarios) const {
+  return run_chains(scenarios, 1, 1);
+}
+
+SweepReport SweepRunner::run_chains(std::span<const e2e::Scenario> scenarios,
+                                    std::size_t chain_len,
+                                    std::size_t stride) const {
   const std::size_t n = scenarios.size();
   const std::size_t n_chains = n / chain_len;
   SweepReport report;
@@ -460,115 +421,47 @@ SweepReport SweepRunner::run_chained(std::span<const e2e::Scenario> scenarios,
   report.threads = resolved_threads(n_chains);
   const auto t0 = Clock::now();
 
+  // Only a real chain consumes the state it threads; chains of one run
+  // kCold, where solve(sc, state) and solve_profile(sc, eps, state) are
+  // bit-identical to the stateless calls (each profile is then pinned
+  // to the scalar solves of its levels).
   SolveOptions solve_options;
   solve_options.method = options_.method;
-  solve_options.warm_start = e2e::WarmStart::kWarm;
+  solve_options.warm_start =
+      chain_len > 1 ? e2e::WarmStart::kWarm : e2e::WarmStart::kCold;
   const Solver solver(solve_options);
+  const bool profiles = !options_.profile_epsilons.empty() && !options_.solver;
+  ProgressCounter progress(options_.progress, n);
 
-  // Chains are claimed from a shared atomic cursor, but every chain is
-  // solved sequentially by whichever worker claimed it, threading one
-  // Solver::State from each point to its successor.  The chain results
-  // therefore depend only on the grid, never on the worker count.
-  std::atomic<std::size_t> cursor{0};
-  std::mutex progress_mu;
-  std::size_t done = 0;  // guarded by progress_mu
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (c >= n_chains) return;
-      // Chain c fixes every axis except the chain axis: outer axes at
-      // digit c / stride, inner axes at digit c % stride.
-      const std::size_t base =
-          (c / stride) * (chain_len * stride) + (c % stride);
-      Solver::State state;
-      for (std::size_t k = 0; k < chain_len; ++k) {
-        const std::size_t i = base + k * stride;
-        solve_point(report.points[i], scenarios[i],
-                    [&](const e2e::Scenario& sc) {
-                      return solver.solve(sc, state);
-                    });
-        if (!options_.profile_epsilons.empty()) {
-          // The profile shares the chain state: its first level warms
-          // from the scalar solve above, and the state then carries the
-          // last level's context to the next chain point (legal hints --
-          // the warm fingerprints exclude epsilon).
-          attach_profile(report.points[i], [&](const e2e::Scenario& sc) {
-            return solver.solve_profile(sc, options_.profile_epsilons,
-                                        state);
-          });
-        }
-        if (options_.progress) {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          options_.progress(++done, n);
-        }
-      }
-    }
-  };
-
-  if (n > 0) {
-    ThreadPool pool(static_cast<unsigned>(report.threads));
-    for (int t = 0; t < report.threads; ++t) pool.submit(worker);
-    pool.wait_idle();
-  }
-
-  report.wall_ms = ms_since(t0);
-  for (const SweepPoint& p : report.points) {
-    report.solve_ms += p.solve_ms;
-    report.stats += p.bound.stats;
-    if (p.profile) report.stats += p.profile->stats;
-  }
-  return report;
-}
-
-SweepReport SweepRunner::run(std::span<const e2e::Scenario> scenarios) const {
-  const std::size_t n = scenarios.size();
-  SweepReport report;
-  report.points.resize(n);
-  report.threads = resolved_threads(n);
-  const auto t0 = Clock::now();
-
-  SolveOptions solve_options;
-  solve_options.method = options_.method;
-  const Solver default_solver(solve_options);
-  const auto solve = [&](const e2e::Scenario& sc) {
-    return options_.solver ? options_.solver(sc, options_.method)
-                           : default_solver.solve(sc);
-  };
-
-  // Work distribution: a shared atomic cursor; each worker claims the
-  // next unsolved index and writes into its own slot, so the output
-  // order is the input order no matter which worker finishes when.
-  std::atomic<std::size_t> cursor{0};
-  std::mutex progress_mu;
-  std::size_t done = 0;  // guarded by progress_mu
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      solve_point(report.points[i], scenarios[i], solve);
-      if (!options_.profile_epsilons.empty() && !options_.solver) {
-        // Cold path: each profile is pinned -- bit-identical to the K
-        // scalar solves of the same scenario at each level's epsilon.
-        attach_profile(report.points[i], [&](const e2e::Scenario& sc) {
-          return default_solver.solve_profile(sc, options_.profile_epsilons);
+  // Every chain is solved sequentially by whichever worker claimed it,
+  // threading one Solver::State from each point to its successor, and
+  // writes only its own points' slots: the results depend on the grid
+  // alone, never on the worker count, and come back in input order.
+  parallel_for(n_chains, static_cast<unsigned>(report.threads),
+               [&](std::size_t c) {
+    // Chain c fixes every axis except the chain axis: outer axes at
+    // digit c / stride, inner axes at digit c % stride.
+    const std::size_t base = (c / stride) * (chain_len * stride) + (c % stride);
+    Solver::State state;
+    for (std::size_t k = 0; k < chain_len; ++k) {
+      const std::size_t i = base + k * stride;
+      SweepPoint& p = report.points[i];
+      solve_point(p, scenarios[i], [&](const e2e::Scenario& sc) {
+        return options_.solver ? options_.solver(sc, options_.method)
+                               : solver.solve(sc, state);
+      });
+      if (profiles) {
+        // The profile shares the chain state: under kWarm its first
+        // level warms from the scalar solve above, and the state then
+        // carries the last level's context to the next chain point
+        // (legal hints -- the warm fingerprints exclude epsilon).
+        attach_profile(p, [&](const e2e::Scenario& sc) {
+          return solver.solve_profile(sc, options_.profile_epsilons, state);
         });
       }
-      if (options_.progress) {
-        // Increment under the same lock as the callback so `done` values
-        // arrive strictly increasing 1..n.
-        std::lock_guard<std::mutex> lock(progress_mu);
-        options_.progress(++done, n);
-      }
+      progress.tick();
     }
-  };
-
-  if (n > 0) {
-    ThreadPool pool(static_cast<unsigned>(report.threads));
-    for (int t = 0; t < report.threads; ++t) pool.submit(worker);
-    pool.wait_idle();
-  }
+  });
 
   report.wall_ms = ms_since(t0);
   for (const SweepPoint& p : report.points) {

@@ -1,22 +1,24 @@
 // Parallel scenario-sweep engine.  Every figure of the paper and every
 // study in EXPERIMENTS.md is a *grid* of scenario solves -- over
 // utilization, path length, traffic mix, scheduler, deadlines, and
-// epsilon.  SweepRunner fans such a grid out across a ThreadPool
+// epsilon.  SweepRunner fans such a grid out with parallel_for
 // (core/thread_pool.h) and returns the results in deterministic input
 // order regardless of completion order.
 //
-// Warm-started grids (SweepOptions::warm_start = kWarm, the default):
-// neighboring points along the innermost numeric axis differ in one
-// parameter, so each point seeds its neighbor with a Solver::State (the
-// eb(s) memo, the stable-s bracket, the previous optimum, and the
-// resolved EDF fixed point).  The grid decomposes into independent
-// chains along that axis; every chain is solved sequentially by one
-// worker while distinct chains run in parallel, so the results are a
-// function of the grid alone -- a 1-thread and an N-thread run produce
-// bit-identical reports.  Warm results may differ from cold ones within
-// the documented warm-start tolerance (docs/API.md#warm-starts); kCold
-// reproduces the historical every-point-from-scratch behavior, where
-// each point is a pure function of its scenario.
+// One executor runs every sweep: the points are split into chains, each
+// chain is solved sequentially by one worker through one Solver::State,
+// and distinct chains run in parallel.  Warm-started grids
+// (SweepOptions::warm_start = kWarm, the default) chain along the
+// innermost numeric axis: neighboring points there differ in one
+// parameter, so each point seeds its neighbor (the eb(s) memo, the
+// stable-s bracket, the previous optimum, and the resolved EDF fixed
+// point).  The results are a function of the grid alone -- a 1-thread
+// and an N-thread run produce bit-identical reports.  Warm results may
+// differ from cold ones within the documented warm-start tolerance
+// (docs/API.md#warm-starts).  Every other sweep -- kCold, a grid with no
+// numeric axis of more than one value, an explicit scenario list, or a
+// custom SweepOptions::solver -- runs chains of length 1 under a kCold
+// solver, where each point is a pure function of its scenario.
 //
 // Grids are described by SweepGrid: a base e2e::Scenario plus axes.  The
 // cross product enumerates axes in the order they were added, first axis
@@ -47,20 +49,6 @@
 #include "e2e/param_search.h"
 
 namespace deltanc {
-
-/// Canonical scheduler name ("fifo", "bmux", "sp-high", "edf",
-/// "delta:<value>").  Thin forwarder to the one registry in
-/// sched/scheduler_spec.h; a bare sched::SchedulerKind converts
-/// implicitly.
-[[nodiscard]] std::string scheduler_name(const sched::SchedulerSpec& s);
-/// Inverse of scheduler_name (accepts every form sched::parse_scheduler
-/// does, including "delta:<value>"); returns false on unknown names.
-[[nodiscard]] bool scheduler_from_name(const std::string& name,
-                                       sched::SchedulerSpec& out);
-/// Kind-level inverse for call sites holding a bare SchedulerKind;
-/// rejects "delta:<value>" (no bare kind carries the offset).
-[[nodiscard]] bool scheduler_from_name(const std::string& name,
-                                       sched::SchedulerKind& out);
 
 /// A base scenario plus sweep axes; enumerates the cross product in
 /// deterministic row-major order (first-added axis outermost).
@@ -103,24 +91,6 @@ class SweepGrid {
   /// steps == 1 yields {lo}.  @throws std::invalid_argument if steps < 1.
   static std::vector<double> linspace(double lo, double hi, int steps);
 
-  /// The raw values one *_axis call recorded, exactly as given (numeric
-  /// axes keep their doubles even for integer axes like hops; u0/uc keep
-  /// the utilization fractions, not the resolved flow counts).  Replaying
-  /// them through the same-named *_axis call on the same base scenario
-  /// reproduces the grid bit-for-bit -- this is what the JSON codec
-  /// (io/codec.h) serializes.
-  struct AxisSpec {
-    std::string name;             ///< "hops", "uc", "scheduler", "delta", ...
-    std::vector<double> numeric;  ///< numeric axes (incl. "delta")
-    /// "scheduler" axis values.  When `scheduler_kinds_only` the axis was
-    /// added via the kind overload (values re-assign the kind, keeping
-    /// base EDF factors) and the codec serializes bare names; otherwise
-    /// values are full replacement specs serialized as objects.
-    std::vector<sched::SchedulerSpec> schedulers;
-    bool scheduler_kinds_only = false;
-    std::vector<sched::EdfFactors> edf;  ///< "edf" axis
-  };
-
   [[nodiscard]] const e2e::Scenario& base() const noexcept { return base_; }
   /// Number of axes added so far.
   [[nodiscard]] std::size_t axes() const noexcept { return axes_.size(); }
@@ -128,9 +98,10 @@ class SweepGrid {
   [[nodiscard]] std::size_t axis_size(std::size_t a) const;
   /// Name of axis `a` ("hops", "scheduler", ...), for logs.
   [[nodiscard]] const std::string& axis_name(std::size_t a) const;
-  /// Serializable description of axis `a` (see AxisSpec).
-  /// @throws std::out_of_range if a >= axes().
-  [[nodiscard]] const AxisSpec& axis_spec(std::size_t a) const;
+  /// Whether axis `a` varies a number (hops, flows, utilizations,
+  /// epsilon, capacity, delta) rather than a scheduler identity or EDF
+  /// factors; warm-start chains follow only numeric axes.
+  [[nodiscard]] bool axis_numeric(std::size_t a) const;
   /// Total number of grid points (1 for a grid with no axes: the base).
   [[nodiscard]] std::size_t size() const noexcept;
 
@@ -145,8 +116,7 @@ class SweepGrid {
     std::string name;
     // One mutator per axis value; applied to a copy of the base.
     std::vector<std::function<void(e2e::Scenario&)>> values;
-    // The raw values behind the mutators, for serialization.
-    AxisSpec spec;
+    bool numeric = false;  // see axis_numeric()
   };
 
   SweepGrid& add_axis(Axis axis);
@@ -229,19 +199,21 @@ struct SweepOptions {
   /// solves (the pinning contract).  Ignored when `solver` is set.
   std::vector<double> profile_epsilons;
   /// Called after each point completes with (done, total).  Invocations
-  /// are serialized under a mutex, so the callback need not be
-  /// thread-safe; `done` is strictly increasing from 1 to total.
+  /// are serialized (ProgressCounter, core/thread_pool.h), so the
+  /// callback need not be thread-safe; `done` is strictly increasing
+  /// from 1 to total.
   std::function<void(std::size_t done, std::size_t total)> progress;
 };
 
-/// Thread-pool-backed executor for scenario grids.
+/// Parallel executor for scenario grids.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
 
   /// Solves every point of the grid; results in grid order.
   [[nodiscard]] SweepReport run(const SweepGrid& grid) const;
-  /// Solves an explicit scenario list; results in list order.
+  /// Solves an explicit scenario list cold (no chaining); results in
+  /// list order.
   [[nodiscard]] SweepReport run(std::span<const e2e::Scenario> scenarios) const;
 
   /// The worker count run() will use for `n_tasks` tasks (never more
@@ -249,13 +221,14 @@ class SweepRunner {
   [[nodiscard]] int resolved_threads(std::size_t n_tasks) const;
 
  private:
-  /// Warm-chained grid execution: scenarios decomposed into
-  /// `n / chain_len` chains along the chain axis (consecutive chain
-  /// members are `stride` apart in the flat enumeration), each solved
-  /// sequentially under one threaded Solver::State.
-  [[nodiscard]] SweepReport run_chained(std::span<const e2e::Scenario> scenarios,
-                                        std::size_t chain_len,
-                                        std::size_t stride) const;
+  /// The one executor behind both run() overloads: the scenarios
+  /// decomposed into `n / chain_len` chains (consecutive chain members
+  /// are `stride` apart in the flat enumeration), each solved
+  /// sequentially through one Solver::State -- kWarm when chain_len > 1,
+  /// kCold otherwise.
+  [[nodiscard]] SweepReport run_chains(std::span<const e2e::Scenario> scenarios,
+                                       std::size_t chain_len,
+                                       std::size_t stride) const;
 
   SweepOptions options_;
 };

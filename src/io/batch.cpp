@@ -1,13 +1,11 @@
 #include "io/batch.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <istream>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -287,32 +285,14 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     solver_of.push_back(
         &solvers.try_emplace(encode_solve_options(o).dump(), o).first->second);
   }
-  const std::size_t total = pending.size();
-  if (total > 0) {
-    const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-        total, options.threads > 0 ? static_cast<unsigned>(options.threads)
-                                   : ThreadPool::default_thread_count()));
-    std::atomic<std::size_t> cursor{0};
-    std::mutex progress_mu;
-    std::size_t done = 0;  // guarded by progress_mu
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t j = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (j >= total) return;
-        Request& req = requests[pending[j]];
-        req.answer = solve_request(*solver_of[j], req.line);
-        if (options.progress) {
-          // Increment under the callback's lock so `done` arrives
-          // strictly increasing 1..total.
-          std::lock_guard<std::mutex> lock(progress_mu);
-          options.progress(++done, total);
-        }
-      }
-    };
-    ThreadPool pool(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.submit(worker);
-    pool.wait_idle();
-  }
+  ProgressCounter progress(options.progress, pending.size());
+  parallel_for(pending.size(),
+               static_cast<unsigned>(std::max(options.threads, 0)),
+               [&](std::size_t j) {
+                 Request& req = requests[pending[j]];
+                 req.answer = solve_request(*solver_of[j], req.line);
+                 progress.tick();
+               });
   for (const std::size_t i : pending) {
     Request& req = requests[i];
     if (req.answer.ok && options.cache != nullptr) {

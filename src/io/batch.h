@@ -28,9 +28,10 @@
 // alone, whatever the thread count or the cache tier that answered.
 //
 // Parallelism: every cache miss -- scalar or profile -- goes through one
-// thread fan-out (a shared atomic cursor over the misses, one Solver per
-// distinct solve-options group), so a cold batch gets a sweep's thread
-// scaling while responses stay deterministically ordered.
+// parallel_for (core/thread_pool.h: a shared atomic cursor over the
+// misses; one Solver per distinct solve-options group), the same fan-out
+// a sweep uses, so a cold batch gets a sweep's thread scaling while
+// responses stay deterministically ordered.
 #pragma once
 
 #include <functional>
@@ -38,7 +39,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/sweep.h"
 #include "io/result_cache.h"
 
 namespace deltanc {
@@ -49,7 +49,7 @@ namespace deltanc::io {
 
 struct BatchOptions {
   /// Worker count for the solve fan-out; 0 = DELTANC_THREADS env or
-  /// hardware_concurrency() (ThreadPool::default_thread_count()).
+  /// hardware_concurrency() (default_thread_count(), core/thread_pool.h).
   int threads = 0;
   /// Method used when a request carries no "options" object.
   e2e::Method default_method = e2e::Method::kExactOpt;

@@ -381,176 +381,6 @@ e2e::DelayProfile decode_delay_profile(const Value& v) {
   return p;
 }
 
-// ----- SweepPoint / SweepReport ------------------------------------------
-
-Value encode_sweep_point(const SweepPoint& p) {
-  Value out = Value::object();
-  out.set("scenario", encode_scenario(p.scenario))
-      .set("bound", encode_bound_result(p.bound))
-      .set("profile",
-           p.profile ? encode_delay_profile(*p.profile) : Value::null())
-      .set("solve_ms", encode_double(p.solve_ms))
-      .set("ok", Value::boolean(p.ok))
-      .set("error", Value::string(p.error));
-  return out;
-}
-
-SweepPoint decode_sweep_point(const Value& v) {
-  SweepPoint p;
-  p.scenario = decode_scenario(v.at("scenario"));
-  p.bound = decode_bound_result(v.at("bound"));
-  if (const Value* profile = find_optional(v, "profile")) {
-    p.profile = std::make_shared<const e2e::DelayProfile>(
-        decode_delay_profile(*profile));
-  }
-  p.solve_ms = decode_double(v.at("solve_ms"));
-  p.ok = v.at("ok").as_bool();
-  p.error = v.at("error").as_string();
-  return p;
-}
-
-Value encode_sweep_report(const SweepReport& report) {
-  Value points = Value::array();
-  for (const SweepPoint& p : report.points) {
-    points.push_back(encode_sweep_point(p));
-  }
-  Value out = Value::object();
-  out.set("schema", Value::number(kSchemaVersion))
-      .set("threads", Value::number(report.threads))
-      .set("wall_ms", encode_double(report.wall_ms))
-      .set("solve_ms", encode_double(report.solve_ms))
-      .set("stats", encode_solve_stats(report.stats))
-      .set("points", std::move(points));
-  return out;
-}
-
-SweepReport decode_sweep_report(const Value& v) {
-  require_schema(v);
-  SweepReport report;
-  report.threads = decode_int(v.at("threads"), "threads");
-  report.wall_ms = decode_double(v.at("wall_ms"));
-  report.solve_ms = decode_double(v.at("solve_ms"));
-  report.stats = decode_solve_stats(v.at("stats"));
-  for (const Value& p : v.at("points").items()) {
-    report.points.push_back(decode_sweep_point(p));
-  }
-  return report;
-}
-
-// ----- SweepGrid ---------------------------------------------------------
-
-Value encode_sweep_grid(const SweepGrid& grid) {
-  Value axes = Value::array();
-  for (std::size_t a = 0; a < grid.axes(); ++a) {
-    const SweepGrid::AxisSpec& spec = grid.axis_spec(a);
-    Value values = Value::array();
-    if (spec.name == "scheduler") {
-      for (const sched::SchedulerSpec& s : spec.schedulers) {
-        // A kinds-only axis re-assigns kinds over the base's EDF factors,
-        // so it serializes as bare names and must replay through the kind
-        // overload; a spec axis replaces schedulers wholesale and
-        // serializes the full objects.
-        if (spec.scheduler_kinds_only) {
-          values.push_back(Value::string(
-              std::string(sched::scheduler_kind_name(s.kind()))));
-        } else {
-          values.push_back(encode_scheduler(s));
-        }
-      }
-    } else if (spec.name == "edf") {
-      for (const sched::EdfFactors& e : spec.edf) {
-        Value entry = Value::object();
-        entry.set("own_factor", encode_double(e.own_factor))
-            .set("cross_factor", encode_double(e.cross_factor));
-        values.push_back(std::move(entry));
-      }
-    } else {
-      for (double d : spec.numeric) values.push_back(encode_double(d));
-    }
-    Value axis = Value::object();
-    axis.set("name", Value::string(spec.name)).set("values", std::move(values));
-    axes.push_back(std::move(axis));
-  }
-  Value out = Value::object();
-  out.set("schema", Value::number(kSchemaVersion))
-      .set("base", encode_scenario(grid.base()))
-      .set("axes", std::move(axes));
-  return out;
-}
-
-SweepGrid decode_sweep_grid(const Value& v) {
-  require_schema(v);
-  SweepGrid grid(decode_scenario(v.at("base")));
-  for (const Value& axis : v.at("axes").items()) {
-    const std::string& name = axis.at("name").as_string();
-    const std::vector<Value>& values = axis.at("values").items();
-    if (name == "scheduler") {
-      // Bare kind names replay through the kind overload (keeps the
-      // base's EDF factors); anything else decodes as full specs and
-      // replays through the replacement overload.  See encode above.
-      std::vector<sched::SchedulerKind> kinds;
-      bool kinds_only = true;
-      for (const Value& s : values) {
-        sched::SchedulerKind k{};
-        if (!s.is_string() ||
-            !sched::scheduler_kind_from_name(s.as_string(), k) ||
-            k == sched::SchedulerKind::kDelta) {
-          kinds_only = false;
-          break;
-        }
-        kinds.push_back(k);
-      }
-      if (kinds_only) {
-        grid.scheduler_axis(std::move(kinds));
-      } else {
-        std::vector<sched::SchedulerSpec> schedulers;
-        for (const Value& s : values) {
-          schedulers.push_back(decode_scheduler(s));
-        }
-        grid.scheduler_axis(std::move(schedulers));
-      }
-      continue;
-    }
-    if (name == "edf") {
-      std::vector<sched::EdfFactors> edf;
-      for (const Value& e : values) {
-        edf.push_back(sched::EdfFactors{decode_double(e.at("own_factor")),
-                                        decode_double(e.at("cross_factor"))});
-      }
-      grid.edf_axis(std::move(edf));
-      continue;
-    }
-    std::vector<double> numeric;
-    for (const Value& d : values) numeric.push_back(decode_double(d));
-    if (name == "hops" || name == "n0" || name == "nc") {
-      std::vector<int> ints;
-      for (double d : numeric) {
-        ints.push_back(decode_int(Value::number(d), name.c_str()));
-      }
-      if (name == "hops") {
-        grid.hops_axis(std::move(ints));
-      } else if (name == "n0") {
-        grid.through_flows_axis(std::move(ints));
-      } else {
-        grid.cross_flows_axis(std::move(ints));
-      }
-    } else if (name == "u0") {
-      grid.through_utilization_axis(std::move(numeric));
-    } else if (name == "uc") {
-      grid.cross_utilization_axis(std::move(numeric));
-    } else if (name == "epsilon") {
-      grid.epsilon_axis(std::move(numeric));
-    } else if (name == "capacity") {
-      grid.capacity_axis(std::move(numeric));
-    } else if (name == "delta") {
-      grid.delta_axis(std::move(numeric));
-    } else {
-      throw CodecError("codec: unknown sweep axis \"" + name + "\"");
-    }
-  }
-  return grid;
-}
-
 // ----- SolveOptions / cache key ------------------------------------------
 
 Value encode_solve_options(const SolveOptions& options) {

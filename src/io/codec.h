@@ -1,15 +1,17 @@
-// Schema-versioned JSON codec for the library's value types: scenarios,
-// sweep grids, solve results (with their stats and diagnostics), and
-// whole sweep reports round-trip through io::json::Value losslessly --
-// doubles bit-exactly (including +/-inf and NaN), enums by their stable
-// string names.
+// Schema-versioned JSON codec for the library's wire value types:
+// scenarios, solve options, solve results (with their stats and
+// diagnostics), and delay profiles round-trip through io::json::Value
+// losslessly -- doubles bit-exactly (including +/-inf and NaN), enums by
+// their stable string names.  These are exactly what the batch and serve
+// protocols and the persistent result cache carry; sweep grids and
+// reports have no wire form (their CSV is the machine output).
 //
-// Versioning: every top-level document (scenario file, grid file, report
-// file, cache entry, batch request/response) carries a "schema" field
-// equal to kSchemaVersion.  Decoders reject documents with a different
-// schema (SchemaError), which is what lets the persistent cache
-// invalidate itself automatically when the wire format changes; nested
-// values (a scenario inside a report) carry no redundant schema field.
+// Versioning: every top-level document (cache entry, batch
+// request/response) carries a "schema" field equal to kSchemaVersion.
+// Decoders reject documents with a different schema (SchemaError),
+// which is what lets the persistent cache invalidate itself
+// automatically when the wire format changes; nested values (a
+// scenario inside a request) carry no redundant schema field.
 //
 // Canonicalization: encoders emit fields in a fixed documented order and
 // the compact dump() is byte-stable for a given input, so
@@ -22,7 +24,6 @@
 
 #include <span>
 
-#include "core/sweep.h"
 #include "e2e/solver.h"
 #include "io/json.h"
 
@@ -79,7 +80,6 @@ struct SchemaError : CodecError {
 //               scan_ms / refine_ms are never encoded and decode as 0)
 //   Diagnostics: error, message, warnings[{kind, message}]
 //   BoundResult: delay_ms, gamma, s, sigma, delta, stats, diagnostics
-//   SweepPoint:  scenario, bound, solve_ms, ok, error
 // Decoders tolerate *absent* optional fields (stats/diagnostics default)
 // but reject mistyped or unknown-enum values.
 
@@ -102,21 +102,6 @@ struct SchemaError : CodecError {
 /// mismatched epsilons/levels lengths.
 [[nodiscard]] json::Value encode_delay_profile(const e2e::DelayProfile& p);
 [[nodiscard]] e2e::DelayProfile decode_delay_profile(const json::Value& v);
-
-[[nodiscard]] json::Value encode_sweep_point(const SweepPoint& p);
-[[nodiscard]] SweepPoint decode_sweep_point(const json::Value& v);
-
-/// Top-level document ("schema", "threads", "wall_ms", "solve_ms",
-/// "stats", "points").
-[[nodiscard]] json::Value encode_sweep_report(const SweepReport& report);
-[[nodiscard]] SweepReport decode_sweep_report(const json::Value& v);
-
-/// Top-level document ("schema", "base", "axes": [{name, values}]).
-/// Axis values are the raw ones given to the *_axis calls (utilization
-/// axes keep their fractions), so decoding replays the same calls on the
-/// same base and reproduces every grid point bit-for-bit.
-[[nodiscard]] json::Value encode_sweep_grid(const SweepGrid& grid);
-[[nodiscard]] SweepGrid decode_sweep_grid(const json::Value& v);
 
 // ----- solve options and the cache key -----------------------------------
 

@@ -96,7 +96,7 @@ struct SolveService::Impl {
       : options(opts),
         workers(opts.workers > 0
                     ? opts.workers
-                    : static_cast<int>(ThreadPool::default_thread_count())),
+                    : static_cast<int>(default_thread_count())),
         faults(opts.faults) {
     if (workers < 1) workers = 1;
     shards.reserve(static_cast<std::size_t>(workers));

@@ -348,97 +348,18 @@ TEST(Codec, Fig3AndFig4BoundResultsRoundTripBitExactly) {
   expect_bit_exact(e2e::best_additive_bmux_bound(scenarios.back()));
 }
 
-TEST(Codec, SweepReportRoundTripsThroughTopLevelDocument) {
-  SweepGrid grid(fig2_scenario(100, sched::SchedulerKind::kFifo));
-  grid.cross_utilization_axis({0.2, 0.5})
-      .scheduler_axis({sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf});
-  SweepOptions options;
-  options.threads = 2;
-  const SweepReport report = SweepRunner(options).run(grid);
-
-  const SweepReport back =
-      decode_sweep_report(encode_sweep_report(report));
-  ASSERT_EQ(back.points.size(), report.points.size());
-  for (std::size_t i = 0; i < report.points.size(); ++i) {
-    EXPECT_EQ(back.points[i].bound.delay_ms, report.points[i].bound.delay_ms);
-    EXPECT_EQ(back.points[i].bound.gamma, report.points[i].bound.gamma);
-    EXPECT_EQ(back.points[i].scenario.n_cross,
-              report.points[i].scenario.n_cross);
-    EXPECT_EQ(back.points[i].ok, report.points[i].ok);
-  }
-  EXPECT_EQ(back.threads, report.threads);
-  EXPECT_EQ(back.stats.optimize_evals, report.stats.optimize_evals);
-  EXPECT_EQ(encode_solve_stats(back.stats).dump(),
-            encode_solve_stats(report.stats).dump());
-}
-
-TEST(Codec, SweepGridRoundTripReproducesEveryPoint) {
-  SweepGrid grid(fig2_scenario(100, sched::SchedulerKind::kFifo));
-  grid.hops_axis({2, 5, 10})
-      .cross_utilization_axis(SweepGrid::linspace(0.10, 0.80, 8))
-      .scheduler_axis({sched::SchedulerKind::kFifo, sched::SchedulerKind::kBmux,
-                       sched::SchedulerKind::kEdf})
-      .edf_axis({sched::EdfFactors{1.0, 10.0}, sched::EdfFactors{2.0, 4.0}});
-  const SweepGrid back = decode_sweep_grid(encode_sweep_grid(grid));
-  ASSERT_EQ(back.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const e2e::Scenario a = grid.scenario_at(i);
-    const e2e::Scenario b = back.scenario_at(i);
-    EXPECT_EQ(a.hops, b.hops);
-    EXPECT_EQ(a.n_through, b.n_through);
-    EXPECT_EQ(a.n_cross, b.n_cross);  // utilizations resolved identically
-    EXPECT_EQ(a.scheduler, b.scheduler);
-    EXPECT_EQ(a.capacity, b.capacity);
-    EXPECT_EQ(a.epsilon, b.epsilon);
-  }
-  // And the re-encoded grid is byte-identical (canonical form).
-  EXPECT_EQ(encode_sweep_grid(back).dump(), encode_sweep_grid(grid).dump());
-}
-
-TEST(Codec, SweepGridDeltaAndSpecAxesRoundTrip) {
-  // The continuous Delta axis (with infinite endpoints) and a full-spec
-  // scheduler axis (which *replaces* EDF factors instead of keeping the
-  // base's) both survive the codec, reproducing every point and the
-  // axis flavor: a replayed kind axis must still compose with the base
-  // factors, a replayed spec axis must not.
-  e2e::Scenario base = fig2_scenario(100, sched::SchedulerKind::kFifo);
-  base.scheduler.set_edf_factors(sched::EdfFactors{3.0, 7.0});
-  SweepGrid grid(base);
-  grid.delta_axis({0.0, 2.5, kInf});
-  const SweepGrid back = decode_sweep_grid(encode_sweep_grid(grid));
-  ASSERT_EQ(back.size(), 3u);
-  EXPECT_EQ(back.scenario_at(1).scheduler,
-            sched::SchedulerSpec::fixed_delta(2.5));
-  EXPECT_EQ(back.scenario_at(2).scheduler,
-            sched::SchedulerSpec::fixed_delta(kInf));
-  EXPECT_EQ(encode_sweep_grid(back).dump(), encode_sweep_grid(grid).dump());
-
-  SweepGrid specs(base);
-  specs.scheduler_axis(std::vector<sched::SchedulerSpec>{
-      sched::SchedulerSpec::edf(1.0, 2.0),
-      sched::SchedulerSpec::fixed_delta(-kInf)});
-  const SweepGrid specs_back = decode_sweep_grid(encode_sweep_grid(specs));
-  ASSERT_EQ(specs_back.size(), 2u);
-  // Full replacement: the axis's own factors win over the base's.
-  EXPECT_EQ(specs_back.scenario_at(0).scheduler,
-            sched::SchedulerSpec::edf(1.0, 2.0));
-  EXPECT_EQ(specs_back.scenario_at(1).scheduler,
-            sched::SchedulerSpec::fixed_delta(-kInf));
-  EXPECT_EQ(encode_sweep_grid(specs_back).dump(),
-            encode_sweep_grid(specs).dump());
-
-  // Kind axis: replayed values keep the base's EDF factors.
-  SweepGrid kinds(base);
-  kinds.scheduler_axis({sched::SchedulerKind::kEdf, sched::SchedulerKind::kBmux});
-  const SweepGrid kinds_back = decode_sweep_grid(encode_sweep_grid(kinds));
-  EXPECT_EQ(kinds_back.scenario_at(0).scheduler,
-            sched::SchedulerSpec::edf(3.0, 7.0));
-}
-
 TEST(Codec, SchemaIsRequiredAndChecked) {
-  Value report = encode_sweep_report(SweepReport{});
-  report.set("schema", Value::number(999.0));
-  EXPECT_THROW((void)decode_sweep_report(report), SchemaError);
+  // A batch request document, as --emit-batch writes it: accepted at the
+  // supported schema, rejected at any other.
+  Value request = Value::object();
+  request.set("schema", Value::number(kSchemaVersion))
+      .set("id", Value::number(0.0))
+      .set("scenario",
+           encode_scenario(fig2_scenario(100, sched::SchedulerKind::kFifo)))
+      .set("options", encode_solve_options(SolveOptions{}));
+  EXPECT_NO_THROW(require_schema(request));
+  request.set("schema", Value::number(999.0));
+  EXPECT_THROW(require_schema(request), SchemaError);
   EXPECT_THROW(require_schema(Value::object()), SchemaError);
   EXPECT_THROW(require_schema(Value::number(1.0)), SchemaError);
 }

@@ -1,19 +1,26 @@
-// The parallel sweep engine (core/sweep.h) and its thread pool
+// The parallel sweep engine (core/sweep.h) and its fan-out primitive
 // (core/thread_pool.h): grid enumeration order, 1-thread vs N-thread
-// determinism, unstable/failing-point isolation, progress-callback
-// contract, and degenerate (empty / single-point) grids.
+// determinism, the one chain executor's warm/cold contracts,
+// unstable/failing-point isolation, progress-callback contract, and
+// degenerate (empty / single-point) grids.
 #include "core/sweep.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <mutex>
+#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario.h"
@@ -126,10 +133,10 @@ TEST(SweepGridTest, DeltaAxisMakesExplicitFixedDeltaSchedulers) {
             sched::SchedulerSpec::fixed_delta(inf));
   EXPECT_EQ(grid.scenario_at(3).scheduler,
             sched::SchedulerSpec::fixed_delta(-inf));
-  // The raw values are recorded for the codec under the "delta" name.
+  // A numeric axis under the "delta" name: warm chains may follow it.
   ASSERT_EQ(grid.axes(), 1u);
   EXPECT_EQ(grid.axis_name(0), "delta");
-  EXPECT_EQ(grid.axis_spec(0).numeric.size(), 4u);
+  EXPECT_TRUE(grid.axis_numeric(0));
 }
 
 TEST(SweepGridTest, CurveBackedSchedulerAxisCarriesTheFullSpec) {
@@ -156,6 +163,30 @@ TEST(SweepGridTest, CurveBackedSchedulerAxisCarriesTheFullSpec) {
     EXPECT_TRUE(std::isfinite(p.bound.delay_ms));
     EXPECT_TRUE(std::isnan(p.bound.delta));
   }
+}
+
+TEST(SweepGridTest, KindAxisKeepsBaseEdfFactorsAndSpecAxisReplacesThem) {
+  // The two scheduler-axis flavors differ exactly in the EDF factors: a
+  // kind axis re-assigns the kind over the base's factors (composing
+  // with --edf-own/--edf-cross), a spec axis replaces the identity.
+  const double inf = std::numeric_limits<double>::infinity();
+  e2e::Scenario base;
+  base.scheduler.set_edf_factors(sched::EdfFactors{3.0, 7.0});
+
+  SweepGrid kinds(base);
+  kinds.scheduler_axis({sched::SchedulerKind::kEdf, sched::SchedulerKind::kBmux});
+  EXPECT_FALSE(kinds.axis_numeric(0));
+  EXPECT_EQ(kinds.scenario_at(0).scheduler, sched::SchedulerSpec::edf(3.0, 7.0));
+  EXPECT_EQ(kinds.scenario_at(1).scheduler.kind(), sched::SchedulerKind::kBmux);
+
+  SweepGrid specs(base);
+  specs.scheduler_axis(std::vector<sched::SchedulerSpec>{
+      sched::SchedulerSpec::edf(1.0, 2.0),
+      sched::SchedulerSpec::fixed_delta(-inf)});
+  EXPECT_FALSE(specs.axis_numeric(0));
+  EXPECT_EQ(specs.scenario_at(0).scheduler, sched::SchedulerSpec::edf(1.0, 2.0));
+  EXPECT_EQ(specs.scenario_at(1).scheduler,
+            sched::SchedulerSpec::fixed_delta(-inf));
 }
 
 TEST(SweepRunnerTest, OneThreadAndEightThreadsAreBitIdentical) {
@@ -207,7 +238,7 @@ TEST(SweepRunnerTest, Fig2GridIsBitIdenticalAcrossThreadCounts) {
   SweepOptions serial;
   serial.threads = 1;
   SweepOptions parallel;  // whatever this machine offers
-  parallel.threads = static_cast<int>(ThreadPool::default_thread_count());
+  parallel.threads = static_cast<int>(default_thread_count());
   const SweepReport a = SweepRunner(serial).run(grid);
   const SweepReport b = SweepRunner(parallel).run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -296,7 +327,7 @@ TEST(SweepRunnerTest, ThrowingSolverIsCapturedPerPoint) {
   }
 }
 
-TEST(SweepRunnerTest, PerKindCountsSurviveTheThreadPool) {
+TEST(SweepRunnerTest, PerKindCountsSurviveParallelWorkers) {
   // A list mixing healthy, unstable, invalid, and throwing-solver points,
   // solved on several threads: counts_by_kind() must classify each point
   // independently of which worker handled it.
@@ -429,6 +460,81 @@ TEST(SweepRunnerTest, ExplicitScenarioListKeepsListOrder) {
   EXPECT_EQ(report.points[0].scenario.hops, 1);
   EXPECT_EQ(report.points[1].scenario.hops, 4);
   EXPECT_EQ(report.points[2].scenario.hops, 2);
+}
+
+/// Bitwise equality of two solved points, profiles included.
+void expect_same_bits(const SweepPoint& a, const SweepPoint& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.error, b.error);
+  const auto same = [](const e2e::BoundResult& x, const e2e::BoundResult& y) {
+    EXPECT_EQ(std::memcmp(&x.delay_ms, &y.delay_ms, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&x.gamma, &y.gamma, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&x.s, &y.s, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&x.sigma, &y.sigma, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&x.delta, &y.delta, sizeof(double)), 0);
+    EXPECT_EQ(x.stats.optimize_evals, y.stats.optimize_evals);
+    EXPECT_EQ(x.stats.warm_start_hits, y.stats.warm_start_hits);
+  };
+  same(a.bound, b.bound);
+  ASSERT_EQ(a.profile == nullptr, b.profile == nullptr);
+  if (a.profile == nullptr) return;
+  ASSERT_EQ(a.profile->levels.size(), b.profile->levels.size());
+  for (std::size_t k = 0; k < a.profile->levels.size(); ++k) {
+    same(a.profile->levels[k], b.profile->levels[k]);
+  }
+  EXPECT_EQ(a.profile->stats.profile_chain_hits,
+            b.profile->stats.profile_chain_hits);
+}
+
+TEST(SweepRunnerTest, WarmGridWithoutNumericAxisIsBitIdenticalToCold) {
+  // Scheduler and EDF axes never chain (an EDF fixed point must not be
+  // seeded from a FIFO optimum), so a kWarm grid made of them alone runs
+  // chains of one under a kCold solver: the same bits as kCold,
+  // profiles included.
+  e2e::Scenario base;
+  base.epsilon = 1e-6;
+  SweepGrid grid(base);
+  grid.scheduler_axis({sched::SchedulerKind::kEdf, sched::SchedulerKind::kFifo,
+                       sched::SchedulerKind::kBmux})
+      .edf_axis({sched::EdfFactors{1.0, 10.0}, sched::EdfFactors{2.0, 4.0}});
+  SweepOptions warm;
+  warm.threads = 3;
+  warm.profile_epsilons = {1e-3, 1e-8};
+  SweepOptions cold = warm;
+  cold.warm_start = e2e::WarmStart::kCold;
+  const SweepReport a = SweepRunner(warm).run(grid);
+  const SweepReport b = SweepRunner(cold).run(grid);
+  ASSERT_EQ(a.points.size(), 6u);
+  ASSERT_EQ(b.points.size(), 6u);
+  EXPECT_EQ(a.threads, b.threads);
+  EXPECT_EQ(a.stats.warm_start_hits, 0);
+  EXPECT_EQ(a.stats.profile_chain_hits, 0);
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_NE(a.points[i].profile, nullptr);
+    expect_same_bits(a.points[i], b.points[i]);
+  }
+}
+
+TEST(SweepRunnerTest, ScenarioListEqualsColdGrid) {
+  // run(span) is the cold executor over the list: bit-identical to
+  // run(grid) under kCold on the same scenarios, in the same order.
+  const SweepGrid grid = small_grid();
+  SweepOptions opts;
+  opts.threads = 4;
+  opts.warm_start = e2e::WarmStart::kCold;
+  const SweepReport from_grid = SweepRunner(opts).run(grid);
+  const std::vector<e2e::Scenario> list = grid.scenarios();
+  opts.warm_start = e2e::WarmStart::kWarm;  // ignored for a list
+  const SweepReport from_list =
+      SweepRunner(opts).run(std::span<const e2e::Scenario>(list));
+  ASSERT_EQ(from_list.points.size(), from_grid.points.size());
+  EXPECT_EQ(from_list.threads, from_grid.threads);
+  EXPECT_EQ(from_list.stats.optimize_evals, from_grid.stats.optimize_evals);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same_bits(from_list.points[i], from_grid.points[i]);
+  }
 }
 
 TEST(SweepRunnerTest, ThreadResolutionClampsToTaskCount) {
@@ -630,60 +736,95 @@ TEST(SweepReportTest, TimingFieldsArePopulated) {
   for (const SweepPoint& p : report.points) EXPECT_GE(p.solve_ms, 0.0);
 }
 
-TEST(SchedulerNameTest, RoundTripsAllSchedulers) {
-  for (sched::SchedulerKind s :
-       {sched::SchedulerKind::kFifo, sched::SchedulerKind::kBmux, sched::SchedulerKind::kSpHigh,
-        sched::SchedulerKind::kEdf}) {
-    sched::SchedulerKind parsed{};
-    ASSERT_TRUE(scheduler_from_name(scheduler_name(s), parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  sched::SchedulerKind unused{};
-  EXPECT_FALSE(scheduler_from_name("wfq", unused));
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasksAndIsReusable) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-  for (int i = 0; i < 50; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 150);
-}
-
-TEST(ThreadPoolTest, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvOverride) {
+TEST(ThreadCountTest, DefaultThreadCountHonorsEnvOverride) {
   ::setenv("DELTANC_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::default_thread_count(), 3u);
+  EXPECT_EQ(default_thread_count(), 3u);
   ::setenv("DELTANC_THREADS", "not-a-number", 1);
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+  EXPECT_GE(default_thread_count(), 1u);
   ::unsetenv("DELTANC_THREADS");
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+  EXPECT_GE(default_thread_count(), 1u);
 }
 
-TEST(ThreadPoolTest, DefaultThreadCountRejectsTrailingGarbage) {
+TEST(ThreadCountTest, DefaultThreadCountRejectsTrailingGarbage) {
   // strtol would happily parse "5x" as 5; the override must instead be
   // ignored unless the whole value is a positive integer.
   const unsigned hw_fallback = [] {
     ::unsetenv("DELTANC_THREADS");
-    return ThreadPool::default_thread_count();
+    return default_thread_count();
   }();
   for (const char* bad : {"5x", "2 threads", "1.5", "+", "-3", "0", ""}) {
     SCOPED_TRACE(bad);
     ::setenv("DELTANC_THREADS", bad, 1);
-    EXPECT_EQ(ThreadPool::default_thread_count(), hw_fallback);
+    EXPECT_EQ(default_thread_count(), hw_fallback);
   }
   ::setenv("DELTANC_THREADS", "7", 1);
-  EXPECT_EQ(ThreadPool::default_thread_count(), 7u);
+  EXPECT_EQ(default_thread_count(), 7u);
   ::unsetenv("DELTANC_THREADS");
+}
+
+TEST(ThreadCountTest, ResolveThreadsClampsToTaskCountAndNeverBelowOne) {
+  EXPECT_EQ(resolve_threads(8, 3), 3u);
+  EXPECT_EQ(resolve_threads(2, 100), 2u);
+  EXPECT_EQ(resolve_threads(5, 0), 1u);
+  ::setenv("DELTANC_THREADS", "6", 1);
+  EXPECT_EQ(resolve_threads(0, 100), 6u);  // 0 = default_thread_count()
+  EXPECT_EQ(resolve_threads(0, 4), 4u);
+  ::unsetenv("DELTANC_THREADS");
+}
+
+TEST(ParallelForTest, RunsEachIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 7u, 100u}) {
+    for (const unsigned threads : {1u, 3u, 8u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      std::vector<std::atomic<int>> calls(n);
+      parallel_for(n, threads, [&](std::size_t i) {
+        calls[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(calls[i].load(), 1) << i;
+    }
+  }
+}
+
+TEST(ParallelForTest, NeverUsesMoreThreadsThanTasks) {
+  for (const std::size_t n : {1u, 2u, 5u}) {
+    SCOPED_TRACE(n);
+    std::mutex mu;
+    std::set<std::thread::id> seen;
+    parallel_for(n, 8, [&](std::size_t) {
+      // Long enough that idle workers would get to claim something.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const std::lock_guard<std::mutex> lock(mu);
+      seen.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(seen.size(), 1u);
+    EXPECT_LE(seen.size(), n);
+  }
+  // One worker is the calling thread itself.
+  std::set<std::thread::id> serial;
+  parallel_for(50, 1, [&](std::size_t) {
+    serial.insert(std::this_thread::get_id());
+  });
+  ASSERT_EQ(serial.size(), 1u);
+  EXPECT_EQ(*serial.begin(), std::this_thread::get_id());
+}
+
+TEST(ParallelForTest, ProgressArrivesInOrderUnderEightThreads) {
+  constexpr std::size_t kTasks = 100;
+  std::vector<std::size_t> seen;
+  ProgressCounter progress(
+      [&](std::size_t done, std::size_t total) {
+        EXPECT_EQ(total, kTasks);
+        seen.push_back(done);  // serialized by the counter
+      },
+      kTasks);
+  parallel_for(kTasks, 8, [&](std::size_t) { progress.tick(); });
+  ASSERT_EQ(seen.size(), kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(seen[i], i + 1);
+
+  // No callback: tick() is a no-op.
+  ProgressCounter silent({}, kTasks);
+  parallel_for(kTasks, 8, [&](std::size_t) { silent.tick(); });
 }
 
 }  // namespace

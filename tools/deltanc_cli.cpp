@@ -28,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -183,6 +184,37 @@ double parse_double(const char* value, const char* flag) {
   return parsed;
 }
 
+/// The strict integer rule of every integer flag: `v` must have no
+/// fractional part and lie in [min, the largest Int].  "--hops 2.5" or
+/// "--threads 1e10" is a usage error, never a silent truncation or an
+/// out-of-range cast.
+template <typename Int>
+Int checked_int(double v, const char* flag, Int min) {
+  // max + 1 is a power of two, exact as a double even where max is not.
+  const double above_max =
+      static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
+  if (v != std::floor(v) || v < static_cast<double>(min) ||
+      !(v < above_max)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%.17g", v);
+    const std::string max = std::to_string(std::numeric_limits<Int>::max());
+    usage_error(std::string("bad integer value for ") + flag + " (got " +
+                got + "; want a whole number " +
+                (min == std::numeric_limits<Int>::min()
+                     ? "<= " + max
+                     : "in [" + std::to_string(min) + ", " + max + "]") +
+                ")");
+  }
+  return static_cast<Int>(v);
+}
+
+/// An integer flag value: parse_double's grammar, then checked_int.
+template <typename Int>
+Int parse_int(const char* value, const char* flag,
+              Int min = std::numeric_limits<Int>::min()) {
+  return checked_int(parse_double(value, flag), flag, min);
+}
+
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -198,19 +230,20 @@ std::vector<std::string> split(const std::string& s, char sep) {
 /// A scheduler axis of bare kind names replays through the kind overload
 /// (keeping the base's --edf-own/--edf-cross factors, the historical
 /// behavior); one containing a "delta:<v>" spec replaces specs wholesale.
-struct SweepAxisSpec {
+struct SweepFlag {
   std::string axis;
   std::vector<double> numeric;
+  std::vector<int> hops;  ///< the hops axis's values, checked integers
   std::vector<sched::SchedulerKind> scheduler_kinds;
   std::vector<sched::SchedulerSpec> schedulers;
 };
 
-SweepAxisSpec parse_sweep_spec(const std::string& spec) {
+SweepFlag parse_sweep_spec(const std::string& spec) {
   const std::size_t eq = spec.find('=');
   if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
     usage_error("bad --sweep spec '" + spec + "' (want axis=values)");
   }
-  SweepAxisSpec out;
+  SweepFlag out;
   out.axis = spec.substr(0, eq);
   const std::string values = spec.substr(eq + 1);
 
@@ -224,7 +257,9 @@ SweepAxisSpec parse_sweep_spec(const std::string& spec) {
     bool kinds_only = true;
     for (const sched::SchedulerSpec& s : out.schedulers) {
       sched::SchedulerKind k{};
-      kinds_only = kinds_only && scheduler_from_name(sched::to_string(s), k);
+      kinds_only = kinds_only &&
+                   sched::scheduler_kind_from_name(sched::to_string(s), k) &&
+                   k != sched::SchedulerKind::kDelta;
       if (kinds_only) out.scheduler_kinds.push_back(k);
     }
     if (!kinds_only) out.scheduler_kinds.clear();
@@ -242,20 +277,24 @@ SweepAxisSpec parse_sweep_spec(const std::string& spec) {
     }
     const double lo = parse_double(parts[0].c_str(), "--sweep");
     const double hi = parse_double(parts[1].c_str(), "--sweep");
-    const double steps = parse_double(parts[2].c_str(), "--sweep");
-    if (steps < 1 || steps != std::floor(steps)) {
-      usage_error("--sweep steps must be a positive integer");
-    }
-    out.numeric = SweepGrid::linspace(lo, hi, static_cast<int>(steps));
+    const int steps = parse_int(parts[2].c_str(), "--sweep steps", 1);
+    out.numeric = SweepGrid::linspace(lo, hi, steps);
   } else {
     for (const std::string& v : split(values, ',')) {
       out.numeric.push_back(parse_double(v.c_str(), "--sweep"));
     }
   }
+  if (out.axis == "hops") {
+    // Every hops value -- listed, or produced by the range -- is a path
+    // length: a fraction is an error, not a rounding.
+    for (double v : out.numeric) {
+      out.hops.push_back(checked_int(v, "--sweep hops", 1));
+    }
+  }
   return out;
 }
 
-void apply_axis(SweepGrid& grid, const SweepAxisSpec& spec) {
+void apply_axis(SweepGrid& grid, const SweepFlag& spec) {
   if (spec.axis == "scheduler") {
     if (!spec.scheduler_kinds.empty()) {
       grid.scheduler_axis(spec.scheduler_kinds);
@@ -265,11 +304,7 @@ void apply_axis(SweepGrid& grid, const SweepAxisSpec& spec) {
   } else if (spec.axis == "delta") {
     grid.delta_axis(spec.numeric);
   } else if (spec.axis == "hops") {
-    std::vector<int> hops;
-    for (double v : spec.numeric) {
-      hops.push_back(static_cast<int>(std::lround(v)));
-    }
-    grid.hops_axis(hops);
+    grid.hops_axis(spec.hops);
   } else if (spec.axis == "u0") {
     grid.through_utilization_axis(spec.numeric);
   } else if (spec.axis == "uc") {
@@ -288,7 +323,7 @@ void print_scenario(const e2e::Scenario& sc, std::FILE* out = stdout) {
                "scenario: C = %.1f Mbps, H = %d, scheduler = %s, "
                "N0 = %d (U0 = %.1f%%), Nc = %d (Uc = %.1f%%), "
                "U = %.1f%%, eps = %g",
-               sc.capacity, sc.hops, scheduler_name(sc.scheduler).c_str(),
+               sc.capacity, sc.hops, sched::to_string(sc.scheduler).c_str(),
                sc.n_through, 100.0 * u0, sc.n_cross, 100.0 * uc,
                100.0 * sc.utilization(), sc.epsilon);
   if (sc.scheduler == sched::SchedulerKind::kEdf) {
@@ -328,14 +363,10 @@ std::vector<double> parse_ccdf_spec(const std::string& spec) {
   }
   const double lo = parse_double(parts[0].c_str(), "--ccdf");
   const double hi = parse_double(parts[1].c_str(), "--ccdf");
-  const double points = parse_double(parts[2].c_str(), "--ccdf");
+  const int n = parse_int(parts[2].c_str(), "--ccdf points", 1);
   if (!(lo > 0.0) || !(lo < 1.0) || !(hi > 0.0) || !(hi < 1.0)) {
     usage_error("--ccdf epsilons must be in (0, 1)");
   }
-  if (points < 1 || points != std::floor(points)) {
-    usage_error("--ccdf points must be a positive integer");
-  }
-  const int n = static_cast<int>(points);
   std::vector<double> eps;
   eps.reserve(static_cast<std::size_t>(n));
   if (n == 1) {
@@ -647,7 +678,7 @@ int main(int argc, char** argv) {
   std::string cache_dir;
   std::vector<double> ccdf_epsilons;
   ServeCliOptions serve_cli;
-  std::vector<SweepAxisSpec> sweep_axes;
+  std::vector<SweepFlag> sweep_axes;
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -658,11 +689,11 @@ int main(int argc, char** argv) {
     if (flag == "--capacity") {
       builder.capacity_mbps(parse_double(next(), "--capacity"));
     } else if (flag == "--hops") {
-      builder.hops(static_cast<int>(parse_double(next(), "--hops")));
+      builder.hops(parse_int<int>(next(), "--hops"));
     } else if (flag == "--n0") {
-      builder.through_flows(static_cast<int>(parse_double(next(), "--n0")));
+      builder.through_flows(parse_int<int>(next(), "--n0"));
     } else if (flag == "--nc") {
-      builder.cross_flows(static_cast<int>(parse_double(next(), "--nc")));
+      builder.cross_flows(parse_int<int>(next(), "--nc"));
     } else if (flag == "--u0") {
       builder.through_utilization(parse_double(next(), "--u0"));
     } else if (flag == "--uc") {
@@ -676,7 +707,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--scheduler") {
       const std::string name = next();
       sched::SchedulerSpec s;
-      if (!scheduler_from_name(name, s)) {
+      if (!sched::parse_scheduler(name, s)) {
         usage_error("unknown scheduler '" + name + "'");
       }
       builder.scheduler(s);
@@ -699,11 +730,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--csv") {
       csv_only = true;
     } else if (flag == "--simulate") {
-      simulate_slots =
-          static_cast<long long>(parse_double(next(), "--simulate"));
+      simulate_slots = parse_int<long long>(next(), "--simulate", 0);
     } else if (flag == "--threads") {
-      threads = static_cast<int>(parse_double(next(), "--threads"));
-      if (threads < 1) usage_error("--threads must be >= 1");
+      threads = parse_int(next(), "--threads", 1);
     } else if (flag == "--warm-start") {
       const std::string policy = next();
       if (policy == "warm") {
@@ -729,17 +758,13 @@ int main(int argc, char** argv) {
     } else if (flag == "--serve") {
       serve_cli.socket_path = next();
     } else if (flag == "--serve-workers") {
-      serve_cli.workers =
-          static_cast<int>(parse_double(next(), "--serve-workers"));
-      if (serve_cli.workers < 1) usage_error("--serve-workers must be >= 1");
+      serve_cli.workers = parse_int(next(), "--serve-workers", 1);
     } else if (flag == "--serve-queue") {
-      const double depth = parse_double(next(), "--serve-queue");
-      if (depth < 1) usage_error("--serve-queue must be >= 1");
-      serve_cli.queue_depth = static_cast<std::size_t>(depth);
+      serve_cli.queue_depth =
+          parse_int<std::size_t>(next(), "--serve-queue", 1);
     } else if (flag == "--serve-memory") {
-      const double entries = parse_double(next(), "--serve-memory");
-      if (entries < 0) usage_error("--serve-memory must be >= 0");
-      serve_cli.memory_entries = static_cast<std::size_t>(entries);
+      serve_cli.memory_entries =
+          parse_int<std::size_t>(next(), "--serve-memory", 0);
     } else if (flag == "--deadline-ms") {
       serve_cli.deadline_ms = parse_double(next(), "--deadline-ms");
       if (serve_cli.deadline_ms <= 0) {
@@ -795,7 +820,7 @@ int main(int argc, char** argv) {
                   "--report / --additive / --simulate / --csv");
     }
     SweepGrid grid(scenario);
-    for (const SweepAxisSpec& spec : sweep_axes) apply_axis(grid, spec);
+    for (const SweepFlag& spec : sweep_axes) apply_axis(grid, spec);
     return run_emit_batch(grid, method, ccdf_epsilons);
   }
 
@@ -811,7 +836,7 @@ int main(int argc, char** argv) {
     SelfCheckReport report;
     if (!sweep_axes.empty()) {
       SweepGrid grid(scenario);
-      for (const SweepAxisSpec& spec : sweep_axes) apply_axis(grid, spec);
+      for (const SweepFlag& spec : sweep_axes) apply_axis(grid, spec);
       std::printf("self-check: sweep grid, %zu scenarios\n", grid.size());
       report = self_check(grid, options);
     } else if (scenario.scheduler.is_curve_backed()) {
@@ -836,7 +861,7 @@ int main(int argc, char** argv) {
                   "--simulate");
     }
     SweepGrid grid(scenario);
-    for (const SweepAxisSpec& spec : sweep_axes) apply_axis(grid, spec);
+    for (const SweepFlag& spec : sweep_axes) apply_axis(grid, spec);
 
     // Narration always goes to stderr so `--csv` (and plain sweeps piped
     // somewhere) keep stdout machine-parseable.
