@@ -41,12 +41,10 @@ enum class SolveErrorKind {
   // though the solver itself is healthy.
   kTimeout,           ///< a per-request deadline expired before the answer
   kOverload,          ///< rejected by backpressure (bounded queue was full)
-  kWorkerLost,        ///< the worker died mid-request; retries exhausted
-  kCacheStoreFailed,  ///< a cache store failed (full disk); solved through
 };
 
 /// Number of distinct SolveErrorKind values (for per-kind count arrays).
-inline constexpr std::size_t kSolveErrorKinds = 10;
+inline constexpr std::size_t kSolveErrorKinds = 8;
 
 /// Stable machine-friendly name ("invalid-scenario", "unstable", ...).
 [[nodiscard]] constexpr const char* solve_error_name(SolveErrorKind kind) {
@@ -67,10 +65,6 @@ inline constexpr std::size_t kSolveErrorKinds = 10;
       return "timeout";
     case SolveErrorKind::kOverload:
       return "overload";
-    case SolveErrorKind::kWorkerLost:
-      return "worker-lost";
-    case SolveErrorKind::kCacheStoreFailed:
-      return "cache-store-failed";
   }
   return "?";
 }

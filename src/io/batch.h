@@ -192,8 +192,8 @@ void apply_cache_outcome(Answer& answer, CacheLookup outcome,
 
 /// The error response document ({"schema", "id", "ok": false, "error",
 /// ["kind"]}); `kind` (diag::solve_error_name) is emitted by the serve
-/// layer for classified service failures (timeout/overload/worker-lost)
-/// and omitted (kNone) for plain parse errors, matching run_batch.
+/// layer for classified service failures (timeout/overload) and omitted
+/// (kNone) for plain parse errors, matching run_batch.
 [[nodiscard]] json::Value make_error_response(
     const json::Value& id, const std::string& error,
     diag::SolveErrorKind kind = diag::SolveErrorKind::kNone);

@@ -1,9 +1,7 @@
 // Bounded MPMC queue -- the backpressure primitive of the solve
-// service.  Admission uses try_push (fails when the queue is full, so
-// overload becomes an explicit response instead of unbounded memory
-// growth); supervisor requeues of in-flight requests from a lost worker
-// use push_front, which ignores the capacity bound: a request the
-// service already accepted must never be bounced back as overload.
+// service.  Admission uses try_push, which fails when the queue is
+// full, so overload becomes an explicit response instead of unbounded
+// memory growth.
 //
 // close() wakes all poppers; pop() then drains what remains and returns
 // nullopt, which is the workers' shutdown signal.
@@ -34,19 +32,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Requeue path: jumps the line and ignores the capacity bound (an
-  /// accepted request is never re-bounced as overload).  False only
-  /// after close().
-  bool push_front(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return false;
-      items_.push_front(std::move(item));
-    }
-    ready_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item arrives or the queue is closed *and* drained;
   /// nullopt is the shutdown signal.
   std::optional<T> pop() {
@@ -66,16 +51,9 @@ class BoundedQueue {
     ready_.notify_all();
   }
 
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  [[nodiscard]] bool empty() const { return size() == 0; }
-
  private:
   const std::size_t capacity_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable ready_;
   std::deque<T> items_;
   bool closed_ = false;

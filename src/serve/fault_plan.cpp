@@ -25,8 +25,8 @@ bool parse_number(const std::string& text, double& out) {
   return sched::parse_strict_double(text, out);
 }
 
-bool parse_count(const std::string& text, double min, double& out) {
-  return parse_number(text, out) && out >= min && out == std::floor(out) &&
+bool parse_count(const std::string& text, double& out) {
+  return parse_number(text, out) && out >= 0 && out == std::floor(out) &&
          out <= 1e9;
 }
 
@@ -44,10 +44,6 @@ std::string format_number(double v) {
 bool FaultPlan::parse(const std::string& spec, FaultPlan& out,
                       std::string& error) {
   FaultPlan plan;
-  if (spec.empty()) {
-    out = plan;
-    return true;
-  }
   for (const std::string& entry : split(spec, ';')) {
     if (entry.empty()) continue;
     const std::vector<std::string> parts = split(entry, ':');
@@ -56,20 +52,12 @@ bool FaultPlan::parse(const std::string& spec, FaultPlan& out,
     if (head == "delay" && parts.size() == 3 &&
         parse_number(parts[1], a) && parse_number(parts[2], b) && b >= 0) {
       plan.delays.push_back(Delay{a, b});
-    } else if (head == "kill" && parts.size() == 3 &&
-               parse_count(parts[1], 0, a) && parse_count(parts[2], 1, b)) {
-      plan.kills.push_back(Kill{static_cast<int>(a),
-                                static_cast<std::uint64_t>(b)});
     } else if (head == "store-fail" && parts.size() == 2 &&
-               parse_count(parts[1], 0, a)) {
+               parse_count(parts[1], a)) {
       plan.store_failures += static_cast<int>(a);
-    } else if (head == "load-corrupt" && parts.size() == 2 &&
-               parse_count(parts[1], 0, a)) {
-      plan.load_corrupts += static_cast<int>(a);
     } else {
       error = "bad fault entry '" + entry +
-              "' (want delay:<id>:<ms>, kill:<worker>:<k>, store-fail:<n>, "
-              "or load-corrupt:<n>)";
+              "' (want delay:<id>:<ms> or store-fail:<n>)";
       return false;
     }
   }
@@ -83,46 +71,21 @@ std::string FaultPlan::to_string() const {
     if (!out.empty()) out += ';';
     out += entry;
   };
-  for (const Kill& k : kills) {
-    append("kill:" + std::to_string(k.worker) + ":" + std::to_string(k.at));
-  }
   for (const Delay& d : delays) {
     append("delay:" + format_number(d.id) + ":" + format_number(d.ms));
   }
   if (store_failures > 0) {
     append("store-fail:" + std::to_string(store_failures));
   }
-  if (load_corrupts > 0) {
-    append("load-corrupt:" + std::to_string(load_corrupts));
-  }
   return out;
 }
 
-double FaultClock::delay_ms_for(double id) const {
+double FaultPlan::delay_ms_for(double id) const {
   double total = 0.0;
-  for (const FaultPlan::Delay& d : plan_.delays) {
+  for (const Delay& d : delays) {
     if (d.id == id) total += d.ms;
   }
   return total;
-}
-
-bool FaultClock::should_kill(int worker, std::uint64_t handled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < plan_.kills.size(); ++i) {
-    const FaultPlan::Kill& k = plan_.kills[i];
-    if (!kill_fired_[i] && k.worker == worker && k.at == handled) {
-      kill_fired_[i] = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultClock::corrupt_next_load() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (load_corrupt_budget_ <= 0) return false;
-  --load_corrupt_budget_;
-  return true;
 }
 
 }  // namespace deltanc::serve

@@ -1,37 +1,28 @@
 // Deterministic fault injection for the persistent solve service.
 //
-// Every robustness path of serve::SolveService -- slow solves tripping
-// the per-request deadline, a worker dying mid-request, cache stores
-// failing on a full disk, cache loads reading corrupt bytes -- must be
-// reachable on demand in CI, not only when the hardware misbehaves.  A
-// FaultPlan is a small parsed script of such faults, armed from the
-// `--fault-plan` CLI flag or the DELTANC_FAULT_PLAN environment
-// variable and consumed exactly once per entry, so a test run replays
-// the same failure sequence every time.
+// The robustness paths of serve::SolveService that a healthy machine
+// rarely takes -- slow solves tripping the per-request deadline, cache
+// stores failing on a full disk -- must be reachable on demand in CI,
+// not only when the hardware misbehaves.  A FaultPlan is a small parsed
+// script of such faults, armed from the `--fault-plan` CLI flag, so a
+// test run replays the same failure sequence every time.  (A corrupt
+// cache entry needs no injection: tests corrupt the bytes on disk.)
 //
 // Grammar (semicolon-separated entries):
 //   delay:<id>:<ms>    solving the request whose numeric "id" equals
 //                      <id> sleeps <ms> ms first (before the cache
 //                      lookup, so even a warm hit can exceed a
 //                      deadline)
-//   kill:<w>:<k>       worker <w> crashes when it dequeues its <k>-th
-//                      request (1-based, counted per incumbent: a
-//                      respawned worker starts a fresh count); one-shot
-//   store-fail:<n>     the next <n> disk-cache stores fail per shard
+//   store-fail:<n>     the first <n> disk-cache stores fail per shard
 //                      (full-disk simulation via
 //                      ResultCache::fail_next_stores)
-//   load-corrupt:<n>   the next <n> disk-cache lookups classify their
-//                      entry as corrupt (re-solve + recovery warning)
 //
-// Example: "kill:0:3;delay:7:2000;store-fail:1"
+// Example: "delay:7:2000;store-fail:1"
 //
-// The plan itself is immutable after parse; the consumed-state
-// bookkeeping (which kills fired, how much budget remains) lives in
-// serve::FaultClock, which is what the service threads share.
+// The plan is immutable after parse, so the service threads share it
+// without locking.
 #pragma once
 
-#include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,19 +34,12 @@ struct FaultPlan {
     double id = 0.0;   ///< matches the request's numeric "id"
     double ms = 0.0;   ///< sleep duration
   };
-  struct Kill {
-    int worker = 0;        ///< worker (= cache shard) index
-    std::uint64_t at = 0;  ///< 1-based dequeue count that triggers it
-  };
 
   std::vector<Delay> delays;
-  std::vector<Kill> kills;
   int store_failures = 0;  ///< per-shard budget of failing stores
-  int load_corrupts = 0;   ///< budget of lookups forced to kCorrupt
 
   [[nodiscard]] bool empty() const noexcept {
-    return delays.empty() && kills.empty() && store_failures == 0 &&
-           load_corrupts == 0;
+    return delays.empty() && store_failures == 0;
   }
 
   /// Parses the grammar above.  Returns false (with `error` naming the
@@ -66,44 +50,10 @@ struct FaultPlan {
 
   /// Canonical round-trip spelling of the plan ("" when empty).
   [[nodiscard]] std::string to_string() const;
-};
-
-/// Thread-safe consumption of a FaultPlan: the service asks "does a
-/// fault fire here?" and each armed entry fires at most once (kills) or
-/// until its budget drains (store/load faults).
-class FaultClock {
- public:
-  FaultClock() = default;
-  explicit FaultClock(FaultPlan plan) : plan_(std::move(plan)) {
-    kill_fired_.assign(plan_.kills.size(), false);
-    load_corrupt_budget_ = plan_.load_corrupts;
-  }
 
   /// Sleep (ms) injected before handling the request with numeric id
-  /// `id`; 0 when none.  Delays are not consumed: a requeued request is
-  /// delayed again, which is what keeps retry tests deterministic.
+  /// `id`: the sum of its delay entries, 0 when none.
   [[nodiscard]] double delay_ms_for(double id) const;
-
-  /// True exactly once when worker `worker`'s `handled`-th dequeue
-  /// matches an armed kill entry.
-  [[nodiscard]] bool should_kill(int worker, std::uint64_t handled);
-
-  /// True while the load-corrupt budget lasts (consumes one unit).
-  [[nodiscard]] bool corrupt_next_load();
-
-  /// The per-shard store-failure budget (applied by the service to each
-  /// shard cache at open time via ResultCache::fail_next_stores).
-  [[nodiscard]] int store_failure_budget() const noexcept {
-    return plan_.store_failures;
-  }
-
-  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-
- private:
-  FaultPlan plan_;
-  mutable std::mutex mu_;
-  std::vector<bool> kill_fired_;
-  int load_corrupt_budget_ = 0;
 };
 
 }  // namespace deltanc::serve

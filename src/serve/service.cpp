@@ -32,8 +32,6 @@ struct Job {
   Sink sink;
   /// Numeric "id" (fault delays match on it); NaN when non-numeric.
   double numeric_id = std::numeric_limits<double>::quiet_NaN();
-  /// Requeues consumed so far (crashed-worker recovery).
-  int retries = 0;
 };
 
 std::string format_ms(double ms) {
@@ -47,36 +45,18 @@ std::string format_ms(double ms) {
 
 struct SolveService::Impl {
   // ----- per-shard state ---------------------------------------------------
-  // Exactly one worker thread serves a shard at any time, so the shard
-  // mutex only mediates worker vs. supervisor/reload/stats -- never
-  // worker vs. worker.
-  enum class SlotState { kIdle, kBusy, kCrashed };
-
-  // A queue element; wraps Job so the queue type stays a regular
-  // movable struct.
-  struct JobBox {
-    Job job;
-  };
-
-  // A crashed worker's orphan parked until its requeue backoff elapses
-  // (the supervisor must keep ticking for the other shards meanwhile).
-  struct DelayedRequeue {
-    Clock::time_point ready_at;
-    int shard;
-    Job job;
-  };
-
+  // One incumbent worker thread serves a shard; the shard mutex
+  // mediates it vs. the supervisor/reload/stats and vs. an abandoned
+  // (timed-out) predecessor still finishing its solve.
   struct Shard {
     explicit Shard(std::size_t queue_depth) : queue(queue_depth) {}
 
-    BoundedQueue<JobBox> queue;
+    BoundedQueue<Job> queue;
 
     std::mutex mu;  // guards everything below
-    SlotState state = SlotState::kIdle;
+    bool busy = false;             ///< the incumbent holds `inflight`
     std::uint64_t generation = 0;  ///< bumped to abandon the incumbent
-    std::uint64_t handled = 0;     ///< dequeues of the incumbent (kill match)
-    bool has_inflight = false;
-    Job inflight;                  ///< valid while kBusy / kCrashed
+    Job inflight;                  ///< valid while busy
     Clock::time_point busy_since{};
     std::thread thread;
 
@@ -96,8 +76,7 @@ struct SolveService::Impl {
       : options(opts),
         workers(opts.workers > 0
                     ? opts.workers
-                    : static_cast<int>(default_thread_count())),
-        faults(opts.faults) {
+                    : static_cast<int>(default_thread_count())) {
     if (workers < 1) workers = 1;
     shards.reserve(static_cast<std::size_t>(workers));
     for (int s = 0; s < workers; ++s) {
@@ -111,7 +90,10 @@ struct SolveService::Impl {
         worker_loop(s, gen);
       });
     }
-    supervisor = std::thread([this] { supervisor_loop(); });
+    // A deadline overrun is the one failure the supervisor handles.
+    if (options.deadline_ms > 0) {
+      supervisor = std::thread([this] { supervisor_loop(); });
+    }
   }
 
   ~Impl() { drain(); }
@@ -123,8 +105,8 @@ struct SolveService::Impl {
     // The full-disk simulation arms each shard's first stores; the
     // budget is a per-shard allowance so every worker exercises the
     // solve-through path, not just whichever shard stores first.
-    if (faults.store_failure_budget() > 0) {
-      shard.disk->fail_next_stores(faults.store_failure_budget());
+    if (options.faults.store_failures > 0) {
+      shard.disk->fail_next_stores(options.faults.store_failures);
     }
   }
 
@@ -157,7 +139,7 @@ struct SolveService::Impl {
     Sink sink_copy = job.sink;       // survives the move into the queue
     const Value id_copy = job.line.id;
     if (!shards[static_cast<std::size_t>(shard)]->queue.try_push(
-            JobBox{std::move(job)})) {
+            std::move(job))) {
       add_pending(-1);
       Job rejected;
       rejected.line.id = id_copy;
@@ -178,34 +160,22 @@ struct SolveService::Impl {
   void worker_loop(int index, std::uint64_t my_generation) {
     Shard& shard = *shards[static_cast<std::size_t>(index)];
     // Warm solver state: one Solver (workspace + eb-memo) per solve-
-    // options flavor, owned by this thread.  A respawned worker starts
-    // cold -- a crash loses its warm state by design.
+    // options flavor, owned by this thread.  A replacement worker starts
+    // cold -- an abandoned worker's warm state goes with it.
     std::map<std::string, Solver> solvers;
     for (;;) {
-      std::optional<JobBox> box = shard.queue.pop();
-      if (!box.has_value()) return;  // queue closed and drained
-      Job job = std::move(box->job);
+      // Only the incumbent pops: the supervisor abandons busy workers
+      // alone, and an abandoned worker exits before popping again.
+      std::optional<Job> next = shard.queue.pop();
+      if (!next.has_value()) return;  // queue closed and drained
+      Job job = std::move(*next);
       {
         std::lock_guard<std::mutex> lock(shard.mu);
-        if (shard.generation != my_generation) {
-          // Abandoned while blocked in pop(): hand the job back so the
-          // replacement answers it, then retire.
-          (void)shard.queue.push_front(JobBox{std::move(job)});
-          return;
-        }
-        shard.state = SlotState::kBusy;
+        shard.busy = true;
         shard.inflight = job;
-        shard.has_inflight = true;
         shard.busy_since = Clock::now();
-        ++shard.handled;
-        if (faults.should_kill(index, shard.handled)) {
-          // Simulated crash: die with the request in flight.  The
-          // supervisor detects kCrashed, requeues, and respawns.
-          shard.state = SlotState::kCrashed;
-          return;
-        }
       }
-      const double delay = faults.delay_ms_for(job.numeric_id);
+      const double delay = options.faults.delay_ms_for(job.numeric_id);
       if (delay > 0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(delay));
@@ -219,8 +189,7 @@ struct SolveService::Impl {
           bump(&ServeStats::discarded);
           return;
         }
-        shard.state = SlotState::kIdle;
-        shard.has_inflight = false;
+        shard.busy = false;
         shard.inflight = Job{};
       }
       deliver(job.sink, response);
@@ -257,14 +226,6 @@ struct SolveService::Impl {
       {
         std::lock_guard<std::mutex> lock(shard.mu);
         outcome = io::lookup_answer(*shard.disk, job.line, cached);
-      }
-      if ((outcome == io::CacheLookup::kHit ||
-           outcome == io::CacheLookup::kStale) &&
-          faults.corrupt_next_load()) {
-        // Injected corruption: pretend the entry's bytes were
-        // unreadable so the kCorrupt recovery path (re-solve + warning
-        // + overwrite) runs under load on demand.
-        outcome = io::CacheLookup::kCorrupt;
       }
       if (outcome == io::CacheLookup::kHit) {
         bump(&ServeStats::served);
@@ -327,146 +288,49 @@ struct SolveService::Impl {
   void supervisor_loop() {
     // Tick fast enough to keep timeout error well under the deadline
     // itself, but never busier than 1 kHz.
-    double tick_ms = 10.0;
-    if (options.deadline_ms > 0) {
-      tick_ms = std::min(tick_ms, options.deadline_ms / 4.0);
-    }
-    if (tick_ms < 1.0) tick_ms = 1.0;
+    const double tick_ms = std::clamp(options.deadline_ms / 4.0, 1.0, 10.0);
     while (!supervisor_stop.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(tick_ms));
-      flush_delayed();
       for (int s = 0; s < workers; ++s) check_shard(s);
     }
   }
 
+  /// Answers kTimeout for a request that overran the deadline, abandons
+  /// its worker (the zombie discards its late result and exits) and
+  /// spawns the replacement that serves the rest of the shard's queue.
   void check_shard(int index) {
     Shard& shard = *shards[static_cast<std::size_t>(index)];
     Job orphan;
-    bool crashed = false;
-    bool timed_out = false;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      if (shard.state == SlotState::kCrashed) {
-        crashed = true;
-        orphan = std::move(shard.inflight);
-      } else if (shard.state == SlotState::kBusy &&
-                 options.deadline_ms > 0 &&
-                 std::chrono::duration<double, std::milli>(
-                     Clock::now() - shard.busy_since)
-                         .count() > options.deadline_ms) {
-        timed_out = true;
-        orphan = shard.inflight;  // the zombie still owns its copy
-      } else {
+      if (!shard.busy || std::chrono::duration<double, std::milli>(
+                             Clock::now() - shard.busy_since)
+                                 .count() <= options.deadline_ms) {
         return;
       }
-      // Either way the incumbent is done: bump the generation so a
-      // late result (or a hung thread) can never race the replacement,
-      // and reset the slot for it.
+      // Bump the generation so the late result can never race the
+      // replacement; the zombie keeps its own copy of the job.
       ++shard.generation;
-      shard.state = SlotState::kIdle;
-      shard.has_inflight = false;
-      shard.inflight = Job{};
-      shard.handled = 0;
-      if (crashed) {
-        // A crashed worker's thread has returned; reap it here.  A
-        // timed-out worker may still be running -- park it with the
-        // zombies and join at drain.
-        if (shard.thread.joinable()) shard.thread.join();
-      } else {
+      shard.busy = false;
+      orphan = std::exchange(shard.inflight, Job{});
+      {
+        // It may still be running: join it at drain.
         std::lock_guard<std::mutex> zlock(zombie_mu);
         zombies.push_back(std::move(shard.thread));
       }
       shard.thread = std::thread(
           [this, index, gen = shard.generation] { worker_loop(index, gen); });
-      bump_respawns();
     }
-    if (timed_out) {
-      bump(&ServeStats::timeouts);
-      deliver(orphan.sink,
-              io::make_error_response(
-                  orphan.line.id,
-                  "request exceeded the " + format_ms(options.deadline_ms) +
-                      " ms deadline",
-                  diag::SolveErrorKind::kTimeout));
-      add_pending(-1);
-      return;
-    }
-    // Crashed: requeue with bounded retries, then classify.  Never a
-    // silent drop -- the request is either retried or answered.
-    bump(&ServeStats::worker_losses);
-    if (orphan.retries < options.max_requeues) {
-      const double backoff =
-          options.requeue_backoff_ms *
-          static_cast<double>(1 << std::min(orphan.retries, 3));
-      ++orphan.retries;
-      bump(&ServeStats::requeues);
-      if (backoff > 0) {
-        // Never sleep the backoff on this thread: the supervisor is
-        // also every other shard's deadline/crash watchdog.  Park the
-        // job with a not-before timestamp; supervisor_loop's next
-        // ticks flush it once the backoff has elapsed.
-        std::lock_guard<std::mutex> lock(delayed_mu);
-        delayed.push_back(DelayedRequeue{
-            Clock::now() +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(backoff)),
-            index, std::move(orphan)});
-        return;
-      }
-      if (requeue_now(index, std::move(orphan))) return;
-      // Queue already closed (drain raced the respawn): requeue_now
-      // answered the classified error; nothing left to do.
-      return;
-    }
-    bump(&ServeStats::exhausted);
+    bump(&ServeStats::respawns);
+    bump(&ServeStats::timeouts);
     deliver(orphan.sink,
             io::make_error_response(
                 orphan.line.id,
-                "worker crashed while handling this request; " +
-                    std::to_string(orphan.retries) + " retries exhausted",
-                diag::SolveErrorKind::kWorkerLost));
+                "request exceeded the " + format_ms(options.deadline_ms) +
+                    " ms deadline",
+                diag::SolveErrorKind::kTimeout));
     add_pending(-1);
-  }
-
-  /// Pushes a requeued job back onto its shard.  When the queue is
-  /// already closed (drain raced the respawn), answers the classified
-  /// kWorkerLost error instead of dropping the request.  Returns true
-  /// on a successful requeue.
-  bool requeue_now(int index, Job job) {
-    const Value id = job.line.id;
-    const Sink sink = job.sink;  // survives the move into the queue
-    const int retries = job.retries;
-    if (shards[static_cast<std::size_t>(index)]->queue.push_front(
-            JobBox{std::move(job)})) {
-      return true;
-    }
-    bump(&ServeStats::exhausted);
-    deliver(sink, io::make_error_response(
-                      id,
-                      "worker crashed while handling this request; " +
-                          std::to_string(retries) + " retries exhausted",
-                      diag::SolveErrorKind::kWorkerLost));
-    add_pending(-1);
-    return false;
-  }
-
-  /// Requeues every parked job whose backoff has elapsed.
-  void flush_delayed() {
-    std::vector<DelayedRequeue> ready;
-    {
-      std::lock_guard<std::mutex> lock(delayed_mu);
-      const Clock::time_point now = Clock::now();
-      for (auto it = delayed.begin(); it != delayed.end();) {
-        if (it->ready_at <= now) {
-          ready.push_back(std::move(*it));
-          it = delayed.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (DelayedRequeue& d : ready) (void)requeue_now(d.shard, std::move(d.job));
   }
 
   // ----- lifecycle ---------------------------------------------------------
@@ -488,10 +352,7 @@ struct SolveService::Impl {
         // per service lifetime, not per reload.
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu);
-      ++totals.reloads;
-    }
+    bump(&ServeStats::reloads);
   }
 
   void drain() {
@@ -499,8 +360,8 @@ struct SolveService::Impl {
     if (!drained.compare_exchange_strong(expected, true)) return;
     draining.store(true, std::memory_order_release);
     {
-      // Every accepted request is either queued, in flight, or being
-      // requeued by the supervisor; pending covers all three.
+      // Every accepted request is either queued or in flight; pending
+      // covers both.
       std::unique_lock<std::mutex> lock(pending_mu);
       pending_cv.wait(lock, [this] { return pending == 0; });
     }
@@ -549,14 +410,10 @@ struct SolveService::Impl {
     bump(&ServeStats::answered);
   }
 
-  void bump(std::int64_t ServeStats::* counter) {
+  template <typename Counter>
+  void bump(Counter ServeStats::* counter) {
     std::lock_guard<std::mutex> lock(stats_mu);
     ++(totals.*counter);
-  }
-
-  void bump_respawns() {
-    std::lock_guard<std::mutex> lock(stats_mu);
-    ++totals.respawns;
   }
 
   void add_pending(std::int64_t delta) {
@@ -567,7 +424,6 @@ struct SolveService::Impl {
 
   ServeOptions options;
   int workers;
-  FaultClock faults;
   std::vector<std::unique_ptr<Shard>> shards;
   std::thread supervisor;
   std::atomic<bool> supervisor_stop{false};
@@ -582,8 +438,6 @@ struct SolveService::Impl {
   std::int64_t pending = 0;  // accepted-but-unanswered, guarded above
   std::mutex zombie_mu;
   std::vector<std::thread> zombies;  // timed-out workers, joined at drain
-  std::mutex delayed_mu;
-  std::vector<DelayedRequeue> delayed;  // orphans waiting out their backoff
 };
 
 SolveService::SolveService(const ServeOptions& options)

@@ -24,12 +24,8 @@
 //   * Per-request deadline: a solve that overruns it is answered
 //     kTimeout by the supervisor; the wedged worker is abandoned and a
 //     fresh one spawned, so one slow request never stalls its shard.
-//     The abandoned thread discards its late result and exits.
-//   * Crashed workers (exercised deterministically via
-//     serve::FaultPlan's kill entries): the supervisor detects the
-//     death, requeues the in-flight request with bounded retries and
-//     backoff, respawns the worker, and -- when retries are exhausted
-//     -- answers kWorkerLost instead of dropping the request.
+//     The abandoned thread discards its late result and exits.  The
+//     supervisor thread runs only when a deadline is set.
 //   * Cache misbehavior degrades gracefully: a failed store (full
 //     disk) is a counted solve-through (CacheStats::store_failures), a
 //     corrupt entry re-solves with the same kCorruptCache recovery
@@ -64,11 +60,6 @@ struct ServeOptions {
   std::size_t queue_depth = 512;
   /// Per-request deadline (ms); 0 disables timeouts.
   double deadline_ms = 0.0;
-  /// Requeue budget for requests orphaned by a crashed worker; after
-  /// this many retries the request is answered kWorkerLost.
-  int max_requeues = 2;
-  /// Base backoff before a requeue (doubles per retry, capped at 8x).
-  double requeue_backoff_ms = 1.0;
   /// Per-worker in-memory warm-answer cap (entries, scalar results and
   /// profiles counted together); 0 disables the memory layer (every warm
   /// hit re-reads the disk cache).
@@ -94,9 +85,6 @@ struct ServeStats {
                                    ///<   result carries the +inf bound)
   std::int64_t timeouts = 0;       ///< answered kTimeout by the supervisor
   std::int64_t overloads = 0;      ///< answered kOverload (full queue/drain)
-  std::int64_t worker_losses = 0;  ///< worker crashes detected
-  std::int64_t requeues = 0;       ///< orphaned requests re-queued
-  std::int64_t exhausted = 0;      ///< answered kWorkerLost (retries spent)
   std::int64_t discarded = 0;      ///< late results of abandoned workers
   std::int64_t dropped = 0;        ///< sink threw (client hung up)
   int respawns = 0;                ///< replacement workers spawned
@@ -105,8 +93,8 @@ struct ServeStats {
 };
 
 /// The transport-free service core.  Construction spawns the worker
-/// pool and the supervisor; destruction drains.  submit()/reload()/
-/// drain()/stats() are thread-safe.
+/// pool (and, with a deadline, the supervisor); destruction drains.
+/// submit()/reload()/drain()/stats() are thread-safe.
 class SolveService {
  public:
   /// Receives exactly one JSONL response line per submitted request.

@@ -38,6 +38,25 @@ TEST(Diagnostics, ErrorNamesAreStable) {
                "numerical-domain");
 }
 
+TEST(Diagnostics, RetiredKindNamesAreRejectedAndTheRestRoundTrip) {
+  // Lost workers and failed cache stores are not error kinds (a failed
+  // store is counted in io::CacheStats), so those names do not decode.
+  SolveErrorKind kind = SolveErrorKind::kNone;
+  EXPECT_FALSE(solve_error_from_name("worker-lost", kind));
+  EXPECT_FALSE(solve_error_from_name("cache-store-failed", kind));
+
+  EXPECT_EQ(kSolveErrorKinds, 8u);
+  EXPECT_EQ(static_cast<std::size_t>(SolveErrorKind::kOverload) + 1,
+            kSolveErrorKinds);
+  for (std::size_t i = 0; i < kSolveErrorKinds; ++i) {
+    const auto expected = static_cast<SolveErrorKind>(i);
+    SolveErrorKind decoded = SolveErrorKind::kNone;
+    ASSERT_TRUE(solve_error_from_name(solve_error_name(expected), decoded))
+        << solve_error_name(expected);
+    EXPECT_EQ(decoded, expected);
+  }
+}
+
 TEST(ValidationReport, CollectsMultipleViolations) {
   ValidationReport report;
   report.add(SolveErrorKind::kInvalidScenario, "capacity", "must be > 0");

@@ -1,8 +1,9 @@
 // The persistent solve service: fault-plan grammar, bounded-queue
 // backpressure, warm-layer behavior, and every robustness path --
-// timeout, crashed-worker requeue/retry-exhaustion, store-failure
-// solve-through, corrupt-load recovery, reload, and drain -- each
-// driven deterministically via serve::FaultPlan.
+// timeout with worker replacement, store-failure solve-through,
+// corrupt-entry recovery, overload, reload, and drain.  Slow solves and
+// full disks are driven deterministically via serve::FaultPlan; a
+// corrupt entry is made by damaging its bytes on disk.
 #include "e2e/solver.h"
 #include "serve/service.h"
 
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -110,17 +112,12 @@ const Value* find_id(const std::vector<Value>& responses, double id) {
 TEST(FaultPlan, ParsesEveryEntryKindAndRoundTrips) {
   FaultPlan plan;
   std::string error;
-  ASSERT_TRUE(FaultPlan::parse(
-      "kill:0:3;delay:7:250;store-fail:2;load-corrupt:1", plan, error))
+  ASSERT_TRUE(FaultPlan::parse("delay:7:250;store-fail:2", plan, error))
       << error;
-  ASSERT_EQ(plan.kills.size(), 1u);
-  EXPECT_EQ(plan.kills[0].worker, 0);
-  EXPECT_EQ(plan.kills[0].at, 3u);
   ASSERT_EQ(plan.delays.size(), 1u);
   EXPECT_EQ(plan.delays[0].id, 7.0);
   EXPECT_EQ(plan.delays[0].ms, 250.0);
   EXPECT_EQ(plan.store_failures, 2);
-  EXPECT_EQ(plan.load_corrupts, 1);
 
   // The canonical spelling parses back to the same plan.
   FaultPlan again;
@@ -135,44 +132,45 @@ TEST(FaultPlan, EmptySpecIsEmptyPlanAndBadSpecsAreRejected) {
   EXPECT_TRUE(plan.empty());
 
   for (const char* bad :
-       {"kill:0", "kill:a:1", "kill:0:0", "delay:1", "nap:1:2",
-        "store-fail:-1", "store-fail:1.5", "load-corrupt:x",
-        "kill:0:1;bogus"}) {
+       {"delay:1", "delay:1:-5", "delay:x:5", "nap:1:2", "store-fail:-1",
+        "store-fail:1.5", "store-fail:x", "delay:1:2;bogus"}) {
     EXPECT_FALSE(FaultPlan::parse(bad, plan, error)) << bad;
     EXPECT_FALSE(error.empty());
   }
 }
 
-TEST(FaultPlan, KillsFireOncePerEntryAndDelaysAreNotConsumed) {
+TEST(FaultPlan, RetiredCrashAndCorruptEntriesAreRejected) {
+  // Worker crashes and forced-corrupt loads are not fault entries (an
+  // in-process crash ends the process; corruption is made on disk); the
+  // error names the entries that are.
+  for (const char* retired : {"kill:0:1", "load-corrupt:1"}) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(FaultPlan::parse(retired, plan, error)) << retired;
+    EXPECT_NE(error.find(retired), std::string::npos) << error;
+    EXPECT_NE(error.find("delay:<id>:<ms>"), std::string::npos) << error;
+    EXPECT_NE(error.find("store-fail:<n>"), std::string::npos) << error;
+  }
+}
+
+TEST(FaultPlan, DelaysSumPerIdAndAreNeverConsumed) {
   FaultPlan plan;
   std::string error;
-  ASSERT_TRUE(FaultPlan::parse("kill:1:2;delay:5:10;load-corrupt:2", plan,
+  ASSERT_TRUE(FaultPlan::parse("delay:5:10;delay:5:2.5;delay:7:1", plan,
                                error));
-  FaultClock clock(plan);
-  EXPECT_FALSE(clock.should_kill(0, 2));  // wrong worker
-  EXPECT_FALSE(clock.should_kill(1, 1));  // wrong count
-  EXPECT_TRUE(clock.should_kill(1, 2));
-  EXPECT_FALSE(clock.should_kill(1, 2));  // one-shot
-
-  // A requeued request is delayed again (delays never deplete).
-  EXPECT_EQ(clock.delay_ms_for(5.0), 10.0);
-  EXPECT_EQ(clock.delay_ms_for(5.0), 10.0);
-  EXPECT_EQ(clock.delay_ms_for(6.0), 0.0);
-
-  EXPECT_TRUE(clock.corrupt_next_load());
-  EXPECT_TRUE(clock.corrupt_next_load());
-  EXPECT_FALSE(clock.corrupt_next_load());  // budget drained
+  EXPECT_EQ(plan.delay_ms_for(5.0), 12.5);
+  EXPECT_EQ(plan.delay_ms_for(5.0), 12.5);  // asking again sees the same
+  EXPECT_EQ(plan.delay_ms_for(7.0), 1.0);
+  EXPECT_EQ(plan.delay_ms_for(6.0), 0.0);
 }
 
 // ----- BoundedQueue --------------------------------------------------------
 
-TEST(BoundedQueue, FullQueueRejectsButRequeueJumpsTheBound) {
+TEST(BoundedQueue, FullQueueRejectsAndCloseStillDrains) {
   BoundedQueue<int> queue(2);
   EXPECT_TRUE(queue.try_push(1));
   EXPECT_TRUE(queue.try_push(2));
   EXPECT_FALSE(queue.try_push(3));     // backpressure
-  EXPECT_TRUE(queue.push_front(99));   // accepted work never bounces
-  EXPECT_EQ(queue.pop().value(), 99);  // and jumps the line
   EXPECT_EQ(queue.pop().value(), 1);
   queue.close();
   EXPECT_FALSE(queue.try_push(4));
@@ -282,49 +280,38 @@ TEST(SolveServiceTest, DeadlineOverrunAnswersClassifiedTimeout) {
   EXPECT_EQ(stats.answered, 2);
 }
 
-TEST(SolveServiceTest, CrashedWorkerRequeuesAndStillAnswers) {
+TEST(SolveServiceTest, ReplacementWorkerAnswersRequestQueuedBehindTimeout) {
+  // Id 6 is queued behind the wedged id 5 before the deadline fires, so
+  // it is still in the shard queue when the supervisor abandons the
+  // incumbent: the replacement worker must pop and answer it.
   ServeOptions options;
   options.workers = 1;
+  options.deadline_ms = 60;
   std::string error;
-  ASSERT_TRUE(FaultPlan::parse("kill:0:1", options.faults, error));
+  ASSERT_TRUE(FaultPlan::parse("delay:5:2000", options.faults, error));
   SolveService service(options);
   Collector collector;
-  service.submit(request_line(small_scenario(44), 3), collector.sink());
-  const std::vector<Value> responses = collector.wait_for(1);
-  ASSERT_EQ(responses.size(), 1u);
-  // The crash is invisible to the client: the retry answered normally.
-  EXPECT_TRUE(responses[0].at("ok").as_bool());
+  service.submit(request_line(small_scenario(45), 5), collector.sink());
+  service.submit(request_line(small_scenario(46), 6), collector.sink());
+  const std::vector<Value> responses = collector.wait_for(2);
+  ASSERT_EQ(responses.size(), 2u);
 
-  service.drain();
+  const Value* wedged = find_id(responses, 5.0);
+  ASSERT_NE(wedged, nullptr);
+  EXPECT_FALSE(wedged->at("ok").as_bool());
+  EXPECT_EQ(wedged->at("kind").as_string(), "timeout");
+  const Value* queued = find_id(responses, 6.0);
+  ASSERT_NE(queued, nullptr);
+  EXPECT_TRUE(queued->at("ok").as_bool());
+  EXPECT_EQ(io::decode_bound_result(queued->at("result")).delay_ms,
+            deltanc::Solver().solve(small_scenario(46)).delay_ms);
+
+  service.drain();  // joins the zombie once its delayed solve ends
   const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.worker_losses, 1);
-  EXPECT_EQ(stats.requeues, 1);
-  EXPECT_GE(stats.respawns, 1);
-  EXPECT_EQ(stats.exhausted, 0);
-}
-
-TEST(SolveServiceTest, RetryExhaustionClassifiesWorkerLost) {
-  ServeOptions options;
-  options.workers = 1;
-  options.max_requeues = 2;
-  std::string error;
-  // Every incumbent dies on its first dequeue: initial try + 2 retries.
-  ASSERT_TRUE(FaultPlan::parse("kill:0:1;kill:0:1;kill:0:1", options.faults,
-                               error));
-  SolveService service(options);
-  Collector collector;
-  service.submit(request_line(small_scenario(43), 9), collector.sink());
-  const std::vector<Value> responses = collector.wait_for(1);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].at("ok").as_bool());
-  EXPECT_EQ(responses[0].at("kind").as_string(), "worker-lost");
-
-  service.drain();
-  const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.worker_losses, 3);
-  EXPECT_EQ(stats.requeues, 2);
-  EXPECT_EQ(stats.exhausted, 1);
-  EXPECT_EQ(stats.answered, 1);  // classified, never silently dropped
+  EXPECT_EQ(stats.answered, 2);
+  EXPECT_EQ(stats.timeouts, 1);
+  EXPECT_EQ(stats.respawns, 1);
+  EXPECT_EQ(stats.discarded, 1);  // the zombie's late answer for id 5
 }
 
 TEST(SolveServiceTest, StoreFailureDegradesToCountedSolveThrough) {
@@ -393,15 +380,19 @@ TEST(SolveServiceTest, InjectedCorruptLoadRecoversLikeBatch) {
   options.workers = 1;
   options.memory_entries = 0;
   options.cache_dir = fresh_cache_dir("serve_corrupt");
-  std::string error;
-  ASSERT_TRUE(FaultPlan::parse("load-corrupt:1", options.faults, error));
   SolveService service(options);
   Collector collector;
   const std::string line = request_line(small_scenario(41), 0);
 
   service.submit(line, collector.sink());  // cold solve + store
   collector.wait_for(1);
-  service.submit(line, collector.sink());  // hit forced corrupt: re-solve
+  // Damage the stored entry: the next lookup reads unparsable bytes.
+  const std::string key =
+      io::parse_request_line(line, options.default_method).key;
+  std::ofstream(io::ResultCache(options.cache_dir).entry_path(key),
+                std::ios::trunc)
+      << "not json";
+  service.submit(line, collector.sink());  // corrupt entry: re-solve
   collector.wait_for(2);
   service.submit(line, collector.sink());  // clean hit again
   const std::vector<Value> responses = collector.wait_for(3);
@@ -413,6 +404,7 @@ TEST(SolveServiceTest, InjectedCorruptLoadRecoversLikeBatch) {
       responses[1].at("result").at("diagnostics").dump();
   EXPECT_NE(warnings.find("unreadable"), std::string::npos);
   service.drain();
+  EXPECT_EQ(service.stats().cache.corrupt, 1);
 }
 
 TEST(SolveServiceTest, FullQueueAndDrainingAnswerClassifiedOverload) {

@@ -149,10 +149,8 @@ Persistent service mode (long-running; same JSONL protocol):
   --deadline-ms <ms>     per-request deadline; an overrun is answered
                          as a classified timeout and the worker is
                          replaced                 (default: no limit)
-  --fault-plan <spec>    deterministic fault injection (flag wins over
-                         the DELTANC_FAULT_PLAN env var); entries
-                         kill:<worker>:<k>; delay:<id>:<ms>;
-                         store-fail:<n>; load-corrupt:<n>, joined
+  --fault-plan <spec>    deterministic fault injection; entries
+                         delay:<id>:<ms>; store-fail:<n>, joined
                          with ';'
 
 Exit codes: 0 all ok; 1 failed points / bound violated / self-check
@@ -555,7 +553,7 @@ struct ServeCliOptions {
   std::size_t queue_depth = 512;
   std::size_t memory_entries = 1 << 16;
   double deadline_ms = 0.0;
-  std::string fault_spec;      ///< "" = DELTANC_FAULT_PLAN env, if set
+  std::string fault_spec;      ///< --fault-plan; "" = no faults
 };
 
 /// --serve: the persistent solve service on a Unix-domain socket.
@@ -563,13 +561,9 @@ struct ServeCliOptions {
 /// answered), 2 when the socket or cache directory cannot be set up.
 int run_serve_mode(const ServeCliOptions& cli, int threads,
                    e2e::Method method, const std::string& cache_dir) {
-  std::string spec = cli.fault_spec;
-  if (spec.empty()) {
-    if (const char* env = std::getenv("DELTANC_FAULT_PLAN")) spec = env;
-  }
   serve::ServeOptions options;
   std::string fault_error;
-  if (!serve::FaultPlan::parse(spec, options.faults, fault_error)) {
+  if (!serve::FaultPlan::parse(cli.fault_spec, options.faults, fault_error)) {
     usage_error("--fault-plan: " + fault_error);
   }
   options.workers = cli.workers > 0 ? cli.workers : threads;
@@ -625,14 +619,10 @@ int run_serve_mode(const ServeCliOptions& cli, int threads,
                static_cast<long long>(stats.parse_errors),
                static_cast<long long>(stats.failed));
   std::fprintf(stderr,
-               "serve: timeouts=%lld overloads=%lld worker_losses=%lld "
-               "requeues=%lld exhausted=%lld discarded=%lld dropped=%lld "
-               "respawns=%d reloads=%d\n",
+               "serve: timeouts=%lld overloads=%lld discarded=%lld "
+               "dropped=%lld respawns=%d reloads=%d\n",
                static_cast<long long>(stats.timeouts),
                static_cast<long long>(stats.overloads),
-               static_cast<long long>(stats.worker_losses),
-               static_cast<long long>(stats.requeues),
-               static_cast<long long>(stats.exhausted),
                static_cast<long long>(stats.discarded),
                static_cast<long long>(stats.dropped), stats.respawns,
                stats.reloads);
