@@ -147,6 +147,19 @@ BENCHMARK(BM_SweepFig2Grid)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// `levels` epsilons, log-spaced over [1e-9, 1e-3] -- the --ccdf default
+// shape at 16.
+std::vector<double> log_spaced_epsilons(std::int64_t levels) {
+  std::vector<double> epsilons;
+  for (std::int64_t i = 0; i < levels; ++i) {
+    epsilons.push_back(std::exp(
+        std::log(1e-3) + (std::log(1e-9) - std::log(1e-3)) *
+                             static_cast<double>(i) /
+                             static_cast<double>(levels - 1)));
+  }
+  return epsilons;
+}
+
 // The headline claim of the profile engine: one warm-chained 16-level
 // d(epsilon) profile vs 16 independent cold scalar solves of the same
 // scenario.  Arg(0) selects the mode (0 = cold scalars, 1 = warm
@@ -159,13 +172,7 @@ void BM_ProfileVsScalar(benchmark::State& state) {
   sc.n_through = 100;
   sc.n_cross = 236;
   sc.scheduler = sched::SchedulerKind::kFifo;
-  // 16 levels, log-spaced over [1e-9, 1e-3] -- the --ccdf default shape.
-  std::vector<double> epsilons;
-  for (int i = 0; i < 16; ++i) {
-    epsilons.push_back(
-        std::exp(std::log(1e-3) + (std::log(1e-9) - std::log(1e-3)) *
-                                      static_cast<double>(i) / 15.0));
-  }
+  const std::vector<double> epsilons = log_spaced_epsilons(16);
   SolveOptions options;
   options.warm_start =
       warm_profile ? e2e::WarmStart::kWarm : e2e::WarmStart::kCold;
@@ -225,46 +232,73 @@ void BM_TandemSlots(benchmark::State& state) {
 }
 BENCHMARK(BM_TandemSlots)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-void BM_JsonBoundResultRoundTrip(benchmark::State& state) {
+// The wire payloads a warm `--batch` / `--serve` hit decodes and
+// re-encodes.  Arg = profile levels: 0 is one scalar BoundResult, 16 a
+// 16-level DelayProfile over [1e-9, 1e-3] (~290 numbers on the wire --
+// where a warm hit's cost sits).
+e2e::Scenario wire_scenario() {
   e2e::Scenario sc;
   sc.hops = 5;
   sc.n_through = 100;
   sc.n_cross = 268;
   sc.epsilon = 1e-6;
-  const e2e::BoundResult solved = deltanc::Solver().solve(sc);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(io::decode_bound_result(
-        io::json::Value::parse(io::encode_bound_result(solved).dump())));
+  return sc;
+}
+
+void BM_JsonBoundResultRoundTrip(benchmark::State& state) {
+  const e2e::Scenario sc = wire_scenario();
+  const std::vector<double> epsilons = log_spaced_epsilons(state.range(0));
+  if (epsilons.empty()) {
+    const e2e::BoundResult solved = deltanc::Solver().solve(sc);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(io::decode_bound_result(
+          io::json::Value::parse(io::encode_bound_result(solved).dump())));
+    }
+  } else {
+    const e2e::DelayProfile solved =
+        deltanc::Solver().solve_profile(sc, epsilons);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(io::decode_delay_profile(
+          io::json::Value::parse(io::encode_delay_profile(solved).dump())));
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_JsonBoundResultRoundTrip);
+BENCHMARK(BM_JsonBoundResultRoundTrip)->ArgName("levels")->Arg(0)->Arg(16);
 
 void BM_ResultCacheHit(benchmark::State& state) {
-  // Steady-state hit cost: key canonicalization + file read + decode.
-  // This is what bounds warm `--batch` throughput.
+  // Steady-state hit cost: file read + parse + decode (the key is
+  // canonicalized once, outside the loop).  This is what bounds warm
+  // `--batch` throughput.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "deltanc_bench_cache";
   std::filesystem::remove_all(dir);
   io::ResultCache cache(dir);
-  e2e::Scenario sc;
-  sc.hops = 5;
-  sc.n_through = 100;
-  sc.n_cross = 268;
-  sc.epsilon = 1e-6;
+  const e2e::Scenario sc = wire_scenario();
+  const std::vector<double> epsilons = log_spaced_epsilons(state.range(0));
   const SolveOptions options;
-  const std::string key = io::solve_cache_key(sc, options);
-  cache.store(key, deltanc::Solver().solve(sc));
-  e2e::BoundResult out;
+  const bool profile = !epsilons.empty();
+  const std::string key = profile
+                              ? io::profile_cache_key(sc, epsilons, options)
+                              : io::solve_cache_key(sc, options);
+  if (profile) {
+    cache.store_profile(key, deltanc::Solver().solve_profile(sc, epsilons));
+  } else {
+    cache.store(key, deltanc::Solver().solve(sc));
+  }
+  e2e::BoundResult result;
+  e2e::DelayProfile levels;
   for (auto _ : state) {
-    const auto found = cache.lookup(key, out);
+    const auto found = profile ? cache.lookup_profile(key, levels)
+                               : cache.lookup(key, result);
     if (found != io::CacheLookup::kHit) state.SkipWithError("cache missed");
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(levels);
   }
   state.SetItemsProcessed(state.iterations());
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_ResultCacheHit);
+BENCHMARK(BM_ResultCacheHit)->ArgName("levels")->Arg(0)->Arg(16);
 
 }  // namespace
 

@@ -10,13 +10,18 @@
 #     outcome tag (bit-exact result round-trip through the cache),
 #   * an uncached run over the scalar + profile set answers the same
 #     bytes on 1 thread and on 4 (a literal cmp: responses carry no
-#     wall-clock field).
+#     wall-clock field),
+#   * the committed wire golden (tests/data/wire_requests.jsonl ->
+#     wire_responses.jsonl) is answered byte for byte with no cache and
+#     again from a fresh cache's hits, and the stored entry files under
+#     tests/data/wire_cache/ match byte for byte (file name = key hash).
 # Registered as the `batch_e2e` ctest.
 #
 # usage: check_batch.sh [deltanc_cli]
 set -euo pipefail
 
-CLI="${1:-$(cd "$(dirname "$0")/.." && pwd)/build/tools/deltanc_cli}"
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+CLI="${1:-$ROOT/build/tools/deltanc_cli}"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -98,3 +103,43 @@ if ! cmp -s "$WORK/threads1.jsonl" "$WORK/threads4.jsonl"; then
   exit 1
 fi
 echo "batch_e2e: $(wc -l < "$WORK/mixed.jsonl") uncached responses identical on 1 and 4 threads"
+
+# Wire golden: the committed answers pin the batch/serve bytes across
+# commits (number digits, string escapes, field order, cache keys).  The
+# request set mixes scalar and 16-level profile requests with a malformed
+# line and an unsolvable hops:0 line, so the run exits 1 by design.
+GOLDEN="$ROOT/tests/data"
+run_golden() {  # run_golden <out> [batch flags...]
+  local out="$1" rc=0
+  shift
+  "$CLI" --batch "$GOLDEN/wire_requests.jsonl" "$@" > "$out" 2>/dev/null \
+    || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "FAIL: golden batch exited $rc (want 1: one parse error, one failure)"
+    exit 1
+  fi
+}
+run_golden "$WORK/golden_nocache.jsonl"
+if ! cmp "$WORK/golden_nocache.jsonl" "$GOLDEN/wire_responses.jsonl"; then
+  echo "FAIL: uncached answers differ from tests/data/wire_responses.jsonl"
+  exit 1
+fi
+run_golden "$WORK/golden_fill.jsonl" --cache-dir "$WORK/golden_cache"
+run_golden "$WORK/golden_hit.jsonl" --cache-dir "$WORK/golden_cache"
+hits=$(grep -c '"cache":"hit"' "$WORK/golden_hit.jsonl" || true)
+if [ "$hits" -ne 10 ]; then
+  echo "FAIL: golden hit pass answered $hits lines from the cache (want 10)"
+  exit 1
+fi
+strip_cache_tag "$WORK/golden_hit.jsonl" > "$WORK/golden_hit.stripped"
+if ! cmp "$WORK/golden_hit.stripped" "$GOLDEN/wire_responses.jsonl"; then
+  echo "FAIL: cache-hit answers differ from tests/data/wire_responses.jsonl"
+  exit 1
+fi
+for entry in "$GOLDEN"/wire_cache/*.json; do
+  if ! cmp "$WORK/golden_cache/$(basename "$entry")" "$entry"; then
+    echo "FAIL: stored cache entry differs from tests/data/wire_cache/$(basename "$entry")"
+    exit 1
+  fi
+done
+echo "batch_e2e: wire golden identical uncached, from cache hits, and in the stored entry"

@@ -1,5 +1,6 @@
 #include "io/codec.h"
 
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -59,11 +60,16 @@ double decode_double(const Value& v) {
     double parsed = 0.0;
     if (sched::parse_strict_double(s, parsed)) return parsed;
     // ...plus C99 hexfloat ("0x1.6p+4"), so hand-written goldens keep
-    // decoding.  from_chars hex format takes no 0x prefix of its own.
+    // decoding.  from_chars hex format takes no 0x prefix of its own, but
+    // it does take a sign and "inf"/"nan", so the mantissa must start
+    // right after the prefix ("0x-1p3" and "0xinf" are not hexfloats).
     std::string_view body = s;
     const bool negative = body.front() == '-';
     if (negative) body.remove_prefix(1);
-    if (body.size() > 2 && body[0] == '0' && (body[1] == 'x' || body[1] == 'X')) {
+    if (body.size() > 2 && body[0] == '0' &&
+        (body[1] == 'x' || body[1] == 'X') &&
+        (std::isxdigit(static_cast<unsigned char>(body[2])) != 0 ||
+         body[2] == '.')) {
       body.remove_prefix(2);
       const auto [ptr, ec] = std::from_chars(
           body.data(), body.data() + body.size(), parsed,

@@ -62,9 +62,11 @@ struct SchemaError : CodecError {
 /// back to the identical bits); +/-inf and NaN encode as the strings
 /// "inf" / "-inf" / "nan".
 [[nodiscard]] json::Value encode_double(double v);
-/// Accepts numbers plus the non-finite strings above; also accepts any
-/// strtod-parseable string (e.g. C99 hexfloat "0x1.6p+4") so hand-written
-/// documents can pin exact bits.  @throws CodecError otherwise.
+/// Accepts numbers plus the non-finite strings above; also accepts a
+/// decimal string (parsed by std::from_chars, locale-independent) or a
+/// C99 hexfloat string ("0x1.6p+4", optionally "-"-signed before the
+/// prefix only) so hand-written documents can pin exact bits.
+/// @throws CodecError otherwise.
 [[nodiscard]] double decode_double(const json::Value& v);
 
 // ----- value types -------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace deltanc::io::json {
 
@@ -15,28 +14,46 @@ namespace {
                   kNames[static_cast<std::size_t>(got)]);
 }
 
-/// Shortest-faithful number rendering: integers up to 2^53 print without
-/// an exponent or trailing ".0" (so counts look like counts), everything
-/// else prints with max_digits10 = 17 significant digits, which strtod
-/// parses back to the identical double.
+/// Number rendering, byte for byte what printf would write: integers
+/// below 2^53 print without an exponent or trailing ".0" (`%.0f`, so
+/// counts look like counts); everything else prints with max_digits10 =
+/// 17 significant digits (`%.17g`), which std::from_chars parses back to
+/// the identical double.  std::to_chars is specified "as if by printf"
+/// in the C locale, minus the locale lookup and format-string parsing.
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     throw std::invalid_argument(
         "json: cannot serialize a non-finite number; encode it as a string "
         "(\"inf\"/\"-inf\"/\"nan\") at the codec layer");
   }
-  char buf[40];
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out += buf;
+  char buf[32];  // holds "-d.dddddddddddddddde-308" and any integer < 2^53
+  const bool integral =
+      v == std::floor(v) && std::fabs(v) < 9.007199254740992e15;
+  char* const end =
+      (integral ? std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::fixed, 0)
+                : std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17))
+          .ptr;
+  out.append(buf, end);
+}
+
+/// Characters a JSON string cannot carry verbatim: the quote, the
+/// backslash, and the C0 controls.  Everything else -- including UTF-8
+/// multibyte sequences -- passes through as-is.
+constexpr bool needs_escape(char c) noexcept {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
 void append_quoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (!needs_escape(c)) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -59,17 +76,15 @@ void append_quoted(std::string& out, std::string_view s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through verbatim
-        }
+      default: {
+        const auto code = static_cast<unsigned char>(c);
+        const char escape[] = {'\\', 'u', '0', '0', kHex[code >> 4],
+                               kHex[code & 0xF]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -242,16 +257,16 @@ class Parser {
     take();  // opening quote
     std::string out;
     for (;;) {
+      // One append per run of plain bytes.  A run stops at the quote,
+      // the backslash and every control byte, so it never holds a
+      // newline and skipping take()'s line bookkeeping loses nothing.
+      const std::size_t run = pos_;
+      while (!eof() && !needs_escape(peek())) ++pos_;
+      out.append(text_.data() + run, pos_ - run);
       if (eof()) fail("unterminated string");
       const char c = take();
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("raw control character in string");
       if (eof()) fail("unterminated escape");
       const char esc = take();
       switch (esc) {

@@ -1,11 +1,13 @@
 #include "io/result_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "deltanc/version.h"
@@ -92,18 +94,50 @@ void decode_payload(const json::Value& doc, e2e::DelayProfile& profile) {
   profile = decode_delay_profile(doc);
 }
 
+/// Closes the descriptor it holds.
+struct OpenFile {
+  explicit OpenFile(const std::filesystem::path& path)
+      : fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~OpenFile() {
+    if (fd >= 0) ::close(fd);
+  }
+  OpenFile(const OpenFile&) = delete;
+  OpenFile& operator=(const OpenFile&) = delete;
+  int fd;
+};
+
+/// Reads all of `fd` into `text` with one read sized by fstat; the loop
+/// only resumes a partial or interrupted read.  False on a read error
+/// (e.g. EISDIR when a directory sits where the entry should be).
+bool read_all(int fd, std::string& text) {
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return false;
+  text.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < text.size()) {
+    const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    if (n == 0) break;  // shorter than fstat said: parse what is there
+    got += static_cast<std::size_t>(n);
+  }
+  text.resize(got);
+  return true;
+}
+
 /// Classifies the entry at `path` against `key`; decodes the payload
 /// straight into `payload` (only on kHit).
 template <typename Payload>
 CacheLookup classify_entry(const std::filesystem::path& path,
                            const std::string& key, Payload& payload) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return CacheLookup::kMiss;
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (!in.good() && !in.eof()) return CacheLookup::kCorrupt;
+  std::string text;
+  {
+    const OpenFile file(path);
+    if (file.fd < 0) return CacheLookup::kMiss;
+    if (!read_all(file.fd, text)) return CacheLookup::kCorrupt;
+  }
   try {
-    const json::Value entry = json::Value::parse(text.str());
+    const json::Value entry = json::Value::parse(text);
     // Schema or library version drift makes the entry stale, not corrupt:
     // the bytes are fine, the producer was just a different build.
     const json::Value* schema = entry.is_object() ? entry.find("schema") : nullptr;

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/scenario.h"
@@ -44,6 +48,19 @@ TEST(Json, ParseAndDumpRoundTripPreservingOrder) {
   EXPECT_TRUE(v.at("a").at(2).is_null());
   EXPECT_EQ(v.at("a").at(3).as_string(), "x\n\"y\"");
   EXPECT_EQ(v.at("nested").at("k").as_number(), -2.5);
+
+  // Strings are copied run by run: escapes right at the start and end of
+  // a run, a multibyte tail, and a run far longer than any buffer.
+  const std::string edges = R"(["a\"b\\cé","\"x\\","\\"])";
+  EXPECT_EQ(Value::parse(edges).dump(), edges);
+  EXPECT_EQ(Value::parse(edges).at(std::size_t{0}).as_string(),
+            "a\"b\\c\xc3\xa9");
+  const std::string long_run(5000, 'x');
+  const std::string long_text = "[\"" + long_run + "\\n" + long_run + "\"]";
+  const Value long_value = Value::parse(long_text);
+  EXPECT_EQ(long_value.at(std::size_t{0}).as_string(),
+            long_run + "\n" + long_run);
+  EXPECT_EQ(long_value.dump(), long_text);
 }
 
 TEST(Json, UnicodeEscapesDecodeToUtf8) {
@@ -59,6 +76,26 @@ TEST(Json, ParseErrorsCarryLineAndColumn) {
   } catch (const json::ParseError& e) {
     EXPECT_EQ(e.line, 3u);
     EXPECT_GT(e.column, 0u);
+  }
+  // Errors inside a long string point just past the byte that ended
+  // the run, pinned literally: a raw control byte at column 5009 of
+  // line 2 reports 5010; input ending after a 6000-byte run reports 6009.
+  const std::string run(5000, 'a');
+  try {
+    (void)Value::parse("{\n  \"k\": \"" + run + "\x01" "b\"}");
+    FAIL() << "expected ParseError";
+  } catch (const json::ParseError& e) {
+    EXPECT_STREQ(e.what(), "json: raw control character in string");
+    EXPECT_EQ(e.line, 2u);
+    EXPECT_EQ(e.column, 5010u);
+  }
+  try {
+    (void)Value::parse("{\n  \"k\": \"" + run + std::string(1000, 'b'));
+    FAIL() << "expected ParseError";
+  } catch (const json::ParseError& e) {
+    EXPECT_STREQ(e.what(), "json: unterminated string");
+    EXPECT_EQ(e.line, 2u);
+    EXPECT_EQ(e.column, 6009u);
   }
   EXPECT_THROW((void)Value::parse("{} trailing"), json::ParseError);
   EXPECT_THROW((void)Value::parse(""), json::ParseError);
@@ -92,6 +129,74 @@ TEST(Json, NumbersRoundTripBitExactly) {
   EXPECT_EQ(Value::number(-3.0).dump(), "-3");
 }
 
+// The writer's digits are printf's: `%.0f` for integers below 2^53,
+// `%.17g` for everything else.  snprintf stays here as the reference
+// only; the writer itself never formats through printf.
+std::string printf_digits(double v) {
+  char buf[64];
+  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  return buf;
+}
+
+TEST(Json, NumberEmissionMatchesPrintfDigits) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  std::vector<double> cases = {
+      0.0,
+      -0.0,
+      kTwo53 - 1.0,
+      -(kTwo53 - 1.0),
+      kTwo53,
+      kTwo53 + 1.0,  // rounds to 2^53
+      kTwo53 + 2.0,
+      -kTwo53,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,  // subnormal
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      0.1,
+      1e21,
+      1e22,
+      1e-5,
+      1e-4,
+      1e16,
+      1e17,
+      123456789.123456789,
+  };
+  for (int i = -2000; i <= 2000; ++i) cases.push_back(i);
+  for (int e = 0; e <= 60; ++e) {
+    cases.push_back(std::ldexp(1.0, e));
+    cases.push_back(std::ldexp(1.0, e) - 1.0);
+  }
+  std::mt19937_64 rng(20101);
+  for (int i = 0; i < 100'000; ++i) {  // integers of every magnitude < 2^53
+    const auto magnitude = static_cast<double>(rng() >> (11 + i % 53));
+    cases.push_back(i % 2 == 0 ? magnitude : -magnitude);
+  }
+  while (cases.size() < 1'200'000) {
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) cases.push_back(d);
+  }
+  std::size_t mismatches = 0;
+  for (const double d : cases) {
+    const std::string got = Value::number(d).dump();
+    const std::string want = printf_digits(d);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << d << ": wrote " << got
+                    << ", printf writes " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Json, WriterRejectsNonFiniteNumbers) {
   EXPECT_THROW((void)Value::number(kInf).dump(), std::invalid_argument);
   EXPECT_THROW((void)Value::number(std::nan("")).dump(),
@@ -113,7 +218,14 @@ TEST(Codec, DecodeDoubleAcceptsHexfloatStrings) {
   // The PR 2 golden notation: hand-written documents can pin exact bits.
   EXPECT_EQ(decode_double(Value::string("0x1.6126458d64984p+4")),
             0x1.6126458d64984p+4);
+  EXPECT_EQ(decode_double(Value::string("-0x1p3")), -8.0);
+  EXPECT_EQ(decode_double(Value::string("0x.8p1")), 1.0);
   EXPECT_THROW((void)decode_double(Value::string("12 monkeys")), CodecError);
+  // The only sign a hexfloat takes is the one before its prefix.
+  EXPECT_THROW((void)decode_double(Value::string("0x-1p3")), CodecError);
+  EXPECT_THROW((void)decode_double(Value::string("-0x-1p3")), CodecError);
+  EXPECT_THROW((void)decode_double(Value::string("0x+1p3")), CodecError);
+  EXPECT_THROW((void)decode_double(Value::string("0xinf")), CodecError);
   EXPECT_THROW((void)decode_double(Value::boolean(true)), CodecError);
 }
 

@@ -367,6 +367,17 @@ TEST_F(ResultCacheTest, CorruptEntryIsDetectedAndRecoverable) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kCorrupt);
   EXPECT_EQ(cache.stats().corrupt, 1);
 
+  // An empty file, and a directory in the entry's place (it opens, but
+  // reading it fails), are corrupt too; only a failed open is a miss.
+  write_file(cache.entry_path(key), "");
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kCorrupt);
+  std::filesystem::remove(cache.entry_path(key));
+  std::filesystem::create_directory(cache.entry_path(key));
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kCorrupt);
+  std::filesystem::remove(cache.entry_path(key));
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kMiss);
+  EXPECT_EQ(cache.stats().corrupt, 3);
+
   // Well-formed JSON of the current schema that is not a valid entry is
   // corrupt as well (an *older* schema would be stale instead).
   write_file(cache.entry_path(key),
