@@ -56,7 +56,7 @@ int main() {
     c.slots = 100000;
     c.seed = 7;
     c.packet_kb = packet;
-    c.policy = evsim::PolicyKind::kSpThroughHigh;
+    c.scheduler = sched::SchedulerSpec::sp_high();
     const evsim::EvNetworkResult r = run_event_network(c);
     ev.add_row(Table::format(packet, 1),
                {r.through_delay_ms.quantile(0.50),

@@ -55,7 +55,7 @@ int main() {
     ev.packet_kb = kPacketKb;
     ev.slots = kSlots;
     ev.seed = 17;
-    evsim::lower_scheduler(gps_sc.scheduler, 1.0, ev);
+    ev.scheduler = gps_sc.scheduler;
     const double scfq_tail =
         evsim::run_event_network(ev).through_delay_ms.quantile(1.0 - kEps);
     const double allowance = hops * kPacketKb / base.capacity;
@@ -76,7 +76,7 @@ int main() {
       }
 
       // (b) The packetized simulation under the fluid bound.
-      evsim::lower_scheduler(drr_sc.scheduler, 1.0, ev);
+      ev.scheduler = drr_sc.scheduler;
       const double drr_tail =
           evsim::run_event_network(ev).through_delay_ms.quantile(1.0 - kEps);
       const bool holds = drr_tail <= drr_bound + allowance;

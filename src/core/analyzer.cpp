@@ -38,19 +38,17 @@ sim::TandemConfig PathAnalyzer::tandem_config(std::int64_t slots,
   c.n_cross = scenario_.n_cross;
   c.slots = slots;
   c.seed = seed;
+  c.scheduler = scenario_.scheduler;
   // EDF deadlines are self-referential (multiples of d_e2e / H); resolve
-  // the unit from the analytic bound before lowering.  Every other kind
-  // ignores the unit.
-  double edf_unit = 1.0;
+  // the unit from the analytic bound.  Every other kind ignores the unit.
   if (scenario_.scheduler.needs_fixed_point()) {
     const e2e::BoundResult b = bound();
     if (!std::isfinite(b.delay_ms)) {
       throw std::invalid_argument(
           "PathAnalyzer::simulate: EDF deadlines need a finite bound");
     }
-    edf_unit = b.delay_ms / scenario_.hops;
+    c.edf_unit = b.delay_ms / scenario_.hops;
   }
-  sim::lower_scheduler(scenario_.scheduler, edf_unit, c);
   return c;
 }
 

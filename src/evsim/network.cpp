@@ -17,25 +17,33 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::unique_ptr<Policy> make_policy(const EvNetworkConfig& c) {
-  switch (c.policy) {
-    case PolicyKind::kFifo:
+  const sched::SchedulerSpec& s = c.scheduler;
+  switch (s.kind()) {
+    case sched::SchedulerKind::kFifo:
       return make_fifo_policy();
-    case PolicyKind::kSpThroughLow:
+    case sched::SchedulerKind::kBmux:
       return make_sp_policy({0, 1});
-    case PolicyKind::kSpThroughHigh:
+    case sched::SchedulerKind::kSpHigh:
       return make_sp_policy({1, 0});
-    case PolicyKind::kEdf:
-      return make_edf_policy(
-          {c.edf_through_deadline_ms, c.edf_cross_deadline_ms});
-    case PolicyKind::kScfq:
-      return make_scfq_policy({c.class_weights.through(),
-                               c.class_weights.cross_total()});
-    case PolicyKind::kDrr:
+    case sched::SchedulerKind::kDelta:
+      if (s.delta() == 0.0) return make_fifo_policy();
+      if (s.delta() == kInf) return make_sp_policy({0, 1});
+      if (s.delta() == -kInf) return make_sp_policy({1, 0});
+      [[fallthrough]];  // a finite offset runs as per-class EDF deadlines
+    case sched::SchedulerKind::kEdf: {
+      const sched::EdfDeadlines d = s.edf_deadlines(c.edf_unit);
+      return make_edf_policy({d.through, d.cross});
+    }
+    case sched::SchedulerKind::kGps:
+      // SCFQ is the packetized approximation of GPS this simulator has.
+      return make_scfq_policy(
+          {s.weights().through(), s.weights().cross_total()});
+    case sched::SchedulerKind::kDrr:
       // The DRR guarantee depends only on Q_0 and the sum, so the cross
       // quanta collapse onto their sum (mirrors sim::make_discipline).
-      return make_drr_policy({c.class_weights.through(),
-                              c.class_weights.cross_total()});
-    case PolicyKind::kSced: {
+      return make_drr_policy(
+          {s.weights().through(), s.weights().cross_total()});
+    case sched::SchedulerKind::kSced: {
       // Load-proportional rate split from the configured flow counts,
       // the same rule sched::ScedProvider applies analytically.
       const double total = static_cast<double>(c.n_through + c.n_cross);
@@ -43,95 +51,19 @@ std::unique_ptr<Policy> make_policy(const EvNetworkConfig& c) {
                                c.capacity_kb_per_ms * c.n_cross / total});
     }
   }
-  throw std::invalid_argument("run_event_network: unknown policy");
+  throw std::invalid_argument("run_event_network: unknown scheduler kind");
 }
+
+bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
 
 }  // namespace
 
-void lower_scheduler(const sched::SchedulerSpec& spec, double edf_unit,
-                     EvNetworkConfig& cfg) {
-  switch (spec.kind()) {
-    case sched::SchedulerKind::kFifo:
-      cfg.policy = PolicyKind::kFifo;
-      return;
-    case sched::SchedulerKind::kBmux:
-      cfg.policy = PolicyKind::kSpThroughLow;
-      return;
-    case sched::SchedulerKind::kSpHigh:
-      cfg.policy = PolicyKind::kSpThroughHigh;
-      return;
-    case sched::SchedulerKind::kEdf:
-      if (!(edf_unit > 0.0) || !std::isfinite(edf_unit)) {
-        throw std::invalid_argument(
-            "lower_scheduler: EDF deadlines need a positive finite "
-            "edf_unit (= d_e2e / H)");
-      }
-      cfg.policy = PolicyKind::kEdf;
-      cfg.edf_through_deadline_ms = spec.edf_factors().own_factor * edf_unit;
-      cfg.edf_cross_deadline_ms = spec.edf_factors().cross_factor * edf_unit;
-      return;
-    case sched::SchedulerKind::kDelta: {
-      const double d = spec.delta();
-      if (d == 0.0) {
-        cfg.policy = PolicyKind::kFifo;
-      } else if (d == kInf) {
-        cfg.policy = PolicyKind::kSpThroughLow;
-      } else if (d == -kInf) {
-        cfg.policy = PolicyKind::kSpThroughHigh;
-      } else {
-        cfg.policy = PolicyKind::kEdf;
-        cfg.edf_through_deadline_ms = d > 0.0 ? d : 0.0;
-        cfg.edf_cross_deadline_ms = d > 0.0 ? 0.0 : -d;
-      }
-      return;
-    }
-    case sched::SchedulerKind::kGps:
-      // SCFQ is the packetized approximation of GPS this simulator has.
-      // The full weight list is kept; make_policy collapses the cross
-      // classes onto one weight for the two-class simulation.
-      cfg.policy = PolicyKind::kScfq;
-      cfg.class_weights = spec.weights();
-      return;
-    case sched::SchedulerKind::kDrr:
-      cfg.policy = PolicyKind::kDrr;
-      cfg.class_weights = spec.weights();
-      return;
-    case sched::SchedulerKind::kSced:
-      // Parameterless: the policy derives its load-proportional rates
-      // from the configured flow counts and capacity.
-      cfg.policy = PolicyKind::kSced;
-      return;
-  }
-  throw std::invalid_argument("lower_scheduler: unknown scheduler kind");
-}
-
-sched::SchedulerSpec scheduler_spec_of(const EvNetworkConfig& cfg) {
-  switch (cfg.policy) {
-    case PolicyKind::kFifo:
-      return sched::SchedulerSpec::fifo();
-    case PolicyKind::kSpThroughLow:
-      return sched::SchedulerSpec::bmux();
-    case PolicyKind::kSpThroughHigh:
-      return sched::SchedulerSpec::sp_high();
-    case PolicyKind::kEdf:
-      return sched::SchedulerSpec::fixed_delta(cfg.edf_through_deadline_ms -
-                                               cfg.edf_cross_deadline_ms);
-    case PolicyKind::kScfq:
-      // SCFQ approximates GPS; it raises to the curve-backed GPS spec
-      // carrying the full configured weights (lossless round-trip).
-      return sched::SchedulerSpec::gps(cfg.class_weights);
-    case PolicyKind::kDrr:
-      return sched::SchedulerSpec::drr(cfg.class_weights);
-    case PolicyKind::kSced:
-      return sched::SchedulerSpec::sced();
-  }
-  throw std::invalid_argument("scheduler_spec_of: unknown policy");
-}
-
 EvNetworkResult run_event_network(const EvNetworkConfig& cfg) {
   if (cfg.hops < 1 || cfg.n_through < 1 || cfg.n_cross < 0 ||
-      cfg.slots < 1 || cfg.warmup_slots < 0 || !(cfg.packet_kb > 0.0) ||
-      !(cfg.capacity_kb_per_ms > 0.0)) {
+      cfg.slots < 1 || cfg.warmup_slots < 0 ||
+      !positive_finite(cfg.packet_kb) ||
+      !positive_finite(cfg.capacity_kb_per_ms) ||
+      !positive_finite(cfg.edf_unit)) {
     throw std::invalid_argument("run_event_network: malformed configuration");
   }
 

@@ -14,16 +14,6 @@
 
 namespace deltanc::evsim {
 
-enum class PolicyKind {
-  kFifo,
-  kSpThroughLow,
-  kSpThroughHigh,
-  kEdf,
-  kScfq,  ///< packetized GPS (class_weights as SCFQ weights)
-  kDrr,   ///< deficit round robin (class_weights as quanta, kb)
-  kSced,  ///< deadline curves, rates split by the offered load
-};
-
 struct EvNetworkConfig {
   double capacity_kb_per_ms = 100.0;
   int hops = 2;
@@ -31,14 +21,13 @@ struct EvNetworkConfig {
   int n_through = 100;
   int n_cross = 100;
   double packet_kb = 1.5;  ///< quantization of the per-slot emissions
-  PolicyKind policy = PolicyKind::kFifo;
-  double edf_through_deadline_ms = 10.0;
-  double edf_cross_deadline_ms = 100.0;
-  /// SCFQ/GPS weights phi_i / DRR quanta Q_i (kb), class 0 = through.
-  /// The two-class simulation collapses the cross classes onto
-  /// (through(), cross_total()); the full list is kept so
-  /// scheduler_spec_of() raises losslessly.
-  sched::ClassWeights class_weights{};
+  /// The policy every server runs; any registered scheduler, mapped as
+  /// in sim::TandemConfig::scheduler except that GPS runs as its
+  /// packetized approximation SCFQ.
+  sched::SchedulerSpec scheduler = sched::SchedulerSpec::fifo();
+  /// EDF deadline unit in ms: kEdf deadlines are factor * edf_unit.  The
+  /// default gives the default factors' deadlines 10 / 100 ms.
+  double edf_unit = 10.0;
   std::int64_t slots = 100000;
   std::int64_t warmup_slots = 1000;
   std::uint64_t seed = 1;
@@ -50,31 +39,8 @@ struct EvNetworkResult {
 };
 
 /// Runs the event-driven tandem.  @throws std::invalid_argument on
-/// malformed configuration.
+/// malformed configuration (including a non-finite capacity, packet
+/// size or edf_unit, and a packet size or edf_unit <= 0).
 [[nodiscard]] EvNetworkResult run_event_network(const EvNetworkConfig& cfg);
-
-/// Lowering adapter from the analytic scheduler identity: sets
-/// `cfg.policy` (and the EDF deadline fields where applicable) to
-/// simulate `spec`.  Mirrors sim::lower_scheduler: kEdf deadlines
-/// resolve as factor * edf_unit (ms), a finite non-zero fixed-Delta spec
-/// lowers to per-class EDF deadlines differing by exactly the offset,
-/// and Delta = 0 / +inf / -inf lower to FIFO / SP-low / SP-high.  The
-/// curve-backed kinds lower to their packetized counterparts: GPS to
-/// SCFQ, DRR to the deficit-round-robin policy (weights/quanta into
-/// class_weights), and SCED to the deadline-curve policy (parameterless;
-/// rates split by the configured flow counts).  Every registered
-/// scheduler name is accepted.
-/// @throws std::invalid_argument for kEdf without a positive finite
-/// edf_unit.
-void lower_scheduler(const sched::SchedulerSpec& spec, double edf_unit,
-                     EvNetworkConfig& cfg);
-
-/// The analytic identity of `cfg`'s policy (inverse adapter).  EDF
-/// raises to a fixed-Delta spec carrying the deadline difference.  SCFQ
-/// approximates GPS and raises to the curve-backed SchedulerSpec::gps
-/// with the full configured class_weights; DRR and SCED raise to their
-/// own curve-backed specs (see sched/service_curve_provider.h).
-[[nodiscard]] sched::SchedulerSpec scheduler_spec_of(
-    const EvNetworkConfig& cfg);
 
 }  // namespace deltanc::evsim

@@ -125,6 +125,15 @@ double SchedulerSpec::delta_term(double edf_unit) const noexcept {
   return (edf_factors().own_factor - edf_factors().cross_factor) * edf_unit;
 }
 
+EdfDeadlines SchedulerSpec::edf_deadlines(double edf_unit) const noexcept {
+  if (kind() == SchedulerKind::kDelta) {
+    const double d = delta();
+    return {d > 0.0 ? d : 0.0, d > 0.0 ? 0.0 : -d};
+  }
+  return {edf_factors().own_factor * edf_unit,
+          edf_factors().cross_factor * edf_unit};
+}
+
 DeltaMatrix SchedulerSpec::to_delta_matrix(std::size_t flows,
                                            std::size_t analyzed,
                                            double edf_unit) const {

@@ -14,7 +14,8 @@
 //   sweep        SweepGrid scheduler/edf/delta axes (core/sweep.h)
 //   wire + cache io/codec.{h,cpp} encode/decode + cache keys
 //   CLI          --scheduler / --sweep parsing (parse_scheduler)
-//   simulators   sim::lower_scheduler / evsim::lower_scheduler
+//   simulators   sim::TandemConfig / evsim::EvNetworkConfig carry the
+//                spec; their EDF deadlines come from edf_deadlines()
 //
 // Not every scheduler admits constants Delta_{j,k} -- GPS, DRR, and
 // SCED condition on the backlog process, so Definition 1 does not apply
@@ -56,6 +57,12 @@ struct EdfFactors {
 
   friend constexpr bool operator==(const EdfFactors&,
                                    const EdfFactors&) = default;
+};
+
+/// Absolute per-class EDF deadlines, in the unit's time base (slots/ms).
+struct EdfDeadlines {
+  double through = 0.0;  ///< d*_0
+  double cross = 0.0;    ///< d*_c
 };
 
 /// Per-class share parameters for the curve-backed kinds: GPS weights
@@ -261,6 +268,14 @@ class SchedulerSpec {
   /// HeteroPath node.  Quiet NaN for curve-backed kinds -- callers on the
   /// Delta path must check is_curve_backed() first.
   [[nodiscard]] double delta_term(double edf_unit) const noexcept;
+
+  /// The per-class deadlines an EDF discipline runs to realize the spec:
+  /// factor * edf_unit for kEdf, and (max(Delta, 0), max(-Delta, 0)) for
+  /// kDelta -- two deadlines whose difference is exactly the offset,
+  /// which by Def. 1 is all the scheduler sees.  Meaningful for kEdf and
+  /// a finite kDelta only; both simulators build their EDF discipline
+  /// from it.
+  [[nodiscard]] EdfDeadlines edf_deadlines(double edf_unit) const noexcept;
 
   /// Lowers the spec onto the Theorem-1 layer: the DeltaMatrix over
   /// `flows` flows with `analyzed` as the through flow.  EDF deadlines

@@ -16,24 +16,30 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::unique_ptr<Discipline> make_discipline(const TandemConfig& c) {
-  switch (c.discipline) {
-    case DisciplineKind::kFifo:
+  const sched::SchedulerSpec& s = c.scheduler;
+  switch (s.kind()) {
+    case sched::SchedulerKind::kFifo:
       return make_fifo();
-    case DisciplineKind::kSpThroughLow:
+    case sched::SchedulerKind::kBmux:
       return make_static_priority({0, 1});
-    case DisciplineKind::kSpThroughHigh:
+    case sched::SchedulerKind::kSpHigh:
       return make_static_priority({1, 0});
-    case DisciplineKind::kEdf:
-      return make_edf({c.edf_through_deadline, c.edf_cross_deadline});
-    case DisciplineKind::kGps:
-      return make_gps({c.class_weights.through(),
-                       c.class_weights.cross_total()});
-    case DisciplineKind::kDrr:
+    case sched::SchedulerKind::kDelta:
+      if (s.delta() == 0.0) return make_fifo();
+      if (s.delta() == kInf) return make_static_priority({0, 1});
+      if (s.delta() == -kInf) return make_static_priority({1, 0});
+      [[fallthrough]];  // a finite offset runs as per-class EDF deadlines
+    case sched::SchedulerKind::kEdf: {
+      const sched::EdfDeadlines d = s.edf_deadlines(c.edf_unit);
+      return make_edf({d.through, d.cross});
+    }
+    case sched::SchedulerKind::kGps:
+      return make_gps({s.weights().through(), s.weights().cross_total()});
+    case sched::SchedulerKind::kDrr:
       // The DRR guarantee depends only on Q_0 and the sum (quantum share
       // and round latency), so the cross quanta collapse onto their sum.
-      return make_drr({c.class_weights.through(),
-                       c.class_weights.cross_total()});
-    case DisciplineKind::kSced: {
+      return make_drr({s.weights().through(), s.weights().cross_total()});
+    case sched::SchedulerKind::kSced: {
       // Load-proportional rate split: every flow is an i.i.d. copy of
       // the same source, so the class loads are proportional to the flow
       // counts (the rule sched::ScedProvider applies analytically).
@@ -42,98 +48,19 @@ std::unique_ptr<Discipline> make_discipline(const TandemConfig& c) {
                         c.capacity_kb_per_slot * c.n_cross / total});
     }
   }
-  throw std::invalid_argument("run_tandem: unknown discipline");
+  throw std::invalid_argument("run_tandem: unknown scheduler kind");
 }
+
+bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
 
 }  // namespace
-
-void lower_scheduler(const sched::SchedulerSpec& spec, double edf_unit,
-                     TandemConfig& config) {
-  switch (spec.kind()) {
-    case sched::SchedulerKind::kFifo:
-      config.discipline = DisciplineKind::kFifo;
-      return;
-    case sched::SchedulerKind::kBmux:
-      config.discipline = DisciplineKind::kSpThroughLow;
-      return;
-    case sched::SchedulerKind::kSpHigh:
-      config.discipline = DisciplineKind::kSpThroughHigh;
-      return;
-    case sched::SchedulerKind::kEdf:
-      if (!(edf_unit > 0.0) || !std::isfinite(edf_unit)) {
-        throw std::invalid_argument(
-            "lower_scheduler: EDF deadlines need a positive finite "
-            "edf_unit (= d_e2e / H)");
-      }
-      config.discipline = DisciplineKind::kEdf;
-      config.edf_through_deadline = spec.edf_factors().own_factor * edf_unit;
-      config.edf_cross_deadline = spec.edf_factors().cross_factor * edf_unit;
-      return;
-    case sched::SchedulerKind::kDelta: {
-      const double d = spec.delta();
-      if (d == 0.0) {
-        config.discipline = DisciplineKind::kFifo;
-      } else if (d == kInf) {
-        config.discipline = DisciplineKind::kSpThroughLow;
-      } else if (d == -kInf) {
-        config.discipline = DisciplineKind::kSpThroughHigh;
-      } else {
-        // Per-class deadlines whose difference is exactly the offset:
-        // by Def. 1 the scheduler only sees d*_0 - d*_c.
-        config.discipline = DisciplineKind::kEdf;
-        config.edf_through_deadline = d > 0.0 ? d : 0.0;
-        config.edf_cross_deadline = d > 0.0 ? 0.0 : -d;
-      }
-      return;
-    }
-    case sched::SchedulerKind::kGps:
-      // The full weight list is kept; make_discipline collapses the
-      // cross classes onto one weight for the two-class simulation.
-      config.discipline = DisciplineKind::kGps;
-      config.class_weights = spec.weights();
-      return;
-    case sched::SchedulerKind::kDrr:
-      config.discipline = DisciplineKind::kDrr;
-      config.class_weights = spec.weights();
-      return;
-    case sched::SchedulerKind::kSced:
-      // Parameterless: the discipline derives its load-proportional
-      // rates from the configured flow counts and capacity.
-      config.discipline = DisciplineKind::kSced;
-      return;
-  }
-  throw std::invalid_argument("lower_scheduler: unknown scheduler kind");
-}
-
-sched::SchedulerSpec scheduler_spec_of(const TandemConfig& config) {
-  switch (config.discipline) {
-    case DisciplineKind::kFifo:
-      return sched::SchedulerSpec::fifo();
-    case DisciplineKind::kSpThroughLow:
-      return sched::SchedulerSpec::bmux();
-    case DisciplineKind::kSpThroughHigh:
-      return sched::SchedulerSpec::sp_high();
-    case DisciplineKind::kEdf:
-      return sched::SchedulerSpec::fixed_delta(config.edf_through_deadline -
-                                               config.edf_cross_deadline);
-    case DisciplineKind::kGps:
-      // GPS is not a Delta-scheduler, but since the curve-backed kinds it
-      // raises to the spec carrying the configured weights -- the full
-      // list, so lower_scheduler round-trips losslessly.
-      return sched::SchedulerSpec::gps(config.class_weights);
-    case DisciplineKind::kDrr:
-      return sched::SchedulerSpec::drr(config.class_weights);
-    case DisciplineKind::kSced:
-      return sched::SchedulerSpec::sced();
-  }
-  throw std::invalid_argument("scheduler_spec_of: unknown discipline");
-}
 
 TandemResult run_tandem(const TandemConfig& config) {
   if (config.hops < 1 || config.n_through < 1 || config.n_cross < 0 ||
       config.slots < 1 || config.warmup_slots < 0 ||
-      !(config.capacity_kb_per_slot > 0.0) || config.packet_kb < 0.0 ||
-      config.backlog_stride < 0) {
+      !positive_finite(config.capacity_kb_per_slot) ||
+      !(config.packet_kb >= 0.0 && std::isfinite(config.packet_kb)) ||
+      !positive_finite(config.edf_unit) || config.backlog_stride < 0) {
     throw std::invalid_argument("run_tandem: malformed configuration");
   }
 

@@ -21,31 +21,23 @@
 
 namespace deltanc::sim {
 
-/// Discipline selector for every node of the tandem.
-enum class DisciplineKind {
-  kFifo,
-  kSpThroughLow,   ///< blind multiplexing: through class has low priority
-  kSpThroughHigh,  ///< through class has high priority
-  kEdf,            ///< per-class deadlines (edf_* fields)
-  kGps,            ///< fluid fair sharing (class_weights as GPS weights)
-  kDrr,            ///< deficit round robin (class_weights as quanta, kb)
-  kSced,           ///< deadline curves, rates split by the offered load
-};
-
 struct TandemConfig {
   double capacity_kb_per_slot = 100.0;  ///< C = 100 Mbps at 1 ms slots
   int hops = 2;
   traffic::MmooSource source = traffic::MmooSource::paper_source();
   int n_through = 100;  ///< N_0 through flows (aggregated)
   int n_cross = 100;    ///< N_c cross flows per node (aggregated)
-  DisciplineKind discipline = DisciplineKind::kFifo;
-  double edf_through_deadline = 10.0;  ///< d*_0 in slots
-  double edf_cross_deadline = 100.0;   ///< d*_c in slots
-  /// GPS weights phi_i / DRR quanta Q_i (kb), class 0 = through.  The
-  /// two-class simulation collapses the cross classes onto
-  /// (through(), cross_total()), but the full list is kept so
-  /// scheduler_spec_of() raises losslessly (>= 3-class specs included).
-  sched::ClassWeights class_weights{};
+  /// The discipline every node runs; any registered scheduler.  Delta =
+  /// 0 / +inf / -inf run as FIFO / SP with the through class low / SP
+  /// with it high, EDF and a finite Delta as per-class EDF deadlines
+  /// (SchedulerSpec::edf_deadlines), GPS and DRR with the cross classes
+  /// collapsed onto (through(), cross_total()), and SCED with the rates
+  /// split by the flow counts.
+  sched::SchedulerSpec scheduler = sched::SchedulerSpec::fifo();
+  /// EDF deadline unit in slots: kEdf deadlines are factor * edf_unit
+  /// (the analytic layer uses d_e2e / H).  The default gives the default
+  /// factors' deadlines 10 / 100.
+  double edf_unit = 10.0;
   std::int64_t slots = 200000;
   std::int64_t warmup_slots = 2000;  ///< delays of chunks arriving before
                                      ///< this slot are discarded
@@ -69,34 +61,8 @@ struct TandemResult {
 };
 
 /// Runs the tandem simulation.  @throws std::invalid_argument on
-/// malformed configuration.
+/// malformed configuration (including a non-finite capacity, packet
+/// size or edf_unit, and edf_unit <= 0).
 [[nodiscard]] TandemResult run_tandem(const TandemConfig& config);
-
-/// Lowering adapter from the analytic scheduler identity: sets
-/// `config.discipline` (and the EDF deadline fields where applicable)
-/// to simulate `spec`.  kEdf deadlines resolve as factor * edf_unit
-/// (callers supply edf_unit = d_e2e / H in slots; other kinds ignore
-/// it).  A finite non-zero fixed-Delta spec lowers to per-class EDF
-/// deadlines whose difference is exactly the offset -- by Def. 1 that
-/// realizes the precedence constants; Delta = 0 / +inf / -inf lower to
-/// the FIFO / SP-low / SP-high disciplines.  The curve-backed kinds
-/// lower to their own disciplines: GPS and DRR carry their weight/
-/// quantum lists into class_weights, SCED is parameterless (the
-/// discipline splits capacity by the configured flow counts, the same
-/// load-proportional rule as sched::ScedProvider).  Every registered
-/// scheduler name is accepted.
-/// @throws std::invalid_argument for kEdf without a positive finite
-/// edf_unit.
-void lower_scheduler(const sched::SchedulerSpec& spec, double edf_unit,
-                     TandemConfig& config);
-
-/// The analytic identity of `config`'s discipline (inverse adapter).
-/// EDF raises to a fixed-Delta spec carrying the deadline difference:
-/// absolute deadlines hold more information than Def. 1 keeps.  GPS and
-/// DRR raise to the curve-backed specs carrying the full configured
-/// class_weights; SCED raises to the parameterless spec (see
-/// sched/service_curve_provider.h).
-[[nodiscard]] sched::SchedulerSpec scheduler_spec_of(
-    const TandemConfig& config);
 
 }  // namespace deltanc::sim

@@ -37,13 +37,11 @@ TEST_P(EvsimBoundDomination, FluidBoundPlusBlockingDominatesPacketSim) {
   c.packet_kb = packet_kb;
   c.slots = 200000;
   c.seed = 41;
-  // Lower through the one adapter every layer shares; EDF deadlines
-  // resolve against the analytic bound's unit d_e2e / H.
-  double edf_unit = 1.0;
+  // EDF deadlines resolve against the analytic bound's unit d_e2e / H.
+  c.scheduler = sc.scheduler;
   if (sc.scheduler.needs_fixed_point()) {
-    edf_unit = analyzer.bound().delay_ms / hops;
+    c.edf_unit = analyzer.bound().delay_ms / hops;
   }
-  evsim::lower_scheduler(sc.scheduler, edf_unit, c);
   const evsim::EvNetworkResult r = evsim::run_event_network(c);
   ASSERT_GT(r.through_delay_ms.count(), 100000u);
 
@@ -66,27 +64,21 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, EvsimBoundDomination,
                                            sched::SchedulerKind::kSpHigh,
                                            sched::SchedulerKind::kEdf));
 
-// Both static-priority lowerings (kSpThroughLow from bmux, kSpThroughHigh
-// from sp-high) must keep the packet simulator's delay quantiles under
-// the matching analytic bound at several tail depths.  Seeded, and
-// tolerance-gated by the non-preemptive blocking allowance of one packet
-// transmission per hop.
+// Both static priorities (through low = bmux, through high = sp-high)
+// must keep the packet simulator's delay quantiles under the matching
+// analytic bound at several tail depths.  Seeded, and tolerance-gated by
+// the non-preemptive blocking allowance of one packet transmission per
+// hop.
 TEST(EvsimSpQuantiles, SpLoweringsStayBelowAnalyticBounds) {
   const int hops = 2;
   const double packet_kb = 1.5;
-  struct Case {
-    sched::SchedulerSpec spec;
-    evsim::PolicyKind expected;
-  };
-  for (const Case& test_case :
-       {Case{sched::SchedulerSpec::bmux(), evsim::PolicyKind::kSpThroughLow},
-        Case{sched::SchedulerSpec::sp_high(),
-             evsim::PolicyKind::kSpThroughHigh}}) {
+  for (const sched::SchedulerSpec& spec :
+       {sched::SchedulerSpec::bmux(), sched::SchedulerSpec::sp_high()}) {
     const e2e::Scenario sc = ScenarioBuilder()
                                  .hops(hops)
                                  .through_flows(200)
                                  .cross_flows(200)
-                                 .scheduler(test_case.spec)
+                                 .scheduler(spec)
                                  .build();
     evsim::EvNetworkConfig c;
     c.hops = hops;
@@ -95,10 +87,7 @@ TEST(EvsimSpQuantiles, SpLoweringsStayBelowAnalyticBounds) {
     c.packet_kb = packet_kb;
     c.slots = 150000;
     c.seed = 7;
-    evsim::lower_scheduler(test_case.spec, 1.0, c);
-    ASSERT_EQ(c.policy, test_case.expected)
-        << sched::to_string(test_case.spec);
-    ASSERT_EQ(evsim::scheduler_spec_of(c), test_case.spec);
+    c.scheduler = spec;
     const evsim::EvNetworkResult r = evsim::run_event_network(c);
     ASSERT_GT(r.through_delay_ms.count(), 50000u);
     const double blocking_allowance = hops * packet_kb / sc.capacity;
@@ -109,7 +98,7 @@ TEST(EvsimSpQuantiles, SpLoweringsStayBelowAnalyticBounds) {
       ASSERT_TRUE(std::isfinite(bound));
       EXPECT_LE(r.through_delay_ms.quantile(1.0 - eps),
                 bound + blocking_allowance)
-          << sched::to_string(test_case.spec) << " at eps " << eps;
+          << sched::to_string(spec) << " at eps " << eps;
     }
   }
 }
@@ -124,20 +113,14 @@ TEST(EvsimSpQuantiles, SpLoweringsStayBelowAnalyticBounds) {
 TEST(EvsimCurveQuantiles, CurveLoweringsStayBelowAnalyticBounds) {
   const int hops = 2;
   const double packet_kb = 1.5;
-  struct Case {
-    sched::SchedulerSpec spec;
-    evsim::PolicyKind expected;
-  };
-  for (const Case& test_case :
-       {Case{sched::SchedulerSpec::drr(1.5, 1.5), evsim::PolicyKind::kDrr},
-        Case{sched::SchedulerSpec::sced(), evsim::PolicyKind::kSced},
-        Case{sched::SchedulerSpec::gps(1.0, 1.0),
-             evsim::PolicyKind::kScfq}}) {
+  for (const sched::SchedulerSpec& spec :
+       {sched::SchedulerSpec::drr(1.5, 1.5), sched::SchedulerSpec::sced(),
+        sched::SchedulerSpec::gps(1.0, 1.0)}) {
     const e2e::Scenario sc = ScenarioBuilder()
                                  .hops(hops)
                                  .through_flows(200)
                                  .cross_flows(200)
-                                 .scheduler(test_case.spec)
+                                 .scheduler(spec)
                                  .build();
     evsim::EvNetworkConfig c;
     c.hops = hops;
@@ -146,10 +129,7 @@ TEST(EvsimCurveQuantiles, CurveLoweringsStayBelowAnalyticBounds) {
     c.packet_kb = packet_kb;
     c.slots = 150000;
     c.seed = 7;
-    evsim::lower_scheduler(test_case.spec, 1.0, c);
-    ASSERT_EQ(c.policy, test_case.expected)
-        << sched::to_string(test_case.spec);
-    ASSERT_EQ(evsim::scheduler_spec_of(c), test_case.spec);
+    c.scheduler = spec;
     const evsim::EvNetworkResult r = evsim::run_event_network(c);
     ASSERT_GT(r.through_delay_ms.count(), 50000u);
     const double blocking_allowance = hops * packet_kb / sc.capacity;
@@ -160,7 +140,7 @@ TEST(EvsimCurveQuantiles, CurveLoweringsStayBelowAnalyticBounds) {
       ASSERT_TRUE(std::isfinite(bound));
       EXPECT_LE(r.through_delay_ms.quantile(1.0 - eps),
                 bound + blocking_allowance)
-          << sched::to_string(test_case.spec) << " at eps " << eps;
+          << sched::to_string(spec) << " at eps " << eps;
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "evsim/network.h"
@@ -9,6 +10,8 @@
 
 namespace deltanc::evsim {
 namespace {
+
+using sched::SchedulerSpec;
 
 Packet pkt(int flow, double kb, std::uint64_t seq) {
   return Packet{flow, kb, 0.0, 0.0, 0.0, seq};
@@ -149,17 +152,16 @@ TEST(EvNetwork, SchedulerOrderingUnderLoad) {
   c.n_through = 250;
   c.n_cross = 250;
   c.slots = 60000;
-  c.edf_through_deadline_ms = 3.0;
-  c.edf_cross_deadline_ms = 30.0;
-  const auto tail = [&](PolicyKind kind) {
+  c.edf_unit = 3.0;  // deadlines 3 / 30 ms
+  const auto tail = [&](const SchedulerSpec& spec) {
     EvNetworkConfig cc = c;
-    cc.policy = kind;
+    cc.scheduler = spec;
     return run_event_network(cc).through_delay_ms.quantile(0.999);
   };
-  const double hi = tail(PolicyKind::kSpThroughHigh);
-  const double edf = tail(PolicyKind::kEdf);
-  const double fifo = tail(PolicyKind::kFifo);
-  const double lo = tail(PolicyKind::kSpThroughLow);
+  const double hi = tail(SchedulerSpec::sp_high());
+  const double edf = tail(SchedulerSpec::edf(1.0, 10.0));
+  const double fifo = tail(SchedulerSpec::fifo());
+  const double lo = tail(SchedulerSpec::bmux());
   EXPECT_LE(hi, edf + 0.5);
   EXPECT_LE(edf, fifo + 0.5);
   EXPECT_LE(fifo, lo + 0.5);
@@ -198,7 +200,7 @@ TEST(EvNetwork, ScfqTracksFluidGpsTail) {
   c.n_through = 250;
   c.n_cross = 250;
   c.slots = 60000;
-  c.policy = PolicyKind::kScfq;
+  c.scheduler = SchedulerSpec::gps();
   const double scfq_tail =
       run_event_network(c).through_delay_ms.quantile(0.99);
   sim::TandemConfig sc;
@@ -206,7 +208,7 @@ TEST(EvNetwork, ScfqTracksFluidGpsTail) {
   sc.n_through = c.n_through;
   sc.n_cross = c.n_cross;
   sc.slots = c.slots;
-  sc.discipline = sim::DisciplineKind::kGps;
+  sc.scheduler = SchedulerSpec::gps();
   const double gps_tail =
       sim::run_tandem(sc).through_delay.quantile(0.99);
   EXPECT_LE(scfq_tail, gps_tail);  // slotted model adds hop quantization
@@ -221,11 +223,10 @@ TEST(EvNetwork, ScfqWeightsShiftTheThroughTail) {
   c.n_through = 300;
   c.n_cross = 300;
   c.slots = 60000;
-  c.policy = PolicyKind::kScfq;
-  c.class_weights = sched::ClassWeights::of({4.0, 1.0});
+  c.scheduler = SchedulerSpec::gps(4.0, 1.0);
   const double favoured =
       run_event_network(c).through_delay_ms.quantile(0.999);
-  c.class_weights = sched::ClassWeights::of({1.0, 4.0});
+  c.scheduler = SchedulerSpec::gps(1.0, 4.0);
   const double penalized =
       run_event_network(c).through_delay_ms.quantile(0.999);
   EXPECT_LE(favoured, penalized + 1e-9);
@@ -286,10 +287,9 @@ TEST(EvNetwork, DrrDegeneratesToFifoWithoutCrossTraffic) {
   c.n_through = 200;
   c.n_cross = 0;
   c.slots = 20000;
-  c.policy = PolicyKind::kFifo;
+  c.scheduler = SchedulerSpec::fifo();
   const EvNetworkResult fifo = run_event_network(c);
-  c.policy = PolicyKind::kDrr;
-  c.class_weights = sched::ClassWeights::of({1.0, 1.0});
+  c.scheduler = SchedulerSpec::drr(1.0, 1.0);
   const EvNetworkResult drr = run_event_network(c);
   ASSERT_EQ(drr.through_delay_ms.count(), fifo.through_delay_ms.count());
   EXPECT_DOUBLE_EQ(drr.through_delay_ms.quantile(0.5),
@@ -307,11 +307,10 @@ TEST(EvNetwork, EqualQuantaDrrTracksTheFifoTail) {
   c.n_through = 250;
   c.n_cross = 250;
   c.slots = 60000;
-  c.policy = PolicyKind::kFifo;
+  c.scheduler = SchedulerSpec::fifo();
   const double fifo_tail =
       run_event_network(c).through_delay_ms.quantile(0.99);
-  c.policy = PolicyKind::kDrr;
-  c.class_weights = sched::ClassWeights::of({1.5, 1.5});
+  c.scheduler = SchedulerSpec::drr(1.5, 1.5);
   const double drr_tail =
       run_event_network(c).through_delay_ms.quantile(0.99);
   EXPECT_NEAR(drr_tail, fifo_tail, 0.5 * fifo_tail + 1.0);
@@ -326,11 +325,10 @@ TEST(EvNetwork, ScedAgreesWithEqualWeightScfqOnSymmetricLoads) {
   c.n_through = 250;
   c.n_cross = 250;
   c.slots = 60000;
-  c.policy = PolicyKind::kScfq;
-  c.class_weights = sched::ClassWeights::of({1.0, 1.0});
+  c.scheduler = SchedulerSpec::gps(1.0, 1.0);
   const double scfq_tail =
       run_event_network(c).through_delay_ms.quantile(0.99);
-  c.policy = PolicyKind::kSced;
+  c.scheduler = SchedulerSpec::sced();
   const double sced_tail =
       run_event_network(c).through_delay_ms.quantile(0.99);
   EXPECT_NEAR(sced_tail, scfq_tail, 0.5 * scfq_tail + 1.0);
@@ -340,6 +338,27 @@ TEST(EvNetwork, ValidatesConfig) {
   EvNetworkConfig c;
   c.packet_kb = 0.0;
   EXPECT_THROW((void)run_event_network(c), std::invalid_argument);
+  // Non-finite sizes would otherwise simulate nothing: zero samples and
+  // zero utilization instead of an error.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EvNetworkConfig ok;
+  ok.slots = 10;
+  EXPECT_NO_THROW((void)run_event_network(ok));
+  for (const double v : {nan, inf, -inf, 0.0}) {
+    EvNetworkConfig bad = ok;
+    bad.packet_kb = v;
+    EXPECT_THROW((void)run_event_network(bad), std::invalid_argument)
+        << "packet_kb " << v;
+    bad = ok;
+    bad.capacity_kb_per_ms = v;
+    EXPECT_THROW((void)run_event_network(bad), std::invalid_argument)
+        << "capacity " << v;
+    bad = ok;
+    bad.edf_unit = v;
+    EXPECT_THROW((void)run_event_network(bad), std::invalid_argument)
+        << "edf_unit " << v;
+  }
 }
 
 }  // namespace

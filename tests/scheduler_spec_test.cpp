@@ -1,7 +1,7 @@
-// The one scheduler identity: SchedulerSpec semantics, the canonical
-// name registry (round-trips over every registered name), and the
-// lowering adapters into both simulators -- including the curve-backed
-// kinds (GPS/DRR/SCED), whose Delta observers refuse by design.
+// The one scheduler identity: SchedulerSpec semantics and the canonical
+// name registry (round-trips over every registered name), including the
+// curve-backed kinds (GPS/DRR/SCED), whose Delta observers refuse by
+// design.  How the simulators run each spec: sim_scheduler_test.cpp.
 #include "sched/scheduler_spec.h"
 
 #include <gtest/gtest.h>
@@ -10,9 +10,6 @@
 #include <limits>
 #include <stdexcept>
 #include <vector>
-
-#include "evsim/network.h"
-#include "sim/tandem.h"
 
 namespace deltanc::sched {
 namespace {
@@ -230,134 +227,22 @@ TEST(SchedulerRegistry, DescriptionsNameTheFamily) {
             std::string::npos);
 }
 
-// ----- simulator lowering adapters -----------------------------------------
-
-TEST(SchedulerLowering, TandemAdapterRoundTripsEveryKind) {
-  struct Case {
-    SchedulerSpec spec;
-    sim::DisciplineKind expected;
-  };
-  for (const Case& c :
-       {Case{SchedulerSpec::fifo(), sim::DisciplineKind::kFifo},
-        Case{SchedulerSpec::bmux(), sim::DisciplineKind::kSpThroughLow},
-        Case{SchedulerSpec::sp_high(), sim::DisciplineKind::kSpThroughHigh},
-        Case{SchedulerSpec::edf(1.0, 10.0), sim::DisciplineKind::kEdf}}) {
-    sim::TandemConfig config;
-    sim::lower_scheduler(c.spec, 5.0, config);
-    EXPECT_EQ(config.discipline, c.expected) << to_string(c.spec);
-    const SchedulerSpec back = sim::scheduler_spec_of(config);
-    // EDF raises to the fixed-Delta spec carrying the deadline
-    // difference (absolute deadlines hold more than Def. 1 keeps).
-    if (c.spec.needs_fixed_point()) {
-      EXPECT_EQ(back,
-                SchedulerSpec::fixed_delta(c.spec.delta_term(5.0)));
-    } else {
-      EXPECT_EQ(back, c.spec) << to_string(c.spec);
-    }
+TEST(SchedulerSpec, EdfDeadlinesDifferByExactlyTheDeltaTerm) {
+  // The deadlines both simulators run for EDF and a finite fixed Delta:
+  // by Def. 1 only their difference matters, and it is the Delta term.
+  const EdfDeadlines edf = SchedulerSpec::edf(1.0, 10.0).edf_deadlines(5.0);
+  EXPECT_EQ(edf.through, 5.0);
+  EXPECT_EQ(edf.cross, 50.0);
+  for (const SchedulerSpec& spec :
+       {SchedulerSpec::edf(1.0, 10.0), SchedulerSpec::edf(2.0, 3.0),
+        SchedulerSpec::fixed_delta(3.5), SchedulerSpec::fixed_delta(-1.25)}) {
+    const EdfDeadlines d = spec.edf_deadlines(4.0);
+    EXPECT_EQ(d.through - d.cross, spec.delta_term(4.0)) << to_string(spec);
   }
-}
-
-TEST(SchedulerLowering, FixedDeltaLowersToEdfWithTheExactOffset) {
-  sim::TandemConfig config;
-  sim::lower_scheduler(SchedulerSpec::fixed_delta(3.5), 1.0, config);
-  EXPECT_EQ(config.discipline, sim::DisciplineKind::kEdf);
-  EXPECT_DOUBLE_EQ(
-      config.edf_through_deadline - config.edf_cross_deadline, 3.5);
-  EXPECT_EQ(sim::scheduler_spec_of(config), SchedulerSpec::fixed_delta(3.5));
-
-  evsim::EvNetworkConfig ev;
-  evsim::lower_scheduler(SchedulerSpec::fixed_delta(-1.25), 1.0, ev);
-  EXPECT_EQ(ev.policy, evsim::PolicyKind::kEdf);
-  EXPECT_DOUBLE_EQ(
-      ev.edf_through_deadline_ms - ev.edf_cross_deadline_ms, -1.25);
-  EXPECT_EQ(evsim::scheduler_spec_of(ev), SchedulerSpec::fixed_delta(-1.25));
-}
-
-TEST(SchedulerLowering, EdfWithoutAUnitIsAnError) {
-  sim::TandemConfig config;
-  EXPECT_THROW(sim::lower_scheduler(SchedulerSpec::edf(), 0.0, config),
-               std::invalid_argument);
-  EXPECT_THROW(sim::lower_scheduler(SchedulerSpec::edf(), kInf, config),
-               std::invalid_argument);
-  evsim::EvNetworkConfig ev;
-  EXPECT_THROW(evsim::lower_scheduler(SchedulerSpec::edf(), -1.0, ev),
-               std::invalid_argument);
-}
-
-TEST(SchedulerLowering, GpsLowersToBothSimulatorsAndRaisesBack) {
-  // GPS is curve-backed, not a Delta-scheduler, but it *is* lowerable:
-  // the tandem simulator has a fluid GPS discipline and the event
-  // simulator approximates it with SCFQ.  The configs keep the full
-  // weight list (the simulators collapse the cross classes internally),
-  // so the raise is lossless even for >= 3-class specs.
-  sim::TandemConfig config;
-  sim::lower_scheduler(SchedulerSpec::gps(3.0, 1.0), 1.0, config);
-  EXPECT_EQ(config.discipline, sim::DisciplineKind::kGps);
-  EXPECT_EQ(config.class_weights, ClassWeights::of({3.0, 1.0}));
-  EXPECT_EQ(sim::scheduler_spec_of(config), SchedulerSpec::gps(3.0, 1.0));
-
-  evsim::EvNetworkConfig ev;
-  evsim::lower_scheduler(SchedulerSpec::gps(ClassWeights::of({2.0, 1.0, 1.0})),
-                         1.0, ev);
-  EXPECT_EQ(ev.policy, evsim::PolicyKind::kScfq);
-  EXPECT_EQ(ev.class_weights, ClassWeights::of({2.0, 1.0, 1.0}));
-  // Lossless: gps:2,1,1 round-trips as itself, not as the collapsed
-  // gps:2,2 the two-class simulation actually runs.
-  EXPECT_EQ(evsim::scheduler_spec_of(ev),
-            SchedulerSpec::gps(ClassWeights::of({2.0, 1.0, 1.0})));
-  EXPECT_NE(evsim::scheduler_spec_of(ev), SchedulerSpec::gps(2.0, 2.0));
-
-  sim::TandemConfig config3;
-  sim::lower_scheduler(SchedulerSpec::gps(ClassWeights::of({2.0, 1.0, 1.0})),
-                       1.0, config3);
-  EXPECT_EQ(sim::scheduler_spec_of(config3),
-            SchedulerSpec::gps(ClassWeights::of({2.0, 1.0, 1.0})));
-}
-
-TEST(SchedulerLowering, DrrLowersToBothSimulatorsAndRaisesBack) {
-  // The slot simulator gets a fluid deficit-counter discipline, the
-  // event simulator the classic packetized one; quanta travel through
-  // class_weights and raise back losslessly.
-  sim::TandemConfig config;
-  sim::lower_scheduler(SchedulerSpec::drr(4.5, 1.5), 1.0, config);
-  EXPECT_EQ(config.discipline, sim::DisciplineKind::kDrr);
-  EXPECT_EQ(config.class_weights, ClassWeights::of({4.5, 1.5}));
-  EXPECT_EQ(sim::scheduler_spec_of(config), SchedulerSpec::drr(4.5, 1.5));
-
-  evsim::EvNetworkConfig ev;
-  evsim::lower_scheduler(SchedulerSpec::drr(ClassWeights::of({3.0, 1.0, 2.0})),
-                         1.0, ev);
-  EXPECT_EQ(ev.policy, evsim::PolicyKind::kDrr);
-  EXPECT_EQ(evsim::scheduler_spec_of(ev),
-            SchedulerSpec::drr(ClassWeights::of({3.0, 1.0, 2.0})));
-}
-
-TEST(SchedulerLowering, ScedLowersToBothSimulatorsParameterlessly) {
-  // SCED carries no parameters: the disciplines derive load-proportional
-  // rates from the configured flow counts at run time.
-  sim::TandemConfig config;
-  sim::lower_scheduler(SchedulerSpec::sced(), 1.0, config);
-  EXPECT_EQ(config.discipline, sim::DisciplineKind::kSced);
-  EXPECT_EQ(sim::scheduler_spec_of(config), SchedulerSpec::sced());
-
-  evsim::EvNetworkConfig ev;
-  evsim::lower_scheduler(SchedulerSpec::sced(), 1.0, ev);
-  EXPECT_EQ(ev.policy, evsim::PolicyKind::kSced);
-  EXPECT_EQ(evsim::scheduler_spec_of(ev), SchedulerSpec::sced());
-}
-
-TEST(SchedulerLowering, EveryRegisteredNameLowersIntoBothSimulators) {
-  // The bug this guards against: a registry name that parses fine but
-  // throws at simulation time.  EDF-like kinds get a unit of 1.0.
-  for (const char* name : {"fifo", "bmux", "sp-high", "edf", "delta:2.5",
-                           "gps:2,1", "drr:1.5,1.5", "sced"}) {
-    SchedulerSpec spec;
-    ASSERT_TRUE(parse_scheduler(name, spec)) << name;
-    sim::TandemConfig config;
-    evsim::EvNetworkConfig ev;
-    EXPECT_NO_THROW(sim::lower_scheduler(spec, 1.0, config)) << name;
-    EXPECT_NO_THROW(evsim::lower_scheduler(spec, 1.0, ev)) << name;
-  }
+  // A fixed offset puts the whole Delta on one class, the other at 0.
+  EXPECT_EQ(SchedulerSpec::fixed_delta(3.5).edf_deadlines(4.0).cross, 0.0);
+  EXPECT_EQ(SchedulerSpec::fixed_delta(-1.25).edf_deadlines(4.0).through,
+            0.0);
 }
 
 TEST(SchedulerSpec, CurveBackedKindsRefuseTheDeltaObservers) {

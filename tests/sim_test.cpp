@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "sim/mmoo_source.h"
@@ -12,6 +13,8 @@
 
 namespace deltanc::sim {
 namespace {
+
+using sched::SchedulerSpec;
 
 TEST(Rng, DeterministicForFixedSeed) {
   Xoshiro256ss a(42), b(42);
@@ -258,15 +261,15 @@ TEST(Tandem, DrrAndScedDisciplinesRunEndToEnd) {
   c.n_cross = 250;
   c.slots = 50000;
   TandemConfig hi = c;
-  hi.discipline = DisciplineKind::kSpThroughHigh;
+  hi.scheduler = SchedulerSpec::sp_high();
   TandemConfig lo = c;
-  lo.discipline = DisciplineKind::kSpThroughLow;
+  lo.scheduler = SchedulerSpec::bmux();
   const double hi_tail = run_tandem(hi).through_delay.quantile(0.999);
   const double lo_tail = run_tandem(lo).through_delay.quantile(0.999);
-  for (const DisciplineKind kind :
-       {DisciplineKind::kDrr, DisciplineKind::kSced}) {
+  for (const SchedulerSpec& spec :
+       {SchedulerSpec::drr(), SchedulerSpec::sced()}) {
     TandemConfig cc = c;
-    cc.discipline = kind;
+    cc.scheduler = spec;
     const TandemResult r = run_tandem(cc);
     ASSERT_GT(r.through_delay.count(), 0u);
     const double tail = r.through_delay.quantile(0.999);
@@ -381,18 +384,17 @@ TEST(Tandem, SchedulerOrderingUnderLoad) {
   c.n_through = 250;
   c.n_cross = 250;
   c.slots = 150000;
-  c.edf_through_deadline = 5.0;
-  c.edf_cross_deadline = 50.0;
+  c.edf_unit = 5.0;  // deadlines 5 / 50 slots
 
-  const auto tail = [&](DisciplineKind kind) {
+  const auto tail = [&](const SchedulerSpec& spec) {
     TandemConfig cc = c;
-    cc.discipline = kind;
+    cc.scheduler = spec;
     return run_tandem(cc).through_delay.quantile(0.999);
   };
-  const double sp_high = tail(DisciplineKind::kSpThroughHigh);
-  const double edf = tail(DisciplineKind::kEdf);
-  const double fifo = tail(DisciplineKind::kFifo);
-  const double sp_low = tail(DisciplineKind::kSpThroughLow);
+  const double sp_high = tail(SchedulerSpec::sp_high());
+  const double edf = tail(SchedulerSpec::edf(1.0, 10.0));
+  const double fifo = tail(SchedulerSpec::fifo());
+  const double sp_low = tail(SchedulerSpec::bmux());
   EXPECT_LE(sp_high, edf + 1.0);
   EXPECT_LE(edf, fifo + 1.0);
   EXPECT_LE(fifo, sp_low + 1.0);
@@ -408,12 +410,12 @@ TEST(Tandem, GpsIsNotOrderedLikeADeltaScheduler) {
   c.n_through = 250;
   c.n_cross = 250;
   c.slots = 100000;
-  c.discipline = DisciplineKind::kGps;
+  c.scheduler = SchedulerSpec::gps();
   const double gps = run_tandem(c).through_delay.quantile(0.999);
   TandemConfig hi = c;
-  hi.discipline = DisciplineKind::kSpThroughHigh;
+  hi.scheduler = SchedulerSpec::sp_high();
   TandemConfig lo = c;
-  lo.discipline = DisciplineKind::kSpThroughLow;
+  lo.scheduler = SchedulerSpec::bmux();
   EXPECT_GE(gps, run_tandem(hi).through_delay.quantile(0.999) - 1.0);
   EXPECT_LE(gps, run_tandem(lo).through_delay.quantile(0.999) + 1.0);
 }
@@ -425,6 +427,29 @@ TEST(Tandem, ValidatesConfig) {
   c.hops = 1;
   c.slots = 0;
   EXPECT_THROW((void)run_tandem(c), std::invalid_argument);
+  // Non-finite sizes would otherwise simulate nothing: zero samples and
+  // zero utilization instead of an error.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TandemConfig ok;
+  ok.slots = 10;
+  EXPECT_NO_THROW((void)run_tandem(ok));
+  for (const double v : {nan, inf, -1.0}) {
+    TandemConfig bad = ok;
+    bad.packet_kb = v;
+    EXPECT_THROW((void)run_tandem(bad), std::invalid_argument)
+        << "packet_kb " << v;
+  }
+  for (const double v : {nan, inf, -inf, 0.0}) {
+    TandemConfig bad = ok;
+    bad.capacity_kb_per_slot = v;
+    EXPECT_THROW((void)run_tandem(bad), std::invalid_argument)
+        << "capacity " << v;
+    bad = ok;
+    bad.edf_unit = v;
+    EXPECT_THROW((void)run_tandem(bad), std::invalid_argument)
+        << "edf_unit " << v;
+  }
 }
 
 }  // namespace
