@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -14,25 +13,17 @@ namespace deltanc::evsim {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 std::unique_ptr<Policy> make_policy(const EvNetworkConfig& c) {
   const sched::SchedulerSpec& s = c.scheduler;
   switch (s.kind()) {
     case sched::SchedulerKind::kFifo:
-      return make_fifo_policy();
     case sched::SchedulerKind::kBmux:
-      return make_sp_policy({0, 1});
     case sched::SchedulerKind::kSpHigh:
-      return make_sp_policy({1, 0});
-    case sched::SchedulerKind::kDelta:
-      if (s.delta() == 0.0) return make_fifo_policy();
-      if (s.delta() == kInf) return make_sp_policy({0, 1});
-      if (s.delta() == -kInf) return make_sp_policy({1, 0});
-      [[fallthrough]];  // a finite offset runs as per-class EDF deadlines
-    case sched::SchedulerKind::kEdf: {
-      const sched::EdfDeadlines d = s.edf_deadlines(c.edf_unit);
-      return make_edf_policy({d.through, d.cross});
+    case sched::SchedulerKind::kEdf:
+    case sched::SchedulerKind::kDelta: {
+      // Definition 1: one level, the spec's per-class offsets.
+      const sched::ClassOffsets o = s.class_offsets(c.edf_unit);
+      return make_delta_key_policy({0, 0}, {o.through, o.cross});
     }
     case sched::SchedulerKind::kGps:
       // SCFQ is the packetized approximation of GPS this simulator has.

@@ -40,7 +40,8 @@ struct EvNetworkResult {
 
 /// Runs the event-driven tandem.  @throws std::invalid_argument on
 /// malformed configuration (including a non-finite capacity, packet
-/// size or edf_unit, and a packet size or edf_unit <= 0).
+/// size or edf_unit, a packet size or edf_unit <= 0, and a NaN Delta or
+/// EDF factor).
 [[nodiscard]] EvNetworkResult run_event_network(const EvNetworkConfig& cfg);
 
 }  // namespace deltanc::evsim

@@ -1,9 +1,8 @@
 #include "evsim/policy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
-#include <map>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -11,116 +10,84 @@ namespace deltanc::evsim {
 
 namespace {
 
-class FifoPolicy final : public Policy {
+/// The Definition-1 queue: one heap ordered by (level, highest first;
+/// tag, earliest first; seq).  SCFQ and SCED derive from it and replace
+/// only the tag stamp.
+class DeltaKeyPolicy : public Policy {
  public:
-  void enqueue(Packet packet) override {
-    backlog_ += packet.size_kb;
-    queue_.push_back(packet);
-  }
-  std::optional<Packet> dequeue() override {
-    if (queue_.empty()) return std::nullopt;
-    Packet p = queue_.front();
-    queue_.pop_front();
-    backlog_ -= p.size_kb;
-    return p;
-  }
-  [[nodiscard]] bool empty() const override { return queue_.empty(); }
-  [[nodiscard]] double backlog_kb() const override { return backlog_; }
-
- private:
-  std::deque<Packet> queue_;
-  double backlog_ = 0.0;
-};
-
-class SpPolicy final : public Policy {
- public:
-  explicit SpPolicy(std::vector<int> priority)
-      : priority_(std::move(priority)) {
-    if (priority_.empty()) {
-      throw std::invalid_argument("sp policy: need priorities");
+  DeltaKeyPolicy(std::vector<int> level, std::vector<double> offset)
+      : level_(std::move(level)), offset_(std::move(offset)) {
+    if (level_.empty() || level_.size() != offset_.size()) {
+      throw std::invalid_argument(
+          "delta key policy: need one level and one offset per flow");
     }
-  }
-  void enqueue(Packet packet) override {
-    if (packet.flow < 0 ||
-        packet.flow >= static_cast<int>(priority_.size())) {
-      throw std::out_of_range("sp policy: unknown flow");
-    }
-    backlog_ += packet.size_kb;
-    levels_[priority_[packet.flow]].push_back(packet);
-  }
-  std::optional<Packet> dequeue() override {
-    for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-      if (!it->second.empty()) {
-        Packet p = it->second.front();
-        it->second.pop_front();
-        backlog_ -= p.size_kb;
-        return p;
+    for (double o : offset_) {
+      if (std::isnan(o)) {
+        throw std::invalid_argument(
+            "delta key policy: offsets must not be NaN");
       }
     }
-    return std::nullopt;
-  }
-  [[nodiscard]] bool empty() const override {
-    for (const auto& [prio, queue] : levels_) {
-      if (!queue.empty()) return false;
-    }
-    return true;
-  }
-  [[nodiscard]] double backlog_kb() const override { return backlog_; }
-
- private:
-  std::vector<int> priority_;
-  std::map<int, std::deque<Packet>> levels_;
-  double backlog_ = 0.0;
-};
-
-class EdfPolicy final : public Policy {
- public:
-  explicit EdfPolicy(std::vector<double> deadline)
-      : deadline_(std::move(deadline)) {
-    if (deadline_.empty()) {
-      throw std::invalid_argument("edf policy: need deadlines");
-    }
   }
   void enqueue(Packet packet) override {
-    if (packet.flow < 0 ||
-        packet.flow >= static_cast<int>(deadline_.size())) {
-      throw std::out_of_range("edf policy: unknown flow");
-    }
-    packet.tag = packet.node_arrival + deadline_[packet.flow];
-    backlog_ += packet.size_kb;
-    heap_.push(packet);
+    packet.tag = packet.node_arrival + offset_[class_of(packet)];
+    push(packet);
   }
   std::optional<Packet> dequeue() override {
     if (heap_.empty()) return std::nullopt;
-    Packet p = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), later());
+    Packet p = heap_.back();
+    heap_.pop_back();
     backlog_ -= p.size_kb;
     return p;
   }
   [[nodiscard]] bool empty() const override { return heap_.empty(); }
   [[nodiscard]] double backlog_kb() const override { return backlog_; }
 
+ protected:
+  /// The packet's class index.  @throws std::out_of_range when unknown.
+  [[nodiscard]] std::size_t class_of(const Packet& packet) const {
+    if (packet.flow < 0 || packet.flow >= static_cast<int>(level_.size())) {
+      throw std::out_of_range("delta key policy: unknown flow");
+    }
+    return static_cast<std::size_t>(packet.flow);
+  }
+
+  /// Admits a packet whose tag is already stamped.
+  void push(const Packet& packet) {
+    backlog_ += packet.size_kb;
+    heap_.push_back(packet);
+    std::push_heap(heap_.begin(), heap_.end(), later());
+  }
+
  private:
+  /// Heap order: true when `a` is served after `b`.
   struct Later {
+    const std::vector<int>* level;
     bool operator()(const Packet& a, const Packet& b) const noexcept {
+      const int la = (*level)[static_cast<std::size_t>(a.flow)];
+      const int lb = (*level)[static_cast<std::size_t>(b.flow)];
+      if (la != lb) return la < lb;
       if (a.tag != b.tag) return a.tag > b.tag;
       return a.seq > b.seq;
     }
   };
-  std::vector<double> deadline_;
-  std::priority_queue<Packet, std::vector<Packet>, Later> heap_;
+  [[nodiscard]] Later later() const noexcept { return Later{&level_}; }
+
+  std::vector<int> level_;
+  std::vector<double> offset_;
+  std::vector<Packet> heap_;
   double backlog_ = 0.0;
 };
 
 /// SCFQ: virtual time = the finish tag of the most recently dequeued
 /// packet; a packet of flow i gets tag max(F_i, v) + L / w_i.
-class ScfqPolicy final : public Policy {
+class ScfqPolicy final : public DeltaKeyPolicy {
  public:
   explicit ScfqPolicy(std::vector<double> weights)
-      : weights_(std::move(weights)), finish_(weights_.size(), 0.0) {
-    if (weights_.empty()) {
-      throw std::invalid_argument("scfq policy: need weights");
-    }
+      : DeltaKeyPolicy(std::vector<int>(weights.size(), 0),
+                       std::vector<double>(weights.size(), 0.0)),
+        weights_(std::move(weights)),
+        finish_(weights_.size(), 0.0) {
     for (double w : weights_) {
       if (!(w > 0.0)) {
         throw std::invalid_argument("scfq policy: weights must be > 0");
@@ -128,40 +95,22 @@ class ScfqPolicy final : public Policy {
     }
   }
   void enqueue(Packet packet) override {
-    if (packet.flow < 0 ||
-        packet.flow >= static_cast<int>(weights_.size())) {
-      throw std::out_of_range("scfq policy: unknown flow");
-    }
-    const auto f = static_cast<std::size_t>(packet.flow);
+    const std::size_t f = class_of(packet);
     finish_[f] = std::max(finish_[f], virtual_time_) +
                  packet.size_kb / weights_[f];
     packet.tag = finish_[f];
-    backlog_ += packet.size_kb;
-    heap_.push(packet);
+    push(packet);
   }
   std::optional<Packet> dequeue() override {
-    if (heap_.empty()) return std::nullopt;
-    Packet p = heap_.top();
-    heap_.pop();
-    backlog_ -= p.size_kb;
-    virtual_time_ = p.tag;
+    std::optional<Packet> p = DeltaKeyPolicy::dequeue();
+    if (p) virtual_time_ = p->tag;
     return p;
   }
-  [[nodiscard]] bool empty() const override { return heap_.empty(); }
-  [[nodiscard]] double backlog_kb() const override { return backlog_; }
 
  private:
-  struct Later {
-    bool operator()(const Packet& a, const Packet& b) const noexcept {
-      if (a.tag != b.tag) return a.tag > b.tag;
-      return a.seq > b.seq;
-    }
-  };
   std::vector<double> weights_;
   std::vector<double> finish_;
   double virtual_time_ = 0.0;
-  std::priority_queue<Packet, std::vector<Packet>, Later> heap_;
-  double backlog_ = 0.0;
 };
 
 /// Deficit round robin, packetized: the classic Shreedhar-Varghese
@@ -248,13 +197,13 @@ class DrrPolicy final : public Policy {
 
 /// SCED: per-class virtual server of rate rate_[f]; a packet of flow f
 /// gets tag max(F_f, arrival) + L / rate_f and the earliest tag wins.
-class ScedPolicy final : public Policy {
+class ScedPolicy final : public DeltaKeyPolicy {
  public:
   explicit ScedPolicy(std::vector<double> rates)
-      : rates_(std::move(rates)), finish_(rates_.size(), 0.0) {
-    if (rates_.empty()) {
-      throw std::invalid_argument("sced policy: need rates");
-    }
+      : DeltaKeyPolicy(std::vector<int>(rates.size(), 0),
+                       std::vector<double>(rates.size(), 0.0)),
+        rates_(std::move(rates)),
+        finish_(rates_.size(), 0.0) {
     for (double r : rates_) {
       if (!(r >= 0.0)) {
         throw std::invalid_argument("sced policy: rates must be >= 0");
@@ -263,11 +212,7 @@ class ScedPolicy final : public Policy {
   }
 
   void enqueue(Packet packet) override {
-    if (packet.flow < 0 ||
-        packet.flow >= static_cast<int>(rates_.size())) {
-      throw std::out_of_range("sced policy: unknown flow");
-    }
-    const auto f = static_cast<std::size_t>(packet.flow);
+    const std::size_t f = class_of(packet);
     if (!(rates_[f] > 0.0)) {
       throw std::invalid_argument(
           "sced policy: arrival on a class with no guaranteed rate");
@@ -275,44 +220,20 @@ class ScedPolicy final : public Policy {
     finish_[f] = std::max(finish_[f], packet.node_arrival) +
                  packet.size_kb / rates_[f];
     packet.tag = finish_[f];
-    backlog_ += packet.size_kb;
-    heap_.push(packet);
+    push(packet);
   }
-  std::optional<Packet> dequeue() override {
-    if (heap_.empty()) return std::nullopt;
-    Packet p = heap_.top();
-    heap_.pop();
-    backlog_ -= p.size_kb;
-    return p;
-  }
-  [[nodiscard]] bool empty() const override { return heap_.empty(); }
-  [[nodiscard]] double backlog_kb() const override { return backlog_; }
 
  private:
-  struct Later {
-    bool operator()(const Packet& a, const Packet& b) const noexcept {
-      if (a.tag != b.tag) return a.tag > b.tag;
-      return a.seq > b.seq;
-    }
-  };
   std::vector<double> rates_;
   std::vector<double> finish_;
-  std::priority_queue<Packet, std::vector<Packet>, Later> heap_;
-  double backlog_ = 0.0;
 };
 
 }  // namespace
 
-std::unique_ptr<Policy> make_fifo_policy() {
-  return std::make_unique<FifoPolicy>();
-}
-
-std::unique_ptr<Policy> make_sp_policy(std::vector<int> priority) {
-  return std::make_unique<SpPolicy>(std::move(priority));
-}
-
-std::unique_ptr<Policy> make_edf_policy(std::vector<double> deadline) {
-  return std::make_unique<EdfPolicy>(std::move(deadline));
+std::unique_ptr<Policy> make_delta_key_policy(std::vector<int> level,
+                                              std::vector<double> offset) {
+  return std::make_unique<DeltaKeyPolicy>(std::move(level),
+                                          std::move(offset));
 }
 
 std::unique_ptr<Policy> make_scfq_policy(std::vector<double> weights) {

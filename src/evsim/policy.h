@@ -4,18 +4,27 @@
 // exposes the blocking effects the paper's fluid model deliberately
 // ignores ("we ignore that packet transmissions cannot be interrupted").
 //
-// Policies:
-//   FIFO  -- global arrival order;
-//   SP    -- strict priority, non-preemptive (a packet in service blocks
-//            higher priorities for up to L/C -- priority inversion);
-//   EDF   -- earliest deadline (deadline = node arrival + d*_flow);
+// The paper's Definition 1 makes FIFO, static priority and EDF one rule,
+// and make_delta_key_policy is that rule: a packet of class f arriving at
+// time t is served in the order of
+//
+//   (level[f], highest first;  t + offset[f], earliest first;  seq).
+//
+// FIFO is all levels and offsets 0; static priority puts the classes on
+// distinct levels and is non-preemptive here (a packet in service blocks
+// higher levels for up to L/C -- priority inversion); EDF sets offset[f]
+// = d*_f; a Delta of +/-inf is an infinite offset on one class
+// (sched::SchedulerSpec::class_offsets).
+//
+// The curve-backed policies:
 //   SCFQ  -- self-clocked fair queueing (Golestani), the standard
 //            packetized approximation of GPS via virtual finish tags;
 //   DRR   -- deficit round robin (Shreedhar & Varghese): per-class
 //            quanta and deficit counters, one whole packet per grant;
 //   SCED  -- deadline-curve scheduling (arXiv:1804.08040): a per-class
-//            virtual server of rate R_f stamps each packet's deadline,
-//            and the earliest deadline transmits next.
+//            virtual server of rate R_f stamps each packet's deadline.
+// SCFQ and SCED only stamp `tag`; the Delta-key queue, all classes on
+// one level, picks the earliest.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +40,9 @@ struct Packet {
   double size_kb;           ///< transmission size
   double node_arrival;      ///< arrival time at the current node (ms)
   double network_arrival;   ///< arrival into the network (ms)
-  double tag;               ///< policy metadata (EDF deadline / SCFQ tag)
+  double tag;               ///< service-order key, stamped at enqueue:
+                            ///< node_arrival + offset, or the SCED
+                            ///< deadline / SCFQ finish tag
   std::uint64_t seq;        ///< global arrival order tie-breaker
 };
 
@@ -48,16 +59,13 @@ class Policy {
   [[nodiscard]] virtual double backlog_kb() const = 0;
 };
 
-/// FIFO over all classes.
-[[nodiscard]] std::unique_ptr<Policy> make_fifo_policy();
-
-/// Strict priority; `priority[f]` with larger = served first.
-[[nodiscard]] std::unique_ptr<Policy> make_sp_policy(
-    std::vector<int> priority);
-
-/// EDF with per-class relative deadlines (ms).
-[[nodiscard]] std::unique_ptr<Policy> make_edf_policy(
-    std::vector<double> deadline);
+/// The Definition-1 policy: class f's packets are served in the order of
+/// (level[f], highest first; node_arrival + offset[f] in ms, earliest
+/// first; seq).  An offset may be +/-inf.
+/// @throws std::invalid_argument on empty or mismatched vectors or a NaN
+/// offset.
+[[nodiscard]] std::unique_ptr<Policy> make_delta_key_policy(
+    std::vector<int> level, std::vector<double> offset);
 
 /// Self-clocked fair queueing with per-class weights.
 [[nodiscard]] std::unique_ptr<Policy> make_scfq_policy(

@@ -125,10 +125,10 @@ double SchedulerSpec::delta_term(double edf_unit) const noexcept {
   return (edf_factors().own_factor - edf_factors().cross_factor) * edf_unit;
 }
 
-EdfDeadlines SchedulerSpec::edf_deadlines(double edf_unit) const noexcept {
-  if (kind() == SchedulerKind::kDelta) {
-    const double d = delta();
-    return {d > 0.0 ? d : 0.0, d > 0.0 ? 0.0 : -d};
+ClassOffsets SchedulerSpec::class_offsets(double edf_unit) const noexcept {
+  if (const std::optional<double> d = static_delta()) {
+    // The whole Delta on one class (a NaN lands on the cross class).
+    return {*d > 0.0 ? *d : 0.0, *d > 0.0 ? 0.0 : -*d};
   }
   return {edf_factors().own_factor * edf_unit,
           edf_factors().cross_factor * edf_unit};

@@ -15,7 +15,8 @@
 //   wire + cache io/codec.{h,cpp} encode/decode + cache keys
 //   CLI          --scheduler / --sweep parsing (parse_scheduler)
 //   simulators   sim::TandemConfig / evsim::EvNetworkConfig carry the
-//                spec; their EDF deadlines come from edf_deadlines()
+//                spec; every Delta-kind runs as the one Delta-key
+//                queue of each simulator, offsets from class_offsets()
 //
 // Not every scheduler admits constants Delta_{j,k} -- GPS, DRR, and
 // SCED condition on the backlog process, so Definition 1 does not apply
@@ -59,10 +60,11 @@ struct EdfFactors {
                                    const EdfFactors&) = default;
 };
 
-/// Absolute per-class EDF deadlines, in the unit's time base (slots/ms).
-struct EdfDeadlines {
-  double through = 0.0;  ///< d*_0
-  double cross = 0.0;    ///< d*_c
+/// Per-class Definition-1 offsets, in the unit's time base (slots/ms): an
+/// arrival of class f at time t is served in the order of t + offset_f.
+struct ClassOffsets {
+  double through = 0.0;  ///< offset of the analyzed class (d*_0 for EDF)
+  double cross = 0.0;    ///< offset of the cross class (d*_c for EDF)
 };
 
 /// Per-class share parameters for the curve-backed kinds: GPS weights
@@ -269,13 +271,14 @@ class SchedulerSpec {
   /// Delta path must check is_curve_backed() first.
   [[nodiscard]] double delta_term(double edf_unit) const noexcept;
 
-  /// The per-class deadlines an EDF discipline runs to realize the spec:
-  /// factor * edf_unit for kEdf, and (max(Delta, 0), max(-Delta, 0)) for
-  /// kDelta -- two deadlines whose difference is exactly the offset,
-  /// which by Def. 1 is all the scheduler sees.  Meaningful for kEdf and
-  /// a finite kDelta only; both simulators build their EDF discipline
-  /// from it.
-  [[nodiscard]] EdfDeadlines edf_deadlines(double edf_unit) const noexcept;
+  /// The per-class offsets a Delta-key queue runs to realize the spec:
+  /// factor * edf_unit for kEdf, and (max(Delta, 0), max(-Delta, 0)) of
+  /// static_delta() for the other Delta-kinds -- fifo {0, 0}, bmux
+  /// {+inf, 0}, sp-high {0, +inf}.  Either way through - cross is exactly
+  /// delta_term(edf_unit), which by Def. 1 is all the scheduler sees.
+  /// Meaningless for curve-backed kinds; both simulators build every
+  /// Delta-kind from it.
+  [[nodiscard]] ClassOffsets class_offsets(double edf_unit) const noexcept;
 
   /// Lowers the spec onto the Theorem-1 layer: the DeltaMatrix over
   /// `flows` flows with `analyzed` as the through flow.  EDF deadlines

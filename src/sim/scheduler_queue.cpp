@@ -1,9 +1,8 @@
 #include "sim/scheduler_queue.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
-#include <map>
-#include <queue>
 #include <stdexcept>
 
 namespace deltanc::sim {
@@ -12,111 +11,57 @@ namespace {
 
 constexpr double kSizeEps = 1e-12;
 
-/// FIFO: one global queue in arrival order.
-class FifoDiscipline final : public Discipline {
- public:
-  void enqueue(Chunk chunk) override {
-    backlog_ += chunk.size_kb;
-    queue_.push_back(chunk);
+/// Drains up to `amount` kb from the head of `queue`, splitting the last
+/// chunk if the amount runs out inside it; fully served chunks move to
+/// `completed`.  Decrements `*backlog` step by step and returns the amount
+/// drained.
+double drain(std::deque<Chunk>& queue, double amount, double* backlog,
+             std::vector<Chunk>* completed) {
+  double drained = 0.0;
+  while (amount > kSizeEps && !queue.empty()) {
+    Chunk& head = queue.front();
+    const double step = std::min(amount, head.size_kb);
+    head.size_kb -= step;
+    amount -= step;
+    drained += step;
+    *backlog -= step;
+    if (head.size_kb <= kSizeEps) {
+      completed->push_back(head);
+      queue.pop_front();
+    }
   }
+  return drained;
+}
 
-  double serve(double budget, std::vector<Chunk>* completed) override {
-    double served = 0.0;
-    while (budget > kSizeEps && !queue_.empty()) {
-      Chunk& head = queue_.front();
-      const double amount = std::min(budget, head.size_kb);
-      head.size_kb -= amount;
-      budget -= amount;
-      served += amount;
-      backlog_ -= amount;
-      if (head.size_kb <= kSizeEps) {
-        completed->push_back(head);
-        queue_.pop_front();
+/// The Definition-1 queue: one heap ordered by (level, highest first;
+/// deadline, earliest first; seq).  SCED derives from it and replaces
+/// only the deadline stamp.
+class DeltaKeyDiscipline : public Discipline {
+ public:
+  DeltaKeyDiscipline(std::vector<int> level, std::vector<double> offset)
+      : level_(std::move(level)), offset_(std::move(offset)) {
+    if (level_.empty() || level_.size() != offset_.size()) {
+      throw std::invalid_argument(
+          "delta key: need one level and one offset per flow class");
+    }
+    for (double o : offset_) {
+      if (std::isnan(o)) {
+        throw std::invalid_argument("delta key: offsets must not be NaN");
       }
     }
-    return served;
-  }
-
-  [[nodiscard]] double backlog() const override { return backlog_; }
-
- private:
-  std::deque<Chunk> queue_;
-  double backlog_ = 0.0;
-};
-
-/// Static priority: a FIFO queue per priority level, highest level first.
-class SpDiscipline final : public Discipline {
- public:
-  explicit SpDiscipline(std::vector<int> priority)
-      : priority_(std::move(priority)) {
-    if (priority_.empty()) {
-      throw std::invalid_argument("static priority: need flow priorities");
-    }
   }
 
   void enqueue(Chunk chunk) override {
-    if (chunk.flow < 0 || chunk.flow >= static_cast<int>(priority_.size())) {
-      throw std::out_of_range("static priority: unknown flow class");
-    }
-    backlog_ += chunk.size_kb;
-    levels_[priority_[chunk.flow]].push_back(chunk);
-  }
-
-  double serve(double budget, std::vector<Chunk>* completed) override {
-    double served = 0.0;
-    // std::map iterates ascending; serve from the highest priority down.
-    for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-      auto& queue = it->second;
-      while (budget > kSizeEps && !queue.empty()) {
-        Chunk& head = queue.front();
-        const double amount = std::min(budget, head.size_kb);
-        head.size_kb -= amount;
-        budget -= amount;
-        served += amount;
-        backlog_ -= amount;
-        if (head.size_kb <= kSizeEps) {
-          completed->push_back(head);
-          queue.pop_front();
-        }
-      }
-      if (budget <= kSizeEps) break;
-    }
-    return served;
-  }
-
-  [[nodiscard]] double backlog() const override { return backlog_; }
-
- private:
-  std::vector<int> priority_;
-  std::map<int, std::deque<Chunk>> levels_;
-  double backlog_ = 0.0;
-};
-
-/// EDF: min-heap on (deadline, seq).
-class EdfDiscipline final : public Discipline {
- public:
-  explicit EdfDiscipline(std::vector<double> deadline)
-      : deadline_(std::move(deadline)) {
-    if (deadline_.empty()) {
-      throw std::invalid_argument("edf: need flow deadlines");
-    }
-  }
-
-  void enqueue(Chunk chunk) override {
-    if (chunk.flow < 0 || chunk.flow >= static_cast<int>(deadline_.size())) {
-      throw std::out_of_range("edf: unknown flow class");
-    }
     chunk.deadline =
-        static_cast<double>(chunk.arrival_slot) + deadline_[chunk.flow];
-    backlog_ += chunk.size_kb;
-    heap_.push(chunk);
+        static_cast<double>(chunk.arrival_slot) + offset_[class_of(chunk)];
+    push(chunk);
   }
 
   double serve(double budget, std::vector<Chunk>* completed) override {
     double served = 0.0;
     while (budget > kSizeEps && !heap_.empty()) {
-      Chunk head = heap_.top();
-      heap_.pop();
+      // A partially served head keeps its key, so it stays on top.
+      Chunk& head = heap_.front();
       const double amount = std::min(budget, head.size_kb);
       head.size_kb -= amount;
       budget -= amount;
@@ -124,8 +69,8 @@ class EdfDiscipline final : public Discipline {
       backlog_ -= amount;
       if (head.size_kb <= kSizeEps) {
         completed->push_back(head);
-      } else {
-        heap_.push(head);  // partially served head keeps its deadline
+        std::pop_heap(heap_.begin(), heap_.end(), later());
+        heap_.pop_back();
       }
     }
     return served;
@@ -133,15 +78,39 @@ class EdfDiscipline final : public Discipline {
 
   [[nodiscard]] double backlog() const override { return backlog_; }
 
+ protected:
+  /// The chunk's class index.  @throws std::out_of_range when unknown.
+  [[nodiscard]] std::size_t class_of(const Chunk& chunk) const {
+    if (chunk.flow < 0 || chunk.flow >= static_cast<int>(level_.size())) {
+      throw std::out_of_range("delta key: unknown flow class");
+    }
+    return static_cast<std::size_t>(chunk.flow);
+  }
+
+  /// Admits a chunk whose deadline is already stamped.
+  void push(const Chunk& chunk) {
+    backlog_ += chunk.size_kb;
+    heap_.push_back(chunk);
+    std::push_heap(heap_.begin(), heap_.end(), later());
+  }
+
  private:
+  /// Heap order: true when `a` is served after `b`.
   struct Later {
+    const std::vector<int>* level;
     bool operator()(const Chunk& a, const Chunk& b) const noexcept {
+      const int la = (*level)[static_cast<std::size_t>(a.flow)];
+      const int lb = (*level)[static_cast<std::size_t>(b.flow)];
+      if (la != lb) return la < lb;
       if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.seq > b.seq;  // FIFO among equal deadlines
+      return a.seq > b.seq;
     }
   };
-  std::vector<double> deadline_;
-  std::priority_queue<Chunk, std::vector<Chunk>, Later> heap_;
+  [[nodiscard]] Later later() const noexcept { return Later{&level_}; }
+
+  std::vector<int> level_;
+  std::vector<double> offset_;
+  std::vector<Chunk> heap_;
   double backlog_ = 0.0;
 };
 
@@ -193,7 +162,7 @@ class GpsDiscipline final : public Discipline {
       for (std::size_t f = 0; f < queues_.size(); ++f) {
         if (queues_[f].empty()) continue;
         const double share = weights_[f] / active_weight;
-        spent += drain_class(f, round * share, completed);
+        spent += drain(queues_[f], round * share, &backlog_, completed);
       }
       if (spent <= kSizeEps) break;
       budget -= spent;
@@ -209,25 +178,6 @@ class GpsDiscipline final : public Discipline {
     double sum = 0.0;
     for (const Chunk& c : queues_[f]) sum += c.size_kb;
     return sum;
-  }
-
-  double drain_class(std::size_t f, double amount,
-                     std::vector<Chunk>* completed) {
-    double drained = 0.0;
-    auto& queue = queues_[f];
-    while (amount > kSizeEps && !queue.empty()) {
-      Chunk& head = queue.front();
-      const double step = std::min(amount, head.size_kb);
-      head.size_kb -= step;
-      amount -= step;
-      drained += step;
-      backlog_ -= step;
-      if (head.size_kb <= kSizeEps) {
-        completed->push_back(head);
-        queue.pop_front();
-      }
-    }
-    return drained;
   }
 
   std::vector<double> weights_;
@@ -281,8 +231,8 @@ class DrrDiscipline final : public Discipline {
         deficit_[cursor_] += quanta_[cursor_];
         charged_[cursor_] = true;
       }
-      const double drained =
-          drain_class(cursor_, std::min(budget, deficit_[cursor_]), completed);
+      const double drained = drain(queue, std::min(budget, deficit_[cursor_]),
+                                   &backlog_, completed);
       deficit_[cursor_] -= drained;
       budget -= drained;
       served += drained;
@@ -306,25 +256,6 @@ class DrrDiscipline final : public Discipline {
  private:
   void advance() noexcept { cursor_ = (cursor_ + 1) % queues_.size(); }
 
-  double drain_class(std::size_t f, double amount,
-                     std::vector<Chunk>* completed) {
-    double drained = 0.0;
-    auto& queue = queues_[f];
-    while (amount > kSizeEps && !queue.empty()) {
-      Chunk& head = queue.front();
-      const double step = std::min(amount, head.size_kb);
-      head.size_kb -= step;
-      amount -= step;
-      drained += step;
-      backlog_ -= step;
-      if (head.size_kb <= kSizeEps) {
-        completed->push_back(head);
-        queue.pop_front();
-      }
-    }
-    return drained;
-  }
-
   std::vector<double> quanta_;
   std::vector<std::deque<Chunk>> queues_;
   std::vector<double> deficit_;
@@ -333,25 +264,23 @@ class DrrDiscipline final : public Discipline {
   double backlog_ = 0.0;
 };
 
-/// SCED: a per-class virtual server of rate rate_[f] stamps deadlines
-/// (max(F_f, arrival) + size / rate), then EDF on the stamps.
-class ScedDiscipline final : public Discipline {
+/// SCED: a per-class virtual server of rate rate_[f] stamps the deadline
+/// max(F_f, arrival) + size / rate; the Delta-key queue, all classes on
+/// one level, serves the stamps.
+class ScedDiscipline final : public DeltaKeyDiscipline {
  public:
   explicit ScedDiscipline(std::vector<double> rates)
-      : rates_(std::move(rates)), finish_(rates_.size(), 0.0) {
-    if (rates_.empty()) {
-      throw std::invalid_argument("sced: need flow rates");
-    }
+      : DeltaKeyDiscipline(std::vector<int>(rates.size(), 0),
+                           std::vector<double>(rates.size(), 0.0)),
+        rates_(std::move(rates)),
+        finish_(rates_.size(), 0.0) {
     for (double r : rates_) {
       if (!(r >= 0.0)) throw std::invalid_argument("sced: rates must be >= 0");
     }
   }
 
   void enqueue(Chunk chunk) override {
-    if (chunk.flow < 0 || chunk.flow >= static_cast<int>(rates_.size())) {
-      throw std::out_of_range("sced: unknown flow class");
-    }
-    const auto f = static_cast<std::size_t>(chunk.flow);
+    const std::size_t f = class_of(chunk);
     if (!(rates_[f] > 0.0)) {
       throw std::invalid_argument(
           "sced: arrival on a class with no guaranteed rate");
@@ -359,57 +288,20 @@ class ScedDiscipline final : public Discipline {
     finish_[f] = std::max(finish_[f], static_cast<double>(chunk.arrival_slot)) +
                  chunk.size_kb / rates_[f];
     chunk.deadline = finish_[f];
-    backlog_ += chunk.size_kb;
-    heap_.push(chunk);
+    push(chunk);
   }
-
-  double serve(double budget, std::vector<Chunk>* completed) override {
-    double served = 0.0;
-    while (budget > kSizeEps && !heap_.empty()) {
-      Chunk head = heap_.top();
-      heap_.pop();
-      const double amount = std::min(budget, head.size_kb);
-      head.size_kb -= amount;
-      budget -= amount;
-      served += amount;
-      backlog_ -= amount;
-      if (head.size_kb <= kSizeEps) {
-        completed->push_back(head);
-      } else {
-        heap_.push(head);  // partially served head keeps its deadline
-      }
-    }
-    return served;
-  }
-
-  [[nodiscard]] double backlog() const override { return backlog_; }
 
  private:
-  struct Later {
-    bool operator()(const Chunk& a, const Chunk& b) const noexcept {
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.seq > b.seq;  // FIFO among equal deadlines
-    }
-  };
   std::vector<double> rates_;
   std::vector<double> finish_;
-  std::priority_queue<Chunk, std::vector<Chunk>, Later> heap_;
-  double backlog_ = 0.0;
 };
 
 }  // namespace
 
-std::unique_ptr<Discipline> make_fifo() {
-  return std::make_unique<FifoDiscipline>();
-}
-
-std::unique_ptr<Discipline> make_static_priority(
-    std::vector<int> flow_priority) {
-  return std::make_unique<SpDiscipline>(std::move(flow_priority));
-}
-
-std::unique_ptr<Discipline> make_edf(std::vector<double> flow_deadline) {
-  return std::make_unique<EdfDiscipline>(std::move(flow_deadline));
+std::unique_ptr<Discipline> make_delta_key(std::vector<int> level,
+                                           std::vector<double> offset) {
+  return std::make_unique<DeltaKeyDiscipline>(std::move(level),
+                                              std::move(offset));
 }
 
 std::unique_ptr<Discipline> make_gps(std::vector<double> weights) {

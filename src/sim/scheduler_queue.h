@@ -2,23 +2,28 @@
 //
 // The simulator moves fluid "chunks" (one per flow aggregate per slot).
 // Each discipline decides the order in which backlogged chunks drain a
-// per-slot service budget; partial service splits a chunk.  All four of
-// the paper's reference points are implemented:
+// per-slot service budget; partial service splits a chunk.
 //
-//   FIFO  -- global arrival order                  (Delta = 0)
-//   SP    -- strict priority between flow classes  (Delta in {-inf,0,+inf})
-//   EDF   -- per-class deadlines, earliest first   (Delta = d*_j - d*_k)
-//   GPS   -- fluid weighted fair sharing.  GPS is deliberately included
-//            as the paper's counterexample: its precedence structure
-//            depends on the random backlog, so it is NOT a
-//            Delta-scheduler (Section III).
+// The paper's Definition 1 makes FIFO, static priority and EDF one rule,
+// and make_delta_key is that rule: a chunk of class f arriving in slot t
+// is served in the order of
+//
+//   (level[f], highest first;  t + offset[f], earliest first;  seq).
+//
+// FIFO is all levels and offsets 0, static priority puts the classes on
+// distinct levels, EDF sets offset[f] = d*_f, and a Delta of +/-inf is an
+// infinite offset on one class (sched::SchedulerSpec::class_offsets).
+//
+// The other disciplines condition on the backlog, so they are not
+// Delta-schedulers (Section III) but curve-backed
+// (sched/service_curve_provider.h):
+//
+//   GPS   -- fluid weighted fair sharing, the paper's counterexample.
 //   DRR   -- deficit round robin (Shreedhar & Varghese): per-class
 //            quanta and deficit counters, visited in round-robin order.
-//            Like GPS it conditions on the backlog, so it is curve-backed
-//            (sched/service_curve_provider.h), not a Delta-scheduler.
 //   SCED  -- deadline-curve scheduling (arXiv:1804.08040): each class
 //            runs a virtual server of rate R_f that stamps a deadline,
-//            and chunks are served earliest-deadline-first.
+//            and the Delta-key queue serves the stamps on one level.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +40,9 @@ struct Chunk {
                               ///< is forwarded to the next node
   std::int64_t arrival_slot;  ///< arrival at the *current* node
   std::int64_t origin_slot;   ///< arrival into the network (end-to-end delay)
-  double deadline;            ///< EDF service deadline (set at enqueue)
+  double deadline;            ///< service-order key, stamped at enqueue:
+                              ///< arrival_slot + offset, or the SCED
+                              ///< virtual finish time
   std::uint64_t seq;          ///< global tie-breaker (arrival order)
 };
 
@@ -44,8 +51,8 @@ class Discipline {
  public:
   virtual ~Discipline() = default;
 
-  /// Admits a chunk to the queue (the discipline may stamp metadata such
-  /// as the EDF deadline).
+  /// Admits a chunk to the queue (the discipline may stamp its
+  /// deadline).
   virtual void enqueue(Chunk chunk) = 0;
 
   /// Serves up to `budget` kb.  Fully-served chunks are appended to
@@ -58,18 +65,13 @@ class Discipline {
   [[nodiscard]] virtual double backlog() const = 0;
 };
 
-/// FIFO across all classes (global arrival order, seq as tie-breaker).
-[[nodiscard]] std::unique_ptr<Discipline> make_fifo();
-
-/// Static priority: `flow_priority[f]` is class f's priority, larger =
-/// served first; FIFO within a priority level.
-[[nodiscard]] std::unique_ptr<Discipline> make_static_priority(
-    std::vector<int> flow_priority);
-
-/// EDF: class f's chunks get deadline arrival_slot + flow_deadline[f];
-/// earliest deadline served first (FIFO tie-break).
-[[nodiscard]] std::unique_ptr<Discipline> make_edf(
-    std::vector<double> flow_deadline);
+/// The Definition-1 discipline: class f's chunks are served in the order
+/// of (level[f], highest first; arrival_slot + offset[f], earliest first;
+/// seq).  An offset may be +/-inf.
+/// @throws std::invalid_argument on empty or mismatched vectors or a NaN
+/// offset.
+[[nodiscard]] std::unique_ptr<Discipline> make_delta_key(
+    std::vector<int> level, std::vector<double> offset);
 
 /// Fluid GPS with per-class weights: every backlogged class drains
 /// simultaneously in proportion to its weight (progressive filling
@@ -87,9 +89,9 @@ class Discipline {
 
 /// SCED with rate service curves: class f's chunks are stamped with the
 /// deadline max(F_f, arrival) + size / rate_f, where F_f is the class's
-/// virtual finish time, and served earliest-deadline-first.  Rates are
-/// in kb per slot; a zero rate is allowed only for classes that never
-/// receive traffic (enqueue throws otherwise).
+/// virtual finish time, and served by the Delta-key order on one level.
+/// Rates are in kb per slot; a zero rate is allowed only for classes that
+/// never receive traffic (enqueue throws otherwise).
 [[nodiscard]] std::unique_ptr<Discipline> make_sced(
     std::vector<double> rates);
 

@@ -1,7 +1,6 @@
 #include "sim/tandem.h"
 
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -13,25 +12,17 @@ namespace deltanc::sim {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 std::unique_ptr<Discipline> make_discipline(const TandemConfig& c) {
   const sched::SchedulerSpec& s = c.scheduler;
   switch (s.kind()) {
     case sched::SchedulerKind::kFifo:
-      return make_fifo();
     case sched::SchedulerKind::kBmux:
-      return make_static_priority({0, 1});
     case sched::SchedulerKind::kSpHigh:
-      return make_static_priority({1, 0});
-    case sched::SchedulerKind::kDelta:
-      if (s.delta() == 0.0) return make_fifo();
-      if (s.delta() == kInf) return make_static_priority({0, 1});
-      if (s.delta() == -kInf) return make_static_priority({1, 0});
-      [[fallthrough]];  // a finite offset runs as per-class EDF deadlines
-    case sched::SchedulerKind::kEdf: {
-      const sched::EdfDeadlines d = s.edf_deadlines(c.edf_unit);
-      return make_edf({d.through, d.cross});
+    case sched::SchedulerKind::kEdf:
+    case sched::SchedulerKind::kDelta: {
+      // Definition 1: one level, the spec's per-class offsets.
+      const sched::ClassOffsets o = s.class_offsets(c.edf_unit);
+      return make_delta_key({0, 0}, {o.through, o.cross});
     }
     case sched::SchedulerKind::kGps:
       return make_gps({s.weights().through(), s.weights().cross_total()});

@@ -27,10 +27,9 @@ struct TandemConfig {
   traffic::MmooSource source = traffic::MmooSource::paper_source();
   int n_through = 100;  ///< N_0 through flows (aggregated)
   int n_cross = 100;    ///< N_c cross flows per node (aggregated)
-  /// The discipline every node runs; any registered scheduler.  Delta =
-  /// 0 / +inf / -inf run as FIFO / SP with the through class low / SP
-  /// with it high, EDF and a finite Delta as per-class EDF deadlines
-  /// (SchedulerSpec::edf_deadlines), GPS and DRR with the cross classes
+  /// The discipline every node runs; any registered scheduler.  Every
+  /// Delta-kind runs as make_delta_key with the offsets
+  /// SchedulerSpec::class_offsets, GPS and DRR with the cross classes
   /// collapsed onto (through(), cross_total()), and SCED with the rates
   /// split by the flow counts.
   sched::SchedulerSpec scheduler = sched::SchedulerSpec::fifo();
@@ -62,7 +61,7 @@ struct TandemResult {
 
 /// Runs the tandem simulation.  @throws std::invalid_argument on
 /// malformed configuration (including a non-finite capacity, packet
-/// size or edf_unit, and edf_unit <= 0).
+/// size or edf_unit, edf_unit <= 0, and a NaN Delta or EDF factor).
 [[nodiscard]] TandemResult run_tandem(const TandemConfig& config);
 
 }  // namespace deltanc::sim

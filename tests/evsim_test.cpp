@@ -18,7 +18,7 @@ Packet pkt(int flow, double kb, std::uint64_t seq) {
 }
 
 TEST(EvServer, TransmitsAtConfiguredRate) {
-  Server s(10.0, make_fifo_policy());
+  Server s(10.0, make_delta_key_policy({0}, {0.0}));
   s.arrive(pkt(0, 25.0, 0), 0.0);
   EXPECT_TRUE(s.busy());
   EXPECT_DOUBLE_EQ(s.next_completion(), 2.5);
@@ -29,7 +29,7 @@ TEST(EvServer, TransmitsAtConfiguredRate) {
 }
 
 TEST(EvServer, BackToBackService) {
-  Server s(10.0, make_fifo_policy());
+  Server s(10.0, make_delta_key_policy({0}, {0.0}));
   s.arrive(pkt(0, 10.0, 0), 0.0);
   s.arrive(pkt(0, 20.0, 1), 0.0);
   EXPECT_DOUBLE_EQ(s.backlog_kb(), 30.0);
@@ -39,7 +39,7 @@ TEST(EvServer, BackToBackService) {
 }
 
 TEST(EvServer, IdlePeriodThenRestart) {
-  Server s(10.0, make_fifo_policy());
+  Server s(10.0, make_delta_key_policy({0}, {0.0}));
   s.arrive(pkt(0, 10.0, 0), 0.0);
   (void)s.complete_one();  // done at 1.0
   s.arrive(pkt(0, 10.0, 1), 5.0);
@@ -47,10 +47,11 @@ TEST(EvServer, IdlePeriodThenRestart) {
 }
 
 TEST(EvServer, RejectsTimeTravel) {
-  Server s(10.0, make_fifo_policy());
+  Server s(10.0, make_delta_key_policy({0}, {0.0}));
   s.arrive(pkt(0, 1.0, 0), 5.0);
   EXPECT_THROW(s.arrive(pkt(0, 1.0, 1), 2.0), std::logic_error);
-  EXPECT_THROW(Server(0.0, make_fifo_policy()), std::invalid_argument);
+  EXPECT_THROW(Server(0.0, make_delta_key_policy({0}, {0.0})),
+               std::invalid_argument);
   EXPECT_THROW(Server(1.0, nullptr), std::invalid_argument);
 }
 
@@ -58,7 +59,7 @@ TEST(EvPolicy, NonPreemptivePriorityInversion) {
   // A big low-priority packet enters service first; the high-priority
   // packet arriving just after must wait the full residual transmission
   // -- the blocking term the fluid model ignores.
-  Server s(10.0, make_sp_policy({0, 1}));  // flow 1 = high priority
+  Server s(10.0, make_delta_key_policy({0, 1}, {0.0, 0.0}));  // flow 1 high
   s.arrive(pkt(0, 50.0, 0), 0.0);          // 5 ms transmission
   s.arrive(pkt(1, 1.0, 1), 0.1);
   const Departure first = s.complete_one();
@@ -69,7 +70,7 @@ TEST(EvPolicy, NonPreemptivePriorityInversion) {
 }
 
 TEST(EvPolicy, SpServesHighFirstWhenQueued) {
-  Server s(10.0, make_sp_policy({0, 1}));
+  Server s(10.0, make_delta_key_policy({0, 1}, {0.0, 0.0}));
   s.arrive(pkt(0, 1.0, 0), 0.0);  // in service
   s.arrive(pkt(0, 1.0, 1), 0.0);
   s.arrive(pkt(1, 1.0, 2), 0.0);
@@ -79,12 +80,31 @@ TEST(EvPolicy, SpServesHighFirstWhenQueued) {
 }
 
 TEST(EvPolicy, EdfPicksEarliestDeadline) {
-  Server s(10.0, make_edf_policy({10.0, 2.0}));
+  Server s(10.0, make_delta_key_policy({0, 0}, {10.0, 2.0}));
   s.arrive(pkt(0, 1.0, 0), 0.0);  // deadline 10, in service
   s.arrive(pkt(0, 1.0, 1), 0.0);  // deadline 10
   s.arrive(pkt(1, 1.0, 2), 0.5);  // deadline 2.5 -> earliest
   (void)s.complete_one();
   EXPECT_EQ(s.complete_one().packet.flow, 1);
+}
+
+TEST(EvPolicy, EqualLevelAndTagServeInSeqOrder) {
+  // Ties on (level, tag) go by seq, not by enqueue order: the order
+  // SCFQ's and SCED's equal stamps rely on.
+  auto q = make_delta_key_policy({0, 0}, {2.0, 0.0});
+  Packet late = pkt(1, 1.0, 9);
+  late.node_arrival = 3.0;  // tag 3
+  Packet early = pkt(0, 1.0, 4);
+  early.node_arrival = 1.0;  // tag 1 + 2 = 3
+  Packet mid = pkt(1, 1.0, 7);
+  mid.node_arrival = 3.0;  // tag 3
+  q->enqueue(late);
+  q->enqueue(early);
+  q->enqueue(mid);
+  EXPECT_EQ(q->dequeue()->seq, 4u);
+  EXPECT_EQ(q->dequeue()->seq, 7u);
+  EXPECT_EQ(q->dequeue()->seq, 9u);
+  EXPECT_FALSE(q->dequeue().has_value());
 }
 
 TEST(EvPolicy, ScfqSharesByWeight) {
@@ -107,13 +127,17 @@ TEST(EvPolicy, ScfqSharesByWeight) {
 
 TEST(EvPolicy, ValidatesConfiguration) {
   EXPECT_THROW((void)make_scfq_policy({1.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW((void)make_sp_policy({}), std::invalid_argument);
-  EXPECT_THROW((void)make_edf_policy({}), std::invalid_argument);
+  EXPECT_THROW((void)make_delta_key_policy({}, {}), std::invalid_argument);
+  EXPECT_THROW((void)make_delta_key_policy({0, 0}, {0.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_delta_key_policy(
+                   {0, 0}, {0.0, std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
   EXPECT_THROW((void)make_drr_policy({}), std::invalid_argument);
   EXPECT_THROW((void)make_drr_policy({1.0, 0.0}), std::invalid_argument);
   EXPECT_THROW((void)make_sced_policy({}), std::invalid_argument);
   EXPECT_THROW((void)make_sced_policy({1.0, -1.0}), std::invalid_argument);
-  Server s(1.0, make_sp_policy({0, 1}));
+  Server s(1.0, make_delta_key_policy({0, 1}, {0.0, 0.0}));
   EXPECT_THROW(s.arrive(pkt(5, 1.0, 0), 0.0), std::out_of_range);
   // A zero SCED rate is legal only for a class that never sends.
   Server z(1.0, make_sced_policy({1.0, 0.0}));
@@ -358,6 +382,16 @@ TEST(EvNetwork, ValidatesConfig) {
     bad.edf_unit = v;
     EXPECT_THROW((void)run_event_network(bad), std::invalid_argument)
         << "edf_unit " << v;
+  }
+  // A NaN offset would leave the Delta-key heap without a strict weak
+  // order.
+  for (const SchedulerSpec& spec :
+       {SchedulerSpec::fixed_delta(nan), SchedulerSpec::edf(nan, 10.0),
+        SchedulerSpec::edf(1.0, nan)}) {
+    EvNetworkConfig bad = ok;
+    bad.scheduler = spec;
+    EXPECT_THROW((void)run_event_network(bad), std::invalid_argument)
+        << to_string(spec);
   }
 }
 

@@ -76,7 +76,8 @@ TEST(MultiClassValidation, EdfBoundsDominatePerClassQuantiles) {
   const double s = 0.01, gamma = 0.2, eps = 1e-3;
   const auto env = analytic_envelopes(s, gamma);
 
-  const auto delays = simulate(sim::make_edf(deadlines), 200000, 17);
+  const auto delays =
+      simulate(sim::make_delta_key({0, 0, 0}, deadlines), 200000, 17);
   for (std::size_t f = 0; f < 3; ++f) {
     const double bound =
         sched::single_node_delay_bound(kCapacity, dm, env, f, eps);
@@ -91,7 +92,8 @@ TEST(MultiClassValidation, EdfAnalyticOrderMatchesEmpiricalOrder) {
   const sched::DeltaMatrix dm = sched::DeltaMatrix::edf(deadlines);
   const double s = 0.01, gamma = 0.2, eps = 1e-3;
   const auto env = analytic_envelopes(s, gamma);
-  const auto delays = simulate(sim::make_edf(deadlines), 200000, 23);
+  const auto delays =
+      simulate(sim::make_delta_key({0, 0, 0}, deadlines), 200000, 23);
   // Both the analytic bounds and the empirical tails must respect the
   // deadline ordering: tighter deadline -> smaller delay.
   double prev_bound = 0.0, prev_emp = 0.0;
@@ -113,7 +115,7 @@ TEST(MultiClassValidation, StaticPriorityBoundsDominate) {
   const double s = 0.01, gamma = 0.2, eps = 1e-3;
   const auto env = analytic_envelopes(s, gamma);
   const auto delays =
-      simulate(sim::make_static_priority(priority), 200000, 29);
+      simulate(sim::make_delta_key(priority, {0.0, 0.0, 0.0}), 200000, 29);
   for (std::size_t f = 0; f < 3; ++f) {
     const double bound =
         sched::single_node_delay_bound(kCapacity, dm, env, f, eps);

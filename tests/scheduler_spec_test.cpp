@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace deltanc::sched {
@@ -227,22 +228,35 @@ TEST(SchedulerRegistry, DescriptionsNameTheFamily) {
             std::string::npos);
 }
 
-TEST(SchedulerSpec, EdfDeadlinesDifferByExactlyTheDeltaTerm) {
-  // The deadlines both simulators run for EDF and a finite fixed Delta:
-  // by Def. 1 only their difference matters, and it is the Delta term.
-  const EdfDeadlines edf = SchedulerSpec::edf(1.0, 10.0).edf_deadlines(5.0);
+TEST(SchedulerSpec, ClassOffsetsDifferByExactlyTheDeltaTerm) {
+  // The offsets both simulators run for every Delta-kind: by Def. 1 only
+  // their difference matters, and it is the Delta term, +/-inf included.
+  const ClassOffsets edf = SchedulerSpec::edf(1.0, 10.0).class_offsets(5.0);
   EXPECT_EQ(edf.through, 5.0);
   EXPECT_EQ(edf.cross, 50.0);
   for (const SchedulerSpec& spec :
-       {SchedulerSpec::edf(1.0, 10.0), SchedulerSpec::edf(2.0, 3.0),
-        SchedulerSpec::fixed_delta(3.5), SchedulerSpec::fixed_delta(-1.25)}) {
-    const EdfDeadlines d = spec.edf_deadlines(4.0);
-    EXPECT_EQ(d.through - d.cross, spec.delta_term(4.0)) << to_string(spec);
+       {SchedulerSpec::fifo(), SchedulerSpec::bmux(), SchedulerSpec::sp_high(),
+        SchedulerSpec::edf(1.0, 10.0), SchedulerSpec::edf(2.0, 3.0),
+        SchedulerSpec::fixed_delta(3.5), SchedulerSpec::fixed_delta(-1.25),
+        SchedulerSpec::fixed_delta(0.0), SchedulerSpec::fixed_delta(kInf),
+        SchedulerSpec::fixed_delta(-kInf)}) {
+    const ClassOffsets o = spec.class_offsets(4.0);
+    EXPECT_EQ(o.through - o.cross, spec.delta_term(4.0)) << to_string(spec);
   }
-  // A fixed offset puts the whole Delta on one class, the other at 0.
-  EXPECT_EQ(SchedulerSpec::fixed_delta(3.5).edf_deadlines(4.0).cross, 0.0);
-  EXPECT_EQ(SchedulerSpec::fixed_delta(-1.25).edf_deadlines(4.0).through,
-            0.0);
+  // A static Delta sits on one class, the other at 0.
+  const auto offsets = [](const SchedulerSpec& spec) {
+    const ClassOffsets o = spec.class_offsets(4.0);
+    return std::pair{o.through, o.cross};
+  };
+  EXPECT_EQ(offsets(SchedulerSpec::fifo()), std::pair(0.0, 0.0));
+  EXPECT_EQ(offsets(SchedulerSpec::bmux()), std::pair(kInf, 0.0));
+  EXPECT_EQ(offsets(SchedulerSpec::sp_high()), std::pair(0.0, kInf));
+  EXPECT_EQ(offsets(SchedulerSpec::fixed_delta(3.5)), std::pair(3.5, 0.0));
+  EXPECT_EQ(offsets(SchedulerSpec::fixed_delta(-1.25)), std::pair(0.0, 1.25));
+  // A NaN Delta stays NaN, so the Delta-key factories can refuse it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(
+      std::isnan(SchedulerSpec::fixed_delta(nan).class_offsets(1.0).cross));
 }
 
 TEST(SchedulerSpec, CurveBackedKindsRefuseTheDeltaObservers) {

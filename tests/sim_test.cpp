@@ -102,7 +102,7 @@ Chunk chunk(int flow, double kb, std::int64_t slot, std::uint64_t seq) {
 }
 
 TEST(FifoDiscipline, ServesInArrivalOrderWithPartialService) {
-  auto q = make_fifo();
+  auto q = make_delta_key({0, 0}, {0.0, 0.0});
   q->enqueue(chunk(0, 5.0, 0, 0));
   q->enqueue(chunk(1, 5.0, 0, 1));
   EXPECT_DOUBLE_EQ(q->backlog(), 10.0);
@@ -118,7 +118,7 @@ TEST(FifoDiscipline, ServesInArrivalOrderWithPartialService) {
 }
 
 TEST(SpDiscipline, HighPriorityPreempts) {
-  auto q = make_static_priority({0, 1});  // flow 1 is high priority
+  auto q = make_delta_key({0, 1}, {0.0, 0.0});  // flow 1 is high priority
   q->enqueue(chunk(0, 4.0, 0, 0));
   q->enqueue(chunk(1, 4.0, 0, 1));
   std::vector<Chunk> done;
@@ -129,7 +129,7 @@ TEST(SpDiscipline, HighPriorityPreempts) {
 }
 
 TEST(EdfDiscipline, EarliestDeadlineFirst) {
-  auto q = make_edf({10.0, 2.0});  // cross (flow 1) has the tight deadline
+  auto q = make_delta_key({0, 0}, {10.0, 2.0});  // cross has the tight deadline
   q->enqueue(chunk(0, 4.0, 0, 0));
   q->enqueue(chunk(1, 4.0, 0, 1));
   std::vector<Chunk> done;
@@ -139,7 +139,7 @@ TEST(EdfDiscipline, EarliestDeadlineFirst) {
 }
 
 TEST(EdfDiscipline, OlderArrivalWinsWithEqualDeadlineGap) {
-  auto q = make_edf({5.0, 5.0});
+  auto q = make_delta_key({0, 0}, {5.0, 5.0});
   q->enqueue(chunk(0, 4.0, 3, 0));  // deadline 8
   q->enqueue(chunk(1, 4.0, 1, 1));  // deadline 6 -> earlier
   std::vector<Chunk> done;
@@ -149,7 +149,7 @@ TEST(EdfDiscipline, OlderArrivalWinsWithEqualDeadlineGap) {
 }
 
 TEST(EdfDiscipline, PartiallyServedChunkKeepsItsDeadline) {
-  auto q = make_edf({1.0, 100.0});
+  auto q = make_delta_key({0, 0}, {1.0, 100.0});
   q->enqueue(chunk(0, 10.0, 0, 0));
   q->enqueue(chunk(1, 10.0, 0, 1));
   std::vector<Chunk> done;
@@ -159,6 +159,45 @@ TEST(EdfDiscipline, PartiallyServedChunkKeepsItsDeadline) {
   q->serve(5.0, &done);  // rest of chunk 0, still earliest
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].flow, 0);
+}
+
+TEST(DeltaKeyDiscipline, LevelsOutrankDeadlines) {
+  // Three static-priority levels; an offset only orders within a level.
+  auto q = make_delta_key({0, 1, 2}, {0.0, 50.0, 0.0});
+  q->enqueue(chunk(0, 1.0, 0, 0));
+  q->enqueue(chunk(1, 1.0, 0, 1));  // deadline 50, but level 1
+  q->enqueue(chunk(2, 1.0, 0, 2));
+  std::vector<Chunk> done;
+  EXPECT_DOUBLE_EQ(q->serve(3.0, &done), 3.0);
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].flow, 2);
+  EXPECT_EQ(done[1].flow, 1);
+  EXPECT_EQ(done[2].flow, 0);
+}
+
+TEST(DeltaKeyDiscipline, EqualLevelAndDeadlineServeInSeqOrder) {
+  // Ties on (level, deadline) go by seq, not by enqueue order: the order
+  // SCED's and SCFQ's equal stamps rely on.
+  auto q = make_delta_key({0, 0}, {2.0, 0.0});
+  q->enqueue(chunk(1, 1.0, 3, 9));  // deadline 3
+  q->enqueue(chunk(0, 1.0, 1, 4));  // deadline 1 + 2 = 3
+  q->enqueue(chunk(1, 1.0, 3, 7));  // deadline 3
+  std::vector<Chunk> done;
+  EXPECT_DOUBLE_EQ(q->serve(3.0, &done), 3.0);
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].seq, 4u);
+  EXPECT_EQ(done[1].seq, 7u);
+  EXPECT_EQ(done[2].seq, 9u);
+}
+
+TEST(DeltaKeyDiscipline, RejectsNanOffsetsAndMismatchedClasses) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)make_delta_key({}, {}), std::invalid_argument);
+  EXPECT_THROW((void)make_delta_key({0, 0}, {0.0}), std::invalid_argument);
+  EXPECT_THROW((void)make_delta_key({0, 0}, {0.0, nan}), std::invalid_argument);
+  EXPECT_NO_THROW((void)make_delta_key({0, 0}, {inf, 0.0}));
+  EXPECT_NO_THROW((void)make_delta_key({0, 0}, {-inf, 0.0}));
 }
 
 TEST(GpsDiscipline, ProportionalSharing) {
@@ -279,7 +318,7 @@ TEST(Tandem, DrrAndScedDisciplinesRunEndToEnd) {
 }
 
 TEST(NodeBasics, WorkConservingBudget) {
-  Node node(10.0, make_fifo());
+  Node node(10.0, make_delta_key({0}, {0.0}));
   node.arrive(chunk(0, 25.0, 0, 0));
   std::vector<Chunk> done;
   EXPECT_DOUBLE_EQ(node.advance(&done), 10.0);
@@ -287,7 +326,7 @@ TEST(NodeBasics, WorkConservingBudget) {
   EXPECT_DOUBLE_EQ(node.advance(&done), 5.0);
   EXPECT_DOUBLE_EQ(node.advance(&done), 0.0);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_THROW(Node(0.0, make_fifo()), std::invalid_argument);
+  EXPECT_THROW(Node(0.0, make_delta_key({0}, {0.0})), std::invalid_argument);
   EXPECT_THROW(Node(1.0, nullptr), std::invalid_argument);
 }
 
@@ -449,6 +488,16 @@ TEST(Tandem, ValidatesConfig) {
     bad.edf_unit = v;
     EXPECT_THROW((void)run_tandem(bad), std::invalid_argument)
         << "edf_unit " << v;
+  }
+  // A NaN offset would leave the Delta-key heap without a strict weak
+  // order.
+  for (const SchedulerSpec& spec :
+       {SchedulerSpec::fixed_delta(nan), SchedulerSpec::edf(nan, 10.0),
+        SchedulerSpec::edf(1.0, nan)}) {
+    TandemConfig bad = ok;
+    bad.scheduler = spec;
+    EXPECT_THROW((void)run_tandem(bad), std::invalid_argument)
+        << to_string(spec);
   }
 }
 

@@ -140,7 +140,7 @@ TEST(SingleNodeBound, DominatesSimulatedDelayQuantile) {
   sim::Xoshiro256ss crng = rng;
   crng.jump();
   sim::MmooAggregateSim cross(model, n_cross, crng);
-  sim::Node node(kC, sim::make_fifo());
+  sim::Node node(kC, sim::make_delta_key({0, 0}, {0.0, 0.0}));
   sim::DelayRecorder delays;
   std::vector<sim::Chunk> done;
   std::uint64_t seq = 0;

@@ -111,8 +111,8 @@ TEST(Theorem1MonteCarlo, FifoGuaranteeHolds) {
   McConfig cfg;
   cfg.delta = 0.0;
   for (double sigma : {20.0, 40.0}) {
-    const auto [freq, eps] =
-        violation_frequency(cfg, sim::make_fifo(), sigma);
+    const auto [freq, eps] = violation_frequency(
+        cfg, sim::make_delta_key({0, 0}, {0.0, 0.0}), sigma);
     EXPECT_LE(freq, eps) << "sigma = " << sigma << " (eps = " << eps << ")";
   }
 }
@@ -123,7 +123,7 @@ TEST(Theorem1MonteCarlo, BmuxGuaranteeHolds) {
   McConfig cfg;
   cfg.delta = std::numeric_limits<double>::infinity();
   const auto [freq, eps] = violation_frequency(
-      cfg, sim::make_static_priority({0, 1}), 30.0);
+      cfg, sim::make_delta_key({0, 1}, {0.0, 0.0}), 30.0);
   EXPECT_LE(freq, eps);
 }
 
@@ -132,8 +132,8 @@ TEST(Theorem1MonteCarlo, EdfGuaranteeHolds) {
   McConfig cfg;
   cfg.delta = -8.0;
   cfg.theta = 6.0;
-  const auto [freq, eps] =
-      violation_frequency(cfg, sim::make_edf({4.0, 12.0}), 25.0);
+  const auto [freq, eps] = violation_frequency(
+      cfg, sim::make_delta_key({0, 0}, {4.0, 12.0}), 25.0);
   EXPECT_LE(freq, eps);
 }
 
@@ -143,7 +143,7 @@ TEST(Theorem1MonteCarlo, SpHighGuaranteeHolds) {
   McConfig cfg;
   cfg.delta = -std::numeric_limits<double>::infinity();
   const auto [freq, eps] = violation_frequency(
-      cfg, sim::make_static_priority({1, 0}), 15.0);
+      cfg, sim::make_delta_key({1, 0}, {0.0, 0.0}), 15.0);
   EXPECT_LE(freq, eps);
 }
 
@@ -161,7 +161,7 @@ TEST(Theorem1MonteCarlo, ViolationsAppearBeyondTheGuarantee) {
   sim::Xoshiro256ss cross_rng = rng;
   cross_rng.jump();
   sim::MmooAggregateSim cross(model, cfg.n_cross, cross_rng);
-  sim::Node node(cfg.capacity, sim::make_fifo());
+  sim::Node node(cfg.capacity, sim::make_delta_key({0, 0}, {0.0, 0.0}));
   std::vector<double> a_cum{0.0};
   double d_cum = 0.0;
   std::vector<sim::Chunk> completed;
