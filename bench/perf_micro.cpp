@@ -251,15 +251,19 @@ void BM_JsonBoundResultRoundTrip(benchmark::State& state) {
   if (epsilons.empty()) {
     const e2e::BoundResult solved = deltanc::Solver().solve(sc);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(io::decode_bound_result(
-          io::json::Value::parse(io::encode_bound_result(solved).dump())));
+      std::string text;
+      io::append_json(text, solved);
+      benchmark::DoNotOptimize(
+          io::decode_bound_result(io::json::Value::parse(text)));
     }
   } else {
     const e2e::DelayProfile solved =
         deltanc::Solver().solve_profile(sc, epsilons);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(io::decode_delay_profile(
-          io::json::Value::parse(io::encode_delay_profile(solved).dump())));
+      std::string text;
+      io::append_json(text, solved);
+      benchmark::DoNotOptimize(
+          io::decode_delay_profile(io::json::Value::parse(text)));
     }
   }
   state.SetItemsProcessed(state.iterations());

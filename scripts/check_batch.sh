@@ -14,7 +14,10 @@
 #   * the committed wire golden (tests/data/wire_requests.jsonl ->
 #     wire_responses.jsonl) is answered byte for byte with no cache and
 #     again from a fresh cache's hits, and the stored entry files under
-#     tests/data/wire_cache/ match byte for byte (file name = key hash).
+#     tests/data/wire_cache/ match byte for byte (file name = key hash),
+#   * `--ccdf` takes at most io::kMaxProfileLevels (1024) points: 1025
+#     is a usage error (rc 2), like a batch grid that long is a parse
+#     error.
 # Registered as the `batch_e2e` ctest.
 #
 # usage: check_batch.sh [deltanc_cli]
@@ -34,6 +37,14 @@ if [ "$requests" -lt 24 ]; then
   echo "FAIL: emit-batch produced $requests requests (want 24)"; exit 1
 fi
 "$CLI" --lint-jsonl "$WORK/requests.jsonl" 2>/dev/null
+
+# The profile-grid limit: 1024 --ccdf points emit, 1025 are refused.
+"$CLI" --hops 5 --ccdf 1e-9:1e-3:1024 --emit-batch > /dev/null 2>&1
+rc=0
+"$CLI" --hops 5 --ccdf 1e-9:1e-3:1025 --emit-batch > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "FAIL: --ccdf with 1025 points exited $rc (want 2)"; exit 1
+fi
 
 cold_err="$WORK/cold.err"
 warm_err="$WORK/warm.err"

@@ -85,7 +85,7 @@ enum class WarmStart {
 /// where the wall-clock went.  Counters aggregate across the EDF fixed
 /// point when one runs; `operator+=` lets sweeps aggregate across points.
 /// Every field but scan_ms / refine_ms is a deterministic function of the
-/// request and is what io::encode_solve_stats writes to artifacts; the
+/// request and is what io::append_json writes to artifacts; the
 /// two timings are process-local (never encoded, so a decoded or cached
 /// result reads them as 0).  The cache outcome of a served result is not
 /// a solver fact and lives in src/io (the response's "cache" tag and

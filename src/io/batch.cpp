@@ -36,17 +36,52 @@ std::string corrupt_warning(const std::string& key) {
   return "cache entry " + key + " was unreadable; re-solved";
 }
 
-/// The ok response layout shared by both payload kinds.
-Value ok_response(const Value& id, bool with_cache_tag, CacheLookup outcome,
-                  const char* payload_field, Value payload) {
-  Value response = Value::object();
-  response.set("schema", Value::number(kSchemaVersion)).set("id", id);
-  response.set("ok", Value::boolean(true));
+/// `{"schema":N,"id":<id>,"ok":<ok>` -- the head every response shares.
+void append_head(std::string& out, const Value& id, bool ok) {
+  out += "{\"schema\":";
+  json::append_number(out, kSchemaVersion);
+  out += ",\"id\":";
+  out += id.dump();
+  out += ok ? ",\"ok\":true" : ",\"ok\":false";
+}
+
+template <typename Payload>
+void append_ok_response(std::string& out, const Value& id,
+                        bool with_cache_tag, CacheLookup outcome,
+                        const Payload& payload) {
+  append_head(out, id, true);
   if (with_cache_tag) {
-    response.set("cache", Value::string(cache_lookup_name(outcome)));
+    out += ",\"cache\":";
+    json::append_quoted(out, cache_lookup_name(outcome));
   }
-  response.set(payload_field, std::move(payload));
-  return response;
+  out += ",\"";
+  out += payload_field(payload);
+  out += "\":";
+  append_json(out, payload);
+  out += '}';
+}
+
+void append_ok_response(std::string& out, const Value& id,
+                        bool with_cache_tag, CacheLookup outcome,
+                        const Answer& answer) {
+  std::visit(
+      [&](const auto& payload) {
+        append_ok_response(out, id, with_cache_tag, outcome, payload);
+      },
+      answer.payload);
+}
+
+void append_error_response(std::string& out, const Value& id,
+                           const std::string& error,
+                           diag::SolveErrorKind kind) {
+  append_head(out, id, false);
+  out += ",\"error\":";
+  json::append_quoted(out, error);
+  if (kind != diag::SolveErrorKind::kNone) {
+    out += ",\"kind\":";
+    json::append_quoted(out, diag::solve_error_name(kind));
+  }
+  out += '}';
 }
 
 }  // namespace
@@ -92,6 +127,12 @@ ParsedRequestLine parse_request_line(const std::string& line,
     // engine would throw the same complaint mid-solve otherwise).
     if (const Value* eps = doc.find("epsilons");
         eps != nullptr && !eps->is_null()) {
+      if (eps->items().size() > kMaxProfileLevels) {
+        throw CodecError("batch: profile request with " +
+                         std::to_string(eps->items().size()) +
+                         " epsilons; at most " +
+                         std::to_string(kMaxProfileLevels) + " are answered");
+      }
       for (const Value& e : eps->items()) {
         const double epsilon = decode_double(e);
         if (!(epsilon > 0.0) || !(epsilon < 1.0)) {
@@ -192,40 +233,35 @@ bool try_store_answer(ResultCache& cache, const std::string& key,
   return cache.try_store(key, std::get<e2e::BoundResult>(answer.payload));
 }
 
-json::Value make_ok_response(const json::Value& id, bool with_cache_tag,
-                             CacheLookup outcome,
-                             const e2e::BoundResult& result) {
-  return ok_response(id, with_cache_tag, outcome, "result",
-                     encode_bound_result(result));
+ResponseLine make_ok_response(const json::Value& id, bool with_cache_tag,
+                              CacheLookup outcome,
+                              const e2e::BoundResult& result) {
+  ResponseLine line;
+  append_ok_response(line.text, id, with_cache_tag, outcome, result);
+  return line;
 }
 
-json::Value make_ok_profile_response(const json::Value& id,
-                                     bool with_cache_tag, CacheLookup outcome,
-                                     const e2e::DelayProfile& profile) {
-  return ok_response(id, with_cache_tag, outcome, "profile",
-                     encode_delay_profile(profile));
+ResponseLine make_ok_profile_response(const json::Value& id,
+                                      bool with_cache_tag, CacheLookup outcome,
+                                      const e2e::DelayProfile& profile) {
+  ResponseLine line;
+  append_ok_response(line.text, id, with_cache_tag, outcome, profile);
+  return line;
 }
 
-json::Value make_ok_response(const json::Value& id, bool with_cache_tag,
-                             CacheLookup outcome, const Answer& answer) {
-  if (const auto* profile = std::get_if<e2e::DelayProfile>(&answer.payload)) {
-    return make_ok_profile_response(id, with_cache_tag, outcome, *profile);
-  }
-  return make_ok_response(id, with_cache_tag, outcome,
-                          std::get<e2e::BoundResult>(answer.payload));
+ResponseLine make_ok_response(const json::Value& id, bool with_cache_tag,
+                              CacheLookup outcome, const Answer& answer) {
+  ResponseLine line;
+  append_ok_response(line.text, id, with_cache_tag, outcome, answer);
+  return line;
 }
 
-json::Value make_error_response(const json::Value& id,
-                                const std::string& error,
-                                diag::SolveErrorKind kind) {
-  Value response = Value::object();
-  response.set("schema", Value::number(kSchemaVersion)).set("id", id);
-  response.set("ok", Value::boolean(false))
-      .set("error", Value::string(error));
-  if (kind != diag::SolveErrorKind::kNone) {
-    response.set("kind", Value::string(diag::solve_error_name(kind)));
-  }
-  return response;
+ResponseLine make_error_response(const json::Value& id,
+                                 const std::string& error,
+                                 diag::SolveErrorKind kind) {
+  ResponseLine line;
+  append_error_response(line.text, id, error, kind);
+  return line;
 }
 
 BatchSummary run_batch(std::istream& in, std::ostream& out,
@@ -308,18 +344,21 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   }
 
   // ----- emit (input order) ----------------------------------------------
+  std::string response;  // one buffer, reused by every line
   for (const Request& req : requests) {
-    Value response;
+    response.clear();
     if (!req.parsed) {
-      response = make_error_response(req.line.id, req.error);
+      append_error_response(response, req.line.id, req.error,
+                            diag::SolveErrorKind::kNone);
       ++summary.parse_errors;
     } else {
-      response = make_ok_response(req.line.id, options.cache != nullptr,
-                                  req.outcome, req.answer);
+      append_ok_response(response, req.line.id, options.cache != nullptr,
+                         req.outcome, req.answer);
       std::visit([&](const auto& payload) { summary.stats += payload.stats; },
                  req.answer.payload);
     }
-    out << response.dump() << '\n';
+    response += '\n';
+    out.write(response.data(), static_cast<std::streamsize>(response.size()));
     if (!out.good()) {
       // The consumer hung up (e.g. `--batch | head`): stop emitting,
       // report the truncation instead of dying on SIGPIPE (the CLI

@@ -91,6 +91,12 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
 // grammar, the cache-outcome bookkeeping, and the response layout live
 // here once and are consumed by both paths.
 
+/// The most levels a profile request's "epsilons" grid (or `deltanc_cli
+/// --ccdf` points) may hold.  Every level is solved, written into the
+/// response and stored in the cache entry (~0.5 kB each), so a larger
+/// grid is a parse error rather than unbounded work for one line.
+inline constexpr std::size_t kMaxProfileLevels = 1024;
+
 /// One parsed request line: the effective scenario (scheduler override
 /// folded in), canonical options, and the cache key they hash to.
 struct ParsedRequestLine {
@@ -98,7 +104,8 @@ struct ParsedRequestLine {
   e2e::Scenario scenario;  ///< effective (scheduler override folded in)
   SolveOptions options;    ///< canonical (scheduler cleared)
   /// Non-empty for profile requests: the d(epsilon) grid to solve,
-  /// validated at parse time (each level in (0, 1)).
+  /// validated at parse time (each level in (0, 1), at most
+  /// kMaxProfileLevels of them).
   std::vector<double> epsilons;
   std::string key;  ///< io::solve_cache_key / profile_cache_key
 
@@ -169,32 +176,40 @@ void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
 void apply_cache_outcome(Answer& answer, CacheLookup outcome,
                          const std::string& key);
 
-/// The solved/served response document ({"schema", "id", "ok": true,
+/// One written response line, without its trailing newline.  `dump()`
+/// hands out the bytes, so a caller reads it like a JSON document's
+/// compact dump.
+struct ResponseLine {
+  std::string text;
+  [[nodiscard]] const std::string& dump() const noexcept { return text; }
+};
+
+/// The solved/served response line ({"schema", "id", "ok": true,
 /// ["cache"], "result"}); `with_cache_tag` mirrors "a ResultCache is
 /// attached".
-[[nodiscard]] json::Value make_ok_response(const json::Value& id,
-                                           bool with_cache_tag,
-                                           CacheLookup outcome,
-                                           const e2e::BoundResult& result);
+[[nodiscard]] ResponseLine make_ok_response(const json::Value& id,
+                                            bool with_cache_tag,
+                                            CacheLookup outcome,
+                                            const e2e::BoundResult& result);
 
-/// The profile response document ({"schema", "id", "ok": true,
-/// ["cache"], "profile"}) -- same layout discipline as make_ok_response
-/// with the payload under "profile".
-[[nodiscard]] json::Value make_ok_profile_response(
+/// The profile response line ({"schema", "id", "ok": true, ["cache"],
+/// "profile"}) -- same layout as make_ok_response with the payload under
+/// "profile".
+[[nodiscard]] ResponseLine make_ok_profile_response(
     const json::Value& id, bool with_cache_tag, CacheLookup outcome,
     const e2e::DelayProfile& profile);
 
-/// The response document of an answer: "result" or "profile" by kind.
-[[nodiscard]] json::Value make_ok_response(const json::Value& id,
-                                           bool with_cache_tag,
-                                           CacheLookup outcome,
-                                           const Answer& answer);
+/// The response line of an answer: "result" or "profile" by kind.
+[[nodiscard]] ResponseLine make_ok_response(const json::Value& id,
+                                            bool with_cache_tag,
+                                            CacheLookup outcome,
+                                            const Answer& answer);
 
-/// The error response document ({"schema", "id", "ok": false, "error",
+/// The error response line ({"schema", "id", "ok": false, "error",
 /// ["kind"]}); `kind` (diag::solve_error_name) is emitted by the serve
 /// layer for classified service failures (timeout/overload) and omitted
 /// (kNone) for plain parse errors, matching run_batch.
-[[nodiscard]] json::Value make_error_response(
+[[nodiscard]] ResponseLine make_error_response(
     const json::Value& id, const std::string& error,
     diag::SolveErrorKind kind = diag::SolveErrorKind::kNone);
 

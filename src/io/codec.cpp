@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -227,30 +228,6 @@ e2e::Scenario decode_scenario(const Value& v) {
 
 // ----- SolveStats --------------------------------------------------------
 
-Value encode_solve_stats(const e2e::SolveStats& stats) {
-  Value out = Value::object();
-  out.set("optimize_evals",
-          Value::number(static_cast<double>(stats.optimize_evals)))
-      .set("eb_evals", Value::number(static_cast<double>(stats.eb_evals)))
-      .set("sigma_evals",
-           Value::number(static_cast<double>(stats.sigma_evals)))
-      .set("edf_iterations", Value::number(stats.edf_iterations))
-      .set("edf_converged", Value::boolean(stats.edf_converged))
-      .set("retries", Value::number(stats.retries))
-      .set("fallbacks", Value::number(stats.fallbacks))
-      .set("batched_evals",
-           Value::number(static_cast<double>(stats.batched_evals)))
-      .set("warm_start_hits",
-           Value::number(static_cast<double>(stats.warm_start_hits)))
-      .set("brackets_reused",
-           Value::number(static_cast<double>(stats.brackets_reused)))
-      .set("profile_levels",
-           Value::number(static_cast<double>(stats.profile_levels)))
-      .set("profile_chain_hits",
-           Value::number(static_cast<double>(stats.profile_chain_hits)));
-  return out;
-}
-
 e2e::SolveStats decode_solve_stats(const Value& v) {
   e2e::SolveStats stats;
   stats.optimize_evals = decode_integer(v.at("optimize_evals"), "stats");
@@ -292,21 +269,6 @@ diag::SolveErrorKind decode_kind(const Value& v) {
 
 }  // namespace
 
-Value encode_diagnostics(const diag::Diagnostics& d) {
-  Value warnings = Value::array();
-  for (const diag::Warning& w : d.warnings) {
-    Value entry = Value::object();
-    entry.set("kind", Value::string(diag::solve_error_name(w.kind)))
-        .set("message", Value::string(w.message));
-    warnings.push_back(std::move(entry));
-  }
-  Value out = Value::object();
-  out.set("error", Value::string(diag::solve_error_name(d.error)))
-      .set("message", Value::string(d.message))
-      .set("warnings", std::move(warnings));
-  return out;
-}
-
 diag::Diagnostics decode_diagnostics(const Value& v) {
   diag::Diagnostics d;
   d.error = decode_kind(v.at("error"));
@@ -319,18 +281,6 @@ diag::Diagnostics decode_diagnostics(const Value& v) {
 }
 
 // ----- BoundResult -------------------------------------------------------
-
-Value encode_bound_result(const e2e::BoundResult& r) {
-  Value out = Value::object();
-  out.set("delay_ms", encode_double(r.delay_ms))
-      .set("gamma", encode_double(r.gamma))
-      .set("s", encode_double(r.s))
-      .set("sigma", encode_double(r.sigma))
-      .set("delta", encode_double(r.delta))
-      .set("stats", encode_solve_stats(r.stats))
-      .set("diagnostics", encode_diagnostics(r.diagnostics));
-  return out;
-}
 
 e2e::BoundResult decode_bound_result(const Value& v) {
   e2e::BoundResult r{};
@@ -349,20 +299,6 @@ e2e::BoundResult decode_bound_result(const Value& v) {
 }
 
 // ----- DelayProfile ------------------------------------------------------
-
-Value encode_delay_profile(const e2e::DelayProfile& p) {
-  Value epsilons = Value::array();
-  for (double eps : p.epsilons) epsilons.push_back(encode_double(eps));
-  Value levels = Value::array();
-  for (const e2e::BoundResult& r : p.levels) {
-    levels.push_back(encode_bound_result(r));
-  }
-  Value out = Value::object();
-  out.set("epsilons", std::move(epsilons))
-      .set("levels", std::move(levels))
-      .set("stats", encode_solve_stats(p.stats));
-  return out;
-}
 
 e2e::DelayProfile decode_delay_profile(const Value& v) {
   if (!v.is_object()) {
@@ -385,6 +321,103 @@ e2e::DelayProfile decode_delay_profile(const Value& v) {
     p.stats = decode_solve_stats(*stats);
   }
   return p;
+}
+
+// ----- the result writer -------------------------------------------------
+
+namespace {
+
+// Each helper appends `member` -- the literal that opens the field,
+// `{"name":` or `,"name":` -- and then the value.
+
+/// Counts go through the double formatter, as the wire has always
+/// carried them.
+void put_count(std::string& out, const char* member, std::int64_t n) {
+  out += member;
+  json::append_number(out, static_cast<double>(n));
+}
+
+/// encode_double's bytes: finite as a number, +/-inf and NaN as strings.
+void put_double(std::string& out, const char* member, double v) {
+  out += member;
+  if (std::isfinite(v)) {
+    json::append_number(out, v);
+  } else {
+    json::append_quoted(out, std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf");
+  }
+}
+
+void put_string(std::string& out, const char* member, std::string_view s) {
+  out += member;
+  json::append_quoted(out, s);
+}
+
+}  // namespace
+
+void append_json(std::string& out, const e2e::SolveStats& stats) {
+  put_count(out, "{\"optimize_evals\":", stats.optimize_evals);
+  put_count(out, ",\"eb_evals\":", stats.eb_evals);
+  put_count(out, ",\"sigma_evals\":", stats.sigma_evals);
+  put_count(out, ",\"edf_iterations\":", stats.edf_iterations);
+  out += stats.edf_converged ? ",\"edf_converged\":true"
+                             : ",\"edf_converged\":false";
+  put_count(out, ",\"retries\":", stats.retries);
+  put_count(out, ",\"fallbacks\":", stats.fallbacks);
+  put_count(out, ",\"batched_evals\":", stats.batched_evals);
+  put_count(out, ",\"warm_start_hits\":", stats.warm_start_hits);
+  put_count(out, ",\"brackets_reused\":", stats.brackets_reused);
+  put_count(out, ",\"profile_levels\":", stats.profile_levels);
+  put_count(out, ",\"profile_chain_hits\":", stats.profile_chain_hits);
+  out += '}';
+}
+
+void append_json(std::string& out, const diag::Diagnostics& d) {
+  put_string(out, "{\"error\":", diag::solve_error_name(d.error));
+  put_string(out, ",\"message\":", d.message);
+  out += ",\"warnings\":[";
+  for (std::size_t i = 0; i < d.warnings.size(); ++i) {
+    put_string(out, i == 0 ? "{\"kind\":" : ",{\"kind\":",
+               diag::solve_error_name(d.warnings[i].kind));
+    put_string(out, ",\"message\":", d.warnings[i].message);
+    out += '}';
+  }
+  out += "]}";
+}
+
+void append_json(std::string& out, const e2e::BoundResult& r) {
+  put_double(out, "{\"delay_ms\":", r.delay_ms);
+  put_double(out, ",\"gamma\":", r.gamma);
+  put_double(out, ",\"s\":", r.s);
+  put_double(out, ",\"sigma\":", r.sigma);
+  put_double(out, ",\"delta\":", r.delta);
+  out += ",\"stats\":";
+  append_json(out, r.stats);
+  out += ",\"diagnostics\":";
+  append_json(out, r.diagnostics);
+  out += '}';
+}
+
+void append_json(std::string& out, const e2e::DelayProfile& p) {
+  out += "{\"epsilons\":[";
+  for (std::size_t i = 0; i < p.epsilons.size(); ++i) {
+    put_double(out, i == 0 ? "" : ",", p.epsilons[i]);
+  }
+  out += "],\"levels\":[";
+  for (std::size_t i = 0; i < p.levels.size(); ++i) {
+    if (i > 0) out += ',';
+    append_json(out, p.levels[i]);
+  }
+  out += "],\"stats\":";
+  append_json(out, p.stats);
+  out += '}';
+}
+
+const char* payload_field(const e2e::BoundResult&) noexcept {
+  return "result";
+}
+
+const char* payload_field(const e2e::DelayProfile&) noexcept {
+  return "profile";
 }
 
 // ----- SolveOptions / cache key ------------------------------------------

@@ -1,10 +1,12 @@
 // Schema-versioned JSON codec for the library's wire value types:
 // scenarios, solve options, solve results (with their stats and
-// diagnostics), and delay profiles round-trip through io::json::Value
-// losslessly -- doubles bit-exactly (including +/-inf and NaN), enums by
-// their stable string names.  These are exactly what the batch and serve
-// protocols and the persistent result cache carry; sweep grids and
-// reports have no wire form (their CSV is the machine output).
+// diagnostics), and delay profiles round-trip losslessly -- doubles
+// bit-exactly (including +/-inf and NaN), enums by their stable string
+// names.  Scenarios and options encode to io::json::Value; results are
+// written straight to bytes (append_json) and read back through the
+// DOM.  These are exactly what the batch and serve protocols and the
+// persistent result cache carry; sweep grids and reports have no wire
+// form (their CSV is the machine output).
 //
 // Versioning: every top-level document (cache entry, batch
 // request/response) carries a "schema" field equal to kSchemaVersion.
@@ -75,35 +77,37 @@ struct SchemaError : CodecError {
 //   Scenario:   capacity, hops, source{peak_kb, p11, p22}, n_through,
 //               n_cross, epsilon,
 //               scheduler{kind, delta, edf{own_factor, cross_factor}}
-//   SolveStats: optimize_evals, eb_evals, sigma_evals, edf_iterations,
-//               edf_converged, retries, fallbacks, batched_evals,
-//               warm_start_hits, brackets_reused, profile_levels,
-//               profile_chain_hits (no wall-clock field: the in-memory
-//               scan_ms / refine_ms are never encoded and decode as 0)
-//   Diagnostics: error, message, warnings[{kind, message}]
-//   BoundResult: delay_ms, gamma, s, sigma, delta, stats, diagnostics
-// Decoders tolerate *absent* optional fields (stats/diagnostics default)
-// but reject mistyped or unknown-enum values.
+// The result types' orders live in the writer below, the one place that
+// emits them.  Decoders tolerate *absent* optional fields (stats/
+// diagnostics default), any member order and duplicate members (the
+// last one wins), but reject mistyped or unknown-enum values.
 
 [[nodiscard]] json::Value encode_scenario(const e2e::Scenario& sc);
 [[nodiscard]] e2e::Scenario decode_scenario(const json::Value& v);
 
-[[nodiscard]] json::Value encode_solve_stats(const e2e::SolveStats& stats);
 [[nodiscard]] e2e::SolveStats decode_solve_stats(const json::Value& v);
-
-[[nodiscard]] json::Value encode_diagnostics(const diag::Diagnostics& d);
 [[nodiscard]] diag::Diagnostics decode_diagnostics(const json::Value& v);
-
-[[nodiscard]] json::Value encode_bound_result(const e2e::BoundResult& r);
 [[nodiscard]] e2e::BoundResult decode_bound_result(const json::Value& v);
-
-/// Delay profile d(epsilon): canonical fields "epsilons" (array of
-/// bit-exact doubles), "levels" (array of BoundResult objects, same
-/// length, levels[i] solves epsilons[i]) and "stats" (the aggregate,
-/// including profile_levels / profile_chain_hits).  The decoder rejects
-/// mismatched epsilons/levels lengths.
-[[nodiscard]] json::Value encode_delay_profile(const e2e::DelayProfile& p);
+/// Delay profile d(epsilon): the decoder rejects mismatched
+/// epsilons/levels lengths.
 [[nodiscard]] e2e::DelayProfile decode_delay_profile(const json::Value& v);
+
+// ----- the result writer -------------------------------------------------
+// Appends the canonical compact JSON of a result straight to `out`, with
+// json::append_number / append_quoted as its only formatters: the bytes
+// of every response line and cache entry.  The field orders live in
+// these four functions alone (tests/data/wire_responses.jsonl shows
+// them).  SolveStats carry the deterministic counters only: the
+// in-memory scan_ms / refine_ms are never written and decode as 0.
+
+void append_json(std::string& out, const e2e::SolveStats& stats);
+void append_json(std::string& out, const diag::Diagnostics& d);
+void append_json(std::string& out, const e2e::BoundResult& r);
+void append_json(std::string& out, const e2e::DelayProfile& p);
+
+/// The member a payload travels under in responses and cache entries.
+[[nodiscard]] const char* payload_field(const e2e::BoundResult&) noexcept;
+[[nodiscard]] const char* payload_field(const e2e::DelayProfile&) noexcept;
 
 // ----- solve options and the cache key -----------------------------------
 

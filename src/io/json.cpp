@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 
 namespace deltanc::io::json {
 
@@ -14,35 +15,42 @@ namespace {
                   kNames[static_cast<std::size_t>(got)]);
 }
 
-/// Number rendering, byte for byte what printf would write: integers
-/// below 2^53 print without an exponent or trailing ".0" (`%.0f`, so
-/// counts look like counts); everything else prints with max_digits10 =
-/// 17 significant digits (`%.17g`), which std::from_chars parses back to
-/// the identical double.  std::to_chars is specified "as if by printf"
-/// in the C locale, minus the locale lookup and format-string parsing.
+/// Characters a JSON string cannot carry verbatim: the quote, the
+/// backslash, and the C0 controls.  Everything else -- including UTF-8
+/// multibyte sequences -- passes through as-is.
+constexpr bool needs_escape(char c) noexcept {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+}  // namespace
+
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     throw std::invalid_argument(
         "json: cannot serialize a non-finite number; encode it as a string "
         "(\"inf\"/\"-inf\"/\"nan\") at the codec layer");
   }
+  // Byte for byte what printf would write: `%.0f` for integers below
+  // 2^53 (exact in an int64, whose to_chars is a plain digit loop; the
+  // sign of negative zero is the one thing the int64 cannot carry),
+  // `%.17g` for the rest.  std::to_chars is specified "as if by printf"
+  // in the C locale, minus the locale lookup and format parsing.
   char buf[32];  // holds "-d.dddddddddddddddde-308" and any integer < 2^53
-  const bool integral =
-      v == std::floor(v) && std::fabs(v) < 9.007199254740992e15;
-  char* const end =
-      (integral ? std::to_chars(buf, buf + sizeof buf, v,
-                                std::chars_format::fixed, 0)
-                : std::to_chars(buf, buf + sizeof buf, v,
-                                std::chars_format::general, 17))
-          .ptr;
+  char* end = nullptr;
+  if (std::fabs(v) < 9.007199254740992e15 &&
+      static_cast<double>(static_cast<std::int64_t>(v)) == v) {
+    if (v == 0.0 && std::signbit(v)) {
+      out += "-0";
+      return;
+    }
+    end = std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v))
+              .ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        17)
+              .ptr;
+  }
   out.append(buf, end);
-}
-
-/// Characters a JSON string cannot carry verbatim: the quote, the
-/// backslash, and the C0 controls.  Everything else -- including UTF-8
-/// multibyte sequences -- passes through as-is.
-constexpr bool needs_escape(char c) noexcept {
-  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
 void append_quoted(std::string& out, std::string_view s) {
@@ -87,6 +95,8 @@ void append_quoted(std::string& out, std::string_view s) {
   out.append(s.data() + run, s.size() - run);
   out += '"';
 }
+
+namespace {
 
 void append_value(std::string& out, const Value& v, int indent, int depth);
 

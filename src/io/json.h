@@ -48,6 +48,18 @@ struct TypeError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The writer's two leaves, shared with the codec's result writer
+/// (io/codec.h) so every byte on the wire comes from one formatter.
+/// append_number: integers below 2^53 print without an exponent or a
+/// trailing ".0" (negative zero as "-0"), everything else with 17
+/// significant digits, which parse back to the identical double.
+/// @throws std::invalid_argument on a non-finite value.
+void append_number(std::string& out, double v);
+/// append_quoted: `s` as a JSON string literal, escaping the quote, the
+/// backslash and the C0 controls; all other bytes (UTF-8 included) pass
+/// through verbatim.
+void append_quoted(std::string& out, std::string_view s);
+
 /// One JSON value: null, bool, number (double), string, array, object.
 class Value {
  public:

@@ -78,15 +78,8 @@ std::filesystem::path ResultCache::entry_path(std::string_view key) const {
 
 namespace {
 
-// Payload overloads: the only places the two entry kinds differ.
-const char* payload_field(const e2e::BoundResult&) { return "result"; }
-const char* payload_field(const e2e::DelayProfile&) { return "profile"; }
-json::Value encode_payload(const e2e::BoundResult& result) {
-  return encode_bound_result(result);
-}
-json::Value encode_payload(const e2e::DelayProfile& profile) {
-  return encode_delay_profile(profile);
-}
+// Decoder overloads: with payload_field, the only places the two entry
+// kinds differ.
 void decode_payload(const json::Value& doc, e2e::BoundResult& result) {
   result = decode_bound_result(doc);
 }
@@ -206,18 +199,25 @@ CacheLookup ResultCache::lookup_profile(const std::string& key,
 template <typename Payload>
 void ResultCache::store_entry(const std::string& key,
                               const Payload& payload) {
-  json::Value entry = json::Value::object();
-  entry.set("schema", json::Value::number(kSchemaVersion))
-      .set("version", json::Value::string(DELTANC_VERSION_STRING))
-      .set("key", json::Value::string(key))
-      .set(payload_field(payload), encode_payload(payload));
+  // {"schema", "version", "key", "result"|"profile"}, one line.
+  std::string entry = "{\"schema\":";
+  json::append_number(entry, kSchemaVersion);
+  entry += ",\"version\":";
+  json::append_quoted(entry, DELTANC_VERSION_STRING);
+  entry += ",\"key\":";
+  json::append_quoted(entry, key);
+  entry += ",\"";
+  entry += payload_field(payload);
+  entry += "\":";
+  append_json(entry, payload);
+  entry += "}\n";
 
   const std::filesystem::path path = entry_path(key);
   std::filesystem::path tmp = path;
   tmp += ".tmp." + std::to_string(::getpid());
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << entry.dump() << '\n';
+    out << entry;
     if (!out.good()) {
       std::error_code ec;
       std::filesystem::remove(tmp, ec);

@@ -180,7 +180,7 @@ struct SolveService::Impl {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(delay));
       }
-      Value response = handle(shard, solvers, job);
+      io::ResponseLine response = handle(shard, solvers, job);
       {
         std::lock_guard<std::mutex> lock(shard.mu);
         if (shard.generation != my_generation) {
@@ -200,8 +200,8 @@ struct SolveService::Impl {
   /// Answers one request of either kind: memory layer, then disk
   /// cache, then solve -- producing exactly the response bytes run_batch
   /// would.
-  Value handle(Shard& shard, std::map<std::string, Solver>& solvers,
-               const Job& job) {
+  io::ResponseLine handle(Shard& shard, std::map<std::string, Solver>& solvers,
+                          const Job& job) {
     const bool with_tag = !options.cache_dir.empty();
     // Memory layer.  A hit reports "hit" when a disk cache is attached
     // (the batch baseline would hit disk) and "miss" otherwise (the
@@ -399,9 +399,9 @@ struct SolveService::Impl {
 
   // ----- plumbing ----------------------------------------------------------
 
-  void deliver(const Sink& sink, const Value& response) {
+  void deliver(const Sink& sink, const io::ResponseLine& response) {
     try {
-      if (sink) sink(response.dump());
+      if (sink) sink(response.text);
     } catch (...) {
       // The client hung up mid-response; the request still counts as
       // answered (we will never get another chance to answer it).

@@ -587,5 +587,170 @@ TEST(Batch, ProgressCountsEverySolvedRequestOnceAcrossKindsAndGroups) {
   EXPECT_TRUE(calls.empty());
 }
 
+/// Response lines whose strings need escaping -- the paths the committed
+/// wire golden never reaches: a corrupt-entry recovery (its warning
+/// embeds the escaped cache key), a parse error echoing quoted input, and
+/// hand-built results whose diagnostics carry a quote, a backslash, C0
+/// controls and UTF-8, through each response shape.
+std::vector<std::string> escape_probe_lines() {
+  std::vector<std::string> lines;
+  const auto batch_lines = [&](const std::string& requests,
+                               const BatchOptions& options) {
+    std::stringstream in(requests);
+    std::ostringstream out;
+    (void)run_batch(in, out, options);
+    std::istringstream text(out.str());
+    std::string line;
+    while (std::getline(text, line)) lines.push_back(line);
+  };
+
+  // Corrupt entry: an unstable scenario, so the bytes do not depend on
+  // the optimizer.  The first run stores, the damaged entry is re-solved.
+  ResultCache cache(fresh_cache_dir("deltanc_batch_escape_probe"));
+  const e2e::Scenario unstable = small_scenario(800);
+  BatchOptions cached;
+  cached.cache = &cache;
+  {
+    std::stringstream in(request_line(unstable, 0) + "\n");
+    std::ostringstream out;
+    (void)run_batch(in, out, cached);
+  }
+  std::ofstream(cache.entry_path(solve_cache_key(unstable, SolveOptions{})),
+                std::ios::trunc)
+      << "not json";
+  batch_lines(request_line(unstable, 0) + "\n", cached);
+
+  // Parse error: the message quotes the offending capacity string.
+  std::string bad = request_line(small_scenario(60), 0);
+  const std::string capacity = "\"capacity\":100";
+  const std::size_t at = bad.find(capacity);
+  bad.replace(at, capacity.size(),
+              "\"capacity\":\"x\\\"\\\\\\u0001\\t\xC2\xB5s\"");
+  bad.replace(bad.find("\"id\":0"), 6, "\"id\":\"q\\\"1\"");
+  batch_lines(bad + "\n", BatchOptions{});
+
+  e2e::BoundResult r{1.5, 0.25, 0.125, 10.0, -0.0};
+  r.stats.optimize_evals = 9007199254740991;  // 2^53 - 1
+  r.stats.edf_iterations = 3;
+  r.diagnostics.fail(diag::SolveErrorKind::kNumericalDomain,
+                     "bad \"x\" at C:\\tmp\x01\x1f \xE2\x80\x94 \xC2\xB5s");
+  r.diagnostics.warn(diag::SolveErrorKind::kNoConvergence,
+                     "tab\there\nnew\rline\b\f");
+  lines.push_back(
+      make_ok_response(Value::string("d\"1"), true, CacheLookup::kHit, r)
+          .dump());
+  e2e::DelayProfile p;
+  p.epsilons = {1e-3};
+  p.levels = {r};
+  p.stats.profile_levels = 1;
+  lines.push_back(
+      make_ok_profile_response(Value::number(-0.0), false, CacheLookup::kMiss,
+                               p)
+          .dump());
+  lines.push_back(make_error_response(Value::string("\\"),
+                                      "deadline \"7\" ms\x7f",
+                                      diag::SolveErrorKind::kTimeout)
+                      .dump());
+  return lines;
+}
+
+TEST(Batch, EscapedResponseBytesArePinned) {
+  // Captured from the DOM encoders the result writer replaced; any
+  // byte the writer moves -- an escape, a member, a number form (-0,
+  // 2^53 - 1) -- fails here.
+  const std::vector<std::string> expected = {
+      R"({"schema":6,"id":0,"ok":true,"cache":"corrupt","result":{"de)"
+      R"(lay_ms":"inf","gamma":0,"s":0,"sigma":0,"delta":0,"stats":{")"
+      R"(optimize_evals":0,"eb_evals":0,"sigma_evals":0,"edf_iteratio)"
+      R"(ns":0,"edf_converged":true,"retries":0,"fallbacks":0,"batche)"
+      R"(d_evals":0,"warm_start_hits":0,"brackets_reused":0,"profile_)"
+      R"(levels":0,"profile_chain_hits":0},"diagnostics":{"error":"un)"
+      R"(stable","message":"offered load 130.811% of capacity; no sta)"
+      R"(ble Chernoff parameter exists","warnings":[{"kind":"corrupt-)"
+      R"(cache","message":"cache entry {\"kind\":\"solve\",\"scenario)"
+      R"(\":{\"capacity\":100,\"hops\":3,\"source\":{\"peak_kb\":1.5,)"
+      R"(\"p11\":0.98899999999999999,\"p22\":0.90000000000000002},\"n)"
+      R"(_through\":80,\"n_cross\":800,\"epsilon\":9.9999999999999995)"
+      R"(e-07,\"scheduler\":{\"kind\":\"fifo\",\"delta\":0,\"edf\":{\)"
+      R"("own_factor\":1,\"cross_factor\":10},\"params\":[1,1]}},\"op)"
+      R"(tions\":{\"method\":\"exact\",\"scheduler\":null,\"delta\":n)"
+      R"(ull,\"warm_start\":\"cold\"}} was unreadable; re-solved"}]}})"
+      R"(})",
+      R"({"schema":6,"id":"q\"1","ok":false,"error":"codec: unparseab)"
+      R"(le double \"x\"\\\u0001\t)"
+      "\302\265"
+      R"(s\""})",
+      R"({"schema":6,"id":"d\"1","ok":true,"cache":"hit","result":{"d)"
+      R"(elay_ms":1.5,"gamma":0.25,"s":0.125,"sigma":10,"delta":-0,"s)"
+      R"(tats":{"optimize_evals":9007199254740991,"eb_evals":0,"sigma)"
+      R"(_evals":0,"edf_iterations":3,"edf_converged":true,"retries":)"
+      R"(0,"fallbacks":0,"batched_evals":0,"warm_start_hits":0,"brack)"
+      R"(ets_reused":0,"profile_levels":0,"profile_chain_hits":0},"di)"
+      R"(agnostics":{"error":"numerical-domain","message":"bad \"x\" )"
+      R"(at C:\\tmp\u0001\u001f )"
+      "\342\200\224"
+      R"( )"
+      "\302\265"
+      R"(s","warnings":[{"kind":"no-convergence","message":"tab\there)"
+      R"(\nnew\rline\b\f"}]}}})",
+      R"({"schema":6,"id":-0,"ok":true,"profile":{"epsilons":[0.001],)"
+      R"("levels":[{"delay_ms":1.5,"gamma":0.25,"s":0.125,"sigma":10,)"
+      R"("delta":-0,"stats":{"optimize_evals":9007199254740991,"eb_ev)"
+      R"(als":0,"sigma_evals":0,"edf_iterations":3,"edf_converged":tr)"
+      R"(ue,"retries":0,"fallbacks":0,"batched_evals":0,"warm_start_h)"
+      R"(its":0,"brackets_reused":0,"profile_levels":0,"profile_chain)"
+      R"(_hits":0},"diagnostics":{"error":"numerical-domain","message)"
+      R"(":"bad \"x\" at C:\\tmp\u0001\u001f )"
+      "\342\200\224"
+      R"( )"
+      "\302\265"
+      R"(s","warnings":[{"kind":"no-convergence","message":"tab\there)"
+      R"(\nnew\rline\b\f"}]}}],"stats":{"optimize_evals":0,"eb_evals")"
+      R"(:0,"sigma_evals":0,"edf_iterations":0,"edf_converged":true,")"
+      R"(retries":0,"fallbacks":0,"batched_evals":0,"warm_start_hits")"
+      R"(:0,"brackets_reused":0,"profile_levels":1,"profile_chain_hit)"
+      R"(s":0}}})",
+      R"({"schema":6,"id":"\\","ok":false,"error":"deadline \"7\" ms)"
+      "\177"
+      R"(","kind":"timeout"})"};
+  const std::vector<std::string> lines = escape_probe_lines();
+  ASSERT_EQ(lines.size(), expected.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], expected[i]) << "line " << i;
+    // The written bytes are one valid JSON document each.
+    EXPECT_EQ(Value::parse(lines[i]).dump(), lines[i]) << "line " << i;
+  }
+}
+
+TEST(Batch, ProfileGridLongerThanTheLimitIsAParseErrorKeepingTheId) {
+  // One line must not buy unbounded work: a grid above kMaxProfileLevels
+  // is rejected before anything is decoded or solved, and the error
+  // still answers under the request's id.
+  const e2e::Scenario sc = small_scenario(60);
+  const std::vector<double> at_limit(kMaxProfileLevels, 1e-3);
+  std::vector<double> over = at_limit;
+  over.push_back(1e-3);
+  EXPECT_NO_THROW((void)parse_request_line(
+      profile_request_line(sc, 4, at_limit), e2e::Method::kExactOpt));
+  try {
+    (void)parse_request_line(profile_request_line(sc, 5, over),
+                             e2e::Method::kExactOpt);
+    ADD_FAILURE() << "a grid of " << over.size() << " levels was accepted";
+  } catch (const PartialRequestError& e) {
+    EXPECT_EQ(e.id.as_number(), 5.0);
+    EXPECT_NE(std::string(e.what()).find("1025 epsilons"), std::string::npos)
+        << e.what();
+  }
+
+  std::stringstream in(profile_request_line(sc, 7, over) + "\n");
+  std::ostringstream out;
+  const BatchSummary summary = run_batch(in, out, BatchOptions{});
+  EXPECT_EQ(summary.parse_errors, 1);
+  EXPECT_EQ(summary.solved, 0);
+  const std::vector<Value> responses = parse_responses(out.str());
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_FALSE(responses[0].at("ok").as_bool());
+  EXPECT_EQ(responses[0].at("id").as_number(), 7.0);
+}
 }  // namespace
 }  // namespace deltanc::io

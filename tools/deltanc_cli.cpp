@@ -73,8 +73,8 @@ Single-point mode:
   --report               print a full markdown report instead
   --simulate <slots>     validate against a simulation of that length
   --ccdf <lo:hi:pts>     solve the full d(epsilon) CCDF profile on a
-                         log-spaced epsilon grid and print it as CSV on
-                         stdout (full %%.17g precision); honors
+                         log-spaced epsilon grid (pts <= 1024) and print
+                         it as CSV on stdout (full %%.17g precision); honors
                          --warm-start: warm (default) chains solver
                          state across levels, cold pins every level
                          bit-identical to a scalar solve at that epsilon
@@ -362,6 +362,10 @@ std::vector<double> parse_ccdf_spec(const std::string& spec) {
   const double lo = parse_double(parts[0].c_str(), "--ccdf");
   const double hi = parse_double(parts[1].c_str(), "--ccdf");
   const int n = parse_int(parts[2].c_str(), "--ccdf points", 1);
+  if (static_cast<std::size_t>(n) > io::kMaxProfileLevels) {
+    usage_error("--ccdf points must be at most " +
+                std::to_string(io::kMaxProfileLevels));
+  }
   if (!(lo > 0.0) || !(lo < 1.0) || !(hi > 0.0) || !(hi < 1.0)) {
     usage_error("--ccdf epsilons must be in (0, 1)");
   }
