@@ -16,6 +16,7 @@
 #include "e2e/network_epsilon.h"
 #include "e2e/param_search.h"
 #include "e2e/solver.h"
+#include "io/batch.h"
 #include "io/result_cache.h"
 #include "nc/minplus_ops.h"
 #include "sim/tandem.h"
@@ -253,8 +254,8 @@ void BM_JsonBoundResultRoundTrip(benchmark::State& state) {
     for (auto _ : state) {
       std::string text;
       io::append_json(text, solved);
-      benchmark::DoNotOptimize(
-          io::decode_bound_result(io::json::Value::parse(text)));
+      const io::json::Document doc(text);
+      benchmark::DoNotOptimize(io::decode_bound_result(doc.root()));
     }
   } else {
     const e2e::DelayProfile solved =
@@ -262,8 +263,8 @@ void BM_JsonBoundResultRoundTrip(benchmark::State& state) {
     for (auto _ : state) {
       std::string text;
       io::append_json(text, solved);
-      benchmark::DoNotOptimize(
-          io::decode_delay_profile(io::json::Value::parse(text)));
+      const io::json::Document doc(text);
+      benchmark::DoNotOptimize(io::decode_delay_profile(doc.root()));
     }
   }
   state.SetItemsProcessed(state.iterations());
@@ -303,6 +304,32 @@ void BM_ResultCacheHit(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ResultCacheHit)->ArgName("levels")->Arg(0)->Arg(16);
+
+void BM_ParseRequestLine(benchmark::State& state) {
+  // The request side of a warm hit: read one request line, decode its
+  // scenario, options and grid, and write its cache key.
+  const std::vector<double> epsilons = log_spaced_epsilons(state.range(0));
+  SolveOptions options;
+  options.warm_start = e2e::WarmStart::kWarm;
+  io::json::Value req = io::json::Value::object();
+  req.set("schema", io::json::Value::number(io::kSchemaVersion))
+      .set("id", io::json::Value::number(7))
+      .set("scenario", io::encode_scenario(wire_scenario()))
+      .set("options", io::encode_solve_options(options));
+  if (!epsilons.empty()) {
+    io::json::Value grid = io::json::Value::array();
+    for (const double e : epsilons) grid.push_back(io::json::Value::number(e));
+    req.set("epsilons", std::move(grid));
+  }
+  const std::string line = req.dump();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        io::parse_request_line(line, e2e::Method::kExactOpt));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["line_bytes"] = static_cast<double>(line.size());
+}
+BENCHMARK(BM_ParseRequestLine)->ArgName("levels")->Arg(0)->Arg(16);
 
 }  // namespace
 

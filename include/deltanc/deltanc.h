@@ -42,5 +42,5 @@
 // Serialization, persistent result cache, batch service.
 #include "io/batch.h"         // io::run_batch, BatchOptions, BatchSummary
 #include "io/codec.h"         // io::encode_*/decode_*, solve_cache_key
-#include "io/json.h"          // io::json::Value
+#include "io/json.h"          // io::json::Document, Node, Value
 #include "io/result_cache.h"  // io::ResultCache, CacheStats

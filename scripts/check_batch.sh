@@ -15,6 +15,8 @@
 #     wire_responses.jsonl) is answered byte for byte with no cache and
 #     again from a fresh cache's hits, and the stored entry files under
 #     tests/data/wire_cache/ match byte for byte (file name = key hash),
+#   * both golden files pass --lint-jsonl (the requests but for their
+#     one malformed line), profile payloads decoded, not just parsed,
 #   * `--ccdf` takes at most io::kMaxProfileLevels (1024) points: 1025
 #     is a usage error (rc 2), like a batch grid that long is a parse
 #     error.
@@ -154,3 +156,16 @@ for entry in "$GOLDEN"/wire_cache/*.json; do
   fi
 done
 echo "batch_e2e: wire golden identical uncached, from cache hits, and in the stored entry"
+
+# The golden itself decodes: every response payload, the two 16-level
+# profiles included, and every request but the one malformed line.
+rc=0
+"$CLI" --lint-jsonl "$GOLDEN/wire_requests.jsonl" 2> "$WORK/lint_req.err" || rc=$?
+if [ "$rc" -ne 1 ] ||
+   ! grep -qxF "lint: 12 line(s) checked, 1 malformed" "$WORK/lint_req.err"; then
+  echo "FAIL: wire_requests.jsonl lint exited $rc (want 1, one malformed line):"
+  cat "$WORK/lint_req.err"
+  exit 1
+fi
+"$CLI" --lint-jsonl "$GOLDEN/wire_responses.jsonl" 2>/dev/null
+echo "batch_e2e: wire golden requests and responses lint as expected"

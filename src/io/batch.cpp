@@ -1,6 +1,7 @@
 #include "io/batch.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <istream>
@@ -84,6 +85,33 @@ void append_error_response(std::string& out, const Value& id,
   out += '}';
 }
 
+/// std::getline with a bound: reads one line (up to '\n' or EOF) but
+/// keeps at most kMaxRequestLineBytes + 1 of its bytes, discarding the
+/// rest, so one hostile line cannot make the batch buffer it whole.
+/// False when the input is exhausted before any byte.
+bool read_request_line(std::istream& in, std::string& line) {
+  line.clear();
+  char chunk[16384];
+  bool any = false;
+  for (;;) {
+    in.getline(chunk, sizeof chunk);
+    const auto extracted = static_cast<std::size_t>(in.gcount());
+    any = any || extracted > 0;
+    // A full chunk with no newline yet sets failbit but not eofbit; a
+    // newline that ended the line was extracted but not stored.
+    const bool full = in.fail() && !in.eof() && extracted == sizeof chunk - 1;
+    const bool newline = !in.fail() && !in.eof();
+    const std::size_t stored = newline ? extracted - 1 : extracted;
+    if (line.size() <= kMaxRequestLineBytes) {
+      line.append(chunk, std::min(stored, kMaxRequestLineBytes + 1 -
+                                              line.size()));
+    }
+    if (!full) break;
+    in.clear(in.rdstate() & ~std::ios::failbit);
+  }
+  return any;
+}
+
 }  // namespace
 
 const char* cache_lookup_name(CacheLookup outcome) {
@@ -100,21 +128,52 @@ const char* cache_lookup_name(CacheLookup outcome) {
   return "?";
 }
 
+std::vector<double> decode_profile_epsilons(json::Node eps) {
+  const json::Node::Elements items = eps.items();
+  if (items.size() > kMaxProfileLevels) {
+    throw CodecError("batch: profile request with " +
+                     std::to_string(items.size()) +
+                     " epsilons; at most " +
+                     std::to_string(kMaxProfileLevels) + " are answered");
+  }
+  std::vector<double> epsilons;
+  epsilons.reserve(items.size());
+  for (const json::Node e : items) {
+    const double epsilon = decode_double(e);
+    if (!(epsilon > 0.0) || !(epsilon < 1.0)) {
+      throw CodecError("batch: profile epsilons must be in (0, 1), got " +
+                       e.dump());
+    }
+    epsilons.push_back(epsilon);
+  }
+  if (epsilons.empty()) {
+    throw CodecError("batch: profile request with an empty epsilons array");
+  }
+  return epsilons;
+}
+
 ParsedRequestLine parse_request_line(const std::string& line,
                                      e2e::Method default_method) {
-  const Value doc = Value::parse(line);
+  if (line.size() > kMaxRequestLineBytes) {
+    throw CodecError("batch: request line longer than " +
+                     std::to_string(kMaxRequestLineBytes) + " bytes");
+  }
+  const json::Document doc(line);
+  const json::Node root = doc.root();
   ParsedRequestLine req;
   try {
+    static constexpr std::array<std::string_view, 5> kNames = {
+        "id", "schema", "scenario", "options", "epsilons"};
+    std::array<json::Node, kNames.size()> f{};
+    root.lookup(kNames, f);
     // Capture the id before any validation so even a wrong-schema or
     // undecodable request gets its error echoed back under its own id.
-    if (const Value* id = doc.find("id")) req.id = *id;
-    require_schema(doc);
-    e2e::Scenario sc = decode_scenario(doc.at("scenario"));
+    if (f[0]) req.id = f[0].to_value();
+    require_schema(root);
+    e2e::Scenario sc = decode_scenario(json::required(f[2], kNames[2]));
     SolveOptions options;
     options.method = default_method;
-    if (const Value* o = doc.find("options"); o != nullptr && !o->is_null()) {
-      options = decode_solve_options(*o);
-    }
+    if (f[3] && !f[3].is_null()) options = decode_solve_options(f[3]);
     // Fold the scheduler override into the scenario here (not just inside
     // solve_cache_key) so grouping by options groups by what actually
     // varies the solve.
@@ -125,34 +184,12 @@ ParsedRequestLine parse_request_line(const std::string& line,
     // A non-null "epsilons" array makes this a profile request.  The
     // grid is validated here so a malformed one is a parse error (the
     // engine would throw the same complaint mid-solve otherwise).
-    if (const Value* eps = doc.find("epsilons");
-        eps != nullptr && !eps->is_null()) {
-      if (eps->items().size() > kMaxProfileLevels) {
-        throw CodecError("batch: profile request with " +
-                         std::to_string(eps->items().size()) +
-                         " epsilons; at most " +
-                         std::to_string(kMaxProfileLevels) + " are answered");
-      }
-      for (const Value& e : eps->items()) {
-        const double epsilon = decode_double(e);
-        if (!(epsilon > 0.0) || !(epsilon < 1.0)) {
-          throw CodecError("batch: profile epsilons must be in (0, 1), got " +
-                           e.dump());
-        }
-        req.epsilons.push_back(epsilon);
-      }
-      if (req.epsilons.empty()) {
-        throw CodecError("batch: profile request with an empty epsilons "
-                         "array");
-      }
-    }
+    if (f[4] && !f[4].is_null()) req.epsilons = decode_profile_epsilons(f[4]);
     req.scenario = sc;
     req.options = options;
     req.key = req.is_profile()
                   ? profile_cache_key(sc, req.epsilons, options)
                   : solve_cache_key(sc, options);
-  } catch (const PartialRequestError&) {
-    throw;
   } catch (const std::exception& e) {
     // The id (when readable) survives into the error response.
     throw PartialRequestError(e.what(), req.id);
@@ -272,13 +309,14 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
       options.cache != nullptr ? options.cache->stats() : CacheStats{};
 
   // ----- ingest ----------------------------------------------------------
-  // std::getline delivers a final line without a trailing newline like
-  // any other (it extracts up to EOF), so "emit-batch | head -c" style
-  // truncated tails are answered, not dropped.
+  // A final line without a trailing newline is read like any other, so
+  // "emit-batch | head -c" style truncated tails are answered, not
+  // dropped.  An over-long line keeps only its first
+  // kMaxRequestLineBytes + 1 bytes, which parse_request_line refuses.
   std::vector<Request> requests;
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+  while (read_request_line(in, line)) {
+    if (is_blank_request_line(line)) continue;
     Request req;
     try {
       req.line = parse_request_line(line, options.default_method);
@@ -318,8 +356,9 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   solver_of.reserve(pending.size());
   for (const std::size_t i : pending) {
     const SolveOptions& o = requests[i].line.options;
-    solver_of.push_back(
-        &solvers.try_emplace(encode_solve_options(o).dump(), o).first->second);
+    std::string group;
+    append_json(group, o);
+    solver_of.push_back(&solvers.try_emplace(group, o).first->second);
   }
   ProgressCounter progress(options.progress, pending.size());
   parallel_for(pending.size(),

@@ -4,7 +4,8 @@
 //   {"schema": N, "scenario": {...}, "options": {...}, "id": <any>}
 //   {"schema": N, "scenario": {...}, "epsilons": [...], ...}
 // "options" (see io::decode_solve_options) and "id" are optional; blank
-// lines are skipped.  A non-empty "epsilons" array makes the line a
+// lines are skipped; a line longer than kMaxRequestLineBytes is refused
+// unparsed.  A non-empty "epsilons" array makes the line a
 // *profile* request: the whole d(epsilon) grid is solved (or served from
 // the cache) as one artifact.  Output: one JSON response per request,
 // streamed in *input order*:
@@ -97,6 +98,20 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
 /// grid is a parse error rather than unbounded work for one line.
 inline constexpr std::size_t kMaxProfileLevels = 1024;
 
+/// The longest request line answered (1 MiB; a 1024-level profile
+/// request is ~30 kB).  A longer line is refused before it is parsed --
+/// one error response with a null id -- and run_batch and the serve
+/// listener keep at most this many bytes of it (plus one) in memory.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
+/// True for a line that gets no response: only spaces, tabs and CRs,
+/// and not over-long (a line longer than kMaxRequestLineBytes is
+/// refused, whatever its bytes).
+[[nodiscard]] inline bool is_blank_request_line(std::string_view line) {
+  return line.size() <= kMaxRequestLineBytes &&
+         line.find_first_not_of(" \t\r") == std::string_view::npos;
+}
+
 /// One parsed request line: the effective scenario (scheduler override
 /// folded in), canonical options, and the cache key they hash to.
 struct ParsedRequestLine {
@@ -113,11 +128,19 @@ struct ParsedRequestLine {
 };
 
 /// Parses one JSONL request line ({"schema", "scenario", "options"?,
-/// "id"?}).  @throws on malformed JSON / wrong schema / undecodable
-/// payloads; when the document carried a readable "id", the exception
-/// is PartialRequestError so error responses can still echo it.
+/// "epsilons"?, "id"?}) through the flat reader; only the echoed "id"
+/// becomes a json::Value.  @throws on an over-long line (longer than
+/// kMaxRequestLineBytes, checked before any parse), malformed JSON,
+/// wrong schema, or undecodable payloads; when the document carried a
+/// readable "id", the exception is PartialRequestError so error
+/// responses can still echo it.
 [[nodiscard]] ParsedRequestLine parse_request_line(
     const std::string& line, e2e::Method default_method);
+
+/// A profile request's "epsilons" grid under the request rules: an
+/// array of at most kMaxProfileLevels levels, each in (0, 1), not
+/// empty.  @throws CodecError / json::TypeError otherwise.
+[[nodiscard]] std::vector<double> decode_profile_epsilons(json::Node eps);
 
 /// A request that failed to parse *after* its "id" was read: carries
 /// the id so the error response can echo it.

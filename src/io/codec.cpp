@@ -1,5 +1,6 @@
 #include "io/codec.h"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -13,11 +14,12 @@ namespace deltanc::io {
 
 namespace {
 
+using json::Node;
 using json::Value;
 
 /// Rounds a JSON number to the nearest integer, rejecting values that
 /// are not integral (counts must not silently truncate).
-long long decode_integer(const Value& v, const char* what) {
+long long decode_integer(Node v, const char* what) {
   const double d = v.as_number();
   if (d != std::floor(d) || std::fabs(d) > 9.007199254740992e15) {
     throw CodecError(std::string("codec: ") + what +
@@ -26,7 +28,7 @@ long long decode_integer(const Value& v, const char* what) {
   return static_cast<long long>(d);
 }
 
-int decode_int(const Value& v, const char* what) {
+int decode_int(Node v, const char* what) {
   const long long n = decode_integer(v, what);
   if (n < std::numeric_limits<int>::min() ||
       n > std::numeric_limits<int>::max()) {
@@ -35,11 +37,30 @@ int decode_int(const Value& v, const char* what) {
   return static_cast<int>(n);
 }
 
-/// Optional-field lookup: returns nullptr when the key is absent OR
-/// explicitly null (both mean "use the default").
-const Value* find_optional(const Value& obj, std::string_view key) {
-  const Value* v = obj.find(key);
-  return (v == nullptr || v->is_null()) ? nullptr : v;
+/// The members of `obj` named in `names`, read in one pass
+/// (json::Node::lookup).
+template <std::size_t N>
+std::array<Node, N> fields(Node obj,
+                           const std::array<std::string_view, N>& names) {
+  std::array<Node, N> out{};
+  obj.lookup(names, out);
+  return out;
+}
+
+/// `v`, or absent when it is missing OR explicitly null (both mean "use
+/// the default").
+Node optional(Node v) { return v && !v.is_null() ? v : Node(); }
+
+e2e::Method decode_method(Node v) {
+  const std::string_view name = v.as_string();
+  if (name == "exact") return e2e::Method::kExactOpt;
+  if (name == "paper-k") return e2e::Method::kPaperK;
+  throw CodecError("codec: unknown method \"" + std::string(name) + "\"");
+}
+
+sched::EdfFactors decode_edf_factors(Node edf) {
+  return sched::EdfFactors{decode_double(edf.at("own_factor")),
+                           decode_double(edf.at("cross_factor"))};
 }
 
 }  // namespace
@@ -52,10 +73,10 @@ Value encode_double(double v) {
   return Value::string(v > 0 ? "inf" : "-inf");
 }
 
-double decode_double(const Value& v) {
+double decode_double(Node v) {
   if (v.is_number()) return v.as_number();
   if (v.is_string()) {
-    const std::string& s = v.as_string();
+    const std::string_view s = v.as_string();
     if (s.empty()) throw CodecError("codec: empty string where double expected");
     // Locale-independent (std::from_chars): decimal, inf/-inf/nan...
     double parsed = 0.0;
@@ -79,7 +100,7 @@ double decode_double(const Value& v) {
         return negative ? -parsed : parsed;
       }
     }
-    throw CodecError("codec: unparseable double \"" + s + "\"");
+    throw CodecError("codec: unparseable double \"" + std::string(s) + "\"");
   }
   throw CodecError("codec: expected a number or numeric string, got " +
                    v.dump());
@@ -87,29 +108,12 @@ double decode_double(const Value& v) {
 
 // ----- enums -------------------------------------------------------------
 
-Value encode_scheduler(const sched::SchedulerSpec& s) {
-  Value edf = Value::object();
-  edf.set("own_factor", encode_double(s.edf_factors().own_factor))
-      .set("cross_factor", encode_double(s.edf_factors().cross_factor));
-  Value params = Value::array();
-  for (std::size_t i = 0; i < s.weights().size(); ++i) {
-    params.push_back(encode_double(s.weights()[i]));
-  }
-  Value out = Value::object();
-  out.set("kind", Value::string(std::string(
-              sched::scheduler_kind_name(s.kind()))))
-      .set("delta", encode_double(s.delta()))
-      .set("edf", std::move(edf))
-      .set("params", std::move(params));
-  return out;
-}
-
-sched::SchedulerSpec decode_scheduler(const Value& v) {
+sched::SchedulerSpec decode_scheduler(Node v) {
   if (v.is_string()) {
     sched::SchedulerSpec spec;
     if (!sched::parse_scheduler(v.as_string(), spec)) {
-      throw SchemaError("codec: unknown scheduler \"" + v.as_string() +
-                        "\"");
+      throw SchemaError("codec: unknown scheduler \"" +
+                        std::string(v.as_string()) + "\"");
     }
     return spec;
   }
@@ -117,25 +121,27 @@ sched::SchedulerSpec decode_scheduler(const Value& v) {
     throw CodecError("codec: scheduler must be an object or name string, "
                      "got " + v.dump());
   }
+  static constexpr std::array<std::string_view, 4> kNames = {
+      "kind", "delta", "edf", "params"};
+  const auto f = fields(v, kNames);
   sched::SchedulerKind kind{};
-  const std::string& name = v.at("kind").as_string();
+  const std::string_view name = json::required(f[0], kNames[0]).as_string();
   if (!sched::scheduler_kind_from_name(name, kind)) {
-    throw SchemaError("codec: unknown scheduler kind \"" + name + "\"");
+    throw SchemaError("codec: unknown scheduler kind \"" + std::string(name) +
+                      "\"");
   }
   sched::SchedulerSpec spec(kind);
   if (kind == sched::SchedulerKind::kDelta) {
-    const Value* delta = find_optional(v, "delta");
-    spec = sched::SchedulerSpec::fixed_delta(
-        delta != nullptr ? decode_double(*delta) : 0.0);
+    const Node delta = optional(f[1]);
+    spec = sched::SchedulerSpec::fixed_delta(delta ? decode_double(delta)
+                                                   : 0.0);
   }
-  if (const Value* edf = find_optional(v, "edf")) {
-    spec.set_edf_factors(
-        sched::EdfFactors{decode_double(edf->at("own_factor")),
-                          decode_double(edf->at("cross_factor"))});
+  if (const Node edf = optional(f[2])) {
+    spec.set_edf_factors(decode_edf_factors(edf));
   }
   // Absent in schema-1/2 documents: the default equal two-class split.
-  if (const Value* params = find_optional(v, "params")) {
-    const std::vector<Value>& items = params->items();
+  if (const Node params = optional(f[3])) {
+    const Node::Elements items = params.items();
     if (items.size() < 2 || items.size() > sched::ClassWeights::kMaxClasses) {
       throw CodecError("codec: scheduler params need 2.." +
                        std::to_string(sched::ClassWeights::kMaxClasses) +
@@ -144,36 +150,26 @@ sched::SchedulerSpec decode_scheduler(const Value& v) {
     sched::ClassWeights weights{};
     weights.values = {};
     weights.count = items.size();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const double w = decode_double(items[i]);
+    std::size_t i = 0;
+    for (const Node item : items) {
+      const double w = decode_double(item);
       if (!(w > 0.0) || !std::isfinite(w)) {
         throw CodecError("codec: scheduler params must be positive finite "
-                         "(got " + items[i].dump() + ")");
+                         "(got " + item.dump() + ")");
       }
-      weights.values[i] = w;
+      weights.values[i++] = w;
     }
     spec.set_weights(weights);
   }
   return spec;
 }
 
-Value encode_method(e2e::Method m) {
-  return Value::string(m == e2e::Method::kPaperK ? "paper-k" : "exact");
-}
-
-e2e::Method decode_method(const Value& v) {
-  const std::string& name = v.as_string();
-  if (name == "exact") return e2e::Method::kExactOpt;
-  if (name == "paper-k") return e2e::Method::kPaperK;
-  throw CodecError("codec: unknown method \"" + name + "\"");
-}
-
-void require_schema(const Value& v) {
-  const Value* schema = v.is_object() ? v.find("schema") : nullptr;
-  if (schema == nullptr) {
+void require_schema(Node v) {
+  const Node schema = v.is_object() ? v.find("schema") : Node();
+  if (!schema) {
     throw SchemaError("codec: document carries no \"schema\" field");
   }
-  const long long got = decode_integer(*schema, "schema");
+  const long long got = decode_integer(schema, "schema");
   if (got != kSchemaVersion) {
     throw SchemaError("codec: schema " + std::to_string(got) +
                       " != supported " + std::to_string(kSchemaVersion));
@@ -182,75 +178,61 @@ void require_schema(const Value& v) {
 
 // ----- Scenario ----------------------------------------------------------
 
-Value encode_scenario(const e2e::Scenario& sc) {
-  Value source = Value::object();
-  source.set("peak_kb", encode_double(sc.source.peak_kb()))
-      .set("p11", encode_double(sc.source.p11()))
-      .set("p22", encode_double(sc.source.p22()));
-  Value out = Value::object();
-  out.set("capacity", encode_double(sc.capacity))
-      .set("hops", Value::number(sc.hops))
-      .set("source", std::move(source))
-      .set("n_through", Value::number(sc.n_through))
-      .set("n_cross", Value::number(sc.n_cross))
-      .set("epsilon", encode_double(sc.epsilon))
-      .set("scheduler", encode_scheduler(sc.scheduler));
-  return out;
-}
-
-e2e::Scenario decode_scenario(const Value& v) {
+e2e::Scenario decode_scenario(Node v) {
   if (!v.is_object()) {
     throw CodecError("codec: scenario must be an object, got " + v.dump());
   }
+  static constexpr std::array<std::string_view, 8> kNames = {
+      "capacity", "hops",    "source",    "n_through",
+      "n_cross",  "epsilon", "scheduler", "edf"};
+  const auto f = fields(v, kNames);
   e2e::Scenario sc;
-  sc.capacity = decode_double(v.at("capacity"));
-  sc.hops = decode_int(v.at("hops"), "hops");
-  if (const Value* source = find_optional(v, "source")) {
+  sc.capacity = decode_double(json::required(f[0], kNames[0]));
+  sc.hops = decode_int(json::required(f[1], kNames[1]), "hops");
+  if (const Node source = optional(f[2])) {
     // The MmooSource constructor re-validates the probabilities, so a
     // corrupted document cannot produce an inconsistent source object.
-    sc.source = traffic::MmooSource(decode_double(source->at("peak_kb")),
-                                    decode_double(source->at("p11")),
-                                    decode_double(source->at("p22")));
+    sc.source = traffic::MmooSource(decode_double(source.at("peak_kb")),
+                                    decode_double(source.at("p11")),
+                                    decode_double(source.at("p22")));
   }
-  sc.n_through = decode_int(v.at("n_through"), "n_through");
-  sc.n_cross = decode_int(v.at("n_cross"), "n_cross");
-  sc.epsilon = decode_double(v.at("epsilon"));
-  sc.scheduler = decode_scheduler(v.at("scheduler"));
+  sc.n_through = decode_int(json::required(f[3], kNames[3]), "n_through");
+  sc.n_cross = decode_int(json::required(f[4], kNames[4]), "n_cross");
+  sc.epsilon = decode_double(json::required(f[5], kNames[5]));
+  sc.scheduler = decode_scheduler(json::required(f[6], kNames[6]));
   // Schema-1 documents (and hand-written ones using name strings) carry
   // the EDF factors in a sibling "edf" object; fold them into the spec.
-  if (const Value* edf = find_optional(v, "edf")) {
-    sc.scheduler.set_edf_factors(
-        sched::EdfFactors{decode_double(edf->at("own_factor")),
-                          decode_double(edf->at("cross_factor"))});
+  if (const Node edf = optional(f[7])) {
+    sc.scheduler.set_edf_factors(decode_edf_factors(edf));
   }
   return sc;
 }
 
 // ----- SolveStats --------------------------------------------------------
 
-e2e::SolveStats decode_solve_stats(const Value& v) {
+e2e::SolveStats decode_solve_stats(Node v) {
+  static constexpr std::array<std::string_view, 12> kNames = {
+      "optimize_evals",  "eb_evals",        "sigma_evals",
+      "edf_iterations",  "edf_converged",   "retries",
+      "fallbacks",       "batched_evals",   "warm_start_hits",
+      "brackets_reused", "profile_levels",  "profile_chain_hits"};
+  const auto f = fields(v, kNames);
   e2e::SolveStats stats;
-  stats.optimize_evals = decode_integer(v.at("optimize_evals"), "stats");
-  stats.eb_evals = decode_integer(v.at("eb_evals"), "stats");
-  stats.sigma_evals = decode_integer(v.at("sigma_evals"), "stats");
-  stats.edf_iterations = decode_int(v.at("edf_iterations"), "stats");
-  stats.edf_converged = v.at("edf_converged").as_bool();
-  stats.retries = decode_int(v.at("retries"), "stats");
-  stats.fallbacks = decode_int(v.at("fallbacks"), "stats");
-  if (const Value* f = find_optional(v, "batched_evals")) {
-    stats.batched_evals = decode_integer(*f, "stats");
-  }
-  if (const Value* f = find_optional(v, "warm_start_hits")) {
-    stats.warm_start_hits = decode_integer(*f, "stats");
-  }
-  if (const Value* f = find_optional(v, "brackets_reused")) {
-    stats.brackets_reused = decode_integer(*f, "stats");
-  }
-  if (const Value* f = find_optional(v, "profile_levels")) {
-    stats.profile_levels = decode_integer(*f, "stats");
-  }
-  if (const Value* f = find_optional(v, "profile_chain_hits")) {
-    stats.profile_chain_hits = decode_integer(*f, "stats");
+  stats.optimize_evals =
+      decode_integer(json::required(f[0], kNames[0]), "stats");
+  stats.eb_evals = decode_integer(json::required(f[1], kNames[1]), "stats");
+  stats.sigma_evals = decode_integer(json::required(f[2], kNames[2]), "stats");
+  stats.edf_iterations = decode_int(json::required(f[3], kNames[3]), "stats");
+  stats.edf_converged = json::required(f[4], kNames[4]).as_bool();
+  stats.retries = decode_int(json::required(f[5], kNames[5]), "stats");
+  stats.fallbacks = decode_int(json::required(f[6], kNames[6]), "stats");
+  std::int64_t* const optional_counts[] = {
+      &stats.batched_evals, &stats.warm_start_hits, &stats.brackets_reused,
+      &stats.profile_levels, &stats.profile_chain_hits};
+  for (std::size_t i = 0; i < std::size(optional_counts); ++i) {
+    if (const Node count = optional(f[7 + i])) {
+      *optional_counts[i] = decode_integer(count, "stats");
+    }
   }
   return stats;
 }
@@ -259,67 +241,73 @@ e2e::SolveStats decode_solve_stats(const Value& v) {
 
 namespace {
 
-diag::SolveErrorKind decode_kind(const Value& v) {
+diag::SolveErrorKind decode_kind(Node v) {
   diag::SolveErrorKind kind{};
-  if (!diag::solve_error_from_name(v.as_string(), kind)) {
-    throw CodecError("codec: unknown error kind \"" + v.as_string() + "\"");
+  const std::string_view name = v.as_string();
+  if (!diag::solve_error_from_name(name, kind)) {
+    throw CodecError("codec: unknown error kind \"" + std::string(name) +
+                     "\"");
   }
   return kind;
 }
 
 }  // namespace
 
-diag::Diagnostics decode_diagnostics(const Value& v) {
+diag::Diagnostics decode_diagnostics(Node v) {
+  static constexpr std::array<std::string_view, 3> kNames = {
+      "error", "message", "warnings"};
+  const auto f = fields(v, kNames);
   diag::Diagnostics d;
-  d.error = decode_kind(v.at("error"));
-  d.message = v.at("message").as_string();
-  for (const Value& w : v.at("warnings").items()) {
+  d.error = decode_kind(json::required(f[0], kNames[0]));
+  d.message = json::required(f[1], kNames[1]).as_string();
+  for (const Node w : json::required(f[2], kNames[2]).items()) {
     d.warnings.push_back(
-        diag::Warning{decode_kind(w.at("kind")), w.at("message").as_string()});
+        diag::Warning{decode_kind(w.at("kind")),
+                      std::string(w.at("message").as_string())});
   }
   return d;
 }
 
 // ----- BoundResult -------------------------------------------------------
 
-e2e::BoundResult decode_bound_result(const Value& v) {
+e2e::BoundResult decode_bound_result(Node v) {
+  static constexpr std::array<std::string_view, 7> kNames = {
+      "delay_ms", "gamma", "s", "sigma", "delta", "stats", "diagnostics"};
+  const auto f = fields(v, kNames);
   e2e::BoundResult r{};
-  r.delay_ms = decode_double(v.at("delay_ms"));
-  r.gamma = decode_double(v.at("gamma"));
-  r.s = decode_double(v.at("s"));
-  r.sigma = decode_double(v.at("sigma"));
-  r.delta = decode_double(v.at("delta"));
-  if (const Value* stats = find_optional(v, "stats")) {
-    r.stats = decode_solve_stats(*stats);
-  }
-  if (const Value* d = find_optional(v, "diagnostics")) {
-    r.diagnostics = decode_diagnostics(*d);
-  }
+  r.delay_ms = decode_double(json::required(f[0], kNames[0]));
+  r.gamma = decode_double(json::required(f[1], kNames[1]));
+  r.s = decode_double(json::required(f[2], kNames[2]));
+  r.sigma = decode_double(json::required(f[3], kNames[3]));
+  r.delta = decode_double(json::required(f[4], kNames[4]));
+  if (const Node stats = optional(f[5])) r.stats = decode_solve_stats(stats);
+  if (const Node d = optional(f[6])) r.diagnostics = decode_diagnostics(d);
   return r;
 }
 
 // ----- DelayProfile ------------------------------------------------------
 
-e2e::DelayProfile decode_delay_profile(const Value& v) {
+e2e::DelayProfile decode_delay_profile(Node v) {
   if (!v.is_object()) {
     throw CodecError("codec: delay profile must be an object, got " +
                      v.dump());
   }
+  static constexpr std::array<std::string_view, 3> kNames = {
+      "epsilons", "levels", "stats"};
+  const auto f = fields(v, kNames);
   e2e::DelayProfile p;
-  for (const Value& eps : v.at("epsilons").items()) {
-    p.epsilons.push_back(decode_double(eps));
-  }
-  for (const Value& r : v.at("levels").items()) {
-    p.levels.push_back(decode_bound_result(r));
-  }
+  const Node::Elements epsilons = json::required(f[0], kNames[0]).items();
+  p.epsilons.reserve(epsilons.size());
+  for (const Node eps : epsilons) p.epsilons.push_back(decode_double(eps));
+  const Node::Elements levels = json::required(f[1], kNames[1]).items();
+  p.levels.reserve(levels.size());
+  for (const Node r : levels) p.levels.push_back(decode_bound_result(r));
   if (p.epsilons.size() != p.levels.size()) {
     throw CodecError("codec: delay profile has " +
                      std::to_string(p.epsilons.size()) + " epsilons but " +
                      std::to_string(p.levels.size()) + " levels");
   }
-  if (const Value* stats = find_optional(v, "stats")) {
-    p.stats = decode_solve_stats(*stats);
-  }
+  if (const Node stats = optional(f[2])) p.stats = decode_solve_stats(stats);
   return p;
 }
 
@@ -420,42 +408,90 @@ const char* payload_field(const e2e::DelayProfile&) noexcept {
   return "profile";
 }
 
-// ----- SolveOptions / cache key ------------------------------------------
+// ----- the request writer ------------------------------------------------
 
-Value encode_solve_options(const SolveOptions& options) {
-  Value out = Value::object();
-  out.set("method", encode_method(options.method))
-      .set("scheduler", options.scheduler.has_value()
-                            ? encode_scheduler(*options.scheduler)
-                            : Value::null())
-      .set("delta", options.delta.has_value() ? encode_double(*options.delta)
-                                              : Value::null())
-      .set("warm_start",
-           Value::string(options.warm_start == e2e::WarmStart::kWarm
-                             ? "warm"
-                             : "cold"));
-  return out;
+void append_json(std::string& out, const sched::SchedulerSpec& s) {
+  put_string(out, "{\"kind\":", sched::scheduler_kind_name(s.kind()));
+  put_double(out, ",\"delta\":", s.delta());
+  put_double(out, ",\"edf\":{\"own_factor\":", s.edf_factors().own_factor);
+  put_double(out, ",\"cross_factor\":", s.edf_factors().cross_factor);
+  out += "},\"params\":[";
+  for (std::size_t i = 0; i < s.weights().size(); ++i) {
+    put_double(out, i == 0 ? "" : ",", s.weights()[i]);
+  }
+  out += "]}";
 }
 
-SolveOptions decode_solve_options(const Value& v) {
+void append_json(std::string& out, const e2e::Scenario& sc) {
+  put_double(out, "{\"capacity\":", sc.capacity);
+  put_count(out, ",\"hops\":", sc.hops);
+  put_double(out, ",\"source\":{\"peak_kb\":", sc.source.peak_kb());
+  put_double(out, ",\"p11\":", sc.source.p11());
+  put_double(out, ",\"p22\":", sc.source.p22());
+  put_count(out, "},\"n_through\":", sc.n_through);
+  put_count(out, ",\"n_cross\":", sc.n_cross);
+  put_double(out, ",\"epsilon\":", sc.epsilon);
+  out += ",\"scheduler\":";
+  append_json(out, sc.scheduler);
+  out += '}';
+}
+
+void append_json(std::string& out, const SolveOptions& options) {
+  put_string(out, "{\"method\":",
+             options.method == e2e::Method::kPaperK ? "paper-k" : "exact");
+  out += ",\"scheduler\":";
+  if (options.scheduler.has_value()) {
+    append_json(out, *options.scheduler);
+  } else {
+    out += "null";
+  }
+  if (options.delta.has_value()) {
+    put_double(out, ",\"delta\":", *options.delta);
+  } else {
+    out += ",\"delta\":null";
+  }
+  put_string(out, ",\"warm_start\":",
+             options.warm_start == e2e::WarmStart::kWarm ? "warm" : "cold");
+  out += '}';
+}
+
+namespace {
+
+/// The written bytes of `x` read back as a document.
+template <typename T>
+Value parse_written(const T& x) {
+  std::string text;
+  append_json(text, x);
+  return Value::parse(text);
+}
+
+}  // namespace
+
+Value encode_scenario(const e2e::Scenario& sc) { return parse_written(sc); }
+
+Value encode_solve_options(const SolveOptions& options) {
+  return parse_written(options);
+}
+
+// ----- SolveOptions / cache key ------------------------------------------
+
+SolveOptions decode_solve_options(Node v) {
+  static constexpr std::array<std::string_view, 4> kNames = {
+      "method", "scheduler", "delta", "warm_start"};
+  const auto f = fields(v, kNames);
   SolveOptions options;
-  if (const Value* m = find_optional(v, "method")) {
-    options.method = decode_method(*m);
-  }
-  if (const Value* s = find_optional(v, "scheduler")) {
-    options.scheduler = decode_scheduler(*s);
-  }
-  if (const Value* d = find_optional(v, "delta")) {
-    options.delta = decode_double(*d);
-  }
-  if (const Value* w = find_optional(v, "warm_start")) {
-    const std::string& name = w->as_string();
+  if (const Node m = optional(f[0])) options.method = decode_method(m);
+  if (const Node s = optional(f[1])) options.scheduler = decode_scheduler(s);
+  if (const Node d = optional(f[2])) options.delta = decode_double(d);
+  if (const Node w = optional(f[3])) {
+    const std::string_view name = w.as_string();
     if (name == "warm") {
       options.warm_start = e2e::WarmStart::kWarm;
     } else if (name == "cold") {
       options.warm_start = e2e::WarmStart::kCold;
     } else {
-      throw CodecError("codec: unknown warm_start \"" + name + "\"");
+      throw CodecError("codec: unknown warm_start \"" + std::string(name) +
+                       "\"");
     }
   }
   return options;
@@ -473,6 +509,21 @@ void canonicalize_solve(e2e::Scenario& sc, SolveOptions& options) {
   }
 }
 
+/// `{"kind":"<kind>","scenario":...,"options":...` -- the head both keys
+/// share, written straight to bytes.
+std::string key_head(const char* kind, const e2e::Scenario& sc,
+                     const SolveOptions& options, std::size_t reserve) {
+  std::string key;
+  key.reserve(reserve);
+  key += "{\"kind\":\"";
+  key += kind;
+  key += "\",\"scenario\":";
+  append_json(key, sc);
+  key += ",\"options\":";
+  append_json(key, options);
+  return key;
+}
+
 }  // namespace
 
 std::string solve_cache_key(const e2e::Scenario& sc,
@@ -480,11 +531,9 @@ std::string solve_cache_key(const e2e::Scenario& sc,
   SolveOptions canonical = options;
   e2e::Scenario effective = sc;
   canonicalize_solve(effective, canonical);
-  Value key = Value::object();
-  key.set("kind", Value::string("solve"))
-      .set("scenario", encode_scenario(effective))
-      .set("options", encode_solve_options(canonical));
-  return key.dump();
+  std::string key = key_head("solve", effective, canonical, 512);
+  key += '}';
+  return key;
 }
 
 std::string profile_cache_key(const e2e::Scenario& sc,
@@ -497,14 +546,14 @@ std::string profile_cache_key(const e2e::Scenario& sc,
   // two requests differing only there must share the entry: pin the
   // scenario epsilon to the first grid level.
   if (!epsilons.empty()) effective.epsilon = epsilons.front();
-  Value eps = Value::array();
-  for (double e : epsilons) eps.push_back(encode_double(e));
-  Value key = Value::object();
-  key.set("kind", Value::string("profile"))
-      .set("scenario", encode_scenario(effective))
-      .set("options", encode_solve_options(canonical))
-      .set("epsilons", std::move(eps));
-  return key.dump();
+  std::string key = key_head("profile", effective, canonical,
+                             512 + 24 * epsilons.size());
+  key += ",\"epsilons\":[";
+  for (std::size_t i = 0; i < epsilons.size(); ++i) {
+    put_double(key, i == 0 ? "" : ",", epsilons[i]);
+  }
+  key += "]}";
+  return key;
 }
 
 }  // namespace deltanc::io

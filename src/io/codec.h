@@ -2,11 +2,11 @@
 // scenarios, solve options, solve results (with their stats and
 // diagnostics), and delay profiles round-trip losslessly -- doubles
 // bit-exactly (including +/-inf and NaN), enums by their stable string
-// names.  Scenarios and options encode to io::json::Value; results are
-// written straight to bytes (append_json) and read back through the
-// DOM.  These are exactly what the batch and serve protocols and the
-// persistent result cache carry; sweep grids and reports have no wire
-// form (their CSV is the machine output).
+// names.  One writer (append_json) emits every type straight to bytes,
+// and one decoder set reads every type from a json::Node of the flat
+// reader (json::Document).  These are exactly what the batch and serve
+// protocols and the persistent result cache carry; sweep grids and
+// reports have no wire form (their CSV is the machine output).
 //
 // Versioning: every top-level document (cache entry, batch
 // request/response) carries a "schema" field equal to kSchemaVersion.
@@ -15,13 +15,13 @@
 // automatically when the wire format changes; nested values (a
 // scenario inside a request) carry no redundant schema field.
 //
-// Canonicalization: encoders emit fields in a fixed documented order and
-// the compact dump() is byte-stable for a given input, so
-// solve_cache_key() -- the compact dump of (kind, scenario, solve
-// options) -- is a canonical content hash input.  The library version is
-// deliberately NOT part of the key: the cache stores it per entry and
-// classifies version mismatches as *stale* (observable, re-solved,
-// overwritten) rather than burying them as silent misses.
+// Canonicalization: the writer emits fields in a fixed documented order
+// and its bytes are stable for a given input, so solve_cache_key() --
+// the written (kind, scenario, solve options) -- is a canonical content
+// hash input.  The library version is deliberately NOT part of the key:
+// the cache stores it per entry and classifies version mismatches as
+// *stale* (observable, re-solved, overwritten) rather than burying them
+// as silent misses.
 #pragma once
 
 #include <span>
@@ -69,41 +69,53 @@ struct SchemaError : CodecError {
 /// C99 hexfloat string ("0x1.6p+4", optionally "-"-signed before the
 /// prefix only) so hand-written documents can pin exact bits.
 /// @throws CodecError otherwise.
-[[nodiscard]] double decode_double(const json::Value& v);
+[[nodiscard]] double decode_double(json::Node v);
 
 // ----- value types -------------------------------------------------------
 
-// Field orders (canonical):
-//   Scenario:   capacity, hops, source{peak_kb, p11, p22}, n_through,
-//               n_cross, epsilon,
-//               scheduler{kind, delta, edf{own_factor, cross_factor}}
-// The result types' orders live in the writer below, the one place that
-// emits them.  Decoders tolerate *absent* optional fields (stats/
+// The field orders live in the writers below, the one place that emits
+// them.  Decoders read each object's fields in one pass
+// (json::Node::lookup); they tolerate *absent* optional fields (stats/
 // diagnostics default), any member order and duplicate members (the
-// last one wins), but reject mistyped or unknown-enum values.
+// last one wins), but reject mistyped or unknown-enum values with the
+// JSON layer's TypeError or a CodecError.
 
-[[nodiscard]] json::Value encode_scenario(const e2e::Scenario& sc);
-[[nodiscard]] e2e::Scenario decode_scenario(const json::Value& v);
-
-[[nodiscard]] e2e::SolveStats decode_solve_stats(const json::Value& v);
-[[nodiscard]] diag::Diagnostics decode_diagnostics(const json::Value& v);
-[[nodiscard]] e2e::BoundResult decode_bound_result(const json::Value& v);
+[[nodiscard]] e2e::Scenario decode_scenario(json::Node v);
+[[nodiscard]] e2e::SolveStats decode_solve_stats(json::Node v);
+[[nodiscard]] diag::Diagnostics decode_diagnostics(json::Node v);
+[[nodiscard]] e2e::BoundResult decode_bound_result(json::Node v);
 /// Delay profile d(epsilon): the decoder rejects mismatched
 /// epsilons/levels lengths.
-[[nodiscard]] e2e::DelayProfile decode_delay_profile(const json::Value& v);
+[[nodiscard]] e2e::DelayProfile decode_delay_profile(json::Node v);
 
-// ----- the result writer -------------------------------------------------
-// Appends the canonical compact JSON of a result straight to `out`, with
+// ----- the writer --------------------------------------------------------
+// Appends the canonical compact JSON of a value straight to `out`, with
 // json::append_number / append_quoted as its only formatters: the bytes
-// of every response line and cache entry.  The field orders live in
-// these four functions alone (tests/data/wire_responses.jsonl shows
-// them).  SolveStats carry the deterministic counters only: the
-// in-memory scan_ms / refine_ms are never written and decode as 0.
+// of every response line, cache entry and cache key.  The field orders
+// live in these functions alone (tests/data/wire_requests.jsonl and
+// wire_responses.jsonl show them):
+//   Scenario:      capacity, hops, source{peak_kb, p11, p22}, n_through,
+//                  n_cross, epsilon, scheduler
+//   SchedulerSpec: kind, delta, edf{own_factor, cross_factor}, params
+//   SolveOptions:  method, scheduler (or null), delta (or null),
+//                  warm_start
+// Every field is always written, so the bytes are stable.  SolveStats
+// carry the deterministic counters only: the in-memory scan_ms /
+// refine_ms are never written and decode as 0.
 
 void append_json(std::string& out, const e2e::SolveStats& stats);
 void append_json(std::string& out, const diag::Diagnostics& d);
 void append_json(std::string& out, const e2e::BoundResult& r);
 void append_json(std::string& out, const e2e::DelayProfile& p);
+void append_json(std::string& out, const sched::SchedulerSpec& s);
+void append_json(std::string& out, const e2e::Scenario& sc);
+void append_json(std::string& out, const SolveOptions& options);
+
+/// The written scenario / options read back as a json::Value, for
+/// callers that assemble request documents (--emit-batch, load
+/// generators, tests).
+[[nodiscard]] json::Value encode_scenario(const e2e::Scenario& sc);
+[[nodiscard]] json::Value encode_solve_options(const SolveOptions& options);
 
 /// The member a payload travels under in responses and cache entries.
 [[nodiscard]] const char* payload_field(const e2e::BoundResult&) noexcept;
@@ -111,13 +123,10 @@ void append_json(std::string& out, const e2e::DelayProfile& p);
 
 // ----- solve options and the cache key -----------------------------------
 
-/// Canonical fields: method, scheduler (or null), delta (or null),
-/// warm_start.
-[[nodiscard]] json::Value encode_solve_options(const SolveOptions& options);
-[[nodiscard]] SolveOptions decode_solve_options(const json::Value& v);
+[[nodiscard]] SolveOptions decode_solve_options(json::Node v);
 
 /// The canonical cache key for "this scenario solved with these
-/// options": the compact dump of {"kind": "solve", "scenario",
+/// options": the written {"kind": "solve", "scenario",
 /// "options"} with the scheduler override already folded into the
 /// scenario.  Two solves get the same key iff the codec cannot
 /// distinguish their inputs.  The "kind" discriminator (since v5) keeps
@@ -130,7 +139,7 @@ void append_json(std::string& out, const e2e::DelayProfile& p);
                                           const SolveOptions& options);
 
 /// The canonical cache key for "this scenario's delay profile over this
-/// epsilon grid under these options": the compact dump of {"kind":
+/// epsilon grid under these options": the written {"kind":
 /// "profile", "scenario", "options", "epsilons"} with the scenario's own
 /// epsilon canonicalized to the first grid level (a profile solves the
 /// grid, never the scenario's scalar epsilon, so two scenarios differing
@@ -144,21 +153,15 @@ void append_json(std::string& out, const e2e::DelayProfile& p);
 
 /// @throws SchemaError unless v is an object whose "schema" equals
 /// kSchemaVersion.
-void require_schema(const json::Value& v);
+void require_schema(json::Node v);
 
-/// Scheduler identity <-> JSON.  Encodes the full spec as an object
-/// {"kind": "<name>", "delta": <double>, "edf": {"own_factor",
-/// "cross_factor"}, "params": [<w>, ...]}; every field is always emitted
-/// so the compact dump is byte-stable.  The decoder also accepts the
-/// canonical name strings ("fifo", ..., "delta:<value>", "gps:1,2") for
-/// hand-written documents and the schema-1/2 object forms (absent
+/// Scheduler identity from JSON: the written object {"kind": "<name>",
+/// "delta", "edf": {"own_factor", "cross_factor"}, "params": [<w>, ...]},
+/// the canonical name strings ("fifo", ..., "delta:<value>", "gps:1,2")
+/// for hand-written documents, and the schema-1/2 object forms (absent
 /// "params" means the default equal two-class split).  An unknown kind
 /// name throws SchemaError -- a newer producer's registry, not
 /// corruption -- so the cache classifies such entries as stale.
-[[nodiscard]] json::Value encode_scheduler(const sched::SchedulerSpec& s);
-[[nodiscard]] sched::SchedulerSpec decode_scheduler(const json::Value& v);
-
-[[nodiscard]] json::Value encode_method(e2e::Method m);
-[[nodiscard]] e2e::Method decode_method(const json::Value& v);
+[[nodiscard]] sched::SchedulerSpec decode_scheduler(json::Node v);
 
 }  // namespace deltanc::io

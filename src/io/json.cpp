@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
 
 namespace deltanc::io::json {
@@ -165,260 +166,6 @@ void append_value(std::string& out, const Value& v, int indent, int depth) {
   }
 }
 
-/// Recursive-descent parser over a string_view, tracking line/column for
-/// error messages.  Depth-limited so adversarial input (the cache reads
-/// files an operator may hand-edit) cannot overflow the stack.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value run() {
-    Value v = parse_value(0);
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters after JSON document");
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 128;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw ParseError("json: " + what, line_, pos_ - line_start_ + 1);
-  }
-
-  [[nodiscard]] bool eof() const noexcept { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const noexcept { return text_[pos_]; }
-
-  char take() {
-    const char c = text_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      line_start_ = pos_;
-    }
-    return c;
-  }
-
-  void skip_whitespace() {
-    while (!eof()) {
-      const char c = peek();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return;
-      take();
-    }
-  }
-
-  void expect_literal(std::string_view literal) {
-    for (const char c : literal) {
-      if (eof() || take() != c) {
-        fail("invalid literal (expected '" + std::string(literal) + "')");
-      }
-    }
-  }
-
-  Value parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting deeper than 128 levels");
-    skip_whitespace();
-    if (eof()) fail("unexpected end of input");
-    switch (peek()) {
-      case 'n':
-        expect_literal("null");
-        return Value::null();
-      case 't':
-        expect_literal("true");
-        return Value::boolean(true);
-      case 'f':
-        expect_literal("false");
-        return Value::boolean(false);
-      case '"':
-        return Value::string(parse_string());
-      case '[':
-        return parse_array(depth);
-      case '{':
-        return parse_object(depth);
-      default:
-        return parse_number();
-    }
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') take();
-    if (eof() || !(peek() >= '0' && peek() <= '9')) fail("invalid number");
-    while (!eof() && ((peek() >= '0' && peek() <= '9') || peek() == '.' ||
-                      peek() == 'e' || peek() == 'E' || peek() == '+' ||
-                      peek() == '-')) {
-      take();
-    }
-    // std::from_chars never consults the C locale's decimal point, so
-    // documents parse identically under any LC_NUMERIC setting.
-    const std::string_view token = text_.substr(start, pos_ - start);
-    double v = 0.0;
-    const auto [ptr, ec] = std::from_chars(
-        token.data(), token.data() + token.size(), v,
-        std::chars_format::general);
-    if (ec == std::errc::result_out_of_range) fail("number out of double range");
-    if (ec != std::errc{} || ptr != token.data() + token.size()) {
-      fail("invalid number");
-    }
-    if (!std::isfinite(v)) fail("number out of double range");
-    return Value::number(v);
-  }
-
-  std::string parse_string() {
-    take();  // opening quote
-    std::string out;
-    for (;;) {
-      // One append per run of plain bytes.  A run stops at the quote,
-      // the backslash and every control byte, so it never holds a
-      // newline and skipping take()'s line bookkeeping loses nothing.
-      const std::size_t run = pos_;
-      while (!eof() && !needs_escape(peek())) ++pos_;
-      out.append(text_.data() + run, pos_ - run);
-      if (eof()) fail("unterminated string");
-      const char c = take();
-      if (c == '"') return out;
-      if (c != '\\') fail("raw control character in string");
-      if (eof()) fail("unterminated escape");
-      const char esc = take();
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u':
-          append_utf8(out, parse_hex4());
-          break;
-        default:
-          fail("invalid escape sequence");
-      }
-    }
-  }
-
-  unsigned parse_hex4() {
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (eof()) fail("unterminated \\u escape");
-      const char c = take();
-      code <<= 4;
-      if (c >= '0' && c <= '9') {
-        code |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        code |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        code |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail("invalid \\u escape");
-      }
-    }
-    return code;
-  }
-
-  /// Encodes one BMP code point (surrogate pairs are combined when the
-  /// low half follows immediately; a lone surrogate becomes U+FFFD).
-  void append_utf8(std::string& out, unsigned code) {
-    if (code >= 0xD800 && code <= 0xDBFF) {
-      // High surrogate: look for \uDC00..\uDFFF right after.
-      if (pos_ + 1 < text_.size() && peek() == '\\' &&
-          text_[pos_ + 1] == 'u') {
-        const std::size_t save = pos_;
-        take();
-        take();
-        const unsigned low = parse_hex4();
-        if (low >= 0xDC00 && low <= 0xDFFF) {
-          code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-        } else {
-          pos_ = save;
-          code = 0xFFFD;
-        }
-      } else {
-        code = 0xFFFD;
-      }
-    } else if (code >= 0xDC00 && code <= 0xDFFF) {
-      code = 0xFFFD;  // lone low surrogate
-    }
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-  }
-
-  Value parse_array(int depth) {
-    take();  // '['
-    Value out = Value::array();
-    skip_whitespace();
-    if (!eof() && peek() == ']') {
-      take();
-      return out;
-    }
-    for (;;) {
-      out.push_back(parse_value(depth + 1));
-      skip_whitespace();
-      if (eof()) fail("unterminated array");
-      const char c = take();
-      if (c == ']') return out;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  Value parse_object(int depth) {
-    take();  // '{'
-    Value out = Value::object();
-    skip_whitespace();
-    if (!eof() && peek() == '}') {
-      take();
-      return out;
-    }
-    for (;;) {
-      skip_whitespace();
-      if (eof() || peek() != '"') fail("expected string key in object");
-      std::string key = parse_string();
-      skip_whitespace();
-      if (eof() || take() != ':') fail("expected ':' after object key");
-      out.set(std::move(key), parse_value(depth + 1));
-      skip_whitespace();
-      if (eof()) fail("unterminated object");
-      const char c = take();
-      if (c == '}') return out;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t line_start_ = 0;
-};
-
 }  // namespace
 
 bool Value::as_bool() const {
@@ -498,6 +245,443 @@ std::string Value::dump(int indent) const {
   return out;
 }
 
-Value Value::parse(std::string_view text) { return Parser(text).run(); }
+// ----- the reader ---------------------------------------------------------
+
+/// One left-to-right pass over the text with an explicit stack of open
+/// containers (no recursion, so hostile nesting costs no C++ stack).
+/// The read position is threaded through the helpers as a local (a
+/// member would be stored on every byte: a char read may alias it), and
+/// the line and column of an error are counted from the text only when
+/// one is thrown.
+struct Document::Reader {
+  static constexpr std::size_t kMaxDepth = 128;
+
+  Document& doc;
+  const char* const begin;
+  const char* const end;
+  // The slot array, grown by doubling; every slot is written in full by
+  // push() before anything reads it.  The counters are std::size_t so
+  // that stores into a Slot's 32-bit fields cannot alias them.
+  std::size_t capacity;
+  Slot* slots = nullptr;
+  std::size_t count = 0;
+  std::size_t open[kMaxDepth + 1] = {};  ///< slots of the open containers
+  std::size_t depth = 0;
+
+  Reader(Document& d, std::size_t initial_capacity)
+      : doc(d),
+        begin(d.text_.data()),
+        end(d.text_.data() + d.text_.size()),
+        capacity(initial_capacity) {
+    doc.slots_ = std::make_unique_for_overwrite<Slot[]>(capacity);
+    slots = doc.slots_.get();
+  }
+
+  /// Throws "json: <what>" positioned at `at` (1-based line and column).
+  [[noreturn]] void fail(const char* at, const char* what) const {
+    std::size_t line = 1;
+    const char* line_start = begin;
+    for (const char* c = begin; c != at; ++c) {
+      if (*c == '\n') {
+        ++line;
+        line_start = c + 1;
+      }
+    }
+    throw ParseError(std::string("json: ") + what, line,
+                     static_cast<std::size_t>(at - line_start) + 1);
+  }
+
+  const char* skip_whitespace(const char* p) const noexcept {
+    while (p != end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
+      ++p;
+    }
+    return p;
+  }
+
+  /// Past the plain string bytes at `p`: up to the quote, the backslash,
+  /// a control byte or the end.
+  const char* skip_plain(const char* p) const noexcept {
+    while (p != end && !needs_escape(*p)) ++p;
+    return p;
+  }
+
+  Slot& push(Value::Type type) {
+    if (count == capacity) grow();
+    Slot& slot = slots[count++];
+    slot.type = type;
+    slot.escaped = false;
+    slot.size = 0;
+    slot.end = static_cast<std::uint32_t>(count);
+    slot.number = 0.0;
+    return slot;
+  }
+
+  void grow() {
+    capacity *= 2;
+    auto bigger = std::make_unique_for_overwrite<Slot[]>(capacity);
+    std::copy_n(slots, count, bigger.get());
+    doc.slots_ = std::move(bigger);
+    slots = doc.slots_.get();
+  }
+
+  void run() {
+    const char* p = begin;
+    for (;;) {
+      // One value, at nesting depth `depth`.
+      if (depth > kMaxDepth) fail(p, "nesting deeper than 128 levels");
+      p = skip_whitespace(p);
+      if (p == end) fail(p, "unexpected end of input");
+      if (depth > 0) ++slots[open[depth - 1]].size;
+      switch (*p) {
+        case '[':
+        case '{': {
+          const bool object = *p++ == '{';
+          open[depth++] = count;
+          push(object ? Value::Type::kObject : Value::Type::kArray);
+          p = skip_whitespace(p);
+          if (p != end && *p == (object ? '}' : ']')) {
+            ++p;
+            close();
+            break;
+          }
+          if (object) p = read_key(p);
+          continue;  // the first element or member value
+        }
+        case '"':
+          p = read_string(p);
+          break;
+        case 'n':
+          p = read_literal(p, "null", "invalid literal (expected 'null')");
+          push(Value::Type::kNull);
+          break;
+        case 't':
+          p = read_literal(p, "true", "invalid literal (expected 'true')");
+          push(Value::Type::kBool).boolean = true;
+          break;
+        case 'f':
+          p = read_literal(p, "false", "invalid literal (expected 'false')");
+          push(Value::Type::kBool).boolean = false;
+          break;
+        default:
+          p = read_number(p);
+      }
+      // The value is complete: close the containers it completes, then
+      // move on to the next element or member.
+      for (;;) {
+        if (depth == 0) {
+          p = skip_whitespace(p);
+          if (p != end) fail(p, "trailing characters after JSON document");
+          return;
+        }
+        const bool object = slots[open[depth - 1]].type == Value::Type::kObject;
+        p = skip_whitespace(p);
+        if (p == end) {
+          fail(p, object ? "unterminated object" : "unterminated array");
+        }
+        const char c = *p++;
+        if (c == (object ? '}' : ']')) {
+          close();
+          continue;
+        }
+        if (c != ',') {
+          fail(p, object ? "expected ',' or '}' in object"
+                         : "expected ',' or ']' in array");
+        }
+        if (object) p = read_key(p);
+        break;
+      }
+    }
+  }
+
+  void close() noexcept {
+    slots[open[--depth]].end = static_cast<std::uint32_t>(count);
+  }
+
+  /// A member's key and its ':'; the key is a string slot right before
+  /// the member's value.
+  const char* read_key(const char* p) {
+    p = skip_whitespace(p);
+    if (p == end || *p != '"') fail(p, "expected string key in object");
+    p = skip_whitespace(read_string(p));
+    if (p == end || *p++ != ':') fail(p, "expected ':' after object key");
+    return p;
+  }
+
+  const char* read_literal(const char* p, std::string_view literal,
+                           const char* what) const {
+    for (const char c : literal) {
+      if (p == end || *p++ != c) fail(p, what);
+    }
+    return p;
+  }
+
+  const char* read_number(const char* p) {
+    const char* const start = p;
+    const bool negative = *p == '-';
+    if (negative) ++p;
+    if (p == end || !(*p >= '0' && *p <= '9')) fail(p, "invalid number");
+    const char* const digits = p;
+    std::uint64_t n = 0;  // wraps harmlessly past 19 digits: then unused
+    while (p != end && *p >= '0' && *p <= '9') {
+      n = n * 10 + static_cast<unsigned>(*p++ - '0');
+    }
+    const auto number_char = [](char c) {
+      return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+             c == '+' || c == '-';
+    };
+    // Up to 15 digits and nothing else: below 2^53, so the digit loop is
+    // exact and equals from_chars' correctly rounded result.
+    if ((p == end || !number_char(*p)) && p - digits <= 15) {
+      const auto v = static_cast<double>(n);
+      push(Value::Type::kNumber).number = negative ? -v : v;
+      return p;
+    }
+    return read_general_number(start, p);
+  }
+
+  /// The token at `start` that is not a short integer, through
+  /// from_chars; `p` is past its leading digits.
+  const char* read_general_number(const char* start, const char* p) {
+    const auto number_char = [](char c) {
+      return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+             c == '+' || c == '-';
+    };
+    while (p != end && number_char(*p)) ++p;
+    // std::from_chars never consults the C locale's decimal point, so
+    // documents read identically under any LC_NUMERIC setting.
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(start, p, v, std::chars_format::general);
+    if (ec == std::errc::result_out_of_range) {
+      fail(p, "number out of double range");
+    }
+    if (ec != std::errc{} || ptr != p) fail(p, "invalid number");
+    if (!std::isfinite(v)) fail(p, "number out of double range");
+    push(Value::Type::kNumber).number = v;
+    return p;
+  }
+
+  /// A string value or key.  Without escapes it stays a span of the
+  /// text; with one it is unescaped into the side buffer, one run of
+  /// plain bytes at a time.  A run stops at the quote, the backslash and
+  /// every control byte, so it never holds a newline.
+  const char* read_string(const char* p) {
+    const char* run = ++p;  // past the opening quote
+    p = skip_plain(p);
+    if (p == end) fail(p, "unterminated string");
+    if (*p == '"') {
+      Slot& slot = push(Value::Type::kString);
+      slot.offset = static_cast<std::uint32_t>(run - begin);
+      slot.size = static_cast<std::uint32_t>(p - run);
+      return p + 1;
+    }
+    // The unescaped bytes are never more than the rest of the text, so
+    // one reservation serves the whole string.
+    std::string& out = doc.unescaped_;
+    const std::size_t offset = out.size();
+    out.reserve(offset + static_cast<std::size_t>(end - run));
+    out.append(run, p);
+    for (;;) {
+      const char c = *p++;
+      if (c == '"') break;
+      if (c != '\\') fail(p, "raw control character in string");
+      if (p == end) fail(p, "unterminated escape");
+      switch (*p++) {
+        case '"':
+          out += '"';
+          break;
+        case '\\':
+          out += '\\';
+          break;
+        case '/':
+          out += '/';
+          break;
+        case 'b':
+          out += '\b';
+          break;
+        case 'f':
+          out += '\f';
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'u':
+          append_utf8(out, read_code_point(p));
+          break;
+        default:
+          fail(p, "invalid escape sequence");
+      }
+      run = p;
+      p = skip_plain(p);
+      out.append(run, p);
+      if (p == end) fail(p, "unterminated string");
+    }
+    Slot& slot = push(Value::Type::kString);
+    slot.escaped = true;
+    slot.offset = static_cast<std::uint32_t>(offset);
+    slot.size = static_cast<std::uint32_t>(out.size() - offset);
+    return p;
+  }
+
+  unsigned read_hex4(const char*& p) const {
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      if (p == end) fail(p, "unterminated \\u escape");
+      const char c = *p++;
+      code <<= 4;
+      if (c >= '0' && c <= '9') {
+        code |= static_cast<unsigned>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        code |= static_cast<unsigned>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        code |= static_cast<unsigned>(c - 'A' + 10);
+      } else {
+        fail(p, "invalid \\u escape");
+      }
+    }
+    return code;
+  }
+
+  /// The code point of one \u escape: a surrogate pair is combined when
+  /// the low half follows immediately; a lone surrogate becomes U+FFFD
+  /// (and an escape after a high half that is not a low half is read
+  /// again on its own).
+  unsigned read_code_point(const char*& p) const {
+    const unsigned code = read_hex4(p);
+    if (code >= 0xD800 && code <= 0xDBFF) {
+      if (end - p >= 2 && p[0] == '\\' && p[1] == 'u') {
+        const char* low_at = p + 2;
+        const unsigned low = read_hex4(low_at);
+        if (low >= 0xDC00 && low <= 0xDFFF) {
+          p = low_at;
+          return 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+      }
+      return 0xFFFD;
+    }
+    if (code >= 0xDC00 && code <= 0xDFFF) return 0xFFFD;
+    return code;
+  }
+
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+};
+
+Document::Document(std::string_view text) : text_(text) {
+  if (text.size() >= 0xFFFFFFFFu) {
+    throw ParseError("json: document of 4 GiB or more", 1, 1);
+  }
+  // About one slot per 8 bytes of compact JSON: a cache entry or a
+  // request line reads without regrowing the array.
+  Reader(*this, text.size() / 8 + 4).run();
+}
+
+// ----- Node ---------------------------------------------------------------
+
+void Node::type_error(const char* want) const {
+  json::type_error(want, type());
+}
+
+Node::Elements Node::items() const {
+  const Document::Slot& slot = doc_->slots_[index_];
+  if (slot.type != Value::Type::kArray) type_error("array");
+  return Elements(doc_, index_, slot.size);
+}
+
+Node Node::find(std::string_view key) const {
+  const Document::Slot& slot = doc_->slots_[index_];
+  if (slot.type != Value::Type::kObject) type_error("object");
+  const Document::Slot* const slots = doc_->slots_.get();
+  std::uint32_t found = 0;  // the value slot; never 0 inside an object
+  for (std::uint32_t k = index_ + 1; k < slot.end; k = slots[k + 1].end) {
+    if (doc_->string_at(slots[k]) == key) found = k + 1;
+  }
+  return found != 0 ? Node(doc_, found) : Node();
+}
+
+Node Node::at(std::string_view key) const { return required(find(key), key); }
+
+Node required(Node v, std::string_view key) {
+  if (!v) throw TypeError("json: missing key \"" + std::string(key) + "\"");
+  return v;
+}
+
+void Node::lookup(std::span<const std::string_view> names,
+                  std::span<Node> out) const {
+  const Document::Slot& slot = doc_->slots_[index_];
+  if (slot.type != Value::Type::kObject) type_error("object");
+  const Document::Slot* const slots = doc_->slots_.get();
+  for (Node& n : out) n = Node();
+  // Members usually arrive in `names` order (the writer's), so the name
+  // after the last match is tried first.
+  std::size_t next = 0;
+  for (std::uint32_t k = index_ + 1; k < slot.end; k = slots[k + 1].end) {
+    const std::string_view key = doc_->string_at(slots[k]);
+    std::size_t i = next;
+    if (i >= names.size() || names[i] != key) {
+      i = 0;
+      while (i < names.size() && names[i] != key) ++i;
+      if (i == names.size()) continue;
+    }
+    out[i] = Node(doc_, k + 1);
+    next = i + 1;
+  }
+}
+
+Value Node::to_value() const {
+  const Document::Slot& slot = doc_->slots_[index_];
+  switch (slot.type) {
+    case Value::Type::kNull:
+      return Value::null();
+    case Value::Type::kBool:
+      return Value::boolean(slot.boolean);
+    case Value::Type::kNumber:
+      return Value::number(slot.number);
+    case Value::Type::kString:
+      return Value::string(std::string(doc_->string_at(slot)));
+    case Value::Type::kArray: {
+      Value out = Value::array();
+      for (const Node element : items()) out.push_back(element.to_value());
+      return out;
+    }
+    case Value::Type::kObject: {
+      Value out = Value::object();
+      const Document::Slot* const slots = doc_->slots_.get();
+      for (std::uint32_t k = index_ + 1; k < slot.end; k = slots[k + 1].end) {
+        out.set(std::string(doc_->string_at(slots[k])),
+                Node(doc_, k + 1).to_value());
+      }
+      return out;
+    }
+  }
+  return Value::null();
+}
+
+std::string Node::dump() const { return to_value().dump(); }
+
+Value Value::parse(std::string_view text) {
+  return Document(text).root().to_value();
+}
 
 }  // namespace deltanc::io::json

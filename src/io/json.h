@@ -1,22 +1,35 @@
-// Minimal self-contained JSON document model, parser, and writer -- the
+// Minimal self-contained JSON reader, document model, and writer -- the
 // wire format of the serialization layer (io/codec.h), the persistent
 // result cache (io/result_cache.h), and the batch service (io/batch.h).
 // No third-party dependency: the container bakes in only the C++
 // toolchain, and the subset of JSON we need (RFC 8259 documents with
 // insertion-ordered objects) is small.
 //
+// One grammar: json::Document reads a text in a single pass into one
+// flat node array (strings stay spans of the text unless they carry an
+// escape), and json::Node is a read-only view into it -- what the codec
+// decoders take.  json::Value is the owning tree used to build
+// documents and to hold values that outlive their text (a request's
+// echoed "id"); Value::parse is a Document materialized into one.
+//
 // Number fidelity: finite doubles are written with enough significant
-// digits (max_digits10) to round-trip bit-exactly through the parser.
+// digits (max_digits10) to round-trip bit-exactly through the reader.
 // JSON itself cannot represent +/-inf or NaN; the codec layer encodes
 // those as the strings "inf" / "-inf" / "nan" (see io::decode_double,
 // which also accepts C99 hexfloat strings for hand-written documents).
 //
-// Error handling: parse() throws ParseError with 1-based line/column;
+// Duplicate object keys: the last value wins (Node::find, Node::lookup)
+// and, in a materialized Value, keeps the first key's position.
+//
+// Error handling: reading throws ParseError with 1-based line/column;
 // typed accessors (as_number() on a string, at() on a missing key) throw
 // TypeError.  Both derive from std::runtime_error.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -134,8 +147,9 @@ class Value {
   /// responsible for string-encoding those before they reach the writer).
   [[nodiscard]] std::string dump(int indent = -1) const;
 
-  /// Parses one JSON document; the whole input must be consumed (trailing
-  /// whitespace allowed).  @throws ParseError.
+  /// Reads one JSON document (json::Document) and materializes it; the
+  /// whole input must be consumed (trailing whitespace allowed).
+  /// @throws ParseError.
   static Value parse(std::string_view text);
 
  private:
@@ -152,5 +166,191 @@ class Value {
 
   Storage storage_;
 };
+
+class Document;
+
+/// A read-only view of one value inside a json::Document (or an absent
+/// value: a default Node, false in a boolean context).  Cheap to copy;
+/// valid while its Document lives.  The accessors mirror Value's and
+/// throw the same TypeErrors.
+class Node {
+ public:
+  Node() = default;
+
+  /// False for the absent Node (find() of a missing key).
+  explicit operator bool() const noexcept { return doc_ != nullptr; }
+
+  /// @pre the Node is present.
+  [[nodiscard]] Value::Type type() const noexcept;
+  [[nodiscard]] bool is_null() const noexcept {
+    return type() == Value::Type::kNull;
+  }
+  [[nodiscard]] bool is_number() const noexcept {
+    return type() == Value::Type::kNumber;
+  }
+  [[nodiscard]] bool is_string() const noexcept {
+    return type() == Value::Type::kString;
+  }
+  [[nodiscard]] bool is_object() const noexcept {
+    return type() == Value::Type::kObject;
+  }
+
+  /// @throws TypeError unless the value holds the requested type.
+  [[nodiscard]] bool as_bool() const;
+  [[nodiscard]] double as_number() const;
+  /// The unescaped bytes, valid while the Document lives.
+  [[nodiscard]] std::string_view as_string() const;
+
+  /// Forward range over an array's elements.
+  class Elements {
+   public:
+    class iterator {
+     public:
+      Node operator*() const noexcept { return Node(doc_, index_); }
+      iterator& operator++() noexcept;
+      bool operator!=(const iterator& other) const noexcept {
+        return index_ != other.index_;
+      }
+
+     private:
+      friend class Elements;
+      iterator(const Document* doc, std::uint32_t index) noexcept
+          : doc_(doc), index_(index) {}
+      const Document* doc_;
+      std::uint32_t index_;
+    };
+    [[nodiscard]] iterator begin() const noexcept;
+    [[nodiscard]] iterator end() const noexcept;
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    friend class Node;
+    Elements(const Document* doc, std::uint32_t index,
+             std::size_t size) noexcept
+        : doc_(doc), index_(index), size_(size) {}
+    const Document* doc_;
+    std::uint32_t index_;
+    std::size_t size_;
+  };
+
+  /// @throws TypeError unless array.
+  [[nodiscard]] Elements items() const;
+
+  /// The member named `key` -- the last one when the key repeats -- or
+  /// the absent Node.  @throws TypeError unless object.
+  [[nodiscard]] Node find(std::string_view key) const;
+  /// @throws TypeError when absent (message names the key) or non-object.
+  [[nodiscard]] Node at(std::string_view key) const;
+  /// One pass over the members: out[i] becomes the member named
+  /// names[i] (the last one when a key repeats), or the absent Node.
+  /// Decoders read every field of an object through one call.
+  /// @pre out.size() == names.size().  @throws TypeError unless object.
+  void lookup(std::span<const std::string_view> names,
+              std::span<Node> out) const;
+
+  /// The owning copy of this value (objects keep first-key positions
+  /// with last values).
+  [[nodiscard]] Value to_value() const;
+  /// to_value().dump(): the compact form, for error messages.
+  [[nodiscard]] std::string dump() const;
+
+ private:
+  friend class Document;
+  Node(const Document* doc, std::uint32_t index) noexcept
+      : doc_(doc), index_(index) {}
+  [[noreturn]] void type_error(const char* want) const;
+
+  const Document* doc_ = nullptr;
+  std::uint32_t index_ = 0;
+};
+
+/// `v` when present, else the TypeError Node::at throws for a missing
+/// `key` -- for values found through Node::lookup.
+[[nodiscard]] Node required(Node v, std::string_view key);
+
+/// One JSON document read in a single pass: every value (and object
+/// key) is one slot of a contiguous array in document order, each
+/// container knowing where its subtree ends; strings are spans of the
+/// text, or of one side buffer when they carry escapes; every number is
+/// parsed once.  The Document refers into `text`, which must outlive
+/// it.  Nesting is limited to 128 levels so hostile input cannot
+/// exhaust memory or time; texts of 4 GiB or more are refused.  A
+/// Document owns all of its buffers: documents on different threads
+/// share nothing.
+class Document {
+ public:
+  /// Reads `text`; the whole input must be consumed (trailing
+  /// whitespace allowed).  @throws ParseError.
+  explicit Document(std::string_view text);
+  // Nodes hold the Document's address: it neither copies nor moves.
+  Document(const Document&) = delete;
+  Document& operator=(const Document&) = delete;
+
+  /// The top-level value.
+  [[nodiscard]] Node root() const noexcept { return Node(this, 0); }
+
+ private:
+  friend class Node;
+  struct Reader;
+
+  struct Slot {
+    Value::Type type;
+    bool escaped;         ///< string bytes live in unescaped_, not text_
+    std::uint32_t size;   ///< string bytes, array elements, object members
+    std::uint32_t end;    ///< one past the last slot of this value
+    union {
+      double number;
+      bool boolean;
+      std::uint32_t offset;  ///< string start in text_ or unescaped_
+    };
+  };
+
+  [[nodiscard]] std::string_view string_at(const Slot& slot) const noexcept {
+    return {(slot.escaped ? unescaped_.data() : text_.data()) + slot.offset,
+            slot.size};
+  }
+
+  std::string_view text_;
+  std::unique_ptr<Slot[]> slots_;  ///< document order; slots_[0] is the root
+  std::string unescaped_;
+};
+
+// ----- Node: the hot accessors, inline -----------------------------------
+
+inline Value::Type Node::type() const noexcept {
+  return doc_->slots_[index_].type;
+}
+
+inline bool Node::as_bool() const {
+  const Document::Slot& slot = doc_->slots_[index_];
+  if (slot.type != Value::Type::kBool) type_error("bool");
+  return slot.boolean;
+}
+
+inline double Node::as_number() const {
+  const Document::Slot& slot = doc_->slots_[index_];
+  if (slot.type != Value::Type::kNumber) type_error("number");
+  return slot.number;
+}
+
+inline std::string_view Node::as_string() const {
+  const Document::Slot& slot = doc_->slots_[index_];
+  if (slot.type != Value::Type::kString) type_error("string");
+  return doc_->string_at(slot);
+}
+
+inline Node::Elements::iterator&
+Node::Elements::iterator::operator++() noexcept {
+  index_ = doc_->slots_[index_].end;
+  return *this;
+}
+
+inline Node::Elements::iterator Node::Elements::begin() const noexcept {
+  return iterator(doc_, index_ + 1);
+}
+
+inline Node::Elements::iterator Node::Elements::end() const noexcept {
+  return iterator(doc_, doc_->slots_[index_].end);
+}
 
 }  // namespace deltanc::io::json

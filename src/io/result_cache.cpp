@@ -4,8 +4,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <system_error>
@@ -70,21 +70,24 @@ std::filesystem::path ResultCache::directory_from_env(
 }
 
 std::filesystem::path ResultCache::entry_path(std::string_view key) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.json",
-                static_cast<unsigned long long>(fnv1a64(key)));
-  return dir_ / name;
+  // "<16 lowercase hex digits of the FNV-1a hash>.json", written by hand:
+  // this runs on every lookup and store.
+  static constexpr char kHex[] = "0123456789abcdef";
+  char name[] = "0000000000000000.json";
+  std::uint64_t hash = fnv1a64(key);
+  for (int i = 15; i >= 0; --i, hash >>= 4) name[i] = kHex[hash & 0xF];
+  return dir_ / std::string_view(name, sizeof name - 1);
 }
 
 namespace {
 
 // Decoder overloads: with payload_field, the only places the two entry
 // kinds differ.
-void decode_payload(const json::Value& doc, e2e::BoundResult& result) {
-  result = decode_bound_result(doc);
+void decode_payload(json::Node v, e2e::BoundResult& result) {
+  result = decode_bound_result(v);
 }
-void decode_payload(const json::Value& doc, e2e::DelayProfile& profile) {
-  profile = decode_delay_profile(doc);
+void decode_payload(json::Node v, e2e::DelayProfile& profile) {
+  profile = decode_delay_profile(v);
 }
 
 /// Closes the descriptor it holds.
@@ -130,19 +133,27 @@ CacheLookup classify_entry(const std::filesystem::path& path,
     if (!read_all(file.fd, text)) return CacheLookup::kCorrupt;
   }
   try {
-    const json::Value entry = json::Value::parse(text);
+    const json::Document doc(text);
+    const json::Node entry = doc.root();
+    // A non-object has no schema: stale, like any entry this build did
+    // not write.
+    if (!entry.is_object()) return CacheLookup::kStale;
+    const std::array<std::string_view, 4> names = {
+        "schema", "version", "key", payload_field(payload)};
+    std::array<json::Node, names.size()> f{};
+    entry.lookup(names, f);
     // Schema or library version drift makes the entry stale, not corrupt:
     // the bytes are fine, the producer was just a different build.
-    const json::Value* schema = entry.is_object() ? entry.find("schema") : nullptr;
-    if (schema == nullptr || !schema->is_number() ||
-        schema->as_number() != kSchemaVersion ||
-        entry.at("version").as_string() != DELTANC_VERSION_STRING) {
+    if (!f[0] || !f[0].is_number() || f[0].as_number() != kSchemaVersion ||
+        json::required(f[1], names[1]).as_string() != DELTANC_VERSION_STRING) {
       return CacheLookup::kStale;
     }
     // The stored full key disambiguates FNV collisions: a different key
     // in the same slot is somebody else's entry, i.e. a miss.
-    if (entry.at("key").as_string() != key) return CacheLookup::kMiss;
-    decode_payload(entry.at(payload_field(payload)), payload);
+    if (json::required(f[2], names[2]).as_string() != key) {
+      return CacheLookup::kMiss;
+    }
+    decode_payload(json::required(f[3], names[3]), payload);
   } catch (const json::ParseError&) {
     return CacheLookup::kCorrupt;
   } catch (const json::TypeError&) {

@@ -1,8 +1,8 @@
 // Content-addressed persistent result cache for solved delay bounds.
 //
 // Keying: entries are addressed by the canonical cache key of
-// io::solve_cache_key (the compact JSON dump of the effective scenario +
-// solve options) hashed with 64-bit FNV-1a into the file name
+// io::solve_cache_key (the written compact JSON of the effective
+// scenario + solve options) hashed with 64-bit FNV-1a into the file name
 // `<16 hex digits>.json` under the cache directory.  The full key string
 // is stored *inside* each entry and compared on lookup, so a hash
 // collision degrades to a miss, never to a wrong answer.

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
@@ -15,6 +16,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace deltanc::serve {
@@ -32,25 +34,19 @@ class Connection {
   }
 
   void run() {
-    std::string buffer;
+    LineFramer framer;
+    const auto submit_line = [this](std::string line) {
+      submit(std::move(line));
+    };
     char chunk[4096];
     for (;;) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;  // EOF or error: stop reading, answer what we have
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t start = 0;
-      for (;;) {
-        const std::size_t nl = buffer.find('\n', start);
-        if (nl == std::string::npos) break;
-        submit(buffer.substr(start, nl - start));
-        start = nl + 1;
-      }
-      buffer.erase(0, start);
+      framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)),
+                  submit_line);
     }
-    // A truncated client write (no trailing newline before EOF) is
-    // still a request -- same contract as --batch's final line.
-    if (!buffer.empty()) submit(buffer);
+    framer.finish(submit_line);
     wait_answered();
     shutdown_write();
     done_.store(true, std::memory_order_release);
@@ -88,9 +84,7 @@ class Connection {
     // Blank lines get no sink call: settle the count we optimistically
     // took.  (Non-blank lines are answered exactly once, possibly
     // synchronously above, possibly later from a worker.)
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      settle_one();
-    }
+    if (io::is_blank_request_line(line)) settle_one();
   }
 
   void settle_one() {
@@ -132,6 +126,32 @@ class Connection {
 };
 
 }  // namespace
+
+void LineFramer::feed(std::string_view bytes, const Submit& submit) {
+  while (!bytes.empty()) {
+    const std::size_t nl = std::min(bytes.find('\n'), bytes.size());
+    if (!discarding_) {
+      buffer_.append(bytes.substr(
+          0, std::min(nl, io::kMaxRequestLineBytes + 1 - buffer_.size())));
+      if (buffer_.size() > io::kMaxRequestLineBytes || nl < bytes.size()) {
+        // An over-long line goes on at the limit plus one byte (the
+        // service refuses it unparsed); the rest of it is dropped.
+        discarding_ = nl == bytes.size();
+        submit(std::exchange(buffer_, std::string()));
+      }
+    }
+    if (nl == bytes.size()) return;
+    discarding_ = false;
+    bytes.remove_prefix(nl + 1);
+  }
+}
+
+void LineFramer::finish(const Submit& submit) {
+  // A truncated client write (no trailing newline before EOF) is still
+  // a request -- same contract as --batch's final line.
+  if (!buffer_.empty()) submit(std::exchange(buffer_, std::string()));
+  discarding_ = false;
+}
 
 bool run_socket_server(SolveService& service, const ListenerOptions& options,
                        std::ostream& err) {

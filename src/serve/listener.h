@@ -6,7 +6,9 @@
 // without a trailing newline -- a truncated client write is still a
 // request) is submitted, and each response line is written back under a
 // per-connection mutex, so concurrent worker answers never interleave
-// bytes.  Responses may arrive out of request order (workers race);
+// bytes.  A line longer than io::kMaxRequestLineBytes is cut while it is
+// framed (LineFramer) and answered once, unparsed, with a null id.
+// Responses may arrive out of request order (workers race);
 // clients correlate by the echoed "id".
 //
 // Shutdown contract: run() polls the `stop` flag (armed by the CLI's
@@ -21,11 +23,37 @@
 
 #include <atomic>
 #include <csignal>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "serve/service.h"
 
 namespace deltanc::serve {
+
+/// The listener's line framing, on its own: splits a received byte
+/// stream into request lines.  Each '\n' ends a line; a line longer than
+/// io::kMaxRequestLineBytes is handed on at the limit plus one byte
+/// (which SolveService refuses unparsed) and the rest of it, up to its
+/// newline, is dropped as it arrives, so a connection never holds more
+/// than that much of one line.
+class LineFramer {
+ public:
+  using Submit = std::function<void(std::string line)>;
+
+  /// Feeds received bytes; `submit` gets every line they complete.
+  void feed(std::string_view bytes, const Submit& submit);
+  /// End of stream: a non-empty partial line is still a request.
+  void finish(const Submit& submit);
+  /// Bytes of the current line held (at most kMaxRequestLineBytes + 1).
+  [[nodiscard]] std::size_t buffered() const noexcept {
+    return buffer_.size();
+  }
+
+ private:
+  std::string buffer_;
+  bool discarding_ = false;  ///< inside the dropped tail of a long line
+};
 
 struct ListenerOptions {
   std::string socket_path;  ///< UDS path; a stale file is unlinked first

@@ -113,7 +113,7 @@ struct SolveService::Impl {
   // ----- submission --------------------------------------------------------
 
   void submit(const std::string& line, Sink sink) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) return;
+    if (io::is_blank_request_line(line)) return;
     bump(&ServeStats::received);
     Job job;
     try {
@@ -262,7 +262,8 @@ struct SolveService::Impl {
 
   Solver& solver_for(std::map<std::string, Solver>& solvers,
                      const SolveOptions& options_in) {
-    const std::string key = io::encode_solve_options(options_in).dump();
+    std::string key;
+    io::append_json(key, options_in);
     const auto it = solvers.find(key);
     if (it != solvers.end()) return it->second;
     return solvers.emplace(key, Solver(options_in)).first->second;

@@ -113,9 +113,11 @@ class SolveService {
   [[nodiscard]] int workers() const noexcept;
 
   /// Submits one raw JSONL request line.  Blank lines are ignored
-  /// (no sink call); every other line gets exactly one response --
-  /// parse errors, overload, and drain rejections synchronously from
-  /// this thread, solved/served answers later from a worker thread.
+  /// (io::is_blank_request_line: no sink call); every other line gets
+  /// exactly one response -- parse errors (a line longer than
+  /// io::kMaxRequestLineBytes among them, refused unparsed with a null
+  /// id), overload, and drain rejections synchronously from this
+  /// thread, solved/served answers later from a worker thread.
   void submit(const std::string& line, Sink sink);
 
   /// SIGHUP handler: drops every worker's in-memory warm layer and

@@ -3,11 +3,13 @@
 // summary), and graceful handling of malformed request lines.
 #include "e2e/solver.h"
 #include "io/batch.h"
+#include "read_back.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -15,6 +17,7 @@ namespace deltanc::io {
 namespace {
 
 using json::Value;
+using testing::ReadBack;
 
 e2e::Scenario small_scenario(int n_cross) {
   e2e::Scenario sc;
@@ -89,7 +92,7 @@ TEST(Batch, ResponsesArriveInInputOrderAndMatchDirectSolves) {
     EXPECT_EQ(responses[i].find("cache"), nullptr);  // no cache attached
     const e2e::BoundResult direct = deltanc::Solver().solve(small_scenario(n_cross[i]));
     const e2e::BoundResult got =
-        decode_bound_result(responses[i].at("result"));
+        decode_bound_result(ReadBack(responses[i].at("result")));
     EXPECT_EQ(got.delay_ms, direct.delay_ms);
     EXPECT_EQ(got.gamma, direct.gamma);
     EXPECT_EQ(got.s, direct.s);
@@ -117,6 +120,161 @@ TEST(Batch, MalformedLinesAnswerInPlaceWithoutAbortingTheBatch) {
   EXPECT_FALSE(responses[1].at("error").as_string().empty());
   EXPECT_TRUE(responses[3].at("ok").as_bool());
   EXPECT_EQ(responses[3].at("id").as_number(), 3.0);
+}
+
+// The scenario the pinned bad-request table edits (hand-written form:
+// scheduler as a name string).
+const std::string kScenario =
+    R"({"capacity":100,"hops":3,"source":{"peak_kb":1.5,"p11":0.989,)"
+    R"("p22":0.9},"n_through":80,"n_cross":50,"epsilon":1e-6,)"
+    R"("scheduler":"fifo"})";
+
+/// kScenario with its one occurrence of `from` replaced by `to`.
+std::string scenario_with(const std::string& from, const std::string& to) {
+  std::string sc = kScenario;
+  const std::size_t at = sc.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) sc.replace(at, from.size(), to);
+  return sc;
+}
+
+TEST(Batch, BadRequestLinesAnswerPinnedErrorBytes) {
+  // Every way a request line can fail to parse or decode, and the exact
+  // error response it gets, captured from the DOM-based request parser
+  // the flat reader replaced: which check fires first, its message,
+  // and the echoed id (whitespace and escapes canonicalized, a
+  // duplicate key keeping its first position with its last value, and
+  // null when the id could not be read).
+  struct Case {
+    std::string line;
+    std::string response;
+  };
+  const Case cases[] = {
+      {R"({"schema":6,"id":7,)",
+       R"({"schema":6,"id":null,"ok":false,"error":"json: expected string key in object"})"},
+      {R"(not json)",
+       "{\"schema\":6,\"id\":null,\"ok\":false,\"error\":\"json: invalid literal (expected 'null')\"}"},
+      {R"([1])",
+       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got array"})"},
+      {R"(5)",
+       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got number"})"},
+      {R"("x")",
+       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got string"})"},
+      {R"(null)",
+       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got null"})"},
+      {R"({})",
+       R"({"schema":6,"id":null,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
+      {R"({"a":1,"b":2,"a":3})",
+       R"({"schema":6,"id":null,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
+      {R"({"id":{"a":1,"b":2,"a":3},"schema":5})",
+       R"({"schema":6,"id":{"a":3,"b":2},"ok":false,"error":"codec: schema 5 != supported 6"})"},
+      {R"({"id":1,"schema":6,"id":2})",
+       R"({"schema":6,"id":2,"ok":false,"error":"json: missing key \"scenario\""})"},
+      {R"({ "id" : [ 1 , "x\u0041\/" ] , "schema" : 5 })",
+       R"({"schema":6,"id":[1,"xA/"],"ok":false,"error":"codec: schema 5 != supported 6"})"},
+      {R"({"id":"tab\there \"q\" \u00e9\ud83d\ude00","schema":4})",
+       "{\"schema\":6,\"id\":\"tab\\there \\\"q\\\" \303\251\360\237\230\200\",\"ok\":false,\"error\":\"codec: schema 4 != supported 6\"}"},
+      {R"({"id":"\ud800","schema":4})",
+       "{\"schema\":6,\"id\":\"\357\277\275\",\"ok\":false,\"error\":\"codec: schema 4 != supported 6\"}"},
+      {R"({"id":-0,"schema":4})",
+       R"({"schema":6,"id":-0,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+      {R"({"id":1e300,"schema":4})",
+       R"({"schema":6,"id":1.0000000000000001e+300,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+      {R"({"id":0.1,"schema":4})",
+       R"({"schema":6,"id":0.10000000000000001,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+      {R"({"id":true,"schema":4})",
+       R"({"schema":6,"id":true,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+      {R"({"id":null,"schema":4})",
+       R"({"schema":6,"id":null,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+      {R"({"id":1,"schema":"6"})",
+       R"({"schema":6,"id":1,"ok":false,"error":"json: expected number, got string"})"},
+      {R"({"id":1,"schema":6.5})",
+       "{\"schema\":6,\"id\":1,\"ok\":false,\"error\":\"codec: schema must be an integer (got 6.5)\"}"},
+      {R"({"id":1})",
+       R"({"schema":6,"id":1,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
+      {R"({"id":1,"schema":6})",
+       R"({"schema":6,"id":1,"ok":false,"error":"json: missing key \"scenario\""})"},
+      {R"({"id":1,"schema":6,"scenario":5})",
+       R"({"schema":6,"id":1,"ok":false,"error":"codec: scenario must be an object, got 5"})"},
+      {R"({"id":1,"schema":6,"scenario":{}})",
+       R"({"schema":6,"id":1,"ok":false,"error":"json: missing key \"capacity\""})"},
+      {R"({"id":"\u0001\u001f\u007f","schema":6,"scenario":{"capacity":"\"\\\t"}})",
+       "{\"schema\":6,\"id\":\"\\u0001\\u001f\177\",\"ok\":false,\"error\":\"codec: unparseable double \\\"\\\"\\\\\\t\\\"\"}"},
+      {R"({"id":2,"schema":6,"scenario":)" + scenario_with(R"("hops":3)", R"("hops":2.5)") + R"(})",
+       "{\"schema\":6,\"id\":2,\"ok\":false,\"error\":\"codec: hops must be an integer (got 2.5)\"}"},
+      {R"({"id":2,"schema":6,"scenario":)" + scenario_with(R"("hops":3)", R"("hops":"3")") + R"(})",
+       R"({"schema":6,"id":2,"ok":false,"error":"json: expected number, got string"})"},
+      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"("round-robin")") + R"(})",
+       R"({"schema":6,"id":3,"ok":false,"error":"codec: unknown scheduler \"round-robin\""})"},
+      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"wfq"})") + R"(})",
+       R"({"schema":6,"id":3,"ok":false,"error":"codec: unknown scheduler kind \"wfq\""})"},
+      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"gps","params":[1]})") + R"(})",
+       "{\"schema\":6,\"id\":3,\"ok\":false,\"error\":\"codec: scheduler params need 2..8 entries (got 1)\"}"},
+      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"gps","params":[1,-1]})") + R"(})",
+       "{\"schema\":6,\"id\":3,\"ok\":false,\"error\":\"codec: scheduler params must be positive finite (got -1)\"}"},
+      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":"0x-1p3")") + R"(})",
+       R"({"schema":6,"id":4,"ok":false,"error":"codec: unparseable double \"0x-1p3\""})"},
+      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":"12 monkeys")") + R"(})",
+       R"({"schema":6,"id":4,"ok":false,"error":"codec: unparseable double \"12 monkeys\""})"},
+      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":true)") + R"(})",
+       R"({"schema":6,"id":4,"ok":false,"error":"codec: expected a number or numeric string, got true"})"},
+      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("p11":0.989)", R"("p11":1.5)") + R"(})",
+       "{\"schema\":6,\"id\":4,\"ok\":false,\"error\":\"MmooSource: p11, p22 must lie in (0,1)\"}"},
+      {R"({"id":8,"schema":6,"scenario":)" + scenario_with(R"("n_cross":50)", R"("n_cross":1e10)") + R"(})",
+       R"({"schema":6,"id":8,"ok":false,"error":"codec: n_cross out of int range"})"},
+      {R"({"id":8,"schema":6,"scenario":)" + scenario_with(R"("n_cross":50)", R"("n_cross":50,"n_cross":"x")") + R"(})",
+       R"({"schema":6,"id":8,"ok":false,"error":"json: expected number, got string"})"},
+      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"method":"foo"}})",
+       R"({"schema":6,"id":5,"ok":false,"error":"codec: unknown method \"foo\""})"},
+      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"warm_start":"hot"}})",
+       R"({"schema":6,"id":5,"ok":false,"error":"codec: unknown warm_start \"hot\""})"},
+      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"method":3}})",
+       R"({"schema":6,"id":5,"ok":false,"error":"json: expected string, got number"})"},
+      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":[]})",
+       R"({"schema":6,"id":5,"ok":false,"error":"json: expected object, got array"})"},
+      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"delta":"x"}})",
+       R"({"schema":6,"id":5,"ok":false,"error":"codec: unparseable double \"x\""})"},
+      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"scheduler":"nope"}})",
+       R"({"schema":6,"id":5,"ok":false,"error":"codec: unknown scheduler \"nope\""})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile request with an empty epsilons array"})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[0]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 0"})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[1]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 1"})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[1e-3,"x"]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"codec: unparseable double \"x\""})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":["nan"]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got \"nan\""})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[-0.5]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got -0.5"})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":5})",
+       R"({"schema":6,"id":6,"ok":false,"error":"json: expected array, got number"})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":{"a":1}})",
+       R"({"schema":6,"id":6,"ok":false,"error":"json: expected array, got object"})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[[1e-3]]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"codec: expected a number or numeric string, got [0.001]"})"},
+      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[1e-3],"epsilons":[2]})",
+       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 2"})"},
+      {R"({"id":9,"schema":6,"scenario":)" + kScenario + R"(} x)",
+       R"({"schema":6,"id":null,"ok":false,"error":"json: trailing characters after JSON document"})"},
+      {R"({"id":9,"schema":6,"scenario":)" + kScenario + R"(,"id":[1e999]})",
+       R"({"schema":6,"id":null,"ok":false,"error":"json: number out of double range"})"},
+  };
+  std::string input;
+  for (const Case& c : cases) input += c.line + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  const BatchSummary summary = run_batch(in, out, BatchOptions{});
+  EXPECT_EQ(summary.parse_errors, static_cast<std::int64_t>(std::size(cases)));
+  EXPECT_EQ(summary.solved, 0);
+  std::istringstream lines(out.str());
+  std::string line;
+  for (const Case& c : cases) {
+    ASSERT_TRUE(std::getline(lines, line)) << c.line;
+    EXPECT_EQ(line, c.response) << c.line;
+  }
+  EXPECT_FALSE(std::getline(lines, line));
 }
 
 TEST(Batch, UnknownSchedulerNameIsAnsweredInPlace) {
@@ -186,8 +344,8 @@ TEST(Batch, SecondRunAnswersFromCacheBitExactly) {
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(a[i].at("cache").as_string(), "miss");
     EXPECT_EQ(b[i].at("cache").as_string(), "hit");
-    const e2e::BoundResult cold_r = decode_bound_result(a[i].at("result"));
-    const e2e::BoundResult warm_r = decode_bound_result(b[i].at("result"));
+    const e2e::BoundResult cold_r = decode_bound_result(ReadBack(a[i].at("result")));
+    const e2e::BoundResult warm_r = decode_bound_result(ReadBack(b[i].at("result")));
     EXPECT_EQ(cold_r.delay_ms, warm_r.delay_ms);
     EXPECT_EQ(cold_r.gamma, warm_r.gamma);
     EXPECT_EQ(cold_r.s, warm_r.s);
@@ -225,7 +383,7 @@ TEST(Batch, CorruptEntryRecoversWithWarningAndOverwrite) {
   const std::vector<Value> responses = parse_responses(out.str());
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].at("cache").as_string(), "corrupt");
-  const e2e::BoundResult r = decode_bound_result(responses[0].at("result"));
+  const e2e::BoundResult r = decode_bound_result(ReadBack(responses[0].at("result")));
   ASSERT_EQ(r.diagnostics.warnings.size(), 1u);
   EXPECT_EQ(r.diagnostics.warnings[0].kind,
             diag::SolveErrorKind::kCorruptCache);
@@ -270,9 +428,9 @@ TEST(Batch, PerRequestOptionsGroupAndSolveCorrectly) {
   const e2e::BoundResult paper_direct =
       deltanc::Solver(e2e::Method::kPaperK).solve(sc);
   EXPECT_EQ(responses[0].at("id").as_number(), 0.0);
-  EXPECT_EQ(decode_bound_result(responses[0].at("result")).delay_ms,
+  EXPECT_EQ(decode_bound_result(ReadBack(responses[0].at("result"))).delay_ms,
             edf_direct.delay_ms);
-  EXPECT_EQ(decode_bound_result(responses[1].at("result")).delay_ms,
+  EXPECT_EQ(decode_bound_result(ReadBack(responses[1].at("result"))).delay_ms,
             paper_direct.delay_ms);
 }
 
@@ -400,7 +558,7 @@ TEST(Batch, ProfileRequestsAnswerFullArtifactsInOrder) {
   EXPECT_TRUE(responses[0].at("ok").as_bool());
   EXPECT_EQ(responses[0].find("result"), nullptr);
   const e2e::DelayProfile got =
-      decode_delay_profile(responses[0].at("profile"));
+      decode_delay_profile(ReadBack(responses[0].at("profile")));
   const e2e::DelayProfile direct =
       deltanc::Solver().solve_profile(sc, grid);
   ASSERT_EQ(got.levels.size(), 3u);
@@ -444,8 +602,8 @@ TEST(Batch, ProfileSecondRunAnswersFromCacheBitExactly) {
   const std::vector<Value> b = parse_responses(warm_out.str());
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b[0].at("cache").as_string(), "hit");
-  const e2e::DelayProfile cold_p = decode_delay_profile(a[0].at("profile"));
-  const e2e::DelayProfile warm_p = decode_delay_profile(b[0].at("profile"));
+  const e2e::DelayProfile cold_p = decode_delay_profile(ReadBack(a[0].at("profile")));
+  const e2e::DelayProfile warm_p = decode_delay_profile(ReadBack(b[0].at("profile")));
   ASSERT_EQ(warm_p.levels.size(), cold_p.levels.size());
   for (std::size_t i = 0; i < cold_p.levels.size(); ++i) {
     EXPECT_EQ(warm_p.levels[i].delay_ms, cold_p.levels[i].delay_ms);
@@ -504,7 +662,7 @@ TEST(Batch, ProfileCorruptEntryRecoversWithWarningAndOverwrite) {
   const std::vector<Value> responses = parse_responses(out.str());
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].at("cache").as_string(), "corrupt");
-  const e2e::DelayProfile p = decode_delay_profile(responses[0].at("profile"));
+  const e2e::DelayProfile p = decode_delay_profile(ReadBack(responses[0].at("profile")));
   // The recovery warning lands on the first level's diagnostics.
   ASSERT_FALSE(p.levels.empty());
   ASSERT_EQ(p.levels.front().diagnostics.warnings.size(), 1u);
@@ -529,7 +687,7 @@ TEST(Batch, UnstableProfileAnswersOkWithClassifiedInfLevels) {
   const std::vector<Value> responses = parse_responses(out.str());
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].at("ok").as_bool());
-  const e2e::DelayProfile p = decode_delay_profile(responses[0].at("profile"));
+  const e2e::DelayProfile p = decode_delay_profile(ReadBack(responses[0].at("profile")));
   ASSERT_EQ(p.levels.size(), 2u);
   for (const e2e::BoundResult& level : p.levels) {
     EXPECT_TRUE(std::isinf(level.delay_ms));
@@ -719,6 +877,60 @@ TEST(Batch, EscapedResponseBytesArePinned) {
     EXPECT_EQ(lines[i], expected[i]) << "line " << i;
     // The written bytes are one valid JSON document each.
     EXPECT_EQ(Value::parse(lines[i]).dump(), lines[i]) << "line " << i;
+  }
+}
+
+TEST(Batch, OverlongLineIsRefusedUnparsedWithANullId) {
+  // A line longer than kMaxRequestLineBytes gets exactly one error
+  // response with a null id, whatever its bytes (a valid request padded
+  // with spaces, or nothing but spaces); the lines around it are
+  // answered as usual.  Lines at the limit, and around the reader's
+  // internal chunk size, are read whole.
+  const auto padded = [](int id, std::size_t size) {
+    std::string line = R"({"id":)" + std::to_string(id) + R"(,"schema":5})";
+    line.resize(size, ' ');
+    return line;
+  };
+  const std::string refused =
+      R"({"schema":6,"id":null,"ok":false,"error":"batch: request line )"
+      R"(longer than 1048576 bytes"})";
+  const auto wrong_schema = [](int id) {
+    return R"({"schema":6,"id":)" + std::to_string(id) +
+           R"(,"ok":false,"error":"codec: schema 5 != supported 6"})";
+  };
+  std::stringstream in;
+  in << padded(0, 30) << "\n";
+  in << padded(1, kMaxRequestLineBytes + 1) << "\n";
+  in << std::string(3 * kMaxRequestLineBytes, ' ') << "\n";
+  in << padded(2, kMaxRequestLineBytes) << "\n";
+  for (int i = 0; i < 4; ++i) in << padded(3 + i, 16382 + i) << "\n";
+  in << padded(7, 2 * kMaxRequestLineBytes);  // no final newline
+  std::ostringstream out;
+  const BatchSummary summary = run_batch(in, out, BatchOptions{});
+  EXPECT_EQ(summary.requests, 9);
+  EXPECT_EQ(summary.parse_errors, 9);
+  const std::vector<std::string> expected = {
+      wrong_schema(0), refused,         refused,
+      wrong_schema(2), wrong_schema(3), wrong_schema(4),
+      wrong_schema(5), wrong_schema(6), refused};
+  std::istringstream lines(out.str());
+  std::string line;
+  for (const std::string& want : expected) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, want);
+  }
+  EXPECT_FALSE(std::getline(lines, line));
+
+  // parse_request_line applies the same rule to callers that frame
+  // lines themselves (the serve listener): no id is read from the line.
+  try {
+    (void)parse_request_line(padded(8, kMaxRequestLineBytes + 1),
+                             e2e::Method::kExactOpt);
+    ADD_FAILURE() << "an over-long line was parsed";
+  } catch (const PartialRequestError& e) {
+    ADD_FAILURE() << "an over-long line echoed an id: " << e.what();
+  } catch (const std::exception& e) {
+    EXPECT_STREQ(e.what(), "batch: request line longer than 1048576 bytes");
   }
 }
 

@@ -5,16 +5,20 @@
 // persistent result cache hashes them.
 #include "e2e/solver.h"
 #include "io/codec.h"
+#include "read_back.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scenario.h"
@@ -24,6 +28,8 @@ namespace deltanc::io {
 namespace {
 
 using json::Value;
+using testing::ReadBack;
+using namespace std::string_view_literals;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -35,7 +41,8 @@ std::string written(const T& value) {
   return text;
 }
 
-/// ...and those bytes read back as a document, for the DOM decoders.
+/// ...and those bytes read back as a json::Value, for tests that edit
+/// the document before decoding it.
 template <typename T>
 Value written_doc(const T& value) {
   return Value::parse(written(value));
@@ -52,6 +59,19 @@ e2e::Scenario fig2_scenario(int n_cross, sched::SchedulerKind sched) {
 }
 
 // ----- json::Value -------------------------------------------------------
+
+/// Parsing `text` fails with "json: <what>" at (line, column).
+void expect_parse_error(std::string_view text, const char* what,
+                        std::size_t line, std::size_t column) {
+  try {
+    (void)Value::parse(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const json::ParseError& e) {
+    EXPECT_EQ(e.what(), "json: " + std::string(what)) << text;
+    EXPECT_EQ(e.line, line) << text;
+    EXPECT_EQ(e.column, column) << text;
+  }
+}
 
 TEST(Json, ParseAndDumpRoundTripPreservingOrder) {
   const std::string text =
@@ -75,6 +95,67 @@ TEST(Json, ParseAndDumpRoundTripPreservingOrder) {
   EXPECT_EQ(long_value.at(std::size_t{0}).as_string(),
             long_run + "\n" + long_run);
   EXPECT_EQ(long_value.dump(), long_text);
+
+  // Accepted documents and their canonical compact form, captured from
+  // the recursive-descent parser this reader replaced: leading zeros,
+  // trailing dots and exponent forms parse like from_chars, lone
+  // surrogates become U+FFFD, and a duplicate key keeps its first
+  // position with the last value.
+  struct Accepted {
+    std::string_view text;
+    const char* dump;
+  };
+  const Accepted accepted[] = {
+      {"{\n \"a\": [1, \"x\\u00e9\", true,\n null, {\"b\": -2.5e3}],\n \"c\": false\n}"sv, "{\"a\":[1,\"x\303\251\",true,null,{\"b\":-2500}],\"c\":false}"},
+      {"\"\\/\\b\\f\\n\\r\\t\\\"\\\\\""sv, "\"/\\b\\f\\n\\r\\t\\\"\\\\\""},
+      {"\"\\uD800\""sv, "\"\357\277\275\""},
+      {"\"\\uDC00\""sv, "\"\357\277\275\""},
+      {"\"\\uD800\\u0041\""sv, "\"\357\277\275A\""},
+      {"\"\\uD83D\\uDE00\""sv, "\"\360\237\230\200\""},
+      {"\"\\uDBFF\\uDFFF\""sv, "\"\364\217\277\277\""},
+      {"\"\\uD800\\uD800\\uDC00\""sv, "\"\357\277\275\360\220\200\200\""},
+      {"\"\\uD800x\""sv, "\"\357\277\275x\""},
+      {"01"sv, "1"},
+      {"-01"sv, "-1"},
+      {"1."sv, "1"},
+      {"-0"sv, "-0"},
+      {"0"sv, "0"},
+      {"1E2"sv, "100"},
+      {"1.5e+2"sv, "150"},
+      {"123456789012345"sv, "123456789012345"},
+      {"1234567890123456"sv, "1234567890123456"},
+      {"12345678901234567890"sv, "1.2345678901234567e+19"},
+      {"123456789012345678901234567890"sv, "1.2345678901234568e+29"},
+      {"-18446744073709551617"sv, "-1.8446744073709552e+19"},
+      {"9007199254740993"sv, "9007199254740992"},
+      {"-123456789012345"sv, "-123456789012345"},
+      {"0.1"sv, "0.10000000000000001"},
+      {"1e308"sv, "1e+308"},
+      {"2.2250738585072014e-308"sv, "2.2250738585072014e-308"},
+      {"4.9e-324"sv, "4.9406564584124654e-324"},
+      {"{\"a\":01}"sv, "{\"a\":1}"},
+      {"00"sv, "0"},
+      {"-0.0"sv, "-0"},
+      {"1e0001"sv, "10"},
+      {"\"\177\""sv, "\"\177\""},
+      {"{\r\n\"a\":1\r\n}"sv, "{\"a\":1}"},
+      {"true"sv, "true"},
+      {"false"sv, "false"},
+      {"null"sv, "null"},
+      {"[]"sv, "[]"},
+      {"{}"sv, "{}"},
+      {"{\"a\":1,\"b\":2,\"a\":3}"sv, "{\"a\":3,\"b\":2}"},
+      {"{\"a\":{\"x\":1},\"b\":2,\"a\":[3]}"sv, "{\"a\":[3],\"b\":2}"},
+      {"{\"\":1,\"\":2}"sv, "{\"\":2}"},
+      {"[{\"a\":1,\"a\":2}]"sv, "[{\"a\":2}]"},
+      {" { \"k\" : [ 1 , 2 ] } "sv, "{\"k\":[1,2]}"},
+      {"{\"a\\u0000b\":1}"sv, "{\"a\\u0000b\":1}"},
+      {"\"\303\203\302\251\303\242\302\202\302\254\""sv, "\"\303\203\302\251\303\242\302\202\302\254\""},
+      {"\"\303\277\303\276\""sv, "\"\303\277\303\276\""},
+  };
+  for (const Accepted& c : accepted) {
+    EXPECT_EQ(Value::parse(c.text).dump(), c.dump) << c.text;
+  }
 }
 
 TEST(Json, UnicodeEscapesDecodeToUtf8) {
@@ -114,6 +195,194 @@ TEST(Json, ParseErrorsCarryLineAndColumn) {
   EXPECT_THROW((void)Value::parse("{} trailing"), json::ParseError);
   EXPECT_THROW((void)Value::parse(""), json::ParseError);
   EXPECT_THROW((void)Value::parse("{\"a\":}"), json::ParseError);
+
+  // The error contract, captured from the recursive-descent parser this
+  // reader replaced: message, line and column of every malformed input.
+  // First every proper prefix of one multi-line document, so truncation
+  // lands on each structural position...
+  const std::string doc =
+      "{\n \"a\": [1, \"x\\u00e9\", true,\n null, {\"b\": -2.5e3}],\n \"c\": false\n}";
+  struct Where {
+    const char* what;
+    std::size_t line;
+    std::size_t column;
+  };
+  const Where truncated[] = {
+      {"unexpected end of input", 1, 1},
+      {"expected string key in object", 1, 2},
+      {"expected string key in object", 2, 1},
+      {"expected string key in object", 2, 2},
+      {"unterminated string", 2, 3},
+      {"unterminated string", 2, 4},
+      {"expected ':' after object key", 2, 5},
+      {"unexpected end of input", 2, 6},
+      {"unexpected end of input", 2, 7},
+      {"unexpected end of input", 2, 8},
+      {"unterminated array", 2, 9},
+      {"unexpected end of input", 2, 10},
+      {"unexpected end of input", 2, 11},
+      {"unterminated string", 2, 12},
+      {"unterminated string", 2, 13},
+      {"unterminated escape", 2, 14},
+      {"unterminated \\u escape", 2, 15},
+      {"unterminated \\u escape", 2, 16},
+      {"unterminated \\u escape", 2, 17},
+      {"unterminated \\u escape", 2, 18},
+      {"unterminated string", 2, 19},
+      {"unterminated array", 2, 20},
+      {"unexpected end of input", 2, 21},
+      {"unexpected end of input", 2, 22},
+      {"invalid literal (expected 'true')", 2, 23},
+      {"invalid literal (expected 'true')", 2, 24},
+      {"invalid literal (expected 'true')", 2, 25},
+      {"unterminated array", 2, 26},
+      {"unexpected end of input", 2, 27},
+      {"unexpected end of input", 3, 1},
+      {"unexpected end of input", 3, 2},
+      {"invalid literal (expected 'null')", 3, 3},
+      {"invalid literal (expected 'null')", 3, 4},
+      {"invalid literal (expected 'null')", 3, 5},
+      {"unterminated array", 3, 6},
+      {"unexpected end of input", 3, 7},
+      {"unexpected end of input", 3, 8},
+      {"expected string key in object", 3, 9},
+      {"unterminated string", 3, 10},
+      {"unterminated string", 3, 11},
+      {"expected ':' after object key", 3, 12},
+      {"unexpected end of input", 3, 13},
+      {"unexpected end of input", 3, 14},
+      {"invalid number", 3, 15},
+      {"unterminated object", 3, 16},
+      {"unterminated object", 3, 17},
+      {"unterminated object", 3, 18},
+      {"invalid number", 3, 19},
+      {"unterminated object", 3, 20},
+      {"unterminated array", 3, 21},
+      {"unterminated object", 3, 22},
+      {"expected string key in object", 3, 23},
+      {"expected string key in object", 4, 1},
+      {"expected string key in object", 4, 2},
+      {"unterminated string", 4, 3},
+      {"unterminated string", 4, 4},
+      {"expected ':' after object key", 4, 5},
+      {"unexpected end of input", 4, 6},
+      {"unexpected end of input", 4, 7},
+      {"invalid literal (expected 'false')", 4, 8},
+      {"invalid literal (expected 'false')", 4, 9},
+      {"invalid literal (expected 'false')", 4, 10},
+      {"invalid literal (expected 'false')", 4, 11},
+      {"unterminated object", 4, 12},
+      {"unterminated object", 5, 1},
+  };
+  ASSERT_EQ(std::size(truncated), doc.size());
+  for (std::size_t n = 0; n < doc.size(); ++n) {
+    expect_parse_error(doc.substr(0, n), truncated[n].what, truncated[n].line,
+                       truncated[n].column);
+  }
+  // ...then escapes, surrogates, numbers, trailing bytes, raw controls,
+  // CRLF line ends, literals and container punctuation.
+  struct Malformed {
+    std::string_view text;
+    const char* what;
+    std::size_t line;
+    std::size_t column;
+  };
+  const Malformed malformed[] = {
+      {" "sv, "unexpected end of input", 1, 2},
+      {"\r\n"sv, "unexpected end of input", 2, 1},
+      {"\n\n  "sv, "unexpected end of input", 3, 3},
+      {"x"sv, "invalid number", 1, 1},
+      {"]"sv, "invalid number", 1, 1},
+      {"}"sv, "invalid number", 1, 1},
+      {":"sv, "invalid number", 1, 1},
+      {"\"\\x\""sv, "invalid escape sequence", 1, 4},
+      {"\"\\u12\""sv, "invalid \\u escape", 1, 7},
+      {"\"\\u12G4\""sv, "invalid \\u escape", 1, 7},
+      {"\"\\"sv, "unterminated escape", 1, 3},
+      {"\"\\u"sv, "unterminated \\u escape", 1, 4},
+      {"[\"\\q\"]"sv, "invalid escape sequence", 1, 5},
+      {"\"\\\n\""sv, "invalid escape sequence", 2, 1},
+      {"\"\\u00\n0\""sv, "invalid \\u escape", 2, 1},
+      {"\"\\uD800\\uZZZZ\""sv, "invalid \\u escape", 1, 11},
+      {"\"\\uD800\\"sv, "unterminated escape", 1, 9},
+      {"\"\\uD800\\u\""sv, "invalid \\u escape", 1, 11},
+      {"1e999"sv, "number out of double range", 1, 6},
+      {"-1e999"sv, "number out of double range", 1, 7},
+      {"1e-999"sv, "number out of double range", 1, 7},
+      {"-"sv, "invalid number", 1, 2},
+      {"-a"sv, "invalid number", 1, 2},
+      {".5"sv, "invalid number", 1, 1},
+      {"+1"sv, "invalid number", 1, 1},
+      {"1e"sv, "invalid number", 1, 3},
+      {"0x10"sv, "trailing characters after JSON document", 1, 2},
+      {"Infinity"sv, "invalid number", 1, 1},
+      {"NaN"sv, "invalid number", 1, 1},
+      {"1-2"sv, "invalid number", 1, 4},
+      {"1.5.3"sv, "invalid number", 1, 6},
+      {"[1e999]"sv, "number out of double range", 1, 7},
+      {"[-]"sv, "invalid number", 1, 3},
+      {"[1 2]"sv, "expected ',' or ']' in array", 1, 5},
+      {"{} x"sv, "trailing characters after JSON document", 1, 4},
+      {"1 2"sv, "trailing characters after JSON document", 1, 3},
+      {"[]]"sv, "trailing characters after JSON document", 1, 3},
+      {"nullx"sv, "trailing characters after JSON document", 1, 5},
+      {"null x"sv, "trailing characters after JSON document", 1, 6},
+      {"{}\n\n}"sv, "trailing characters after JSON document", 3, 1},
+      {"\"a\"b"sv, "trailing characters after JSON document", 1, 4},
+      {"\"a\tb\""sv, "raw control character in string", 1, 4},
+      {"\"a\nb\""sv, "raw control character in string", 2, 1},
+      {"\"a\000b\""sv, "raw control character in string", 1, 4},
+      {"[\"\001\"]"sv, "raw control character in string", 1, 4},
+      {"\"\037\""sv, "raw control character in string", 1, 3},
+      {"{\r\n\"a\":\r\n}"sv, "invalid number", 3, 1},
+      {"[1,\r\n2,\r\n]"sv, "invalid number", 3, 1},
+      {"\r\n\r\n{"sv, "expected string key in object", 3, 2},
+      {"{\r\n  \"a\"\r\n}"sv, "expected ':' after object key", 3, 2},
+      {"nul"sv, "invalid literal (expected 'null')", 1, 4},
+      {"nulx"sv, "invalid literal (expected 'null')", 1, 5},
+      {"tru\n"sv, "invalid literal (expected 'true')", 2, 1},
+      {"fals"sv, "invalid literal (expected 'false')", 1, 5},
+      {"truex"sv, "trailing characters after JSON document", 1, 5},
+      {"n"sv, "invalid literal (expected 'null')", 1, 2},
+      {"t"sv, "invalid literal (expected 'true')", 1, 2},
+      {"f"sv, "invalid literal (expected 'false')", 1, 2},
+      {"nULL"sv, "invalid literal (expected 'null')", 1, 3},
+      {"[tru]"sv, "invalid literal (expected 'true')", 1, 6},
+      {"{\"a\" 1}"sv, "expected ':' after object key", 1, 7},
+      {"{\"a\":1 \"b\":2}"sv, "expected ',' or '}' in object", 1, 9},
+      {"{1:2}"sv, "expected string key in object", 1, 2},
+      {"{\"a\":1,}"sv, "expected string key in object", 1, 8},
+      {"[1,]"sv, "invalid number", 1, 4},
+      {"{\"a\""sv, "expected ':' after object key", 1, 5},
+      {"{,}"sv, "expected string key in object", 1, 2},
+      {"[,]"sv, "invalid number", 1, 2},
+      {"{\"a\":}"sv, "invalid number", 1, 6},
+      {"["sv, "unexpected end of input", 1, 2},
+      {"{"sv, "expected string key in object", 1, 2},
+  };
+  for (const Malformed& c : malformed) {
+    expect_parse_error(c.text, c.what, c.line, c.column);
+  }
+  // Nesting: 129 levels of containers parse, a value inside the 129th
+  // does not -- at the first byte of that value's position.
+  const auto nested = [](int depth, const std::string& inner) {
+    return std::string(static_cast<std::size_t>(depth), '[') + inner +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(Value::parse(nested(129, "")).dump(), nested(129, ""));
+  EXPECT_EQ(Value::parse(nested(128, "[]")).dump(), nested(129, ""));
+  expect_parse_error(nested(130, ""), "nesting deeper than 128 levels", 1, 130);
+  expect_parse_error(nested(129, "1"), "nesting deeper than 128 levels", 1, 130);
+  expect_parse_error(nested(128, "[1,]"), "nesting deeper than 128 levels", 1,
+                     130);
+  expect_parse_error(nested(129, " \n 1"), "nesting deeper than 128 levels", 2,
+                     2);
+  std::string objects;
+  for (int i = 0; i < 129; ++i) objects += "{\"a\":";
+  expect_parse_error(objects + "1" + std::string(129, '}'),
+                     "nesting deeper than 128 levels", 1, 646);
+  EXPECT_NO_THROW((void)Value::parse(objects.substr(5) + "1" +
+                                     std::string(128, '}')));
 }
 
 TEST(Json, TypedAccessorsThrowOnMismatch) {
@@ -122,6 +391,58 @@ TEST(Json, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW((void)v.at("missing"), json::TypeError);
   EXPECT_EQ(v.find("missing"), nullptr);
   EXPECT_THROW((void)v.at("n").items(), json::TypeError);
+}
+
+TEST(Json, DocumentNodesViewTheTextInPlace) {
+  const std::string text =
+      R"({"a":[1,"x",true],"s":"plain","e":"t\tab","a":{"k":null},"n":-0})";
+  const json::Document doc(text);
+  const json::Node root = doc.root();
+  ASSERT_TRUE(root.is_object());
+  // A string without escapes is a span of the text; one with an escape
+  // is unescaped.
+  const std::string_view plain = root.at("s").as_string();
+  EXPECT_EQ(plain, "plain");
+  EXPECT_GE(plain.data(), text.data());
+  EXPECT_LT(plain.data(), text.data() + text.size());
+  EXPECT_EQ(root.at("e").as_string(), "t\tab");
+  // The last of a repeated key wins, through find and lookup alike.
+  EXPECT_TRUE(root.find("a").is_object());
+  static constexpr std::array<std::string_view, 3> kNames = {"n", "a", "zz"};
+  std::array<json::Node, kNames.size()> f{};
+  root.lookup(kNames, f);
+  EXPECT_TRUE(std::signbit(f[0].as_number()));
+  EXPECT_TRUE(f[1].at("k").is_null());
+  EXPECT_FALSE(f[2]);
+  EXPECT_FALSE(root.find("zz"));
+  // Elements in order; the materialized Value keeps the first position.
+  const json::Document array_doc(R"([1,"x",true])");
+  std::vector<std::string> seen;
+  for (const json::Node element : array_doc.root().items()) {
+    seen.push_back(element.dump());
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"1", R"("x")", "true"}));
+  EXPECT_EQ(array_doc.root().items().size(), 3u);
+  EXPECT_EQ(root.to_value().dump(),
+            R"({"a":{"k":null},"s":"plain","e":"t\tab","n":-0})");
+  // The typed accessors throw Value's TypeErrors.
+  const Value value = Value::parse(text);
+  const auto message = [](const auto& read) {
+    try {
+      read();
+    } catch (const json::TypeError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no TypeError");
+  };
+  EXPECT_EQ(message([&] { (void)root.at("s").as_number(); }),
+            message([&] { (void)value.at("s").as_number(); }));
+  EXPECT_EQ(message([&] { (void)root.at("missing"); }),
+            message([&] { (void)value.at("missing"); }));
+  EXPECT_EQ(message([&] { (void)root.at("n").items(); }),
+            message([&] { (void)value.at("n").items(); }));
+  EXPECT_EQ(message([&] { (void)root.at("n").find("k"); }),
+            message([&] { (void)value.at("n").find("k"); }));
 }
 
 TEST(Json, NumbersRoundTripBitExactly) {
@@ -223,24 +544,24 @@ TEST(Codec, NonFiniteDoublesEncodeAsStrings) {
   EXPECT_EQ(encode_double(kInf).dump(), "\"inf\"");
   EXPECT_EQ(encode_double(-kInf).dump(), "\"-inf\"");
   EXPECT_EQ(encode_double(std::nan("")).dump(), "\"nan\"");
-  EXPECT_EQ(decode_double(encode_double(kInf)), kInf);
-  EXPECT_EQ(decode_double(encode_double(-kInf)), -kInf);
-  EXPECT_TRUE(std::isnan(decode_double(encode_double(std::nan("")))));
+  EXPECT_EQ(decode_double(ReadBack(encode_double(kInf))), kInf);
+  EXPECT_EQ(decode_double(ReadBack(encode_double(-kInf))), -kInf);
+  EXPECT_TRUE(std::isnan(decode_double(ReadBack(encode_double(std::nan(""))))));
 }
 
 TEST(Codec, DecodeDoubleAcceptsHexfloatStrings) {
   // The PR 2 golden notation: hand-written documents can pin exact bits.
-  EXPECT_EQ(decode_double(Value::string("0x1.6126458d64984p+4")),
+  EXPECT_EQ(decode_double(ReadBack(Value::string("0x1.6126458d64984p+4"))),
             0x1.6126458d64984p+4);
-  EXPECT_EQ(decode_double(Value::string("-0x1p3")), -8.0);
-  EXPECT_EQ(decode_double(Value::string("0x.8p1")), 1.0);
-  EXPECT_THROW((void)decode_double(Value::string("12 monkeys")), CodecError);
+  EXPECT_EQ(decode_double(ReadBack(Value::string("-0x1p3"))), -8.0);
+  EXPECT_EQ(decode_double(ReadBack(Value::string("0x.8p1"))), 1.0);
+  EXPECT_THROW((void)decode_double(ReadBack(Value::string("12 monkeys"))), CodecError);
   // The only sign a hexfloat takes is the one before its prefix.
-  EXPECT_THROW((void)decode_double(Value::string("0x-1p3")), CodecError);
-  EXPECT_THROW((void)decode_double(Value::string("-0x-1p3")), CodecError);
-  EXPECT_THROW((void)decode_double(Value::string("0x+1p3")), CodecError);
-  EXPECT_THROW((void)decode_double(Value::string("0xinf")), CodecError);
-  EXPECT_THROW((void)decode_double(Value::boolean(true)), CodecError);
+  EXPECT_THROW((void)decode_double(ReadBack(Value::string("0x-1p3"))), CodecError);
+  EXPECT_THROW((void)decode_double(ReadBack(Value::string("-0x-1p3"))), CodecError);
+  EXPECT_THROW((void)decode_double(ReadBack(Value::string("0x+1p3"))), CodecError);
+  EXPECT_THROW((void)decode_double(ReadBack(Value::string("0xinf"))), CodecError);
+  EXPECT_THROW((void)decode_double(ReadBack(Value::boolean(true))), CodecError);
 }
 
 // ----- codec value types -------------------------------------------------
@@ -249,7 +570,7 @@ TEST(Codec, ScenarioRoundTripsExactly) {
   e2e::Scenario sc = fig2_scenario(268, sched::SchedulerKind::kEdf);
   sc.scheduler.set_edf_factors(sched::EdfFactors{1.0, 10.0});
   sc.capacity = 155.52;  // an OC-3, not representable in few digits
-  const e2e::Scenario back = decode_scenario(encode_scenario(sc));
+  const e2e::Scenario back = decode_scenario(ReadBack(encode_scenario(sc)));
   EXPECT_EQ(back.capacity, sc.capacity);
   EXPECT_EQ(back.hops, sc.hops);
   EXPECT_EQ(back.source.peak_kb(), sc.source.peak_kb());
@@ -270,16 +591,16 @@ TEST(Codec, ScenarioDecodeRejectsBadDocuments) {
   // not a generic decode failure.
   Value v = encode_scenario(fig2_scenario(100, sched::SchedulerKind::kFifo));
   v.set("scheduler", Value::string("round-robin"));
-  EXPECT_THROW((void)decode_scenario(v), SchemaError);
+  EXPECT_THROW((void)decode_scenario(ReadBack(v)), SchemaError);
   Value obj = encode_scenario(fig2_scenario(100, sched::SchedulerKind::kFifo));
   Value bad_sched = Value::object();
   bad_sched.set("kind", Value::string("wfq"));
   obj.set("scheduler", std::move(bad_sched));
-  EXPECT_THROW((void)decode_scenario(obj), SchemaError);
-  EXPECT_THROW((void)decode_scenario(Value::number(3.0)), CodecError);
+  EXPECT_THROW((void)decode_scenario(ReadBack(obj)), SchemaError);
+  EXPECT_THROW((void)decode_scenario(ReadBack(Value::number(3.0))), CodecError);
   Value hops = encode_scenario(fig2_scenario(100, sched::SchedulerKind::kFifo));
   hops.set("hops", Value::number(2.5));
-  EXPECT_THROW((void)decode_scenario(hops), CodecError);
+  EXPECT_THROW((void)decode_scenario(ReadBack(hops)), CodecError);
 }
 
 TEST(Codec, SchedulerSpecsRoundTripInAllForms) {
@@ -296,39 +617,39 @@ TEST(Codec, SchedulerSpecsRoundTripInAllForms) {
         sched::SchedulerSpec::drr(2.0, 0.5),
         sched::SchedulerSpec::gps(sched::ClassWeights::of({1.0, 2.0, 4.0})),
         sched::SchedulerSpec::sced()}) {
-    const sched::SchedulerSpec back = decode_scheduler(encode_scheduler(spec));
+    const sched::SchedulerSpec back = decode_scheduler(ReadBack(written(spec)));
     EXPECT_EQ(back, spec) << sched::to_string(spec);
   }
   // The codec also accepts the compact string form (bare names,
   // "delta:<value>", and weighted "gps:w,..." spellings) wherever a
   // scheduler is expected.
-  sched::SchedulerSpec s = decode_scheduler(Value::string("delta:2.5"));
+  sched::SchedulerSpec s = decode_scheduler(ReadBack(Value::string("delta:2.5")));
   EXPECT_EQ(s, sched::SchedulerSpec::fixed_delta(2.5));
-  EXPECT_EQ(decode_scheduler(Value::string("bmux")),
+  EXPECT_EQ(decode_scheduler(ReadBack(Value::string("bmux"))),
             sched::SchedulerSpec::bmux());
-  EXPECT_EQ(decode_scheduler(Value::string("gps:3,1")),
+  EXPECT_EQ(decode_scheduler(ReadBack(Value::string("gps:3,1"))),
             sched::SchedulerSpec::gps(3.0, 1.0));
-  EXPECT_EQ(decode_scheduler(Value::string("sced")),
+  EXPECT_EQ(decode_scheduler(ReadBack(Value::string("sced"))),
             sched::SchedulerSpec::sced());
 }
 
 TEST(Codec, SchedulerParamsFieldIsValidatedAndDefaulted) {
   // A schema-2 object (no "params") decodes to the default equal split.
-  Value v2 = encode_scheduler(sched::SchedulerSpec::gps(3.0, 1.0));
+  Value v2 = written_doc(sched::SchedulerSpec::gps(3.0, 1.0));
   v2.set("params", Value::null());
-  EXPECT_EQ(decode_scheduler(v2), sched::SchedulerSpec::gps());
+  EXPECT_EQ(decode_scheduler(ReadBack(v2)), sched::SchedulerSpec::gps());
   // Malformed params are CodecErrors, not silent clamps.
-  Value one = encode_scheduler(sched::SchedulerSpec::gps());
+  Value one = written_doc(sched::SchedulerSpec::gps());
   Value short_list = Value::array();
   short_list.push_back(Value::number(1.0));
   one.set("params", std::move(short_list));
-  EXPECT_THROW((void)decode_scheduler(one), CodecError);
-  Value neg = encode_scheduler(sched::SchedulerSpec::gps());
+  EXPECT_THROW((void)decode_scheduler(ReadBack(one)), CodecError);
+  Value neg = written_doc(sched::SchedulerSpec::gps());
   Value neg_list = Value::array();
   neg_list.push_back(Value::number(-1.0));
   neg_list.push_back(Value::number(1.0));
   neg.set("params", std::move(neg_list));
-  EXPECT_THROW((void)decode_scheduler(neg), CodecError);
+  EXPECT_THROW((void)decode_scheduler(ReadBack(neg)), CodecError);
 }
 
 TEST(Codec, DiagnosticsAndStatsRoundTrip) {
@@ -336,7 +657,7 @@ TEST(Codec, DiagnosticsAndStatsRoundTrip) {
   d.fail(diag::SolveErrorKind::kUnstable, "load 1.2 >= 1");
   d.warn(diag::SolveErrorKind::kNoConvergence, "EDF hit iteration cap");
   d.warn(diag::SolveErrorKind::kCorruptCache, "entry re-solved");
-  const diag::Diagnostics back = decode_diagnostics(written_doc(d));
+  const diag::Diagnostics back = decode_diagnostics(ReadBack(written(d)));
   EXPECT_EQ(back.error, d.error);
   EXPECT_EQ(back.message, d.message);
   ASSERT_EQ(back.warnings.size(), 2u);
@@ -366,7 +687,7 @@ TEST(Codec, DiagnosticsAndStatsRoundTrip) {
                              "cache_misses", "cache_stale"}) {
     EXPECT_EQ(sdoc.find(absent), nullptr) << absent;
   }
-  const e2e::SolveStats sback = decode_solve_stats(sdoc);
+  const e2e::SolveStats sback = decode_solve_stats(ReadBack(sdoc));
   EXPECT_EQ(sback.scan_ms, 0.0);
   EXPECT_EQ(sback.refine_ms, 0.0);
   EXPECT_EQ(sback.optimize_evals, stats.optimize_evals);
@@ -399,7 +720,7 @@ TEST(Codec, SolvedBoundResultsRoundTripBitExactly) {
   for (const auto& c : cases) {
     const e2e::BoundResult r =
         deltanc::Solver().solve(fig2_scenario(c.n_cross, c.sched));
-    const e2e::BoundResult back = decode_bound_result(written_doc(r));
+    const e2e::BoundResult back = decode_bound_result(ReadBack(written(r)));
     EXPECT_EQ(back.delay_ms, r.delay_ms);
     EXPECT_EQ(back.gamma, r.gamma);
     EXPECT_EQ(back.s, r.s);
@@ -412,7 +733,7 @@ TEST(Codec, SolvedBoundResultsRoundTripBitExactly) {
   const e2e::BoundResult unstable =
       deltanc::Solver().solve(fig2_scenario(800, sched::SchedulerKind::kFifo));
   ASSERT_EQ(unstable.delay_ms, kInf);
-  EXPECT_EQ(decode_bound_result(written_doc(unstable)).delay_ms, kInf);
+  EXPECT_EQ(decode_bound_result(ReadBack(written(unstable))).delay_ms, kInf);
 }
 
 TEST(Codec, Fig3AndFig4BoundResultsRoundTripBitExactly) {
@@ -458,7 +779,7 @@ TEST(Codec, Fig3AndFig4BoundResultsRoundTripBitExactly) {
   }
   auto expect_bit_exact = [](const e2e::BoundResult& r) {
     const Value doc = written_doc(r);
-    const e2e::BoundResult back = decode_bound_result(doc);
+    const e2e::BoundResult back = decode_bound_result(ReadBack(doc));
     EXPECT_EQ(back.delay_ms, r.delay_ms);
     EXPECT_EQ(back.gamma, r.gamma);
     EXPECT_EQ(back.s, r.s);
@@ -485,11 +806,11 @@ TEST(Codec, SchemaIsRequiredAndChecked) {
       .set("scenario",
            encode_scenario(fig2_scenario(100, sched::SchedulerKind::kFifo)))
       .set("options", encode_solve_options(SolveOptions{}));
-  EXPECT_NO_THROW(require_schema(request));
+  EXPECT_NO_THROW(require_schema(ReadBack(request)));
   request.set("schema", Value::number(999.0));
-  EXPECT_THROW(require_schema(request), SchemaError);
-  EXPECT_THROW(require_schema(Value::object()), SchemaError);
-  EXPECT_THROW(require_schema(Value::number(1.0)), SchemaError);
+  EXPECT_THROW(require_schema(ReadBack(request)), SchemaError);
+  EXPECT_THROW(require_schema(ReadBack(Value::object())), SchemaError);
+  EXPECT_THROW(require_schema(ReadBack(Value::number(1.0))), SchemaError);
 }
 
 // ----- cache key ---------------------------------------------------------
@@ -534,7 +855,7 @@ TEST(Codec, DelayProfileRoundTripsBitExactly) {
   p.stats.profile_levels = 3;
   p.stats.profile_chain_hits = 2;
 
-  const e2e::DelayProfile back = decode_delay_profile(written_doc(p));
+  const e2e::DelayProfile back = decode_delay_profile(ReadBack(written(p)));
   ASSERT_EQ(back.epsilons.size(), 3u);
   ASSERT_EQ(back.levels.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -564,8 +885,8 @@ TEST(Codec, DelayProfileDecodeRejectsMalformedDocuments) {
   Value grid = doc.at("epsilons");
   grid.push_back(encode_double(1e-9));
   doc.set("epsilons", std::move(grid));
-  EXPECT_THROW((void)decode_delay_profile(doc), CodecError);
-  EXPECT_THROW((void)decode_delay_profile(Value::number(1.0)), CodecError);
+  EXPECT_THROW((void)decode_delay_profile(ReadBack(doc)), CodecError);
+  EXPECT_THROW((void)decode_delay_profile(ReadBack(Value::number(1.0))), CodecError);
 }
 
 TEST(Codec, ProfileCacheKeyIsKindTaggedAndEpsilonPinned) {
@@ -593,7 +914,7 @@ TEST(Codec, SolveOptionsRoundTrip) {
   options.delta = -kInf;
   options.warm_start = e2e::WarmStart::kWarm;
   const SolveOptions back =
-      decode_solve_options(encode_solve_options(options));
+      decode_solve_options(ReadBack(encode_solve_options(options)));
   EXPECT_EQ(back.method, e2e::Method::kPaperK);
   ASSERT_TRUE(back.scheduler.has_value());
   EXPECT_EQ(*back.scheduler, sched::SchedulerKind::kBmux);
@@ -603,7 +924,7 @@ TEST(Codec, SolveOptionsRoundTrip) {
 
   // Defaults survive an empty options object (batch requests may omit
   // everything).
-  const SolveOptions defaults = decode_solve_options(Value::object());
+  const SolveOptions defaults = decode_solve_options(ReadBack(Value::object()));
   EXPECT_EQ(defaults.method, e2e::Method::kExactOpt);
   EXPECT_FALSE(defaults.scheduler.has_value());
   EXPECT_FALSE(defaults.delta.has_value());

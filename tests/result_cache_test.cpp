@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -394,6 +395,159 @@ TEST_F(ResultCacheTest, CorruptEntryIsDetectedAndRecoverable) {
                             &outcome);
   EXPECT_EQ(outcome, CacheLookup::kCorrupt);
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+}
+
+TEST_F(ResultCacheTest, DoctoredEntriesClassifyAsPinned) {
+  // Hand-doctored entry files and the outcome each lookup reports, plus
+  // the decoded bits of every hit, captured from the DOM-based entry
+  // reader the flat reader replaced.  Duplicate members follow the JSON
+  // layer's rule: the last one wins.
+  ResultCache cache(cache_dir());
+  const std::string key = solve_cache_key(small_scenario(), SolveOptions{});
+  const std::string profile_key =
+      profile_cache_key(small_scenario(), std::vector<double>{1e-3},
+                        SolveOptions{});
+  std::string quoted_key, quoted_profile_key, good, other;
+  json::append_quoted(quoted_key, key);
+  json::append_quoted(quoted_profile_key, profile_key);
+  append_json(good, e2e::BoundResult{1.5, 0.25, 0.125, 10.0, 0.0});
+  append_json(other, e2e::BoundResult{2.5, 0.25, 0.125, 10.0, 0.0});
+  const std::string version =
+      std::string("\"") + DELTANC_VERSION_STRING + "\"";
+  const std::string head = R"({"schema":6,"version":)" + version + ",";
+  const std::string canonical =
+      head + R"("key":)" + quoted_key + R"(,"result":)" + good + "}\n";
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = canonical;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const double kNotHit = -1.0;  // the lookup leaves `out` untouched
+  struct Case {
+    const char* name;
+    std::string text;
+    CacheLookup outcome;
+    double delay_ms;
+  };
+  const Case cases[] = {
+      {"canonical", canonical, CacheLookup::kHit, 1.5},
+      {"schema 5", with(R"("schema":6)", R"("schema":5)"),
+       CacheLookup::kStale, kNotHit},
+      {"schema 7", with(R"("schema":6)", R"("schema":7)"),
+       CacheLookup::kStale, kNotHit},
+      {"schema string", with(R"("schema":6)", R"("schema":"6")"),
+       CacheLookup::kStale, kNotHit},
+      {"schema 6.0", with(R"("schema":6)", R"("schema":6.0)"),
+       CacheLookup::kHit, 1.5},
+      {"schema absent", with(R"("schema":6,)", ""), CacheLookup::kStale,
+       kNotHit},
+      {"schema 5 then 6",
+       with(R"("schema":6)", R"("schema":5,"schema":6)"), CacheLookup::kHit,
+       1.5},
+      {"schema 6 then 5",
+       with(R"("schema":6)", R"("schema":6,"schema":5)"),
+       CacheLookup::kStale, kNotHit},
+      {"other version", with(version, R"("0.0.1")"), CacheLookup::kStale,
+       kNotHit},
+      {"numeric version", with(version, "3"), CacheLookup::kCorrupt,
+       kNotHit},
+      {"version absent", with(R"("version":)" + version + ",", ""),
+       CacheLookup::kCorrupt, kNotHit},
+      {"foreign key", with(R"(\"n_cross\":50)", R"(\"n_cross\":51)"),
+       CacheLookup::kMiss, kNotHit},
+      {"key absent", with(R"("key":)" + quoted_key + ",", ""),
+       CacheLookup::kCorrupt, kNotHit},
+      {"numeric key", with(quoted_key, "7"), CacheLookup::kCorrupt, kNotHit},
+      {"foreign then own key",
+       with(R"("key":)", R"("key":"other","key":)"), CacheLookup::kHit, 1.5},
+      {"own then foreign key",
+       with(R"(,"result":)", R"(,"key":"other","result":)"),
+       CacheLookup::kMiss, kNotHit},
+      {"result twice", with(good + "}", good + R"(,"result":)" + other + "}"),
+       CacheLookup::kHit, 2.5},
+      {"result then garbage", with(good + "}", good + R"(,"result":5})"),
+       CacheLookup::kCorrupt, kNotHit},
+      {"result absent", with(R"(,"result":)" + good, ""),
+       CacheLookup::kCorrupt, kNotHit},
+      {"unknown error kind",
+       with(R"("error":"none")", R"("error":"frobnicated")"),
+       CacheLookup::kCorrupt, kNotHit},
+      {"mistyped counter",
+       with(R"("edf_converged":true)", R"("edf_converged":"yes")"),
+       CacheLookup::kCorrupt, kNotHit},
+      {"hexfloat delay", with(R"("delay_ms":1.5)", R"("delay_ms":"0x1.8p+0")"),
+       CacheLookup::kHit, 1.5},
+      {"infinite delay", with(R"("delay_ms":1.5)", R"("delay_ms":"inf")"),
+       CacheLookup::kHit, std::numeric_limits<double>::infinity()},
+      {"cut after schema", canonical.substr(0, 11), CacheLookup::kCorrupt,
+       kNotHit},
+      {"cut in half", canonical.substr(0, canonical.size() / 2),
+       CacheLookup::kCorrupt, kNotHit},
+      {"last brace cut", canonical.substr(0, canonical.size() - 2),
+       CacheLookup::kCorrupt, kNotHit},
+      {"trailing bytes", canonical + "x", CacheLookup::kCorrupt, kNotHit},
+      {"array root", "[]", CacheLookup::kStale, kNotHit},
+      {"number root", "6", CacheLookup::kStale, kNotHit},
+      {"string root", R"("schema")", CacheLookup::kStale, kNotHit},
+      {"null root", "null", CacheLookup::kStale, kNotHit},
+      {"empty object", "{}", CacheLookup::kStale, kNotHit},
+  };
+  for (const Case& c : cases) {
+    write_file(cache.entry_path(key), c.text);
+    e2e::BoundResult out;
+    out.delay_ms = kNotHit;
+    EXPECT_EQ(cache.lookup(key, out), c.outcome) << c.name;
+    EXPECT_EQ(out.delay_ms, c.delay_ms) << c.name;
+  }
+
+  // Profile entries: the payload member must be "profile", and its grid
+  // and levels must agree.
+  std::string profile;
+  e2e::DelayProfile one;
+  one.epsilons = {1e-3};
+  one.levels = {e2e::BoundResult{1.5, 0.25, 0.125, 10.0, 0.0}};
+  append_json(profile, one);
+  const std::string profile_entry = head + R"("key":)" + quoted_profile_key +
+                                    R"(,"profile":)" + profile + "}\n";
+  const auto profile_with = [&](const std::string& from,
+                                const std::string& to) {
+    std::string text = profile_entry;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  struct ProfileCase {
+    const char* name;
+    std::string text;
+    CacheLookup outcome;
+    std::size_t levels;
+  };
+  const ProfileCase profile_cases[] = {
+      {"canonical", profile_entry, CacheLookup::kHit, 1},
+      {"scalar payload", profile_with(R"("profile":)", R"("result":)"),
+       CacheLookup::kCorrupt, 0},
+      {"grid longer than levels",
+       profile_with(R"("epsilons":[0.001])", R"("epsilons":[0.001,0.01])"),
+       CacheLookup::kCorrupt, 0},
+      {"string epsilon",
+       profile_with(R"("epsilons":[0.001])", R"("epsilons":["1e-3"])"),
+       CacheLookup::kHit, 1},
+      {"levels not an array", profile_with(R"("levels":[)", R"("levels":[[)"),
+       CacheLookup::kCorrupt, 0},
+  };
+  for (const ProfileCase& c : profile_cases) {
+    write_file(cache.entry_path(profile_key), c.text);
+    e2e::DelayProfile out;
+    EXPECT_EQ(cache.lookup_profile(profile_key, out), c.outcome) << c.name;
+    ASSERT_EQ(out.levels.size(), c.levels) << c.name;
+    if (c.levels > 0) {
+      EXPECT_EQ(out.epsilons.front(), 1e-3) << c.name;
+      EXPECT_EQ(out.levels.front().delay_ms, 1.5) << c.name;
+    }
+  }
 }
 
 TEST_F(ResultCacheTest, HashCollisionDegradesToMissNotWrongAnswer) {

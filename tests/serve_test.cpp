@@ -5,13 +5,21 @@
 // full disks are driven deterministically via serve::FaultPlan; a
 // corrupt entry is made by damaging its bytes on disk.
 #include "e2e/solver.h"
+#include "read_back.h"
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -25,11 +33,13 @@
 #include "io/codec.h"
 #include "serve/bounded_queue.h"
 #include "serve/fault_plan.h"
+#include "serve/listener.h"
 
 namespace deltanc::serve {
 namespace {
 
 using io::json::Value;
+using io::testing::ReadBack;
 
 e2e::Scenario small_scenario(int n_cross) {
   e2e::Scenario sc;
@@ -198,7 +208,7 @@ TEST(SolveServiceTest, SolvesParsesAndIgnoresBlankLines) {
   // No cache directory attached: no "cache" tag, like cache-less batch.
   EXPECT_EQ(solved->find("cache"), nullptr);
   const e2e::BoundResult direct = deltanc::Solver().solve(small_scenario(60));
-  EXPECT_EQ(io::decode_bound_result(solved->at("result")).delay_ms,
+  EXPECT_EQ(io::decode_bound_result(ReadBack(solved->at("result"))).delay_ms,
             direct.delay_ms);
 
   const Value* bad = find_id(responses, 7.0);
@@ -303,7 +313,7 @@ TEST(SolveServiceTest, ReplacementWorkerAnswersRequestQueuedBehindTimeout) {
   const Value* queued = find_id(responses, 6.0);
   ASSERT_NE(queued, nullptr);
   EXPECT_TRUE(queued->at("ok").as_bool());
-  EXPECT_EQ(io::decode_bound_result(queued->at("result")).delay_ms,
+  EXPECT_EQ(io::decode_bound_result(ReadBack(queued->at("result"))).delay_ms,
             deltanc::Solver().solve(small_scenario(46)).delay_ms);
 
   service.drain();  // joins the zombie once its delayed solve ends
@@ -515,9 +525,9 @@ TEST(SolveServiceTest, ProfileRequestsAnswerThroughEveryWarmLayer) {
   EXPECT_EQ(responses[2].at("profile").dump(),
             responses[1].at("profile").dump());
   const e2e::DelayProfile cold =
-      io::decode_delay_profile(responses[0].at("profile"));
+      io::decode_delay_profile(ReadBack(responses[0].at("profile")));
   const e2e::DelayProfile warm =
-      io::decode_delay_profile(responses[1].at("profile"));
+      io::decode_delay_profile(ReadBack(responses[1].at("profile")));
   ASSERT_EQ(warm.levels.size(), cold.levels.size());
   for (std::size_t i = 0; i < cold.levels.size(); ++i) {
     EXPECT_EQ(warm.levels[i].delay_ms, cold.levels[i].delay_ms);
@@ -615,11 +625,11 @@ TEST(SolveServiceTest, BatchAndServeClassifyEveryRequestKindAlike) {
           << "id " << id;
     }
     const e2e::BoundResult scalar =
-        io::decode_bound_result(batched[0].at("result"));
+        io::decode_bound_result(ReadBack(batched[0].at("result")));
     EXPECT_TRUE(std::isinf(scalar.delay_ms));
     EXPECT_EQ(scalar.diagnostics.error, diag::SolveErrorKind::kInvalidScenario);
     const e2e::DelayProfile profile =
-        io::decode_delay_profile(batched[1].at("profile"));
+        io::decode_delay_profile(ReadBack(batched[1].at("profile")));
     ASSERT_EQ(profile.levels.size(), grid.size());
     for (const e2e::BoundResult& level : profile.levels) {
       EXPECT_TRUE(std::isinf(level.delay_ms));
@@ -627,7 +637,7 @@ TEST(SolveServiceTest, BatchAndServeClassifyEveryRequestKindAlike) {
                 diag::SolveErrorKind::kInvalidScenario);
     }
     EXPECT_TRUE(
-        std::isfinite(io::decode_bound_result(batched[2].at("result")).delay_ms));
+        std::isfinite(io::decode_bound_result(ReadBack(batched[2].at("result"))).delay_ms));
   }
 }
 
@@ -657,6 +667,146 @@ TEST(SolveServiceTest, MemoryCapIsOnePerWorkerBudgetAcrossKinds) {
   EXPECT_EQ(stats.served, 1);
   EXPECT_EQ(stats.memory_hits, 0);
   EXPECT_EQ(stats.cache.hits, 1);
+}
+
+// The stop flag of the in-process listener below.  As in the CLI, only
+// a signal handler sets it -- here one run on the listener's own thread,
+// so the flag is never written by another thread.
+volatile std::sig_atomic_t g_listener_stop = 0;
+void stop_listener(int) { g_listener_stop = 1; }
+
+/// run_socket_server on its own thread; destruction stops it (SIGUSR2
+/// delivered to that thread) and joins it.
+class ListenerThread {
+ public:
+  ListenerThread(SolveService& service, std::string path) {
+    struct sigaction stop {};
+    stop.sa_handler = stop_listener;
+    ::sigaction(SIGUSR2, &stop, &previous_);
+    g_listener_stop = 0;
+    options_.socket_path = std::move(path);
+    options_.stop = &g_listener_stop;
+    thread_ = std::thread(
+        [this, &service] { (void)run_socket_server(service, options_, err_); });
+  }
+  ~ListenerThread() {
+    ::pthread_kill(thread_.native_handle(), SIGUSR2);
+    thread_.join();
+    ::sigaction(SIGUSR2, &previous_, nullptr);
+  }
+  ListenerThread(const ListenerThread&) = delete;
+  ListenerThread& operator=(const ListenerThread&) = delete;
+
+ private:
+  struct sigaction previous_ {};
+  ListenerOptions options_;
+  std::ostringstream err_;
+  std::thread thread_;  // last: it uses the members above
+};
+
+TEST(LineFramer, KeepsAtMostTheLimitOfAnOverlongLine) {
+  // The listener's framing: lines split at '\n' across any chunking, and
+  // an over-long line handed on once at the limit plus one byte while
+  // the framer never holds more than that.
+  LineFramer framer;
+  std::vector<std::string> lines;
+  const LineFramer::Submit submit = [&](std::string line) {
+    lines.push_back(std::move(line));
+  };
+  framer.feed("a\nb", submit);
+  framer.feed("c\n\n", submit);
+  const std::string block(4096, 'x');
+  std::size_t most = 0;
+  for (std::size_t fed = 0; fed < 3 * io::kMaxRequestLineBytes;
+       fed += block.size()) {
+    framer.feed(block, submit);
+    most = std::max(most, framer.buffered());
+  }
+  framer.feed("x\nnext\n", submit);
+  framer.feed(std::string(io::kMaxRequestLineBytes, 'y') + "\n", submit);
+  framer.feed(std::string(io::kMaxRequestLineBytes + 1, 'z'), submit);
+  framer.feed("\ntail", submit);
+  framer.finish(submit);
+  EXPECT_LE(most, io::kMaxRequestLineBytes + 1);
+  ASSERT_EQ(lines.size(), 8u);
+  EXPECT_EQ(lines[0], "a");
+  EXPECT_EQ(lines[1], "bc");
+  EXPECT_EQ(lines[2], "");
+  EXPECT_EQ(lines[3], std::string(io::kMaxRequestLineBytes + 1, 'x'));
+  EXPECT_EQ(lines[4], "next");
+  EXPECT_EQ(lines[5], std::string(io::kMaxRequestLineBytes, 'y'));
+  EXPECT_EQ(lines[6], std::string(io::kMaxRequestLineBytes + 1, 'z'));
+  EXPECT_EQ(lines[7], "tail");
+}
+
+TEST(SolveServiceTest, OverlongLineIsRefusedAndTheConnectionKeepsAnswering) {
+  // A line longer than io::kMaxRequestLineBytes is answered once, with a
+  // null id, before anything of it is parsed -- whether it reaches the
+  // service directly or through the socket listener, which keeps at
+  // most the limit (plus one byte) of it and drops the rest as it
+  // arrives, then answers the next line on the same connection.
+  const std::string refused =
+      R"({"schema":6,"id":null,"ok":false,"error":"batch: request line )"
+      R"(longer than 1048576 bytes"})";
+  const std::string next = R"({"id":2,"schema":5})";
+  const std::string next_answer =
+      R"({"schema":6,"id":2,"ok":false,"error":"codec: schema 5 != )"
+      R"(supported 6"})";
+  ServeOptions options;
+  options.workers = 1;
+  SolveService service(options);
+  Collector collector;
+  service.submit(std::string(io::kMaxRequestLineBytes + 1, ' '),
+                 collector.sink());
+  ASSERT_EQ(collector.wait_for(1).size(), 1u);
+  EXPECT_EQ(collector.wait_for(1)[0].dump(), refused);
+
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "dnc_overlong.sock")
+          .string();
+  ListenerThread listener(service, path);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  bool connected = false;
+  for (int attempt = 0; attempt < 200 && !connected; ++attempt) {
+    connected = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                          sizeof(addr)) == 0;
+    if (!connected) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(connected);
+  // Three times the limit in 64 kB writes, then the next request.
+  const std::string block(1 << 16, 'x');
+  std::string payload;
+  for (std::size_t sent = 0; sent < 3 * io::kMaxRequestLineBytes;
+       sent += block.size()) {
+    payload += block;
+  }
+  payload += "\n" + next + "\n";
+  std::size_t sent = 0;
+  while (sent < payload.size()) {
+    const ssize_t n =
+        ::send(fd, payload.data() + sent, payload.size() - sent, 0);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string answers;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    answers.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(answers, refused + "\n" + next_answer + "\n");
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.received, 3);
+  EXPECT_EQ(stats.parse_errors, 3);
+  EXPECT_EQ(stats.answered, 3);
 }
 
 }  // namespace

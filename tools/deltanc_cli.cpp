@@ -21,6 +21,7 @@
 // --batch / --emit-batch JSONL) goes to stdout and *only* that; all
 // human narration -- progress, summaries, stats, warnings, diagnostics
 // -- goes to stderr, so every mode can be piped straight into a parser.
+#include <array>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -33,6 +34,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -129,8 +131,9 @@ Batch service mode (JSONL on stdout, narration on stderr):
                          grid (i.e. becomes a profile request)
   --cache-dir <dir>      persistent result cache directory (default:
                          DELTANC_CACHE_DIR env; no caching when unset)
-  --lint-jsonl <file|->  parse+decode a request/response file, report
-                         the first malformed line, solve nothing
+  --lint-jsonl <file|->  parse+decode every payload of a request/
+                         response file, report each malformed line,
+                         solve nothing
 
 Persistent service mode (long-running; same JSONL protocol):
   --serve <socket>       serve batch requests on a Unix-domain socket,
@@ -412,20 +415,26 @@ int run_emit_batch(const SweepGrid& grid, e2e::Method method,
   SolveOptions options;
   options.method = method;
   const std::size_t n = grid.size();
+  std::string req;
   for (std::size_t i = 0; i < n; ++i) {
-    io::json::Value req = io::json::Value::object();
-    req.set("schema", io::json::Value::number(io::kSchemaVersion))
-        .set("id", io::json::Value::number(static_cast<double>(i)))
-        .set("scenario", io::encode_scenario(grid.scenario_at(i)))
-        .set("options", io::encode_solve_options(options));
+    req = "{\"schema\":";
+    io::json::append_number(req, io::kSchemaVersion);
+    req += ",\"id\":";
+    io::json::append_number(req, static_cast<double>(i));
+    req += ",\"scenario\":";
+    io::append_json(req, grid.scenario_at(i));
+    req += ",\"options\":";
+    io::append_json(req, options);
     if (!ccdf_epsilons.empty()) {
-      io::json::Value eps = io::json::Value::array();
-      for (double e : ccdf_epsilons) {
-        eps.push_back(io::encode_double(e));
+      req += ",\"epsilons\":[";
+      for (std::size_t k = 0; k < ccdf_epsilons.size(); ++k) {
+        if (k > 0) req += ',';
+        io::json::append_number(req, ccdf_epsilons[k]);
       }
-      req.set("epsilons", std::move(eps));
+      req += ']';
     }
-    std::cout << req.dump() << '\n';
+    req += "}\n";
+    std::cout << req;
   }
   std::fprintf(stderr, "emit-batch: %zu request(s)%s\n", n,
                ccdf_epsilons.empty() ? "" : " (profile)");
@@ -506,7 +515,9 @@ int run_batch_mode(const std::string& path, int threads, e2e::Method method,
 }
 
 /// --lint-jsonl: every non-blank line must parse as JSON, carry the
-/// supported schema, and decode as a request and/or response payload.
+/// supported schema, and decode as a request and/or response payload:
+/// "scenario", "options" and "epsilons" under the request rules,
+/// "result" and "profile" as results.
 int run_lint_jsonl(const std::string& path) {
   std::ifstream file;
   std::istream* in = open_input(path, file);
@@ -518,18 +529,18 @@ int run_lint_jsonl(const std::string& path) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     ++checked;
     try {
-      const io::json::Value doc = io::json::Value::parse(line);
-      io::require_schema(doc);
-      if (const io::json::Value* sc = doc.find("scenario")) {
-        (void)io::decode_scenario(*sc);
-      }
-      if (const io::json::Value* o = doc.find("options");
-          o != nullptr && !o->is_null()) {
-        (void)io::decode_solve_options(*o);
-      }
-      if (const io::json::Value* r = doc.find("result")) {
-        (void)io::decode_bound_result(*r);
-      }
+      const io::json::Document doc(line);
+      const io::json::Node root = doc.root();
+      io::require_schema(root);
+      static constexpr std::array<std::string_view, 5> kNames = {
+          "scenario", "options", "epsilons", "result", "profile"};
+      std::array<io::json::Node, kNames.size()> f{};
+      root.lookup(kNames, f);
+      if (f[0]) (void)io::decode_scenario(f[0]);
+      if (f[1] && !f[1].is_null()) (void)io::decode_solve_options(f[1]);
+      if (f[2] && !f[2].is_null()) (void)io::decode_profile_epsilons(f[2]);
+      if (f[3]) (void)io::decode_bound_result(f[3]);
+      if (f[4]) (void)io::decode_delay_profile(f[4]);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "lint: %s:%zu: %s\n", path.c_str(), line_no,
                    e.what());
