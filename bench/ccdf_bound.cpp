@@ -32,7 +32,7 @@ int main() {
 
   const std::vector<double> epsilons{1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9};
   // One chained profile solve across the whole epsilon grid (the levels
-  // share the eb memo / stable-s bracket / optimum probe).
+  // share the stable-s bracket / optimum probe).
   SolveOptions options;
   options.warm_start = e2e::WarmStart::kWarm;
   const e2e::DelayProfile profile =

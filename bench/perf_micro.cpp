@@ -135,7 +135,7 @@ void BM_SweepFig2Grid(benchmark::State& state) {
       static_cast<double>(runner.resolved_threads(grid.size()));
   // Algorithmic-work counters (per grid point, not per second): a jump in
   // optimize_evals flags a search-strategy regression independent of the
-  // machine; eb_evals stays low because of the per-solve memo.
+  // machine; eb_evals stays low because eb(s) is called once per s probe.
   const double points = static_cast<double>(grid.size());
   state.counters["optimize_evals_per_point"] =
       static_cast<double>(last_stats.optimize_evals) / points;

@@ -219,8 +219,8 @@ echo "strict numeric grammar gate: OK"
 
 # --- Solver instrumentation guards ----------------------------------------
 # Run the Fig. 2 grid via the CLI with --stats and fail on eval-count
-# regressions: a collapse of the eb(s) memo (eb_evals creeping toward one
-# per optimizer evaluation), a blow-up of the nested search, a diverging
+# regressions: more than one eb(s) per s probe (eb_evals creeping toward
+# one per optimizer evaluation), a blow-up of the nested search, a diverging
 # EDF fixed point, or warm chaining silently disabling itself.  Wall-clock
 # regressions are gated end to end by the perfbench/ benchmark.
 stats_line=$(./build/tools/deltanc_cli --hops 5 --epsilon 1e-6 \
@@ -233,7 +233,7 @@ echo "$stats_line" | awk '{
     print "FAIL: no stats reported"; exit 1
   }
   if (v["eb_evals"] * 10 > v["optimize_evals"]) {
-    print "FAIL: eb memoization regressed (eb_evals=" v["eb_evals"] \
+    print "FAIL: more than one eb(s) per s probe (eb_evals=" v["eb_evals"] \
           ", optimize_evals=" v["optimize_evals"] ")"; exit 1
   }
   if (v["optimize_evals"] > 1200000) {
@@ -296,9 +296,9 @@ echo "profile pinning gate: OK (4 levels byte-identical to scalar solves)"
 # --emit-batch --ccdf emits profile requests (strict-lint clean), a
 # second run answers every one from cache bit-identically (only the
 # "cache" tag differs: miss vs hit), and doctoring every stored entry to
-# the previous wire schema (6 -> 5) classifies ALL of them stale -- zero
+# the previous wire schema (7 -> 6) classifies ALL of them stale -- zero
 # hits, zero wrong answers, full re-solve.  (Entries written under the
-# older schema-4 and schema-5 key spellings are plain misses, pinned by
+# older schema-4, -5 and -6 key spellings are plain misses, pinned by
 # the result_cache ctest; this smoke covers the stored-schema staleness
 # rule end to end.)
 prof_dir=$(mktemp -d)
@@ -325,11 +325,11 @@ if ! cmp -s <(strip_cache_tag "$prof_dir/cold.jsonl") \
   echo "FAIL: cached profile responses differ from solved ones"; exit 1
 fi
 find "$prof_dir/cache" -type f -name '*.json' \
-  -exec sed -i 's/"schema":6/"schema":5/' {} +
+  -exec sed -i 's/"schema":7/"schema":6/' {} +
 ./build/tools/deltanc_cli --batch "$prof_dir/req.jsonl" \
   --cache-dir "$prof_dir/cache" > "$prof_dir/stale.jsonl" 2> "$prof_dir/stale.err"
 grep -q 'hits=0 misses=0 stale=3' "$prof_dir/stale.err" || {
-  echo "FAIL: schema-5 entries were not all classified stale:"
+  echo "FAIL: schema-6 entries were not all classified stale:"
   cat "$prof_dir/stale.err"; exit 1
 }
 if ! cmp -s <(strip_cache_tag "$prof_dir/cold.jsonl") \

@@ -25,16 +25,16 @@ expect_lint() {  # expect_lint <file> <summary line>
 }
 
 cat > "$WORK/responses.jsonl" <<'JSONL'
-{"schema":6,"id":1,"ok":true,"profile":{"epsilons":[0.5],"levels":"not-a-list"}}
-{"schema":6,"id":2,"ok":true,"result":{"delay_ms":"soon"}}
+{"schema":7,"id":1,"ok":true,"profile":{"epsilons":[0.5],"levels":"not-a-list"}}
+{"schema":7,"id":2,"ok":true,"result":{"delay_ms":"soon"}}
 JSONL
 expect_lint "$WORK/responses.jsonl" "2 line(s) checked, 2 malformed"
 
 scenario='{"capacity":100,"hops":3,"n_through":80,"n_cross":50,"epsilon":1e-6,"scheduler":"fifo"}'
 cat > "$WORK/requests.jsonl" <<JSONL
-{"schema":6,"id":1,"scenario":$scenario,"epsilons":[0.001,0.5]}
-{"schema":6,"id":2,"scenario":$scenario,"epsilons":[0.001,1]}
-{"schema":6,"id":3,"scenario":$scenario,"epsilons":[]}
+{"schema":7,"id":1,"scenario":$scenario,"epsilons":[0.001,0.5]}
+{"schema":7,"id":2,"scenario":$scenario,"epsilons":[0.001,1]}
+{"schema":7,"id":3,"scenario":$scenario,"epsilons":[]}
 JSONL
 expect_lint "$WORK/requests.jsonl" "3 line(s) checked, 2 malformed"
 echo "lint_jsonl: profile payloads and request grids are decoded"

@@ -2,9 +2,8 @@
 //
 // A scenario solve builds per-scenario context that a *neighboring*
 // solve (the next point of a sweep chain, the next request of a batch)
-// can reuse instead of rebuilding from scratch: the effective-bandwidth
-// memo (bit-exact for any scenario sharing the source), the stable-s
-// bracket of Eq. (32) (bit-exact when capacity/flow counts also match),
+// can reuse instead of rebuilding from scratch: the stable-s bracket of
+// Eq. (32) (bit-exact when source, capacity and flow counts match),
 // the previous (s, gamma) optimum as a scan-skipping probe, and the
 // resolved EDF fixed point as an iteration seed.  SolveState carries
 // that context across solves without exposing its layout; the contents

@@ -3,9 +3,6 @@
 // only param_search.cpp and solve_state.cpp include it.
 #pragma once
 
-#include <utility>
-#include <vector>
-
 #include "e2e/param_search.h"
 #include "e2e/solve_state.h"
 
@@ -15,11 +12,10 @@ struct WarmState {
   /// Anything usable at all; false until a solve deposits context.
   bool valid = false;
 
-  // Fingerprint of the scenario the hints were produced for.  The eb
-  // memo is valid whenever the source matches; the stable-s bracket
-  // additionally needs capacity and the total flow count to match
-  // (stable_s_limit depends on nothing else).  Comparisons are exact
-  // (==): a near-miss must recompute, reuse has to be bit-exact.
+  // Fingerprint of the scenario the hints were produced for.  The
+  // stable-s bracket needs the source, capacity and the total flow count
+  // to match (stable_s_limit depends on nothing else).  Comparisons are
+  // exact (==): a near-miss must recompute, reuse has to be bit-exact.
   double peak = 0.0;
   double p11 = 0.0;
   double p22 = 0.0;
@@ -33,9 +29,6 @@ struct WarmState {
   bool unstable = false;
   bool degenerate = false;
 
-  /// Snapshot of the effective-bandwidth memo (sorted (s, eb(s)) pairs).
-  std::vector<std::pair<double, double>> eb_entries;
-
   /// The previous solve's optimum: its s seeds the warm probe that
   /// replaces the coarse Chernoff scan.
   bool prev_valid = false;
@@ -46,12 +39,10 @@ struct WarmState {
   bool edf_valid = false;
   double edf_d = 0.0;
 
-  [[nodiscard]] bool source_matches(const Scenario& sc) const {
-    return valid && peak == sc.source.peak_kb() && p11 == sc.source.p11() &&
-           p22 == sc.source.p22();
-  }
   [[nodiscard]] bool bracket_matches(const Scenario& sc) const {
-    return source_matches(sc) && bracket_valid && capacity == sc.capacity &&
+    return valid && bracket_valid && peak == sc.source.peak_kb() &&
+           p11 == sc.source.p11() && p22 == sc.source.p22() &&
+           capacity == sc.capacity &&
            n_total == static_cast<double>(sc.n_through + sc.n_cross);
   }
 };

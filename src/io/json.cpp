@@ -31,27 +31,11 @@ void append_number(std::string& out, double v) {
         "json: cannot serialize a non-finite number; encode it as a string "
         "(\"inf\"/\"-inf\"/\"nan\") at the codec layer");
   }
-  // Byte for byte what printf would write: `%.0f` for integers below
-  // 2^53 (exact in an int64, whose to_chars is a plain digit loop; the
-  // sign of negative zero is the one thing the int64 cannot carry),
-  // `%.17g` for the rest.  std::to_chars is specified "as if by printf"
-  // in the C locale, minus the locale lookup and format parsing.
-  char buf[32];  // holds "-d.dddddddddddddddde-308" and any integer < 2^53
-  char* end = nullptr;
-  if (std::fabs(v) < 9.007199254740992e15 &&
-      static_cast<double>(static_cast<std::int64_t>(v)) == v) {
-    if (v == 0.0 && std::signbit(v)) {
-      out += "-0";
-      return;
-    }
-    end = std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v))
-              .ptr;
-  } else {
-    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
-                        17)
-              .ptr;
-  }
-  out.append(buf, end);
+  // The shortest text that parses back to the identical double: fixed
+  // or exponent form, whichever is shorter ("-0", "100", "1e+05",
+  // "0.989"), with no locale lookup.
+  char buf[32];  // the longest is "-2.2250738585072014e-308"
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void append_quoted(std::string& out, std::string_view s) {

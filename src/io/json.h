@@ -63,9 +63,9 @@ struct TypeError : std::runtime_error {
 
 /// The writer's two leaves, shared with the codec's result writer
 /// (io/codec.h) so every byte on the wire comes from one formatter.
-/// append_number: integers below 2^53 print without an exponent or a
-/// trailing ".0" (negative zero as "-0"), everything else with 17
-/// significant digits, which parse back to the identical double.
+/// append_number: the shortest text that parses back to the identical
+/// double (std::to_chars round-trip form: fixed or exponent, whichever
+/// is shorter, so "-0", "100", "1e+05", "0.989").
 /// @throws std::invalid_argument on a non-finite value.
 void append_number(std::string& out, double v);
 /// append_quoted: `s` as a JSON string literal, escaping the quote, the

@@ -159,7 +159,7 @@ struct SolveService::Impl {
 
   void worker_loop(int index, std::uint64_t my_generation) {
     Shard& shard = *shards[static_cast<std::size_t>(index)];
-    // Warm solver state: one Solver (workspace + eb-memo) per solve-
+    // Warm solver state: one Solver (and its workspace) per solve-
     // options flavor, owned by this thread.  A replacement worker starts
     // cold -- an abandoned worker's warm state goes with it.
     std::map<std::string, Solver> solvers;

@@ -1,7 +1,7 @@
 // Persistent solve service -- the engine behind `deltanc_cli --serve`.
 //
 // A SolveService keeps everything a one-shot `--batch` run throws away
-// warm across requests: per-worker SolveWorkspaces and eb-memos (one
+// warm across requests: per-worker Solvers and their workspaces (one
 // Solver per solve-options flavor per worker thread), a per-worker
 // in-memory answer map (the "warm cache": one FIFO-evicted map keyed by
 // the canonical cache key, holding scalar results and delay profiles

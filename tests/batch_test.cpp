@@ -150,116 +150,116 @@ TEST(Batch, BadRequestLinesAnswerPinnedErrorBytes) {
     std::string response;
   };
   const Case cases[] = {
-      {R"({"schema":6,"id":7,)",
-       R"({"schema":6,"id":null,"ok":false,"error":"json: expected string key in object"})"},
+      {R"({"schema":7,"id":7,)",
+       R"({"schema":7,"id":null,"ok":false,"error":"json: expected string key in object"})"},
       {R"(not json)",
-       "{\"schema\":6,\"id\":null,\"ok\":false,\"error\":\"json: invalid literal (expected 'null')\"}"},
+       "{\"schema\":7,\"id\":null,\"ok\":false,\"error\":\"json: invalid literal (expected 'null')\"}"},
       {R"([1])",
-       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got array"})"},
+       R"({"schema":7,"id":null,"ok":false,"error":"json: expected object, got array"})"},
       {R"(5)",
-       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got number"})"},
+       R"({"schema":7,"id":null,"ok":false,"error":"json: expected object, got number"})"},
       {R"("x")",
-       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got string"})"},
+       R"({"schema":7,"id":null,"ok":false,"error":"json: expected object, got string"})"},
       {R"(null)",
-       R"({"schema":6,"id":null,"ok":false,"error":"json: expected object, got null"})"},
+       R"({"schema":7,"id":null,"ok":false,"error":"json: expected object, got null"})"},
       {R"({})",
-       R"({"schema":6,"id":null,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
+       R"({"schema":7,"id":null,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
       {R"({"a":1,"b":2,"a":3})",
-       R"({"schema":6,"id":null,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
+       R"({"schema":7,"id":null,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
       {R"({"id":{"a":1,"b":2,"a":3},"schema":5})",
-       R"({"schema":6,"id":{"a":3,"b":2},"ok":false,"error":"codec: schema 5 != supported 6"})"},
-      {R"({"id":1,"schema":6,"id":2})",
-       R"({"schema":6,"id":2,"ok":false,"error":"json: missing key \"scenario\""})"},
+       R"({"schema":7,"id":{"a":3,"b":2},"ok":false,"error":"codec: schema 5 != supported 7"})"},
+      {R"({"id":1,"schema":7,"id":2})",
+       R"({"schema":7,"id":2,"ok":false,"error":"json: missing key \"scenario\""})"},
       {R"({ "id" : [ 1 , "x\u0041\/" ] , "schema" : 5 })",
-       R"({"schema":6,"id":[1,"xA/"],"ok":false,"error":"codec: schema 5 != supported 6"})"},
+       R"({"schema":7,"id":[1,"xA/"],"ok":false,"error":"codec: schema 5 != supported 7"})"},
       {R"({"id":"tab\there \"q\" \u00e9\ud83d\ude00","schema":4})",
-       "{\"schema\":6,\"id\":\"tab\\there \\\"q\\\" \303\251\360\237\230\200\",\"ok\":false,\"error\":\"codec: schema 4 != supported 6\"}"},
+       "{\"schema\":7,\"id\":\"tab\\there \\\"q\\\" \303\251\360\237\230\200\",\"ok\":false,\"error\":\"codec: schema 4 != supported 7\"}"},
       {R"({"id":"\ud800","schema":4})",
-       "{\"schema\":6,\"id\":\"\357\277\275\",\"ok\":false,\"error\":\"codec: schema 4 != supported 6\"}"},
+       "{\"schema\":7,\"id\":\"\357\277\275\",\"ok\":false,\"error\":\"codec: schema 4 != supported 7\"}"},
       {R"({"id":-0,"schema":4})",
-       R"({"schema":6,"id":-0,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+       R"({"schema":7,"id":-0,"ok":false,"error":"codec: schema 4 != supported 7"})"},
       {R"({"id":1e300,"schema":4})",
-       R"({"schema":6,"id":1.0000000000000001e+300,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+       R"({"schema":7,"id":1e+300,"ok":false,"error":"codec: schema 4 != supported 7"})"},
       {R"({"id":0.1,"schema":4})",
-       R"({"schema":6,"id":0.10000000000000001,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+       R"({"schema":7,"id":0.1,"ok":false,"error":"codec: schema 4 != supported 7"})"},
       {R"({"id":true,"schema":4})",
-       R"({"schema":6,"id":true,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+       R"({"schema":7,"id":true,"ok":false,"error":"codec: schema 4 != supported 7"})"},
       {R"({"id":null,"schema":4})",
-       R"({"schema":6,"id":null,"ok":false,"error":"codec: schema 4 != supported 6"})"},
+       R"({"schema":7,"id":null,"ok":false,"error":"codec: schema 4 != supported 7"})"},
       {R"({"id":1,"schema":"6"})",
-       R"({"schema":6,"id":1,"ok":false,"error":"json: expected number, got string"})"},
+       R"({"schema":7,"id":1,"ok":false,"error":"json: expected number, got string"})"},
       {R"({"id":1,"schema":6.5})",
-       "{\"schema\":6,\"id\":1,\"ok\":false,\"error\":\"codec: schema must be an integer (got 6.5)\"}"},
+       "{\"schema\":7,\"id\":1,\"ok\":false,\"error\":\"codec: schema must be an integer (got 6.5)\"}"},
       {R"({"id":1})",
-       R"({"schema":6,"id":1,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
-      {R"({"id":1,"schema":6})",
-       R"({"schema":6,"id":1,"ok":false,"error":"json: missing key \"scenario\""})"},
-      {R"({"id":1,"schema":6,"scenario":5})",
-       R"({"schema":6,"id":1,"ok":false,"error":"codec: scenario must be an object, got 5"})"},
-      {R"({"id":1,"schema":6,"scenario":{}})",
-       R"({"schema":6,"id":1,"ok":false,"error":"json: missing key \"capacity\""})"},
-      {R"({"id":"\u0001\u001f\u007f","schema":6,"scenario":{"capacity":"\"\\\t"}})",
-       "{\"schema\":6,\"id\":\"\\u0001\\u001f\177\",\"ok\":false,\"error\":\"codec: unparseable double \\\"\\\"\\\\\\t\\\"\"}"},
-      {R"({"id":2,"schema":6,"scenario":)" + scenario_with(R"("hops":3)", R"("hops":2.5)") + R"(})",
-       "{\"schema\":6,\"id\":2,\"ok\":false,\"error\":\"codec: hops must be an integer (got 2.5)\"}"},
-      {R"({"id":2,"schema":6,"scenario":)" + scenario_with(R"("hops":3)", R"("hops":"3")") + R"(})",
-       R"({"schema":6,"id":2,"ok":false,"error":"json: expected number, got string"})"},
-      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"("round-robin")") + R"(})",
-       R"({"schema":6,"id":3,"ok":false,"error":"codec: unknown scheduler \"round-robin\""})"},
-      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"wfq"})") + R"(})",
-       R"({"schema":6,"id":3,"ok":false,"error":"codec: unknown scheduler kind \"wfq\""})"},
-      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"gps","params":[1]})") + R"(})",
-       "{\"schema\":6,\"id\":3,\"ok\":false,\"error\":\"codec: scheduler params need 2..8 entries (got 1)\"}"},
-      {R"({"id":3,"schema":6,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"gps","params":[1,-1]})") + R"(})",
-       "{\"schema\":6,\"id\":3,\"ok\":false,\"error\":\"codec: scheduler params must be positive finite (got -1)\"}"},
-      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":"0x-1p3")") + R"(})",
-       R"({"schema":6,"id":4,"ok":false,"error":"codec: unparseable double \"0x-1p3\""})"},
-      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":"12 monkeys")") + R"(})",
-       R"({"schema":6,"id":4,"ok":false,"error":"codec: unparseable double \"12 monkeys\""})"},
-      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":true)") + R"(})",
-       R"({"schema":6,"id":4,"ok":false,"error":"codec: expected a number or numeric string, got true"})"},
-      {R"({"id":4,"schema":6,"scenario":)" + scenario_with(R"("p11":0.989)", R"("p11":1.5)") + R"(})",
-       "{\"schema\":6,\"id\":4,\"ok\":false,\"error\":\"MmooSource: p11, p22 must lie in (0,1)\"}"},
-      {R"({"id":8,"schema":6,"scenario":)" + scenario_with(R"("n_cross":50)", R"("n_cross":1e10)") + R"(})",
-       R"({"schema":6,"id":8,"ok":false,"error":"codec: n_cross out of int range"})"},
-      {R"({"id":8,"schema":6,"scenario":)" + scenario_with(R"("n_cross":50)", R"("n_cross":50,"n_cross":"x")") + R"(})",
-       R"({"schema":6,"id":8,"ok":false,"error":"json: expected number, got string"})"},
-      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"method":"foo"}})",
-       R"({"schema":6,"id":5,"ok":false,"error":"codec: unknown method \"foo\""})"},
-      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"warm_start":"hot"}})",
-       R"({"schema":6,"id":5,"ok":false,"error":"codec: unknown warm_start \"hot\""})"},
-      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"method":3}})",
-       R"({"schema":6,"id":5,"ok":false,"error":"json: expected string, got number"})"},
-      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":[]})",
-       R"({"schema":6,"id":5,"ok":false,"error":"json: expected object, got array"})"},
-      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"delta":"x"}})",
-       R"({"schema":6,"id":5,"ok":false,"error":"codec: unparseable double \"x\""})"},
-      {R"({"id":5,"schema":6,"scenario":)" + kScenario + R"(,"options":{"scheduler":"nope"}})",
-       R"({"schema":6,"id":5,"ok":false,"error":"codec: unknown scheduler \"nope\""})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile request with an empty epsilons array"})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[0]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 0"})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[1]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 1"})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[1e-3,"x"]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"codec: unparseable double \"x\""})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":["nan"]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got \"nan\""})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[-0.5]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got -0.5"})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":5})",
-       R"({"schema":6,"id":6,"ok":false,"error":"json: expected array, got number"})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":{"a":1}})",
-       R"({"schema":6,"id":6,"ok":false,"error":"json: expected array, got object"})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[[1e-3]]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"codec: expected a number or numeric string, got [0.001]"})"},
-      {R"({"id":6,"schema":6,"scenario":)" + kScenario + R"(,"epsilons":[1e-3],"epsilons":[2]})",
-       R"({"schema":6,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 2"})"},
-      {R"({"id":9,"schema":6,"scenario":)" + kScenario + R"(} x)",
-       R"({"schema":6,"id":null,"ok":false,"error":"json: trailing characters after JSON document"})"},
-      {R"({"id":9,"schema":6,"scenario":)" + kScenario + R"(,"id":[1e999]})",
-       R"({"schema":6,"id":null,"ok":false,"error":"json: number out of double range"})"},
+       R"({"schema":7,"id":1,"ok":false,"error":"codec: document carries no \"schema\" field"})"},
+      {R"({"id":1,"schema":7})",
+       R"({"schema":7,"id":1,"ok":false,"error":"json: missing key \"scenario\""})"},
+      {R"({"id":1,"schema":7,"scenario":5})",
+       R"({"schema":7,"id":1,"ok":false,"error":"codec: scenario must be an object, got 5"})"},
+      {R"({"id":1,"schema":7,"scenario":{}})",
+       R"({"schema":7,"id":1,"ok":false,"error":"json: missing key \"capacity\""})"},
+      {R"({"id":"\u0001\u001f\u007f","schema":7,"scenario":{"capacity":"\"\\\t"}})",
+       "{\"schema\":7,\"id\":\"\\u0001\\u001f\177\",\"ok\":false,\"error\":\"codec: unparseable double \\\"\\\"\\\\\\t\\\"\"}"},
+      {R"({"id":2,"schema":7,"scenario":)" + scenario_with(R"("hops":3)", R"("hops":2.5)") + R"(})",
+       "{\"schema\":7,\"id\":2,\"ok\":false,\"error\":\"codec: hops must be an integer (got 2.5)\"}"},
+      {R"({"id":2,"schema":7,"scenario":)" + scenario_with(R"("hops":3)", R"("hops":"3")") + R"(})",
+       R"({"schema":7,"id":2,"ok":false,"error":"json: expected number, got string"})"},
+      {R"({"id":3,"schema":7,"scenario":)" + scenario_with(R"("fifo")", R"("round-robin")") + R"(})",
+       R"({"schema":7,"id":3,"ok":false,"error":"codec: unknown scheduler \"round-robin\""})"},
+      {R"({"id":3,"schema":7,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"wfq"})") + R"(})",
+       R"({"schema":7,"id":3,"ok":false,"error":"codec: unknown scheduler kind \"wfq\""})"},
+      {R"({"id":3,"schema":7,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"gps","params":[1]})") + R"(})",
+       "{\"schema\":7,\"id\":3,\"ok\":false,\"error\":\"codec: scheduler params need 2..8 entries (got 1)\"}"},
+      {R"({"id":3,"schema":7,"scenario":)" + scenario_with(R"("fifo")", R"({"kind":"gps","params":[1,-1]})") + R"(})",
+       "{\"schema\":7,\"id\":3,\"ok\":false,\"error\":\"codec: scheduler params must be positive finite (got -1)\"}"},
+      {R"({"id":4,"schema":7,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":"0x-1p3")") + R"(})",
+       R"({"schema":7,"id":4,"ok":false,"error":"codec: unparseable double \"0x-1p3\""})"},
+      {R"({"id":4,"schema":7,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":"12 monkeys")") + R"(})",
+       R"({"schema":7,"id":4,"ok":false,"error":"codec: unparseable double \"12 monkeys\""})"},
+      {R"({"id":4,"schema":7,"scenario":)" + scenario_with(R"("epsilon":1e-6)", R"("epsilon":true)") + R"(})",
+       R"({"schema":7,"id":4,"ok":false,"error":"codec: expected a number or numeric string, got true"})"},
+      {R"({"id":4,"schema":7,"scenario":)" + scenario_with(R"("p11":0.989)", R"("p11":1.5)") + R"(})",
+       "{\"schema\":7,\"id\":4,\"ok\":false,\"error\":\"MmooSource: p11, p22 must lie in (0,1)\"}"},
+      {R"({"id":8,"schema":7,"scenario":)" + scenario_with(R"("n_cross":50)", R"("n_cross":1e10)") + R"(})",
+       R"({"schema":7,"id":8,"ok":false,"error":"codec: n_cross out of int range"})"},
+      {R"({"id":8,"schema":7,"scenario":)" + scenario_with(R"("n_cross":50)", R"("n_cross":50,"n_cross":"x")") + R"(})",
+       R"({"schema":7,"id":8,"ok":false,"error":"json: expected number, got string"})"},
+      {R"({"id":5,"schema":7,"scenario":)" + kScenario + R"(,"options":{"method":"foo"}})",
+       R"({"schema":7,"id":5,"ok":false,"error":"codec: unknown method \"foo\""})"},
+      {R"({"id":5,"schema":7,"scenario":)" + kScenario + R"(,"options":{"warm_start":"hot"}})",
+       R"({"schema":7,"id":5,"ok":false,"error":"codec: unknown warm_start \"hot\""})"},
+      {R"({"id":5,"schema":7,"scenario":)" + kScenario + R"(,"options":{"method":3}})",
+       R"({"schema":7,"id":5,"ok":false,"error":"json: expected string, got number"})"},
+      {R"({"id":5,"schema":7,"scenario":)" + kScenario + R"(,"options":[]})",
+       R"({"schema":7,"id":5,"ok":false,"error":"json: expected object, got array"})"},
+      {R"({"id":5,"schema":7,"scenario":)" + kScenario + R"(,"options":{"delta":"x"}})",
+       R"({"schema":7,"id":5,"ok":false,"error":"codec: unparseable double \"x\""})"},
+      {R"({"id":5,"schema":7,"scenario":)" + kScenario + R"(,"options":{"scheduler":"nope"}})",
+       R"({"schema":7,"id":5,"ok":false,"error":"codec: unknown scheduler \"nope\""})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":[]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"batch: profile request with an empty epsilons array"})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":[0]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 0"})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":[1]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 1"})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":[1e-3,"x"]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"codec: unparseable double \"x\""})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":["nan"]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got \"nan\""})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":[-0.5]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got -0.5"})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":5})",
+       R"({"schema":7,"id":6,"ok":false,"error":"json: expected array, got number"})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":{"a":1}})",
+       R"({"schema":7,"id":6,"ok":false,"error":"json: expected array, got object"})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":[[1e-3]]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"codec: expected a number or numeric string, got [0.001]"})"},
+      {R"({"id":6,"schema":7,"scenario":)" + kScenario + R"(,"epsilons":[1e-3],"epsilons":[2]})",
+       R"({"schema":7,"id":6,"ok":false,"error":"batch: profile epsilons must be in (0, 1), got 2"})"},
+      {R"({"id":9,"schema":7,"scenario":)" + kScenario + R"(} x)",
+       R"({"schema":7,"id":null,"ok":false,"error":"json: trailing characters after JSON document"})"},
+      {R"({"id":9,"schema":7,"scenario":)" + kScenario + R"(,"id":[1e999]})",
+       R"({"schema":7,"id":null,"ok":false,"error":"json: number out of double range"})"},
   };
   std::string input;
   for (const Case& c : cases) input += c.line + "\n";
@@ -813,11 +813,12 @@ std::vector<std::string> escape_probe_lines() {
 }
 
 TEST(Batch, EscapedResponseBytesArePinned) {
-  // Captured from the DOM encoders the result writer replaced; any
-  // byte the writer moves -- an escape, a member, a number form (-0,
-  // 2^53 - 1) -- fails here.
+  // Captured from the DOM encoders the result writer replaced (numbers
+  // re-spelled in their shortest round-trip form); any byte the writer
+  // moves -- an escape, a member, a number form (-0, 2^53 - 1) -- fails
+  // here.
   const std::vector<std::string> expected = {
-      R"({"schema":6,"id":0,"ok":true,"cache":"corrupt","result":{"de)"
+      R"({"schema":7,"id":0,"ok":true,"cache":"corrupt","result":{"de)"
       R"(lay_ms":"inf","gamma":0,"s":0,"sigma":0,"delta":0,"stats":{")"
       R"(optimize_evals":0,"eb_evals":0,"sigma_evals":0,"edf_iteratio)"
       R"(ns":0,"edf_converged":true,"retries":0,"fallbacks":0,"batche)"
@@ -827,18 +828,18 @@ TEST(Batch, EscapedResponseBytesArePinned) {
       R"(ble Chernoff parameter exists","warnings":[{"kind":"corrupt-)"
       R"(cache","message":"cache entry {\"kind\":\"solve\",\"scenario)"
       R"(\":{\"capacity\":100,\"hops\":3,\"source\":{\"peak_kb\":1.5,)"
-      R"(\"p11\":0.98899999999999999,\"p22\":0.90000000000000002},\"n)"
-      R"(_through\":80,\"n_cross\":800,\"epsilon\":9.9999999999999995)"
-      R"(e-07,\"scheduler\":{\"kind\":\"fifo\",\"delta\":0,\"edf\":{\)"
+      R"(\"p11\":0.989,\"p22\":0.9},\"n_through\":80,\"n_cross\":800)"
+      R"(,\"epsilon\":1e-06,\"scheduler\":{\"kind\":\"fifo\",\"delta\")"
+      R"(:0,\"edf\":{\)"
       R"("own_factor\":1,\"cross_factor\":10},\"params\":[1,1]}},\"op)"
       R"(tions\":{\"method\":\"exact\",\"scheduler\":null,\"delta\":n)"
       R"(ull,\"warm_start\":\"cold\"}} was unreadable; re-solved"}]}})"
       R"(})",
-      R"({"schema":6,"id":"q\"1","ok":false,"error":"codec: unparseab)"
+      R"({"schema":7,"id":"q\"1","ok":false,"error":"codec: unparseab)"
       R"(le double \"x\"\\\u0001\t)"
       "\302\265"
       R"(s\""})",
-      R"({"schema":6,"id":"d\"1","ok":true,"cache":"hit","result":{"d)"
+      R"({"schema":7,"id":"d\"1","ok":true,"cache":"hit","result":{"d)"
       R"(elay_ms":1.5,"gamma":0.25,"s":0.125,"sigma":10,"delta":-0,"s)"
       R"(tats":{"optimize_evals":9007199254740991,"eb_evals":0,"sigma)"
       R"(_evals":0,"edf_iterations":3,"edf_converged":true,"retries":)"
@@ -851,7 +852,7 @@ TEST(Batch, EscapedResponseBytesArePinned) {
       "\302\265"
       R"(s","warnings":[{"kind":"no-convergence","message":"tab\there)"
       R"(\nnew\rline\b\f"}]}}})",
-      R"({"schema":6,"id":-0,"ok":true,"profile":{"epsilons":[0.001],)"
+      R"({"schema":7,"id":-0,"ok":true,"profile":{"epsilons":[0.001],)"
       R"("levels":[{"delay_ms":1.5,"gamma":0.25,"s":0.125,"sigma":10,)"
       R"("delta":-0,"stats":{"optimize_evals":9007199254740991,"eb_ev)"
       R"(als":0,"sigma_evals":0,"edf_iterations":3,"edf_converged":tr)"
@@ -868,7 +869,7 @@ TEST(Batch, EscapedResponseBytesArePinned) {
       R"(retries":0,"fallbacks":0,"batched_evals":0,"warm_start_hits")"
       R"(:0,"brackets_reused":0,"profile_levels":1,"profile_chain_hit)"
       R"(s":0}}})",
-      R"({"schema":6,"id":"\\","ok":false,"error":"deadline \"7\" ms)"
+      R"({"schema":7,"id":"\\","ok":false,"error":"deadline \"7\" ms)"
       "\177"
       R"(","kind":"timeout"})"};
   const std::vector<std::string> lines = escape_probe_lines();
@@ -892,11 +893,11 @@ TEST(Batch, OverlongLineIsRefusedUnparsedWithANullId) {
     return line;
   };
   const std::string refused =
-      R"({"schema":6,"id":null,"ok":false,"error":"batch: request line )"
+      R"({"schema":7,"id":null,"ok":false,"error":"batch: request line )"
       R"(longer than 1048576 bytes"})";
   const auto wrong_schema = [](int id) {
-    return R"({"schema":6,"id":)" + std::to_string(id) +
-           R"(,"ok":false,"error":"codec: schema 5 != supported 6"})";
+    return R"({"schema":7,"id":)" + std::to_string(id) +
+           R"(,"ok":false,"error":"codec: schema 5 != supported 7"})";
   };
   std::stringstream in;
   in << padded(0, 30) << "\n";

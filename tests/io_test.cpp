@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -96,8 +97,10 @@ TEST(Json, ParseAndDumpRoundTripPreservingOrder) {
             long_run + "\n" + long_run);
   EXPECT_EQ(long_value.dump(), long_text);
 
-  // Accepted documents and their canonical compact form, captured from
-  // the recursive-descent parser this reader replaced: leading zeros,
+  // Accepted documents and their canonical compact form (numbers in
+  // their shortest round-trip spelling, fixed when no longer than the
+  // exponent form), captured from the recursive-descent parser this
+  // reader replaced: leading zeros,
   // trailing dots and exponent forms parse like from_chars, lone
   // surrogates become U+FFFD, and a duplicate key keeps its first
   // position with the last value.
@@ -124,15 +127,15 @@ TEST(Json, ParseAndDumpRoundTripPreservingOrder) {
       {"1.5e+2"sv, "150"},
       {"123456789012345"sv, "123456789012345"},
       {"1234567890123456"sv, "1234567890123456"},
-      {"12345678901234567890"sv, "1.2345678901234567e+19"},
+      {"12345678901234567890"sv, "12345678901234567168"},
       {"123456789012345678901234567890"sv, "1.2345678901234568e+29"},
-      {"-18446744073709551617"sv, "-1.8446744073709552e+19"},
+      {"-18446744073709551617"sv, "-18446744073709551616"},
       {"9007199254740993"sv, "9007199254740992"},
       {"-123456789012345"sv, "-123456789012345"},
-      {"0.1"sv, "0.10000000000000001"},
+      {"0.1"sv, "0.1"},
       {"1e308"sv, "1e+308"},
       {"2.2250738585072014e-308"sv, "2.2250738585072014e-308"},
-      {"4.9e-324"sv, "4.9406564584124654e-324"},
+      {"4.9e-324"sv, "5e-324"},
       {"{\"a\":01}"sv, "{\"a\":1}"},
       {"00"sv, "0"},
       {"-0.0"sv, "-0"},
@@ -464,20 +467,56 @@ TEST(Json, NumbersRoundTripBitExactly) {
   EXPECT_EQ(Value::number(-3.0).dump(), "-3");
 }
 
-// The writer's digits are printf's: `%.0f` for integers below 2^53,
-// `%.17g` for everything else.  snprintf stays here as the reference
-// only; the writer itself never formats through printf.
-std::string printf_digits(double v) {
-  char buf[64];
-  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
+/// `text` parsed back by std::from_chars (the whole text, or a failure).
+bool parses_back_to(std::string_view text, double v) {
+  double back = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), back);
+  return ec == std::errc() && ptr == text.data() + text.size() &&
+         std::memcmp(&back, &v, sizeof v) == 0;
 }
 
-TEST(Json, NumberEmissionMatchesPrintfDigits) {
+/// The significant digits of a decimal text: leading zeros, the sign,
+/// the point, the exponent and trailing zeros left out.
+int significant_digits(std::string_view text) {
+  const std::string_view mantissa = text.substr(0, text.find('e'));
+  std::string digits;
+  for (const char c : mantissa) {
+    if (c >= '0' && c <= '9' && !(digits.empty() && c == '0')) digits += c;
+  }
+  while (!digits.empty() && digits.back() == '0') digits.pop_back();
+  return static_cast<int>(digits.size());
+}
+
+/// True when `%.{digits-1}e` -- `digits` significant digits -- parses
+/// back to v.
+bool round_trips_with(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*e", digits - 1, v);
+  return parses_back_to(buf, v);
+}
+
+TEST(Json, NumberEmissionIsShortestRoundTrip) {
+  // The writer emits std::to_chars' shortest round-trip text: the fewest
+  // characters that parse back to the same bits, fixed form when it is
+  // no longer than the exponent form.
+  const struct {
+    double v;
+    const char* text;
+  } spots[] = {
+      {-0.0, "-0"},
+      {100.0, "100"},
+      {1e5, "1e+05"},
+      {0.989, "0.989"},
+      {1e-9, "1e-09"},
+      {9007199254740992.0, "9007199254740992"},
+      {std::numeric_limits<double>::max(), "1.7976931348623157e+308"},
+      {std::numeric_limits<double>::denorm_min(), "5e-324"},
+  };
+  for (const auto& spot : spots) {
+    EXPECT_EQ(Value::number(spot.v).dump(), spot.text);
+  }
+
   constexpr double kTwo53 = 9007199254740992.0;
   std::vector<double> cases = {
       0.0,
@@ -520,16 +559,41 @@ TEST(Json, NumberEmissionMatchesPrintfDigits) {
     std::memcpy(&d, &bits, sizeof d);
     if (std::isfinite(d)) cases.push_back(d);
   }
-  std::size_t mismatches = 0;
+  std::size_t failures = 0;
   for (const double d : cases) {
-    const std::string got = Value::number(d).dump();
-    const std::string want = printf_digits(d);
-    if (got != want && ++mismatches <= 5) {
-      ADD_FAILURE() << std::hexfloat << d << ": wrote " << got
-                    << ", printf writes " << want;
+    const std::string text = Value::number(d).dump();
+    // Check 1: the text gives back the same bits.
+    if (!parses_back_to(text, d)) {
+      if (++failures <= 5) {
+        ADD_FAILURE() << std::hexfloat << d << ": " << text
+                      << " does not parse back";
+      }
+      continue;
+    }
+    // Check 2: no text with fewer significant digits round-trips.  A
+    // fixed-form integer of 2^53 or more spells its exact value, so it
+    // may carry more digits than needed; it must then be no longer than
+    // the exponent form of the fewest digits that round-trip.
+    const int digits = significant_digits(text);
+    const bool exact_integer = text.find_first_of(".e") == std::string::npos &&
+                               std::fabs(d) >= kTwo53;
+    bool shortest = true;
+    if (exact_integer) {
+      int fewest = 1;
+      while (!round_trips_with(d, fewest)) ++fewest;
+      char exponent_form[64];
+      std::snprintf(exponent_form, sizeof exponent_form, "%.*e", fewest - 1,
+                    d);
+      shortest = text.size() <= std::strlen(exponent_form);
+    } else if (digits > 1) {
+      shortest = !round_trips_with(d, digits - 1);
+    }
+    if (!shortest && ++failures <= 5) {
+      ADD_FAILURE() << std::hexfloat << d << ": " << text
+                    << " is not the shortest round-trip text";
     }
   }
-  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(failures, 0u);
 }
 
 TEST(Json, WriterRejectsNonFiniteNumbers) {

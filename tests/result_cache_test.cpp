@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -139,9 +140,20 @@ TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
 }
 
-// Today's (schema-6) canonical key of small_scenario() solved with
+// Today's (schema-7) canonical key of small_scenario() solved with
 // default options, pinned literally so existing cache directories keep
-// answering as hits.
+// answering as hits.  Numbers are in their shortest round-trip form.
+constexpr const char* kSchemaSevenKey =
+    "{\"kind\":\"solve\",\"scenario\":{\"capacity\":100,\"hops\":3,"
+    "\"source\":{\"peak_kb\":1.5,\"p11\":0.989,\"p22\":0.9},"
+    "\"n_through\":80,\"n_cross\":50,\"epsilon\":1e-06,"
+    "\"scheduler\":{\"kind\":\"fifo\",\"delta\":0,\"edf\":{"
+    "\"own_factor\":1,\"cross_factor\":10},\"params\":[1,1]}},"
+    "\"options\":{\"method\":\"exact\",\"scheduler\":null,\"delta\":null,"
+    "\"warm_start\":\"cold\"}}";
+
+// The key a schema-6 build wrote for the same solve: the same members,
+// numbers with 17 significant digits (printf "%.17g").
 constexpr const char* kSchemaSixKey =
     "{\"kind\":\"solve\",\"scenario\":{\"capacity\":100,\"hops\":3,"
     "\"source\":{\"peak_kb\":1.5,\"p11\":0.98899999999999999,"
@@ -163,7 +175,7 @@ void expect_legacy_key_is_plain_miss(ResultCache& cache,
   const e2e::Scenario sc = small_scenario();
   const SolveOptions options{};
   const std::string key = solve_cache_key(sc, options);
-  ASSERT_EQ(key, kSchemaSixKey);
+  ASSERT_EQ(key, kSchemaSevenKey);
   ASSERT_NE(legacy_key, key);
 
   const e2e::BoundResult wrong{1.0, 0.5, 0.1, 10.0, 0.0};
@@ -217,15 +229,75 @@ TEST_F(ResultCacheTest, SchemaFourEntryIsAPlainMissNeverWrongHit) {
 }
 
 TEST_F(ResultCacheTest, SchemaFiveEntryIsAPlainMissNeverWrongHit) {
-  // The key a schema-5 build wrote for this very solve: today's spelling
-  // plus the since-retired "max_edf_restarts" option member (always -1
-  // outside tests).
+  // The key a schema-5 build wrote for this very solve: the schema-6
+  // spelling plus the since-retired "max_edf_restarts" option member
+  // (always -1 outside tests).
   std::string v5_key = kSchemaSixKey;
   const std::string tail = "\"warm_start\":\"cold\"}}";
   ASSERT_EQ(v5_key.rfind(tail), v5_key.size() - tail.size());
   v5_key.insert(v5_key.size() - tail.size(), "\"max_edf_restarts\":-1,");
   ResultCache cache(cache_dir());
   expect_legacy_key_is_plain_miss(cache, v5_key, 5);
+}
+
+TEST_F(ResultCacheTest, SchemaSixEntryIsAPlainMissNeverWrongHit) {
+  // Schema 6 wrote this solve's key with 17-digit numbers, so its entry
+  // sits in another slot and never answers today's key.
+  ResultCache cache(cache_dir());
+  expect_legacy_key_is_plain_miss(cache, kSchemaSixKey, 6);
+}
+
+TEST_F(ResultCacheTest, SchemaSixEntryUnderAnUnchangedKeyIsStale) {
+  // A scenario whose every number is a short exact decimal: printf
+  // "%.17g" and the shortest round-trip form spell it alike, so schema 6
+  // wrote this very key and its entry lands in today's slot.  Only the
+  // entry's schema tells it apart (its stats counted eb(s) differently),
+  // so the lookup must classify it stale and the re-solve overwrite it.
+  e2e::Scenario sc = small_scenario();
+  sc.source = traffic::MmooSource(1.5, 0.875, 0.5);
+  sc.epsilon = 0.5;
+  const SolveOptions options{};
+  const std::string key = solve_cache_key(sc, options);
+  ASSERT_EQ(key,
+            "{\"kind\":\"solve\",\"scenario\":{\"capacity\":100,\"hops\":3,"
+            "\"source\":{\"peak_kb\":1.5,\"p11\":0.875,\"p22\":0.5},"
+            "\"n_through\":80,\"n_cross\":50,\"epsilon\":0.5,"
+            "\"scheduler\":{\"kind\":\"fifo\",\"delta\":0,\"edf\":{"
+            "\"own_factor\":1,\"cross_factor\":10},\"params\":[1,1]}},"
+            "\"options\":{\"method\":\"exact\",\"scheduler\":null,"
+            "\"delta\":null,\"warm_start\":\"cold\"}}");
+  for (const double v : {100.0, 3.0, 1.5, 0.875, 0.5, 80.0, 50.0, 0.0, 1.0,
+                         10.0}) {
+    char printf_text[32];
+    std::snprintf(printf_text, sizeof printf_text, "%.17g", v);
+    std::string shortest;
+    json::append_number(shortest, v);
+    ASSERT_EQ(shortest, printf_text) << v;
+  }
+
+  const e2e::BoundResult wrong{1.0, 0.5, 0.1, 10.0, 0.0};
+  std::string entry = R"({"schema":6,"version":")" +
+                      std::string(DELTANC_VERSION_STRING) + R"(","key":)";
+  json::append_quoted(entry, key);
+  entry += R"(,"result":)";
+  append_json(entry, wrong);
+  entry += "}\n";
+  ResultCache cache(cache_dir());
+  write_file(cache.entry_path(key), entry);
+
+  e2e::BoundResult out;
+  out.delay_ms = -1.0;
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
+  EXPECT_EQ(out.delay_ms, -1.0);
+  CacheLookup outcome{};
+  const e2e::BoundResult solved = cache.solve_through(
+      sc, options, [&] { return deltanc::Solver().solve(sc); }, &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kStale);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(cache.stats().stale, 2);
+  ASSERT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+  EXPECT_EQ(out.delay_ms, solved.delay_ms);
+  EXPECT_NE(out.delay_ms, wrong.delay_ms);
 }
 
 TEST_F(ResultCacheTest, CurveBackedSchedulersHaveNoLegacySlots) {
@@ -332,11 +404,12 @@ TEST_F(ResultCacheTest, SimulationLoweringsDoNotPerturbSolverKeys) {
   // the "kind"-discriminated cache keys plus delay-profile documents
   // took it from 4 to 5, and the deterministic-only stats (no timings,
   // no cache-outcome counters) plus the retired EDF restart option took
-  // it from 5 to 6 (see io/codec.h).
-  static_assert(kSchemaVersion == 6,
+  // it from 5 to 6, and the shortest round-trip numbers plus eb_evals
+  // counting calls took it from 6 to 7 (see io/codec.h).
+  static_assert(kSchemaVersion == 7,
                 "sim-side config fields must not bump the cache schema; "
-                "the schema-6 bump came from the deterministic-only stats "
-                "and the retired EDF restart option");
+                "the schema-7 bump came from the shortest round-trip "
+                "numbers and eb_evals counting eb(s) calls");
   ResultCache cache(cache_dir());
   for (const sched::SchedulerSpec& spec :
        {sched::SchedulerSpec::drr(2.0, 1.0), sched::SchedulerSpec::sced(),
@@ -414,7 +487,7 @@ TEST_F(ResultCacheTest, DoctoredEntriesClassifyAsPinned) {
   append_json(other, e2e::BoundResult{2.5, 0.25, 0.125, 10.0, 0.0});
   const std::string version =
       std::string("\"") + DELTANC_VERSION_STRING + "\"";
-  const std::string head = R"({"schema":6,"version":)" + version + ",";
+  const std::string head = R"({"schema":7,"version":)" + version + ",";
   const std::string canonical =
       head + R"("key":)" + quoted_key + R"(,"result":)" + good + "}\n";
   const auto with = [&](const std::string& from, const std::string& to) {
@@ -433,21 +506,21 @@ TEST_F(ResultCacheTest, DoctoredEntriesClassifyAsPinned) {
   };
   const Case cases[] = {
       {"canonical", canonical, CacheLookup::kHit, 1.5},
-      {"schema 5", with(R"("schema":6)", R"("schema":5)"),
+      {"schema 6", with(R"("schema":7)", R"("schema":6)"),
        CacheLookup::kStale, kNotHit},
-      {"schema 7", with(R"("schema":6)", R"("schema":7)"),
+      {"schema 8", with(R"("schema":7)", R"("schema":8)"),
        CacheLookup::kStale, kNotHit},
-      {"schema string", with(R"("schema":6)", R"("schema":"6")"),
+      {"schema string", with(R"("schema":7)", R"("schema":"7")"),
        CacheLookup::kStale, kNotHit},
-      {"schema 6.0", with(R"("schema":6)", R"("schema":6.0)"),
+      {"schema 7.0", with(R"("schema":7)", R"("schema":7.0)"),
        CacheLookup::kHit, 1.5},
-      {"schema absent", with(R"("schema":6,)", ""), CacheLookup::kStale,
+      {"schema absent", with(R"("schema":7,)", ""), CacheLookup::kStale,
        kNotHit},
-      {"schema 5 then 6",
-       with(R"("schema":6)", R"("schema":5,"schema":6)"), CacheLookup::kHit,
+      {"schema 6 then 7",
+       with(R"("schema":7)", R"("schema":6,"schema":7)"), CacheLookup::kHit,
        1.5},
-      {"schema 6 then 5",
-       with(R"("schema":6)", R"("schema":6,"schema":5)"),
+      {"schema 7 then 6",
+       with(R"("schema":7)", R"("schema":7,"schema":6)"),
        CacheLookup::kStale, kNotHit},
       {"other version", with(version, R"("0.0.1")"), CacheLookup::kStale,
        kNotHit},

@@ -746,12 +746,12 @@ TEST(SolveServiceTest, OverlongLineIsRefusedAndTheConnectionKeepsAnswering) {
   // most the limit (plus one byte) of it and drops the rest as it
   // arrives, then answers the next line on the same connection.
   const std::string refused =
-      R"({"schema":6,"id":null,"ok":false,"error":"batch: request line )"
+      R"({"schema":7,"id":null,"ok":false,"error":"batch: request line )"
       R"(longer than 1048576 bytes"})";
   const std::string next = R"({"id":2,"schema":5})";
   const std::string next_answer =
-      R"({"schema":6,"id":2,"ok":false,"error":"codec: schema 5 != )"
-      R"(supported 6"})";
+      R"({"schema":7,"id":2,"ok":false,"error":"codec: schema 5 != )"
+      R"(supported 7"})";
   ServeOptions options;
   options.workers = 1;
   SolveService service(options);

@@ -97,8 +97,8 @@ Sweep mode (repeatable; axes cross-multiply in the order given):
                          all cores); results are identical for any n
   --warm-start <policy>  warm | cold (default warm): warm chains solver
                          state along the innermost numeric sweep axis
-                         (eb memo, stable-s bracket, previous optimum,
-                         EDF fixed point); cold solves every point from
+                         (stable-s bracket, previous optimum, EDF
+                         fixed point); cold solves every point from
                          scratch, bit-identical to a single solve
   --csv                  print only the CSV of the sweep results
       with --ccdf, every sweep point additionally solves the whole
@@ -137,7 +137,7 @@ Batch service mode (JSONL on stdout, narration on stderr):
 
 Persistent service mode (long-running; same JSONL protocol):
   --serve <socket>       serve batch requests on a Unix-domain socket,
-                         keeping workspaces, eb-memos, and the result
+                         keeping solver workspaces and the result
                          cache warm across requests (keyspace sharded
                          across the workers); SIGTERM/SIGINT drain --
                          every accepted request is answered -- and
