@@ -64,17 +64,6 @@ struct SelfCheckOptions {
   /// Worker threads for the underlying sweeps; 0 = DELTANC_THREADS env
   /// or hardware concurrency.
   int threads = 0;
-  /// Relative slack for the Delta-ordering check: a bound may undercut
-  /// its predecessor by at most this fraction.
-  double ordering_tol = 1e-4;
-  /// Relative slack for axis monotonicity (hops, load, epsilon, ...).
-  double monotonicity_tol = 1e-4;
-  /// kPaperK may exceed kExactOpt by at most this fraction -- enforced
-  /// only where the resolved Delta is >= 0: for negative Delta the
-  /// paper's K = 0 rule overshoots by design (its own caveat; see
-  /// bench/ablation_k_procedure.cpp), so only the one-sided
-  /// kExactOpt <= kPaperK invariant is checked there.
-  double method_tol = 0.20;
   /// Run the kExactOpt vs kPaperK agreement check (doubles the solves).
   bool check_methods = true;
   /// Per-point solver override, mirroring SweepOptions::solver (used by
