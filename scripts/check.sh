@@ -15,6 +15,15 @@ cmake -B build
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
 
+# --- Benchmark harness: compile only ---------------------------------------
+# perfbench/ is its own CMake project over src/ and tools/, and nothing
+# else compiles it, so a library signature change could break the
+# benchmark unseen.  It gets its own build tree, never .bench_build
+# (perfbench/run.py's default, whose cache may point at another
+# checkout).
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j "$(nproc)"
+
 # --- Public-header hygiene ------------------------------------------------
 # Every header under include/deltanc/ must compile standalone (no hidden
 # include-order dependencies): users are told to include them directly.
