@@ -37,6 +37,8 @@
 
 #include <functional>
 #include <iosfwd>
+#include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -112,10 +114,14 @@ inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
          line.find_first_not_of(" \t\r") == std::string_view::npos;
 }
 
-/// One parsed request line: the effective scenario (scheduler override
-/// folded in), canonical options, and the cache key they hash to.
+/// One parsed request line: the echoed id, the effective scenario
+/// (scheduler override folded in), canonical options, and the cache key
+/// they hash to.
 struct ParsedRequestLine {
-  json::Value id;          ///< echoed verbatim (null when absent)
+  /// The "id" as the response writes it: its compact JSON bytes
+  /// (json::Node::dump -- a duplicated object key keeps its first
+  /// position with its last value), "null" when absent.
+  std::string id = "null";
   e2e::Scenario scenario;  ///< effective (scheduler override folded in)
   SolveOptions options;    ///< canonical (scheduler cleared)
   /// Non-empty for profile requests: the d(epsilon) grid to solve,
@@ -128,8 +134,8 @@ struct ParsedRequestLine {
 };
 
 /// Parses one JSONL request line ({"schema", "scenario", "options"?,
-/// "epsilons"?, "id"?}) through the flat reader; only the echoed "id"
-/// becomes a json::Value.  @throws on an over-long line (longer than
+/// "epsilons"?, "id"?}) through the flat reader; the echoed "id" is
+/// kept as its written bytes.  @throws on an over-long line (longer than
 /// kMaxRequestLineBytes, checked before any parse), malformed JSON,
 /// wrong schema, or undecodable payloads; when the document carried a
 /// readable "id", the exception is PartialRequestError so error
@@ -143,11 +149,12 @@ struct ParsedRequestLine {
 [[nodiscard]] std::vector<double> decode_profile_epsilons(json::Node eps);
 
 /// A request that failed to parse *after* its "id" was read: carries
-/// the id so the error response can echo it.
+/// the id's written bytes (as ParsedRequestLine::id) so the error
+/// response can echo it.
 struct PartialRequestError : std::runtime_error {
-  PartialRequestError(const std::string& what, json::Value id_in)
+  PartialRequestError(const std::string& what, std::string id_in)
       : std::runtime_error(what), id(std::move(id_in)) {}
-  json::Value id;
+  std::string id;
 };
 
 /// Stable wire name of a lookup outcome ("hit"/"miss"/"stale"/"corrupt").
@@ -162,13 +169,12 @@ struct Answer {
   std::string error;  ///< the failure message when !ok
 };
 
-/// Solves one parsed request with SweepRunner's classification rule,
-/// shared by run_batch and the serve workers so both paths answer
-/// byte-identically: validate first (kInvalidScenario naming every bad
-/// field), then a throwing solve classifies as kNumericalDomain.  A
-/// failure is still an answer: the classified +inf bound (on every level
-/// of a profile request), so the response stays ok=true with per-result
-/// diagnostics.
+/// Solves one parsed request through deltanc::classified_solve
+/// (e2e/solver.h), the rule a sweep point takes too; run_batch and the
+/// serve workers both call it, so both paths answer byte-identically.
+/// A failure is still an answer: the classified +inf bound (on every
+/// level of a profile request), so the response stays ok=true with
+/// per-result diagnostics.
 [[nodiscard]] Answer solve_request(const deltanc::Solver& solver,
                                    const ParsedRequestLine& line);
 
@@ -207,10 +213,14 @@ struct ResponseLine {
   [[nodiscard]] const std::string& dump() const noexcept { return text; }
 };
 
+// The response writers below take the id as the bytes to echo
+// (ParsedRequestLine::id, PartialRequestError::id, or "null") and
+// append them verbatim.
+
 /// The solved/served response line ({"schema", "id", "ok": true,
 /// ["cache"], "result"}); `with_cache_tag` mirrors "a ResultCache is
 /// attached".
-[[nodiscard]] ResponseLine make_ok_response(const json::Value& id,
+[[nodiscard]] ResponseLine make_ok_response(std::string_view id,
                                             bool with_cache_tag,
                                             CacheLookup outcome,
                                             const e2e::BoundResult& result);
@@ -219,11 +229,11 @@ struct ResponseLine {
 /// "profile"}) -- same layout as make_ok_response with the payload under
 /// "profile".
 [[nodiscard]] ResponseLine make_ok_profile_response(
-    const json::Value& id, bool with_cache_tag, CacheLookup outcome,
+    std::string_view id, bool with_cache_tag, CacheLookup outcome,
     const e2e::DelayProfile& profile);
 
 /// The response line of an answer: "result" or "profile" by kind.
-[[nodiscard]] ResponseLine make_ok_response(const json::Value& id,
+[[nodiscard]] ResponseLine make_ok_response(std::string_view id,
                                             bool with_cache_tag,
                                             CacheLookup outcome,
                                             const Answer& answer);
@@ -233,7 +243,7 @@ struct ResponseLine {
 /// layer for classified service failures (timeout/overload) and omitted
 /// (kNone) for plain parse errors, matching run_batch.
 [[nodiscard]] ResponseLine make_error_response(
-    const json::Value& id, const std::string& error,
+    std::string_view id, const std::string& error,
     diag::SolveErrorKind kind = diag::SolveErrorKind::kNone);
 
 }  // namespace deltanc::io

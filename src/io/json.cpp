@@ -83,51 +83,7 @@ void append_quoted(std::string& out, std::string_view s) {
 
 namespace {
 
-void append_value(std::string& out, const Value& v, int indent, int depth);
-
-void append_newline(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth),
-             ' ');
-}
-
-void append_array(std::string& out, const std::vector<Value>& items,
-                  int indent, int depth) {
-  if (items.empty()) {
-    out += "[]";
-    return;
-  }
-  out += '[';
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ',';
-    append_newline(out, indent, depth + 1);
-    append_value(out, items[i], indent, depth + 1);
-  }
-  append_newline(out, indent, depth);
-  out += ']';
-}
-
-void append_object(std::string& out, const Members& members, int indent,
-                   int depth) {
-  if (members.empty()) {
-    out += "{}";
-    return;
-  }
-  out += '{';
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (i > 0) out += ',';
-    append_newline(out, indent, depth + 1);
-    append_quoted(out, members[i].first);
-    out += ':';
-    if (indent >= 0) out += ' ';
-    append_value(out, members[i].second, indent, depth + 1);
-  }
-  append_newline(out, indent, depth);
-  out += '}';
-}
-
-void append_value(std::string& out, const Value& v, int indent, int depth) {
+void append_value(std::string& out, const Value& v) {
   switch (v.type()) {
     case Value::Type::kNull:
       out += "null";
@@ -141,12 +97,30 @@ void append_value(std::string& out, const Value& v, int indent, int depth) {
     case Value::Type::kString:
       append_quoted(out, v.as_string());
       return;
-    case Value::Type::kArray:
-      append_array(out, v.items(), indent, depth);
+    case Value::Type::kArray: {
+      out += '[';
+      bool first = true;
+      for (const Value& item : v.items()) {
+        if (!first) out += ',';
+        first = false;
+        append_value(out, item);
+      }
+      out += ']';
       return;
-    case Value::Type::kObject:
-      append_object(out, v.members(), indent, depth);
+    }
+    case Value::Type::kObject: {
+      out += '{';
+      bool first = true;
+      for (const auto& [key, item] : v.members()) {
+        if (!first) out += ',';
+        first = false;
+        append_quoted(out, key);
+        out += ':';
+        append_value(out, item);
+      }
+      out += '}';
       return;
+    }
   }
 }
 
@@ -223,9 +197,9 @@ const Members& Value::members() const {
   type_error("object", type());
 }
 
-std::string Value::dump(int indent) const {
+std::string Value::dump() const {
   std::string out;
-  append_value(out, *this, indent, 0);
+  append_value(out, *this);
   return out;
 }
 

@@ -8,9 +8,9 @@
 // One grammar: json::Document reads a text in a single pass into one
 // flat node array (strings stay spans of the text unless they carry an
 // escape), and json::Node is a read-only view into it -- what the codec
-// decoders take.  json::Value is the owning tree used to build
-// documents and to hold values that outlive their text (a request's
-// echoed "id"); Value::parse is a Document materialized into one.
+// decoders take.  json::Value is the owning tree that code outside the
+// library (tests, benches, load generators) builds documents with;
+// Value::parse is a Document materialized into one.
 //
 // Number fidelity: finite doubles are written with enough significant
 // digits (max_digits10) to round-trip bit-exactly through the reader.
@@ -140,12 +140,10 @@ class Value {
   [[nodiscard]] const Members& members() const;
 
   // ----- text ------------------------------------------------------------
-  /// Serializes the value.  indent < 0: compact one-line form (the
-  /// canonical form hashed by the result cache); indent >= 0: pretty,
-  /// with that many spaces per nesting level.
+  /// The compact one-line form.
   /// @throws std::invalid_argument on a non-finite number (the codec is
   /// responsible for string-encoding those before they reach the writer).
-  [[nodiscard]] std::string dump(int indent = -1) const;
+  [[nodiscard]] std::string dump() const;
 
   /// Reads one JSON document (json::Document) and materializes it; the
   /// whole input must be consumed (trailing whitespace allowed).
@@ -251,7 +249,8 @@ class Node {
   /// The owning copy of this value (objects keep first-key positions
   /// with last values).
   [[nodiscard]] Value to_value() const;
-  /// to_value().dump(): the compact form, for error messages.
+  /// to_value().dump(): the compact form, for error messages and the
+  /// echoed request id.
   [[nodiscard]] std::string dump() const;
 
  private:

@@ -20,9 +20,10 @@ class BoundedQueue {
  public:
   explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Admission path: false when the queue is full or closed (the caller
-  /// answers with an overload / drain error).
-  bool try_push(T item) {
+  /// Admission path: moves `item` in and returns true, or returns false
+  /// when the queue is full or closed and leaves `item` untouched (the
+  /// caller answers it with an overload / drain error).
+  bool try_push(T& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;

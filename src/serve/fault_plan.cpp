@@ -80,10 +80,14 @@ std::string FaultPlan::to_string() const {
   return out;
 }
 
-double FaultPlan::delay_ms_for(double id) const {
+double FaultPlan::delay_ms_for(std::string_view id) const {
+  // Only a number's bytes have a value to match: a string id such as
+  // "7" (quotes included) never does.
+  double value = 0.0;
+  if (!sched::parse_strict_double(id, value)) return 0.0;
   double total = 0.0;
   for (const Delay& d : delays) {
-    if (d.id == id) total += d.ms;
+    if (d.id == value) total += d.ms;
   }
   return total;
 }

@@ -9,9 +9,9 @@
 // cache entry needs no injection: tests corrupt the bytes on disk.)
 //
 // Grammar (semicolon-separated entries):
-//   delay:<id>:<ms>    solving the request whose numeric "id" equals
-//                      <id> sleeps <ms> ms first (before the cache
-//                      lookup, so even a warm hit can exceed a
+//   delay:<id>:<ms>    solving the request whose "id" is a number
+//                      equal to <id> sleeps <ms> ms first (before the
+//                      cache lookup, so even a warm hit can exceed a
 //                      deadline)
 //   store-fail:<n>     the first <n> disk-cache stores fail per shard
 //                      (full-disk simulation via
@@ -24,6 +24,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace deltanc::serve {
@@ -51,9 +52,11 @@ struct FaultPlan {
   /// Canonical round-trip spelling of the plan ("" when empty).
   [[nodiscard]] std::string to_string() const;
 
-  /// Sleep (ms) injected before handling the request with numeric id
-  /// `id`: the sum of its delay entries, 0 when none.
-  [[nodiscard]] double delay_ms_for(double id) const;
+  /// Sleep (ms) injected before handling the request whose id is
+  /// written as `id` (ParsedRequestLine::id): the sum of the delay
+  /// entries matching its numeric value, 0 when none or when the id is
+  /// not a number.
+  [[nodiscard]] double delay_ms_for(std::string_view id) const;
 };
 
 }  // namespace deltanc::serve

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -23,15 +22,12 @@ namespace deltanc::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using Value = io::json::Value;
 using Sink = SolveService::Sink;
 
 /// One accepted request travelling through a shard queue.
 struct Job {
   io::ParsedRequestLine line;
   Sink sink;
-  /// Numeric "id" (fault delays match on it); NaN when non-numeric.
-  double numeric_id = std::numeric_limits<double>::quiet_NaN();
 };
 
 std::string format_ms(double ms) {
@@ -54,9 +50,13 @@ struct SolveService::Impl {
     BoundedQueue<Job> queue;
 
     std::mutex mu;  // guards everything below
-    bool busy = false;             ///< the incumbent holds `inflight`
+    bool busy = false;             ///< the incumbent is answering a job
     std::uint64_t generation = 0;  ///< bumped to abandon the incumbent
-    Job inflight;                  ///< valid while busy
+    // The in-flight job's id and sink, parked while busy: whoever
+    // answers it (the worker, or the supervisor on a timeout) takes the
+    // sink.
+    std::string inflight_id;
+    Sink inflight_sink;
     Clock::time_point busy_since{};
     std::thread thread;
 
@@ -124,27 +124,20 @@ struct SolveService::Impl {
       return;
     } catch (const std::exception& e) {
       bump(&ServeStats::parse_errors);
-      deliver(sink, io::make_error_response(Value(), e.what()));
+      deliver(sink, io::make_error_response("null", e.what()));
       return;
     }
-    if (job.line.id.is_number()) job.numeric_id = job.line.id.as_number();
     job.sink = std::move(sink);
     if (draining.load(std::memory_order_acquire)) {
       reject_overload(job, "service is draining; request rejected");
       return;
     }
-    const int shard =
-        io::ResultCache::shard_of(job.line.key, workers);
+    const int shard = io::ResultCache::shard_of(job.line.key, workers);
     add_pending(1);
-    Sink sink_copy = job.sink;       // survives the move into the queue
-    const Value id_copy = job.line.id;
-    if (!shards[static_cast<std::size_t>(shard)]->queue.try_push(
-            std::move(job))) {
+    // A refused push leaves the job with us, so it is answered here.
+    if (!shards[static_cast<std::size_t>(shard)]->queue.try_push(job)) {
       add_pending(-1);
-      Job rejected;
-      rejected.line.id = id_copy;
-      rejected.sink = std::move(sink_copy);
-      reject_overload(rejected, "queue full; retry later");
+      reject_overload(job, "queue full; retry later");
     }
   }
 
@@ -172,15 +165,17 @@ struct SolveService::Impl {
       {
         std::lock_guard<std::mutex> lock(shard.mu);
         shard.busy = true;
-        shard.inflight = job;
+        shard.inflight_id = job.line.id;
+        shard.inflight_sink = std::move(job.sink);
         shard.busy_since = Clock::now();
       }
-      const double delay = options.faults.delay_ms_for(job.numeric_id);
+      const double delay = options.faults.delay_ms_for(job.line.id);
       if (delay > 0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(delay));
       }
-      io::ResponseLine response = handle(shard, solvers, job);
+      io::ResponseLine response = handle(shard, solvers, job.line);
+      Sink sink;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
         if (shard.generation != my_generation) {
@@ -190,9 +185,9 @@ struct SolveService::Impl {
           return;
         }
         shard.busy = false;
-        shard.inflight = Job{};
+        sink = std::move(shard.inflight_sink);
       }
-      deliver(job.sink, response);
+      deliver(sink, response);
       add_pending(-1);
     }
   }
@@ -201,7 +196,7 @@ struct SolveService::Impl {
   /// cache, then solve -- producing exactly the response bytes run_batch
   /// would.
   io::ResponseLine handle(Shard& shard, std::map<std::string, Solver>& solvers,
-                          const Job& job) {
+                          const io::ParsedRequestLine& line) {
     const bool with_tag = !options.cache_dir.empty();
     // Memory layer.  A hit reports "hit" when a disk cache is attached
     // (the batch baseline would hit disk) and "miss" otherwise (the
@@ -209,14 +204,13 @@ struct SolveService::Impl {
     // match).
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.memory.find(job.line.key);
+      const auto it = shard.memory.find(line.key);
       if (it != shard.memory.end()) {
         bump(&ServeStats::served);
         bump(&ServeStats::memory_hits);
         const io::CacheLookup outcome =
             with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        return io::make_ok_response(job.line.id, with_tag, outcome,
-                                    it->second);
+        return io::make_ok_response(line.id, with_tag, outcome, it->second);
       }
     }
     // Disk layer.
@@ -225,19 +219,19 @@ struct SolveService::Impl {
       io::Answer cached;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
-        outcome = io::lookup_answer(*shard.disk, job.line, cached);
+        outcome = io::lookup_answer(*shard.disk, line, cached);
       }
       if (outcome == io::CacheLookup::kHit) {
         bump(&ServeStats::served);
-        memory_insert(shard, job.line.key, cached);
-        return io::make_ok_response(job.line.id, true, outcome, cached);
+        memory_insert(shard, line.key, cached);
+        return io::make_ok_response(line.id, true, outcome, cached);
       }
     }
     // Solve with run_batch's classification (io::solve_request).
     // Failures are still ok=true responses carrying the +inf bound.
     bump(&ServeStats::solved);
     io::Answer answer = io::solve_request(
-        solver_for(solvers, job.line.options), job.line);
+        solver_for(solvers, line.options), line);
     if (!answer.ok) {
       bump(&ServeStats::failed);
     } else {
@@ -248,16 +242,16 @@ struct SolveService::Impl {
       bool stored = true;
       if (with_tag) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        stored = io::try_store_answer(*shard.disk, job.line.key, answer);
+        stored = io::try_store_answer(*shard.disk, line.key, answer);
       }
       // After a failed store the memory layer must stay cold too: a
       // warm hit would report cache:"hit" for a key the disk never
       // recorded, diverging from a --batch run over the same directory
       // (which misses and re-solves).
-      if (stored) memory_insert(shard, job.line.key, answer);
+      if (stored) memory_insert(shard, line.key, answer);
     }
-    io::apply_cache_outcome(answer, outcome, job.line.key);
-    return io::make_ok_response(job.line.id, with_tag, outcome, answer);
+    io::apply_cache_outcome(answer, outcome, line.key);
+    return io::make_ok_response(line.id, with_tag, outcome, answer);
   }
 
   Solver& solver_for(std::map<std::string, Solver>& solvers,
@@ -302,7 +296,8 @@ struct SolveService::Impl {
   /// spawns the replacement that serves the rest of the shard's queue.
   void check_shard(int index) {
     Shard& shard = *shards[static_cast<std::size_t>(index)];
-    Job orphan;
+    std::string id;
+    Sink sink;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       if (!shard.busy || std::chrono::duration<double, std::milli>(
@@ -311,10 +306,11 @@ struct SolveService::Impl {
         return;
       }
       // Bump the generation so the late result can never race the
-      // replacement; the zombie keeps its own copy of the job.
+      // replacement; the zombie keeps its own job.
       ++shard.generation;
       shard.busy = false;
-      orphan = std::exchange(shard.inflight, Job{});
+      id = std::move(shard.inflight_id);
+      sink = std::move(shard.inflight_sink);
       {
         // It may still be running: join it at drain.
         std::lock_guard<std::mutex> zlock(zombie_mu);
@@ -325,12 +321,11 @@ struct SolveService::Impl {
     }
     bump(&ServeStats::respawns);
     bump(&ServeStats::timeouts);
-    deliver(orphan.sink,
-            io::make_error_response(
-                orphan.line.id,
-                "request exceeded the " + format_ms(options.deadline_ms) +
-                    " ms deadline",
-                diag::SolveErrorKind::kTimeout));
+    deliver(sink, io::make_error_response(
+                      id,
+                      "request exceeded the " +
+                          format_ms(options.deadline_ms) + " ms deadline",
+                      diag::SolveErrorKind::kTimeout));
     add_pending(-1);
   }
 

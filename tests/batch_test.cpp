@@ -795,17 +795,14 @@ std::vector<std::string> escape_probe_lines() {
   r.diagnostics.warn(diag::SolveErrorKind::kNoConvergence,
                      "tab\there\nnew\rline\b\f");
   lines.push_back(
-      make_ok_response(Value::string("d\"1"), true, CacheLookup::kHit, r)
-          .dump());
+      make_ok_response(R"("d\"1")", true, CacheLookup::kHit, r).dump());
   e2e::DelayProfile p;
   p.epsilons = {1e-3};
   p.levels = {r};
   p.stats.profile_levels = 1;
   lines.push_back(
-      make_ok_profile_response(Value::number(-0.0), false, CacheLookup::kMiss,
-                               p)
-          .dump());
-  lines.push_back(make_error_response(Value::string("\\"),
+      make_ok_profile_response("-0", false, CacheLookup::kMiss, p).dump());
+  lines.push_back(make_error_response(R"("\\")",
                                       "deadline \"7\" ms\x7f",
                                       diag::SolveErrorKind::kTimeout)
                       .dump());
@@ -950,7 +947,7 @@ TEST(Batch, ProfileGridLongerThanTheLimitIsAParseErrorKeepingTheId) {
                              e2e::Method::kExactOpt);
     ADD_FAILURE() << "a grid of " << over.size() << " levels was accepted";
   } catch (const PartialRequestError& e) {
-    EXPECT_EQ(e.id.as_number(), 5.0);
+    EXPECT_EQ(e.id, "5");
     EXPECT_NE(std::string(e.what()).find("1025 epsilons"), std::string::npos)
         << e.what();
   }
