@@ -73,49 +73,60 @@ void expect_pinned(const sim::DelayRecorder& d, double utilization,
 }
 
 // Golden: every registered spelling in both simulators (EDF with unit
-// 2.0, i.e. deadlines 2 / 20).  Regenerate with %a prints only for an
-// intentional simulator change.
+// 2.0, i.e. deadlines 2 / 20), the slot simulator both fluid and at
+// packet_kb 1.5.  Regenerate with %a prints only for an intentional
+// simulator change.
 TEST(SimulatorGolden, EveryRegisteredSpellingIsPinned) {
   struct Row {
     const char* spelling;
     Pin tandem;
+    Pin tandem_packet;  ///< the slot simulator at packet_kb 1.5
     Pin network;
   };
   static constexpr Row kRows[] = {
       {"fifo",
        {17998u, 0x1.8p+1, 0x1.8p+1, 0x1.4p+2, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1.8p+1, 0x1.4p+2, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.3ae147ae09p-1, 0x1.5ffffffcfp+0, 0x1.e47ae14648p+1,
         0x1.7b87724fa8b4cp-1}},
       {"bmux",
        {17998u, 0x1.8p+1, 0x1.4p+2, 0x1.cp+2, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1p+2, 0x1.cp+2, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.4a3d70a3ap-1, 0x1.d5c28f5b3p+0, 0x1.3fffffff6p+2,
         0x1.7b87724fa8b4cp-1}},
       {"sp-high",
        {17998u, 0x1.8p+1, 0x1.8p+1, 0x1.8p+1, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1.8p+1, 0x1.8p+1, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.cccccccc8p-3, 0x1.fffffff5p-2, 0x1.63d70a3aep-1,
         0x1.7b87724fa8b4cp-1}},
       {"edf",
        {17998u, 0x1.8p+1, 0x1.8p+1, 0x1.8p+1, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1.8p+1, 0x1.8p+1, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.cccccccc8p-3, 0x1.fffffff5p-2, 0x1.63d70a3aep-1,
         0x1.7b87724fa8b4cp-1}},
       {"delta:2.5",
        {17998u, 0x1.8p+1, 0x1.4p+2, 0x1.cp+2, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1p+2, 0x1.cp+2, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.4a3d70a3ap-1, 0x1.d5c28f5b3p+0, 0x1.3fffffff6p+2,
         0x1.7b87724fa8b4cp-1}},
       {"delta:-2.5",
        {17998u, 0x1.8p+1, 0x1.8p+1, 0x1p+2, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1.8p+1, 0x1p+2, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.cccccccc8p-3, 0x1.051eb850cp-1, 0x1.328f5c2798p+1,
         0x1.7b87724fa8b4cp-1}},
       {"gps:2,1,1",
        {17998u, 0x1.8p+1, 0x1.4p+2, 0x1.8p+2, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1p+2, 0x1.8p+2, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.9eb851eb4p-2, 0x1.347ae147d44p+0, 0x1.c47ae14638p+1,
         0x1.7b87724fa8b4cp-1}},
       {"drr:1.5,1.5",
        {17998u, 0x1.8p+1, 0x1.4p+2, 0x1.8p+2, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1p+2, 0x1.8p+2, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.9eb851eb4p-2, 0x1.347ae14903p+0, 0x1.c47ae14638p+1,
         0x1.7b87724fa8b4cp-1}},
       {"sced",
        {17998u, 0x1.8p+1, 0x1p+2, 0x1.8p+2, 0x1.7b85dfa871a3bp-1},
+       {441344u, 0x1.8p+1, 0x1p+2, 0x1.8p+2, 0x1.7b85dfa871a3bp-1},
        {467897u, 0x1.9eb851eb4p-2, 0x1.2a3d70a46bp+0, 0x1.b3333331cp+1,
         0x1.7b87724fa8b4cp-1}},
   };
@@ -124,6 +135,11 @@ TEST(SimulatorGolden, EveryRegisteredSpellingIsPinned) {
     const sim::TandemResult t = sim::run_tandem(tandem(spec, 2.0));
     expect_pinned(t.through_delay, t.mean_utilization, row.tandem,
                   std::string("sim ") + row.spelling);
+    sim::TandemConfig packets = tandem(spec, 2.0);
+    packets.packet_kb = 1.5;
+    const sim::TandemResult tp = sim::run_tandem(packets);
+    expect_pinned(tp.through_delay, tp.mean_utilization, row.tandem_packet,
+                  std::string("sim packets ") + row.spelling);
     const evsim::EvNetworkResult e =
         evsim::run_event_network(network(spec, 2.0));
     expect_pinned(e.through_delay_ms, e.mean_utilization, row.network,
