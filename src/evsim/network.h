@@ -1,9 +1,10 @@
 // The Fig.-1 tandem at packet granularity: MMOO aggregates are quantized
-// into fixed-size packets at every slot boundary and travel through H
-// non-preemptive servers.  Complements the slotted fluid simulator
-// (src/sim) -- here a large packet in service genuinely blocks later
-// higher-precedence packets, so the cost of the paper's fluid assumption
-// can be measured directly.
+// into fixed-size packets at every slot boundary (sim::Fig1Sources, the
+// slot simulator's arrival process) and travel through H non-preemptive
+// servers.  Complements the slotted fluid simulator (src/sim) -- here a
+// large packet in service genuinely blocks later higher-precedence
+// packets, so the cost of the paper's fluid assumption can be measured
+// directly.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +22,9 @@ struct EvNetworkConfig {
   int n_through = 100;
   int n_cross = 100;
   double packet_kb = 1.5;  ///< quantization of the per-slot emissions
-  /// The policy every server runs; any registered scheduler, mapped as
-  /// in sim::TandemConfig::scheduler except that GPS runs as its
-  /// packetized approximation SCFQ.
+  /// The policy every server runs; any registered scheduler, lowered by
+  /// sim::lower_scheduler as in the slot simulator, except that GPS runs
+  /// as its packetized approximation SCFQ.
   sched::SchedulerSpec scheduler = sched::SchedulerSpec::fifo();
   /// EDF deadline unit in ms: kEdf deadlines are factor * edf_unit.  The
   /// default gives the default factors' deadlines 10 / 100 ms.

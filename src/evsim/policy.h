@@ -4,17 +4,10 @@
 // exposes the blocking effects the paper's fluid model deliberately
 // ignores ("we ignore that packet transmissions cannot be interrupted").
 //
-// The paper's Definition 1 makes FIFO, static priority and EDF one rule,
-// and make_delta_key_policy is that rule: a packet of class f arriving at
-// time t is served in the order of
-//
-//   (level[f], highest first;  t + offset[f], earliest first;  seq).
-//
-// FIFO is all levels and offsets 0; static priority puts the classes on
-// distinct levels and is non-preemptive here (a packet in service blocks
-// higher levels for up to L/C -- priority inversion); EDF sets offset[f]
-// = d*_f; a Delta of +/-inf is an infinite offset on one class
-// (sched::SchedulerSpec::class_offsets).
+// Every Delta-kind pops the Definition-1 queue the slot simulator serves
+// from (sim::KeyQueue, sim/scheduler_queue.h).  Static priority is
+// non-preemptive here: a packet in service blocks higher levels for up
+// to L/C (priority inversion).
 //
 // The curve-backed policies:
 //   SCFQ  -- self-clocked fair queueing (Golestani), the standard
@@ -23,51 +16,40 @@
 //            quanta and deficit counters, one whole packet per grant;
 //   SCED  -- deadline-curve scheduling (arXiv:1804.08040): a per-class
 //            virtual server of rate R_f stamps each packet's deadline.
-// SCFQ and SCED only stamp `tag`; the Delta-key queue, all classes on
-// one level, picks the earliest.
+// SCFQ and SCED pop the finish-tag sim::KeyQueue, all classes on one
+// level.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "sim/scheduler_queue.h"
+
 namespace deltanc::evsim {
 
-/// One indivisible packet.
-struct Packet {
-  int flow;                 ///< flow class
-  double size_kb;           ///< transmission size
-  double node_arrival;      ///< arrival time at the current node (ms)
-  double network_arrival;   ///< arrival into the network (ms)
-  double tag;               ///< service-order key, stamped at enqueue:
-                            ///< node_arrival + offset, or the SCED
-                            ///< deadline / SCFQ finish tag
-  std::uint64_t seq;        ///< global arrival order tie-breaker
-};
-
-/// Packet selection policy (the queue of one server).
+/// Packet selection policy (the queue of one server).  A packet is a
+/// sim::Chunk that is never split: its size_kb stays its total_kb.
 class Policy {
  public:
   virtual ~Policy() = default;
 
-  /// Admits a packet (stamping `tag` as the policy requires).
-  virtual void enqueue(Packet packet) = 0;
+  /// Admits a packet (stamping its key as the policy requires).
+  virtual void enqueue(sim::Chunk packet) = 0;
   /// Removes and returns the next packet to transmit; nullopt when empty.
-  virtual std::optional<Packet> dequeue() = 0;
+  virtual std::optional<sim::Chunk> dequeue() = 0;
   [[nodiscard]] virtual bool empty() const = 0;
   [[nodiscard]] virtual double backlog_kb() const = 0;
 };
 
-/// The Definition-1 policy: class f's packets are served in the order of
-/// (level[f], highest first; node_arrival + offset[f] in ms, earliest
-/// first; seq).  An offset may be +/-inf.
-/// @throws std::invalid_argument on empty or mismatched vectors or a NaN
-/// offset.
+/// The Definition-1 policy: sim::KeyQueue(level, offset), offsets in ms.
+/// @throws std::invalid_argument as sim::KeyQueue does.
 [[nodiscard]] std::unique_ptr<Policy> make_delta_key_policy(
     std::vector<int> level, std::vector<double> offset);
 
-/// Self-clocked fair queueing with per-class weights.
+/// Self-clocked fair queueing (Golestani) with per-class weights: the
+/// finish tags of sim::KeyQueue::finish_tags with the weights as rates,
+/// stamped from the tag of the packet sent last (the virtual time).
 [[nodiscard]] std::unique_ptr<Policy> make_scfq_policy(
     std::vector<double> weights);
 
@@ -79,11 +61,9 @@ class Policy {
 [[nodiscard]] std::unique_ptr<Policy> make_drr_policy(
     std::vector<double> quanta);
 
-/// SCED with rate service curves: flow f's packets get the deadline
-/// max(F_f, node_arrival) + size / rate_f (F_f = the class's virtual
-/// finish time, rates in kb/ms) and transmit earliest-deadline-first.
-/// A zero rate is allowed only for classes that never receive traffic
-/// (enqueue throws otherwise).
+/// SCED with rate service curves (kb/ms): sim::KeyQueue::finish_tags,
+/// stamped from each packet's arrival; the earliest deadline is sent
+/// next.
 [[nodiscard]] std::unique_ptr<Policy> make_sced_policy(
     std::vector<double> rates);
 

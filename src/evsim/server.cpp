@@ -14,12 +14,12 @@ Server::Server(double rate_kb_per_ms, std::unique_ptr<Policy> policy)
   }
 }
 
-void Server::arrive(Packet packet, double time) {
+void Server::arrive(sim::Chunk packet, double time) {
   if (time < last_event_time_ - 1e-9) {
     throw std::logic_error("Server::arrive: time went backwards");
   }
   last_event_time_ = time;
-  packet.node_arrival = time;
+  packet.arrival = time;
   policy_->enqueue(packet);
   if (!in_service_.has_value()) {
     start_next(time);
@@ -47,7 +47,7 @@ double Server::backlog_kb() const {
 }
 
 void Server::start_next(double now) {
-  std::optional<Packet> next = policy_->dequeue();
+  std::optional<sim::Chunk> next = policy_->dequeue();
   if (!next.has_value()) return;
   completion_time_ = now + next->size_kb / rate_;
   in_service_ = std::move(next);

@@ -15,7 +15,7 @@ namespace deltanc::evsim {
 
 /// A completed transmission.
 struct Departure {
-  Packet packet;
+  sim::Chunk packet;
   double time;  ///< transmission end time (ms)
 };
 
@@ -27,7 +27,7 @@ class Server {
   /// Packet arrival at `time`.  Times passed to the server must be
   /// non-decreasing across calls (checked).  If the server is idle the
   /// packet enters service immediately.
-  void arrive(Packet packet, double time);
+  void arrive(sim::Chunk packet, double time);
 
   /// Time at which the in-service packet completes; +infinity when idle.
   [[nodiscard]] double next_completion() const noexcept;
@@ -47,7 +47,7 @@ class Server {
  private:
   double rate_;
   std::unique_ptr<Policy> policy_;
-  std::optional<Packet> in_service_;
+  std::optional<sim::Chunk> in_service_;
   double completion_time_ = std::numeric_limits<double>::infinity();
   double last_event_time_ = 0.0;
   double done_kb_ = 0.0;

@@ -33,85 +33,16 @@ double drain(std::deque<Chunk>& queue, double amount, double* backlog,
   return drained;
 }
 
-/// The Definition-1 queue: one heap ordered by (level, highest first;
-/// deadline, earliest first; seq).  SCED derives from it and replaces
-/// only the deadline stamp.
-class DeltaKeyDiscipline : public Discipline {
- public:
-  DeltaKeyDiscipline(std::vector<int> level, std::vector<double> offset)
-      : level_(std::move(level)), offset_(std::move(offset)) {
-    if (level_.empty() || level_.size() != offset_.size()) {
-      throw std::invalid_argument(
-          "delta key: need one level and one offset per flow class");
-    }
-    for (double o : offset_) {
-      if (std::isnan(o)) {
-        throw std::invalid_argument("delta key: offsets must not be NaN");
-      }
-    }
+/// The KeyQueue's heap order: true when `a` is served after `b`.
+struct ServedAfter {
+  const std::vector<int>& level;
+  bool operator()(const Chunk& a, const Chunk& b) const noexcept {
+    const int la = level[static_cast<std::size_t>(a.flow)];
+    const int lb = level[static_cast<std::size_t>(b.flow)];
+    if (la != lb) return la < lb;
+    if (a.key != b.key) return a.key > b.key;
+    return a.seq > b.seq;
   }
-
-  void enqueue(Chunk chunk) override {
-    chunk.deadline =
-        static_cast<double>(chunk.arrival_slot) + offset_[class_of(chunk)];
-    push(chunk);
-  }
-
-  double serve(double budget, std::vector<Chunk>* completed) override {
-    double served = 0.0;
-    while (budget > kSizeEps && !heap_.empty()) {
-      // A partially served head keeps its key, so it stays on top.
-      Chunk& head = heap_.front();
-      const double amount = std::min(budget, head.size_kb);
-      head.size_kb -= amount;
-      budget -= amount;
-      served += amount;
-      backlog_ -= amount;
-      if (head.size_kb <= kSizeEps) {
-        completed->push_back(head);
-        std::pop_heap(heap_.begin(), heap_.end(), later());
-        heap_.pop_back();
-      }
-    }
-    return served;
-  }
-
-  [[nodiscard]] double backlog() const override { return backlog_; }
-
- protected:
-  /// The chunk's class index.  @throws std::out_of_range when unknown.
-  [[nodiscard]] std::size_t class_of(const Chunk& chunk) const {
-    if (chunk.flow < 0 || chunk.flow >= static_cast<int>(level_.size())) {
-      throw std::out_of_range("delta key: unknown flow class");
-    }
-    return static_cast<std::size_t>(chunk.flow);
-  }
-
-  /// Admits a chunk whose deadline is already stamped.
-  void push(const Chunk& chunk) {
-    backlog_ += chunk.size_kb;
-    heap_.push_back(chunk);
-    std::push_heap(heap_.begin(), heap_.end(), later());
-  }
-
- private:
-  /// Heap order: true when `a` is served after `b`.
-  struct Later {
-    const std::vector<int>* level;
-    bool operator()(const Chunk& a, const Chunk& b) const noexcept {
-      const int la = (*level)[static_cast<std::size_t>(a.flow)];
-      const int lb = (*level)[static_cast<std::size_t>(b.flow)];
-      if (la != lb) return la < lb;
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.seq > b.seq;
-    }
-  };
-  [[nodiscard]] Later later() const noexcept { return Later{&level_}; }
-
-  std::vector<int> level_;
-  std::vector<double> offset_;
-  std::vector<Chunk> heap_;
-  double backlog_ = 0.0;
 };
 
 /// Fluid GPS: progressive filling across backlogged classes per slot.
@@ -264,44 +195,87 @@ class DrrDiscipline final : public Discipline {
   double backlog_ = 0.0;
 };
 
-/// SCED: a per-class virtual server of rate rate_[f] stamps the deadline
-/// max(F_f, arrival) + size / rate; the Delta-key queue, all classes on
-/// one level, serves the stamps.
-class ScedDiscipline final : public DeltaKeyDiscipline {
- public:
-  explicit ScedDiscipline(std::vector<double> rates)
-      : DeltaKeyDiscipline(std::vector<int>(rates.size(), 0),
-                           std::vector<double>(rates.size(), 0.0)),
-        rates_(std::move(rates)),
-        finish_(rates_.size(), 0.0) {
-    for (double r : rates_) {
-      if (!(r >= 0.0)) throw std::invalid_argument("sced: rates must be >= 0");
-    }
-  }
-
-  void enqueue(Chunk chunk) override {
-    const std::size_t f = class_of(chunk);
-    if (!(rates_[f] > 0.0)) {
-      throw std::invalid_argument(
-          "sced: arrival on a class with no guaranteed rate");
-    }
-    finish_[f] = std::max(finish_[f], static_cast<double>(chunk.arrival_slot)) +
-                 chunk.size_kb / rates_[f];
-    chunk.deadline = finish_[f];
-    push(chunk);
-  }
-
- private:
-  std::vector<double> rates_;
-  std::vector<double> finish_;
-};
-
 }  // namespace
+
+KeyQueue::KeyQueue(std::vector<int> level, std::vector<double> offset)
+    : level_(std::move(level)), offset_(std::move(offset)) {
+  if (level_.empty() || level_.size() != offset_.size()) {
+    throw std::invalid_argument(
+        "key queue: need one level and one offset per flow class");
+  }
+  for (double o : offset_) {
+    if (std::isnan(o)) {
+      throw std::invalid_argument("key queue: offsets must not be NaN");
+    }
+  }
+}
+
+KeyQueue KeyQueue::finish_tags(std::vector<double> rates) {
+  KeyQueue queue(std::vector<int>(rates.size(), 0),
+                 std::vector<double>(rates.size(), 0.0));
+  for (double r : rates) {
+    if (!(r >= 0.0)) {
+      throw std::invalid_argument("key queue: rates must be >= 0");
+    }
+  }
+  queue.finish_.assign(rates.size(), 0.0);
+  queue.rate_ = std::move(rates);
+  return queue;
+}
+
+void KeyQueue::push(Chunk chunk, double start) {
+  if (chunk.flow < 0 || chunk.flow >= static_cast<int>(level_.size())) {
+    throw std::out_of_range("key queue: unknown flow class");
+  }
+  const auto f = static_cast<std::size_t>(chunk.flow);
+  if (rate_.empty()) {
+    chunk.key = start + offset_[f];
+  } else {
+    if (!(rate_[f] > 0.0)) {
+      throw std::invalid_argument(
+          "key queue: arrival on a class with no guaranteed rate");
+    }
+    finish_[f] = std::max(finish_[f], start) + chunk.size_kb / rate_[f];
+    chunk.key = finish_[f];
+  }
+  backlog_ += chunk.size_kb;
+  heap_.push_back(chunk);
+  std::push_heap(heap_.begin(), heap_.end(), ServedAfter{level_});
+}
+
+Chunk KeyQueue::pop() {
+  const Chunk head = heap_.front();
+  remove_head();
+  backlog_ -= head.size_kb;
+  return head;
+}
+
+double KeyQueue::serve(double budget, std::vector<Chunk>* completed) {
+  double served = 0.0;
+  while (budget > kSizeEps && !heap_.empty()) {
+    // A partially served head keeps its key, so it stays on top.
+    Chunk& head = heap_.front();
+    const double amount = std::min(budget, head.size_kb);
+    head.size_kb -= amount;
+    budget -= amount;
+    served += amount;
+    backlog_ -= amount;
+    if (head.size_kb <= kSizeEps) {
+      completed->push_back(head);
+      remove_head();
+    }
+  }
+  return served;
+}
+
+void KeyQueue::remove_head() {
+  std::pop_heap(heap_.begin(), heap_.end(), ServedAfter{level_});
+  heap_.pop_back();
+}
 
 std::unique_ptr<Discipline> make_delta_key(std::vector<int> level,
                                            std::vector<double> offset) {
-  return std::make_unique<DeltaKeyDiscipline>(std::move(level),
-                                              std::move(offset));
+  return std::make_unique<KeyQueue>(std::move(level), std::move(offset));
 }
 
 std::unique_ptr<Discipline> make_gps(std::vector<double> weights) {
@@ -313,7 +287,7 @@ std::unique_ptr<Discipline> make_drr(std::vector<double> quanta) {
 }
 
 std::unique_ptr<Discipline> make_sced(std::vector<double> rates) {
-  return std::make_unique<ScedDiscipline>(std::move(rates));
+  return std::make_unique<KeyQueue>(KeyQueue::finish_tags(std::move(rates)));
 }
 
 }  // namespace deltanc::sim

@@ -1,12 +1,16 @@
-// Work-conserving link disciplines for the slot-based simulator.
+// The queue core of both simulators: the element they carry, the
+// Definition-1 queue they serve from, and the slot simulator's
+// work-conserving disciplines.
 //
-// The simulator moves fluid "chunks" (one per flow aggregate per slot).
-// Each discipline decides the order in which backlogged chunks drain a
-// per-slot service budget; partial service splits a chunk.
+// The slot simulator (src/sim) moves fluid "chunks" (one per flow
+// aggregate per slot, or whole packets); each discipline decides the
+// order in which backlogged chunks drain a per-slot service budget, and
+// partial service splits a chunk.  The event simulator (src/evsim) pops
+// whole chunks from the same queue and transmits them one at a time.
 //
 // The paper's Definition 1 makes FIFO, static priority and EDF one rule,
-// and make_delta_key is that rule: a chunk of class f arriving in slot t
-// is served in the order of
+// and KeyQueue is that rule: a chunk of class f arriving at time t is
+// served in the order of
 //
 //   (level[f], highest first;  t + offset[f], earliest first;  seq).
 //
@@ -22,8 +26,8 @@
 //   DRR   -- deficit round robin (Shreedhar & Varghese): per-class
 //            quanta and deficit counters, visited in round-robin order.
 //   SCED  -- deadline-curve scheduling (arXiv:1804.08040): each class
-//            runs a virtual server of rate R_f that stamps a deadline,
-//            and the Delta-key queue serves the stamps on one level.
+//            runs a virtual server of rate R_f that stamps a finish tag,
+//            and the KeyQueue serves the tags on one level.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +36,19 @@
 
 namespace deltanc::sim {
 
-/// A fluid chunk of traffic from one flow class.
+/// A chunk of traffic from one flow class: a fluid piece or a whole
+/// packet.  Times are in slots (slot simulator) or ms (event simulator);
+/// whole slot numbers are exact as doubles.
 struct Chunk {
-  int flow;                   ///< flow class index
-  double size_kb;             ///< remaining (unserved) size
-  double total_kb;            ///< original size -- restored when the chunk
-                              ///< is forwarded to the next node
-  std::int64_t arrival_slot;  ///< arrival at the *current* node
-  std::int64_t origin_slot;   ///< arrival into the network (end-to-end delay)
-  double deadline;            ///< service-order key, stamped at enqueue:
-                              ///< arrival_slot + offset, or the SCED
-                              ///< virtual finish time
-  std::uint64_t seq;          ///< global tie-breaker (arrival order)
+  int flow;            ///< flow class index
+  double size_kb;      ///< remaining (unserved) size
+  double total_kb;     ///< original size -- restored when the chunk is
+                       ///< forwarded to the next node
+  double arrival;      ///< arrival at the *current* node
+  double origin;       ///< arrival into the network (end-to-end delay)
+  double key;          ///< service-order key, stamped at admission by
+                       ///< the KeyQueue
+  std::uint64_t seq;   ///< global tie-breaker (arrival order)
 };
 
 /// Interface: a work-conserving scheduling discipline over flow classes.
@@ -51,8 +56,7 @@ class Discipline {
  public:
   virtual ~Discipline() = default;
 
-  /// Admits a chunk to the queue (the discipline may stamp its
-  /// deadline).
+  /// Admits a chunk to the queue (the discipline may stamp its key).
   virtual void enqueue(Chunk chunk) = 0;
 
   /// Serves up to `budget` kb.  Fully-served chunks are appended to
@@ -65,11 +69,57 @@ class Discipline {
   [[nodiscard]] virtual double backlog() const = 0;
 };
 
-/// The Definition-1 discipline: class f's chunks are served in the order
-/// of (level[f], highest first; arrival_slot + offset[f], earliest first;
-/// seq).  An offset may be +/-inf.
-/// @throws std::invalid_argument on empty or mismatched vectors or a NaN
-/// offset.
+/// The Definition-1 queue: one heap in the order of (level[f], highest
+/// first; key, earliest first; seq).  The key is stamped at admission
+/// from a start time, by one of two rules:
+///   * offsets (Definition 1): key = start + offset[f];
+///   * finish tags, all classes on one level: key = F_f, where
+///     F_f = max(F_f, start) + size / rate_f is class f's virtual finish
+///     time.  SCED stamps from the arrival; SCFQ (evsim) stamps from the
+///     tag last sent, with its weights as the rates.
+/// As a Discipline it stamps from the chunk's arrival and serves the
+/// head in place: a partly served head keeps its key, so it stays on top.
+class KeyQueue final : public Discipline {
+ public:
+  /// Offset keys; an offset may be +/-inf.
+  /// @throws std::invalid_argument on empty or mismatched vectors or a
+  ///   NaN offset.
+  KeyQueue(std::vector<int> level, std::vector<double> offset);
+
+  /// Finish-tag keys.  A zero rate is allowed only for classes that
+  /// never receive traffic (push throws otherwise).
+  /// @throws std::invalid_argument on no rates or a rate that is not
+  ///   >= 0.
+  [[nodiscard]] static KeyQueue finish_tags(std::vector<double> rates);
+
+  /// Stamps the chunk's key from `start` and admits it.
+  /// @throws std::out_of_range on an unknown class, and
+  ///   std::invalid_argument on a finish-tag class of rate 0.
+  void push(Chunk chunk, double start);
+
+  /// Removes and returns the head.  Requires !empty().
+  Chunk pop();
+
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+
+  void enqueue(Chunk chunk) override { push(chunk, chunk.arrival); }
+  double serve(double budget, std::vector<Chunk>* completed) override;
+  [[nodiscard]] double backlog() const override { return backlog_; }
+
+ private:
+  /// Drops the head from the heap; the backlog is the caller's.
+  void remove_head();
+
+  std::vector<int> level_;
+  std::vector<double> offset_;
+  std::vector<double> rate_;    ///< finish-tag rates; empty for offsets
+  std::vector<double> finish_;  ///< F_f per class
+  std::vector<Chunk> heap_;
+  double backlog_ = 0.0;
+};
+
+/// The Definition-1 discipline: KeyQueue(level, offset).
+/// @throws std::invalid_argument as KeyQueue does.
 [[nodiscard]] std::unique_ptr<Discipline> make_delta_key(
     std::vector<int> level, std::vector<double> offset);
 
@@ -87,11 +137,8 @@ class Discipline {
 [[nodiscard]] std::unique_ptr<Discipline> make_drr(
     std::vector<double> quanta);
 
-/// SCED with rate service curves: class f's chunks are stamped with the
-/// deadline max(F_f, arrival) + size / rate_f, where F_f is the class's
-/// virtual finish time, and served by the Delta-key order on one level.
-/// Rates are in kb per slot; a zero rate is allowed only for classes that
-/// never receive traffic (enqueue throws otherwise).
+/// SCED with rate service curves (kb per slot): KeyQueue::finish_tags,
+/// stamped from each chunk's arrival.
 [[nodiscard]] std::unique_ptr<Discipline> make_sced(
     std::vector<double> rates);
 

@@ -13,8 +13,8 @@ namespace {
 
 using sched::SchedulerSpec;
 
-Packet pkt(int flow, double kb, std::uint64_t seq) {
-  return Packet{flow, kb, 0.0, 0.0, 0.0, seq};
+sim::Chunk pkt(int flow, double kb, std::uint64_t seq) {
+  return sim::Chunk{flow, kb, kb, 0.0, 0.0, 0.0, seq};
 }
 
 TEST(EvServer, TransmitsAtConfiguredRate) {
@@ -92,12 +92,12 @@ TEST(EvPolicy, EqualLevelAndTagServeInSeqOrder) {
   // Ties on (level, tag) go by seq, not by enqueue order: the order
   // SCFQ's and SCED's equal stamps rely on.
   auto q = make_delta_key_policy({0, 0}, {2.0, 0.0});
-  Packet late = pkt(1, 1.0, 9);
-  late.node_arrival = 3.0;  // tag 3
-  Packet early = pkt(0, 1.0, 4);
-  early.node_arrival = 1.0;  // tag 1 + 2 = 3
-  Packet mid = pkt(1, 1.0, 7);
-  mid.node_arrival = 3.0;  // tag 3
+  sim::Chunk late = pkt(1, 1.0, 9);
+  late.arrival = 3.0;  // tag 3
+  sim::Chunk early = pkt(0, 1.0, 4);
+  early.arrival = 1.0;  // tag 1 + 2 = 3
+  sim::Chunk mid = pkt(1, 1.0, 7);
+  mid.arrival = 3.0;  // tag 3
   q->enqueue(late);
   q->enqueue(early);
   q->enqueue(mid);

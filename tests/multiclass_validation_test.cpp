@@ -11,7 +11,7 @@
 #include "sched/delta.h"
 #include "sched/single_node_bound.h"
 #include "sim/mmoo_source.h"
-#include "sim/node.h"
+#include "sim/scheduler_queue.h"
 #include "sim/stats.h"
 #include "traffic/mmoo.h"
 
@@ -48,21 +48,23 @@ std::array<sim::DelayRecorder, 3> simulate(
     rngs.push_back(rng);
     sources.emplace_back(model, kFlows[f], rngs.back());
   }
-  sim::Node node(kCapacity, std::move(discipline));
   std::array<sim::DelayRecorder, 3> delays;
   std::vector<sim::Chunk> done;
   std::uint64_t seq = 0;
   for (int t = 0; t < slots; ++t) {
+    const double x = t;
     for (int f = 0; f < 3; ++f) {
       const double kb = sources[f].step(rngs[f]);
-      if (kb > 0.0) node.arrive(sim::Chunk{f, kb, kb, t, t, 0.0, seq++});
+      if (kb > 0.0) {
+        discipline->enqueue(sim::Chunk{f, kb, kb, x, x, 0.0, seq++});
+      }
     }
     done.clear();
-    node.advance(&done);
+    discipline->serve(kCapacity, &done);
     for (const auto& c : done) {
-      if (c.origin_slot > 1000) {
+      if (c.origin > 1000) {
         delays[static_cast<std::size_t>(c.flow)].add(
-            static_cast<double>(t + 1 - c.origin_slot));
+            static_cast<double>(t + 1) - c.origin);
       }
     }
   }

@@ -1,13 +1,11 @@
-// Tests for the simulator extensions: packetized emission (the paper's
-// "packet sizes are small" assumption) and per-node backlog recording
-// with an analytic backlog-bound validation.
+// Tests for the slot simulator's packetized emission (the paper's
+// "packet sizes are small" assumption).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <cstddef>
+#include <stdexcept>
 
 #include "sim/tandem.h"
-#include "traffic/mmoo.h"
 
 namespace deltanc::sim {
 namespace {
@@ -59,69 +57,6 @@ TEST(Packetization, RejectsNegativePacketSize) {
   TandemConfig c = base_config();
   c.packet_kb = -1.0;
   EXPECT_THROW((void)run_tandem(c), std::invalid_argument);
-}
-
-TEST(BacklogRecording, DisabledByDefault) {
-  const TandemResult r = run_tandem(base_config());
-  EXPECT_TRUE(r.node_backlog.empty());
-}
-
-TEST(BacklogRecording, SamplesEveryStride) {
-  TandemConfig c = base_config();
-  c.backlog_stride = 16;
-  const TandemResult r = run_tandem(c);
-  ASSERT_EQ(r.node_backlog.size(), 2u);
-  const auto expected =
-      static_cast<std::size_t>((c.slots - c.warmup_slots) / 16);
-  EXPECT_NEAR(static_cast<double>(r.node_backlog[0].count()),
-              static_cast<double>(expected), 3.0);
-  // Heavier-loaded node 1 must show nonzero backlog sometimes at U~75%.
-  EXPECT_GT(r.node_backlog[0].max(), 0.0);
-}
-
-TEST(BacklogRecording, AnalyticBoundDominatesEmpiricalQuantile) {
-  // Single node, aggregate of N0 + Nc MMOO flows at rate C: the EBB
-  // backlog bound P(B > sigma) <= e^{-s sigma} / (1 - e^{-s gamma})
-  // (sample-path envelope vs. the full-rate service), minimized over
-  // (s, gamma), must dominate the empirical 0.999-quantile.
-  TandemConfig c = base_config();
-  c.hops = 1;
-  c.slots = 200000;
-  c.backlog_stride = 4;
-  const TandemResult r = run_tandem(c);
-  ASSERT_EQ(r.node_backlog.size(), 1u);
-  const double empirical = r.node_backlog[0].quantile(0.999);
-
-  const auto model = traffic::MmooSource::paper_source();
-  const int n = c.n_through + c.n_cross;
-  const double eps = 1e-3;
-  double bound = std::numeric_limits<double>::infinity();
-  for (double s = 0.01; s <= 2.0; s *= 1.3) {
-    const double rho = n * model.effective_bandwidth(s);
-    if (rho >= c.capacity_kb_per_slot) continue;
-    for (double frac : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-      const double gamma = frac * (c.capacity_kb_per_slot - rho);
-      const double m = 1.0 / (1.0 - std::exp(-s * gamma));
-      bound = std::min(bound, std::log(m / eps) / s);
-    }
-  }
-  ASSERT_TRUE(std::isfinite(bound));
-  EXPECT_LE(empirical, bound);
-}
-
-TEST(BacklogRecording, BurstinessAccumulatesDownstream) {
-  // Chunks delayed at node 1 are released in batches and hit node 2
-  // together with fresh cross traffic, so the tail backlog downstream is
-  // *worse* than at the entry node -- the output-burstiness growth that
-  // makes the additive node-by-node analysis (Fig. 4) so loose.
-  TandemConfig c = base_config();
-  c.hops = 3;
-  c.backlog_stride = 8;
-  c.slots = 120000;
-  const TandemResult r = run_tandem(c);
-  ASSERT_EQ(r.node_backlog.size(), 3u);
-  EXPECT_GE(r.node_backlog[2].quantile(0.999),
-            r.node_backlog[0].quantile(0.999));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "sim/mmoo_source.h"
-#include "sim/node.h"
 #include "sim/rng.h"
 #include "sim/scheduler_queue.h"
 #include "sim/stats.h"
@@ -97,7 +96,7 @@ TEST(MmooAggregate, ZeroFlowsEmitNothing) {
       std::invalid_argument);
 }
 
-Chunk chunk(int flow, double kb, std::int64_t slot, std::uint64_t seq) {
+Chunk chunk(int flow, double kb, double slot, std::uint64_t seq) {
   return Chunk{flow, kb, kb, slot, slot, 0.0, seq};
 }
 
@@ -318,16 +317,15 @@ TEST(Tandem, DrrAndScedDisciplinesRunEndToEnd) {
 }
 
 TEST(NodeBasics, WorkConservingBudget) {
-  Node node(10.0, make_delta_key({0}, {0.0}));
-  node.arrive(chunk(0, 25.0, 0, 0));
+  // A node serves its capacity per slot straight from the discipline.
+  auto node = make_delta_key({0}, {0.0});
+  node->enqueue(chunk(0, 25.0, 0, 0));
   std::vector<Chunk> done;
-  EXPECT_DOUBLE_EQ(node.advance(&done), 10.0);
-  EXPECT_DOUBLE_EQ(node.advance(&done), 10.0);
-  EXPECT_DOUBLE_EQ(node.advance(&done), 5.0);
-  EXPECT_DOUBLE_EQ(node.advance(&done), 0.0);
+  EXPECT_DOUBLE_EQ(node->serve(10.0, &done), 10.0);
+  EXPECT_DOUBLE_EQ(node->serve(10.0, &done), 10.0);
+  EXPECT_DOUBLE_EQ(node->serve(10.0, &done), 5.0);
+  EXPECT_DOUBLE_EQ(node->serve(10.0, &done), 0.0);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_THROW(Node(0.0, make_delta_key({0}, {0.0})), std::invalid_argument);
-  EXPECT_THROW(Node(1.0, nullptr), std::invalid_argument);
 }
 
 TEST(DelayRecorderStats, MomentsAndQuantiles) {

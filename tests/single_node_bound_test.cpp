@@ -10,7 +10,7 @@
 #include "e2e/delay_bound.h"
 #include "e2e/network_epsilon.h"
 #include "sim/mmoo_source.h"
-#include "sim/node.h"
+#include "sim/scheduler_queue.h"
 #include "sim/stats.h"
 
 namespace deltanc::sched {
@@ -140,20 +140,21 @@ TEST(SingleNodeBound, DominatesSimulatedDelayQuantile) {
   sim::Xoshiro256ss crng = rng;
   crng.jump();
   sim::MmooAggregateSim cross(model, n_cross, crng);
-  sim::Node node(kC, sim::make_delta_key({0, 0}, {0.0, 0.0}));
+  const auto node = sim::make_delta_key({0, 0}, {0.0, 0.0});
   sim::DelayRecorder delays;
   std::vector<sim::Chunk> done;
   std::uint64_t seq = 0;
   for (int t = 0; t < 150000; ++t) {
+    const double x = t;
     const double a = thr.step(rng);
-    if (a > 0.0) node.arrive(sim::Chunk{0, a, a, t, t, 0.0, seq++});
+    if (a > 0.0) node->enqueue(sim::Chunk{0, a, a, x, x, 0.0, seq++});
     const double c = cross.step(crng);
-    if (c > 0.0) node.arrive(sim::Chunk{1, c, c, t, t, 0.0, seq++});
+    if (c > 0.0) node->enqueue(sim::Chunk{1, c, c, x, x, 0.0, seq++});
     done.clear();
-    node.advance(&done);
+    node->serve(kC, &done);
     for (const auto& chunk : done) {
-      if (chunk.flow == 0 && chunk.origin_slot > 1000) {
-        delays.add(static_cast<double>(t + 1 - chunk.origin_slot));
+      if (chunk.flow == 0 && chunk.origin > 1000) {
+        delays.add(static_cast<double>(t + 1) - chunk.origin);
       }
     }
   }

@@ -16,8 +16,8 @@
 
 #include "sched/delta.h"
 #include "sim/mmoo_source.h"
-#include "sim/node.h"
 #include "sim/rng.h"
+#include "sim/scheduler_queue.h"
 #include "traffic/mmoo.h"
 
 namespace deltanc {
@@ -47,8 +47,6 @@ std::pair<double, double> violation_frequency(
   cross_rng.jump();
   sim::MmooAggregateSim cross(model, cfg.n_cross, cross_rng);
 
-  sim::Node node(cfg.capacity, std::move(discipline));
-
   // The Theorem-1 curve for linear cross envelopes:
   //   S(t; theta) = [C t - (rho_c + gamma) (t - theta + Delta(theta))]_+
   //                 for t > theta,
@@ -75,18 +73,20 @@ std::pair<double, double> violation_frequency(
   const int window = 2000;  // convolution lookback (busy periods are short)
 
   for (int t = 0; t < cfg.slots; ++t) {
+    const double x = t;
     const double thr_kb = through.step(rng);
     if (thr_kb > 0.0) {
-      node.arrive(sim::Chunk{0, thr_kb, thr_kb, t, t, 0.0, seq++});
+      discipline->enqueue(sim::Chunk{0, thr_kb, thr_kb, x, x, 0.0, seq++});
     }
     const double cross_kb = cross.step(cross_rng);
     if (cross_kb > 0.0) {
-      node.arrive(sim::Chunk{1, cross_kb, cross_kb, t, t, 0.0, seq++});
+      discipline->enqueue(
+          sim::Chunk{1, cross_kb, cross_kb, x, x, 0.0, seq++});
     }
     a_cum.push_back(a_cum.back() + thr_kb);
 
     completed.clear();
-    node.advance(&completed);
+    discipline->serve(cfg.capacity, &completed);
     for (const auto& c : completed) {
       if (c.flow == 0) d_cum += c.total_kb;
     }
@@ -161,20 +161,21 @@ TEST(Theorem1MonteCarlo, ViolationsAppearBeyondTheGuarantee) {
   sim::Xoshiro256ss cross_rng = rng;
   cross_rng.jump();
   sim::MmooAggregateSim cross(model, cfg.n_cross, cross_rng);
-  sim::Node node(cfg.capacity, sim::make_delta_key({0, 0}, {0.0, 0.0}));
+  const auto node = sim::make_delta_key({0, 0}, {0.0, 0.0});
   std::vector<double> a_cum{0.0};
   double d_cum = 0.0;
   std::vector<sim::Chunk> completed;
   std::uint64_t seq = 0;
   std::int64_t violations = 0, checks = 0;
   for (int t = 0; t < 20000; ++t) {
+    const double x = t;
     const double thr = through.step(rng);
-    if (thr > 0.0) node.arrive(sim::Chunk{0, thr, thr, t, t, 0.0, seq++});
+    if (thr > 0.0) node->enqueue(sim::Chunk{0, thr, thr, x, x, 0.0, seq++});
     const double cr = cross.step(cross_rng);
-    if (cr > 0.0) node.arrive(sim::Chunk{1, cr, cr, t, t, 0.0, seq++});
+    if (cr > 0.0) node->enqueue(sim::Chunk{1, cr, cr, x, x, 0.0, seq++});
     a_cum.push_back(a_cum.back() + thr);
     completed.clear();
-    node.advance(&completed);
+    node->serve(cfg.capacity, &completed);
     for (const auto& c : completed) {
       if (c.flow == 0) d_cum += c.total_kb;
     }

@@ -27,7 +27,6 @@
 #include "sched/delta.h"
 #include "sched/schedulability.h"
 #include "sched/tightness.h"
-#include "sim/node.h"
 #include "sim/scheduler_queue.h"
 #include "traffic/tspec.h"
 
@@ -76,7 +75,7 @@ double busy_period(std::span<const nc::Curve> env) {
 /// burst E_k(0+) at s = 0.  Returns the largest tagged delay in slots.
 double replay_slots(const Keyed& s, std::span<const nc::Curve> env,
                     int tagged, std::int64_t horizon) {
-  sim::Node node(kCapacity, sim::make_delta_key(s.level, s.offset));
+  const auto node = sim::make_delta_key(s.level, s.offset);
   std::vector<int> order;  // the tagged flow enqueues last in its slot
   for (int k = 0; k < 3; ++k) {
     if (k != tagged) order.push_back(k);
@@ -93,15 +92,15 @@ double replay_slots(const Keyed& s, std::span<const nc::Curve> env,
       const double x = static_cast<double>(t);
       const double kb = e.eval(x) - (t > 0 ? e.eval(x - 1.0) : 0.0);
       if (kb <= 0.0) continue;
-      node.arrive(sim::Chunk{k, kb, kb, t, t, 0.0, seq++});
+      node->enqueue(sim::Chunk{k, kb, kb, x, x, 0.0, seq++});
       if (k == tagged) ++tagged_queued;
     }
     done.clear();
-    node.advance(&done);
+    node->serve(kCapacity, &done);
     for (const sim::Chunk& c : done) {
       if (c.flow != tagged) continue;
       --tagged_queued;
-      worst = std::max(worst, static_cast<double>(t + 1 - c.arrival_slot));
+      worst = std::max(worst, static_cast<double>(t + 1) - c.arrival);
     }
   }
   return worst;
@@ -137,13 +136,13 @@ double replay_packets(const Keyed& s, std::span<const nc::Curve> env,
   const auto depart = [&] {
     const evsim::Departure d = server.complete_one();
     if (d.packet.flow == tagged) {
-      worst = std::max(worst, d.time - d.packet.node_arrival);
+      worst = std::max(worst, d.time - d.packet.arrival);
     }
   };
   std::uint64_t seq = 0;
   for (const auto& [t, is_tagged, k] : arrivals) {
     while (server.next_completion() <= t) depart();
-    server.arrive(evsim::Packet{k, kPacketKb, t, t, 0.0, seq++}, t);
+    server.arrive(sim::Chunk{k, kPacketKb, kPacketKb, t, t, 0.0, seq++}, t);
   }
   while (server.busy()) depart();
   return worst;
