@@ -33,16 +33,7 @@ CacheStats& CacheStats::operator+=(const CacheStats& other) noexcept {
   return *this;
 }
 
-ResultCache::ResultCache(std::filesystem::path dir)
-    : ResultCache(std::move(dir), CacheShard{}) {}
-
-ResultCache::ResultCache(std::filesystem::path dir, CacheShard shard)
-    : dir_(std::move(dir)), shard_(shard) {
-  if (shard_.count < 1 || shard_.index < 0 || shard_.index >= shard_.count) {
-    throw std::invalid_argument("result cache: malformed shard " +
-                                std::to_string(shard_.index) + " of " +
-                                std::to_string(shard_.count));
-  }
+ResultCache::ResultCache(std::filesystem::path dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec || !std::filesystem::is_directory(dir_)) {

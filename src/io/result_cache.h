@@ -71,14 +71,6 @@ struct CacheStats {
   CacheStats& operator+=(const CacheStats& other) noexcept;
 };
 
-/// One slice of the cache keyspace: shard `index` of `count` owns the
-/// keys whose FNV file-name prefix falls in its contiguous range (see
-/// ResultCache::shard_of).  The default (0 of 1) owns everything.
-struct CacheShard {
-  int index = 0;
-  int count = 1;
-};
-
 /// Filesystem-backed store of BoundResults addressed by canonical solve
 /// key.  Lookup/store are safe to call from one thread at a time per
 /// ResultCache object; distinct processes sharing a directory are safe
@@ -89,29 +81,12 @@ class ResultCache {
   /// @throws std::runtime_error when the directory cannot be created.
   explicit ResultCache(std::filesystem::path dir);
 
-  /// Shard-aware open: same directory layout (shards share one
-  /// directory -- entries stay compatible with unsharded readers), but
-  /// this handle records which contiguous slice of the FNV keyspace it
-  /// serves.  Routing keys with shard_of() so that exactly one handle
-  /// ever touches a given key is what makes per-worker caches safe to
-  /// run lock-free against each other.
-  /// @throws std::invalid_argument on a malformed shard (count < 1 or
-  /// index outside [0, count)).
-  ResultCache(std::filesystem::path dir, CacheShard shard);
-
   /// The shard owning `key` when the keyspace is split `shard_count`
   /// ways: contiguous ranges of the top byte of the FNV-1a hash (the
   /// first two hex digits of the entry file name), so shard i owns a
   /// prefix range of the directory listing.
   [[nodiscard]] static int shard_of(std::string_view key,
                                     int shard_count) noexcept;
-
-  [[nodiscard]] const CacheShard& shard() const noexcept { return shard_; }
-
-  /// True when `key` falls in this handle's shard.
-  [[nodiscard]] bool owns(std::string_view key) const noexcept {
-    return shard_of(key, shard_.count) == shard_.index;
-  }
 
   /// The directory from DELTANC_CACHE_DIR, or `fallback` when the
   /// variable is unset or empty.
@@ -205,7 +180,6 @@ class ResultCache {
                        const Payload& payload) noexcept;
 
   std::filesystem::path dir_;
-  CacheShard shard_{};
   CacheStats stats_;
   int injected_store_failures_ = 0;
 };

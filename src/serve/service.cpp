@@ -82,7 +82,7 @@ struct SolveService::Impl {
     for (int s = 0; s < workers; ++s) {
       shards.push_back(std::make_unique<Shard>(
           options.queue_depth > 0 ? options.queue_depth : 1));
-      open_disk(*shards.back(), s);
+      open_disk(*shards.back());
     }
     for (int s = 0; s < workers; ++s) {
       Shard& shard = *shards[s];
@@ -98,10 +98,9 @@ struct SolveService::Impl {
 
   ~Impl() { drain(); }
 
-  void open_disk(Shard& shard, int index) {
+  void open_disk(Shard& shard) {
     if (options.cache_dir.empty()) return;
-    shard.disk = std::make_unique<io::ResultCache>(
-        options.cache_dir, io::CacheShard{index, workers});
+    shard.disk = std::make_unique<io::ResultCache>(options.cache_dir);
     // The full-disk simulation arms each shard's first stores; the
     // budget is a per-shard allowance so every worker exercises the
     // solve-through path, not just whichever shard stores first.
@@ -342,8 +341,7 @@ struct SolveService::Impl {
         shard.disk.reset();  // release before reopening the same dir
       }
       if (!options.cache_dir.empty()) {
-        shard.disk = std::make_unique<io::ResultCache>(
-            options.cache_dir, io::CacheShard{s, workers});
+        shard.disk = std::make_unique<io::ResultCache>(options.cache_dir);
         // Deliberately no fail_next_stores re-arm: the fault budget is
         // per service lifetime, not per reload.
       }

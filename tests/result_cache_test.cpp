@@ -714,26 +714,20 @@ TEST_F(ResultCacheTest, ShardedHandlesShareOneDirectoryWithUnshardedReaders) {
   const auto dir = cache_dir();
   const e2e::Scenario sc = small_scenario(64);
   const std::string key = solve_cache_key(sc, SolveOptions{});
-  const int owner = ResultCache::shard_of(key, 4);
 
-  ResultCache shard(dir, CacheShard{owner, 4});
-  EXPECT_TRUE(shard.owns(key));
-  EXPECT_EQ(shard.shard().index, owner);
+  // Each serve worker opens its own handle on the one directory.
+  ResultCache worker(dir);
   e2e::BoundResult stored;
   stored.delay_ms = 21.5;
-  shard.store(key, stored);
+  worker.store(key, stored);
 
-  // The sharded store is a plain entry: an unsharded reader of the same
+  // A worker's store is a plain entry: a second handle on the same
   // directory hits it bit-exactly (what keeps --serve's cache directory
   // compatible with one-shot --batch runs).
   ResultCache plain(dir);
   e2e::BoundResult found;
   EXPECT_EQ(plain.lookup(key, found), CacheLookup::kHit);
   EXPECT_EQ(found.delay_ms, 21.5);
-
-  EXPECT_THROW(ResultCache(dir, CacheShard{4, 4}), std::invalid_argument);
-  EXPECT_THROW(ResultCache(dir, CacheShard{-1, 4}), std::invalid_argument);
-  EXPECT_THROW(ResultCache(dir, CacheShard{0, 0}), std::invalid_argument);
 }
 
 TEST_F(ResultCacheTest, TryStoreCountsFailuresAndKeepsServing) {
