@@ -181,6 +181,11 @@ ParsedRequestLine parse_request_line(const std::string& line,
     // grid is validated here so a malformed one is a parse error (the
     // engine would throw the same complaint mid-solve otherwise).
     if (f[4] && !f[4].is_null()) req.epsilons = decode_profile_epsilons(f[4]);
+    // A scalar line is answered by the stateless Solver::solve, which
+    // ignores warm_start, so fold it to cold: both spellings share one
+    // key, one cache entry and one serve Solver.  A profile keeps it, as
+    // it selects the warm chain.
+    if (!req.is_profile()) options.warm_start = e2e::WarmStart::kCold;
     req.scenario = sc;
     req.options = options;
     req.key = req.is_profile()

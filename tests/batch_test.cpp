@@ -534,7 +534,49 @@ TEST(Batch, ParsedScalarKeyIsTheSolveCacheKey) {
   const ParsedRequestLine line =
       parse_request_line(req.dump(), e2e::Method::kExactOpt);
   EXPECT_FALSE(line.is_profile());
-  EXPECT_EQ(line.key, solve_cache_key(sc, options));
+  // A scalar line's warm_start folds to cold: the stateless solve
+  // ignores it.
+  SolveOptions cold = options;
+  cold.warm_start = e2e::WarmStart::kCold;
+  EXPECT_EQ(line.key, solve_cache_key(sc, cold));
+}
+
+TEST(Batch, ScalarWarmStartSpellingsShareOneCacheEntry) {
+  // A scalar request is solved statelessly whatever its warm_start, so
+  // "warm" and "cold" name one answer: one key, and a rerun under the
+  // other spelling hits the entry the first one stored.
+  const e2e::Scenario sc = small_scenario(60);
+  const auto line_with = [&](e2e::WarmStart warm_start) {
+    SolveOptions options;
+    options.warm_start = warm_start;
+    Value req = Value::parse(request_line(sc, 7));
+    req.set("options", encode_solve_options(options));
+    return req.dump();
+  };
+  const std::string warm = line_with(e2e::WarmStart::kWarm);
+  const std::string cold = line_with(e2e::WarmStart::kCold);
+  EXPECT_EQ(parse_request_line(warm, e2e::Method::kExactOpt).key,
+            parse_request_line(cold, e2e::Method::kExactOpt).key);
+
+  ResultCache cache(fresh_cache_dir("deltanc_batch_warm_spelling"));
+  BatchOptions options;
+  options.cache = &cache;
+  std::stringstream first_in(warm + "\n");
+  std::ostringstream first_out;
+  EXPECT_EQ(run_batch(first_in, first_out, options).solved, 1);
+  std::stringstream second_in(cold + "\n");
+  std::ostringstream second_out;
+  const BatchSummary second = run_batch(second_in, second_out, options);
+  EXPECT_EQ(second.solved, 0);
+  EXPECT_EQ(second.cached, 1);
+
+  // Only the "cache" tag tells the two responses apart.
+  std::string first = first_out.str();
+  const std::string miss = "\"cache\":\"miss\"";
+  const std::size_t at = first.find(miss);
+  ASSERT_NE(at, std::string::npos) << first;
+  first.replace(at, miss.size(), "\"cache\":\"hit\"");
+  EXPECT_EQ(first, second_out.str());
 }
 
 TEST(Batch, ProfileRequestsAnswerFullArtifactsInOrder) {
