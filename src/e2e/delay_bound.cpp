@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "e2e/theta_solver.h"
+
 namespace deltanc::e2e {
 
 namespace {
@@ -21,19 +23,6 @@ constexpr double kTieTol = 1e-12;
 // Safety factor on the sweep's rounding-error estimate (see
 // sweep_minimize).  Larger only widens the exactly evaluated window.
 constexpr double kErrSafety = 16.0;
-
-// theta_h(X) from the loaded per-node constants -- the same case split,
-// in the same arithmetic order, as theta_h in e2e/theta_solver.cpp.
-double theta_at(const NodeTerms& n, double sigma, double x) {
-  if (n.delta > 0.0) {
-    const double theta_a = sigma / n.slack - x;
-    if (theta_a <= 0.0) return 0.0;
-    if (theta_a <= n.delta) return theta_a;  // handles Delta = +inf (BMUX)
-    return (sigma + n.rc * (x + n.delta)) / n.cap - x;
-  }
-  const double bracket = n.delta == -kInf ? 0.0 : std::max(0.0, x + n.delta);
-  return std::max(0.0, (sigma + n.rc * bracket) / n.cap - x);
-}
 
 /// The exact objective X + sum_h theta_h(X), summed in node order.
 double objective_at(const std::vector<NodeTerms>& nodes, double sigma,
@@ -193,18 +182,10 @@ namespace detail {
 
 void load_nodes(const PathParams& p, double gamma, SolveWorkspace& ws) {
   // Per-node constants of theta_h, computed once instead of inside every
-  // objective evaluation (theta_h re-derives and re-validates them per
-  // call; the expressions here are the same, so values are bit-identical).
-  const double rc = p.rho_cross + gamma;
+  // objective evaluation.
   ws.nodes.resize(static_cast<std::size_t>(p.hops));
   for (int h = 1; h <= p.hops; ++h) {
-    const double slack = p.capacity - p.rho_cross - h * gamma;
-    if (!(slack > 0.0)) {
-      throw std::invalid_argument(
-          "theta_h: stability requires C - rho_c - h*gamma > 0 (Eq. 32)");
-    }
-    ws.nodes[static_cast<std::size_t>(h - 1)] =
-        NodeTerms{p.capacity - (h - 1) * gamma, slack, rc, p.delta};
+    ws.nodes[static_cast<std::size_t>(h - 1)] = node_terms(p, gamma, h);
   }
 }
 

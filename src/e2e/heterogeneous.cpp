@@ -7,6 +7,7 @@
 
 #include "e2e/delay_bound.h"
 #include "e2e/network_epsilon.h"
+#include "e2e/theta_solver.h"
 
 namespace deltanc::e2e {
 
@@ -90,6 +91,10 @@ double hetero_theta_h(const HeteroPath& p, double gamma, double sigma, int h,
   if (!(x >= 0.0) || !(sigma >= 0.0) || !(gamma > 0.0)) {
     throw std::invalid_argument("hetero_theta_h: bad arguments");
   }
+  return theta_at(node_terms(p, gamma, h), sigma, x);
+}
+
+NodeTerms node_terms(const HeteroPath& p, double gamma, int h) {
   const NodeParams& n = p.nodes[static_cast<std::size_t>(h - 1)];
   const double ch = n.capacity - (h - 1) * gamma;
   const double rc = n.rho_cross + gamma;
@@ -97,32 +102,15 @@ double hetero_theta_h(const HeteroPath& p, double gamma, double sigma, int h,
   if (!(slack > 0.0)) {
     throw std::invalid_argument("hetero_theta_h: node unstable (Eq. 32)");
   }
-  if (n.delta > 0.0) {
-    const double theta_a = sigma / slack - x;
-    if (theta_a <= 0.0) return 0.0;
-    if (theta_a <= n.delta) return theta_a;
-    return (sigma + rc * (x + n.delta)) / ch - x;
-  }
-  const double bracket = n.delta == -kInf ? 0.0 : std::max(0.0, x + n.delta);
-  return std::max(0.0, (sigma + rc * bracket) / ch - x);
+  return NodeTerms{ch, slack, rc, n.delta};
 }
 
 namespace detail {
 
 void load_nodes(const HeteroPath& p, double gamma, SolveWorkspace& ws) {
-  // The constants of hetero_theta_h, in the same arithmetic, so the
-  // shared kernel evaluates it bit for bit.
   ws.nodes.resize(p.nodes.size());
   for (int h = 1; h <= p.hops(); ++h) {
-    const NodeParams& n = p.nodes[static_cast<std::size_t>(h - 1)];
-    const double ch = n.capacity - (h - 1) * gamma;
-    const double rc = n.rho_cross + gamma;
-    const double slack = ch - rc;
-    if (!(slack > 0.0)) {
-      throw std::invalid_argument("hetero_theta_h: node unstable (Eq. 32)");
-    }
-    ws.nodes[static_cast<std::size_t>(h - 1)] =
-        NodeTerms{ch, slack, rc, n.delta};
+    ws.nodes[static_cast<std::size_t>(h - 1)] = node_terms(p, gamma, h);
   }
 }
 

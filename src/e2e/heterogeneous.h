@@ -63,6 +63,11 @@ struct HeteroPath {
 [[nodiscard]] double hetero_sigma_for_epsilon(const HeteroPath& p,
                                               double gamma, double epsilon);
 
+/// Node h's (1-based) constants at gamma (e2e::theta_at evaluates
+/// theta_h from them).
+/// @throws std::invalid_argument when the node violates Eq. (32).
+[[nodiscard]] NodeTerms node_terms(const HeteroPath& p, double gamma, int h);
+
 /// theta_h(X) for node h (1-based).
 [[nodiscard]] double hetero_theta_h(const HeteroPath& p, double gamma,
                                     double sigma, int h, double x);
@@ -75,9 +80,8 @@ struct HeteroPath {
 
 namespace detail {
 
-/// Loads the per-node constants of a heterogeneous path into `ws`, in
-/// hetero_theta_h's arithmetic, for detail::sweep_minimize /
-/// detail::enumerate_minimize.
+/// Loads the per-node constants of a heterogeneous path (node_terms)
+/// into `ws`, for detail::sweep_minimize / detail::enumerate_minimize.
 /// @throws std::invalid_argument when some node violates Eq. (32).
 void load_nodes(const HeteroPath& p, double gamma, SolveWorkspace& ws);
 

@@ -32,6 +32,8 @@ const DelayResult& k_procedure_delay(const PathParams& p, double gamma,
 
 /// The K index selected by Eq. (40) (plus the theta > Delta side
 /// condition when Delta >= 0); exposed for tests and ablations.
+/// @throws std::invalid_argument when gamma violates Eq. (32) or
+///   sigma < 0 (k_procedure_delay too).
 [[nodiscard]] int k_procedure_index(const PathParams& p, double gamma,
                                     double sigma);
 

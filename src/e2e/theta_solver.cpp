@@ -7,9 +7,16 @@
 
 namespace deltanc::e2e {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
+NodeTerms node_terms(const PathParams& p, double gamma, int h) {
+  const double slack = p.capacity - p.rho_cross - h * gamma;  // ch - rc
+  if (!(slack > 0.0)) {
+    throw std::invalid_argument(
+        "theta_h: stability requires C - rho_c - h*gamma > 0 (Eq. 32)");
+  }
+  return NodeTerms{p.capacity - (h - 1) * gamma,  // C - (h-1) gamma
+                   slack, p.rho_cross + gamma,    // rho_c + gamma
+                   p.delta};
+}
 
 double theta_h(const PathParams& p, double gamma, double sigma, int h,
                double x) {
@@ -20,27 +27,7 @@ double theta_h(const PathParams& p, double gamma, double sigma, int h,
   if (!(x >= 0.0) || !(sigma >= 0.0) || !(gamma > 0.0)) {
     throw std::invalid_argument("theta_h: need x >= 0, sigma >= 0, gamma > 0");
   }
-  const double ch = p.capacity - (h - 1) * gamma;   // C - (h-1) gamma
-  const double rc = p.rho_cross + gamma;            // rho_c + gamma
-  const double slack = p.capacity - p.rho_cross - h * gamma;  // ch - rc
-  if (!(slack > 0.0)) {
-    throw std::invalid_argument(
-        "theta_h: stability requires C - rho_c - h*gamma > 0 (Eq. 32)");
-  }
-
-  if (p.delta > 0.0) {
-    // Regime A (theta <= Delta): constraint (ch - rc)(X + theta) >= sigma.
-    const double theta_a = sigma / slack - x;
-    if (theta_a <= 0.0) return 0.0;
-    if (theta_a <= p.delta) return theta_a;  // handles Delta = +inf (BMUX)
-    // Regime B (theta > Delta): ch (X + theta) - rc (X + Delta) >= sigma.
-    return (sigma + rc * (x + p.delta)) / ch - x;
-  }
-  // Delta <= 0 (FIFO at 0, EDF-favoured, SP-high at -inf): the bracket
-  // [X + Delta]_+ does not depend on theta.
-  const double bracket =
-      p.delta == -kInf ? 0.0 : std::max(0.0, x + p.delta);
-  return std::max(0.0, (sigma + rc * bracket) / ch - x);
+  return theta_at(node_terms(p, gamma, h), sigma, x);
 }
 
 double objective(const PathParams& p, double gamma, double sigma, double x) {
