@@ -305,7 +305,8 @@ echo "profile pinning gate: OK (4 levels byte-identical to scalar solves)"
 # --emit-batch --ccdf emits profile requests (strict-lint clean), a
 # second run answers every one from cache bit-identically (only the
 # "cache" tag differs: miss vs hit), and doctoring every stored entry to
-# the previous wire schema (7 -> 6) classifies ALL of them stale -- zero
+# the previous wire schema (N -> N-1, N read from the emitted requests)
+# classifies ALL of them stale -- zero
 # hits, zero wrong answers, full re-solve.  (Entries written under the
 # older schema-4, -5 and -6 key spellings are plain misses, pinned by
 # the result_cache ctest; this smoke covers the stored-schema staleness
@@ -333,12 +334,14 @@ if ! cmp -s <(strip_cache_tag "$prof_dir/cold.jsonl") \
             <(strip_cache_tag "$prof_dir/warm.jsonl"); then
   echo "FAIL: cached profile responses differ from solved ones"; exit 1
 fi
+schema=$(sed -n '1s/^{"schema":\([0-9][0-9]*\),.*/\1/p' "$prof_dir/req.jsonl")
+[ -n "$schema" ] || { echo "FAIL: no \"schema\" in --emit-batch output"; exit 1; }
 find "$prof_dir/cache" -type f -name '*.json' \
-  -exec sed -i 's/"schema":7/"schema":6/' {} +
+  -exec sed -i "s/\"schema\":$schema/\"schema\":$((schema - 1))/" {} +
 ./build/tools/deltanc_cli --batch "$prof_dir/req.jsonl" \
   --cache-dir "$prof_dir/cache" > "$prof_dir/stale.jsonl" 2> "$prof_dir/stale.err"
 grep -q 'hits=0 misses=0 stale=3' "$prof_dir/stale.err" || {
-  echo "FAIL: schema-6 entries were not all classified stale:"
+  echo "FAIL: schema-$((schema - 1)) entries were not all classified stale:"
   cat "$prof_dir/stale.err"; exit 1
 }
 if ! cmp -s <(strip_cache_tag "$prof_dir/cold.jsonl") \
