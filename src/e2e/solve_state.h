@@ -1,11 +1,11 @@
 // Opaque warm-start state for deltanc::Solver and the sweep engine.
 //
 // A scenario solve builds per-scenario context that a *neighboring*
-// solve (the next point of a sweep chain, the next request of a batch)
-// can reuse instead of rebuilding from scratch: the stable-s bracket of
-// Eq. (32) (bit-exact when source, capacity and flow counts match),
-// the previous (s, gamma) optimum as a scan-skipping probe, and the
-// resolved EDF fixed point as an iteration seed.  SolveState carries
+// solve (the next point of a sweep chain, the next level of a warm
+// profile) can reuse instead of rebuilding from scratch: the stable-s
+// bracket of Eq. (32) (bit-exact when source, capacity and flow counts
+// match), the previous (s, gamma) optimum as a scan-skipping probe, and
+// the resolved EDF fixed point as an iteration seed.  SolveState carries
 // that context across solves without exposing its layout; the contents
 // live in e2e/warm_state.h (internal) and are only touched by the
 // engine in param_search.cpp.

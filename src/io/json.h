@@ -12,8 +12,8 @@
 // library (tests, benches, load generators) builds documents with;
 // Value::parse is a Document materialized into one.
 //
-// Number fidelity: finite doubles are written with enough significant
-// digits (max_digits10) to round-trip bit-exactly through the reader.
+// Number fidelity: finite doubles are written in their shortest
+// round-trip form (append_number) and parse back bit-exactly.
 // JSON itself cannot represent +/-inf or NaN; the codec layer encodes
 // those as the strings "inf" / "-inf" / "nan" (see io::decode_double,
 // which also accepts C99 hexfloat strings for hand-written documents).
