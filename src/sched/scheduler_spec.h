@@ -15,8 +15,9 @@
 //   wire + cache io/codec.{h,cpp} encode/decode + cache keys
 //   CLI          --scheduler / --sweep parsing (parse_scheduler)
 //   simulators   sim::TandemConfig / evsim::EvNetworkConfig carry the
-//                spec; every Delta-kind runs as the one Delta-key
-//                queue of each simulator, offsets from class_offsets()
+//                spec; sim::lower_scheduler lowers it for both, every
+//                Delta-kind onto the one Delta-key queue (sim::KeyQueue),
+//                offsets from class_offsets()
 //
 // Not every scheduler admits constants Delta_{j,k} -- GPS, DRR, and
 // SCED condition on the backlog process, so Definition 1 does not apply
@@ -276,8 +277,8 @@ class SchedulerSpec {
   /// static_delta() for the other Delta-kinds -- fifo {0, 0}, bmux
   /// {+inf, 0}, sp-high {0, +inf}.  Either way through - cross is exactly
   /// delta_term(edf_unit), which by Def. 1 is all the scheduler sees.
-  /// Meaningless for curve-backed kinds; both simulators build every
-  /// Delta-kind from it.
+  /// Meaningless for curve-backed kinds; sim::lower_scheduler builds
+  /// every Delta-kind of both simulators from it.
   [[nodiscard]] ClassOffsets class_offsets(double edf_unit) const noexcept;
 
   /// Lowers the spec onto the Theorem-1 layer: the DeltaMatrix over
