@@ -15,6 +15,10 @@
 #     wire_responses.jsonl) is answered byte for byte with no cache and
 #     again from a fresh cache's hits, and the stored entry files under
 #     tests/data/wire_cache/ match byte for byte (file name = key hash),
+#   * one digit flipped inside the stored entry's payload (it still
+#     parses and decodes) is caught by the entry's digest: a rerun
+#     answers exactly that line "cache":"corrupt" with the
+#     corrupt-cache warning, and every other line is the same hit,
 #   * both golden files pass --lint-jsonl (the requests but for their
 #     one malformed line), profile payloads decoded, not just parsed,
 #   * `--ccdf` takes at most io::kMaxProfileLevels (1024) points: 1025
@@ -156,6 +160,38 @@ for entry in "$GOLDEN"/wire_cache/*.json; do
   fi
 done
 echo "batch_e2e: wire golden identical uncached, from cache hits, and in the stored entry"
+
+# Digest gate: flip the first nonzero digit after "delay_ms" in the
+# stored entry's payload.  The entry still parses and decodes, so only
+# its digest can tell; the line it answers must be the only one that
+# changes, and it must be re-solved with the recovery warning.
+cp -r "$WORK/golden_cache" "$WORK/doctored_cache"
+for entry in "$GOLDEN"/wire_cache/*.json; do
+  doctored="$WORK/doctored_cache/$(basename "$entry")"
+  awk '{
+    at = index($0, "\"profile\":");
+    if (at == 0) at = index($0, "\"result\":");
+    d = at + index(substr($0, at), "\"delay_ms\":") + 10;
+    while (substr($0, d, 1) !~ /[1-9]/) d++;
+    c = substr($0, d, 1);
+    printf "%s%s%s\n", substr($0, 1, d - 1), (c == "9" ? "1" : c + 1),
+           substr($0, d + 1);
+  }' "$entry" > "$doctored"
+  if cmp -s "$doctored" "$entry"; then
+    echo "FAIL: the digest gate did not change $(basename "$entry")"; exit 1
+  fi
+done
+run_golden "$WORK/golden_doctored.jsonl" --cache-dir "$WORK/doctored_cache"
+changed=$(diff "$WORK/golden_hit.jsonl" "$WORK/golden_doctored.jsonl" |
+            grep -c '^>' || true)
+corrupt=$(grep '"cache":"corrupt"' "$WORK/golden_doctored.jsonl" |
+            grep -c '"kind":"corrupt-cache"' || true)
+if [ "$changed" -ne 1 ] || [ "$corrupt" -ne 1 ] ||
+   [ "$(grep -c '"cache":"hit"' "$WORK/golden_doctored.jsonl")" -ne 9 ]; then
+  echo "FAIL: a flipped payload digit changed $changed line(s), $corrupt answered corrupt (want 1 and 1, 9 hits)"
+  exit 1
+fi
+echo "batch_e2e: a flipped payload digit is caught by its digest and re-solved; the other lines stay hits"
 
 # The golden itself decodes: every response payload, the two 16-level
 # profiles included, and every request but the one malformed line.

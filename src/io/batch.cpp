@@ -42,30 +42,51 @@ void append_head(std::string& out, std::string_view id, bool ok) {
   out += ok ? ",\"ok\":true" : ",\"ok\":false";
 }
 
-template <typename Payload>
-void append_ok_response(std::string& out, std::string_view id,
-                        bool with_cache_tag, CacheLookup outcome,
-                        const Payload& payload) {
+/// `{"schema":N,"id":<id>,"ok":true[,"cache":<outcome>],"<field>":` --
+/// an ok response up to its payload.
+void append_ok_head(std::string& out, std::string_view id,
+                    bool with_cache_tag, CacheLookup outcome,
+                    std::string_view field) {
   append_head(out, id, true);
   if (with_cache_tag) {
     out += ",\"cache\":";
     json::append_quoted(out, cache_lookup_name(outcome));
   }
   out += ",\"";
-  out += payload_field(payload);
+  out += field;
   out += "\":";
+}
+
+template <typename Payload>
+void append_ok_response(std::string& out, std::string_view id,
+                        bool with_cache_tag, CacheLookup outcome,
+                        const Payload& payload) {
+  append_ok_head(out, id, with_cache_tag, outcome, payload_field(payload));
   append_json(out, payload);
   out += '}';
+}
+
+/// Sets `answer.payload_json` to its payload's bytes.
+void encode_payload(Answer& answer) {
+  answer.payload_json.clear();
+  std::visit([&](const auto& p) { append_json(answer.payload_json, p); },
+             answer.payload);
+}
+
+const char* answer_field(const Answer& answer) {
+  return std::visit([](const auto& p) { return payload_field(p); },
+                    answer.payload);
 }
 
 void append_ok_response(std::string& out, std::string_view id,
                         bool with_cache_tag, CacheLookup outcome,
                         const Answer& answer) {
-  std::visit(
-      [&](const auto& payload) {
-        append_ok_response(out, id, with_cache_tag, outcome, payload);
-      },
-      answer.payload);
+  // The head and tag take well under 96 bytes: one reservation holds
+  // the whole line.
+  out.reserve(out.size() + 96 + id.size() + answer.payload_json.size());
+  append_ok_head(out, id, with_cache_tag, outcome, answer_field(answer));
+  out += answer.payload_json;
+  out += '}';
 }
 
 void append_error_response(std::string& out, std::string_view id,
@@ -191,6 +212,7 @@ ParsedRequestLine parse_request_line(const std::string& line,
     req.key = req.is_profile()
                   ? profile_cache_key(sc, req.epsilons, options)
                   : solve_cache_key(sc, options);
+    req.key_hash = fnv1a64(req.key);
   } catch (const std::exception& e) {
     // The id (when readable) survives into the error response.
     throw PartialRequestError(e.what(), std::move(req.id));
@@ -218,11 +240,17 @@ void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
 
 void apply_cache_outcome(Answer& answer, CacheLookup outcome,
                          const std::string& key) {
+  if (outcome != CacheLookup::kCorrupt) return;
   std::visit([&](auto& payload) { apply_cache_outcome(payload, outcome, key); },
              answer.payload);
+  encode_payload(answer);
 }
 
-Answer solve_request(const deltanc::Solver& solver,
+namespace {
+
+/// solve_request without the payload bytes: run_batch writes those in
+/// input order.
+Answer solve_payload(const deltanc::Solver& solver,
                      const ParsedRequestLine& line) {
   Answer out;
   auto failed = classified_solve(line.scenario, [&](const e2e::Scenario& sc) {
@@ -246,21 +274,31 @@ Answer solve_request(const deltanc::Solver& solver,
   return out;
 }
 
+}  // namespace
+
+Answer solve_request(const deltanc::Solver& solver,
+                     const ParsedRequestLine& line) {
+  Answer out = solve_payload(solver, line);
+  encode_payload(out);
+  return out;
+}
+
 CacheLookup lookup_answer(ResultCache& cache, const ParsedRequestLine& line,
                           Answer& answer) {
   if (line.is_profile()) {
-    return cache.lookup_profile(line.key,
-                                answer.payload.emplace<e2e::DelayProfile>());
+    return cache.lookup_profile(line.key, line.key_hash,
+                                answer.payload.emplace<e2e::DelayProfile>(),
+                                answer.payload_json);
   }
-  return cache.lookup(line.key, answer.payload.emplace<e2e::BoundResult>());
+  return cache.lookup(line.key, line.key_hash,
+                      answer.payload.emplace<e2e::BoundResult>(),
+                      answer.payload_json);
 }
 
-bool try_store_answer(ResultCache& cache, const std::string& key,
+bool try_store_answer(ResultCache& cache, const ParsedRequestLine& line,
                       const Answer& answer) {
-  if (const auto* profile = std::get_if<e2e::DelayProfile>(&answer.payload)) {
-    return cache.try_store_profile(key, *profile);
-  }
-  return cache.try_store(key, std::get<e2e::BoundResult>(answer.payload));
+  return cache.try_store_json(line.key, line.key_hash, answer_field(answer),
+                              answer.payload_json);
 }
 
 ResponseLine make_ok_response(std::string_view id, bool with_cache_tag,
@@ -358,26 +396,32 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
                static_cast<unsigned>(std::max(options.threads, 0)),
                [&](std::size_t j) {
                  Request& req = requests[pending[j]];
-                 req.answer = solve_request(*solver_of[j], req.line);
+                 req.answer = solve_payload(*solver_of[j], req.line);
                  progress.tick();
                });
-  for (const std::size_t i : pending) {
-    Request& req = requests[i];
-    if (req.answer.ok && options.cache != nullptr) {
-      // Persist before the kCorruptCache warning is applied: it
-      // describes how this response was obtained, not the result.  A
-      // failed store (full disk, read-only directory) degrades to a
-      // counted solve-through -- the batch keeps answering.
-      (void)try_store_answer(*options.cache, req.line.key, req.answer);
-    }
-    apply_cache_outcome(req.answer, req.outcome, req.line.key);
-    ++summary.solved;
-    if (!req.answer.ok) ++summary.failed;
-  }
 
-  // ----- emit (input order) ----------------------------------------------
+  // ----- store and emit (input order) ------------------------------------
+  // A solved answer's bytes are written here, once, for its store and
+  // its response line, and every answer is dropped once written: a cold
+  // batch holds the bytes of one payload at a time.
   std::string response;  // one buffer, reused by every line
-  for (const Request& req : requests) {
+  for (Request& req : requests) {
+    if (req.parsed && req.outcome != CacheLookup::kHit) {
+      encode_payload(req.answer);
+      if (req.answer.ok && options.cache != nullptr) {
+        // Persist before the kCorruptCache warning is applied: it
+        // describes how this response was obtained, not the result.  A
+        // failed store (full disk, read-only directory) degrades to a
+        // counted solve-through -- the batch keeps answering.
+        (void)try_store_answer(*options.cache, req.line, req.answer);
+      }
+      apply_cache_outcome(req.answer, req.outcome, req.line.key);
+      ++summary.solved;
+      if (!req.answer.ok) ++summary.failed;
+    }
+    const Answer answer = std::move(req.answer);
+    // After a hang-up the rest is stored, not written.
+    if (summary.output_failed) continue;
     response.clear();
     if (!req.parsed) {
       append_error_response(response, req.line.id, req.error,
@@ -385,9 +429,9 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
       ++summary.parse_errors;
     } else {
       append_ok_response(response, req.line.id, options.cache != nullptr,
-                         req.outcome, req.answer);
+                         req.outcome, answer);
       std::visit([&](const auto& payload) { summary.stats += payload.stats; },
-                 req.answer.payload);
+                 answer.payload);
     }
     response += '\n';
     out.write(response.data(), static_cast<std::streamsize>(response.size()));
@@ -396,7 +440,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
       // report the truncation instead of dying on SIGPIPE (the CLI
       // ignores the signal; the stream just goes bad).
       summary.output_failed = true;
-      break;
+      continue;
     }
     ++summary.responses;
   }

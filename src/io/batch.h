@@ -129,6 +129,9 @@ struct ParsedRequestLine {
   /// kMaxProfileLevels of them).
   std::vector<double> epsilons;
   std::string key;  ///< io::solve_cache_key / profile_cache_key
+  /// fnv1a64(key), taken once at parse: the serve shard and the cache
+  /// entry's file name both come from it.
+  std::uint64_t key_hash = 0;
 
   [[nodiscard]] bool is_profile() const noexcept { return !epsilons.empty(); }
 };
@@ -161,9 +164,18 @@ struct PartialRequestError : std::runtime_error {
 [[nodiscard]] const char* cache_lookup_name(CacheLookup outcome);
 
 /// One request's classified answer: the scalar bound or the whole
-/// d(epsilon) profile, whichever the request asked for.
+/// d(epsilon) profile, whichever the request asked for, with its
+/// canonical bytes.
 struct Answer {
   std::variant<e2e::BoundResult, e2e::DelayProfile> payload;
+  /// append_json of `payload`, made once: written by solve_request
+  /// right after the solve (run_batch writes a solved answer's bytes in
+  /// input order, just before its store and its line), then stored and
+  /// answered as they are; or taken by lookup_answer from the cache
+  /// entry it read.  The response
+  /// writers add these bytes without encoding the payload again, so an
+  /// Answer built by hand must set them.
+  std::string payload_json;
   bool ok = true;     ///< false when the scenario failed to validate or
                       ///< the solve threw
   std::string error;  ///< the failure message when !ok
@@ -179,14 +191,16 @@ struct Answer {
                                    const ParsedRequestLine& line);
 
 /// Looks `line.key` up in `cache` as an entry of the request's kind; a
-/// hit is decoded straight into `answer`.
+/// hit is decoded straight into `answer`, and its payload bytes become
+/// `answer.payload_json` (ResultCache::lookup with the key hash).
 [[nodiscard]] CacheLookup lookup_answer(ResultCache& cache,
                                         const ParsedRequestLine& line,
                                         Answer& answer);
 
-/// Stores the answer's payload under `key` (ResultCache::try_store /
-/// try_store_profile: a failed write is counted, never thrown).
-bool try_store_answer(ResultCache& cache, const std::string& key,
+/// Stores `answer.payload_json` under `line.key`
+/// (ResultCache::try_store_json: a failed write is counted, never
+/// thrown).
+bool try_store_answer(ResultCache& cache, const ParsedRequestLine& line,
                       const Answer& answer);
 
 /// Applies the cache-outcome bookkeeping run_batch performs on a result
@@ -201,7 +215,8 @@ void apply_cache_outcome(e2e::BoundResult& result, CacheLookup outcome,
 void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
                          const std::string& key);
 
-/// Answer flavor: dispatches to the payload's overload.
+/// Answer flavor: dispatches to the payload's overload; a payload the
+/// warning changed has its payload_json written again.
 void apply_cache_outcome(Answer& answer, CacheLookup outcome,
                          const std::string& key);
 
@@ -232,7 +247,8 @@ struct ResponseLine {
     std::string_view id, bool with_cache_tag, CacheLookup outcome,
     const e2e::DelayProfile& profile);
 
-/// The response line of an answer: "result" or "profile" by kind.
+/// The response line of an answer: "result" or "profile" by kind, with
+/// `answer.payload_json` as the payload's bytes.
 [[nodiscard]] ResponseLine make_ok_response(std::string_view id,
                                             bool with_cache_tag,
                                             CacheLookup outcome,

@@ -23,6 +23,145 @@ constexpr bool needs_escape(char c) noexcept {
   return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
+/// The escape append_quoted writes for `c`, a byte needs_escape accepts,
+/// into `buf`; returns its length.
+std::size_t escape_of(char c, char (&buf)[6]) noexcept {
+  static constexpr char kHex[] = "0123456789abcdef";
+  buf[0] = '\\';
+  switch (c) {
+    case '"':
+      buf[1] = '"';
+      return 2;
+    case '\\':
+      buf[1] = '\\';
+      return 2;
+    case '\b':
+      buf[1] = 'b';
+      return 2;
+    case '\f':
+      buf[1] = 'f';
+      return 2;
+    case '\n':
+      buf[1] = 'n';
+      return 2;
+    case '\r':
+      buf[1] = 'r';
+      return 2;
+    case '\t':
+      buf[1] = 't';
+      return 2;
+    default: {
+      const auto code = static_cast<unsigned char>(c);
+      buf[1] = 'u';
+      buf[2] = '0';
+      buf[3] = '0';
+      buf[4] = kHex[code >> 4];
+      buf[5] = kHex[code & 0xF];
+      return 6;
+    }
+  }
+}
+
+/// The four hex digits of a \u escape at `p` (advanced past them);
+/// `fail(at, what)` reports a malformed one.  For text the reader has
+/// already checked, `fail` is never called.
+template <typename Fail>
+unsigned read_hex4(const char*& p, const char* end, Fail&& fail) {
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (p == end) fail(p, "unterminated \\u escape");
+    const char c = *p++;
+    code <<= 4;
+    if (c >= '0' && c <= '9') {
+      code |= static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      code |= static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      code |= static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      fail(p, "invalid \\u escape");
+    }
+  }
+  return code;
+}
+
+/// The code point of one \u escape whose digits start at `p`: a
+/// surrogate pair is combined when the low half follows immediately; a
+/// lone surrogate becomes U+FFFD (and an escape after a high half that
+/// is not a low half is read again on its own).
+template <typename Fail>
+unsigned read_code_point(const char*& p, const char* end, Fail&& fail) {
+  const unsigned code = read_hex4(p, end, fail);
+  if (code >= 0xD800 && code <= 0xDBFF) {
+    if (end - p >= 2 && p[0] == '\\' && p[1] == 'u') {
+      const char* low_at = p + 2;
+      const unsigned low = read_hex4(low_at, end, fail);
+      if (low >= 0xDC00 && low <= 0xDFFF) {
+        p = low_at;
+        return 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+      }
+    }
+    return 0xFFFD;
+  }
+  if (code >= 0xDC00 && code <= 0xDFFF) return 0xFFFD;
+  return code;
+}
+
+void append_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xC0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xE0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (code >> 18));
+    out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
+/// Appends the bytes of a string's text (between its quotes), which the
+/// reader has checked, with every escape resolved.
+void unescape(std::string_view text, std::string& out) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  const auto checked = [](const char*, const char*) {};
+  while (p != end) {
+    const char* const run = p;
+    while (p != end && *p != '\\') ++p;
+    out.append(run, p);
+    if (p == end) break;
+    ++p;  // the backslash
+    switch (const char c = *p++) {
+      case 'b':
+        out += '\b';
+        break;
+      case 'f':
+        out += '\f';
+        break;
+      case 'n':
+        out += '\n';
+        break;
+      case 'r':
+        out += '\r';
+        break;
+      case 't':
+        out += '\t';
+        break;
+      case 'u':
+        append_utf8(out, read_code_point(p, end, checked));
+        break;
+      default:  // '"', '\\' and '/' stand for themselves
+        out += c;
+    }
+  }
+}
+
 }  // namespace
 
 void append_number(std::string& out, double v) {
@@ -39,46 +178,42 @@ void append_number(std::string& out, double v) {
 }
 
 void append_quoted(std::string& out, std::string_view s) {
-  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   std::size_t run = 0;  // start of the pending run of plain bytes
   for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (!needs_escape(c)) continue;
+    if (!needs_escape(s[i])) continue;
     out.append(s.data() + run, i - run);
     run = i + 1;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default: {
-        const auto code = static_cast<unsigned char>(c);
-        const char escape[] = {'\\', 'u', '0', '0', kHex[code >> 4],
-                               kHex[code & 0xF]};
-        out.append(escape, sizeof escape);
-      }
-    }
+    char escape[6];
+    out.append(escape, escape_of(s[i], escape));
   }
   out.append(s.data() + run, s.size() - run);
   out += '"';
+}
+
+bool quoted_equals(std::string_view token, std::string_view s) noexcept {
+  if (token.size() < 2 || token.front() != '"' || token.back() != '"') {
+    return false;
+  }
+  std::string_view rest = token.substr(1, token.size() - 2);
+  // Takes `piece` off the front of `rest`, if it is there.
+  const auto take = [&rest](std::string_view piece) {
+    if (rest.substr(0, piece.size()) != piece) return false;
+    rest.remove_prefix(piece.size());
+    return true;
+  };
+  // The runs and escapes of append_quoted, in its order.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (!needs_escape(s[i])) continue;
+    char escape[6];
+    if (!take(s.substr(run, i - run)) ||
+        !take({escape, escape_of(s[i], escape)})) {
+      return false;
+    }
+    run = i + 1;
+  }
+  return take(s.substr(run)) && rest.empty();
 }
 
 namespace {
@@ -225,6 +360,7 @@ struct Document::Reader {
   std::size_t count = 0;
   std::size_t open[kMaxDepth + 1] = {};  ///< slots of the open containers
   std::size_t depth = 0;
+  std::size_t escaped_bytes = 0;  ///< Document::escaped_bytes_
 
   Reader(Document& d, std::size_t initial_capacity)
       : doc(d),
@@ -268,8 +404,10 @@ struct Document::Reader {
     Slot& slot = slots[count++];
     slot.type = type;
     slot.escaped = false;
+    slot.decoded = false;
     slot.size = 0;
     slot.end = static_cast<std::uint32_t>(count);
+    slot.begin = 0;
     slot.number = 0.0;
     return slot;
   }
@@ -293,13 +431,14 @@ struct Document::Reader {
       switch (*p) {
         case '[':
         case '{': {
+          const auto bracket = static_cast<std::uint32_t>(p - begin);
           const bool object = *p++ == '{';
           open[depth++] = count;
-          push(object ? Value::Type::kObject : Value::Type::kArray);
+          push(object ? Value::Type::kObject : Value::Type::kArray).begin =
+              bracket;
           p = skip_whitespace(p);
           if (p != end && *p == (object ? '}' : ']')) {
-            ++p;
-            close();
+            close(++p);
             break;
           }
           if (object) p = read_key(p);
@@ -338,7 +477,7 @@ struct Document::Reader {
         }
         const char c = *p++;
         if (c == (object ? '}' : ']')) {
-          close();
+          close(p);
           continue;
         }
         if (c != ',') {
@@ -351,8 +490,11 @@ struct Document::Reader {
     }
   }
 
-  void close() noexcept {
-    slots[open[--depth]].end = static_cast<std::uint32_t>(count);
+  /// Closes the innermost container; `p` is past its closing bracket.
+  void close(const char* p) noexcept {
+    Slot& slot = slots[open[--depth]];
+    slot.end = static_cast<std::uint32_t>(count);
+    slot.finish = static_cast<std::uint32_t>(p - begin);
   }
 
   /// A member's key and its ':'; the key is a string slot right before
@@ -419,130 +561,47 @@ struct Document::Reader {
     return p;
   }
 
-  /// A string value or key.  Without escapes it stays a span of the
-  /// text; with one it is unescaped into the side buffer, one run of
-  /// plain bytes at a time.  A run stops at the quote, the backslash and
-  /// every control byte, so it never holds a newline.
+  /// A string value or key: a span of the text between its quotes.
+  /// Its escapes are checked here but resolved only when it is first
+  /// read (Document::unescaped).  A run of plain bytes stops at the
+  /// quote, the backslash and every control byte, so it never holds a
+  /// newline.
   const char* read_string(const char* p) {
-    const char* run = ++p;  // past the opening quote
+    const char* const first = ++p;  // past the opening quote
     p = skip_plain(p);
     if (p == end) fail(p, "unterminated string");
-    if (*p == '"') {
-      Slot& slot = push(Value::Type::kString);
-      slot.offset = static_cast<std::uint32_t>(run - begin);
-      slot.size = static_cast<std::uint32_t>(p - run);
-      return p + 1;
-    }
-    // The unescaped bytes are never more than the rest of the text, so
-    // one reservation serves the whole string.
-    std::string& out = doc.unescaped_;
-    const std::size_t offset = out.size();
-    out.reserve(offset + static_cast<std::size_t>(end - run));
-    out.append(run, p);
-    for (;;) {
-      const char c = *p++;
-      if (c == '"') break;
-      if (c != '\\') fail(p, "raw control character in string");
+    const bool escaped = *p != '"';
+    while (*p != '"') {
+      if (*p++ != '\\') fail(p, "raw control character in string");
       if (p == end) fail(p, "unterminated escape");
       switch (*p++) {
         case '"':
-          out += '"';
-          break;
         case '\\':
-          out += '\\';
-          break;
         case '/':
-          out += '/';
-          break;
         case 'b':
-          out += '\b';
-          break;
         case 'f':
-          out += '\f';
-          break;
         case 'n':
-          out += '\n';
-          break;
         case 'r':
-          out += '\r';
-          break;
         case 't':
-          out += '\t';
           break;
         case 'u':
-          append_utf8(out, read_code_point(p));
+          (void)read_code_point(p, end, [this](const char* at,
+                                               const char* what) {
+            fail(at, what);
+          });
           break;
         default:
           fail(p, "invalid escape sequence");
       }
-      run = p;
       p = skip_plain(p);
-      out.append(run, p);
       if (p == end) fail(p, "unterminated string");
     }
     Slot& slot = push(Value::Type::kString);
-    slot.escaped = true;
-    slot.offset = static_cast<std::uint32_t>(offset);
-    slot.size = static_cast<std::uint32_t>(out.size() - offset);
-    return p;
-  }
-
-  unsigned read_hex4(const char*& p) const {
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (p == end) fail(p, "unterminated \\u escape");
-      const char c = *p++;
-      code <<= 4;
-      if (c >= '0' && c <= '9') {
-        code |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        code |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        code |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail(p, "invalid \\u escape");
-      }
-    }
-    return code;
-  }
-
-  /// The code point of one \u escape: a surrogate pair is combined when
-  /// the low half follows immediately; a lone surrogate becomes U+FFFD
-  /// (and an escape after a high half that is not a low half is read
-  /// again on its own).
-  unsigned read_code_point(const char*& p) const {
-    const unsigned code = read_hex4(p);
-    if (code >= 0xD800 && code <= 0xDBFF) {
-      if (end - p >= 2 && p[0] == '\\' && p[1] == 'u') {
-        const char* low_at = p + 2;
-        const unsigned low = read_hex4(low_at);
-        if (low >= 0xDC00 && low <= 0xDFFF) {
-          p = low_at;
-          return 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-        }
-      }
-      return 0xFFFD;
-    }
-    if (code >= 0xDC00 && code <= 0xDFFF) return 0xFFFD;
-    return code;
-  }
-
-  static void append_utf8(std::string& out, unsigned code) {
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
+    slot.escaped = escaped;
+    slot.begin = static_cast<std::uint32_t>(first - begin);
+    slot.size = static_cast<std::uint32_t>(p - first);
+    if (escaped) escaped_bytes += slot.size;
+    return p + 1;
   }
 };
 
@@ -552,7 +611,23 @@ Document::Document(std::string_view text) : text_(text) {
   }
   // About one slot per 8 bytes of compact JSON: a cache entry or a
   // request line reads without regrowing the array.
-  Reader(*this, text.size() / 8 + 4).run();
+  Reader reader(*this, text.size() / 8 + 4);
+  reader.run();
+  escaped_bytes_ = reader.escaped_bytes;
+}
+
+std::string_view Document::unescaped(Slot& slot) const {
+  if (!slot.decoded) {
+    if (unescaped_.capacity() < escaped_bytes_) {
+      unescaped_.reserve(escaped_bytes_);
+    }
+    const std::size_t offset = unescaped_.size();
+    unescape(text_.substr(slot.begin, slot.size), unescaped_);
+    slot.unescaped = {static_cast<std::uint32_t>(offset),
+                      static_cast<std::uint32_t>(unescaped_.size() - offset)};
+    slot.decoded = true;
+  }
+  return {unescaped_.data() + slot.unescaped.offset, slot.unescaped.size};
 }
 
 // ----- Node ---------------------------------------------------------------
@@ -570,7 +645,7 @@ Node::Elements Node::items() const {
 Node Node::find(std::string_view key) const {
   const Document::Slot& slot = doc_->slots_[index_];
   if (slot.type != Value::Type::kObject) type_error("object");
-  const Document::Slot* const slots = doc_->slots_.get();
+  Document::Slot* const slots = doc_->slots_.get();
   std::uint32_t found = 0;  // the value slot; never 0 inside an object
   for (std::uint32_t k = index_ + 1; k < slot.end; k = slots[k + 1].end) {
     if (doc_->string_at(slots[k]) == key) found = k + 1;
@@ -589,7 +664,7 @@ void Node::lookup(std::span<const std::string_view> names,
                   std::span<Node> out) const {
   const Document::Slot& slot = doc_->slots_[index_];
   if (slot.type != Value::Type::kObject) type_error("object");
-  const Document::Slot* const slots = doc_->slots_.get();
+  Document::Slot* const slots = doc_->slots_.get();
   for (Node& n : out) n = Node();
   // Members usually arrive in `names` order (the writer's), so the name
   // after the last match is tried first.
@@ -607,8 +682,24 @@ void Node::lookup(std::span<const std::string_view> names,
   }
 }
 
-Value Node::to_value() const {
+std::string_view Node::raw() const {
   const Document::Slot& slot = doc_->slots_[index_];
+  switch (slot.type) {
+    case Value::Type::kString:
+      return doc_->text_.substr(slot.begin - 1, slot.size + 2);
+    case Value::Type::kArray:
+    case Value::Type::kObject:
+      return doc_->text_.substr(slot.begin, slot.finish - slot.begin);
+    case Value::Type::kNull:
+    case Value::Type::kBool:
+    case Value::Type::kNumber:
+      break;
+  }
+  type_error("string, array or object");
+}
+
+Value Node::to_value() const {
+  Document::Slot& slot = doc_->slots_[index_];
   switch (slot.type) {
     case Value::Type::kNull:
       return Value::null();
@@ -625,7 +716,7 @@ Value Node::to_value() const {
     }
     case Value::Type::kObject: {
       Value out = Value::object();
-      const Document::Slot* const slots = doc_->slots_.get();
+      Document::Slot* const slots = doc_->slots_.get();
       for (std::uint32_t k = index_ + 1; k < slot.end; k = slots[k + 1].end) {
         out.set(std::string(doc_->string_at(slots[k])),
                 Node(doc_, k + 1).to_value());
@@ -636,7 +727,65 @@ Value Node::to_value() const {
   return Value::null();
 }
 
-std::string Node::dump() const { return to_value().dump(); }
+void Node::append_dump(std::string& out) const {
+  Document::Slot& slot = doc_->slots_[index_];
+  switch (slot.type) {
+    case Value::Type::kNull:
+      out += "null";
+      return;
+    case Value::Type::kBool:
+      out += slot.boolean ? "true" : "false";
+      return;
+    case Value::Type::kNumber:
+      append_number(out, slot.number);
+      return;
+    case Value::Type::kString:
+      append_quoted(out, doc_->string_at(slot));
+      return;
+    case Value::Type::kArray: {
+      out += '[';
+      bool first = true;
+      for (const Node element : items()) {
+        if (!first) out += ',';
+        first = false;
+        element.append_dump(out);
+      }
+      out += ']';
+      return;
+    }
+    case Value::Type::kObject: {
+      // A repeated key is written once, at its first position, with its
+      // last value -- as to_value() keeps it.
+      Document::Slot* const slots = doc_->slots_.get();
+      const auto next = [&](std::uint32_t k) { return slots[k + 1].end; };
+      out += '{';
+      bool first = true;
+      for (std::uint32_t k = index_ + 1; k < slot.end; k = next(k)) {
+        const std::string_view key = doc_->string_at(slots[k]);
+        std::uint32_t j = index_ + 1;
+        while (j < k && doc_->string_at(slots[j]) != key) j = next(j);
+        if (j < k) continue;  // written at its first position
+        std::uint32_t last = k;
+        for (j = next(k); j < slot.end; j = next(j)) {
+          if (doc_->string_at(slots[j]) == key) last = j;
+        }
+        if (!first) out += ',';
+        first = false;
+        append_quoted(out, key);
+        out += ':';
+        Node(doc_, last + 1).append_dump(out);
+      }
+      out += '}';
+      return;
+    }
+  }
+}
+
+std::string Node::dump() const {
+  std::string out;
+  append_dump(out);
+  return out;
+}
 
 Value Value::parse(std::string_view text) {
   return Document(text).root().to_value();

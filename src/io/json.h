@@ -6,11 +6,14 @@
 // insertion-ordered objects) is small.
 //
 // One grammar: json::Document reads a text in a single pass into one
-// flat node array (strings stay spans of the text unless they carry an
-// escape), and json::Node is a read-only view into it -- what the codec
-// decoders take.  json::Value is the owning tree that code outside the
-// library (tests, benches, load generators) builds documents with;
-// Value::parse is a Document materialized into one.
+// flat node array (strings stay spans of the text; one that carries an
+// escape is unescaped when it is first read), and json::Node is a
+// read-only view into it -- what the codec decoders take.  Node::raw
+// hands out the text a string, array or object was read from, so a
+// caller can pass stored bytes on without writing them again.
+// json::Value is the owning tree that code outside the library (tests,
+// benches, load generators) builds documents with; Value::parse is a
+// Document materialized into one.
 //
 // Number fidelity: finite doubles are written in their shortest
 // round-trip form (append_number) and parse back bit-exactly.
@@ -72,11 +75,22 @@ void append_number(std::string& out, double v);
 /// backslash and the C0 controls; all other bytes (UTF-8 included) pass
 /// through verbatim.
 void append_quoted(std::string& out, std::string_view s);
+/// True when `token` is exactly the text append_quoted(s) writes --
+/// compared in place, without writing it.
+[[nodiscard]] bool quoted_equals(std::string_view token,
+                                 std::string_view s) noexcept;
 
 /// One JSON value: null, bool, number (double), string, array, object.
 class Value {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Type : std::uint8_t {
+    kNull,
+    kBool,
+    kNumber,
+    kString,
+    kArray,
+    kObject
+  };
 
   /// Defaults to null.
   Value() = default;
@@ -196,8 +210,16 @@ class Node {
   /// @throws TypeError unless the value holds the requested type.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  /// The unescaped bytes, valid while the Document lives.
+  /// The unescaped bytes, valid while the Document lives.  A string
+  /// that carries an escape is unescaped by its first as_string (into
+  /// the Document's side buffer, so two threads must not read one
+  /// Document at once).
   [[nodiscard]] std::string_view as_string() const;
+
+  /// The text this value was read from: a string with its quotes and
+  /// escapes as written, an array or object from its opening bracket to
+  /// its closing one.  @throws TypeError for a number, bool or null.
+  [[nodiscard]] std::string_view raw() const;
 
   /// Forward range over an array's elements.
   class Elements {
@@ -249,8 +271,9 @@ class Node {
   /// The owning copy of this value (objects keep first-key positions
   /// with last values).
   [[nodiscard]] Value to_value() const;
-  /// to_value().dump(): the compact form, for error messages and the
-  /// echoed request id.
+  /// The compact form, written straight from the Document (the bytes
+  /// of to_value().dump()), for error messages and the echoed request
+  /// id.
   [[nodiscard]] std::string dump() const;
 
  private:
@@ -258,6 +281,7 @@ class Node {
   Node(const Document* doc, std::uint32_t index) noexcept
       : doc_(doc), index_(index) {}
   [[noreturn]] void type_error(const char* want) const;
+  void append_dump(std::string& out) const;
 
   const Document* doc_ = nullptr;
   std::uint32_t index_ = 0;
@@ -269,9 +293,10 @@ class Node {
 
 /// One JSON document read in a single pass: every value (and object
 /// key) is one slot of a contiguous array in document order, each
-/// container knowing where its subtree ends; strings are spans of the
-/// text, or of one side buffer when they carry escapes; every number is
-/// parsed once.  The Document refers into `text`, which must outlive
+/// container knowing where its subtree ends and where its text lies;
+/// strings are spans of the text, and one that carries an escape is
+/// checked while reading but unescaped into one side buffer only when
+/// it is first read; every number is parsed once.  The Document refers into `text`, which must outlive
 /// it.  Nesting is limited to 128 levels so hostile input cannot
 /// exhaust memory or time; texts of 4 GiB or more are refused.  A
 /// Document owns all of its buffers: documents on different threads
@@ -294,24 +319,40 @@ class Document {
 
   struct Slot {
     Value::Type type;
-    bool escaped;         ///< string bytes live in unescaped_, not text_
-    std::uint32_t size;   ///< string bytes, array elements, object members
-    std::uint32_t end;    ///< one past the last slot of this value
+    bool escaped;  ///< a string with an escape: read through unescaped()
+    bool decoded;  ///< an escaped string whose bytes are in unescaped_
+    /// String: bytes between its quotes in the text; array: elements;
+    /// object: members.
+    std::uint32_t size;
+    std::uint32_t end;  ///< one past the last slot of this value
+    /// String: text offset past its opening quote; array or object:
+    /// text offset of its opening bracket.
+    std::uint32_t begin;
     union {
       double number;
       bool boolean;
-      std::uint32_t offset;  ///< string start in text_ or unescaped_
+      std::uint32_t finish;  ///< array or object: past its closing bracket
+      struct {
+        std::uint32_t offset;
+        std::uint32_t size;
+      } unescaped;  ///< a decoded string's bytes in unescaped_
     };
   };
 
-  [[nodiscard]] std::string_view string_at(const Slot& slot) const noexcept {
-    return {(slot.escaped ? unescaped_.data() : text_.data()) + slot.offset,
-            slot.size};
+  [[nodiscard]] std::string_view string_at(Slot& slot) const {
+    if (!slot.escaped) return {text_.data() + slot.begin, slot.size};
+    return unescaped(slot);
   }
+  /// An escaped string's bytes, unescaped into unescaped_ on first use.
+  [[nodiscard]] std::string_view unescaped(Slot& slot) const;
 
   std::string_view text_;
   std::unique_ptr<Slot[]> slots_;  ///< document order; slots_[0] is the root
-  std::string unescaped_;
+  /// The unescaped strings, each written once.  The first one reserves
+  /// escaped_bytes_ (no string unescapes to more bytes than it was
+  /// written with), so a later one never moves an earlier one's bytes.
+  mutable std::string unescaped_;
+  std::size_t escaped_bytes_ = 0;  ///< text bytes of all escaped strings
 };
 
 // ----- Node: the hot accessors, inline -----------------------------------
@@ -333,7 +374,7 @@ inline double Node::as_number() const {
 }
 
 inline std::string_view Node::as_string() const {
-  const Document::Slot& slot = doc_->slots_[index_];
+  Document::Slot& slot = doc_->slots_[index_];
   if (slot.type != Value::Type::kString) type_error("string");
   return doc_->string_at(slot);
 }

@@ -63,7 +63,8 @@ struct SolveService::Impl {
     // The warm layers.  `memory` holds raw answers (no kCorruptCache
     // recovery warning) of both kinds under their canonical keys (the
     // "kind" discriminator keeps scalar and profile keys disjoint),
-    // FIFO-evicted under one per-worker cap; `disk` is this shard's
+    // FIFO-evicted under one per-worker cap; a hit copies the answer's
+    // payload_json into the response; `disk` is this shard's
     // handle on the shared cache directory, swapped by reload()
     // (retired stats accumulate the traffic of replaced handles).
     std::map<std::string, io::Answer> memory;
@@ -131,7 +132,7 @@ struct SolveService::Impl {
       reject_overload(job, "service is draining; request rejected");
       return;
     }
-    const int shard = io::ResultCache::shard_of(job.line.key, workers);
+    const int shard = io::ResultCache::shard_of(job.line.key_hash, workers);
     add_pending(1);
     // A refused push leaves the job with us, so it is answered here.
     if (!shards[static_cast<std::size_t>(shard)]->queue.try_push(job)) {
@@ -241,7 +242,7 @@ struct SolveService::Impl {
       bool stored = true;
       if (with_tag) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        stored = io::try_store_answer(*shard.disk, line.key, answer);
+        stored = io::try_store_answer(*shard.disk, line, answer);
       }
       // After a failed store the memory layer must stay cold too: a
       // warm hit would report cache:"hit" for a key the disk never

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -396,6 +397,135 @@ TEST(Batch, CorruptEntryRecoversWithWarningAndOverwrite) {
   EXPECT_EQ(healed.cache_stats.hits, 1);
 }
 
+/// The payload's canonical bytes, written from the decoded payload.
+std::string written_payload(const Answer& answer) {
+  std::string text;
+  std::visit([&](const auto& p) { append_json(text, p); }, answer.payload);
+  return text;
+}
+
+TEST(Batch, WireGoldenHitsAnswerTheirStoredBytes) {
+  // Every request of the committed wire golden, solved, stored and hit:
+  // the hit's bytes (the stored ones, vouched for by the digest) are
+  // append_json of its decoded payload and of the solve, and so is the
+  // response line built from them.
+  std::ifstream requests(std::filesystem::path(__FILE__).parent_path() /
+                         "data" / "wire_requests.jsonl");
+  ASSERT_TRUE(requests.good());
+  ResultCache cache(fresh_cache_dir("deltanc_batch_wire_hits"));
+  std::string text;
+  int hits = 0;
+  while (std::getline(requests, text)) {
+    ParsedRequestLine line;
+    try {
+      line = parse_request_line(text, e2e::Method::kExactOpt);
+    } catch (const std::exception&) {
+      continue;  // the golden's malformed line
+    }
+    const Answer solved = solve_request(Solver(line.options), line);
+    EXPECT_EQ(solved.payload_json, written_payload(solved)) << text;
+    if (!solved.ok) continue;  // a failed solve is never stored
+    ASSERT_TRUE(try_store_answer(cache, line, solved));
+    Answer hit;
+    ASSERT_EQ(lookup_answer(cache, line, hit), CacheLookup::kHit) << text;
+    EXPECT_EQ(hit.payload_json, written_payload(hit)) << text;
+    EXPECT_EQ(hit.payload_json, solved.payload_json) << text;
+    const e2e::DelayProfile* profile =
+        std::get_if<e2e::DelayProfile>(&hit.payload);
+    EXPECT_EQ(make_ok_response(line.id, true, CacheLookup::kHit, hit).text,
+              profile != nullptr
+                  ? make_ok_profile_response(line.id, true, CacheLookup::kHit,
+                                             *profile)
+                        .text
+                  : make_ok_response(line.id, true, CacheLookup::kHit,
+                                     std::get<e2e::BoundResult>(hit.payload))
+                        .text)
+        << text;
+    ++hits;
+  }
+  EXPECT_EQ(hits, 10);
+}
+
+TEST(Batch, FlippedPayloadDigitIsCorruptAndResolved) {
+  ResultCache cache(fresh_cache_dir("deltanc_batch_flipped_digit"));
+  const std::string requests =
+      request_line(small_scenario(60), 0) + "\n" +
+      profile_request_line(small_scenario(50), 1, {1e-3, 1e-6}) + "\n" +
+      request_line(small_scenario(40), 2) + "\n";
+  BatchOptions options;
+  options.cache = &cache;
+  const auto batch = [&] {
+    std::stringstream in(requests);
+    std::ostringstream out;
+    (void)run_batch(in, out, options);
+    std::vector<std::string> lines;
+    std::istringstream text(out.str());
+    for (std::string line; std::getline(text, line);) lines.push_back(line);
+    return lines;
+  };
+  (void)batch();
+  const std::vector<std::string> warm = batch();
+  ASSERT_EQ(warm.size(), 3u);
+
+  // One digit of the profile's payload, flipped on disk: the entry
+  // still parses and decodes, so only the digest can tell.
+  const std::filesystem::path path = cache.entry_path(
+      parse_request_line(
+          profile_request_line(small_scenario(50), 1, {1e-3, 1e-6}),
+          e2e::Method::kExactOpt)
+          .key);
+  std::string entry;
+  {
+    std::ifstream in(path, std::ios::binary);
+    entry.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t digit =
+      entry.find_first_of("123456789", entry.find("\"delay_ms\":"));
+  ASSERT_NE(digit, std::string::npos);
+  entry[digit] = entry[digit] == '9' ? '1' : static_cast<char>(entry[digit] + 1);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << entry;
+
+  const CacheStats before = cache.stats();
+  const std::vector<std::string> doctored = batch();
+  ASSERT_EQ(doctored.size(), 3u);
+  EXPECT_EQ(doctored[0], warm[0]);
+  EXPECT_EQ(doctored[2], warm[2]);
+  EXPECT_NE(doctored[1].find("\"cache\":\"corrupt\""), std::string::npos);
+  const e2e::DelayProfile resolved = decode_delay_profile(
+      ReadBack(Value::parse(doctored[1]).at("profile")));
+  ASSERT_EQ(resolved.levels.front().diagnostics.warnings.size(), 1u);
+  EXPECT_EQ(resolved.levels.front().diagnostics.warnings[0].kind,
+            diag::SolveErrorKind::kCorruptCache);
+  EXPECT_EQ(cache.stats().corrupt - before.corrupt, 1);
+  EXPECT_EQ(cache.stats().hits - before.hits, 2);
+  // The re-solve overwrote the entry: the next run hits everywhere.
+  EXPECT_EQ(batch(), warm);
+}
+
+TEST(Batch, MissWritesItsPayloadOnceForTheStoreAndTheResponse) {
+  // solve_request writes the payload's bytes; the store and the
+  // response take those bytes as they are.  Swapping in the bytes of
+  // another result shows it: both then carry the other result.
+  ResultCache cache(fresh_cache_dir("deltanc_batch_miss_once"));
+  const ParsedRequestLine line = parse_request_line(
+      request_line(small_scenario(60), 0), e2e::Method::kExactOpt);
+  Answer answer = solve_request(Solver(line.options), line);
+  ASSERT_TRUE(answer.ok);
+  EXPECT_EQ(answer.payload_json, written_payload(answer));
+  const e2e::BoundResult other{1.5, 0.25, 0.125, 10.0, 0.0};
+  answer.payload_json.clear();
+  append_json(answer.payload_json, other);
+
+  ASSERT_TRUE(try_store_answer(cache, line, answer));
+  const std::string response =
+      make_ok_response(line.id, true, CacheLookup::kMiss, answer).text;
+  EXPECT_NE(response.find(answer.payload_json), std::string::npos);
+  Answer hit;
+  ASSERT_EQ(lookup_answer(cache, line, hit), CacheLookup::kHit);
+  EXPECT_EQ(std::get<e2e::BoundResult>(hit.payload).delay_ms, 1.5);
+  EXPECT_EQ(hit.payload_json, answer.payload_json);
+}
+
 TEST(Batch, PerRequestOptionsGroupAndSolveCorrectly) {
   // Same scenario under two option sets in one batch: a scheduler
   // override and the paper's K-procedure must each match their direct
@@ -520,6 +650,10 @@ TEST(Batch, ParsedScalarKeyIsTheSolveCacheKey) {
   const e2e::Scenario sc = small_scenario(60);
   EXPECT_EQ(parse_request_line(request_line(sc, 0), e2e::Method::kExactOpt).key,
             solve_cache_key(sc, SolveOptions{}));
+  // Its hash is taken once, there: the shard and the entry file name.
+  const ParsedRequestLine parsed =
+      parse_request_line(request_line(sc, 0), e2e::Method::kExactOpt);
+  EXPECT_EQ(parsed.key_hash, fnv1a64(parsed.key));
 
   SolveOptions paper;
   paper.method = e2e::Method::kPaperK;

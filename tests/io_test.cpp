@@ -448,6 +448,73 @@ TEST(Json, DocumentNodesViewTheTextInPlace) {
             message([&] { (void)value.at("n").find("k"); }));
 }
 
+TEST(Json, RawTextAndEscapedStringsReadOnFirstUse) {
+  const std::string text =
+      "{\"q\":\"a\\\"b\", \"v\":[1, {\"k\":\"\\u00e9\\n\"}],"
+      " \"o\":{\"x\":true} }  ";
+  const json::Document doc(text);
+  const json::Node root = doc.root();
+  // raw() is the text as written: a string with its quotes and escapes,
+  // a container from bracket to bracket, whitespace inside kept.
+  EXPECT_EQ(root.raw(), text.substr(0, text.size() - 2));
+  EXPECT_EQ(root.at("q").raw(), R"("a\"b")");
+  EXPECT_EQ(root.at("v").raw(), R"([1, {"k":"\u00e9\n"}])");
+  EXPECT_EQ(root.at("o").raw(), R"({"x":true})");
+  EXPECT_EQ(json::Document("[]").root().raw(), "[]");
+  EXPECT_THROW((void)root.at("o").at("x").raw(), json::TypeError);
+  EXPECT_THROW((void)json::Document("1.5").root().raw(), json::TypeError);
+  // Escaped strings are unescaped when read, each once, and an earlier
+  // one's bytes stay put while a later one is unescaped.
+  json::Node::Elements::iterator second = root.at("v").items().begin();
+  const json::Node k = *++second;
+  const std::string_view q = root.at("q").as_string();
+  EXPECT_EQ(q, "a\"b");
+  EXPECT_EQ(k.at("k").as_string(), "\xc3\xa9\n");
+  EXPECT_EQ(q, "a\"b");
+  EXPECT_EQ(root.at("q").as_string().data(), q.data());
+  // A malformed escape is still refused while reading, where it is.
+  expect_parse_error(R"({"q":"a\x"})", "invalid escape sequence", 1, 10);
+  expect_parse_error(R"(["\u12G4"])", "invalid \\u escape", 1, 8);
+}
+
+TEST(Json, QuotedEqualsMatchesTheWriterByteForByte) {
+  const std::string strings[] = {
+      "",       "plain",     "q\"uote",   "back\\slash", "tab\there",
+      "\x01\x1f", "caf\xc3\xa9", "/slash/", R"({"kind":"solve"})"};
+  for (const std::string& s : strings) {
+    std::string token;
+    json::append_quoted(token, s);
+    EXPECT_TRUE(json::quoted_equals(token, s)) << token;
+    // Any other token for the same string, or another string, is not.
+    EXPECT_FALSE(json::quoted_equals(token + " ", s)) << token;
+    EXPECT_FALSE(json::quoted_equals(token.substr(1), s)) << token;
+    EXPECT_FALSE(json::quoted_equals(token, s + "x")) << token;
+    if (!s.empty()) {
+      EXPECT_FALSE(json::quoted_equals(token, s.substr(1))) << token;
+    }
+  }
+  // The same string escaped another way is not the writer's token.
+  EXPECT_FALSE(json::quoted_equals(R"("q\u0022uote")", "q\"uote"));
+  EXPECT_FALSE(json::quoted_equals(R"("\/slash\/")", "/slash/"));
+  EXPECT_FALSE(json::quoted_equals("\"", ""));
+}
+
+TEST(Json, NodeDumpWritesWhatTheMaterializedValueWrites) {
+  const char* const texts[] = {
+      R"({"a":1,"b":[true,null,"x\ty"],"a":{"c":2,"c":3},"d":-0})",
+      R"([ 1.50, 1e2, "\u00e9", {}, [] ])",
+      R"("request-0123456789abcdef")",
+      R"({"k":1,"k":2,"j":3,"k":4})",
+      "7",
+  };
+  for (const char* text : texts) {
+    const json::Document doc(text);
+    EXPECT_EQ(doc.root().dump(), doc.root().to_value().dump()) << text;
+  }
+  EXPECT_EQ(json::Document(R"({"k":1,"j":3,"k":4})").root().dump(),
+            R"({"k":4,"j":3})");
+}
+
 TEST(Json, NumbersRoundTripBitExactly) {
   const double cases[] = {0.0,         1.0 / 3.0, 0.1,
                           1e-300,      1e300,     -2.2250738585072014e-308,
