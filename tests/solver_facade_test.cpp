@@ -217,6 +217,74 @@ TEST(SolverFacade, UnstableScenarioStillClassified) {
   EXPECT_FALSE(r.diagnostics.ok());
 }
 
+TEST(SolverFacade, CurveBackedBoundsArePinned) {
+  // Literal bits of the curve-backed (GPS / DRR / SCED) solves: the
+  // rate-latency pair per kind, the 1-D s search and its counters.  GPS
+  // and SCED have T = 0, so their bounds do not depend on H; DRR adds
+  // H T.  The SCED rows run 150 cross flows so their load split (R = 40)
+  // differs from every GPS share.
+  const struct {
+    const char* spec;
+    int hops;
+    int n_cross;
+    double delay_ms, gamma, s, sigma;
+    Counters want;
+  } cases[] = {
+      {"gps:1,1", 2, 100, 0x1.f85939478d09bp+1, 0x1.67bccb845ec9p+1,
+       0x1.40f0ebf3a395cp-4, 0x1.8a05b4bfe62f9p+7, {116, 116, 174, 0, 0, 0, 0}},
+      {"gps:3,1", 2, 100, 0x1.ac460c6d1fb34p+0, 0x1.95eef9ffc85p+1,
+       0x1.e8b7131364776p-4, 0x1.f5e2168fe1261p+6, {116, 116, 173, 0, 0, 0, 0}},
+      {"gps:1,2,1", 2, 100, 0x1.34646334c4de8p+4, 0x1.769e2c32f78ap-1,
+       0x1.28d07e5998f36p-5, 0x1.e1dcdb02739bbp+8, {116, 116, 175, 0, 0, 0, 0}},
+      {"drr:2,1", 2, 100, 0x1.18b0fb80b9844p+1, 0x1.9d4bb0bebcebp+1,
+       0x1.aa1ac4579d9e4p-4, 0x1.21b85b50c13f1p+7, {116, 116, 174, 0, 0, 0, 0}},
+      {"drr:1,1,1", 2, 100, 0x1.29d8e76936dc2p+3, 0x1.89181f090363p+0,
+       0x1.b1f6c176b0b7cp-5, 0x1.34ec9bb843cffp+8, {116, 116, 175, 0, 0, 0, 0}},
+      {"sced", 2, 150, 0x1.8ed1abaaa204ap+2, 0x1.1169402aa1bep+1,
+       0x1.04e7f607d405ep-4, 0x1.f28616954a85dp+7, {116, 116, 174, 0, 0, 0, 0}},
+      {"gps:1,1", 10, 100, 0x1.f85939478d09bp+1, 0x1.67bccb845ec9p+1,
+       0x1.40f0ebf3a395cp-4, 0x1.8a05b4bfe62f9p+7, {116, 116, 174, 0, 0, 0, 0}},
+      {"gps:3,1", 10, 100, 0x1.ac460c6d1fb34p+0, 0x1.95eef9ffc85p+1,
+       0x1.e8b7131364776p-4, 0x1.f5e2168fe1261p+6, {116, 116, 173, 0, 0, 0, 0}},
+      {"gps:1,2,1", 10, 100, 0x1.34646334c4de8p+4, 0x1.769e2c32f78ap-1,
+       0x1.28d07e5998f36p-5, 0x1.e1dcdb02739bbp+8, {116, 116, 175, 0, 0, 0, 0}},
+      {"drr:2,1", 10, 100, 0x1.22ee6c24908e8p+1, 0x1.9d4bb0bebcebp+1,
+       0x1.aa1ac4579d9e4p-4, 0x1.21b85b50c13f1p+7, {116, 116, 174, 0, 0, 0, 0}},
+      {"drr:1,1,1", 10, 100, 0x1.2ef79fbb22614p+3, 0x1.89181f090363p+0,
+       0x1.b1f6c176b0b7cp-5, 0x1.34ec9bb843cffp+8, {116, 116, 175, 0, 0, 0, 0}},
+      {"sced", 10, 150, 0x1.8ed1abaaa204ap+2, 0x1.1169402aa1bep+1,
+       0x1.04e7f607d405ep-4, 0x1.f28616954a85dp+7, {116, 116, 174, 0, 0, 0, 0}},
+      // GPS isolation: 600 cross flows put the total load at U = 1.04,
+      // yet the through class still meets its 75 Mbps share.
+      {"gps:3,1", 5, 600, 0x1.ac460c6d1fb34p+0, 0x1.95eef9ffc85p+1,
+       0x1.e8b7131364776p-4, 0x1.f5e2168fe1261p+6, {116, 116, 173, 0, 0, 0, 0}},
+  };
+  for (const auto& c : cases) {
+    e2e::Scenario sc = fig2_scenario(c.n_cross, sched::SchedulerKind::kFifo);
+    sc.hops = c.hops;
+    ASSERT_TRUE(sched::parse_scheduler(c.spec, sc.scheduler)) << c.spec;
+    const e2e::BoundResult r = Solver().solve(sc);
+    const std::string name =
+        std::string(c.spec) + " H=" + std::to_string(c.hops);
+    EXPECT_TRUE(r.diagnostics.clean()) << name;
+    EXPECT_EQ(r.delay_ms, c.delay_ms) << std::hexfloat << r.delay_ms << " "
+                                      << name;
+    EXPECT_EQ(r.gamma, c.gamma) << std::hexfloat << r.gamma << " " << name;
+    EXPECT_EQ(r.s, c.s) << std::hexfloat << r.s << " " << name;
+    EXPECT_EQ(r.sigma, c.sigma) << std::hexfloat << r.sigma << " " << name;
+    EXPECT_EQ(counters_of(r.stats), c.want) << name;
+  }
+
+  // Through load 14.9 Mbps against a 12.5 Mbps share: no stable s, and
+  // the stability bisection ends before any eb(s) call.
+  e2e::Scenario sc = fig2_scenario(100, sched::SchedulerKind::kFifo);
+  ASSERT_TRUE(sched::parse_scheduler("gps:1,7", sc.scheduler));
+  const e2e::BoundResult r = Solver().solve(sc);
+  EXPECT_EQ(r.delay_ms, kInf);
+  EXPECT_EQ(r.diagnostics.error, diag::SolveErrorKind::kUnstable);
+  EXPECT_EQ(counters_of(r.stats), (Counters{0, 0, 0, 0, 0, 0, 0}));
+}
+
 // ----- delay profiles ----------------------------------------------------
 
 const std::vector<double> kProfileGrid = {1e-3, 1e-5, 1e-7, 1e-9};
