@@ -9,7 +9,6 @@
 #include "core/analyzer.h"
 #include "core/scenario.h"
 #include "core/table.h"
-#include "e2e/solver.h"
 #include "sim/stats.h"
 
 int main() {
@@ -38,9 +37,6 @@ int main() {
                                         .scheduler(c.sched)
                                         .build());
         const ValidationReport r = analyzer.validate(200000, 99);
-        e2e::Scenario at_eps = analyzer.scenario();
-        at_eps.epsilon = r.epsilon_sim;
-        const double bound = deltanc::Solver().solve(at_eps).delay_ms;
         // Same resolvability rule as validate() picks its epsilon by
         // (sim/stats.h): a cell whose tail would hold fewer than 100
         // samples shows "-" instead of an untrustworthy quantile.
@@ -48,7 +44,7 @@ int main() {
             r.epsilon_sim, static_cast<std::size_t>(r.samples), 100.0);
         all_hold = all_hold && (!resolvable || r.bound_holds);
         table.add_row({std::to_string(hops), Table::format(100.0 * u, 0),
-                       c.name, Table::format(bound),
+                       c.name, Table::format(r.bound_at_eps_sim),
                        resolvable ? Table::format(r.empirical_quantile) : "-",
                        Table::format(r.empirical_max),
                        !resolvable ? "-" : (r.bound_holds ? "yes" : "NO")});

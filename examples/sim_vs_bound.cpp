@@ -9,7 +9,6 @@
 #include "core/analyzer.h"
 #include "core/scenario.h"
 #include "core/table.h"
-#include "e2e/solver.h"
 
 int main() {
   using namespace deltanc;
@@ -38,11 +37,7 @@ int main() {
                                     .scheduler(c.sched)
                                     .build());
     const ValidationReport r = analyzer.validate(kSlots, 2024);
-    // Re-derive the bound at the simulation's epsilon for the table.
-    e2e::Scenario at_eps = analyzer.scenario();
-    at_eps.epsilon = r.epsilon_sim;
-    const double bound_ms = deltanc::Solver().solve(at_eps).delay_ms;
-    table.add_row({c.name, Table::format(bound_ms),
+    table.add_row({c.name, Table::format(r.bound_at_eps_sim),
                    Table::format(r.empirical_quantile),
                    Table::format(r.empirical_max),
                    std::to_string(r.samples), r.bound_holds ? "yes" : "NO"});

@@ -1,14 +1,25 @@
 #!/usr/bin/env bash
-# Compiles every ```cpp block of docs/API.md, docs/SCHEDULERS.md, and
-# docs/SERVING.md as its own translation unit (-fsyntax-only against
-# src/), so the documented API surface cannot drift from the headers.
-# Registered as the `api_doc_snippets` ctest.
+# Builds every ```cpp block of docs/API.md, docs/SCHEDULERS.md, and
+# docs/SERVING.md as its own program (compiled against src/, linked
+# against the built deltanc libraries) and runs it in a scratch
+# directory, so the documented API surface cannot drift from the
+# headers and every `return 1` check a snippet makes is executed.  A
+# snippet fails on a compile or link error or a non-zero exit.
+# Registered as the `api_doc_snippets` ctest, which passes the build's
+# compiler, CMAKE_CXX_FLAGS (so sanitizer trees link) and libraries.
 #
-# usage: check_api_snippets.sh [compiler] [repo_root]
+# usage: check_api_snippets.sh compiler repo_root cxx_flags library...
 set -euo pipefail
 
-CXX="${1:-c++}"
-ROOT="${2:-$(cd "$(dirname "$0")/.." && pwd)}"
+if [ "$#" -lt 4 ]; then
+  echo "usage: $0 compiler repo_root cxx_flags library..." >&2
+  exit 2
+fi
+CXX="$1"
+ROOT="$2"
+read -r -a CXXFLAGS <<<"$3"
+shift 3
+LIBS=("$@")
 DOCS=("$ROOT/docs/API.md" "$ROOT/docs/SCHEDULERS.md" "$ROOT/docs/SERVING.md")
 TMPDIR_SNIPPETS="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_SNIPPETS"' EXIT
@@ -28,9 +39,21 @@ for DOC in "${DOCS[@]}"; do
   for f in "$TMPDIR_SNIPPETS/${stem}"_*.cpp; do
     [ -e "$f" ] || break
     count=$((count + 1))
-    if ! "$CXX" -std=c++20 -fsyntax-only -Wall -Wextra -Werror \
-         -I "$ROOT/src" -I "$ROOT/include" "$f"; then
-      echo "FAIL: $(basename "$f") (from $DOC)" >&2
+    name="$(basename "$f" .cpp)"
+    exe="$TMPDIR_SNIPPETS/$name"
+    # --start-group: the static libraries reference each other.
+    if ! "$CXX" -std=c++20 "${CXXFLAGS[@]}" -Wall -Wextra -Werror \
+         -I "$ROOT/src" -I "$ROOT/include" "$f" -o "$exe" \
+         -Wl,--start-group "${LIBS[@]}" -Wl,--end-group -pthread; then
+      echo "FAIL: $name.cpp does not build (from $DOC)" >&2
+      failed=$((failed + 1))
+      continue
+    fi
+    rundir="$TMPDIR_SNIPPETS/run_$name"
+    mkdir "$rundir"
+    if ! (cd "$rundir" && "$exe" >/dev/null 2>stderr.txt); then
+      cat "$rundir/stderr.txt" >&2
+      echo "FAIL: $name.cpp exits non-zero (from $DOC)" >&2
       failed=$((failed + 1))
     fi
   done
@@ -45,4 +68,4 @@ if [ "$failed" -gt 0 ]; then
   echo "check_api_snippets: $failed of $total snippets failed" >&2
   exit 1
 fi
-echo "check_api_snippets: all $total snippets compile"
+echo "check_api_snippets: all $total snippets build and exit 0"

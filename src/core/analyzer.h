@@ -18,8 +18,9 @@ struct ValidationReport {
   double empirical_quantile;     ///< simulated delay at level 1 - epsilon_sim
   double empirical_max;          ///< largest simulated delay
   double epsilon_sim;            ///< quantile level used for the simulation
+  double bound_at_eps_sim;       ///< analytic bound at epsilon_sim, ms
   std::size_t samples;           ///< number of simulated through chunks
-  bool bound_holds;              ///< empirical quantile <= analytic bound
+  bool bound_holds;              ///< empirical quantile <= bound_at_eps_sim
 };
 
 /// Facade over the analysis (src/e2e) and simulation (src/sim) layers.

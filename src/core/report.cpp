@@ -73,6 +73,8 @@ std::string render_report(const e2e::Scenario& scenario,
        << Table::format(v.empirical_quantile) << " ms |\n";
     os << "| empirical max | " << Table::format(v.empirical_max)
        << " ms |\n";
+    os << "| bound (eps = " << v.epsilon_sim << ") | "
+       << Table::format(v.bound_at_eps_sim) << " ms |\n";
     os << "| bound dominates | " << (v.bound_holds ? "yes" : "**NO**")
        << " |\n";
   }

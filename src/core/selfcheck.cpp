@@ -101,9 +101,10 @@ struct Checker {
     }
     // Curve-backed schedulers have no Delta coordinate: their delta is
     // NaN by contract, and GPS-style isolation legitimately keeps the
-    // bound finite at total utilization >= 1 as long as the provider's
-    // guaranteed rate exceeds the through load (the solver's own
-    // validation enforces that per-class stability condition).
+    // bound finite at total utilization >= 1 as long as the guaranteed
+    // rate (SchedulerSpec::rate_latency) exceeds the through load (the
+    // solver's own validation enforces that per-class stability
+    // condition).
     const bool curve_backed = p.scenario.scheduler.is_curve_backed();
     if (std::isnan(delay) || std::isnan(p.bound.gamma) ||
         std::isnan(p.bound.s) || std::isnan(p.bound.sigma) ||
@@ -820,7 +821,8 @@ SelfCheckReport self_check_curve_backed(const SelfCheckOptions& options) {
                       "simulated " + fmt(100.0 * (1.0 - v.epsilon_sim)) +
                           "% delay quantile " + fmt(v.empirical_quantile) +
                           " ms exceeds the analytic bound " +
-                          fmt(v.bound.delay_ms) + " ms for " + describe(sc));
+                          fmt(v.bound_at_eps_sim) + " ms at that level for " +
+                          describe(sc));
       }
     }
   }

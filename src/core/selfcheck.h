@@ -15,10 +15,10 @@
 //
 // Curve-backed schedulers (gps/drr/sced) carry no Delta coordinate --
 // their bounds come from a deterministic rate-latency leftover curve
-// (sched::make_service_curve_provider) -- so the Delta-specific checks
+// (sched::SchedulerSpec::rate_latency) -- so the Delta-specific checks
 // skip them, and the finiteness check accepts finite bounds at total
-// utilization >= 1 when the provider's guaranteed rate still exceeds
-// the through load (GPS isolation).  Their own invariants live in
+// utilization >= 1 when the guaranteed rate still exceeds the through
+// load (GPS isolation).  Their own invariants live in
 // self_check_curve_backed(): share/quantum monotonicity, GPS(1,1) as a
 // lower envelope of the per-hop SP-high analysis, GPS as a lower
 // envelope of DRR with the same split, sced == gps on symmetric loads,

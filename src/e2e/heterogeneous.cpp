@@ -25,7 +25,7 @@ NodeParams node_params_for(const sched::SchedulerSpec& scheduler,
         "node_params_for: '" + sched::to_string(scheduler) +
         "' is curve-backed and has no per-node Delta term; the "
         "heterogeneous Delta path does not support it (use "
-        "sched::make_service_curve_provider)");
+        "SchedulerSpec::rate_latency)");
   }
   return NodeParams{capacity, rho_cross, m_cross,
                     scheduler.delta_term(edf_unit)};

@@ -108,8 +108,8 @@ std::optional<double> SchedulerSpec::static_delta() const noexcept {
     case SchedulerKind::kDrr:
     case SchedulerKind::kSced:
       // Curve-backed: no constants Delta_{j,k} exist (Definition 1 does
-      // not apply); the solver routes these through
-      // sched::make_service_curve_provider instead.
+      // not apply); the solver lowers these through rate_latency()
+      // instead.
       return std::nullopt;
   }
   return std::nullopt;
@@ -132,6 +132,39 @@ ClassOffsets SchedulerSpec::class_offsets(double edf_unit) const noexcept {
   }
   return {edf_factors().own_factor * edf_unit,
           edf_factors().cross_factor * edf_unit};
+}
+
+std::optional<RateLatency> SchedulerSpec::rate_latency(
+    double capacity, const ClassLoads& loads) const {
+  if (is_curve_backed() && (!(capacity > 0.0) || !std::isfinite(capacity))) {
+    throw std::invalid_argument(
+        "SchedulerSpec::rate_latency: capacity must be positive and finite");
+  }
+  switch (kind()) {
+    case SchedulerKind::kFifo:
+    case SchedulerKind::kBmux:
+    case SchedulerKind::kSpHigh:
+    case SchedulerKind::kEdf:
+    case SchedulerKind::kDelta:
+      return std::nullopt;
+    case SchedulerKind::kGps:
+      return RateLatency{weights().through_share() * capacity, 0.0};
+    case SchedulerKind::kDrr:
+      return RateLatency{weights().through_share() * capacity,
+                         weights().cross_total() / capacity};
+    case SchedulerKind::kSced: {
+      if (loads.through < 0.0 || loads.cross < 0.0 ||
+          !std::isfinite(loads.through) || !std::isfinite(loads.cross)) {
+        throw std::invalid_argument(
+            "SchedulerSpec::rate_latency: class loads must be finite and "
+            "non-negative");
+      }
+      const double total = loads.through + loads.cross;
+      if (total <= 0.0) return RateLatency{capacity, 0.0};
+      return RateLatency{capacity * loads.through / total, 0.0};
+    }
+  }
+  return std::nullopt;
 }
 
 DeltaMatrix SchedulerSpec::to_delta_matrix(std::size_t flows,
@@ -176,7 +209,7 @@ DeltaMatrix SchedulerSpec::to_delta_matrix(std::size_t flows,
       throw std::invalid_argument(
           "SchedulerSpec::to_delta_matrix: '" + to_string(*this) +
           "' is curve-backed, not a Delta-scheduler; lower it via "
-          "sched::make_service_curve_provider instead");
+          "SchedulerSpec::rate_latency instead");
   }
   throw std::invalid_argument("SchedulerSpec::to_delta_matrix: unknown kind");
 }

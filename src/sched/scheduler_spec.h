@@ -21,13 +21,14 @@
 //
 // Not every scheduler admits constants Delta_{j,k} -- GPS, DRR, and
 // SCED condition on the backlog process, so Definition 1 does not apply
-// to them.  Those kinds are *curve-backed* instead: they lower through
-// sched::ServiceCurveProvider (service_curve_provider.h) to a per-flow
-// leftover service curve built from published constructions (GPS:
-// arXiv:1804.08034; DRR: arXiv:2503.23366; fluid SCED: arXiv:1804.08040)
-// rather than through the Theorem-1 Delta path.  is_curve_backed()
-// distinguishes the two lowering routes; static_delta() is nullopt and
-// to_delta_matrix() throws for curve-backed kinds.
+// to them.  Those kinds are *curve-backed* instead: rate_latency() gives
+// their deterministic per-flow leftover guarantee beta_{R,T} in closed
+// form, from published constructions (GPS: arXiv:1804.08034; DRR:
+// arXiv:2503.23366; fluid SCED: arXiv:1804.08040), rather than through
+// the Theorem-1 Delta path.  is_curve_backed() distinguishes the two
+// lowering routes; static_delta() is nullopt and to_delta_matrix()
+// throws for curve-backed kinds, rate_latency() is nullopt for the
+// Delta-kinds.
 //
 // The name registry at the bottom of this header is the ONLY place the
 // canonical scheduler name strings ("fifo", "bmux", "sp-high", "edf",
@@ -122,9 +123,31 @@ struct ClassWeights {
                                    const ClassWeights&) = default;
 };
 
+/// Per-class long-run offered load (kb/ms = Mbps) at a node: the analyzed
+/// (through) aggregate and the total cross aggregate.  Only the
+/// load-proportional kind (SCED) reads it; zero-initialized is fine for
+/// the others.
+struct ClassLoads {
+  double through = 0.0;
+  double cross = 0.0;
+
+  friend constexpr bool operator==(const ClassLoads&,
+                                   const ClassLoads&) = default;
+};
+
+/// A rate-latency description beta_{R,T}(t) = R [t - T]_+ of a
+/// deterministic per-node leftover guarantee.
+struct RateLatency {
+  double rate = 0.0;     ///< R, kb/ms = Mbps
+  double latency = 0.0;  ///< T, ms
+
+  friend constexpr bool operator==(const RateLatency&,
+                                   const RateLatency&) = default;
+};
+
 /// The registered scheduler families.  The first five are
 /// Delta-schedulers (Definition 1); the last three are curve-backed (see
-/// the header comment and service_curve_provider.h).
+/// the header comment and SchedulerSpec::rate_latency).
 enum class SchedulerKind : std::uint8_t {
   kFifo,    ///< Delta = 0
   kBmux,    ///< blind multiplexing / SP with through low: Delta = +inf
@@ -220,7 +243,7 @@ class SchedulerSpec {
       double through_quantum, double cross_quantum) noexcept {
     return drr(ClassWeights::of({through_quantum, cross_quantum}));
   }
-  /// Fluid SCED: the provider splits capacity proportionally to the
+  /// Fluid SCED: rate_latency() splits capacity proportionally to the
   /// per-class offered load, so it carries no parameters of its own.
   [[nodiscard]] static constexpr SchedulerSpec sced() noexcept {
     return SchedulerSpec(SchedulerKind::kSced);
@@ -252,9 +275,9 @@ class SchedulerSpec {
   }
 
   /// True for the kinds that are not Delta-schedulers and lower via
-  /// sched::ServiceCurveProvider instead of the Theorem-1 Delta path
-  /// (kGps, kDrr, kSced).  For these, static_delta() is nullopt,
-  /// delta_term() is NaN, and to_delta_matrix() throws.
+  /// rate_latency() instead of the Theorem-1 Delta path (kGps, kDrr,
+  /// kSced).  For these, static_delta() is nullopt, delta_term() is NaN,
+  /// and to_delta_matrix() throws.
   [[nodiscard]] constexpr bool is_curve_backed() const noexcept {
     return kind_ == SchedulerKind::kGps || kind_ == SchedulerKind::kDrr ||
            kind_ == SchedulerKind::kSced;
@@ -281,11 +304,29 @@ class SchedulerSpec {
   /// every Delta-kind of both simulators from it.
   [[nodiscard]] ClassOffsets class_offsets(double edf_unit) const noexcept;
 
+  /// The closed-form per-node guarantee beta_{R,T} of a curve-backed kind
+  /// on a link of rate `capacity`; nullopt for the Delta-kinds (their
+  /// leftover depends on the cross envelopes and theta, Theorem 1).
+  ///
+  ///   GPS   R = (phi_0 / sum_i phi_i) C,  T = 0   (arXiv:1804.08034)
+  ///   DRR   R = (Q_0 / sum_i Q_i) C,      T = (sum_i Q_i - Q_0) / C
+  ///         (fluid DRR, arXiv:2503.23366: one full round of the other
+  ///         quanta can pass before class 0 is served)
+  ///   SCED  R = C rho_0 / (rho_0 + rho_c), T = 0   (arXiv:1804.08040);
+  ///         the whole link when both loads are 0
+  ///
+  /// docs/THEORY.md#leftover-service-curves-beyond-delta derives them.
+  /// @throws std::invalid_argument for a curve-backed kind when
+  /// `capacity` is not positive and finite, and for kSced when a load is
+  /// negative or not finite.
+  [[nodiscard]] std::optional<RateLatency> rate_latency(
+      double capacity, const ClassLoads& loads = {}) const;
+
   /// Lowers the spec onto the Theorem-1 layer: the DeltaMatrix over
   /// `flows` flows with `analyzed` as the through flow.  EDF deadlines
   /// are factor * edf_unit (must come out finite and non-negative).
   /// @throws std::invalid_argument on bad sizes/deadlines (DeltaMatrix),
-  /// and for curve-backed kinds (use make_service_curve_provider).
+  /// and for curve-backed kinds (use rate_latency()).
   [[nodiscard]] DeltaMatrix to_delta_matrix(std::size_t flows,
                                             std::size_t analyzed,
                                             double edf_unit = 1.0) const;

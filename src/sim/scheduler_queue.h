@@ -20,7 +20,7 @@
 //
 // The other disciplines condition on the backlog, so they are not
 // Delta-schedulers (Section III) but curve-backed
-// (sched/service_curve_provider.h):
+// (sched::SchedulerSpec::rate_latency):
 //
 //   GPS   -- fluid weighted fair sharing, the paper's counterexample.
 //   DRR   -- deficit round robin (Shreedhar & Varghese): per-class

@@ -81,8 +81,9 @@ struct TandemQueue {
 /// (edf_unit); GPS and DRR collapse the cross classes onto (through(),
 /// cross_total()), since the DRR guarantee depends only on Q_0 and the
 /// sum; SCED splits `capacity` by the flow counts, the rule
-/// sched::ScedProvider applies analytically (every flow is an i.i.d.
-/// copy of one source, so the class loads are proportional to them).
+/// SchedulerSpec::rate_latency applies analytically (every flow is an
+/// i.i.d. copy of one source, so the class loads are proportional to
+/// them).
 [[nodiscard]] TandemQueue lower_scheduler(const sched::SchedulerSpec& spec,
                                           double edf_unit, double capacity,
                                           int n_through, int n_cross);

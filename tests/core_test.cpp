@@ -205,5 +205,26 @@ TEST(PathAnalyzer, ValidationReportIsCoherent) {
   EXPECT_TRUE(std::isfinite(r.bound.delay_ms));
 }
 
+TEST(PathAnalyzer, ValidationReportCarriesTheComparedBound) {
+  // The verdict compares the quantile with the bound at epsilon_sim, not
+  // with `bound` (at the scenario's epsilon); the report carries that
+  // bound.  drr:2,1 is a case whose verdict is "violated" (the slot
+  // simulator's H-slot floor exceeds the fluid bound), so both verdicts
+  // are exercised.
+  for (const char* spec : {"fifo", "drr:2,1"}) {
+    e2e::Scenario sc =
+        ScenarioBuilder().hops(2).through_flows(100).cross_flows(100).build();
+    ASSERT_TRUE(sched::parse_scheduler(spec, sc.scheduler));
+    const ValidationReport r = PathAnalyzer(sc).validate(50000, 5);
+    e2e::Scenario at_eps = sc;
+    at_eps.epsilon = r.epsilon_sim;
+    const double want = Solver().solve(at_eps).delay_ms;
+    EXPECT_EQ(r.bound_at_eps_sim, want)
+        << std::hexfloat << r.bound_at_eps_sim << " " << spec;
+    EXPECT_NE(r.bound_at_eps_sim, r.bound.delay_ms) << spec;
+    EXPECT_EQ(r.bound_holds, r.empirical_quantile <= want + 1e-9) << spec;
+  }
+}
+
 }  // namespace
 }  // namespace deltanc

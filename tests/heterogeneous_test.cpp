@@ -115,8 +115,8 @@ TEST(HeteroDelay, MixedSchedulersAlongThePath) {
 
 TEST(HeteroDelay, CurveBackedSpecsAreRejectedWithAPointer) {
   // gps/drr/sced carry no per-node Delta term; the heterogeneous path
-  // must refuse them and name the provider interface that does lower
-  // them, rather than produce a bogus Delta.
+  // must refuse them and name the function that does lower them,
+  // rather than produce a bogus Delta.
   for (const sched::SchedulerSpec& spec :
        {sched::SchedulerSpec::gps(1.0, 1.0), sched::SchedulerSpec::drr(2.0, 1.0),
         sched::SchedulerSpec::sced()}) {
@@ -124,7 +124,7 @@ TEST(HeteroDelay, CurveBackedSpecsAreRejectedWithAPointer) {
       (void)node_params_for(spec, 100.0, 50.0, 1.0);
       FAIL() << "accepted curve-backed spec " << sched::to_string(spec);
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("make_service_curve_provider"),
+      EXPECT_NE(std::string(e.what()).find("SchedulerSpec::rate_latency"),
                 std::string::npos)
           << e.what();
     }

@@ -1030,9 +1030,10 @@ int main(int argc, char** argv) {
   if (simulate_slots > 0) {
     const ValidationReport r = analyzer.validate(simulate_slots);
     std::printf("simulation (%lld slots): quantile@%.2e = %.2f ms, "
-                "max = %.2f ms, bound %s\n",
+                "max = %.2f ms, bound@%.2e = %.3f ms %s\n",
                 simulate_slots, r.epsilon_sim, r.empirical_quantile,
-                r.empirical_max, r.bound_holds ? "holds" : "VIOLATED");
+                r.empirical_max, r.epsilon_sim, r.bound_at_eps_sim,
+                r.bound_holds ? "holds" : "VIOLATED");
     return r.bound_holds ? 0 : 1;
   }
   return 0;
