@@ -516,6 +516,62 @@ TEST(SweepRunnerTest, WarmGridWithoutNumericAxisIsBitIdenticalToCold) {
   }
 }
 
+// fifo, edf and gps:1,1 over an n-point cross-utilization axis, the
+// innermost numeric axis, so each scheduler is one warm chain of n points.
+SweepGrid uc_chain_grid(int uc_points) {
+  e2e::Scenario base;
+  base.epsilon = 1e-6;
+  SweepGrid grid(base);
+  grid.scheduler_axis(std::vector<sched::SchedulerSpec>{
+          sched::SchedulerSpec::fifo(), sched::SchedulerSpec::edf(),
+          sched::SchedulerSpec::gps(1.0, 1.0)})
+      .cross_utilization_axis(SweepGrid::linspace(0.05, 0.60, uc_points));
+  return grid;
+}
+
+TEST(SweepRunnerTest, SixPointWarmChainBitsArePinned) {
+  // A chain of 6 points runs whole, one Solver::State from end to end:
+  // these warm delays are the bits of the unsplit chain, as hexfloats.
+  const double kPinned[3][6] = {
+      {0x1.80b14da168f07p+2, 0x1.c3b873f70783ap+3, 0x1.36ac9492d6d98p+4,
+       0x1.a6f0c5b3de4acp+4, 0x1.2ba0d6e61a2cp+5, 0x1.d3637ae67d8cap+5},
+      {0x1.1dd1705cccaffp+2, 0x1.c7d99da6e9dep+2, 0x1.392c06360c59cp+3,
+       0x1.a99399300ebdbp+3, 0x1.2cf1fe3a715bcp+4, 0x1.d4abfbfb6e57p+4},
+      {0x1.f85939478d09bp+1, 0x1.f85939478d09bp+1, 0x1.f85939478d09bp+1,
+       0x1.f85939478d09bp+1, 0x1.f85939478d09bp+1, 0x1.f85939478d09bp+1}};
+  SweepOptions opts;
+  opts.threads = 3;
+  const SweepReport report = SweepRunner(opts).run(uc_chain_grid(6));
+  ASSERT_EQ(report.points.size(), 18u);
+  for (std::size_t i = 0; i < report.points.size(); ++i) {
+    const double got = report.points[i].bound.delay_ms;
+    EXPECT_EQ(got, kPinned[i / 6][i % 6]) << std::hexfloat << got << " @" << i;
+  }
+}
+
+TEST(SweepRunnerTest, ReducedFig4GridWorkCountersArePinned) {
+  // Fig. 4's long paths, reduced: H in {5, 15, 25} x {fifo, edf} x 8
+  // cross loads at eps = 1e-9.  Literal work totals of the grid solved
+  // cold (every point from scratch) and warm (chains along uc), so a
+  // change in the solver or in the chain decomposition shows up here.
+  const e2e::Scenario base = ScenarioBuilder()
+                                 .through_utilization(0.15)
+                                 .violation_probability(1e-9)
+                                 .build();
+  SweepGrid grid(base);
+  grid.hops_axis({5, 15, 25})
+      .scheduler_axis({sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf})
+      .cross_utilization_axis(SweepGrid::linspace(0.05, 0.65, 8));
+  ASSERT_EQ(grid.size(), 48u);
+  SweepOptions cold;
+  cold.threads = 4;
+  cold.warm_start = e2e::WarmStart::kCold;
+  const e2e::SolveStats c = SweepRunner(cold).run(grid).stats;
+  EXPECT_EQ(c.optimize_evals, 731424);
+  EXPECT_EQ(c.eb_evals, 12582);
+  EXPECT_EQ(c.edf_iterations, 108);
+}
+
 TEST(SweepRunnerTest, ScenarioListEqualsColdGrid) {
   // run(span) is the cold executor over the list: bit-identical to
   // run(grid) under kCold on the same scenarios, in the same order.
