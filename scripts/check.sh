@@ -232,11 +232,14 @@ echo "strict numeric grammar gate: OK"
 # one per optimizer evaluation), a blow-up of the nested search, a diverging
 # EDF fixed point, or warm chaining silently disabling itself.  Wall-clock
 # regressions are gated end to end by the perfbench/ benchmark.
-stats_line=$(./build/tools/deltanc_cli --hops 5 --epsilon 1e-6 \
+sweep_err=$(./build/tools/deltanc_cli --hops 5 --epsilon 1e-6 \
   --sweep uc=0.1:0.8:8 --sweep scheduler=fifo,bmux,edf --stats --csv \
-  2>&1 >/dev/null | grep '^stats:')
-echo "$stats_line"
-echo "$stats_line" | awk '{
+  2>&1 >/dev/null)
+stats_line=$(echo "$sweep_err" | grep '^stats:')
+chains=$(echo "$sweep_err" | grep '^sweep: .* chains=' |
+  sed 's/.* chains=\([0-9]*\).*/\1/')
+echo "$stats_line chains=$chains"
+echo "$stats_line chains=$chains" | awk '{
   for (i = 2; i <= NF; ++i) { split($i, kv, "="); v[kv[1]] = kv[2] }
   if (v["optimize_evals"] <= 0) {
     print "FAIL: no stats reported"; exit 1
@@ -252,12 +255,16 @@ echo "$stats_line" | awk '{
   if (v["edf_converged"] != "yes") {
     print "FAIL: EDF fixed point did not converge"; exit 1
   }
-  # Warm chaining is the default sweep mode: every non-seed point along a
-  # chain should report a warm-start hit (24 points in 3 chains of 8 ->
-  # 21).
-  if (v["warm_start_hits"] + 0 < 1) {
-    print "FAIL: warm-start chaining inactive (warm_start_hits=" \
-          v["warm_start_hits"] ")"; exit 1
+  # Warm chaining is the default sweep mode, and its decomposition is a
+  # function of the grid alone: 3 chains of 8 points along uc, each run
+  # as 2 segments of 4, so 6 segments whose 6 cold heads take no warm
+  # hint and whose other 18 points take exactly one each.
+  if (v["chains"] != 6) {
+    print "FAIL: sweep ran " v["chains"] " chain segments (want 6)"; exit 1
+  }
+  if (v["warm_start_hits"] != 18) {
+    print "FAIL: warm-start hits " v["warm_start_hits"] " (want 18: 24" \
+          " points in 6 segments of 4)"; exit 1
   }
 }'
 # --- Delay-profile gates --------------------------------------------------

@@ -28,8 +28,9 @@ e2e::BoundResult PathAnalyzer::additive_bound() const {
   return e2e::best_additive_bmux_bound(scenario_);
 }
 
-sim::TandemConfig PathAnalyzer::tandem_config(std::int64_t slots,
-                                              std::uint64_t seed) const {
+sim::TandemConfig PathAnalyzer::tandem_config(
+    std::int64_t slots, std::uint64_t seed,
+    const e2e::BoundResult* held_bound) const {
   sim::TandemConfig c;
   c.capacity_kb_per_slot = scenario_.capacity;
   c.hops = scenario_.hops;
@@ -40,29 +41,30 @@ sim::TandemConfig PathAnalyzer::tandem_config(std::int64_t slots,
   c.seed = seed;
   c.scheduler = scenario_.scheduler;
   // EDF deadlines are self-referential (multiples of d_e2e / H); resolve
-  // the unit from the analytic bound.  Every other kind ignores the unit.
+  // the unit from the analytic bound, solved only when the caller holds
+  // none.  Every other kind ignores the unit.
   if (scenario_.scheduler.needs_fixed_point()) {
-    const e2e::BoundResult b = bound();
-    if (!std::isfinite(b.delay_ms)) {
+    const double d = held_bound ? held_bound->delay_ms : bound().delay_ms;
+    if (!std::isfinite(d)) {
       throw std::invalid_argument(
           "PathAnalyzer::simulate: EDF deadlines need a finite bound");
     }
-    c.edf_unit = b.delay_ms / scenario_.hops;
+    c.edf_unit = d / scenario_.hops;
   }
   return c;
 }
 
-sim::TandemResult PathAnalyzer::simulate(std::int64_t slots,
-                                         std::uint64_t seed) const {
-  return sim::run_tandem(tandem_config(slots, seed));
+sim::TandemResult PathAnalyzer::simulate(
+    std::int64_t slots, std::uint64_t seed,
+    const e2e::BoundResult* held_bound) const {
+  return sim::run_tandem(tandem_config(slots, seed, held_bound));
 }
 
-ValidationReport PathAnalyzer::validate(std::int64_t slots,
-                                        std::uint64_t seed) const {
+ValidationReport PathAnalyzer::validate(
+    std::int64_t slots, std::uint64_t seed,
+    const e2e::BoundResult* held_bound) const {
   ValidationReport report{};
-  report.bound = bound();
-
-  const sim::TandemResult sim_result = simulate(slots, seed);
+  const sim::TandemResult sim_result = simulate(slots, seed, held_bound);
   report.samples = sim_result.through_delay.count();
   if (report.samples == 0) {
     throw std::logic_error("PathAnalyzer::validate: no through samples");

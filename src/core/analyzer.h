@@ -14,7 +14,6 @@ namespace deltanc {
 
 /// Side-by-side analytic and empirical results for one scenario.
 struct ValidationReport {
-  e2e::BoundResult bound;        ///< analytic end-to-end bound
   double empirical_quantile;     ///< simulated delay at level 1 - epsilon_sim
   double empirical_max;          ///< largest simulated delay
   double epsilon_sim;            ///< quantile level used for the simulation
@@ -41,23 +40,29 @@ class PathAnalyzer {
   /// The node-by-node additive BMUX baseline (Fig. 4's loose curve).
   [[nodiscard]] e2e::BoundResult additive_bound() const;
 
-  /// Simulates the tandem with the scenario's scheduler.  EDF deadlines
-  /// are the resolved analytic ones.  Delays are in slots (= ms).
-  [[nodiscard]] sim::TandemResult simulate(std::int64_t slots,
-                                           std::uint64_t seed = 1) const;
+  /// Simulates the tandem with the scenario's scheduler.  Delays are in
+  /// slots (= ms).  EDF deadlines are the resolved analytic ones,
+  /// multiples of d_e2e / H: `held_bound` is the scenario's bound when
+  /// the caller already holds it (e.g. from bound()); when null, an EDF
+  /// scenario solves it here, and every other kind needs none.
+  [[nodiscard]] sim::TandemResult simulate(
+      std::int64_t slots, std::uint64_t seed = 1,
+      const e2e::BoundResult* held_bound = nullptr) const;
 
-  /// Runs both: computes the bound at the scenario's epsilon, simulates,
-  /// and compares the bound against the empirical (1 - epsilon_sim)
-  /// delay quantile.  epsilon_sim is chosen so the quantile is resolvable
-  /// from the sample count (>= 100 tail samples).
-  [[nodiscard]] ValidationReport validate(std::int64_t slots,
-                                          std::uint64_t seed = 1) const;
+  /// Simulates (see simulate(), `held_bound` likewise) and compares the
+  /// analytic bound at epsilon_sim against the empirical
+  /// (1 - epsilon_sim) delay quantile.  epsilon_sim is chosen so the
+  /// quantile is resolvable from the sample count (>= 100 tail samples).
+  [[nodiscard]] ValidationReport validate(
+      std::int64_t slots, std::uint64_t seed = 1,
+      const e2e::BoundResult* held_bound = nullptr) const;
 
  private:
   e2e::Scenario scenario_;
 
-  [[nodiscard]] sim::TandemConfig tandem_config(std::int64_t slots,
-                                                std::uint64_t seed) const;
+  [[nodiscard]] sim::TandemConfig tandem_config(
+      std::int64_t slots, std::uint64_t seed,
+      const e2e::BoundResult* held_bound) const;
 };
 
 }  // namespace deltanc

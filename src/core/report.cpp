@@ -64,7 +64,7 @@ std::string render_report(const e2e::Scenario& scenario,
 
   if (options.simulate_slots > 0) {
     const ValidationReport v =
-        analyzer.validate(options.simulate_slots, options.seed);
+        analyzer.validate(options.simulate_slots, options.seed, &bound);
     os << "\n## Simulation cross-check\n\n";
     os << "| metric | value |\n|---|---|\n";
     os << "| simulated slots | " << options.simulate_slots << " |\n";

@@ -59,6 +59,46 @@ void attach_profile(SweepPoint& p, ProfileFn&& solve_profile) {
   p.solve_ms += ms_since(task_t0);
 }
 
+/// The longest run of points one Solver::State threads through.  A warm
+/// chain of L points runs as ceil(L / kMaxSegment) near-equal segments,
+/// each headed by a cold solve: a shorter segment shortens the sweep's
+/// critical path (one EDF chain of a Fig. 2/4 grid) but adds cold heads
+/// (splitting 12 points 6 + 6 costs ~4 % more optimizer work).  6 keeps
+/// axes of up to 6 points whole; 4 ran the `figures` benchmark faster
+/// still, but its harness keeps every repetition, so peak RSS rose past
+/// the benchmark's 15 % bound (EXPERIMENTS.md, "Chain segments").
+constexpr std::size_t kMaxSegment = 6;
+
+/// A run of `length` points, `stride` apart in the flat enumeration from
+/// `first`, solved sequentially through one Solver::State.
+struct Segment {
+  std::size_t first = 0;
+  std::size_t length = 0;
+};
+
+/// Decomposes `n` points into `n / chain_len` chains (consecutive
+/// members `stride` apart; chain c fixes the outer axes at digit
+/// c / stride and the inner ones at c % stride) and splits each chain
+/// into near-equal consecutive segments of at most kMaxSegment points,
+/// in grid order.  The split depends on the grid alone.
+std::vector<Segment> split_chains(std::size_t n, std::size_t chain_len,
+                                  std::size_t stride) {
+  const std::size_t n_chains = n / chain_len;
+  const std::size_t parts = (chain_len + kMaxSegment - 1) / kMaxSegment;
+  std::vector<Segment> segments;
+  segments.reserve(n_chains * parts);
+  for (std::size_t c = 0; c < n_chains; ++c) {
+    std::size_t first = (c / stride) * (chain_len * stride) + (c % stride);
+    for (std::size_t j = 0; j < parts; ++j) {
+      const std::size_t length =
+          chain_len / parts + (j < chain_len % parts ? 1 : 0);
+      segments.push_back({first, length});
+      first += length * stride;
+    }
+  }
+  return segments;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- SweepGrid
@@ -400,10 +440,11 @@ SweepReport SweepRunner::run_chains(std::span<const e2e::Scenario> scenarios,
                                     std::size_t chain_len,
                                     std::size_t stride) const {
   const std::size_t n = scenarios.size();
-  const std::size_t n_chains = n / chain_len;
+  const std::vector<Segment> segments = split_chains(n, chain_len, stride);
   SweepReport report;
   report.points.resize(n);
-  report.threads = resolved_threads(n_chains);
+  report.chains = segments.size();
+  report.threads = resolved_threads(segments.size());
   const auto t0 = Clock::now();
 
   // Only a real chain consumes the state it threads; chains of one run
@@ -418,28 +459,31 @@ SweepReport SweepRunner::run_chains(std::span<const e2e::Scenario> scenarios,
   const bool profiles = !options_.profile_epsilons.empty() && !options_.solver;
   ProgressCounter progress(options_.progress, n);
 
-  // Every chain is solved sequentially by whichever worker claimed it,
+  // Workers claim segments in grid order.  Claiming EDF segments first
+  // ran the `figures` benchmark ~10 % faster, but its harness keeps every
+  // repetition, so peak RSS then read at the benchmark's 15 % bound
+  // (EXPERIMENTS.md, "Chain segments").
+  //
+  // Every segment is solved sequentially by whichever worker claimed it,
   // threading one Solver::State from each point to its successor, and
   // writes only its own points' slots: the results depend on the grid
   // alone, never on the worker count, and come back in input order.
-  parallel_for(n_chains, static_cast<unsigned>(report.threads),
-               [&](std::size_t c) {
-    // Chain c fixes every axis except the chain axis: outer axes at
-    // digit c / stride, inner axes at digit c % stride.
-    const std::size_t base = (c / stride) * (chain_len * stride) + (c % stride);
+  parallel_for(segments.size(), static_cast<unsigned>(report.threads),
+               [&](std::size_t s) {
+    const Segment& segment = segments[s];
     Solver::State state;
-    for (std::size_t k = 0; k < chain_len; ++k) {
-      const std::size_t i = base + k * stride;
+    for (std::size_t k = 0; k < segment.length; ++k) {
+      const std::size_t i = segment.first + k * stride;
       SweepPoint& p = report.points[i];
       solve_point(p, scenarios[i], [&](const e2e::Scenario& sc) {
         return options_.solver ? options_.solver(sc, options_.method)
                                : solver.solve(sc, state);
       });
       if (profiles) {
-        // The profile shares the chain state: under kWarm its first
+        // The profile shares the segment state: under kWarm its first
         // level warms from the scalar solve above, and the state then
-        // carries the last level's context to the next chain point
-        // (legal hints -- the warm fingerprints exclude epsilon).
+        // carries the last level's context to the next point (legal
+        // hints -- the warm fingerprints exclude epsilon).
         attach_profile(p, [&](const e2e::Scenario& sc) {
           return solver.solve_profile(sc, options_.profile_epsilons, state);
         });

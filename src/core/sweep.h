@@ -5,20 +5,24 @@
 // (core/thread_pool.h) and returns the results in deterministic input
 // order regardless of completion order.
 //
-// One executor runs every sweep: the points are split into chains, each
-// chain is solved sequentially by one worker through one Solver::State,
-// and distinct chains run in parallel.  Warm-started grids
-// (SweepOptions::warm_start = kWarm, the default) chain along the
-// innermost numeric axis: neighboring points there differ in one
-// parameter, so each point seeds its neighbor (the stable-s bracket,
-// the previous optimum, and the resolved EDF fixed point).  The
-// results are a function of the grid alone -- a 1-thread and an
-// N-thread run produce bit-identical reports.  Warm results may
-// differ from cold ones within the documented warm-start tolerance
-// (docs/API.md#warm-starts).  Every other sweep -- kCold, a grid with no
-// numeric axis of more than one value, an explicit scenario list, or a
-// custom SweepOptions::solver -- runs chains of length 1 under a kCold
-// solver, where each point is a pure function of its scenario.
+// One executor runs every sweep: the points are split into chain
+// segments, each segment is solved sequentially by one worker through
+// one Solver::State, and distinct segments run in parallel.
+// Warm-started grids (SweepOptions::warm_start = kWarm, the default)
+// chain along the innermost numeric axis: neighboring points there
+// differ in one parameter, so each point seeds its neighbor (the
+// stable-s bracket, the previous optimum, and the resolved EDF fixed
+// point).  A chain of L points runs as ceil(L / 6) near-equal segments
+// that follow each other along the axis; each segment threads its own
+// State, so its first point is solved cold.  The split depends on the
+// grid alone -- a 1-thread and an N-thread run produce bit-identical
+// reports, and an axis of at most 6 points is one segment.  Warm
+// results may differ from cold ones within the documented warm-start
+// tolerance (docs/API.md#warm-starts).  Every other sweep -- kCold, a
+// grid with no numeric axis of more than one value, an explicit
+// scenario list, or a custom SweepOptions::solver -- runs segments of
+// one point under a kCold solver, where each point is a pure function
+// of its scenario.
 //
 // Grids are described by SweepGrid: a base e2e::Scenario plus axes.  The
 // cross product enumerates axes in the order they were added, first axis
@@ -146,6 +150,9 @@ struct SweepPoint {
 struct SweepReport {
   std::vector<SweepPoint> points;
   int threads = 1;          ///< worker count actually used
+  /// Chain segments run (one Solver::State each); equals the point
+  /// count when every point solved cold.
+  std::size_t chains = 0;
   double wall_ms = 0.0;     ///< end-to-end wall clock of the sweep
   double solve_ms = 0.0;    ///< sum of per-point solve times (~CPU time)
   e2e::SolveStats stats{};  ///< solver instrumentation summed over points
@@ -183,9 +190,10 @@ struct SweepOptions {
   /// Solver method passed through to deltanc::Solver.
   e2e::Method method = e2e::Method::kExactOpt;
   /// Grid warm-start policy (see the header comment): kWarm chains a
-  /// Solver::State along the innermost numeric axis of run(grid); kCold
-  /// solves every point from scratch.  Ignored (always cold) for the
-  /// explicit-list overload and when `solver` is set.
+  /// Solver::State along the innermost numeric axis of run(grid), in
+  /// segments of at most 6 points whose first point is solved cold;
+  /// kCold solves every point from scratch.  Ignored (always cold) for
+  /// the explicit-list overload and when `solver` is set.
   e2e::WarmStart warm_start = e2e::WarmStart::kWarm;
   /// Per-point solver override (default: deltanc::Solver::solve).  Used
   /// e.g. for the additive baseline (e2e::best_additive_bmux_bound).
@@ -223,9 +231,10 @@ class SweepRunner {
  private:
   /// The one executor behind both run() overloads: the scenarios
   /// decomposed into `n / chain_len` chains (consecutive chain members
-  /// are `stride` apart in the flat enumeration), each solved
-  /// sequentially through one Solver::State -- kWarm when chain_len > 1,
-  /// kCold otherwise.
+  /// are `stride` apart in the flat enumeration), each split into
+  /// segments of at most 6 points and each segment solved sequentially
+  /// through one Solver::State -- kWarm when chain_len > 1, kCold
+  /// otherwise.
   [[nodiscard]] SweepReport run_chains(std::span<const e2e::Scenario> scenarios,
                                        std::size_t chain_len,
                                        std::size_t stride) const;

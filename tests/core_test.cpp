@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/analyzer.h"
 #include "core/scenario.h"
@@ -202,7 +203,36 @@ TEST(PathAnalyzer, ValidationReportIsCoherent) {
   EXPECT_GE(r.empirical_max, r.empirical_quantile);
   EXPECT_GT(r.epsilon_sim, 0.0);
   EXPECT_LE(r.epsilon_sim, 0.5);
-  EXPECT_TRUE(std::isfinite(r.bound.delay_ms));
+  // The scenario's own (deeper) epsilon gives a finite bound no smaller
+  // than the one compared at epsilon_sim.
+  const double bound = Solver().solve(sc).delay_ms;
+  EXPECT_TRUE(std::isfinite(bound));
+  EXPECT_GE(bound, r.bound_at_eps_sim);
+}
+
+TEST(PathAnalyzer, ValidationTakesTheEdfUnitFromAHeldBound) {
+  // EDF deadlines are multiples of d_e2e / H.  A caller that already
+  // holds the scenario's bound hands it over instead of having it
+  // solved again; the simulation is the same either way.
+  const e2e::Scenario sc = ScenarioBuilder()
+                               .hops(2)
+                               .through_flows(100)
+                               .cross_flows(100)
+                               .scheduler(sched::SchedulerKind::kEdf)
+                               .build();
+  const PathAnalyzer analyzer(sc);
+  const e2e::BoundResult held = analyzer.bound();
+  const ValidationReport a = analyzer.validate(50000, 5);
+  const ValidationReport b = analyzer.validate(50000, 5, &held);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.empirical_quantile, b.empirical_quantile);
+  EXPECT_EQ(a.empirical_max, b.empirical_max);
+  EXPECT_EQ(a.bound_at_eps_sim, b.bound_at_eps_sim);
+  // A held bound that is not finite cannot set the deadlines.
+  e2e::BoundResult unstable = held;
+  unstable.delay_ms = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)analyzer.validate(50000, 5, &unstable),
+               std::invalid_argument);
 }
 
 TEST(PathAnalyzer, ValidationReportCarriesTheComparedBound) {
@@ -221,7 +251,7 @@ TEST(PathAnalyzer, ValidationReportCarriesTheComparedBound) {
     const double want = Solver().solve(at_eps).delay_ms;
     EXPECT_EQ(r.bound_at_eps_sim, want)
         << std::hexfloat << r.bound_at_eps_sim << " " << spec;
-    EXPECT_NE(r.bound_at_eps_sim, r.bound.delay_ms) << spec;
+    EXPECT_NE(r.bound_at_eps_sim, Solver().solve(sc).delay_ms) << spec;
     EXPECT_EQ(r.bound_holds, r.empirical_quantile <= want + 1e-9) << spec;
   }
 }

@@ -1,6 +1,7 @@
 // The parallel sweep engine (core/sweep.h) and its fan-out primitive
 // (core/thread_pool.h): grid enumeration order, 1-thread vs N-thread
-// determinism, the one chain executor's warm/cold contracts,
+// determinism, the one chain executor's warm/cold contracts and its
+// split of warm chains into segments,
 // unstable/failing-point isolation, progress-callback contract, and
 // degenerate (empty / single-point) grids.
 #include "core/sweep.h"
@@ -570,6 +571,54 @@ TEST(SweepRunnerTest, ReducedFig4GridWorkCountersArePinned) {
   EXPECT_EQ(c.optimize_evals, 731424);
   EXPECT_EQ(c.eb_evals, 12582);
   EXPECT_EQ(c.edf_iterations, 108);
+  // Warm: each 8-point chain runs as two segments of 4, so 12 of the 48
+  // points are cold segment heads.
+  SweepOptions warm;
+  warm.threads = 4;
+  const SweepReport w = SweepRunner(warm).run(grid);
+  EXPECT_EQ(w.chains, 12u);
+  EXPECT_EQ(w.stats.optimize_evals, 532456);
+  EXPECT_EQ(w.stats.eb_evals, 9929);
+  EXPECT_EQ(w.stats.edf_iterations, 91);
+}
+
+TEST(SweepRunnerTest, TwelvePointChainsSplitIntoTwoColdHeadedSegments) {
+  // A 12-point axis runs as two segments of 6: grid positions 0 and 6
+  // of every Delta-kind chain are solved cold (no warm hint consumed),
+  // every other position warms from its predecessor.
+  SweepOptions opts;
+  opts.threads = 4;
+  const SweepReport report = SweepRunner(opts).run(uc_chain_grid(12));
+  ASSERT_EQ(report.points.size(), 36u);
+  EXPECT_EQ(report.chains, 6u);
+  for (std::size_t i = 0; i < 24; ++i) {  // fifo, then edf
+    const std::size_t k = i % 12;
+    EXPECT_EQ(report.points[i].bound.stats.warm_start_hits == 0,
+              k == 0 || k == 6)
+        << "position " << k << " of "
+        << sched::to_string(report.points[i].scenario.scheduler);
+  }
+}
+
+TEST(SweepRunnerTest, SplitChainsAreBitIdenticalAcrossThreadCounts) {
+  // The split and the claim order depend on the grid alone, so every
+  // worker count reproduces the same bits.
+  const SweepGrid grid = uc_chain_grid(12);
+  SweepOptions one;
+  one.threads = 1;
+  const SweepReport ref = SweepRunner(one).run(grid);
+  for (const int threads : {3, 4, 8}) {
+    SweepOptions opts;
+    opts.threads = threads;
+    const SweepReport report = SweepRunner(opts).run(grid);
+    EXPECT_EQ(report.threads, std::min(threads, 6));
+    EXPECT_EQ(report.chains, ref.chains);
+    ASSERT_EQ(report.points.size(), ref.points.size());
+    for (std::size_t i = 0; i < ref.points.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, point " << i);
+      expect_same_bits(report.points[i], ref.points[i]);
+    }
+  }
 }
 
 TEST(SweepRunnerTest, ScenarioListEqualsColdGrid) {

@@ -910,11 +910,11 @@ int main(int argc, char** argv) {
     }
     std::FILE* tail = stderr;
     std::fprintf(tail,
-                 "sweep: %zu points in %.0f ms on %d thread(s); "
+                 "sweep: %zu points in %.0f ms on %d thread(s), chains=%zu; "
                  "%zu unstable, %zu failed, %zu warned, %zu recovered\n",
                  report.points.size(), report.wall_ms, report.threads,
-                 report.unstable(), report.failures(), report.warned(),
-                 report.recovered());
+                 report.chains, report.unstable(), report.failures(),
+                 report.warned(), report.recovered());
     const diag::ErrorCounts counts = report.counts_by_kind();
     if (counts.total_errors() + counts.total_warnings() > 0) {
       std::fprintf(tail, "diagnostics: %s\n", counts.summary().c_str());
@@ -1028,7 +1028,7 @@ int main(int argc, char** argv) {
                 analyzer.additive_bound().delay_ms);
   }
   if (simulate_slots > 0) {
-    const ValidationReport r = analyzer.validate(simulate_slots);
+    const ValidationReport r = analyzer.validate(simulate_slots, 1, &bound);
     std::printf("simulation (%lld slots): quantile@%.2e = %.2f ms, "
                 "max = %.2f ms, bound@%.2e = %.3f ms %s\n",
                 simulate_slots, r.epsilon_sim, r.empirical_quantile,
