@@ -31,8 +31,8 @@ int main() {
   const sim::TandemResult sim_result = analyzer.simulate(kSlots, 123);
 
   const std::vector<double> epsilons{1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9};
-  // One chained profile solve across the whole epsilon grid (the levels
-  // share the stable-s bracket / optimum probe).
+  // One chained profile solve across the whole epsilon grid (each level
+  // probes from the previous level's optimum).
   SolveOptions options;
   options.warm_start = e2e::WarmStart::kWarm;
   const e2e::DelayProfile profile =

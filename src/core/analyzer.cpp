@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "e2e/solver.h"
 #include "sim/stats.h"
@@ -64,10 +65,16 @@ ValidationReport PathAnalyzer::validate(
     std::int64_t slots, std::uint64_t seed,
     const e2e::BoundResult* held_bound) const {
   ValidationReport report{};
-  const sim::TandemResult sim_result = simulate(slots, seed, held_bound);
+  const sim::TandemConfig config = tandem_config(slots, seed, held_bound);
+  const sim::TandemResult sim_result = sim::run_tandem(config);
   report.samples = sim_result.through_delay.count();
   if (report.samples == 0) {
-    throw std::logic_error("PathAnalyzer::validate: no through samples");
+    throw std::invalid_argument(
+        "PathAnalyzer::validate: " + std::to_string(slots) +
+        " slots on a " + std::to_string(scenario_.hops) +
+        "-hop path record no through sample (the first " +
+        std::to_string(config.warmup_slots) +
+        " slots are warm-up); simulate more slots");
   }
   // Pick the deepest quantile still resolvable with >= 100 tail samples,
   // no deeper than the scenario's epsilon (shared rule in sim/stats.h).

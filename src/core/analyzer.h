@@ -53,6 +53,8 @@ class PathAnalyzer {
   /// analytic bound at epsilon_sim against the empirical
   /// (1 - epsilon_sim) delay quantile.  epsilon_sim is chosen so the
   /// quantile is resolvable from the sample count (>= 100 tail samples).
+  /// Throws std::invalid_argument, naming the slot and hop counts, when
+  /// the simulation records no through sample (too few slots).
   [[nodiscard]] ValidationReport validate(
       std::int64_t slots, std::uint64_t seed = 1,
       const e2e::BoundResult* held_bound = nullptr) const;

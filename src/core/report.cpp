@@ -52,7 +52,7 @@ std::string render_report(const e2e::Scenario& scenario,
   }
   os << "\n## Delay CCDF bound\n\n| epsilon | d(epsilon) [ms] |\n|---|---|\n";
   // One chained profile solve instead of the historical per-epsilon
-  // re-solve loop: the levels share the stable-s bracket / optimum probe.
+  // re-solve loop: each level probes from the previous level's optimum.
   SolveOptions profile_options;
   profile_options.warm_start = e2e::WarmStart::kWarm;
   const e2e::DelayProfile ccdf =

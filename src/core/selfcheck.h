@@ -44,10 +44,9 @@ namespace deltanc {
 /// (SweepOptions::warm_start = kWarm, the default of run(grid)) may
 /// deviate from the cold solve of the same grid by at most this relative
 /// amount per point, and must agree exactly on finiteness.  Warm starts
-/// reuse a bit-exact ingredient (the stable-s bracket) but seed the s
-/// probe and the EDF fixed point from the neighboring optimum, so the
-/// golden refinement and the damped iteration can stop at a slightly
-/// different -- equally valid -- optimum; the EDF fixed
+/// seed the s probe and the EDF fixed point from the neighboring
+/// optimum, so the golden refinement and the damped iteration can stop
+/// at a slightly different -- equally valid -- optimum; the EDF fixed
 /// point's own 1e-7 relative stopping tolerance dominates the deviation,
 /// and 1e-4 gives it two orders of headroom.  Enforced by
 /// self_check_warm_start() (part of self_check_figures(), i.e. of

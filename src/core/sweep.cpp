@@ -482,8 +482,8 @@ SweepReport SweepRunner::run_chains(std::span<const e2e::Scenario> scenarios,
       if (profiles) {
         // The profile shares the segment state: under kWarm its first
         // level warms from the scalar solve above, and the state then
-        // carries the last level's context to the next point (legal
-        // hints -- the warm fingerprints exclude epsilon).
+        // carries the last level's hints to the next point (hints only
+        // seed the search, so one from another epsilon is safe).
         attach_profile(p, [&](const e2e::Scenario& sc) {
           return solver.solve_profile(sc, options_.profile_epsilons, state);
         });

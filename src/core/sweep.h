@@ -11,8 +11,7 @@
 // Warm-started grids (SweepOptions::warm_start = kWarm, the default)
 // chain along the innermost numeric axis: neighboring points there
 // differ in one parameter, so each point seeds its neighbor (the
-// stable-s bracket, the previous optimum, and the resolved EDF fixed
-// point).  A chain of L points runs as ceil(L / 6) near-equal segments
+// previous optimum and the resolved EDF fixed point).  A chain of L points runs as ceil(L / 6) near-equal segments
 // that follow each other along the axis; each segment threads its own
 // State, so its first point is solved cold.  The split depends on the
 // grid alone -- a 1-thread and an N-thread run produce bit-identical

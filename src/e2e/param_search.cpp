@@ -12,7 +12,7 @@
 #include "e2e/delay_bound.h"
 #include "e2e/k_procedure.h"
 #include "e2e/network_epsilon.h"
-#include "e2e/warm_state.h"
+#include "e2e/solve_state.h"
 
 namespace deltanc::e2e {
 
@@ -98,21 +98,10 @@ SBracket s_bracket(double limit) {
 /// Per-scenario state of the nested search, built once per solve instead
 /// of once per (s, gamma) evaluation: the reusable theta-solver
 /// workspace, the stability-limited s bracket, and the instrumentation
-/// counters.  A warm state whose fingerprint matches donates its bracket
-/// (bit-exact when source, capacity and flow counts match, skipping the
-/// bisection).
+/// counters.
 struct SearchContext {
-  SearchContext(const Scenario& sc_in, Method method_in,
-                detail::WarmState* warm_st)
+  SearchContext(const Scenario& sc_in, Method method_in)
       : sc(sc_in), method(method_in) {
-    if (warm_st != nullptr && warm_st->bracket_matches(sc)) {
-      s_lo = warm_st->s_lo;
-      s_hi = warm_st->s_hi;
-      unstable = warm_st->unstable;
-      degenerate_bracket = warm_st->degenerate;
-      ++stats.brackets_reused;
-      return;
-    }
     const double n = sc.n_through + sc.n_cross;
     const double limit =
         stable_s_limit(n, sc.capacity, sc.source.mean_rate(),
@@ -456,13 +445,16 @@ BoundResult solve_curve_backed(const Scenario& sc) {
 /// back to the damped update for that step, and the damped restart
 /// schedule below is untouched, so robustness is unchanged.
 ///
-/// A warm state carrying the neighbor's resolved fixed point gets one
-/// warm attempt first -- iterating from that d (and probing from that
-/// optimum) instead of re-deriving the FIFO seed.  If the warm attempt
-/// fails to converge or goes non-finite, the full cold schedule runs
-/// unchanged, so warm-starting never degrades robustness.
-BoundResult solve_edf(SearchContext& ctx, detail::WarmState* warm_st,
-                      bool& have_edf_d, double& resolved_d) {
+/// Given the neighbor's finite optimum `warm_prev` and resolved fixed
+/// point `warm_d`, one warm attempt runs first -- iterating from that d
+/// (and probing from that optimum) instead of re-deriving the FIFO seed.
+/// If the warm attempt fails to converge or goes non-finite, the full
+/// cold schedule runs unchanged, so warm-starting never degrades
+/// robustness.  `resolved_d` receives the fixed point the returned
+/// result was solved at; it stays empty when the solve went unstable.
+BoundResult solve_edf(SearchContext& ctx, const BoundResult* warm_prev,
+                      std::optional<double> warm_d,
+                      std::optional<double>& resolved_d) {
   const Scenario& sc = ctx.sc;
   const sched::EdfFactors& factors = sc.scheduler.edf_factors();
   const double factor_gap = factors.own_factor - factors.cross_factor;
@@ -507,12 +499,11 @@ BoundResult solve_edf(SearchContext& ctx, detail::WarmState* warm_st,
     return false;
   };
 
-  if (warm_st != nullptr && warm_st->edf_valid && warm_st->prev_valid &&
-      std::isfinite(warm_st->prev.delay_ms)) {
+  if (warm_prev != nullptr && warm_d.has_value()) {
     // Warm attempt seeded by the neighbor's fixed point.  A non-finite
     // iterate just falls through to the cold schedule below.
-    prev = warm_st->prev;
-    d = warm_st->edf_d;
+    prev = *warm_prev;
+    d = *warm_d;
     iterate(kDamping[0], /*accelerate=*/true, /*external_warm=*/true);
   }
 
@@ -551,30 +542,8 @@ BoundResult solve_edf(SearchContext& ctx, detail::WarmState* warm_st,
             std::to_string(ctx.stats.retries) +
             " damped restart(s); the bound uses the last iterate");
   }
-  have_edf_d = true;
   resolved_d = d;
   return finish(ctx, result);
-}
-
-/// Deposits this solve's reusable context into the warm state.
-void export_state(detail::WarmState& st, SearchContext& ctx,
-                  const BoundResult& result, bool have_edf_d,
-                  double resolved_d) {
-  st.valid = true;
-  st.peak = ctx.sc.source.peak_kb();
-  st.p11 = ctx.sc.source.p11();
-  st.p22 = ctx.sc.source.p22();
-  st.capacity = ctx.sc.capacity;
-  st.n_total = static_cast<double>(ctx.sc.n_through + ctx.sc.n_cross);
-  st.bracket_valid = true;
-  st.s_lo = ctx.s_lo;
-  st.s_hi = ctx.s_hi;
-  st.unstable = ctx.unstable;
-  st.degenerate = ctx.degenerate_bracket;
-  st.prev_valid = std::isfinite(result.delay_ms);
-  st.prev = result;
-  st.edf_valid = have_edf_d;
-  st.edf_d = resolved_d;
 }
 
 }  // namespace
@@ -688,7 +657,6 @@ namespace detail {
 
 BoundResult solve_scenario(const Scenario& sc, const EngineRequest& req,
                            SolveState* state) {
-  WarmState* st = state != nullptr ? &warm(*state) : nullptr;
   // Curve-backed kinds (GPS/DRR/SCED) have no Delta at all: route them to
   // the rate-latency path before the static_delta check (their
   // static_delta() is nullopt, which would otherwise mean "EDF fixed
@@ -697,7 +665,7 @@ BoundResult solve_scenario(const Scenario& sc, const EngineRequest& req,
   if (!req.delta.has_value() && sc.scheduler.is_curve_backed()) {
     validate_scenario(sc);
     BoundResult result = solve_curve_backed(sc);
-    if (st != nullptr) *st = WarmState{};
+    if (state != nullptr) *state = SolveState{};
     return result;
   }
   // Every Delta-backed kind but EDF has a Delta that does not depend on
@@ -707,23 +675,26 @@ BoundResult solve_scenario(const Scenario& sc, const EngineRequest& req,
   if (!fixed.has_value()) fixed = sc.scheduler.static_delta();
 
   validate_scenario(sc);
-  const bool use_warm = req.use_warm && st != nullptr && st->valid;
-  SearchContext ctx(sc, req.method, use_warm ? st : nullptr);
+  const bool use_warm = req.use_warm && state != nullptr;
+  const BoundResult* warm_prev =
+      use_warm && state->prev_.has_value() ? &*state->prev_ : nullptr;
+  SearchContext ctx(sc, req.method);
   ctx.effort = req.effort;
 
   BoundResult result;
-  bool have_edf_d = false;
-  double resolved_d = 0.0;
+  std::optional<double> resolved_d;
   if (fixed.has_value()) {
-    const BoundResult* warm_prev =
-        (use_warm && st->prev_valid) ? &st->prev : nullptr;
     result = finish(ctx, solve_for_delta(ctx, *fixed, warm_prev,
                                          /*external_warm=*/true));
   } else {
-    result = solve_edf(ctx, use_warm ? st : nullptr, have_edf_d, resolved_d);
+    result = solve_edf(ctx, warm_prev,
+                       use_warm ? state->edf_d_ : std::nullopt, resolved_d);
   }
-  if (st != nullptr) {
-    export_state(*st, ctx, result, have_edf_d, resolved_d);
+  if (state != nullptr) {
+    state->prev_ = std::isfinite(result.delay_ms)
+                       ? std::optional<BoundResult>(result)
+                       : std::nullopt;
+    state->edf_d_ = resolved_d;
   }
   return result;
 }
@@ -765,11 +736,11 @@ DelayProfile solve_profile_scenario(const Scenario& sc,
   } else {
     // Warm descent: visit the levels from the loosest epsilon (smallest
     // bound) to the tightest, threading one warm-start state so each
-    // level inherits the previous level's stable-s bracket (epsilon-
-    // independent, hence bit-exact), optimum probe, and EDF fixed
+    // level inherits the previous level's optimum probe and EDF fixed
     // point.  Post-probe levels run at the reduced kLocal budget; a
     // level whose probe misses transparently falls back to the full
-    // cold schedule.  Ties keep the caller's order.
+    // cold schedule.  A level counts as a chain hit when its warm probe
+    // landed.  Ties keep the caller's order.
     std::vector<std::size_t> order(profile.epsilons.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(),
@@ -786,7 +757,7 @@ DelayProfile solve_profile_scenario(const Scenario& sc,
           solve_scenario(level_scenario(profile.epsilons[idx]), level_req,
                          chain);
       const SolveStats& ls = profile.levels[idx].stats;
-      if (!first && (ls.warm_start_hits > 0 || ls.brackets_reused > 0)) {
+      if (!first && ls.warm_start_hits > 0) {
         ++profile.stats.profile_chain_hits;
       }
       first = false;

@@ -34,7 +34,7 @@
 
 namespace deltanc::e2e {
 
-class SolveState;  // e2e/solve_state.h (opaque warm-start context)
+class SolveState;  // e2e/solve_state.h (warm-start hints)
 
 /// A homogeneous end-to-end scenario with MMOO traffic (Section V).
 struct Scenario {
@@ -73,10 +73,9 @@ enum class WarmStart {
   /// Ignore any carried context; solve from scratch (bit-identical to a
   /// stateless solve).  The state is still refreshed afterwards.
   kCold,
-  /// Consume fingerprint-matching hints from the state: the stable-s
-  /// bracket is reused bit-exactly; the previous optimum and the
-  /// resolved EDF fixed point seed the search (which may
-  /// legitimately change iteration paths within the documented
+  /// Consume the hints carried in the state: the previous finite
+  /// optimum and the resolved EDF fixed point seed the search (which
+  /// may legitimately change iteration paths within the documented
   /// warm-start tolerance; see docs/API.md#warm-starts).
   kWarm,
 };
@@ -104,7 +103,7 @@ struct SolveStats {
   // not inferred.
   std::int64_t batched_evals = 0;   ///< coarse gamma-scan evals (exact optimizer)
   std::int64_t warm_start_hits = 0; ///< warm hints consumed (probe / EDF seed)
-  std::int64_t brackets_reused = 0; ///< stable-s brackets adopted (no bisection)
+  std::int64_t brackets_reused = 0; ///< retired, always 0 (schema 7 writes it)
   // Delay-profile instrumentation (PR 10): set on DelayProfile::stats by
   // the profile driver (per-level BoundResult::stats keep them zero), so
   // a sweep/batch aggregate shows how many levels were solved and how

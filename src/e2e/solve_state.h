@@ -1,58 +1,46 @@
-// Opaque warm-start state for deltanc::Solver and the sweep engine.
+// Warm-start state for deltanc::Solver and the sweep engine.
 //
-// A scenario solve builds per-scenario context that a *neighboring*
-// solve (the next point of a sweep chain, the next level of a warm
-// profile) can reuse instead of rebuilding from scratch: the stable-s
-// bracket of Eq. (32) (bit-exact when source, capacity and flow counts
-// match), the previous (s, gamma) optimum as a scan-skipping probe, and
-// the resolved EDF fixed point as an iteration seed.  SolveState carries
-// that context across solves without exposing its layout; the contents
-// live in e2e/warm_state.h (internal) and are only touched by the
-// engine in param_search.cpp.
+// A scenario solve leaves two hints that a *neighboring* solve (the
+// next point of a sweep chain, the next level of a warm profile) can
+// start from instead of searching from scratch: the previous finite
+// (s, gamma) optimum, whose s replaces the coarse Chernoff scan with one
+// probe, and the resolved EDF fixed point, which seeds the neighbor's
+// iteration.  SolveState carries them by value between solves; only the
+// engine in param_search.cpp reads or writes them.
 //
-// Reuse is *hinted*, never trusted: every hint is fingerprinted against
-// the scenario it came from, stale hints are recomputed, and a missed
-// warm probe falls back to the cold scan -- so a warm solve can differ
-// from a cold one only through legitimately different iteration paths
-// (bounded by the documented warm-start tolerance; see
-// docs/API.md#warm-starts), never through wrong reuse.
+// Hints seed the search, they are never trusted: the probe is clamped
+// into the neighbor's own stability window, a probe that misses falls
+// back to the cold scan, and an EDF attempt from a seed that does not
+// converge falls back to the cold schedule.  So a warm solve can differ
+// from a cold one only through a different iteration path (bounded by
+// the documented warm-start tolerance; see docs/API.md#warm-starts).
 #pragma once
 
-#include <memory>
+#include <optional>
+
+#include "e2e/param_search.h"
 
 namespace deltanc::e2e {
 
-class SolveState;
-
-namespace detail {
-struct WarmState;
-/// Internal engine access to the state's contents (creates them on
-/// first use).  Not API.
-[[nodiscard]] WarmState& warm(SolveState& state);
-}  // namespace detail
-
-/// Opaque context carried between solves (see file comment).  Default
+/// Context carried between solves (see file comment).  Default
 /// construction is empty: the first solve through it runs cold and
-/// deposits its context.  Move-only; cheap to move.
+/// leaves its hints.  Move-only.
 class SolveState {
  public:
-  SolveState();
-  SolveState(SolveState&&) noexcept;
-  SolveState& operator=(SolveState&&) noexcept;
+  SolveState() = default;
+  SolveState(SolveState&&) noexcept = default;
+  SolveState& operator=(SolveState&&) noexcept = default;
   SolveState(const SolveState&) = delete;
   SolveState& operator=(const SolveState&) = delete;
-  ~SolveState();
-
-  /// True when a previous solve has deposited reusable context.
-  [[nodiscard]] bool has_value() const noexcept;
-
-  /// Drops all carried context; the next solve through this state runs
-  /// cold.
-  void reset() noexcept;
 
  private:
-  friend detail::WarmState& detail::warm(SolveState& state);
-  std::unique_ptr<detail::WarmState> impl_;
+  friend BoundResult detail::solve_scenario(const Scenario& sc,
+                                            const detail::EngineRequest& req,
+                                            SolveState* state);
+  /// The previous solve's optimum, when it was finite.
+  std::optional<BoundResult> prev_;
+  /// The previous solve's resolved EDF fixed point d.
+  std::optional<double> edf_d_;
 };
 
 }  // namespace deltanc::e2e

@@ -61,8 +61,8 @@ struct SolveOptions {
 class Solver {
  public:
   /// Opaque warm-start context for solve(sc, state): carries the
-  /// stable-s bracket, the previous optimum, and the resolved EDF fixed
-  /// point between related solves.  Thread it through a
+  /// previous finite optimum and the resolved EDF fixed point between
+  /// related solves.  Thread it through a
   /// sequence of nearby scenarios (one State per sequence -- it is a
   /// hint channel, not shared state; never share one across threads).
   using State = e2e::SolveState;
@@ -90,10 +90,10 @@ class Solver {
   [[nodiscard]] e2e::BoundResult solve(const e2e::Scenario& sc) const;
 
   /// Stateful variant: per options().warm_start the solve consumes the
-  /// context carried in `state` (kWarm; hints whose fingerprints do not
-  /// match the scenario are ignored, so any state is safe to pass) or
-  /// ignores it (kCold).  Either way the state is refreshed with this
-  /// solve's context on return, ready for the next nearby scenario.
+  /// hints carried in `state` (kWarm; a hint only seeds the search, so
+  /// any state is safe to pass) or ignores them (kCold).  Either way the
+  /// state is refreshed with this solve's hints on return, ready for the
+  /// next nearby scenario.
   [[nodiscard]] e2e::BoundResult solve(const e2e::Scenario& sc,
                                        State& state) const;
 

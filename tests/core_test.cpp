@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/analyzer.h"
 #include "core/scenario.h"
@@ -233,6 +234,22 @@ TEST(PathAnalyzer, ValidationTakesTheEdfUnitFromAHeldBound) {
   unstable.delay_ms = std::numeric_limits<double>::infinity();
   EXPECT_THROW((void)analyzer.validate(50000, 5, &unstable),
                std::invalid_argument);
+}
+
+TEST(PathAnalyzer, SimulationWithoutThroughSamplesIsAnInputError) {
+  // 100 slots end inside the simulator's warm-up, so no through sample
+  // is recorded: the caller asked for too short a run, which is an
+  // input error naming the slot and hop counts, not a logic error.
+  const e2e::Scenario sc =
+      ScenarioBuilder().hops(2).through_flows(100).cross_flows(100).build();
+  try {
+    (void)PathAnalyzer(sc).validate(100, 1);
+    FAIL() << "validate accepted a run with no through sample";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("100 slots"), std::string::npos) << what;
+    EXPECT_NE(what.find("2-hop"), std::string::npos) << what;
+  }
 }
 
 TEST(PathAnalyzer, ValidationReportCarriesTheComparedBound) {

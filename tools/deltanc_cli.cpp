@@ -97,9 +97,9 @@ Sweep mode (repeatable; axes cross-multiply in the order given):
                          all cores); results are identical for any n
   --warm-start <policy>  warm | cold (default warm): warm chains solver
                          state along the innermost numeric sweep axis
-                         (stable-s bracket, previous optimum, EDF
-                         fixed point); cold solves every point from
-                         scratch, bit-identical to a single solve
+                         (previous optimum, EDF fixed point); cold
+                         solves every point from scratch,
+                         bit-identical to a single solve
   --csv                  print only the CSV of the sweep results
       with --ccdf, every sweep point additionally solves the whole
       d(epsilon) profile and the profile CSV (one row per point x
@@ -172,6 +172,15 @@ void print_usage(std::FILE* out) {
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "deltanc_cli: %s\n", message.c_str());
   print_usage(stderr);
+  std::exit(2);
+}
+
+/// A --simulate run the simulator rejects (too few slots to record a
+/// through sample): keep what stdout already holds, name the problem on
+/// stderr, and exit 2 like any other bad input.
+[[noreturn]] void simulate_error(const std::invalid_argument& e) {
+  std::fflush(stdout);
+  std::fprintf(stderr, "deltanc_cli: --simulate: %s\n", e.what());
   std::exit(2);
 }
 
@@ -970,7 +979,11 @@ int main(int argc, char** argv) {
   if (want_report) {
     ReportOptions options;
     options.simulate_slots = simulate_slots;
-    std::printf("%s", render_report(scenario, options).c_str());
+    try {
+      std::printf("%s", render_report(scenario, options).c_str());
+    } catch (const std::invalid_argument& e) {
+      simulate_error(e);
+    }
     return 0;
   }
   const PathAnalyzer analyzer(scenario);
@@ -1028,7 +1041,12 @@ int main(int argc, char** argv) {
                 analyzer.additive_bound().delay_ms);
   }
   if (simulate_slots > 0) {
-    const ValidationReport r = analyzer.validate(simulate_slots, 1, &bound);
+    ValidationReport r{};
+    try {
+      r = analyzer.validate(simulate_slots, 1, &bound);
+    } catch (const std::invalid_argument& e) {
+      simulate_error(e);
+    }
     std::printf("simulation (%lld slots): quantile@%.2e = %.2f ms, "
                 "max = %.2f ms, bound@%.2e = %.3f ms %s\n",
                 simulate_slots, r.epsilon_sim, r.empirical_quantile,
