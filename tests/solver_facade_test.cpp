@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -268,6 +269,48 @@ TEST(SolverFacade, WarmSolveThroughAForeignStateStaysWithinTolerance) {
                 kWarmStartRelTol * cold.delay_ms)
           << name;
     }
+  }
+}
+
+// A converged EDF result solves its own fixed point: its Delta is the
+// one the deadlines d*_0 - d*_c = (own - cross) d / H give for d equal
+// to its delay, to the fixed point's 1e-7 tolerance.  Warm results also
+// lie within the warm-start tolerance of the cold solve.
+void expect_converged_edf_fixed_point(const e2e::BoundResult& warm,
+                                      const e2e::Scenario& sc,
+                                      const std::string& name) {
+  const sched::EdfFactors& f = sc.scheduler.edf_factors();
+  const double d = warm.delta * sc.hops / (f.own_factor - f.cross_factor);
+  EXPECT_TRUE(warm.stats.edf_converged) << name;
+  EXPECT_LE(std::abs(warm.delay_ms - d), 1e-7 * std::max(1.0, d)) << name;
+  const e2e::BoundResult cold = Solver().solve(sc);
+  EXPECT_LE(std::abs(warm.delay_ms - cold.delay_ms),
+            kWarmStartRelTol * cold.delay_ms)
+      << name;
+}
+
+TEST(SolverFacade, ConvergedWarmEdfResultIsItsOwnFixedPoint) {
+  SolveOptions warm_options;
+  warm_options.warm_start = e2e::WarmStart::kWarm;
+  const Solver warm(warm_options);
+  // The warm chain of WarmChainWorkCountersArePinned.
+  Solver::State state;
+  for (int n_cross = 20; n_cross <= 380; n_cross += 20) {
+    const e2e::Scenario sc = fig2_scenario(n_cross, sched::SchedulerKind::kEdf);
+    expect_converged_edf_fixed_point(warm.solve(sc, state), sc,
+                                     "chain n_cross=" + std::to_string(n_cross));
+  }
+  // The warm 16-level profile of WarmProfileWorkCountersArePinned.
+  std::vector<double> grid;
+  for (int i = 0; i < 16; ++i) grid.push_back(std::pow(10.0, -9.0 + 0.4 * i));
+  const e2e::Scenario sc = fig2_scenario(168, sched::SchedulerKind::kEdf);
+  const e2e::DelayProfile p = warm.solve_profile(sc, grid);
+  ASSERT_EQ(p.levels.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    e2e::Scenario level = sc;
+    level.epsilon = grid[i];
+    expect_converged_edf_fixed_point(p.levels[i], level,
+                                     "profile eps=" + std::to_string(grid[i]));
   }
 }
 

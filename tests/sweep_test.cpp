@@ -582,6 +582,66 @@ TEST(SweepRunnerTest, ReducedFig4GridWorkCountersArePinned) {
   EXPECT_EQ(w.stats.edf_iterations, 91);
 }
 
+// Every finite point of a warm sweep lies within kWarmStartRelTol of the
+// same grid solved cold; both agree on finiteness.
+void expect_warm_grid_within_tolerance_of_cold(const SweepGrid& grid) {
+  SweepOptions warm;
+  warm.threads = 4;
+  SweepOptions cold = warm;
+  cold.warm_start = e2e::WarmStart::kCold;
+  const SweepReport w = SweepRunner(warm).run(grid);
+  const SweepReport c = SweepRunner(cold).run(grid);
+  ASSERT_EQ(w.points.size(), c.points.size());
+  for (std::size_t i = 0; i < w.points.size(); ++i) {
+    const e2e::Scenario& sc = w.points[i].scenario;
+    const double got = w.points[i].bound.delay_ms;
+    const double want = c.points[i].bound.delay_ms;
+    SCOPED_TRACE(testing::Message()
+                 << sched::to_string(sc.scheduler) << " H=" << sc.hops
+                 << " n0=" << sc.n_through << " nc=" << sc.n_cross
+                 << " eps=" << sc.epsilon);
+    ASSERT_EQ(std::isfinite(got), std::isfinite(want));
+    if (!std::isfinite(want)) continue;
+    EXPECT_LE(std::abs(got - want), kWarmStartRelTol * want);
+  }
+}
+
+TEST(SweepRunnerTest, WarmPointPastTheStabilityEdgeStaysWithinToleranceOfCold) {
+  // The second segment of a 12-point uc axis (cross loads 6..11, n_cross
+  // 272..471): at n_cross = 471 the previous optimum s lies above the
+  // 0.999 edge of the new stability window, so the warm probe is clamped
+  // onto that edge and its refinement bracket ends short of the cold
+  // optimum.  The probe counts as missed and the point is scanned cold.
+  const e2e::Scenario base = ScenarioBuilder()
+                                 .hops(2)
+                                 .through_utilization(0.10)
+                                 .violation_probability(1e-9)
+                                 .scheduler(sched::SchedulerKind::kBmux)
+                                 .build();
+  SweepGrid grid(base);
+  grid.cross_utilization_axis(SweepGrid::linspace(0.05, 0.70, 12));
+  ASSERT_EQ(grid.scenario_at(11).n_through, 67);
+  ASSERT_EQ(grid.scenario_at(6).n_cross, 272);
+  ASSERT_EQ(grid.scenario_at(11).n_cross, 471);
+  expect_warm_grid_within_tolerance_of_cold(grid);
+}
+
+TEST(SweepRunnerTest, WarmGridsStayWithinToleranceOfCold) {
+  // fifo, bmux, edf and sp-high at H in {2, 10, 30}, u0 in {0.10, 0.15,
+  // 0.20} and eps in {1e-9, 1e-3}, each over 12 cross loads up to 0.70:
+  // 72 warm chains of 12 points, each run as two segments of 6.
+  SweepGrid grid;
+  grid.scheduler_axis({sched::SchedulerKind::kFifo, sched::SchedulerKind::kBmux,
+                       sched::SchedulerKind::kEdf,
+                       sched::SchedulerKind::kSpHigh})
+      .hops_axis({2, 10, 30})
+      .through_utilization_axis({0.10, 0.15, 0.20})
+      .epsilon_axis({1e-9, 1e-3})
+      .cross_utilization_axis(SweepGrid::linspace(0.05, 0.70, 12));
+  ASSERT_EQ(grid.size(), 864u);
+  expect_warm_grid_within_tolerance_of_cold(grid);
+}
+
 TEST(SweepRunnerTest, TwelvePointChainsSplitIntoTwoColdHeadedSegments) {
   // A 12-point axis runs as two segments of 6: grid positions 0 and 6
   // of every Delta-kind chain are solved cold (no warm hint consumed),
