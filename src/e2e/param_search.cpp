@@ -448,10 +448,12 @@ BoundResult solve_curve_backed(const Scenario& sc) {
 /// Given the neighbor's finite optimum `warm_prev` and resolved fixed
 /// point `warm_d`, one warm attempt runs first -- iterating from that d
 /// (and probing from that optimum) instead of re-deriving the FIFO seed.
-/// If the warm attempt fails to converge or goes non-finite, the full
-/// cold schedule runs unchanged, so warm-starting never degrades
-/// robustness.  `resolved_d` receives the fixed point the returned
-/// result was solved at; it stays empty when the solve went unstable.
+/// A converged warm attempt returns its last iterate as it is: that
+/// solve ran at Delta(d) for the d it converged on.  If the warm attempt
+/// fails to converge or goes non-finite, the full cold schedule runs
+/// unchanged, so warm-starting never degrades robustness.  `resolved_d`
+/// receives the fixed point the returned result was solved at; it stays
+/// empty when the solve went unstable.
 BoundResult solve_edf(SearchContext& ctx, const BoundResult* warm_prev,
                       std::optional<double> warm_d,
                       std::optional<double>& resolved_d) {
@@ -501,38 +503,46 @@ BoundResult solve_edf(SearchContext& ctx, const BoundResult* warm_prev,
 
   if (warm_prev != nullptr && warm_d.has_value()) {
     // Warm attempt seeded by the neighbor's fixed point.  A non-finite
-    // iterate just falls through to the cold schedule below.
+    // iterate just falls through to the cold schedule below.  On
+    // convergence `prev` was solved at exactly Delta(d) for the `d` it
+    // is returned with, so it already is the self-consistent tuple.
     prev = *warm_prev;
     d = *warm_d;
-    iterate(kDamping[0], /*accelerate=*/true, /*external_warm=*/true);
-  }
-
-  if (!converged) {
-    const BoundResult seed = solve_for_delta(ctx, 0.0, nullptr);
-    if (!std::isfinite(seed.delay_ms)) return finish(ctx, seed);
-    // Attempt 0 plus the damped restarts of the schedule.  Only attempt
-    // 0 accelerates -- the restarts exist for landscapes where
-    // aggressive steps misbehave, so they stay purely damped.
-    prev = seed;
-    d = seed.delay_ms;
-    for (std::size_t attempt = 0; attempt < std::size(kDamping); ++attempt) {
-      if (attempt > 0) {
-        // Retry: restart from the FIFO seed with a tighter damping factor.
-        ++ctx.stats.retries;
-        prev = seed;
-        d = seed.delay_ms;
-      }
-      if (iterate(kDamping[attempt], /*accelerate=*/attempt == 0,
-                  /*external_warm=*/false)) {
-        break;
-      }
-      if (!std::isfinite(prev.delay_ms)) return finish(ctx, prev);
+    if (iterate(kDamping[0], /*accelerate=*/true, /*external_warm=*/true)) {
+      ctx.stats.edf_converged = true;
+      resolved_d = d;
+      return finish(ctx, prev);
     }
   }
+
+  const BoundResult seed = solve_for_delta(ctx, 0.0, nullptr);
+  if (!std::isfinite(seed.delay_ms)) return finish(ctx, seed);
+  // Attempt 0 plus the damped restarts of the schedule.  Only attempt
+  // 0 accelerates -- the restarts exist for landscapes where
+  // aggressive steps misbehave, so they stay purely damped.
+  prev = seed;
+  d = seed.delay_ms;
+  for (std::size_t attempt = 0; attempt < std::size(kDamping); ++attempt) {
+    if (attempt > 0) {
+      // Retry: restart from the FIFO seed with a tighter damping factor.
+      ++ctx.stats.retries;
+      prev = seed;
+      d = seed.delay_ms;
+    }
+    if (iterate(kDamping[attempt], /*accelerate=*/attempt == 0,
+                /*external_warm=*/false)) {
+      break;
+    }
+    if (!std::isfinite(prev.delay_ms)) return finish(ctx, prev);
+  }
   ctx.stats.edf_converged = converged;
-  // Re-solve once at the resolved Delta so the returned tuple (delay,
-  // gamma, s, sigma, delta) is self-consistent instead of mixing the
-  // damped average with parameters from an earlier iterate.
+  // Only the cold schedule gets here: no warm hint, or a warm attempt
+  // that failed.  It re-solves once at the resolved Delta.  Without
+  // convergence `d` is one update past the Delta `prev` was solved at,
+  // and the re-solve keeps the returned tuple (delay, gamma, s, sigma,
+  // delta) from mixing the two.  A converged cold iterate is already
+  // self-consistent, but its re-solve stays: the cold bits (hexfloat
+  // goldens, cold work counters) include it, and dropping it moves them.
   BoundResult result = solve_for_delta(ctx, factor_gap * d / sc.hops, &prev);
   if (!converged) {
     result.diagnostics.warn(

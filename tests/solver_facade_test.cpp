@@ -158,7 +158,8 @@ TEST(SolverFacade, WarmChainWorkCountersArePinned) {
   // (summed in chain order, compared as hexfloats), so a change to the
   // warm hints shows up even when every bound stays within tolerance.
   // brackets_reused is retired and always 0; the optimum probe lands on
-  // all 18 successors.
+  // all 18 successors.  A converged warm EDF point returns its last
+  // iterate without a final re-solve.
   const struct {
     sched::SchedulerKind sched;
     std::int64_t optimize_evals, eb_evals, brackets_reused, warm_start_hits;
@@ -166,7 +167,7 @@ TEST(SolverFacade, WarmChainWorkCountersArePinned) {
   } cases[] = {
       {sched::SchedulerKind::kFifo, 68552, 2016, 0, 18,
        0x1.b67e6caeafca7p+10},
-      {sched::SchedulerKind::kEdf, 271320, 4742, 0, 18,
+      {sched::SchedulerKind::kEdf, 208392, 3896, 0, 18,
        0x1.05dcab5c0a314p+9},
   };
   SolveOptions warm_options;
@@ -475,7 +476,9 @@ TEST(SolverProfile, WarmChainWithinToleranceAndCheaperThanCold) {
 TEST(SolverProfile, WarmProfileWorkCountersArePinned) {
   // A 16-level log-spaced grid over [1e-9, 1e-3] under the warm chain:
   // literal counts, so the chain's savings cannot erode unnoticed.  Every
-  // level bisects its own stable-s bracket (57 eb(s) calls here).
+  // level bisects its own stable-s bracket (57 eb(s) calls here); a
+  // converged warm EDF level returns its last iterate without a final
+  // re-solve.
   std::vector<double> grid;
   for (int i = 0; i < 16; ++i) grid.push_back(std::pow(10.0, -9.0 + 0.4 * i));
   SolveOptions warm_options;
@@ -485,7 +488,7 @@ TEST(SolverProfile, WarmProfileWorkCountersArePinned) {
     Counters want;
   } cases[] = {
       {sched::SchedulerKind::kFifo, {23624, 23624, 1452, 7700, 0, 15, 15}},
-      {sched::SchedulerKind::kEdf, {82424, 82424, 2971, 26810, 48, 15, 15}},
+      {sched::SchedulerKind::kEdf, {64424, 64424, 2506, 20960, 48, 15, 15}},
   };
   for (const auto& c : cases) {
     const e2e::DelayProfile p =

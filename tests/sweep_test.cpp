@@ -572,13 +572,14 @@ TEST(SweepRunnerTest, ReducedFig4GridWorkCountersArePinned) {
   EXPECT_EQ(c.eb_evals, 12582);
   EXPECT_EQ(c.edf_iterations, 108);
   // Warm: each 8-point chain runs as two segments of 4, so 12 of the 48
-  // points are cold segment heads.
+  // points are cold segment heads; a converged warm EDF point skips the
+  // final re-solve.
   SweepOptions warm;
   warm.threads = 4;
   const SweepReport w = SweepRunner(warm).run(grid);
   EXPECT_EQ(w.chains, 12u);
-  EXPECT_EQ(w.stats.optimize_evals, 532456);
-  EXPECT_EQ(w.stats.eb_evals, 9929);
+  EXPECT_EQ(w.stats.optimize_evals, 469528);
+  EXPECT_EQ(w.stats.eb_evals, 9083);
   EXPECT_EQ(w.stats.edf_iterations, 91);
 }
 
