@@ -164,12 +164,21 @@ double delay_at(SearchContext& ctx, const PathParams& p,
   return kInf;
 }
 
+/// Which ends of [lo, hi] the final golden interval of minimize_scalar
+/// still touches: the search never moved off that end, so the minimum
+/// it found lies on it (or beyond it).
+struct Edges {
+  bool lo = false;
+  bool hi = false;
+};
+
 /// Golden-section minimization of a continuous function on [lo, hi],
 /// seeded by a coarse scan so that a locally non-unimodal objective still
 /// lands in the right valley.
 template <typename F>
 double minimize_scalar(F f, double lo, double hi, int scan_points,
-                       int golden_iters, double* best_arg) {
+                       int golden_iters, double* best_arg,
+                       Edges* edges = nullptr) {
   double best_x = lo;
   double best_v = kInf;
   for (int i = 0; i <= scan_points; ++i) {
@@ -211,6 +220,7 @@ double minimize_scalar(F f, double lo, double hi, int scan_points,
     best_x = xm;
   }
   if (best_arg != nullptr) *best_arg = best_x;
+  if (edges != nullptr) *edges = Edges{a == lo, b == hi};
   return best_v;
 }
 
@@ -249,6 +259,14 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
 /// at the warm-started s; the golden refinement then re-localizes the
 /// optimum from there.  `external_warm` marks a probe seeded from a
 /// SolveState (counted in stats.warm_start_hits when it lands).
+///
+/// A SolveState probe comes from another scenario, whose optimum may lie
+/// outside this one's stability window (the probe is then clamped onto
+/// its edge) or more than one refinement bracket away.  When its
+/// refinement ends on an edge of the bracket that is not an edge of the
+/// window, the optimum lies beyond the bracket: the probe has missed,
+/// and the solve scans cold as for any other miss.  Probes inside one
+/// EDF fixed point come from the same window and keep their bracket.
 BoundResult solve_for_delta(SearchContext& ctx, double delta,
                             const BoundResult* warm,
                             bool external_warm = false) {
@@ -267,8 +285,9 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
   const double ratio = std::pow(s_hi / s_lo, 1.0 / kScan);
   double best_s = s_lo;
   double best_v = kInf;
-  const auto scan_t0 = Clock::now();
+  auto scan_t0 = Clock::now();
   ctx.local_now = false;
+  bool hint_landed = false;
   if (warm != nullptr && std::isfinite(warm->delay_ms) && warm->s > 0.0) {
     // A kLocal solve runs even the probe at the reduced budget; if the
     // probe misses, local_now drops and everything below (coarse scan,
@@ -277,65 +296,84 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
     const double s = std::clamp(warm->s, s_lo, s_hi);
     best_v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
     best_s = s;
-    if (external_warm && best_v != kInf) ++ctx.stats.warm_start_hits;
     if (best_v == kInf) ctx.local_now = false;
+    hint_landed = external_warm && best_v != kInf;
   }
-  if (best_v == kInf) {
-    // Coarse logarithmic scan over s (cold start, or warm probe missed).
-    for (int i = 0; i <= kScan; ++i) {
-      const double s =
-          s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kScan);
-      const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
-      if (v < best_v) {
-        best_v = v;
-        best_s = s;
+  double final_s = best_s;
+  for (;;) {
+    if (best_v == kInf) {
+      // Coarse logarithmic scan over s (cold start, or warm probe missed).
+      for (int i = 0; i <= kScan; ++i) {
+        const double s =
+            s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kScan);
+        const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
+        if (v < best_v) {
+          best_v = v;
+          best_s = s;
+        }
       }
     }
-  }
-  if (best_v == kInf || ctx.degenerate_bracket) {
-    // Recovery: the coarse scan missed every feasible s (a narrow
-    // stability valley), or the bracket was degenerate to begin with.
-    // Fall back to a dense logarithmic scan before giving up.
-    ++ctx.stats.fallbacks;
-    const int kDense = 160;
-    for (int i = 0; i <= kDense; ++i) {
-      const double s =
-          s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kDense);
-      const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
-      if (v < best_v) {
-        best_v = v;
-        best_s = s;
+    if (best_v == kInf || ctx.degenerate_bracket) {
+      // Recovery: the coarse scan missed every feasible s (a narrow
+      // stability valley), or the bracket was degenerate to begin with.
+      // Fall back to a dense logarithmic scan before giving up.
+      ++ctx.stats.fallbacks;
+      const int kDense = 160;
+      for (int i = 0; i <= kDense; ++i) {
+        const double s =
+            s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kDense);
+        const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
+        if (v < best_v) {
+          best_v = v;
+          best_s = s;
+        }
       }
     }
-  }
-  ctx.stats.scan_ms += ms_since(scan_t0);
-  if (best_v == kInf) {
-    result.diagnostics.fail(
-        diag::SolveErrorKind::kNumericalDomain,
-        "no feasible (s, gamma) found in (0, " + fmt(s_hi) +
-            "] even by dense scan; the stability window of Eq. (32) is "
-            "numerically empty");
-    return result;
-  }
+    ctx.stats.scan_ms += ms_since(scan_t0);
+    if (best_v == kInf) {
+      result.diagnostics.fail(
+          diag::SolveErrorKind::kNumericalDomain,
+          "no feasible (s, gamma) found in (0, " + fmt(s_hi) +
+              "] even by dense scan; the stability window of Eq. (32) is "
+              "numerically empty");
+      return result;
+    }
 
-  const auto refine_t0 = Clock::now();
-  double refined_s = best_s;
-  const double refined_v = minimize_scalar(
-      [&](double s) { return best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr); },
-      std::max(s_lo, best_s / ratio), std::min(s_hi, best_s * ratio),
-      ctx.local_now ? 4 : 8, ctx.local_now ? 20 : 32, &refined_s);
-  // Keep the argmin over everything seen: the refinement's arithmetic
-  // grid need not revisit best_s exactly, so its optimum can come out
-  // worse than the scan's already-found value.
-  const double final_s = refined_v < best_v ? refined_s : best_s;
+    const auto refine_t0 = Clock::now();
+    const double r_lo = std::max(s_lo, best_s / ratio);
+    const double r_hi = std::min(s_hi, best_s * ratio);
+    double refined_s = best_s;
+    Edges edges;
+    const double refined_v = minimize_scalar(
+        [&](double s) {
+          return best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
+        },
+        r_lo, r_hi, ctx.local_now ? 4 : 8, ctx.local_now ? 20 : 32,
+        &refined_s, &edges);
+    // Keep the argmin over everything seen: the refinement's arithmetic
+    // grid need not revisit best_s exactly, so its optimum can come out
+    // worse than the scan's already-found value.
+    final_s = refined_v < best_v ? refined_s : best_s;
+    ctx.stats.refine_ms += ms_since(refine_t0);
+    const bool hint_missed = hint_landed && ((edges.lo && r_lo > s_lo) ||
+                                             (edges.hi && r_hi < s_hi));
+    if (!hint_missed) break;
+    hint_landed = false;
+    ctx.local_now = false;
+    best_s = s_lo;
+    best_v = kInf;
+    scan_t0 = Clock::now();
+  }
+  if (hint_landed) ++ctx.stats.warm_start_hits;
 
+  const auto final_t0 = Clock::now();
   double gamma = 0.0;
   result.delay_ms = best_over_gamma(ctx, delta, final_s, ctx.eb(final_s), &gamma);
   result.gamma = gamma;
   result.s = final_s;
   const PathParams p = params_from_eb(ctx, final_s, ctx.eb(final_s), delta);
   result.sigma = SigmaForEpsilon(p, ctx.sc.epsilon)(gamma);
-  ctx.stats.refine_ms += ms_since(refine_t0);
+  ctx.stats.refine_ms += ms_since(final_t0);
   return result;
 }
 
