@@ -1,6 +1,7 @@
-// Allocation gate for the warm answer path: a request served from the
+// Allocation gate for the answer paths: a request served from the
 // cache is parsed (parse_request_line), looked up (lookup_answer) and
-// written (make_ok_response).  The number of operator new calls of each
+// written (make_ok_response); a cold miss is looked up, its solved
+// payload encoded, and the entry stored (try_store_answer).  The number of operator new calls of each
 // stage is deterministic for a given toolchain, so it is pinned here
 // literally.  A change that moves a count updates the literal and says
 // why: allocations and copies removed from this path are what made
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <new>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace {
@@ -202,6 +204,72 @@ TEST(AllocationGate, WarmProfileHitWithLongStringId) {
   EXPECT_EQ(c.parse, 4);
   EXPECT_EQ(c.lookup, 5);
   EXPECT_EQ(c.write, 1);
+}
+
+struct MissCounts {
+  long lookup = 0;
+  long encode = 0;
+  long store = 0;
+};
+
+/// Counts the allocations of the stages a cold miss runs around its
+/// solve: the lookup that misses, the encode of the solved payload into
+/// Answer::payload_json, and try_store_answer.  The parse and the solve
+/// run outside the counts.  The cache directory is relative, as for
+/// warm_hit_counts.
+MissCounts cold_miss_counts(const std::string& line, const char* dir_name) {
+  std::filesystem::current_path(::testing::TempDir());
+  const std::filesystem::path dir = dir_name;
+  std::filesystem::remove_all(dir);
+  ResultCache cache(dir);
+  const ParsedRequestLine req =
+      parse_request_line(line, e2e::Method::kExactOpt);
+
+  MissCounts counts;
+  Answer answer;
+  CacheLookup outcome = CacheLookup::kHit;
+  counts.lookup =
+      allocations_of([&] { outcome = lookup_answer(cache, req, answer); });
+  EXPECT_EQ(outcome, CacheLookup::kMiss);
+  const Solver solver(req.options);
+  if (req.is_profile()) {
+    answer.payload = solver.solve_profile(req.scenario, req.epsilons);
+  } else {
+    answer.payload = solver.solve(req.scenario);
+  }
+  counts.encode = allocations_of([&] {
+    std::visit([&](const auto& p) { append_json(answer.payload_json, p); },
+               answer.payload);
+  });
+  bool stored = false;
+  counts.store =
+      allocations_of([&] { stored = try_store_answer(cache, req, answer); });
+  EXPECT_TRUE(stored);
+  EXPECT_EQ(lookup_answer(cache, req, answer), CacheLookup::kHit);
+  std::filesystem::remove_all(dir);
+  return counts;
+}
+
+// A miss's lookup builds the entry's file name (one allocation, as for
+// a hit) and finds no file.  The encode grows payload_json from empty,
+// so its count is the string's growth steps: more for the 16 levels of
+// a profile.  The store writes the entry line into one growing string,
+// then publishes it through a temporary file: the paths, the file
+// stream and its buffer.
+TEST(AllocationGate, ColdScalarMissThatStoresAnEntry) {
+  const MissCounts c =
+      cold_miss_counts(request_line("7", 0), "deltanc_alloc_miss_scalar");
+  EXPECT_EQ(c.lookup, 1);
+  EXPECT_EQ(c.encode, 5);
+  EXPECT_EQ(c.store, 17);
+}
+
+TEST(AllocationGate, ColdProfileMissThatStoresAnEntry) {
+  const MissCounts c =
+      cold_miss_counts(request_line("7", 16), "deltanc_alloc_miss_profile");
+  EXPECT_EQ(c.lookup, 1);
+  EXPECT_EQ(c.encode, 9);
+  EXPECT_EQ(c.store, 19);
 }
 
 }  // namespace
