@@ -285,7 +285,7 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
   const double ratio = std::pow(s_hi / s_lo, 1.0 / kScan);
   double best_s = s_lo;
   double best_v = kInf;
-  auto scan_t0 = Clock::now();
+  const auto scan_t0 = Clock::now();
   ctx.local_now = false;
   bool hint_landed = false;
   if (warm != nullptr && std::isfinite(warm->delay_ms) && warm->s > 0.0) {
@@ -296,84 +296,74 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
     const double s = std::clamp(warm->s, s_lo, s_hi);
     best_v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
     best_s = s;
-    if (best_v == kInf) ctx.local_now = false;
     hint_landed = external_warm && best_v != kInf;
+    if (best_v == kInf) ctx.local_now = false;
   }
-  double final_s = best_s;
-  for (;;) {
-    if (best_v == kInf) {
-      // Coarse logarithmic scan over s (cold start, or warm probe missed).
-      for (int i = 0; i <= kScan; ++i) {
-        const double s =
-            s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kScan);
-        const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
-        if (v < best_v) {
-          best_v = v;
-          best_s = s;
-        }
+  if (best_v == kInf) {
+    // Coarse logarithmic scan over s (cold start, or warm probe missed).
+    for (int i = 0; i <= kScan; ++i) {
+      const double s =
+          s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kScan);
+      const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
+      if (v < best_v) {
+        best_v = v;
+        best_s = s;
       }
     }
-    if (best_v == kInf || ctx.degenerate_bracket) {
-      // Recovery: the coarse scan missed every feasible s (a narrow
-      // stability valley), or the bracket was degenerate to begin with.
-      // Fall back to a dense logarithmic scan before giving up.
-      ++ctx.stats.fallbacks;
-      const int kDense = 160;
-      for (int i = 0; i <= kDense; ++i) {
-        const double s =
-            s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kDense);
-        const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
-        if (v < best_v) {
-          best_v = v;
-          best_s = s;
-        }
+  }
+  if (best_v == kInf || ctx.degenerate_bracket) {
+    // Recovery: the coarse scan missed every feasible s (a narrow
+    // stability valley), or the bracket was degenerate to begin with.
+    // Fall back to a dense logarithmic scan before giving up.
+    ++ctx.stats.fallbacks;
+    const int kDense = 160;
+    for (int i = 0; i <= kDense; ++i) {
+      const double s =
+          s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kDense);
+      const double v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
+      if (v < best_v) {
+        best_v = v;
+        best_s = s;
       }
     }
-    ctx.stats.scan_ms += ms_since(scan_t0);
-    if (best_v == kInf) {
-      result.diagnostics.fail(
-          diag::SolveErrorKind::kNumericalDomain,
-          "no feasible (s, gamma) found in (0, " + fmt(s_hi) +
-              "] even by dense scan; the stability window of Eq. (32) is "
-              "numerically empty");
-      return result;
-    }
+  }
+  ctx.stats.scan_ms += ms_since(scan_t0);
+  if (best_v == kInf) {
+    result.diagnostics.fail(
+        diag::SolveErrorKind::kNumericalDomain,
+        "no feasible (s, gamma) found in (0, " + fmt(s_hi) +
+            "] even by dense scan; the stability window of Eq. (32) is "
+            "numerically empty");
+    return result;
+  }
 
-    const auto refine_t0 = Clock::now();
-    const double r_lo = std::max(s_lo, best_s / ratio);
-    const double r_hi = std::min(s_hi, best_s * ratio);
-    double refined_s = best_s;
-    Edges edges;
-    const double refined_v = minimize_scalar(
-        [&](double s) {
-          return best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
-        },
-        r_lo, r_hi, ctx.local_now ? 4 : 8, ctx.local_now ? 20 : 32,
-        &refined_s, &edges);
-    // Keep the argmin over everything seen: the refinement's arithmetic
-    // grid need not revisit best_s exactly, so its optimum can come out
-    // worse than the scan's already-found value.
-    final_s = refined_v < best_v ? refined_s : best_s;
+  const auto refine_t0 = Clock::now();
+  const double r_lo = std::max(s_lo, best_s / ratio);
+  const double r_hi = std::min(s_hi, best_s * ratio);
+  double refined_s = best_s;
+  Edges edges;
+  const double refined_v = minimize_scalar(
+      [&](double s) { return best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr); },
+      r_lo, r_hi, ctx.local_now ? 4 : 8, ctx.local_now ? 20 : 32, &refined_s,
+      &edges);
+  if (hint_landed &&
+      ((edges.lo && r_lo > s_lo) || (edges.hi && r_hi < s_hi))) {
     ctx.stats.refine_ms += ms_since(refine_t0);
-    const bool hint_missed = hint_landed && ((edges.lo && r_lo > s_lo) ||
-                                             (edges.hi && r_hi < s_hi));
-    if (!hint_missed) break;
-    hint_landed = false;
-    ctx.local_now = false;
-    best_s = s_lo;
-    best_v = kInf;
-    scan_t0 = Clock::now();
+    return solve_for_delta(ctx, delta, nullptr);
   }
   if (hint_landed) ++ctx.stats.warm_start_hits;
+  // Keep the argmin over everything seen: the refinement's arithmetic
+  // grid need not revisit best_s exactly, so its optimum can come out
+  // worse than the scan's already-found value.
+  const double final_s = refined_v < best_v ? refined_s : best_s;
 
-  const auto final_t0 = Clock::now();
   double gamma = 0.0;
   result.delay_ms = best_over_gamma(ctx, delta, final_s, ctx.eb(final_s), &gamma);
   result.gamma = gamma;
   result.s = final_s;
   const PathParams p = params_from_eb(ctx, final_s, ctx.eb(final_s), delta);
   result.sigma = SigmaForEpsilon(p, ctx.sc.epsilon)(gamma);
-  ctx.stats.refine_ms += ms_since(final_t0);
+  ctx.stats.refine_ms += ms_since(refine_t0);
   return result;
 }
 
