@@ -531,9 +531,7 @@ BoundResult solve_edf(SearchContext& ctx, const BoundResult* warm_prev,
 
   if (warm_prev != nullptr && warm_d.has_value()) {
     // Warm attempt seeded by the neighbor's fixed point.  A non-finite
-    // iterate just falls through to the cold schedule below.  On
-    // convergence `prev` was solved at exactly Delta(d) for the `d` it
-    // is returned with, so it already is the self-consistent tuple.
+    // iterate just falls through to the cold schedule below.
     prev = *warm_prev;
     d = *warm_d;
     if (iterate(kDamping[0], /*accelerate=*/true, /*external_warm=*/true)) {

@@ -1,9 +1,9 @@
 // Allocation gate for the answer paths: a request served from the
 // cache is parsed (parse_request_line), looked up (lookup_answer) and
 // written (make_ok_response); a cold miss is looked up, its solved
-// payload encoded, and the entry stored (try_store_answer).  The number of operator new calls of each
-// stage is deterministic for a given toolchain, so it is pinned here
-// literally.  A change that moves a count updates the literal and says
+// payload encoded, and the entry stored (try_store_answer).  The number
+// of operator new calls of each stage is deterministic for a given
+// toolchain, so it is pinned here literally.  A change that moves a count updates the literal and says
 // why: allocations and copies removed from this path are what made
 // warm hits fast, and nothing else stops them from coming back.
 //
