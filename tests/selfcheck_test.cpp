@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/scenario.h"
+#include "e2e/solver.h"
 
 namespace deltanc {
 namespace {
@@ -140,6 +142,92 @@ TEST(SelfCheck, DetectsMonotonicityViolation) {
   const SelfCheckReport report = self_check(grid, options);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.issues.front().check, "monotonicity");
+}
+
+/// Number of issues of kind `check`; every other issue counts into
+/// `*others`.
+std::size_t count_issues(const SelfCheckReport& report, const char* check,
+                         std::size_t* others) {
+  std::size_t n = 0;
+  for (const SelfCheckIssue& issue : report.issues) {
+    (issue.check == check ? n : *others) += 1;
+  }
+  return n;
+}
+
+TEST(SelfCheck, DetectsThrowingSolver) {
+  SelfCheckOptions options = quiet_options();
+  options.solver = [](const e2e::Scenario&, e2e::Method) -> e2e::BoundResult {
+    throw std::runtime_error("injected failure");
+  };
+  const SelfCheckReport report =
+      self_check(ScenarioBuilder().build(), options);
+  std::size_t others = 0;
+  EXPECT_EQ(count_issues(report, "solve", &others), 4u);  // one per scheduler
+  EXPECT_EQ(others, 0u);
+}
+
+TEST(SelfCheck, DetectsDeltaEndpointMismatch) {
+  // A synthetic solver monotone in Delta, hops, load and 1/epsilon --
+  // so the figure grids pass every ordering law -- whose answer at an
+  // explicit Delta = 0 sits one ulp above its FIFO answer: within every
+  // tolerance, but not bit-identical.
+  SelfCheckOptions options = quiet_options();
+  options.solver = [](const e2e::Scenario& sc, e2e::Method) {
+    const double delta = sc.scheduler.static_delta().value_or(
+        sc.scheduler.edf_factors().own_factor -
+        sc.scheduler.edf_factors().cross_factor);
+    double delay = sc.hops * (1.0 + sc.utilization()) *
+                   (2.0 + std::atan(delta)) *
+                   (1.0 - std::log10(sc.epsilon) / 10.0);
+    if (sc.utilization() >= 1.0) delay = kInf;
+    if (sc.scheduler == sched::SchedulerKind::kDelta &&
+        sc.scheduler.delta() == 0.0) {
+      delay = std::nextafter(delay, kInf);
+    }
+    return e2e::BoundResult{delay, 0.5, 0.5, 1.0, delta};
+  };
+  const SelfCheckReport report = self_check_figures(options);
+  std::size_t others = 0;
+  // One Delta = 0 endpoint per Fig. 2 load point (16) and path (3).
+  EXPECT_EQ(count_issues(report, "delta-endpoint", &others), 48u);
+  EXPECT_EQ(others, 0u) << report.issues.front().detail;
+}
+
+TEST(SelfCheck, DetectsCurveOrderingViolation) {
+  // Swapping the answers of gps(2,1) and gps(4,1) makes the larger
+  // through share bound above the smaller one.
+  SelfCheckOptions options = quiet_options();
+  options.solver = [](const e2e::Scenario& sc, e2e::Method method) {
+    e2e::Scenario swapped = sc;
+    if (sc.scheduler == sched::SchedulerSpec::gps(2.0, 1.0)) {
+      swapped.scheduler = sched::SchedulerSpec::gps(4.0, 1.0);
+    } else if (sc.scheduler == sched::SchedulerSpec::gps(4.0, 1.0)) {
+      swapped.scheduler = sched::SchedulerSpec::gps(2.0, 1.0);
+    }
+    return Solver(method).solve(swapped);
+  };
+  const SelfCheckReport report = self_check_curve_backed(options);
+  std::size_t others = 0;
+  // One gps(4,1)-vs-gps(2,1) comparison per operating point (3 H x 3 U).
+  EXPECT_EQ(count_issues(report, "curve-ordering", &others), 9u);
+  EXPECT_EQ(others, 0u) << report.issues.front().detail;
+}
+
+TEST(SelfCheck, DetectsLostGpsIsolation) {
+  // +inf for GPS whenever the link is overloaded, whatever the share.
+  SelfCheckOptions options = quiet_options();
+  options.solver = [](const e2e::Scenario& sc, e2e::Method method) {
+    if (sc.scheduler == sched::SchedulerKind::kGps &&
+        sc.utilization() >= 1.0) {
+      return e2e::BoundResult{kInf, 0.5, 0.5, 1.0, 0.0};
+    }
+    return Solver(method).solve(sc);
+  };
+  const SelfCheckReport report = self_check_curve_backed(options);
+  std::size_t others = 0;
+  EXPECT_EQ(count_issues(report, "isolation", &others), 3u);  // H = 2, 5, 10
+  EXPECT_EQ(others, 0u) << report.issues.front().detail;
 }
 
 TEST(SelfCheck, CurveBackedBatteryPasses) {
