@@ -8,14 +8,14 @@
 #pragma once
 
 #define DELTANC_VERSION_MAJOR 1
-#define DELTANC_VERSION_MINOR 1
+#define DELTANC_VERSION_MINOR 2
 #define DELTANC_VERSION_PATCH 0
 
-#define DELTANC_VERSION_STRING "1.1.0"
+#define DELTANC_VERSION_STRING "1.2.0"
 
 namespace deltanc {
 
-/// "major.minor.patch", e.g. "1.1.0".
+/// "major.minor.patch", e.g. "1.2.0".
 [[nodiscard]] constexpr const char* version_string() noexcept {
   return DELTANC_VERSION_STRING;
 }

@@ -161,10 +161,26 @@ echo "delta axis endpoint gate: OK"
 # on the second run, bit-identical responses (scripts/check_batch.sh).
 ./scripts/check_batch.sh ./build/tools/deltanc_cli
 
+# Runs `deltanc_cli <args> --selfcheck` and compares its summary line
+# with the expected one.  Exit code 1 (a violated invariant) fails the
+# script through set -e; the point and check counts prove that every
+# comparison still runs, so a change that adds or drops a law updates
+# the expected line.
+expect_selfcheck() {
+  local want="$1"
+  shift
+  local got
+  got=$(./build/tools/deltanc_cli "$@" --selfcheck | grep '^self-check: [0-9]')
+  if [ "$got" != "$want" ]; then
+    echo "FAIL: deltanc_cli $* --selfcheck printed '$got', want '$want'"
+    exit 1
+  fi
+}
+
 # Invariant self-check over the full Fig. 2-4 operating grids: scheduler
 # ordering, monotonicity in H/U/eps, exact-vs-paper-K agreement,
-# finiteness.  Exit code 1 on any violated invariant.
-./build/tools/deltanc_cli --selfcheck
+# finiteness, warm-vs-cold agreement, delay profiles.
+expect_selfcheck "self-check: 2382 points, 5490 checks, 0 issue(s)"
 
 # Curve-backed scheduler battery (GPS/DRR/SCED): share/quantum
 # monotonicity, GPS(1,1) below the per-hop SP-high analysis, GPS below
@@ -173,9 +189,11 @@ echo "delta axis endpoint gate: OK"
 # simulation cross-check (slot-level quantiles under the bounds).  Every
 # curve-backed spelling must select the battery and exit 0 -- drr and
 # sced once had no simulation lowering and threw here.
-./build/tools/deltanc_cli --scheduler gps:1,1 --selfcheck
-./build/tools/deltanc_cli --scheduler drr:1,1 --selfcheck > /dev/null
-./build/tools/deltanc_cli --scheduler sced --selfcheck > /dev/null
+for spec in gps:1,1 drr:1,1 sced; do
+  expect_selfcheck "self-check: 81 points, 249 checks, 0 issue(s)" \
+    --scheduler "$spec"
+done
+echo "selfcheck summaries: OK"
 
 # A curve-backed spec must ride the sweep/CSV stack like any other
 # scheduler name, including weight lists whose commas overlap the value

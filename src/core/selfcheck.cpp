@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "core/analyzer.h"
@@ -17,17 +19,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Relative slack for the Delta-ordering checks: a bound may undercut
-/// its predecessor by at most this fraction.
-constexpr double kOrderingTol = 1e-4;
-/// Relative slack for monotonicity along an axis (hops, load, epsilon,
-/// ...) and along a profile's epsilon grid.
-constexpr double kMonotonicityTol = 1e-4;
 /// kPaperK may exceed kExactOpt by at most this fraction -- enforced
 /// only where the resolved Delta is >= 0: for negative Delta the
 /// paper's K = 0 rule overshoots by design (its own caveat; see
 /// bench/ablation_k_procedure.cpp), so only the one-sided
-/// kExactOpt <= kPaperK invariant is checked there.
+/// kExactOpt <= kPaperK invariant is checked there.  A reproduction
+/// claim about the K-procedure, not an optimizer termination slack.
 constexpr double kMethodTol = 0.20;
 
 std::string fmt(double v) {
@@ -75,6 +72,64 @@ int axis_direction(const std::string& name) {
   return 0;
 }
 
+/// The three relations every pairwise verdict goes through.
+enum class Rel {
+  /// a's delay <= b's within tol relative (of max(a, 1 ms)); +inf on b's
+  /// side always passes, +inf on a's side only against +inf.
+  kNotAbove,
+  /// Same ok state, and where both solved: equal delays, or both finite
+  /// and within tol relative of a (the reference) -- so the finiteness
+  /// of the two must match.
+  kAgrees,
+  /// Both solved and the (delay, gamma, s, sigma, delta) tuples are
+  /// bit-identical (NaN matches NaN: curve-backed deltas are NaN).
+  kSameBits,
+};
+
+/// One side of a comparison: a solved bound, whether its solve
+/// succeeded, and what an issue calls it.
+struct Side {
+  const e2e::BoundResult& bound;
+  bool ok;
+  std::string what;
+};
+
+/// `p`'s side, named by `label` and its scenario.
+Side side(const SweepPoint& p, const std::string& label = {}) {
+  return Side{p.bound, p.ok, label + describe(p.scenario)};
+}
+
+bool same_bits(double x, double y) {
+  return x == y || (std::isnan(x) && std::isnan(y));
+}
+
+bool holds(Rel rel, const Side& a, const Side& b, double tol) {
+  const double x = a.bound.delay_ms;
+  const double y = b.bound.delay_ms;
+  switch (rel) {
+    case Rel::kNotAbove:
+      if (x == kInf) return y == kInf;
+      return y == kInf || y >= x - tol * std::max(x, 1.0);
+    case Rel::kAgrees:
+      if (a.ok != b.ok) return false;
+      if (!a.ok || x == y) return true;
+      return std::isfinite(x) && std::isfinite(y) &&
+             std::abs(y - x) <= tol * std::max(x, 1.0);
+    case Rel::kSameBits:
+      return a.ok && b.ok && same_bits(x, y) &&
+             same_bits(a.bound.gamma, b.bound.gamma) &&
+             same_bits(a.bound.s, b.bound.s) &&
+             same_bits(a.bound.sigma, b.bound.sigma) &&
+             same_bits(a.bound.delta, b.bound.delta);
+  }
+  return false;
+}
+
+std::string text(const Side& s) {
+  return s.ok ? s.what + " bound " + fmt(s.bound.delay_ms) + " ms"
+              : s.what + " (solve failed)";
+}
+
 struct Checker {
   SelfCheckReport report;
 
@@ -82,63 +137,72 @@ struct Checker {
     report.issues.push_back(SelfCheckIssue{check, std::move(detail)});
   }
 
-  /// `lo` must not exceed `hi` by more than the relative tolerance; +inf
-  /// on the `hi` side always passes, +inf on the `lo` side only against
-  /// +inf.  Returns false on violation.
-  [[nodiscard]] static bool ordered(double lo, double hi, double tol) {
-    if (lo == kInf) return hi == kInf;
-    if (hi == kInf) return true;
-    return hi >= lo - tol * std::max(lo, 1.0);
+  /// Counts one check; records `check` with detail() unless `ok`.
+  template <typename Detail>
+  void expect(const char* check, bool ok, Detail&& detail) {
+    ++report.checks;
+    if (!ok) issue(check, detail());
+  }
+
+  /// The issue writer of every pairwise verdict: records `check` unless
+  /// `a rel b` holds, and returns whether it held.  Counts no check, so
+  /// that one check can hold two relations (see check_methods).
+  bool verdict(const char* check, const Side& a, Rel rel, const Side& b,
+               double tol = kWarmStartRelTol, const std::string& law = {}) {
+    if (holds(rel, a, b, tol)) return true;
+    static constexpr const char* kVerb[] = {" exceeds ", " disagrees with ",
+                                            " differs in its bits from "};
+    std::string detail = text(a) + kVerb[static_cast<int>(rel)] + text(b);
+    if (rel != Rel::kSameBits) detail += " (tolerance " + fmt(tol) + ")";
+    if (!law.empty()) detail += ": " + law;
+    issue(check, std::move(detail));
+    return false;
+  }
+
+  /// One counted check of one relation; returns whether it held.
+  bool compare(const char* check, const Side& a, Rel rel, const Side& b,
+               double tol = kWarmStartRelTol, const std::string& law = {}) {
+    ++report.checks;
+    return verdict(check, a, rel, b, tol, law);
   }
 
   void check_point(const SweepPoint& p, bool default_solver) {
-    const double delay = p.bound.delay_ms;
-    ++report.checks;
-    if (!p.ok) {
-      issue("solve", "solver failed (" + p.error + ") for " +
-                         describe(p.scenario));
-      return;
-    }
-    // Curve-backed schedulers have no Delta coordinate: their delta is
-    // NaN by contract, and GPS-style isolation legitimately keeps the
-    // bound finite at total utilization >= 1 as long as the guaranteed
-    // rate (SchedulerSpec::rate_latency) exceeds the through load (the
-    // solver's own validation enforces that per-class stability
-    // condition).
+    const e2e::BoundResult& b = p.bound;
+    const auto where = [&] { return " for " + describe(p.scenario); };
+    // Curve-backed schedulers have no Delta coordinate (their delta is
+    // NaN by contract), and GPS-style isolation keeps their bound finite
+    // at total utilization >= 1 while the guaranteed rate exceeds the
+    // through load (the solver's own validation enforces that).
     const bool curve_backed = p.scenario.scheduler.is_curve_backed();
-    if (std::isnan(delay) || std::isnan(p.bound.gamma) ||
-        std::isnan(p.bound.s) || std::isnan(p.bound.sigma) ||
-        (!curve_backed && std::isnan(p.bound.delta))) {
-      issue("finiteness", "NaN in result tuple for " + describe(p.scenario));
-      return;
-    }
-    const double u = p.scenario.utilization();
+    const bool nan = std::isnan(b.delay_ms) || std::isnan(b.gamma) ||
+                     std::isnan(b.s) || std::isnan(b.sigma) ||
+                     (!curve_backed && std::isnan(b.delta));
+    expect(p.ok ? "finiteness" : "solve", p.ok && !nan, [&] {
+      return p.ok ? "NaN in result tuple" + where()
+                  : "solver failed (" + p.error + ")" + where();
+    });
+    if (!p.ok || nan) return;
     if (!curve_backed) {
-      ++report.checks;
-      if (u >= 1.0 && delay != kInf) {
-        issue("finiteness", "finite bound " + fmt(delay) +
-                                " ms despite utilization >= 1 for " +
-                                describe(p.scenario));
-      }
+      expect("finiteness",
+             !(p.scenario.utilization() >= 1.0 && b.delay_ms != kInf), [&] {
+               return "finite bound " + fmt(b.delay_ms) +
+                      " ms despite utilization >= 1" + where();
+             });
     }
-    if (std::isfinite(delay)) {
-      ++report.checks;
-      if (!(delay >= 0.0) || !(p.bound.s > 0.0) ||
-          !std::isfinite(p.bound.gamma) || !std::isfinite(p.bound.sigma)) {
-        issue("finiteness",
-              "malformed optimum (delay=" + fmt(delay) +
-                  ", gamma=" + fmt(p.bound.gamma) + ", s=" + fmt(p.bound.s) +
-                  ", sigma=" + fmt(p.bound.sigma) + ") for " +
-                  describe(p.scenario));
-      }
+    if (std::isfinite(b.delay_ms)) {
+      expect("finiteness",
+             b.delay_ms >= 0.0 && b.s > 0.0 && std::isfinite(b.gamma) &&
+                 std::isfinite(b.sigma),
+             [&] {
+               return "malformed optimum (delay=" + fmt(b.delay_ms) +
+                      ", gamma=" + fmt(b.gamma) + ", s=" + fmt(b.s) +
+                      ", sigma=" + fmt(b.sigma) + ")" + where();
+             });
     } else if (default_solver) {
       // Every +inf from the built-in solver must be classified: unstable
       // load or an (explicitly recorded) empty numerical domain.
-      ++report.checks;
-      if (p.bound.diagnostics.ok()) {
-        issue("classification", "unclassified +inf bound for " +
-                                    describe(p.scenario));
-      }
+      expect("classification", !b.diagnostics.ok(),
+             [&] { return "unclassified +inf bound" + where(); });
     }
   }
 
@@ -147,39 +211,30 @@ struct Checker {
   /// non-decreasing (SP-high <= EDF <= FIFO <= BMUX and the Fig. 3 EDF
   /// variants in deadline order).
   void check_ordering(const std::vector<SweepPoint>& points) {
-    struct Entry {
-      double delta, delay;
-      const e2e::Scenario* sc;
-    };
-    std::map<std::string, std::vector<Entry>> groups;
+    std::map<std::string, std::vector<const SweepPoint*>> groups;
     for (const SweepPoint& p : points) {
       if (!p.ok || std::isnan(p.bound.delay_ms)) continue;
       // Curve-backed points have no Delta coordinate to sort by (their
       // delta is NaN, which would poison the strict weak ordering);
       // their orderings are self_check_curve_backed()'s job.
       if (p.scenario.scheduler.is_curve_backed()) continue;
-      groups[group_key(p.scenario)].push_back(
-          Entry{p.bound.delta, p.bound.delay_ms, &p.scenario});
+      groups[group_key(p.scenario)].push_back(&p);
     }
-    for (auto& [key, entries] : groups) {
+    const auto at_delta = [](const SweepPoint* p) {
+      return side(*p, "Delta=" + fmt(p->bound.delta) + " ");
+    };
+    for (auto& [key, group] : groups) {
       (void)key;
-      if (entries.size() < 2) continue;
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) {
-                  if (a.delta != b.delta) return a.delta < b.delta;
-                  return a.delay < b.delay;
+      std::sort(group.begin(), group.end(),
+                [](const SweepPoint* a, const SweepPoint* b) {
+                  if (a->bound.delta != b->bound.delta) {
+                    return a->bound.delta < b->bound.delta;
+                  }
+                  return a->bound.delay_ms < b->bound.delay_ms;
                 });
-      for (std::size_t i = 1; i < entries.size(); ++i) {
-        const Entry& lo = entries[i - 1];
-        const Entry& hi = entries[i];
-        ++report.checks;
-        if (!ordered(lo.delay, hi.delay, kOrderingTol)) {
-          issue("ordering",
-                describe(*hi.sc) + " (Delta=" + fmt(hi.delta) + ") bound " +
-                    fmt(hi.delay) + " ms undercuts " + describe(*lo.sc) +
-                    " (Delta=" + fmt(lo.delta) + ") bound " + fmt(lo.delay) +
-                    " ms");
-        }
+      for (std::size_t i = 1; i < group.size(); ++i) {
+        compare("ordering", at_delta(group[i - 1]), Rel::kNotAbove,
+                at_delta(group[i]));
       }
     }
   }
@@ -188,7 +243,6 @@ struct Checker {
   /// each grid line via the row-major strides of SweepGrid.
   void check_monotonicity(const SweepGrid& grid,
                           const std::vector<SweepPoint>& points) {
-    const std::size_t n = points.size();
     for (std::size_t a = 0; a < grid.axes(); ++a) {
       const int dir = axis_direction(grid.axis_name(a));
       const std::size_t m = grid.axis_size(a);
@@ -197,28 +251,17 @@ struct Checker {
       for (std::size_t b = a + 1; b < grid.axes(); ++b) {
         stride *= grid.axis_size(b);
       }
-      for (std::size_t i = 0; i < n; ++i) {
+      const std::string law =
+          std::string(dir > 0 ? "non-decreasing" : "non-increasing") +
+          " along axis '" + grid.axis_name(a) + "'";
+      for (std::size_t i = 0; i < points.size(); ++i) {
         if ((i / stride) % m != 0) continue;  // not the start of a line
         for (std::size_t j = 1; j < m; ++j) {
           const SweepPoint& prev = points[i + (j - 1) * stride];
           const SweepPoint& cur = points[i + j * stride];
           if (!prev.ok || !cur.ok) continue;
-          const double lo =
-              dir > 0 ? prev.bound.delay_ms : cur.bound.delay_ms;
-          const double hi =
-              dir > 0 ? cur.bound.delay_ms : prev.bound.delay_ms;
-          ++report.checks;
-          if (!ordered(lo, hi, kMonotonicityTol)) {
-            issue("monotonicity",
-                  "delay not " +
-                      std::string(dir > 0 ? "non-decreasing"
-                                          : "non-increasing") +
-                      " along axis '" + grid.axis_name(a) + "': " +
-                      fmt(prev.bound.delay_ms) + " ms at " +
-                      describe(prev.scenario) + " vs " +
-                      fmt(cur.bound.delay_ms) + " ms at " +
-                      describe(cur.scenario));
-          }
+          compare("monotonicity", side(dir > 0 ? prev : cur), Rel::kNotAbove,
+                  side(dir > 0 ? cur : prev), kWarmStartRelTol, law);
         }
       }
     }
@@ -226,103 +269,46 @@ struct Checker {
 
   /// kExactOpt <= kPaperK (the K-procedure restricts the search) and
   /// kPaperK within kMethodTol of kExactOpt; finiteness must agree.
+  /// One check per pair, holding both relations.
   void check_methods(const std::vector<SweepPoint>& exact,
                      const std::vector<SweepPoint>& paperk) {
     for (std::size_t i = 0; i < exact.size() && i < paperk.size(); ++i) {
       if (!exact[i].ok || !paperk[i].ok) continue;
-      const double de = exact[i].bound.delay_ms;
-      const double dk = paperk[i].bound.delay_ms;
-      if (std::isnan(de) || std::isnan(dk)) continue;  // flagged already
-      ++report.checks;
-      if ((de == kInf) != (dk == kInf)) {
-        issue("method-agreement",
-              "finiteness mismatch (exact=" + fmt(de) + " ms, paper-K=" +
-                  fmt(dk) + " ms) for " + describe(exact[i].scenario));
-        continue;
+      if (std::isnan(exact[i].bound.delay_ms) ||
+          std::isnan(paperk[i].bound.delay_ms)) {
+        continue;  // flagged already
       }
-      if (de == kInf) continue;
-      if (!ordered(de, dk, kOrderingTol)) {
-        issue("method-agreement",
-              "paper-K bound " + fmt(dk) + " ms undercuts exact bound " +
-                  fmt(de) + " ms for " + describe(exact[i].scenario));
-      } else if (exact[i].bound.delta >= 0.0 &&
-                 !(exact[i].scenario.scheduler ==
-                       sched::SchedulerKind::kDelta &&
-                   std::isfinite(exact[i].scenario.scheduler.delta()) &&
-                   exact[i].scenario.scheduler.delta() != 0.0) &&
-                 dk > de * (1.0 + kMethodTol)) {
-        // The two-sided agreement only holds where the K-procedure is
-        // near-optimal.  For Delta < 0 the paper's K = 0 rule (Eq. 42)
-        // overshoots by design (see bench/ablation_k_procedure.cpp), so
-        // only the one-sided exact <= paper-K invariant applies there.
-        // Intermediate explicit fixed-Delta points are exempt too: K's
-        // integer quantization error scales with Delta / d_e2e, which
-        // the named schedulers (Delta = 0 / +-inf) and the EDF fixed
-        // point keep small but an arbitrary finite offset does not.
-        issue("method-agreement",
-              "paper-K bound " + fmt(dk) + " ms exceeds exact bound " +
-                  fmt(de) + " ms by more than " +
-                  fmt(100.0 * kMethodTol) + "% for " +
-                  describe(exact[i].scenario));
+      // kMethodTol applies where the K-procedure is near-optimal: not at
+      // Delta < 0 (see kMethodTol), and not at an intermediate explicit
+      // fixed Delta, where K's integer quantization error scales with
+      // Delta / d_e2e (the named schedulers and the EDF fixed point keep
+      // it small).  Elsewhere only finiteness must agree.
+      const sched::SchedulerSpec& spec = exact[i].scenario.scheduler;
+      const bool two_sided =
+          exact[i].bound.delta >= 0.0 &&
+          !(spec == sched::SchedulerKind::kDelta &&
+            std::isfinite(spec.delta()) && spec.delta() != 0.0);
+      const Side e = side(exact[i], "exact ");
+      const Side k = side(paperk[i], "paper-K ");
+      if (compare("method-agreement", e, Rel::kAgrees, k,
+                  two_sided ? kMethodTol : kInf)) {
+        (void)verdict("method-agreement", e, Rel::kNotAbove, k);
       }
     }
   }
 };
 
-SweepReport solve_all(std::span<const e2e::Scenario> scenarios,
-                      const SelfCheckOptions& options, e2e::Method method) {
+/// Solves a scenario list or a grid with the options' threads and solver.
+template <typename Input>
+SweepReport solve_all(const Input& input, const SelfCheckOptions& options,
+                      e2e::Method method,
+                      e2e::WarmStart warm_start = e2e::WarmStart::kWarm) {
   SweepOptions so;
   so.threads = options.threads;
   so.method = method;
   so.solver = options.solver;
-  return SweepRunner(so).run(scenarios);
-}
-
-/// Delta-endpoint pinning (the satellite invariant of the continuous
-/// axis): for every base scenario, the bound at an explicit Delta = 0
-/// must equal the FIFO bound and the bound at Delta = +inf the BMUX
-/// bound, *bit-identically* -- the solver routes all four through the
-/// same fixed-Delta path, so any difference is a routing bug.
-SelfCheckReport check_delta_endpoints(std::span<const e2e::Scenario> bases,
-                                      const SelfCheckOptions& options) {
-  Checker checker;
-  std::vector<e2e::Scenario> scenarios;
-  scenarios.reserve(bases.size() * 4);
-  for (const e2e::Scenario& base : bases) {
-    e2e::Scenario sc = base;
-    sc.scheduler = sched::SchedulerSpec::fixed_delta(0.0);
-    scenarios.push_back(sc);
-    sc.scheduler = sched::SchedulerKind::kFifo;
-    scenarios.push_back(sc);
-    sc.scheduler = sched::SchedulerSpec::fixed_delta(kInf);
-    scenarios.push_back(sc);
-    sc.scheduler = sched::SchedulerKind::kBmux;
-    scenarios.push_back(sc);
-  }
-  const SweepReport r = solve_all(scenarios, options, options.method);
-  checker.report.points = r.points.size();
-  for (std::size_t i = 0; i + 3 < r.points.size(); i += 4) {
-    for (std::size_t pair = 0; pair < 2; ++pair) {
-      const SweepPoint& at_delta = r.points[i + 2 * pair];
-      const SweepPoint& named = r.points[i + 2 * pair + 1];
-      ++checker.report.checks;
-      if (!at_delta.ok || !named.ok) {
-        checker.issue("delta-endpoint",
-                      "endpoint solve failed for " +
-                          describe(at_delta.scenario));
-        continue;
-      }
-      if (at_delta.bound.delay_ms != named.bound.delay_ms) {
-        checker.issue(
-            "delta-endpoint",
-            describe(at_delta.scenario) + " bound " +
-                fmt(at_delta.bound.delay_ms) + " ms != " +
-                describe(named.scenario) + " bound " +
-                fmt(named.bound.delay_ms) + " ms (must pin bit-identically)");
-      }
-    }
-  }
-  return std::move(checker.report);
+  so.warm_start = warm_start;
+  return SweepRunner(so).run(input);
 }
 
 /// Shared backend of all self_check overloads: solve once, run the point
@@ -338,13 +324,13 @@ SelfCheckReport run_checks(std::span<const e2e::Scenario> scenarios,
   }
   checker.check_ordering(primary.points);
   if (grid != nullptr) checker.check_monotonicity(*grid, primary.points);
-  if (options.check_methods && !options.solver) {
-    const e2e::Method other = options.method == e2e::Method::kExactOpt
-                                  ? e2e::Method::kPaperK
-                                  : e2e::Method::kExactOpt;
-    const SweepReport secondary = solve_all(scenarios, options, other);
-    checker.report.points += secondary.points.size();
+  if (!options.solver) {
     const bool primary_is_exact = options.method == e2e::Method::kExactOpt;
+    const SweepReport secondary =
+        solve_all(scenarios, options,
+                  primary_is_exact ? e2e::Method::kPaperK
+                                   : e2e::Method::kExactOpt);
+    checker.report.points += secondary.points.size();
     checker.check_methods(
         primary_is_exact ? primary.points : secondary.points,
         primary_is_exact ? secondary.points : primary.points);
@@ -374,46 +360,14 @@ SelfCheckReport self_check(std::span<const e2e::Scenario> scenarios,
 SelfCheckReport self_check_warm_start(const SweepGrid& grid,
                                       const SelfCheckOptions& options) {
   Checker checker;
-  SweepOptions so;
-  so.threads = options.threads;
-  so.method = options.method;
-  so.solver = options.solver;
-  so.warm_start = e2e::WarmStart::kCold;
-  const SweepReport cold = SweepRunner(so).run(grid);
-  so.warm_start = e2e::WarmStart::kWarm;
-  const SweepReport warm = SweepRunner(so).run(grid);
+  const SweepReport cold =
+      solve_all(grid, options, options.method, e2e::WarmStart::kCold);
+  const SweepReport warm = solve_all(grid, options, options.method);
   checker.report.points = cold.points.size() + warm.points.size();
   for (std::size_t i = 0;
        i < cold.points.size() && i < warm.points.size(); ++i) {
-    const SweepPoint& c = cold.points[i];
-    const SweepPoint& w = warm.points[i];
-    ++checker.report.checks;
-    if (c.ok != w.ok) {
-      checker.issue("warm-start",
-                    std::string("cold/warm solve outcome mismatch (cold ") +
-                        (c.ok ? "ok" : "failed") + ", warm " +
-                        (w.ok ? "ok" : "failed") + ") for " +
-                        describe(c.scenario));
-      continue;
-    }
-    if (!c.ok) continue;  // both failed identically; flagged elsewhere
-    const double dc = c.bound.delay_ms;
-    const double dw = w.bound.delay_ms;
-    if ((dc == kInf) != (dw == kInf)) {
-      checker.issue("warm-start",
-                    "finiteness mismatch (cold=" + fmt(dc) + " ms, warm=" +
-                        fmt(dw) + " ms) for " + describe(c.scenario));
-      continue;
-    }
-    if (dc == kInf) continue;
-    const double dev = std::abs(dw - dc) / std::max(dc, 1.0);
-    if (!(dev <= kWarmStartRelTol)) {
-      checker.issue("warm-start",
-                    "warm bound " + fmt(dw) + " ms deviates from cold " +
-                        fmt(dc) + " ms by " + fmt(dev) +
-                        " relative (tolerance " + fmt(kWarmStartRelTol) +
-                        ") for " + describe(c.scenario));
-    }
+    checker.compare("warm-start", side(cold.points[i]), Rel::kAgrees,
+                    side(warm.points[i], "warm "));
   }
   return std::move(checker.report);
 }
@@ -422,11 +376,6 @@ SelfCheckReport self_check_profile(std::span<const e2e::Scenario> scenarios,
                                    std::span<const double> epsilons,
                                    const SelfCheckOptions& options) {
   Checker checker;
-  // Bitwise-identical up to NaN (curve-backed results carry a NaN delta
-  // by contract, and NaN != NaN would flag a correct pin).
-  const auto identical = [](double a, double b) {
-    return a == b || (std::isnan(a) && std::isnan(b));
-  };
   SolveOptions cold_options;
   cold_options.method = options.method;
   const Solver cold_solver(cold_options);
@@ -438,83 +387,53 @@ SelfCheckReport self_check_profile(std::span<const e2e::Scenario> scenarios,
     const e2e::DelayProfile cold = cold_solver.solve_profile(sc, epsilons);
     const e2e::DelayProfile warm = warm_solver.solve_profile(sc, epsilons);
     checker.report.points += cold.levels.size() + warm.levels.size();
+    const auto level = [&](const e2e::DelayProfile& profile, std::size_t i,
+                           const char* label) {
+      return Side{profile.levels[i], true,
+                  std::string(label) + " profile level at eps=" +
+                      fmt(cold.epsilons[i]) + " for " + describe(sc)};
+    };
     for (std::size_t i = 0; i < cold.levels.size(); ++i) {
-      const e2e::BoundResult& c = cold.levels[i];
-      const e2e::BoundResult& w = warm.levels[i];
       // Pinning: the cold profile level must be bit-identical to an
       // independent scalar solve of the same scenario at this epsilon.
       e2e::Scenario at_eps = sc;
       at_eps.epsilon = cold.epsilons[i];
       const e2e::BoundResult scalar = cold_solver.solve(at_eps);
       ++checker.report.points;
-      ++checker.report.checks;
-      if (!identical(c.delay_ms, scalar.delay_ms) ||
-          !identical(c.gamma, scalar.gamma) || !identical(c.s, scalar.s) ||
-          !identical(c.sigma, scalar.sigma) ||
-          !identical(c.delta, scalar.delta)) {
-        checker.issue("profile-pinning",
-                      "cold profile level at eps=" + fmt(cold.epsilons[i]) +
-                          " (" + fmt(c.delay_ms) +
-                          " ms) differs from the scalar solve (" +
-                          fmt(scalar.delay_ms) + " ms) for " + describe(sc));
-      }
+      checker.compare("profile-pinning", level(cold, i, "cold"),
+                      Rel::kSameBits, Side{scalar, true, "the scalar solve"});
       // Classification: a non-finite level must say why.
-      ++checker.report.checks;
-      if (!std::isfinite(c.delay_ms) && c.diagnostics.ok()) {
-        checker.issue("profile-classification",
-                      "unclassified non-finite profile level at eps=" +
-                          fmt(cold.epsilons[i]) + " for " + describe(sc));
-      }
-      // Warm tolerance: finiteness must agree; finite levels within
-      // kWarmStartRelTol.
-      ++checker.report.checks;
-      if (std::isfinite(c.delay_ms) != std::isfinite(w.delay_ms)) {
-        checker.issue("profile-warm",
-                      "finiteness mismatch (cold=" + fmt(c.delay_ms) +
-                          " ms, warm=" + fmt(w.delay_ms) + " ms) at eps=" +
-                          fmt(cold.epsilons[i]) + " for " + describe(sc));
-      } else if (std::isfinite(c.delay_ms)) {
-        const double dev =
-            std::abs(w.delay_ms - c.delay_ms) / std::max(c.delay_ms, 1.0);
-        if (!(dev <= kWarmStartRelTol)) {
-          checker.issue("profile-warm",
-                        "warm profile level " + fmt(w.delay_ms) +
-                            " ms deviates from cold " + fmt(c.delay_ms) +
-                            " ms by " + fmt(dev) + " relative (tolerance " +
-                            fmt(kWarmStartRelTol) + ") at eps=" +
-                            fmt(cold.epsilons[i]) + " for " + describe(sc));
-        }
-      }
+      const e2e::BoundResult& c = cold.levels[i];
+      checker.expect("profile-classification",
+                     std::isfinite(c.delay_ms) || !c.diagnostics.ok(), [&] {
+                       return "unclassified " + text(level(cold, i, "cold"));
+                     });
+      checker.compare("profile-warm", level(cold, i, "cold"), Rel::kAgrees,
+                      level(warm, i, "warm"));
     }
     // Monotonicity: d(epsilon) non-increasing in epsilon, for both the
     // cold and the warm profile, walking the levels in ascending-epsilon
     // order whatever order the caller's grid uses.
     std::vector<std::size_t> order(cold.epsilons.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return cold.epsilons[a] < cold.epsilons[b];
     });
-    const auto check_monotone = [&](const e2e::DelayProfile& profile,
-                                    const char* label) {
+    for (const auto& [profile, label] :
+         {std::pair{&cold, "cold"}, std::pair{&warm, "warm"}}) {
       for (std::size_t k = 1; k < order.size(); ++k) {
-        const double tighter = profile.levels[order[k - 1]].delay_ms;
-        const double looser = profile.levels[order[k]].delay_ms;
-        if (std::isnan(tighter) || std::isnan(looser)) continue;  // flagged
-        ++checker.report.checks;
-        // Larger epsilon must not yield the larger bound.
-        if (!Checker::ordered(looser, tighter, kMonotonicityTol)) {
-          checker.issue("profile-monotonicity",
-                        std::string(label) + " profile not non-increasing "
-                            "in epsilon: d(" +
-                            fmt(profile.epsilons[order[k]]) + ") = " +
-                            fmt(looser) + " ms exceeds d(" +
-                            fmt(profile.epsilons[order[k - 1]]) + ") = " +
-                            fmt(tighter) + " ms for " + describe(sc));
+        const std::size_t tighter = order[k - 1];
+        const std::size_t looser = order[k];
+        if (std::isnan(profile->levels[tighter].delay_ms) ||
+            std::isnan(profile->levels[looser].delay_ms)) {
+          continue;  // flagged
         }
+        // Larger epsilon must not yield the larger bound.
+        checker.compare("profile-monotonicity", level(*profile, looser, label),
+                        Rel::kNotAbove, level(*profile, tighter, label),
+                        kWarmStartRelTol, "d(epsilon) non-increasing");
       }
-    };
-    check_monotone(cold, "cold");
-    check_monotone(warm, "warm");
+    }
   }
   return std::move(checker.report);
 }
@@ -569,40 +488,34 @@ SelfCheckReport self_check_figures(const SelfCheckOptions& options) {
   // pinning (cold profile == scalar solves, bit-identical), warm
   // tolerance, d(epsilon) monotonicity, classification -- across the
   // Delta-backed schedulers and one curve-backed kind.
-  {
-    const std::vector<double> profile_eps = {1e-3, 1e-6, 1e-9, 1e-12};
-    std::vector<e2e::Scenario> profile_bases;
-    for (int hops : {2, 5, 10}) {
-      const e2e::Scenario base = ScenarioBuilder()
-                                     .hops(hops)
-                                     .through_flows(100)
-                                     .cross_utilization(0.50)
-                                     .violation_probability(1e-9)
-                                     .edf_deadlines(1.0, 10.0)
-                                     .build();
-      for (sched::SchedulerKind kind :
-           {sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf,
-            sched::SchedulerKind::kBmux}) {
-        e2e::Scenario sc = base;
-        sc.scheduler = kind;  // kind re-assignment keeps the EDF factors
-        profile_bases.push_back(sc);
-      }
-      e2e::Scenario gps = base;
-      gps.scheduler = sched::SchedulerSpec::gps(1.0, 1.0);
-      profile_bases.push_back(gps);
+  const std::vector<double> profile_eps = {1e-3, 1e-6, 1e-9, 1e-12};
+  std::vector<e2e::Scenario> profile_bases;
+  for (int hops : {2, 5, 10}) {
+    const e2e::Scenario base = ScenarioBuilder()
+                                   .hops(hops)
+                                   .through_flows(100)
+                                   .cross_utilization(0.50)
+                                   .violation_probability(1e-9)
+                                   .edf_deadlines(1.0, 10.0)
+                                   .build();
+    for (sched::SchedulerKind kind :
+         {sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf,
+          sched::SchedulerKind::kBmux}) {
+      profile_bases.push_back(base);
+      profile_bases.back().scheduler = kind;  // keeps the EDF factors
     }
-    report += self_check_profile(
-        std::span<const e2e::Scenario>(profile_bases),
-        std::span<const double>(profile_eps), options);
+    profile_bases.push_back(base);
+    profile_bases.back().scheduler = sched::SchedulerSpec::gps(1.0, 1.0);
   }
+  report += self_check_profile(profile_bases, profile_eps, options);
 
   // Delta interpolation (the journal version's continuous sweep between
   // FIFO and BMUX) on the Fig. 2 grid: for fixed traffic the bound must
-  // be non-decreasing in Delta (the "delta" axis has direction +1, so
-  // the grid monotonicity check covers it; the within-group ordering
-  // check re-verifies via the resolved Delta values), and the endpoints
-  // Delta = 0 / Delta = +inf must pin bit-identically to the fifo/bmux
-  // bounds (check_delta_endpoints).
+  // be non-decreasing in Delta (the "delta" axis has direction +1, and
+  // the within-group ordering re-verifies via the resolved Delta).  The
+  // endpoints Delta = 0 / +inf must equal the fifo / bmux bounds bit
+  // for bit: the solver routes all four through the same fixed-Delta
+  // path, so any difference is a routing bug.
   const std::vector<double> deltas = {0.0, 0.5, 1.0, 2.0,
                                       5.0, 10.0, 50.0, kInf};
   for (int hops : {2, 5, 10}) {
@@ -614,14 +527,26 @@ SelfCheckReport self_check_figures(const SelfCheckOptions& options) {
     SweepGrid grid(base);
     grid.cross_utilization_axis(cross_utils).delta_axis(deltas);
     report += self_check(grid, options);
-    std::vector<e2e::Scenario> bases;
+    std::vector<e2e::Scenario> endpoints;
     for (double u : cross_utils) {
-      e2e::Scenario sc = base;
-      sc.n_cross = flows_for_utilization(base, u);
-      bases.push_back(sc);
+      for (const sched::SchedulerSpec& spec :
+           {sched::SchedulerSpec::fixed_delta(0.0),
+            sched::SchedulerSpec(sched::SchedulerKind::kFifo),
+            sched::SchedulerSpec::fixed_delta(kInf),
+            sched::SchedulerSpec(sched::SchedulerKind::kBmux)}) {
+        endpoints.push_back(base);
+        endpoints.back().n_cross = flows_for_utilization(base, u);
+        endpoints.back().scheduler = spec;
+      }
     }
-    report += check_delta_endpoints(
-        std::span<const e2e::Scenario>(bases), options);
+    Checker checker;
+    const SweepReport r = solve_all(endpoints, options, options.method);
+    checker.report.points = r.points.size();
+    for (std::size_t i = 0; i + 1 < r.points.size(); i += 2) {
+      checker.compare("delta-endpoint", side(r.points[i]), Rel::kSameBits,
+                      side(r.points[i + 1]));
+    }
+    report += checker.report;
   }
 
   // Fig. 3 (Example 2): traffic-mix lists at constant U = 50% with both
@@ -632,23 +557,18 @@ SelfCheckReport self_check_figures(const SelfCheckOptions& options) {
     for (int mix_pct = 10; mix_pct <= 90; mix_pct += 10) {
       const double uc = 0.50 * mix_pct / 100.0;
       const double u0 = 0.50 - uc;
-      struct Column {
-        sched::SchedulerKind sched;
-        double own, cross;
-      };
-      for (const Column& col :
-           {Column{sched::SchedulerKind::kEdf, 1.0, 2.0},
-            Column{sched::SchedulerKind::kFifo, 1.0, 1.0},
-            Column{sched::SchedulerKind::kEdf, 1.0, 0.5},
-            Column{sched::SchedulerKind::kBmux, 1.0, 1.0},
-            Column{sched::SchedulerKind::kSpHigh, 1.0, 1.0}}) {
+      using K = sched::SchedulerKind;
+      for (const auto& [kind, own, cross] :
+           {std::tuple{K::kEdf, 1.0, 2.0}, std::tuple{K::kFifo, 1.0, 1.0},
+            std::tuple{K::kEdf, 1.0, 0.5}, std::tuple{K::kBmux, 1.0, 1.0},
+            std::tuple{K::kSpHigh, 1.0, 1.0}}) {
         scenarios.push_back(ScenarioBuilder()
                                 .hops(hops)
                                 .through_utilization(u0)
                                 .cross_utilization(uc)
                                 .violation_probability(1e-9)
-                                .scheduler(col.sched)
-                                .edf_deadlines(col.own, col.cross)
+                                .scheduler(kind)
+                                .edf_deadlines(own, cross)
                                 .build());
       }
     }
@@ -688,7 +608,7 @@ SelfCheckReport self_check_curve_backed(const SelfCheckOptions& options) {
       SchedulerSpec::drr(4.0, 1.0),                  // 6
       SchedulerSpec::sced(),                         // 7: load-proportional
   };
-  // lo's bound must not exceed hi's (within kOrderingTol).
+  // lo's bound must not exceed hi's.
   struct Ordering {
     std::size_t lo, hi;
     const char* why;
@@ -723,40 +643,16 @@ SelfCheckReport self_check_curve_backed(const SelfCheckOptions& options) {
                                      .violation_probability(1e-9)
                                      .build();
       for (const SchedulerSpec& spec : variants) {
-        e2e::Scenario sc = base;
-        sc.scheduler = spec;
-        scenarios.push_back(sc);
+        scenarios.push_back(base);
+        scenarios.back().scheduler = spec;
       }
     }
   }
-  const SweepReport r = solve_all(scenarios, options, options.method);
-  checker.report.points = r.points.size();
-  for (const SweepPoint& p : r.points) {
-    checker.check_point(p, !options.solver);
-  }
-  for (std::size_t base = 0; base + variants.size() <= r.points.size();
-       base += variants.size()) {
-    for (const Ordering& o : orderings) {
-      const SweepPoint& lo = r.points[base + o.lo];
-      const SweepPoint& hi = r.points[base + o.hi];
-      if (!lo.ok || !hi.ok) continue;  // flagged by check_point already
-      ++checker.report.checks;
-      if (!Checker::ordered(lo.bound.delay_ms, hi.bound.delay_ms,
-                            kOrderingTol)) {
-        checker.issue("curve-ordering",
-                      std::string(o.why) + ": " + describe(hi.scenario) +
-                          " bound " + fmt(hi.bound.delay_ms) +
-                          " ms undercuts " + describe(lo.scenario) +
-                          " bound " + fmt(lo.bound.delay_ms) + " ms");
-      }
-    }
-  }
-
+  const std::size_t operating = scenarios.size();
   // GPS isolation: overload the link (total utilization >= 1) while the
   // through class's guaranteed share 0.75 C still exceeds its load
   // 0.45 C.  GPS must keep a finite bound; BMUX (which sees the
   // aggregate) must diverge.
-  std::vector<e2e::Scenario> overload;
   for (int hops : {2, 5, 10}) {
     e2e::Scenario sc = ScenarioBuilder()
                            .hops(hops)
@@ -765,35 +661,33 @@ SelfCheckReport self_check_curve_backed(const SelfCheckOptions& options) {
                            .violation_probability(1e-9)
                            .build();
     sc.scheduler = SchedulerSpec::gps(3.0, 1.0);
-    overload.push_back(sc);
+    scenarios.push_back(sc);
     sc.scheduler = sched::SchedulerKind::kBmux;
-    overload.push_back(sc);
+    scenarios.push_back(sc);
   }
-  const SweepReport iso = solve_all(overload, options, options.method);
-  checker.report.points += iso.points.size();
-  for (std::size_t i = 0; i + 1 < iso.points.size(); i += 2) {
-    const SweepPoint& gps = iso.points[i];
-    const SweepPoint& bmux = iso.points[i + 1];
-    checker.check_point(gps, !options.solver);
-    checker.check_point(bmux, !options.solver);
-    if (gps.ok) {
-      ++checker.report.checks;
-      if (!std::isfinite(gps.bound.delay_ms)) {
-        checker.issue("isolation",
-                      "GPS isolation lost: infinite bound despite "
-                      "guaranteed rate > through load for " +
-                          describe(gps.scenario));
-      }
+  const SweepReport r = solve_all(scenarios, options, options.method);
+  checker.report.points = r.points.size();
+  for (const SweepPoint& p : r.points) {
+    checker.check_point(p, !options.solver);
+  }
+  for (std::size_t base = 0; base < operating; base += variants.size()) {
+    for (const Ordering& o : orderings) {
+      const SweepPoint& lo = r.points[base + o.lo];
+      const SweepPoint& hi = r.points[base + o.hi];
+      if (!lo.ok || !hi.ok) continue;  // flagged by check_point already
+      checker.compare("curve-ordering", side(lo), Rel::kNotAbove, side(hi),
+                      kWarmStartRelTol, o.why);
     }
-    if (bmux.ok) {
-      ++checker.report.checks;
-      if (bmux.bound.delay_ms != kInf) {
-        checker.issue("isolation",
-                      "BMUX bound " + fmt(bmux.bound.delay_ms) +
-                          " ms finite despite total utilization >= 1 for " +
-                          describe(bmux.scenario));
-      }
-    }
+  }
+  for (std::size_t i = operating; i < r.points.size(); ++i) {
+    const SweepPoint& p = r.points[i];
+    if (!p.ok) continue;
+    const bool gps = p.scenario.scheduler.is_curve_backed();
+    checker.expect("isolation", gps == std::isfinite(p.bound.delay_ms), [&] {
+      return (gps ? "GPS must stay finite (guaranteed rate > through load)"
+                  : "BMUX must diverge (total utilization >= 1)") +
+             std::string(": ") + text(side(p));
+    });
   }
 
   // Simulation cross-check: the slot-level simulator runs the *actual*
@@ -815,15 +709,12 @@ SelfCheckReport self_check_curve_backed(const SelfCheckOptions& options) {
       sc.scheduler = spec;
       const ValidationReport v = PathAnalyzer(sc).validate(kSimSlots, 42);
       ++checker.report.points;
-      ++checker.report.checks;
-      if (!v.bound_holds) {
-        checker.issue("simulation",
-                      "simulated " + fmt(100.0 * (1.0 - v.epsilon_sim)) +
-                          "% delay quantile " + fmt(v.empirical_quantile) +
-                          " ms exceeds the analytic bound " +
-                          fmt(v.bound_at_eps_sim) + " ms at that level for " +
-                          describe(sc));
-      }
+      checker.expect("simulation", v.bound_holds, [&] {
+        return "simulated " + fmt(100.0 * (1.0 - v.epsilon_sim)) +
+               "% delay quantile " + fmt(v.empirical_quantile) +
+               " ms exceeds the analytic bound " + fmt(v.bound_at_eps_sim) +
+               " ms at that level for " + describe(sc);
+      });
     }
   }
   return std::move(checker.report);

@@ -6,9 +6,10 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <system_error>
 
 #include "deltanc/version.h"
@@ -197,7 +198,6 @@ CacheLookup classify_entry(const std::string& path,
   // Where the payload's bytes sit in `text`, once its digest matched.
   std::size_t stored_at = 0;
   std::size_t stored_size = 0;
-  bool digested = false;
   try {
     const json::Document doc(text);
     const json::Node entry = doc.root();
@@ -220,20 +220,17 @@ CacheLookup classify_entry(const std::string& path,
     const json::Node stored_key = json::required(f[2], names[2]);
     if (!stored_key.is_string()) return CacheLookup::kCorrupt;
     if (!json::quoted_equals(stored_key.raw(), key)) return CacheLookup::kMiss;
-    const json::Node body = json::required(f[4], names[4]);
-    if (f[3]) {
-      // The digest vouches for the payload's bytes, so a hit hands them
-      // on as they are; a mismatch is bit rot.
-      const std::string_view bytes = body.raw();
-      if (!f[3].is_string() ||
-          f[3].as_string() != view(hex16(digest64(bytes)))) {
-        return CacheLookup::kCorrupt;
-      }
-      stored_at = static_cast<std::size_t>(bytes.data() - text.data());
-      stored_size = bytes.size();
-      digested = true;
+    // The digest vouches for the payload's bytes, so a hit hands them on
+    // as they are.  This version always writes one, so a missing or
+    // mismatched digest is bit rot or a hand edit.
+    const std::string_view bytes = json::required(f[4], names[4]).raw();
+    if (!f[3] || !f[3].is_string() ||
+        f[3].as_string() != view(hex16(digest64(bytes)))) {
+      return CacheLookup::kCorrupt;
     }
-    decode_payload(body, payload);
+    stored_at = static_cast<std::size_t>(bytes.data() - text.data());
+    stored_size = bytes.size();
+    decode_payload(f[4], payload);
   } catch (const json::ParseError&) {
     return CacheLookup::kCorrupt;
   } catch (const json::TypeError&) {
@@ -246,16 +243,10 @@ CacheLookup classify_entry(const std::string& path,
     return CacheLookup::kCorrupt;
   }
   if (payload_json != nullptr) {
-    if (digested) {
-      // The read buffer becomes the payload's bytes: no copy.
-      text.resize(stored_at + stored_size);
-      text.erase(0, stored_at);
-      *payload_json = std::move(text);
-    } else {
-      // An entry from before the digest: written once, here.
-      payload_json->clear();
-      append_json(*payload_json, payload);
-    }
+    // The read buffer becomes the payload's bytes: no copy.
+    text.resize(stored_at + stored_size);
+    text.erase(0, stored_at);
+    *payload_json = std::move(text);
   }
   return CacheLookup::kHit;
 }
@@ -320,8 +311,12 @@ CacheLookup ResultCache::lookup_profile(const std::string& key,
 void ResultCache::store_entry(const std::string& key, std::uint64_t key_hash,
                               std::string_view field,
                               std::string_view payload_json) {
-  // {"schema", "version", "key", "digest", "result"|"profile"}, one line.
-  std::string entry = "{\"schema\":";
+  // {"schema", "version", "key", "digest", "result"|"profile"}, one line,
+  // in one allocation: the quoted key is at most twice the key unless it
+  // holds control characters, and the fixed members take under 80 bytes.
+  std::string entry;
+  entry.reserve(2 * key.size() + field.size() + payload_json.size() + 80);
+  entry += "{\"schema\":";
   json::append_number(entry, kSchemaVersion);
   entry += ",\"version\":";
   json::append_quoted(entry, DELTANC_VERSION_STRING);
@@ -335,23 +330,32 @@ void ResultCache::store_entry(const std::string& key, std::uint64_t key_hash,
   entry += payload_json;
   entry += "}\n";
 
-  const std::filesystem::path path = entry_file(key_hash);
-  std::filesystem::path tmp = path;
-  tmp += ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << entry;
-    if (!out.good()) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      throw std::runtime_error("result cache: cannot write " + tmp.string());
-    }
+  // "<entry file>.tmp.<pid>", built as a string like the lookup's name.
+  const std::string path = entry_file(key_hash);
+  std::string tmp;
+  tmp.reserve(path.size() + 32);
+  tmp += path;
+  tmp += ".tmp.";
+  char pid[24] = {};
+  tmp.append(pid, std::to_chars(pid, pid + sizeof pid, ::getpid()).ptr);
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) throw std::runtime_error("result cache: cannot write " + tmp);
+  bool written = true;
+  for (std::string_view rest = entry; written && !rest.empty();) {
+    const ssize_t n = ::write(fd, rest.data(), rest.size());
+    if (n < 0 && errno == EINTR) continue;
+    written = n > 0;
+    if (written) rest.remove_prefix(static_cast<std::size_t>(n));
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error("result cache: cannot publish " + path.string());
+  written = ::close(fd) == 0 && written;
+  if (!written) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("result cache: cannot write " + tmp);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("result cache: cannot publish " + path);
   }
   ++stats_.stores;
 }

@@ -33,9 +33,9 @@
 // where the payload is the canonical bytes of append_json and "digest"
 // is digest64 of exactly those bytes.  A hit still parses and decodes
 // the payload, and hands its stored bytes on (the response writers add
-// them as they are) once the digest matches; a mismatch is kCorrupt.
-// An entry without a digest (written before it existed) is read as
-// before, and its decoded payload is written again for the response.
+// them as they are) once the digest matches.  A mismatch is kCorrupt,
+// and so is an entry without a digest: this version always writes one,
+// so its absence is a hand edit (older versions' entries are stale).
 // The stored key is compared as written, with the requested key quoted
 // the way the writer quotes it (json::quoted_equals), never unescaped.
 //
@@ -143,8 +143,7 @@ class ResultCache {
 
   /// The lookups behind io::lookup_answer: `key_hash` is fnv1a64(key),
   /// and on kHit `payload_json` also receives the payload's canonical
-  /// bytes -- the stored ones once the digest matched, written from the
-  /// decoded payload for an entry without a digest.
+  /// bytes -- the stored ones, which the digest vouched for.
   [[nodiscard]] CacheLookup lookup(const std::string& key,
                                    std::uint64_t key_hash,
                                    e2e::BoundResult& result,

@@ -43,6 +43,15 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
   out << text;
 }
 
+/// The `"digest":"<16 hex digits>",` member an entry carries before a
+/// `payload` member.
+std::string digest_member(const std::string& payload) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(digest64(payload)));
+  return std::string(R"("digest":")") + hex + "\",";
+}
+
 class ResultCacheTest : public ::testing::Test {
  protected:
   std::filesystem::path cache_dir() const {
@@ -511,14 +520,27 @@ TEST_F(ResultCacheTest, DoctoredEntriesClassifyAsPinned) {
   const std::string version =
       std::string("\"") + DELTANC_VERSION_STRING + "\"";
   const std::string head = R"({"schema":7,"version":)" + version + ",";
-  const std::string canonical =
-      head + R"("key":)" + quoted_key + R"(,"result":)" + good + "}\n";
-  const auto with = [&](const std::string& from, const std::string& to) {
-    std::string text = canonical;
+  // An entry around `payload`, with its digest.
+  const auto entry = [&](const std::string& payload) {
+    return head + R"("key":)" + quoted_key + "," + digest_member(payload) +
+           R"("result":)" + payload + "}\n";
+  };
+  const std::string canonical = entry(good);
+  const auto replaced = [](std::string text, const std::string& from,
+                           const std::string& to) {
     const std::size_t at = text.find(from);
     EXPECT_NE(at, std::string::npos) << from;
     if (at != std::string::npos) text.replace(at, from.size(), to);
     return text;
+  };
+  // A doctored entry; with_payload doctors the payload and seals it
+  // with its own digest, so the decoder sees the edit.
+  const auto with = [&](const std::string& from, const std::string& to) {
+    return replaced(canonical, from, to);
+  };
+  const auto with_payload = [&](const std::string& from,
+                                const std::string& to) {
+    return entry(replaced(good, from, to));
   };
   const double kNotHit = -1.0;  // the lookup leaves `out` untouched
   struct Case {
@@ -561,22 +583,32 @@ TEST_F(ResultCacheTest, DoctoredEntriesClassifyAsPinned) {
       {"own then foreign key",
        with(R"(,"result":)", R"(,"key":"other","result":)"),
        CacheLookup::kMiss, kNotHit},
-      {"result twice", with(good + "}", good + R"(,"result":)" + other + "}"),
+      {"result twice",
+       with(digest_member(good) + R"("result":)" + good,
+            digest_member(other) + R"("result":)" + good + R"(,"result":)" +
+                other),
        CacheLookup::kHit, 2.5},
       {"result then garbage", with(good + "}", good + R"(,"result":5})"),
        CacheLookup::kCorrupt, kNotHit},
       {"result absent", with(R"(,"result":)" + good, ""),
        CacheLookup::kCorrupt, kNotHit},
       {"unknown error kind",
-       with(R"("error":"none")", R"("error":"frobnicated")"),
+       with_payload(R"("error":"none")", R"("error":"frobnicated")"),
        CacheLookup::kCorrupt, kNotHit},
       {"mistyped counter",
-       with(R"("edf_converged":true)", R"("edf_converged":"yes")"),
+       with_payload(R"("edf_converged":true)", R"("edf_converged":"yes")"),
        CacheLookup::kCorrupt, kNotHit},
-      {"hexfloat delay", with(R"("delay_ms":1.5)", R"("delay_ms":"0x1.8p+0")"),
+      {"hexfloat delay",
+       with_payload(R"("delay_ms":1.5)", R"("delay_ms":"0x1.8p+0")"),
        CacheLookup::kHit, 1.5},
-      {"infinite delay", with(R"("delay_ms":1.5)", R"("delay_ms":"inf")"),
+      {"infinite delay",
+       with_payload(R"("delay_ms":1.5)", R"("delay_ms":"inf")"),
        CacheLookup::kHit, std::numeric_limits<double>::infinity()},
+      {"payload edited under its digest",
+       with(R"("delay_ms":1.5)", R"("delay_ms":1.25)"), CacheLookup::kCorrupt,
+       kNotHit},
+      {"digest absent", with(digest_member(good), ""), CacheLookup::kCorrupt,
+       kNotHit},
       {"cut after schema", canonical.substr(0, 11), CacheLookup::kCorrupt,
        kNotHit},
       {"cut in half", canonical.substr(0, canonical.size() / 2),
@@ -605,15 +637,14 @@ TEST_F(ResultCacheTest, DoctoredEntriesClassifyAsPinned) {
   one.epsilons = {1e-3};
   one.levels = {e2e::BoundResult{1.5, 0.25, 0.125, 10.0, 0.0}};
   append_json(profile, one);
-  const std::string profile_entry = head + R"("key":)" + quoted_profile_key +
-                                    R"(,"profile":)" + profile + "}\n";
+  const auto profile_entry_of = [&](const std::string& payload) {
+    return head + R"("key":)" + quoted_profile_key + "," +
+           digest_member(payload) + R"("profile":)" + payload + "}\n";
+  };
+  const std::string profile_entry = profile_entry_of(profile);
   const auto profile_with = [&](const std::string& from,
                                 const std::string& to) {
-    std::string text = profile_entry;
-    const std::size_t at = text.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    if (at != std::string::npos) text.replace(at, from.size(), to);
-    return text;
+    return profile_entry_of(replaced(profile, from, to));
   };
   struct ProfileCase {
     const char* name;
@@ -623,7 +654,8 @@ TEST_F(ResultCacheTest, DoctoredEntriesClassifyAsPinned) {
   };
   const ProfileCase profile_cases[] = {
       {"canonical", profile_entry, CacheLookup::kHit, 1},
-      {"scalar payload", profile_with(R"("profile":)", R"("result":)"),
+      {"scalar payload",
+       replaced(profile_entry, R"("profile":)", R"("result":)"),
        CacheLookup::kCorrupt, 0},
       {"grid longer than levels",
        profile_with(R"("epsilons":[0.001])", R"("epsilons":[0.001,0.01])"),
@@ -764,29 +796,40 @@ TEST_F(ResultCacheTest, DigestMismatchIsCorrupt) {
   EXPECT_EQ(cache.stats().corrupt, 4);
 }
 
-TEST_F(ResultCacheTest, EntryWithoutDigestHitsAndIsWrittenAgain) {
-  // An entry from before the digest (or written by hand) is classified
-  // as before; a hit's bytes are the decoded payload written again, so
-  // a hexfloat delay answers in the canonical form.
+TEST_F(ResultCacheTest, EntryWithoutDigestIsCorruptAndOverwritten) {
+  // This version writes a digest into every entry, so a current-version
+  // entry without one was edited by hand: corrupt, however well its
+  // payload decodes, and the re-solve overwrites it.
   ResultCache cache(cache_dir());
-  const std::string key = solve_cache_key(small_scenario(), SolveOptions{});
+  const e2e::Scenario sc = small_scenario();
+  const std::string key = solve_cache_key(sc, SolveOptions{});
   std::string quoted_key;
   json::append_quoted(quoted_key, key);
-  const e2e::BoundResult result{1.5, 0.25, 0.125, 10.0, 0.0};
-  std::string canonical;
-  append_json(canonical, result);
-  std::string hand = canonical;
-  hand.replace(hand.find("1.5"), 3, R"("0x1.8p+0")");
+  std::string payload;
+  append_json(payload, e2e::BoundResult{1.5, 0.25, 0.125, 10.0, 0.0});
   write_file(cache.entry_path(key),
              std::string(R"({"schema":7,"version":")") +
                  DELTANC_VERSION_STRING + R"(","key":)" + quoted_key +
-                 R"(,"result":)" + hand + "}\n");
+                 R"(,"result":)" + payload + "}\n");
   e2e::BoundResult out;
-  std::string payload_json;
+  out.delay_ms = -1.0;
+  std::string payload_json = "untouched";
+  EXPECT_EQ(cache.lookup(key, fnv1a64(key), out, payload_json),
+            CacheLookup::kCorrupt);
+  EXPECT_EQ(out.delay_ms, -1.0);
+  EXPECT_EQ(payload_json, "untouched");
+
+  CacheLookup outcome{};
+  const e2e::BoundResult solved = cache.solve_through(
+      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
+      &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kCorrupt);
+  EXPECT_EQ(cache.stats().corrupt, 2);
   ASSERT_EQ(cache.lookup(key, fnv1a64(key), out, payload_json),
             CacheLookup::kHit);
-  EXPECT_EQ(out.delay_ms, 1.5);
-  EXPECT_EQ(payload_json, canonical);
+  EXPECT_EQ(out.delay_ms, solved.delay_ms);
+  EXPECT_NE(read_file(cache.entry_path(key)).find(digest_member(payload_json)),
+            std::string::npos);
 }
 
 TEST_F(ResultCacheTest, SolveThroughCountsOneOutcomePerResult) {

@@ -152,6 +152,10 @@ TEST(SolverFacade, ColdSolveWorkCountersArePinned) {
   }
 }
 
+// Moving these literals moves the bytes of cached warm answers (their
+// stats are part of every stored payload), so the same change must bump
+// the library version in CMakeLists.txt and deltanc/version.h: the
+// version is what makes older entries stale instead of hits.
 TEST(SolverFacade, WarmChainWorkCountersArePinned) {
   // A Fig. 2-style warm chain: one State threaded through n_cross = 20,
   // 40, ..., 380.  Literal totals of the chain's work and of its delays
@@ -473,6 +477,10 @@ TEST(SolverProfile, WarmChainWithinToleranceAndCheaperThanCold) {
   }
 }
 
+// Moving these literals moves the bytes of cached warm answers (their
+// stats are part of every stored payload), so the same change must bump
+// the library version in CMakeLists.txt and deltanc/version.h: the
+// version is what makes older entries stale instead of hits.
 TEST(SolverProfile, WarmProfileWorkCountersArePinned) {
   // A 16-level log-spaced grid over [1e-9, 1e-3] under the warm chain:
   // literal counts, so the chain's savings cannot erode unnoticed.  Every

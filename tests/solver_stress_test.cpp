@@ -173,13 +173,12 @@ TEST_F(SolverStressTest, ExactNeverExceedsPaperK) {
 
 TEST_F(SolverStressTest, SchedulerOrderingHoldsOnStressPoints) {
   // Expand a deterministic subset into all four schedulers and run the
-  // full invariant battery (Delta-ordering, finiteness, classification).
-  SelfCheckOptions options;
-  options.check_methods = false;
+  // full invariant battery (Delta-ordering, finiteness, classification,
+  // exact vs paper-K agreement).
   std::size_t checked = 0;
   for (std::size_t i = 0; i < scenarios_->size(); i += 23) {
     SCOPED_TRACE("scenario " + std::to_string(i));
-    const SelfCheckReport report = self_check((*scenarios_)[i], options);
+    const SelfCheckReport report = self_check((*scenarios_)[i]);
     EXPECT_TRUE(report.ok()) << (report.issues.empty()
                                      ? ""
                                      : report.issues.front().detail);
