@@ -60,8 +60,8 @@ namespace deltanc {
 /// and stays a separate constant in selfcheck.cpp.
 inline constexpr double kWarmStartRelTol = 1e-4;
 
-/// Tuning knobs for self_check().  The defaults match the numerical
-/// headroom of the Fig. 2-4 operating points.
+/// How self_check() solves; what it checks and with which tolerance is
+/// fixed.
 struct SelfCheckOptions {
   /// Primary solve method (the method-agreement check always compares
   /// kExactOpt against kPaperK regardless, which doubles the solves).
@@ -71,7 +71,8 @@ struct SelfCheckOptions {
   int threads = 0;
   /// Per-point solver override, mirroring SweepOptions::solver (used by
   /// tests to inject broken solvers).  When set, the unclassified-+inf
-  /// check and the method-agreement check are skipped.
+  /// check, the method-agreement check and the simulation cross-check
+  /// are skipped; self_check_profile always uses the built-in solver.
   std::function<e2e::BoundResult(const e2e::Scenario&, e2e::Method)> solver;
 };
 
