@@ -2,10 +2,12 @@
 # `deltanc_cli --lint-jsonl` decodes every payload a line carries: a
 # response's "profile" (through the delay-profile decoder) as well as
 # its "result", and a request's "epsilons" under the batch request
-# rules.  Each input below is valid JSON with the supported schema (read
-# from a request the CLI itself writes, so a schema bump cannot make the
-# inputs fail on their schema alone), so only those decoders can find it
-# malformed.
+# rules.  A line without "ok" is a request under --batch's own rule; a
+# response with "ok":true needs a "result" or a "profile", and one with
+# "ok":false a string "error".  Each input below is valid JSON with the
+# supported schema (read from a request the CLI itself writes, so a
+# schema bump cannot make the inputs fail on their schema alone), so
+# only those rules can find it malformed.
 # Registered as the `lint_jsonl` ctest.
 #
 # usage: check_lint.sh [deltanc_cli]
@@ -46,4 +48,15 @@ cat > "$WORK/requests.jsonl" <<JSONL
 {"schema":$schema,"id":3,"scenario":$scenario,"epsilons":[]}
 JSONL
 expect_lint "$WORK/requests.jsonl" "3 line(s) checked, 2 malformed"
-echo "lint_jsonl: profile payloads and request grids are decoded"
+
+# Shapes that are neither a request --batch would answer nor a whole
+# response: an ok response without a payload, a request without a
+# scenario (twice), a failed response without its error.
+cat > "$WORK/shapes.jsonl" <<JSONL
+{"schema":$schema,"id":1,"ok":true}
+{"schema":$schema,"id":2}
+{"schema":$schema,"id":3,"ok":false}
+{"schema":$schema,"id":4,"options":{"method":"exact"}}
+JSONL
+expect_lint "$WORK/shapes.jsonl" "4 line(s) checked, 4 malformed"
+echo "lint_jsonl: profile payloads, request grids and line shapes are checked"
